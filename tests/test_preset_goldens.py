@@ -1,0 +1,64 @@
+"""Every preset's CSV and config sidecar at 2 trials, against stored goldens.
+
+The goldens in ``tests/goldens/`` were written by this module's ``__main__``
+block (``PYTHONPATH=src python tests/test_preset_goldens.py``) before the
+chain stopped re-running the precoder and allocation for MMSE with a
+scale-invariant allocator (OPA, UPA). Those rows may move by floating-point
+rounding only, so they are compared to 1e-9 relative; every other row, and
+every sidecar, must stay byte-identical.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from cellfree import cli_io
+from cellfree.presets import PRESETS
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+TRIALS = 2
+REL_TOL = 1e-9
+# rows whose floating-point order changed when the second pass was dropped
+ROUNDING_ONLY = ("MMSE+OPA+", "MMSE+UPA+")
+
+
+def run_preset(name, out_dir):
+    out = Path(out_dir) / f"{name}.csv"
+    assert cli_io.main(["run", "--preset", name, "--out", str(out),
+                        "--trials", str(TRIALS)]) == 0
+    return out
+
+
+def assert_rows_match(got_line, want_line):
+    if got_line == want_line:
+        return
+    assert want_line.startswith(ROUNDING_ONLY), f"{got_line!r} != {want_line!r}"
+    got, want = got_line.split(","), want_line.split(",")
+    assert len(got) == len(want)
+    assert got[:3] == want[:3] and got[-2:] == want[-2:], (got_line, want_line)
+    for a, b in zip(got[3:-2], want[3:-2]):
+        if a == b:
+            continue
+        assert a and b, (got_line, want_line)
+        assert math.isclose(float(a), float(b), rel_tol=REL_TOL, abs_tol=0.0), \
+            (got_line, want_line)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_matches_golden(name, tmp_path, capsys):
+    out = run_preset(name, tmp_path)
+    want = (GOLDEN_DIR / out.name).read_text(encoding="utf-8").splitlines()
+    got = out.read_text(encoding="utf-8").splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got[1:], want[1:]):
+        assert_rows_match(got_line, want_line)
+    sidecar = Path(str(out) + ".config.json")
+    assert sidecar.read_bytes() == (GOLDEN_DIR / sidecar.name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for preset in sorted(PRESETS):
+        run_preset(preset, GOLDEN_DIR)
