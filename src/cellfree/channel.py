@@ -13,6 +13,7 @@ can be reproduced (and parallelized) from per-trial sub-streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,12 +82,15 @@ class SystemConfig:
             raise ConfigError("num_aps * antennas_per_ap must exceed num_users")
         if not 1 <= self.selected_aps <= self.num_aps:
             raise ConfigError("selected_aps must lie in [1, num_aps]")
-        if not 0.0 <= self.csi_quality <= 1.0:
-            raise ConfigError("csi_quality must lie in [0, 1]")
+        if not 0.0 < self.csi_quality <= 1.0:
+            # at 0 the channel estimate is identically zero and no SNR maps
+            raise ConfigError("csi_quality must lie in (0, 1]")
         if self.d0_m >= self.d1_m:
             raise ConfigError("d0_m must be smaller than d1_m")
         if len(self.snr_grid_db) == 0:
             raise ConfigError("snr_grid_db must not be empty")
+        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
+            raise ConfigError("snr_grid_db must hold finite values")
         if self.total_power_policy != "M*rho_f":
             raise ConfigError("total_power_policy: only 'M*rho_f' is supported")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2 ** 64:

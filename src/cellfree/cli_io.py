@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .channel import ConfigError, SystemConfig
-from .pipeline import (LearningCurveRow, Scheme, SolverParams, SweepRow,
-                       run_learning_curve, run_sweep)
+from .pipeline import (SCHEMES, LearningCurveRow, Scheme, SolverParams,
+                       SweepRow, run_learning_curve, run_sweep)
 from .presets import PRESETS
 
 CSV_HEADER = ("scheme,axis_name,axis_value,sum_rate_mean,sum_rate_se,"
@@ -212,8 +212,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         schemes = [Scheme.parse(label) for label in scheme_labels]
     except ValueError as err:
-        print(f"{err}\nvalid precoders: {', '.join(('MMSE', 'MMSE_CONV', 'ZF', 'CB'))}; "
-              f"allocations: OPA, APA, UPA; selections: NS, LS, ES", file=sys.stderr)
+        valid = "; ".join(f"{stage}s: {', '.join(options)}"
+                          for stage, options in SCHEMES.items())
+        print(f"{err}\nvalid {valid}", file=sys.stderr)
         return 2
 
     trials = args.trials if args.trials is not None else preset.trials

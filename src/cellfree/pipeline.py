@@ -1,11 +1,11 @@
-"""Two-pass precoding/allocation chain and Monte-Carlo sweeps.
+"""The scheme table, the one-pass trial chain and Monte-Carlo sweeps.
 
 One trial runs: draw a channel block, map the requested SNR to the
 per-antenna power scale, select APs (none / gain-ranked / exhaustive),
-precode with an identity allocation, allocate, re-form the precoder with the
-first-pass allocation, allocate again, then score the final pair. Precoders
-whose matrix does not depend on the allocation (ZF, CB, non-iterative MMSE)
-keep their first matrix and the second allocation pass reproduces the first.
+precode with an identity allocation, allocate, then score the pair. Only
+MMSE+APA re-forms the precoder with that allocation (``P N^(-1)``, a column
+scaling) and allocates again: OPA and UPA are invariant to column scaling,
+so for them a second pass would reproduce the first.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +27,74 @@ from . import power_allocation as pa
 from . import precoding as pc
 from . import selection as sel
 
-PRECODER_NAMES = ("MMSE", "MMSE_CONV", "ZF", "CB")
-ALLOCATION_NAMES = ("OPA", "APA", "UPA")
-SELECTION_NAMES = ("NS", "LS", "ES")
-
 _STREAMS = ("topology", "shadowing", "fading", "noise", "symbols")
+
+
+@dataclass(frozen=True)
+class _Precoder:
+    build: Callable       # (g_hat, e_tr, rho_f, sigma_w2, sigma_s2), N = I
+    reformed: bool        # the allocation re-forms the matrix as P N^(-1)
+
+
+@dataclass(frozen=True)
+class _Allocator:
+    solve: Callable       # (precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver)
+    scale_invariant: bool  # column scaling of P leaves the allocated P N unchanged
+    cost_trace: bool = False  # records its cost per iteration (learning curves)
+
+
+def _mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
+    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[1]), e_tr, rho_f,
+                            sigma_w2, sigma_s2)
+
+
+def _opa(precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver):
+    coeffs = mt.sinr_coefficients(precoder.p, g_hat, err_var, rho_f, sigma_w2)
+    return pa.opa_bisection(coeffs, precoder.delta,
+                            iterations=solver.opa_iterations, tol=solver.opa_tol)
+
+
+def _apa(precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver):
+    return pa.apa_sgd(precoder, g_hat, rho_f, sigma_w2, mu=solver.apa_mu,
+                      iterations=solver.apa_iterations, sigma_s2=sigma_s2)
+
+
+def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
+    def evaluate(mask):
+        primed = sel.apply_mask(mask, realization)
+        result = run_chain(primed.g_hat, primed.error_variance, scheme,
+                           rho_f, e_tr, sigma_w2, sigma_s2, solver)
+        return result.metrics.min_sinr
+
+    mask, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
+                         cfg.antennas_per_ap, evaluate, budget=solver.es_budget)
+    return mask, math.comb(cfg.num_aps, cfg.selected_aps) ** cfg.num_users
+
+
+# Every scheme name, keyed by Scheme field. A selector maps (scheme,
+# realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver) to
+# (mask, number of ES candidates scored).
+SCHEMES = {
+    "precoder": {
+        "MMSE": _Precoder(_mmse, reformed=True),
+        "MMSE_CONV": _Precoder(_mmse, reformed=False),
+        "ZF": _Precoder(lambda g_hat, *_: pc.zf_precoder(g_hat), reformed=False),
+        "CB": _Precoder(lambda g_hat, *_: pc.cb_precoder(g_hat), reformed=False),
+    },
+    "allocation": {
+        "OPA": _Allocator(_opa, scale_invariant=True),
+        "APA": _Allocator(_apa, scale_invariant=False, cost_trace=True),
+        "UPA": _Allocator(lambda precoder, *_: pa.upa(precoder.delta),
+                          scale_invariant=True),
+    },
+    "selection": {
+        "NS": lambda scheme, realization, cfg, *_: (
+            sel.full_mask(cfg.num_aps, cfg.antennas_per_ap, cfg.num_users), 0),
+        "LS": lambda scheme, realization, cfg, *_: (
+            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0),
+        "ES": _es,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -43,12 +106,10 @@ class Scheme:
     selection: str
 
     def __post_init__(self):
-        if self.precoder not in PRECODER_NAMES:
-            raise ValueError(f"unknown precoder {self.precoder!r}; valid: {', '.join(PRECODER_NAMES)}")
-        if self.allocation not in ALLOCATION_NAMES:
-            raise ValueError(f"unknown allocation {self.allocation!r}; valid: {', '.join(ALLOCATION_NAMES)}")
-        if self.selection not in SELECTION_NAMES:
-            raise ValueError(f"unknown selection {self.selection!r}; valid: {', '.join(SELECTION_NAMES)}")
+        for stage, options in SCHEMES.items():
+            if getattr(self, stage) not in options:
+                raise ValueError(f"unknown {stage} {getattr(self, stage)!r}; "
+                                 f"valid: {', '.join(options)}")
 
     @classmethod
     def parse(cls, label: str) -> "Scheme":
@@ -99,7 +160,6 @@ class ChainResult:
     precoder: pc.PrecoderOutput
     n_first: pa.AllocationResult
     n_final: pa.AllocationResult
-    coeffs: mt.SinrCoefficients
     metrics: mt.LinkMetrics
     trace: dict
 
@@ -114,88 +174,36 @@ class PipelineResult:
     trace: dict
 
 
-def _build_precoder(kind, g_hat, n_diag, e_tr, rho_f, sigma_w2, sigma_s2):
-    if kind == "MMSE":
-        return pc.mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2, sigma_s2)
-    if kind == "MMSE_CONV":
-        return pc.conventional_mmse_precoder(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
-    if kind == "ZF":
-        return pc.zf_precoder(g_hat, rho_f)
-    if kind == "CB":
-        return pc.cb_precoder(g_hat, rho_f)
-    raise ValueError(f"unknown precoder {kind!r}")
-
-
-def _allocate(kind, precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2,
-              solver: SolverParams) -> pa.AllocationResult:
-    if kind == "UPA":
-        return pa.upa(precoder.delta)
-    if kind == "OPA":
-        coeffs = mt.sinr_coefficients(precoder.p, g_hat, err_var, rho_f, sigma_w2)
-        return pa.opa_bisection(coeffs, precoder.delta,
-                                iterations=solver.opa_iterations, tol=solver.opa_tol)
-    if kind == "APA":
-        return pa.apa_sgd(precoder, g_hat, rho_f, sigma_w2,
-                          mu=solver.apa_mu, iterations=solver.apa_iterations,
-                          sigma_s2=sigma_s2)
-    raise ValueError(f"unknown allocation {kind!r}")
-
-
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
               sigma_w2: float, sigma_s2: float,
               solver: SolverParams = SolverParams()) -> ChainResult:
-    """Precode, allocate, re-form and re-allocate on a (masked) channel."""
-    k = np.asarray(g_hat).shape[1]
+    """Precode and allocate on a (masked) channel; re-form and re-allocate
+    only where that changes the result (see the module docstring)."""
+    precoder = SCHEMES["precoder"][scheme.precoder]
+    allocator = SCHEMES["allocation"][scheme.allocation]
+    args = (g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver)
     t0 = time.perf_counter()
-    first = _build_precoder(scheme.precoder, g_hat, np.ones(k), e_tr, rho_f,
-                            sigma_w2, sigma_s2)
+    prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     t1 = time.perf_counter()
-    n_first = _allocate(scheme.allocation, first, g_hat, err_var, rho_f,
-                        sigma_w2, sigma_s2, solver)
+    solves = [allocator.solve(prec, *args)]
     t2 = time.perf_counter()
-    if scheme.precoder == "MMSE":
-        final = _build_precoder("MMSE", g_hat, n_first.n_diag, e_tr, rho_f,
-                                sigma_w2, sigma_s2)
-        builds = 2
-    else:
-        final = first
-        builds = 1
-    t3 = time.perf_counter()
-    n_final = _allocate(scheme.allocation, final, g_hat, err_var, rho_f,
-                        sigma_w2, sigma_s2, solver)
-    t4 = time.perf_counter()
-    coeffs = mt.sinr_coefficients(final.p, g_hat, err_var, rho_f, sigma_w2)
-    metrics = mt.rates(mt.analytic_sinr(coeffs, n_final.eta))
+    seconds = {"precoder": t1 - t0, "allocation": t2 - t1}
+    if precoder.reformed and not allocator.scale_invariant:
+        prec = pc.apply_allocation(prec, solves[0].n_diag)
+        t3 = time.perf_counter()
+        solves.append(allocator.solve(prec, *args))
+        seconds["precoder"] += t3 - t2
+        seconds["allocation"] += time.perf_counter() - t3
+    coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+    metrics = mt.rates(mt.analytic_sinr(coeffs, solves[-1].eta))
     trace = {
-        "precoder_builds": builds,
-        "allocation_solves": 2,
-        "allocation_iterations": [n_first.iterations, n_final.iterations],
-        "seconds": {
-            "precoder": (t1 - t0) + (t3 - t2),
-            "allocation": (t2 - t1) + (t4 - t3),
-        },
+        "precoder_builds": len(solves),   # every solve has its own precoder
+        "allocation_solves": len(solves),
+        "allocation_iterations": [n.iterations for n in solves],
+        "seconds": seconds,
     }
-    return ChainResult(precoder=final, n_first=n_first, n_final=n_final,
-                       coeffs=coeffs, metrics=metrics, trace=trace)
-
-
-def _select(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
-    if scheme.selection == "NS":
-        return sel.full_mask(cfg.num_aps, cfg.antennas_per_ap, cfg.num_users), 0
-    if scheme.selection == "LS":
-        return sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0
-    if scheme.selection == "ES":
-        def evaluate(mask):
-            primed = sel.apply_mask(mask, realization)
-            result = run_chain(primed.g_hat, primed.error_variance, scheme,
-                               rho_f, e_tr, sigma_w2, sigma_s2, solver)
-            return result.metrics.min_sinr
-
-        mask, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
-                             cfg.antennas_per_ap, evaluate, budget=solver.es_budget)
-        count = math.comb(cfg.num_aps, cfg.selected_aps) ** cfg.num_users
-        return mask, count
-    raise ValueError(f"unknown selection {scheme.selection!r}")
+    return ChainResult(precoder=prec, n_first=solves[0], n_final=solves[-1],
+                       metrics=metrics, trace=trace)
 
 
 def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
@@ -215,8 +223,9 @@ def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
     rho_f = mt.snr_to_rho_f(10.0 ** (snr_db / 10.0), realization.g_hat, sigma_w2)
     e_tr = cfg.total_antennas * rho_f
 
-    mask, es_candidates = _select(scheme, realization, cfg, rho_f, e_tr,
-                                  sigma_w2, sigma_s2, solver)
+    select = SCHEMES["selection"][scheme.selection]
+    mask, es_candidates = select(scheme, realization, cfg, rho_f, e_tr,
+                                 sigma_w2, sigma_s2, solver)
     t2 = time.perf_counter()
     primed = sel.apply_mask(mask, realization)
     chain = run_chain(primed.g_hat, primed.error_variance, scheme, rho_f, e_tr,
@@ -349,8 +358,10 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
     Uses the first allocation pass (identity-allocation precoder), which is
     where the gradient solver starts from scratch.
     """
-    if scheme.allocation != "APA":
-        raise ValueError("learning curves require an APA scheme")
+    if not SCHEMES["allocation"][scheme.allocation].cost_trace:
+        raise ValueError("learning curves require an allocation that records its cost: "
+                         + ", ".join(n for n, a in SCHEMES["allocation"].items()
+                                     if a.cost_trace))
     if seed is None:
         seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])

@@ -26,10 +26,6 @@ import numpy as np
 from .metrics import SinrCoefficients, analytic_sinr
 from .precoding import PrecoderOutput
 
-OPA = "OPA"
-APA = "APA"
-UPA = "UPA"
-
 # slack for the per-antenna constraint checks; results satisfy the
 # constraint to this relative accuracy
 CONSTRAINT_TOL = 1e-9
@@ -38,9 +34,7 @@ CONSTRAINT_TOL = 1e-9
 @dataclass
 class AllocationResult:
     eta: np.ndarray               # (K,) nonnegative
-    scheme: str
     iterations: int
-    feasible: bool
     achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR
     cost_trace: Optional[list] = None       # APA: MSE cost per iteration
     eta_trace: Optional[list] = None        # APA: coefficients per iteration
@@ -51,11 +45,6 @@ class AllocationResult:
         return np.sqrt(self.eta)
 
 
-def compute_delta(p) -> np.ndarray:
-    """Per-antenna per-user power loadings |P_{m,i}|^2."""
-    return np.abs(np.asarray(p)) ** 2
-
-
 def upa(delta) -> AllocationResult:
     """Uniform allocation: equal eta sized by the most loaded antenna."""
     delta = np.asarray(delta, dtype=float)
@@ -64,7 +53,7 @@ def upa(delta) -> AllocationResult:
     if peak <= 0.0:
         raise ValueError("precoder is identically zero; no power loading to size")
     eta = np.full(delta.shape[1], 1.0 / peak)
-    return AllocationResult(eta=eta, scheme=UPA, iterations=0, feasible=True)
+    return AllocationResult(eta=eta, iterations=0)
 
 
 def sinr_feasible(t: float, coeffs: SinrCoefficients, delta):
@@ -125,8 +114,7 @@ def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
                              0.0)
         t_hi = 2.0 * float(np.max(bound))
     if t_hi <= t_lo:
-        return AllocationResult(eta=np.zeros(k), scheme=OPA, iterations=0,
-                                feasible=True, achieved_t=0.0)
+        return AllocationResult(eta=np.zeros(k), iterations=0, achieved_t=0.0)
 
     for _ in range(60):
         ok, _ = sinr_feasible(t_hi, coeffs, delta)
@@ -149,8 +137,7 @@ def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
             best_eta = eta
         else:
             t_hi = t_mid
-    return AllocationResult(eta=best_eta, scheme=OPA, iterations=used,
-                            feasible=True, achieved_t=float(t_lo))
+    return AllocationResult(eta=best_eta, iterations=used, achieved_t=float(t_lo))
 
 
 def apa_cost(n_diag, effective, rho_f: float, f: float, sigma_w2: float,
@@ -181,8 +168,7 @@ def apa_gradient(n_diag, effective, rho_f: float, f: float,
 
 
 def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
-            mu: float, iterations: int, sigma_s2: float = 1.0,
-            delta=None) -> AllocationResult:
+            mu: float, iterations: int, sigma_s2: float = 1.0) -> AllocationResult:
     """Stochastic-gradient power allocation against a fixed precoder.
 
     Starts from eta = 1e-3 for every user and takes ``iterations`` gradient
@@ -201,7 +187,7 @@ def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     g_hat = np.asarray(g_hat)
-    delta = precoder.delta if delta is None else np.asarray(delta, dtype=float)
+    delta = precoder.delta
     k = g_hat.shape[1]
     effective = g_hat.T @ precoder.p
     f = precoder.f
@@ -221,5 +207,5 @@ def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
             eta = eta / load
         cost_trace.append(apa_cost(np.sqrt(eta), effective, rho_f, f, sigma_w2, sigma_s2))
         eta_trace.append(eta.copy())
-    return AllocationResult(eta=eta, scheme=APA, iterations=iterations, feasible=True,
+    return AllocationResult(eta=eta, iterations=iterations,
                             cost_trace=cost_trace, eta_trace=eta_trace)

@@ -18,14 +18,10 @@ allocation stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-
-MMSE_ITER = "MMSE_ITER"
-MMSE_CONV = "MMSE_CONV"
-ZF = "ZF"
-CB = "CB"
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,11 @@ class PrecoderOutput:
 
     p: np.ndarray          # (M, K) complex
     f: float               # receive-side gain-control normalization
-    scheme: str
-    delta: np.ndarray      # (M, K), |p|^2
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """(M, K) per-antenna per-user power loadings |P_{m,i}|^2."""
+        return np.abs(self.p) ** 2
 
 
 def _ridge_solve(g_hat: np.ndarray, eps: float, method: str) -> np.ndarray:
@@ -60,46 +59,46 @@ def _ridge_solve(g_hat: np.ndarray, eps: float, method: str) -> np.ndarray:
     raise ValueError(f"unknown solve method: {method!r}")
 
 
+def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
+    """Re-form a precoder for the diagonal power allocation ``n_diag``.
+
+    The allocation enters the precoder as ``P N^(-1)``: it only divides the
+    columns and leaves f unchanged.
+    """
+    n_diag = np.asarray(n_diag, dtype=float)
+    if n_diag.ndim != 1 or n_diag.shape[0] != precoder.p.shape[1]:
+        raise ValueError("n_diag must hold one positive entry per user")
+    if np.any(n_diag <= 0) or not np.all(np.isfinite(n_diag)):
+        raise ValueError("power-allocation diagonal must be strictly positive")
+    return PrecoderOutput(p=precoder.p / n_diag[None, :], f=precoder.f)
+
+
 def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
-                  sigma_s2: float = 1.0, method: str = "auto") -> PrecoderOutput:
+                  sigma_s2: float = 1.0) -> PrecoderOutput:
     """MMSE precoder for a given diagonal power allocation.
 
     ``n_diag`` holds the K strictly positive diagonal entries (sqrt of the
     per-user power coefficients). The auxiliary solution and normalization f
-    do not depend on it; the allocation only divides the columns, so
-    ``mmse_precoder(g, n) == mmse_precoder(g, ones) / n`` columnwise.
+    do not depend on it, so ``mmse_precoder(g, n)`` is
+    ``apply_allocation(mmse_precoder(g, ones), n)``.
     """
     g_hat = np.asarray(g_hat)
-    n_diag = np.asarray(n_diag, dtype=float)
     if e_tr <= 0:
         raise ValueError("e_tr must be positive")
     if rho_f <= 0:
         raise ValueError("rho_f must be positive")
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be nonnegative")
-    if n_diag.ndim != 1 or n_diag.shape[0] != g_hat.shape[1]:
-        raise ValueError("n_diag must hold one positive entry per user")
-    if np.any(n_diag <= 0) or not np.all(np.isfinite(n_diag)):
-        raise ValueError("power-allocation diagonal must be strictly positive")
 
     k = g_hat.shape[1]
     eps = k * sigma_w2 / e_tr
-    p_tilde = _ridge_solve(g_hat, eps, method)
+    p_tilde = _ridge_solve(g_hat, eps, "auto")
     f = float(np.sqrt(e_tr / (sigma_s2 * np.linalg.norm(p_tilde) ** 2)))
-    p = (f / np.sqrt(rho_f)) * p_tilde
-    p = p / n_diag[None, :]
-    return PrecoderOutput(p=p, f=f, scheme=MMSE_ITER, delta=np.abs(p) ** 2)
+    return apply_allocation(PrecoderOutput(p=(f / np.sqrt(rho_f)) * p_tilde, f=f),
+                            n_diag)
 
 
-def conventional_mmse_precoder(g_hat, e_tr: float, rho_f: float, sigma_w2: float,
-                               sigma_s2: float = 1.0, method: str = "auto") -> PrecoderOutput:
-    """MMSE precoder with identity power allocation (non-iterative baseline)."""
-    out = mmse_precoder(g_hat, np.ones(np.asarray(g_hat).shape[1]), e_tr, rho_f,
-                        sigma_w2, sigma_s2, method)
-    return PrecoderOutput(p=out.p, f=out.f, scheme=MMSE_CONV, delta=out.delta)
-
-
-def zf_precoder(g_hat, rho_f: float = 1.0) -> PrecoderOutput:
+def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
     on the estimated channel. Raises on a rank-deficient channel."""
     g_hat = np.asarray(g_hat)
@@ -108,10 +107,9 @@ def zf_precoder(g_hat, rho_f: float = 1.0) -> PrecoderOutput:
         p = cho_solve(cho_factor(gram, lower=True), g_hat.T).conj().T
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"rank-deficient channel: {err}") from err
-    return PrecoderOutput(p=p, f=1.0, scheme=ZF, delta=np.abs(p) ** 2)
+    return PrecoderOutput(p=p, f=1.0)
 
 
-def cb_precoder(g_hat, rho_f: float = 1.0) -> PrecoderOutput:
+def cb_precoder(g_hat) -> PrecoderOutput:
     """Conjugate beamforming: transmit along the conjugated channel estimate."""
-    p = np.asarray(g_hat).conj()
-    return PrecoderOutput(p=p, f=1.0, scheme=CB, delta=np.abs(p) ** 2)
+    return PrecoderOutput(p=np.asarray(g_hat).conj(), f=1.0)

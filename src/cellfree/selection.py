@@ -25,10 +25,6 @@ class SelectionMask:
     q: np.ndarray                       # (M, K) of {0.0, 1.0}
     selected: tuple                     # K tuples of AP indices
 
-    @property
-    def num_selected(self) -> int:
-        return len(self.selected[0])
-
 
 def _mask_from_ap_choices(choices, num_aps: int, antennas_per_ap: int) -> SelectionMask:
     k = len(choices)

@@ -139,7 +139,9 @@ def test_perfect_csi_has_no_error_component():
 
 
 def test_zero_csi_quality_kills_the_estimate():
-    cfg = default_cfg(csi_quality=0.0)
+    # validate() rejects n = 0 (nothing downstream can run on it), but the
+    # channel model itself is defined there
+    cfg = dataclasses.replace(SystemConfig(), csi_quality=0.0)
     beta = np.full((8, 3), 2.0)
     g, g_hat, g_tilde, alpha = realize_channel(beta, cfg, np.random.default_rng(0))
     assert np.all(g_hat == 0)
@@ -255,5 +257,12 @@ def test_config_invariants():
         default_cfg(d0_m=60.0)
     with pytest.raises(ConfigError, match="snr_grid_db"):
         default_cfg(snr_grid_db=())
+    with pytest.raises(ConfigError, match="csi_quality"):
+        default_cfg(csi_quality=0.0)
+    with pytest.raises(ConfigError, match="csi_quality"):
+        default_cfg(csi_quality=float("nan"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            default_cfg(snr_grid_db=(0.0, bad))
     noise = default_cfg().noise_variance_w()
     assert np.isclose(noise, 290 * 1.381e-23 * 20e6 * 10 ** 0.9)

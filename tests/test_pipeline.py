@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellfree.channel import SystemConfig
+from cellfree.channel import SystemConfig, generate_realization
+from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (Scheme, SolverParams, TrialStreams, run_chain,
                                run_learning_curve, run_sweep, run_trial)
+from cellfree.power_allocation import apa_sgd, opa_bisection, upa
+from cellfree.precoding import mmse_precoder
+from cellfree.selection import apply_mask, ls_aps
 
 
 def cfg_with(**overrides):
@@ -37,14 +41,77 @@ def test_scheme_parsing():
 def test_identity_channel_chain_by_hand():
     k, rho_f = 3, 2.0
     g = np.eye(k, dtype=complex)
-    out = run_chain(g, np.zeros((k, k)), Scheme("MMSE", "UPA", "NS"),
-                    rho_f=rho_f, e_tr=float(k), sigma_w2=1.0, sigma_s2=1.0)
+    by_hand = dict(err_var=np.zeros((k, k)), rho_f=rho_f, e_tr=float(k),
+                   sigma_w2=1.0, sigma_s2=1.0)
+
+    # UPA is scale-invariant: one build, one solve. A second pass would give
+    # P = I / rho_f with eta = rho_f^2; the one pass keeps P = I / sqrt(rho_f)
+    # with eta = rho_f. Both have the same P N, so both reach the SINR
+    # rho_f * eta * |p_kk|^2 / sigma_w2 = rho_f.
+    out = run_chain(g, scheme=Scheme("MMSE", "UPA", "NS"), **by_hand)
+    assert np.allclose(out.precoder.p, np.eye(k) / np.sqrt(rho_f))
+    assert np.allclose(out.precoder.delta, np.eye(k) / rho_f)
     assert np.allclose(out.n_first.eta, rho_f)
-    assert np.allclose(out.precoder.p, np.eye(k) / rho_f)
-    assert np.allclose(out.precoder.delta, np.eye(k) / rho_f ** 2)
-    assert np.allclose(out.n_final.eta, rho_f ** 2)
+    assert out.n_final is out.n_first
+    assert np.allclose(out.metrics.per_user_sinr, rho_f)
+    assert out.trace["precoder_builds"] == 1
+    assert out.trace["allocation_solves"] == 1
+    assert out.trace["allocation_iterations"] == [0]
+
+    # APA is not: the precoder is re-formed as P / n_first and allocated again
+    out = run_chain(g, scheme=Scheme("MMSE", "APA", "NS"), **by_hand)
+    n1 = np.sqrt(out.n_first.eta)
+    assert np.allclose(out.precoder.p, np.eye(k) / np.sqrt(rho_f) / n1[None, :])
+    assert not np.allclose(out.n_final.eta, out.n_first.eta)
+    assert np.max(out.precoder.delta @ out.n_final.eta) <= 1.0 + 1e-9
     assert out.trace["precoder_builds"] == 2
     assert out.trace["allocation_solves"] == 2
+    assert out.trace["allocation_iterations"] == [5, 5]
+
+
+def test_one_pass_equals_the_explicit_two_pass_chain():
+    cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8, csi_quality=0.95)
+    solver = SolverParams()
+    sigma_w2 = cfg.noise_variance_w()
+    for trial in range(4):
+        streams = TrialStreams.for_trial(cfg.rng_seed, trial)
+        real = generate_realization(cfg, streams.topology, streams.shadowing,
+                                    streams.fading)
+        primed = apply_mask(ls_aps(real.beta, cfg.selected_aps, 1), real)
+        g, err = primed.g_hat, primed.error_variance
+        rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
+        e_tr = cfg.total_antennas * rho_f
+
+        def two_pass(allocate):
+            """The paper's chain: allocate, re-solve MMSE with N, allocate again."""
+            n_first = allocate(mmse_precoder(g, np.ones(4), e_tr, rho_f, sigma_w2))
+            second = mmse_precoder(g, n_first.n_diag, e_tr, rho_f, sigma_w2)
+            n_final = allocate(second)
+            coeffs = sinr_coefficients(second.p, g, err, rho_f, sigma_w2)
+            return second, n_final, analytic_sinr(coeffs, n_final.eta)
+
+        def one_pass(allocation):
+            return run_chain(g, err, Scheme("MMSE", allocation, "LS"), rho_f,
+                             e_tr, sigma_w2, 1.0, solver)
+
+        def opa(prec):
+            coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
+            return opa_bisection(coeffs, prec.delta, iterations=solver.opa_iterations,
+                                 tol=solver.opa_tol)
+
+        for name, allocate in (("OPA", opa), ("UPA", lambda prec: upa(prec.delta))):
+            got = one_pass(name)
+            assert got.trace["allocation_solves"] == 1
+            assert np.allclose(got.metrics.per_user_sinr, two_pass(allocate)[2],
+                               rtol=1e-12, atol=0.0)
+
+        second, n_final, sinr = two_pass(
+            lambda prec: apa_sgd(prec, g, rho_f, sigma_w2, mu=solver.apa_mu,
+                                 iterations=solver.apa_iterations))
+        got = one_pass("APA")
+        assert np.array_equal(got.precoder.p, second.p)
+        assert np.array_equal(got.n_final.eta, n_final.eta)
+        assert np.array_equal(got.metrics.per_user_sinr, sinr)
 
 
 def test_allocation_independent_precoders_repeat_the_first_pass():

@@ -3,9 +3,8 @@ import pytest
 
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
 from cellfree.power_allocation import (apa_cost, apa_gradient, apa_sgd,
-                                       compute_delta, opa_bisection,
-                                       sinr_feasible, upa)
-from cellfree.precoding import mmse_precoder
+                                       opa_bisection, sinr_feasible, upa)
+from cellfree.precoding import PrecoderOutput, mmse_precoder
 
 
 def random_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
@@ -40,11 +39,14 @@ def grid_max_min(coeffs, delta, resolution=1000):
 # ------------------------------------------------------------------ loadings
 
 def test_power_loadings():
-    assert np.array_equal(compute_delta(np.eye(3, dtype=complex)), np.eye(3))
-    assert compute_delta(np.array([[3.0 + 4.0j]]))[0, 0] == 25.0
+    def delta(p):
+        return PrecoderOutput(p=p, f=1.0).delta
+
+    assert np.array_equal(delta(np.eye(3, dtype=complex)), np.eye(3))
+    assert delta(np.array([[3.0 + 4.0j]]))[0, 0] == 25.0
     rng = np.random.default_rng(0)
     p = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    assert np.array_equal(compute_delta(p), np.abs(p) ** 2)
+    assert np.array_equal(delta(p), np.abs(p) ** 2)
 
 
 # ------------------------------------------------------------------- uniform

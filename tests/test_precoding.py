@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cellfree.precoding import (cb_precoder, conventional_mmse_precoder,
-                                mmse_precoder, zf_precoder, _ridge_solve)
+from cellfree.pipeline import SCHEMES
+from cellfree.precoding import (apply_allocation, cb_precoder, mmse_precoder,
+                                zf_precoder, _ridge_solve)
 
 
 def random_channel(rng, m, k):
@@ -102,6 +103,10 @@ def test_allocation_factor_only_scales_columns():
     base = mmse_precoder(g, np.ones(4), 5.0, 2.0, 1.0)
     assert np.array_equal(with_n.p, base.p / n_diag[None, :])
     assert with_n.f == base.f
+    reformed = apply_allocation(base, n_diag)
+    assert np.array_equal(reformed.p, with_n.p)
+    assert np.array_equal(reformed.delta, np.abs(with_n.p) ** 2)
+    assert reformed.f == base.f
 
 
 def test_parameter_validation():
@@ -114,6 +119,10 @@ def test_parameter_validation():
         mmse_precoder(g, np.ones(2), 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="rho_f"):
         mmse_precoder(g, np.ones(3), 1.0, -1.0, 1.0)
+    base = mmse_precoder(g, np.ones(3), 1.0, 1.0, 1.0)
+    for bad in ([1.0, np.inf, 1.0], [1.0, -1.0, 1.0]):
+        with pytest.raises(ValueError, match="positive"):
+            apply_allocation(base, np.array(bad))
 
 
 # ------------------------------------------------------------ zero forcing
@@ -162,10 +171,9 @@ def test_conjugate_beamformer():
 def test_conventional_variant_equals_identity_allocation():
     rng = np.random.default_rng(11)
     g = random_channel(rng, 9, 4)
-    conv = conventional_mmse_precoder(g, 3.0, 1.5, 0.7)
+    conv = SCHEMES["precoder"]["MMSE_CONV"]
+    assert not conv.reformed
+    got = conv.build(g, 3.0, 1.5, 0.7, 1.0)
     base = mmse_precoder(g, np.ones(4), 3.0, 1.5, 0.7)
-    assert np.array_equal(conv.p, base.p)
-    assert conv.f == base.f
-    assert conv.scheme == "MMSE_CONV"
-    ident = conventional_mmse_precoder(np.eye(4, dtype=complex), 4.0, 2.0, 1.0)
-    assert np.allclose(ident.p, np.eye(4) / np.sqrt(2.0))
+    assert np.array_equal(got.p, base.p)
+    assert got.f == base.f
