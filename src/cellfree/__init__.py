@@ -8,7 +8,7 @@ and sum-rate / minimum-SINR / QPSK-BER evaluation.
 from .channel import (ChannelRealization, ConfigError, SystemConfig,
                       generate_realization)
 from .metrics import LinkMetrics, SinrCoefficients, analytic_sinr, rates, snr_to_rho_f
-from .pipeline import (PipelineResult, Scheme, SolverParams, SweepRow,
+from .pipeline import (PipelineResult, Scheme, SolverParams, SweepRow, TrialError,
                        run_learning_curve, run_sweep, run_trial)
 from .power_allocation import AllocationResult
 from .precoding import PrecoderOutput
@@ -29,6 +29,7 @@ __all__ = [
     "SolverParams",
     "SweepRow",
     "SystemConfig",
+    "TrialError",
     "analytic_sinr",
     "apply_mask",
     "es_aps",

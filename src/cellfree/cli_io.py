@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .channel import ConfigError, SystemConfig
 from .pipeline import (SCHEMES, LearningCurveRow, Scheme, SolverParams,
-                       SweepRow, run_learning_curve, run_sweep)
+                       SweepRow, TrialError, run_learning_curve, run_sweep)
 from .presets import PRESETS
 
 CSV_HEADER = ("scheme,axis_name,axis_value,sum_rate_mean,sum_rate_se,"
@@ -236,6 +236,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              with_ber=preset.with_ber,
                              axis_values=preset.axis_values)
             emit_results(rows, args.out, sidecar)
+    except TrialError as err:
+        print(f"trial failed: {err}", file=sys.stderr)
+        return 1
     except OSError as err:
         print(f"cannot write results: {err}", file=sys.stderr)
         return 1

@@ -12,11 +12,17 @@ estimate and the CSI-error variances:
     SINR_k = rho_f eta_k psi_k /
              (sigma_w^2 + rho_f sum_{i != k} eta_i phi_{k,i}
                         + rho_f sum_i eta_i gamma_{k,i})
+
+``sinr_coefficients``, ``analytic_sinr`` and ``rates`` also accept stacks of
+links along leading axes, ``(..., M, K)`` channels and precoders with
+``(..., K)`` power coefficients; each item is computed exactly as its own
+2-D call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,35 +32,58 @@ import numpy as np
 class SinrCoefficients:
     """Quadratic SINR building blocks; every entry is nonnegative."""
 
-    psi: np.ndarray       # (K,)
-    phi: np.ndarray       # (K, K), diagonal unused
-    gamma: np.ndarray     # (K, K)
+    psi: np.ndarray       # (..., K)
+    phi: np.ndarray       # (..., K, K), diagonal unused
+    gamma: np.ndarray     # (..., K, K)
     rho_f: float
     sigma_w2: float
+
+    # Terms that do not depend on the power coefficients, computed once per
+    # coefficient set for the repeated SINR evaluations of the allocators.
+    @cached_property
+    def phi_cross(self) -> np.ndarray:
+        """phi with its diagonal zeroed: the inter-user interference terms."""
+        cross = self.phi.copy()
+        np.einsum("...ii->...i", cross)[...] = 0.0     # a writable diagonal view
+        return cross
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """phi + gamma, the coupling of the SINR constraints at equality."""
+        return self.phi + self.gamma
+
+    @cached_property
+    def rho_psi(self) -> np.ndarray:
+        return self.rho_f * self.psi
+
+    @cached_property
+    def gamma_diag(self) -> np.ndarray:
+        return self.gamma.diagonal(axis1=-2, axis2=-1).copy()
 
 
 @dataclass
 class LinkMetrics:
-    per_user_sinr: np.ndarray     # (K,) linear
-    per_user_rate: np.ndarray     # (K,) bits/s/Hz
-    sum_rate: float
-    min_sinr: float
+    per_user_sinr: np.ndarray     # (..., K) linear
+    per_user_rate: np.ndarray     # (..., K) bits/s/Hz
+    sum_rate: float               # (...)
+    min_sinr: float               # (...)
     ber: Optional[float] = None
 
 
 def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrCoefficients:
     """Coefficients (psi, phi, gamma) for the closed-form SINR.
 
-    ``err_var`` is the (M, K) per-entry CSI-error variance, `(1 - n) * beta`
-    after masking; with perfect CSI it is zero and gamma vanishes.
+    ``err_var`` is the (..., M, K) per-entry CSI-error variance,
+    `(1 - n) * beta` after masking; with perfect CSI it is zero and gamma
+    vanishes.
     """
     p = np.asarray(p)
     g_hat = np.asarray(g_hat)
     err_var = np.asarray(err_var, dtype=float)
-    effective = g_hat.T @ p                   # (K, K): row k = g_hat_k^T P
+    effective = g_hat.mT @ p                  # (K, K): row k = g_hat_k^T P
     phi = np.abs(effective) ** 2
-    psi = np.diag(phi).copy()
-    gamma = err_var.T @ (np.abs(p) ** 2)      # (K, K): [k, i] couples user i into k
+    psi = phi.diagonal(axis1=-2, axis2=-1).copy()
+    gamma = err_var.mT @ (np.abs(p) ** 2)     # (K, K): [k, i] couples user i into k
     return SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
                             rho_f=float(rho_f), sigma_w2=float(sigma_w2))
 
@@ -62,20 +91,19 @@ def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrC
 def analytic_sinr(coeffs: SinrCoefficients, eta) -> np.ndarray:
     """Per-user SINR (linear) for power coefficients eta >= 0."""
     eta = np.asarray(eta, dtype=float)
-    phi_cross = coeffs.phi - np.diag(np.diag(coeffs.phi))
-    interference = coeffs.rho_f * (phi_cross @ eta)
-    csi_leak = coeffs.rho_f * (coeffs.gamma @ eta)
+    interference = coeffs.rho_f * np.matvec(coeffs.phi_cross, eta)
+    csi_leak = coeffs.rho_f * np.matvec(coeffs.gamma, eta)
     signal = coeffs.rho_f * eta * coeffs.psi
     return signal / (coeffs.sigma_w2 + interference + csi_leak)
 
 
 def rates(per_user_sinr, ber: Optional[float] = None) -> LinkMetrics:
-    """Achievable rates log2(1 + SINR) and their aggregates."""
+    """Achievable rates log2(1 + SINR) and their aggregates over the users."""
     sinr = np.asarray(per_user_sinr, dtype=float)
     rate = np.log2(1.0 + sinr)
     return LinkMetrics(per_user_sinr=sinr, per_user_rate=rate,
-                       sum_rate=float(np.sum(rate)), min_sinr=float(np.min(sinr)),
-                       ber=ber)
+                       sum_rate=np.sum(rate, axis=-1)[()],
+                       min_sinr=np.min(sinr, axis=-1)[()], ber=ber)
 
 
 def snr_to_rho_f(snr_linear: float, g_hat, sigma_w2: float) -> float:

@@ -5,7 +5,14 @@ per-antenna power scale, select APs (none / gain-ranked / exhaustive),
 precode with an identity allocation, allocate, then score the pair. Only
 MMSE+APA re-forms the precoder with that allocation (``P N^(-1)``, a column
 scaling) and allocates again: OPA and UPA are invariant to column scaling,
-so for them a second pass would reproduce the first.
+so for them a second pass would reproduce the first. The SINR coefficients
+of a precoder are computed once and shared by the allocator and the
+metrics.
+
+``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
+``(B, M, K)``; exhaustive selection scores its candidate masks as such
+stacks, in chunks, and the trial then re-runs the 2-D chain on the winning
+mask, so every reported number comes from the 2-D chain.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
@@ -38,30 +45,29 @@ class _Precoder:
 
 @dataclass(frozen=True)
 class _Allocator:
-    solve: Callable       # (precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver)
+    solve: Callable       # (precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver)
     scale_invariant: bool  # column scaling of P leaves the allocated P N unchanged
     cost_trace: bool = False  # records its cost per iteration (learning curves)
 
 
 def _mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
-    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[1]), e_tr, rho_f,
+    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[-1]), e_tr, rho_f,
                             sigma_w2, sigma_s2)
 
 
-def _opa(precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver):
-    coeffs = mt.sinr_coefficients(precoder.p, g_hat, err_var, rho_f, sigma_w2)
+def _opa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
     return pa.opa_bisection(coeffs, precoder.delta,
                             iterations=solver.opa_iterations, tol=solver.opa_tol)
 
 
-def _apa(precoder, g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver):
+def _apa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
     return pa.apa_sgd(precoder, g_hat, rho_f, sigma_w2, mu=solver.apa_mu,
                       iterations=solver.apa_iterations, sigma_s2=sigma_s2)
 
 
 def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
-    def evaluate(mask):
-        primed = sel.apply_mask(mask, realization)
+    def evaluate(masks):
+        primed = sel.apply_mask(masks, realization)
         result = run_chain(primed.g_hat, primed.error_variance, scheme,
                            rho_f, e_tr, sigma_w2, sigma_s2, solver)
         return result.metrics.min_sinr
@@ -177,24 +183,26 @@ class PipelineResult:
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
               sigma_w2: float, sigma_s2: float,
               solver: SolverParams = SolverParams()) -> ChainResult:
-    """Precode and allocate on a (masked) channel; re-form and re-allocate
-    only where that changes the result (see the module docstring)."""
+    """Precode and allocate on a (masked) channel, or a stack of them;
+    re-form and re-allocate only where that changes the result (see the
+    module docstring)."""
     precoder = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
-    args = (g_hat, err_var, rho_f, sigma_w2, sigma_s2, solver)
+    args = (g_hat, rho_f, sigma_w2, sigma_s2, solver)
     t0 = time.perf_counter()
     prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     t1 = time.perf_counter()
-    solves = [allocator.solve(prec, *args)]
+    coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+    solves = [allocator.solve(prec, coeffs, *args)]
     t2 = time.perf_counter()
     seconds = {"precoder": t1 - t0, "allocation": t2 - t1}
     if precoder.reformed and not allocator.scale_invariant:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
-        solves.append(allocator.solve(prec, *args))
+        coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+        solves.append(allocator.solve(prec, coeffs, *args))
         seconds["precoder"] += t3 - t2
         seconds["allocation"] += time.perf_counter() - t3
-    coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
     metrics = mt.rates(mt.analytic_sinr(coeffs, solves[-1].eta))
     trace = {
         "precoder_builds": len(solves),   # every solve has its own precoder
@@ -250,6 +258,34 @@ def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
                              "ber": t4 - t3})
     return PipelineResult(mask=mask, precoder=chain.precoder, n_first=chain.n_first,
                           n_final=chain.n_final, metrics=metrics, trace=trace)
+
+
+class TrialError(RuntimeError):
+    """A trial of a sweep failed on its random draw.
+
+    Carries what reproduces the failure: ``run_trial`` with the scheme, the
+    config and SNR of the axis point, the trial index and the seed raises
+    the original error (``__cause__``) again.
+    """
+
+    def __init__(self, scheme: str, axis_name: str, axis_value: float, trial: int,
+                 seed: int, cause: BaseException):
+        self.scheme = scheme
+        self.axis_name = axis_name
+        self.axis_value = axis_value
+        self.trial = trial
+        self.seed = seed
+        detail = " ".join(f"{type(cause).__name__}: {cause}".split())
+        super().__init__(f"{scheme} at {axis_name}={axis_value:g}, trial {trial}, "
+                         f"seed {seed}: {detail}")
+
+
+def _point_trial(cfg, scheme, snr, trial, solver, with_ber, seed, axis_name, axis_value):
+    """``run_trial`` at one axis point, its draw-dependent failures named."""
+    try:
+        return run_trial(cfg, scheme, snr, trial, solver, with_ber=with_ber, seed=seed)
+    except (ArithmeticError, ValueError) as err:   # LinAlgError is a ValueError
+        raise TrialError(scheme.label, axis_name, axis_value, trial, seed, err) from err
 
 
 @dataclass(frozen=True)
@@ -310,7 +346,8 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     """Average per-trial metrics per (scheme, axis point).
 
     The same trial index reuses the same channel block for every scheme and
-    axis point, so scheme comparisons are paired.
+    axis point, so scheme comparisons are paired. A trial that fails on its
+    draw raises ``TrialError``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -321,8 +358,8 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
         for value, cfg_point, snr in _axis_points(cfg, axis, axis_values):
             sums, mins_db, bers = [], [], []
             for t in range(trials):
-                res = run_trial(cfg_point, scheme, snr, t, solver,
-                                with_ber=with_ber, seed=seed)
+                res = _point_trial(cfg_point, scheme, snr, t, solver, with_ber, seed,
+                                   axis, value)
                 sums.append(res.metrics.sum_rate)
                 mins_db.append(10.0 * np.log10(res.metrics.min_sinr))
                 if with_ber:
@@ -367,7 +404,7 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
     snr = float(cfg.snr_grid_db[0])
     traces = []
     for t in range(trials):
-        res = run_trial(cfg, scheme, snr, t, solver, seed=seed)
+        res = _point_trial(cfg, scheme, snr, t, solver, False, seed, "snr_grid", snr)
         traces.append(res.n_first.cost_trace)
     arr = np.asarray(traces, dtype=float)         # (trials, iterations + 1)
     rows = []

@@ -13,6 +13,11 @@ are provided:
   per-antenna constraint after every update.
 * UPA: one common coefficient sized so the hottest antenna transmits at
   full power.
+
+Every solver also accepts stacked coefficient sets and loadings along
+leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients). Each
+item is solved exactly as its own 2-D call would solve it; OPA bisects all
+items in lockstep, each with its own bracket and stop test.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ CONSTRAINT_TOL = 1e-9
 
 @dataclass
 class AllocationResult:
-    eta: np.ndarray               # (K,) nonnegative
-    iterations: int
-    achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR
+    eta: np.ndarray               # (..., K) nonnegative
+    iterations: int               # OPA: halvings (for a stack, the most any item took)
+    achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR, (...)
     cost_trace: Optional[list] = None       # APA: MSE cost per iteration
     eta_trace: Optional[list] = None        # APA: coefficients per iteration
 
@@ -48,46 +53,128 @@ class AllocationResult:
 def upa(delta) -> AllocationResult:
     """Uniform allocation: equal eta sized by the most loaded antenna."""
     delta = np.asarray(delta, dtype=float)
-    row_load = delta.sum(axis=1)
-    peak = row_load.max()
-    if peak <= 0.0:
+    peak = delta.sum(axis=-1).max(axis=-1)
+    if (peak <= 0.0).any():
         raise ValueError("precoder is identically zero; no power loading to size")
-    eta = np.full(delta.shape[1], 1.0 / peak)
+    eta = np.full(peak.shape + delta.shape[-1:], (1.0 / peak)[..., None])
     return AllocationResult(eta=eta, iterations=0)
 
 
-def sinr_feasible(t: float, coeffs: SinrCoefficients, delta):
+def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     """Test whether some eta >= 0 reaches SINR_k >= t for all users.
 
     Solves the SINR constraints at equality; the interference coupling is a
     nonnegative monotone map, so an elementwise-nonnegative solution is the
     minimal eta meeting the SINR targets and only the per-antenna caps
-    remain to be checked. Returns (feasible, eta-or-None) with the minimal
-    eta on success.
+    remain to be checked. ``t`` is one target or one per stacked item.
+    Returns (feasible, eta): feasible per item, and the minimal eta where
+    feasible (NaN rows elsewhere). A singular system makes only its own item
+    infeasible.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t < 0):
         raise ValueError("SINR target t must be nonnegative")
     delta = np.asarray(delta, dtype=float)
-    k = coeffs.psi.shape[0]
-    if t == 0.0:
-        return True, np.zeros(k)
-
-    rho = coeffs.rho_f
-    a = -t * rho * (coeffs.phi + coeffs.gamma)
-    np.fill_diagonal(a, rho * coeffs.psi - t * rho * np.diag(coeffs.gamma))
-    b = np.full(k, t * coeffs.sigma_w2)
+    t_rho = t * coeffs.rho_f
+    a = (-t_rho)[..., None, None] * coeffs.coupling
+    diagonal = np.einsum("...ii->...i", a)              # a writable view
+    diagonal[...] = coeffs.rho_psi - t_rho[..., None] * coeffs.gamma_diag
+    b = (t * coeffs.sigma_w2)[..., None, None] * np.ones((a.shape[-1], 1))
     try:
-        eta = np.linalg.solve(a, b)
+        eta = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError:
-        return False, None
-    if not np.all(np.isfinite(eta)) or np.any(eta < 0):
-        return False, None
+        eta = np.full(a.shape[:-1], np.nan)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                eta[i] = np.linalg.solve(a[i], b[i])[..., 0]
+            except np.linalg.LinAlgError:
+                pass                    # singular: this item stays infeasible
+    if np.count_nonzero(t) < t.size:
+        # the zero target is met by eta = 0, whatever the system
+        eta = np.where((t == 0.0)[..., None], 0.0, eta)
+    ok = ((eta >= 0.0) & (eta < np.inf)).all(axis=-1)
+    feasible = np.count_nonzero(ok)
+    if not feasible:
+        return ok[()], np.full(eta.shape, np.nan)
+    checked = eta if feasible == ok.size else np.where(ok[..., None], eta, 0.0)
     # guard against spurious solutions of an indefinite system
-    if np.any(analytic_sinr(coeffs, eta) < t * (1.0 - 1e-9)):
-        return False, None
-    if np.max(delta @ eta) > 1.0 + CONSTRAINT_TOL:
-        return False, None
-    return True, eta
+    ok &= ~(analytic_sinr(coeffs, checked) < (t * (1.0 - 1e-9))[..., None]).any(axis=-1)
+    ok &= ~(np.matvec(delta, checked).max(axis=-1) > 1.0 + CONSTRAINT_TOL)
+    return ok[()], np.where(ok[..., None], eta, np.nan)
+
+
+# Feasibility targets per lockstep round. Each round tests, for each of the
+# n items, every midpoint its next `levels` halvings could visit (a probe
+# tree of 2**levels - 1 targets) in one call, then follows the item's own
+# decisions down the tree: the same targets and decisions as one call per
+# halving, with fewer calls. `levels` is the most that keeps n trees within
+# this many targets, and at least 1; a single link gets 4.
+OPA_PROBES_PER_CALL = 16
+
+
+def _probe_trees(t_lo, t_hi, levels: int) -> np.ndarray:
+    """Midpoints of every bracket the next ``levels`` halvings of each
+    [t_lo, t_hi] could test, (n, 2**levels - 1).
+
+    Level l holds 2**l probes from index 2**l - 1 on; the probe at position p
+    of level l splits its bracket into those of positions p (lower half) and
+    p + 2**l (upper half) of level l + 1.
+    """
+    lo, hi, mids = t_lo[:, None], t_hi[:, None], []
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = np.concatenate((lo, mid), axis=1), np.concatenate((mid, hi), axis=1)
+    return np.concatenate(mids, axis=1)
+
+
+def _bisect(coeffs, delta, t_lo, t_hi, iterations, tol):
+    """Lockstep bisection over a flat batch (coefficients and loadings carry
+    a singleton probe axis, ``(n, 1, ...)``) whose brackets all have
+    t_hi > t_lo. Returns (t_lo, eta, steps)."""
+    for _ in range(60):
+        # an item whose bracket is infeasible stays so: it is retested unchanged
+        ok, _ = sinr_feasible(t_hi[:, None], coeffs, delta)
+        ok = ok[:, 0]
+        if not np.count_nonzero(ok):
+            break
+        warnings.warn("upper SINR bracket was feasible; doubling it", RuntimeWarning)
+        t_lo = np.where(ok, t_hi, t_lo)
+        t_hi = np.where(ok, 2.0 * t_hi, t_hi)
+
+    n = t_lo.size
+    lo, hi = t_lo.tolist(), t_hi.tolist()
+    best_eta = np.zeros((n, coeffs.psi.shape[-1]))
+    levels = max(1, (OPA_PROBES_PER_CALL // n + 1).bit_length() - 1)
+    steps = 0
+    while steps < iterations:
+        depth = min(levels, iterations - steps)
+        probes = _probe_trees(np.array(lo), np.array(hi), depth)
+        ok, eta = sinr_feasible(probes, coeffs, delta)
+        probes, ok = probes.tolist(), ok.tolist()
+        deepest = 0
+        raised = {}                     # item -> probe of its new best eta
+        for i in range(n):
+            # the scalar bisection loop, on this round's tested targets
+            position = 0
+            for level in range(depth):
+                if hi[i] - lo[i] < tol:
+                    break
+                deepest = max(deepest, level + 1)
+                j = 2 ** level - 1 + position
+                if ok[i][j]:
+                    lo[i] = probes[i][j]
+                    raised[i] = j
+                    position += 2 ** level
+                else:
+                    hi[i] = probes[i][j]
+        if raised:
+            rows = list(raised)
+            best_eta[rows] = eta[rows, list(raised.values())]
+        steps += deepest
+        if deepest < depth:
+            break
+    return np.array(lo), best_eta, steps
 
 
 def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
@@ -100,44 +187,44 @@ def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
     doubled (with a warning) until it is not, so the interval always
     contains the optimum. Runs ``iterations`` halvings or stops once the
     interval is narrower than ``tol``.
+
+    Stacked items bisect in lockstep, each with its own bracket, stop test
+    and best point; ``iterations`` of the result counts the lockstep
+    halvings, which for a single item is its number of halvings.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     delta = np.asarray(delta, dtype=float)
-    k = coeffs.psi.shape[0]
+    batch, k = coeffs.psi.shape[:-1], coeffs.psi.shape[-1]
+    m = delta.shape[-2]
 
     if t_hi is None:
-        col_peak = delta.max(axis=0)
+        col_peak = delta.max(axis=-2)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(col_peak > 0,
                              coeffs.rho_f * coeffs.psi / (coeffs.sigma_w2 * col_peak),
                              0.0)
-        t_hi = 2.0 * float(np.max(bound))
-    if t_hi <= t_lo:
-        return AllocationResult(eta=np.zeros(k), iterations=0, achieved_t=0.0)
+        t_hi = 2.0 * bound.max(axis=-1)
+    t_lo = (np.zeros(batch) + t_lo).reshape(-1)
+    t_hi = (np.zeros(batch) + t_hi).reshape(-1)
 
-    for _ in range(60):
-        ok, _ = sinr_feasible(t_hi, coeffs, delta)
-        if not ok:
-            break
-        warnings.warn("upper SINR bracket was feasible; doubling it", RuntimeWarning)
-        t_lo = t_hi
-        t_hi = 2.0 * t_hi
-
-    best_eta = np.zeros(k)
-    used = 0
-    for _ in range(iterations):
-        if t_hi - t_lo < tol:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        ok, eta = sinr_feasible(t_mid, coeffs, delta)
-        used += 1
-        if ok:
-            t_lo = t_mid
-            best_eta = eta
-        else:
-            t_hi = t_mid
-    return AllocationResult(eta=best_eta, iterations=used, achieved_t=float(t_lo))
+    # one flat batch axis plus a singleton probe axis; brackets with
+    # t_hi <= t_lo keep eta = 0 and achieved_t = 0
+    live = ~(t_hi <= t_lo)
+    rows = slice(None) if np.count_nonzero(live) == live.size else live
+    eta = np.zeros((t_lo.size, k))
+    achieved = np.zeros(t_lo.size)
+    steps = 0
+    if np.count_nonzero(live):
+        probed = SinrCoefficients(psi=coeffs.psi.reshape(-1, 1, k)[rows],
+                                  phi=coeffs.phi.reshape(-1, 1, k, k)[rows],
+                                  gamma=coeffs.gamma.reshape(-1, 1, k, k)[rows],
+                                  rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        delta = np.broadcast_to(delta, batch + (m, k)).reshape(-1, 1, m, k)[rows]
+        achieved[rows], eta[rows], steps = _bisect(probed, delta, t_lo[rows],
+                                                   t_hi[rows], iterations, tol)
+    return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
+                            achieved_t=achieved.reshape(batch)[()])
 
 
 def apa_cost(n_diag, effective, rho_f: float, f: float, sigma_w2: float,
@@ -149,13 +236,13 @@ def apa_cost(n_diag, effective, rho_f: float, f: float, sigma_w2: float,
     gain-normalized receive vector, dropping the CSI-error contribution.
     """
     nu = np.asarray(n_diag, dtype=float)
-    k = nu.shape[0]
+    k = nu.shape[-1]
     a = np.asarray(effective)
-    lin = np.real(np.diag(a)) @ nu
-    quad = np.real(np.einsum("ik,ik,k->", a.conj(), a, nu ** 2))
-    return float(k * sigma_s2 + k * sigma_w2 / f ** 2
-                 - 2.0 * np.sqrt(rho_f) / f * sigma_s2 * lin
-                 + rho_f / f ** 2 * sigma_s2 * quad)
+    lin = np.vecdot(np.real(a.diagonal(axis1=-2, axis2=-1)), nu)
+    quad = np.real(np.einsum("...ik,...ik,...k->...", a.conj(), a, nu ** 2))
+    return (k * sigma_s2 + k * sigma_w2 / f ** 2
+            - 2.0 * np.sqrt(rho_f) / f * sigma_s2 * lin
+            + rho_f / f ** 2 * sigma_s2 * quad)[()]
 
 
 def apa_gradient(n_diag, effective, rho_f: float, f: float,
@@ -163,8 +250,11 @@ def apa_gradient(n_diag, effective, rho_f: float, f: float,
     """Wirtinger gradient of the transmit MSE with respect to conj(N)."""
     nu = np.asarray(n_diag, dtype=float)
     a = np.asarray(effective)
-    return (-np.sqrt(rho_f) / f * sigma_s2 * a.conj().T
-            + rho_f / f ** 2 * sigma_s2 * (a.conj().T @ a) * nu[None, :])
+    a_h = a.conj().mT
+    # the scalar factors on f's own shape, then one per stacked matrix
+    linear = np.asarray(-np.sqrt(rho_f) / f * sigma_s2)[..., None, None]
+    quadratic = np.asarray(rho_f / f ** 2 * sigma_s2)[..., None, None]
+    return linear * a_h + quadratic * (a_h @ a) * nu[..., None, :]
 
 
 def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
@@ -188,23 +278,21 @@ def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
         raise ValueError("iterations must be at least 1")
     g_hat = np.asarray(g_hat)
     delta = precoder.delta
-    k = g_hat.shape[1]
-    effective = g_hat.T @ precoder.p
+    effective = g_hat.mT @ precoder.p
     f = precoder.f
 
-    eta = np.full(k, 1e-3)
+    eta = np.full(effective.shape[:-1], 1e-3)
     cost_trace = [apa_cost(np.sqrt(eta), effective, rho_f, f, sigma_w2, sigma_s2)]
     eta_trace = [eta.copy()]
     for _ in range(iterations):
         nu = np.sqrt(eta)
         grad = apa_gradient(nu, effective, rho_f, f, sigma_s2)
-        nu_next = nu - mu * np.real(np.diag(grad))
+        nu_next = nu - mu * np.real(grad.diagonal(axis1=-2, axis2=-1))
         eta = nu_next ** 2
         if np.any(eta > 1e6):
             raise ValueError("allocation diverged before rescaling; reduce the step size")
-        load = float(np.max(delta @ eta))
-        if load > 1.0:
-            eta = eta / load
+        # x / max(load, 1) is x itself wherever load <= 1
+        eta = eta / np.maximum(np.matvec(delta, eta).max(axis=-1), 1.0)[..., None]
         cost_trace.append(apa_cost(np.sqrt(eta), effective, rho_f, f, sigma_w2, sigma_s2))
         eta_trace.append(eta.copy())
     return AllocationResult(eta=eta, iterations=iterations,

@@ -13,6 +13,10 @@ regularizer ``eps = K * sigma_w^2 / E_tr``:
 where N is the diagonal power-allocation matrix the transmit stage applies
 afterwards. The baselines keep f = 1 and leave power scaling entirely to the
 allocation stage.
+
+Every function also accepts a stack of channels ``(..., M, K)`` and then
+returns stacked outputs (``f`` of shape ``(...)``); each item of a stack is
+computed exactly as its own 2-D call.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from scipy.linalg import cho_factor, cho_solve
 class PrecoderOutput:
     """Precoding matrix with its normalization and per-entry power loadings."""
 
-    p: np.ndarray          # (M, K) complex
-    f: float               # receive-side gain-control normalization
+    p: np.ndarray          # (..., M, K) complex
+    f: float               # receive-side gain-control normalization, (...)
 
     @cached_property
     def delta(self) -> np.ndarray:
-        """(M, K) per-antenna per-user power loadings |P_{m,i}|^2."""
+        """(..., M, K) per-antenna per-user power loadings |P_{m,i}|^2."""
         return np.abs(self.p) ** 2
 
 
@@ -44,19 +48,30 @@ def _ridge_solve(g_hat: np.ndarray, eps: float, method: str) -> np.ndarray:
     Gram form conj(G) (G^T conj(G) + eps I_K)^(-1); "auto" uses the Gram form
     whenever M > K. Both sides are Hermitian positive definite for eps > 0.
     """
-    m, k = g_hat.shape
+    m, k = g_hat.shape[-2:]
     if method == "auto":
         method = "gram" if m > k else "primal"
     g_conj = g_hat.conj()
     if method == "primal":
-        a = g_conj @ g_hat.T + eps * np.eye(m)
+        a = g_conj @ g_hat.mT + eps * np.eye(m)
         return cho_solve(cho_factor(a, lower=True), g_conj)
     if method == "gram":
-        a = g_hat.T @ g_conj + eps * np.eye(k)
+        a = g_hat.mT @ g_conj + eps * np.eye(k)
         # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
         # conjugate-transpose the result
-        return cho_solve(cho_factor(a, lower=True), g_hat.T).conj().T
+        return cho_solve(cho_factor(a, lower=True), g_hat.mT).conj().mT
     raise ValueError(f"unknown solve method: {method!r}")
+
+
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm over the last two axes.
+
+    Sums in memory order with the same dot products as
+    ``np.linalg.norm(x) ** 2``, so a 2-D call rounds exactly like it.
+    """
+    flat = x.ravel(order="K").reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real)
+                   + np.vecdot(flat.imag, flat.imag)) ** 2
 
 
 def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
@@ -66,11 +81,11 @@ def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
     columns and leaves f unchanged.
     """
     n_diag = np.asarray(n_diag, dtype=float)
-    if n_diag.ndim != 1 or n_diag.shape[0] != precoder.p.shape[1]:
+    if n_diag.ndim == 0 or n_diag.shape[-1] != precoder.p.shape[-1]:
         raise ValueError("n_diag must hold one positive entry per user")
-    if np.any(n_diag <= 0) or not np.all(np.isfinite(n_diag)):
+    if (n_diag <= 0).any() or not np.isfinite(n_diag).all():
         raise ValueError("power-allocation diagonal must be strictly positive")
-    return PrecoderOutput(p=precoder.p / n_diag[None, :], f=precoder.f)
+    return PrecoderOutput(p=precoder.p / n_diag[..., None, :], f=precoder.f)
 
 
 def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
@@ -78,9 +93,9 @@ def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
     """MMSE precoder for a given diagonal power allocation.
 
     ``n_diag`` holds the K strictly positive diagonal entries (sqrt of the
-    per-user power coefficients). The auxiliary solution and normalization f
-    do not depend on it, so ``mmse_precoder(g, n)`` is
-    ``apply_allocation(mmse_precoder(g, ones), n)``.
+    per-user power coefficients), or one such row per stacked channel. The
+    auxiliary solution and normalization f do not depend on it, so
+    ``mmse_precoder(g, n)`` is ``apply_allocation(mmse_precoder(g, ones), n)``.
     """
     g_hat = np.asarray(g_hat)
     if e_tr <= 0:
@@ -90,21 +105,21 @@ def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be nonnegative")
 
-    k = g_hat.shape[1]
+    k = g_hat.shape[-1]
     eps = k * sigma_w2 / e_tr
     p_tilde = _ridge_solve(g_hat, eps, "auto")
-    f = float(np.sqrt(e_tr / (sigma_s2 * np.linalg.norm(p_tilde) ** 2)))
-    return apply_allocation(PrecoderOutput(p=(f / np.sqrt(rho_f)) * p_tilde, f=f),
-                            n_diag)
+    f = np.sqrt(e_tr / (sigma_s2 * _squared_norm(p_tilde)))
+    p = (f / np.sqrt(rho_f))[..., None, None] * p_tilde
+    return apply_allocation(PrecoderOutput(p=p, f=f[()]), n_diag)
 
 
 def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
     on the estimated channel. Raises on a rank-deficient channel."""
     g_hat = np.asarray(g_hat)
-    gram = g_hat.T @ g_hat.conj()
+    gram = g_hat.mT @ g_hat.conj()
     try:
-        p = cho_solve(cho_factor(gram, lower=True), g_hat.T).conj().T
+        p = cho_solve(cho_factor(gram, lower=True), g_hat.mT).conj().mT
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"rank-deficient channel: {err}") from err
     return PrecoderOutput(p=p, f=1.0)

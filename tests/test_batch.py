@@ -1,0 +1,324 @@
+"""The stage functions on stacks of links, and exhaustive selection on top.
+
+Every generalized function must give, on a stacked (B, M, K) input, what its
+2-D call gives on each item; exhaustive selection must pick the mask a plain
+loop over ``itertools.product`` with one 2-D chain per candidate picks.
+"""
+
+import dataclasses
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+from cellfree import selection
+from cellfree.channel import SystemConfig, generate_realization
+from cellfree.metrics import (SinrCoefficients, analytic_sinr, rates,
+                              sinr_coefficients, snr_to_rho_f)
+from cellfree.pipeline import SCHEMES, Scheme, SolverParams, TrialStreams, run_chain, run_trial
+from cellfree.power_allocation import apa_sgd, opa_bisection, sinr_feasible, upa
+from cellfree.precoding import (PrecoderOutput, _ridge_solve, apply_allocation,
+                                cb_precoder, mmse_precoder, zf_precoder)
+from cellfree.selection import apply_mask, es_aps
+
+RTOL = 1e-12
+
+
+def close(batched, items):
+    np.testing.assert_allclose(batched, np.stack([np.asarray(x) for x in items]),
+                               rtol=RTOL, atol=0.0)
+
+
+def stacked_channels(rng, batch, m, k):
+    shape = batch + (m, k)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g, rng.uniform(0.0, 0.2, size=shape)
+
+
+def items(batch):
+    return list(np.ndindex(batch))
+
+
+# ------------------------------------------------------------- precoding
+
+@pytest.mark.parametrize("m, k", [(6, 3), (3, 3), (2, 3)])
+def test_precoders_on_a_stack_equal_their_2d_calls(m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    batch = (2, 3)
+    g, _ = stacked_channels(rng, batch, m, k)
+    for method in ("primal", "gram"):
+        close(_ridge_solve(g, 0.3, method).reshape(-1, m, k),
+              [_ridge_solve(g[i], 0.3, method) for i in items(batch)])
+    n_diag = rng.uniform(0.5, 2.0, size=batch + (k,))
+    out = mmse_precoder(g, n_diag, 4.0, 2.0, 0.7, sigma_s2=1.3)
+    ref = [mmse_precoder(g[i], n_diag[i], 4.0, 2.0, 0.7, sigma_s2=1.3) for i in items(batch)]
+    close(out.p.reshape(-1, m, k), [r.p for r in ref])
+    close(out.f.reshape(-1), [r.f for r in ref])
+    close(out.delta.reshape(-1, m, k), [r.delta for r in ref])
+    shared = mmse_precoder(g, np.ones(k), 4.0, 2.0, 0.7)     # one allocation for all
+    close(shared.p.reshape(-1, m, k),
+          [mmse_precoder(g[i], np.ones(k), 4.0, 2.0, 0.7).p for i in items(batch)])
+    reformed = apply_allocation(out, n_diag)
+    close(reformed.p.reshape(-1, m, k),
+          [apply_allocation(r, n_diag[i]).p for r, i in zip(ref, items(batch))])
+    close(cb_precoder(g).p.reshape(-1, m, k), [cb_precoder(g[i]).p for i in items(batch)])
+    if m >= k:
+        close(zf_precoder(g).p.reshape(-1, m, k), [zf_precoder(g[i]).p for i in items(batch)])
+
+
+def test_zero_forcing_stack_with_a_rank_deficient_item_raises():
+    rng = np.random.default_rng(1)
+    g, _ = stacked_channels(rng, (3,), 4, 2)
+    g[1, :, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        zf_precoder(g)
+
+
+def test_allocation_row_count_must_match_the_users():
+    rng = np.random.default_rng(2)
+    g, _ = stacked_channels(rng, (3,), 4, 2)
+    base = mmse_precoder(g, np.ones(2), 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="per user"):
+        apply_allocation(base, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="per user"):
+        apply_allocation(base, np.float64(1.0))
+
+
+# --------------------------------------------------------------- metrics
+
+def test_metrics_on_a_stack_equal_their_2d_calls():
+    rng = np.random.default_rng(3)
+    batch, m, k = (4,), 7, 3
+    g, err = stacked_channels(rng, batch, m, k)
+    prec = mmse_precoder(g, np.ones(k), 5.0, 1.5, 0.4)
+    coeffs = sinr_coefficients(prec.p, g, err, 1.5, 0.4)
+    ref = [sinr_coefficients(prec.p[i], g[i], err[i], 1.5, 0.4) for i in items(batch)]
+    for name in ("psi", "phi", "gamma", "phi_cross", "coupling", "rho_psi", "gamma_diag"):
+        close(getattr(coeffs, name), [getattr(r, name) for r in ref])
+    eta = rng.uniform(0.1, 1.0, size=batch + (k,))
+    sinr = analytic_sinr(coeffs, eta)
+    close(sinr, [analytic_sinr(r, eta[i]) for r, i in zip(ref, items(batch))])
+    out = rates(sinr)
+    ref_rates = [rates(sinr[i]) for i in items(batch)]
+    close(out.per_user_rate, [r.per_user_rate for r in ref_rates])
+    close(out.sum_rate, [r.sum_rate for r in ref_rates])
+    close(out.min_sinr, [r.min_sinr for r in ref_rates])
+    assert isinstance(ref_rates[0].sum_rate, float)
+
+
+# ------------------------------------------------------------ allocation
+
+def allocation_stack(rng, batch=(5,), m=6, k=3):
+    g, err = stacked_channels(rng, batch, m, k)
+    prec = mmse_precoder(g, np.ones(k), float(m), 2.0, 0.5)
+    return g, prec, sinr_coefficients(prec.p, g, err, 2.0, 0.5)
+
+
+def one(coeffs, prec, i):
+    return (SinrCoefficients(psi=coeffs.psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
+                             rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2),
+            PrecoderOutput(p=prec.p[i], f=prec.f[i]))
+
+
+def test_allocators_on_a_stack_equal_their_2d_calls():
+    rng = np.random.default_rng(4)
+    g, prec, coeffs = allocation_stack(rng)
+    idx = items((5,))
+    close(upa(prec.delta).eta, [upa(prec.delta[i]).eta for i in idx])
+
+    apa = apa_sgd(prec, g, 2.0, 0.5, mu=0.25, iterations=5)
+    ref = [apa_sgd(one(coeffs, prec, i)[1], g[i], 2.0, 0.5, mu=0.25, iterations=5)
+           for i in idx]
+    close(apa.eta, [r.eta for r in ref])
+    for step in range(6):
+        close(apa.cost_trace[step], [r.cost_trace[step] for r in ref])
+        close(apa.eta_trace[step], [r.eta_trace[step] for r in ref])
+
+    opa = opa_bisection(coeffs, prec.delta)
+    ref = [opa_bisection(one(coeffs, prec, i)[0], prec.delta[i]) for i in idx]
+    close(opa.eta, [r.eta for r in ref])
+    close(opa.achieved_t, [r.achieved_t for r in ref])
+    assert type(opa.iterations) is int
+    assert opa.iterations == max(r.iterations for r in ref)
+
+    t = opa.achieved_t * np.array([0.5, 0.9, 1.0, 1.1, 3.0])
+    ok, eta = sinr_feasible(t, coeffs, prec.delta)
+    for i in idx:
+        ok_i, eta_i = sinr_feasible(t[i], one(coeffs, prec, i)[0], prec.delta[i])
+        assert ok[i] == ok_i
+        if ok_i:
+            close(eta[i][None], [eta_i])
+        else:
+            assert np.all(np.isnan(eta[i]))
+
+
+def test_bisection_items_keep_their_own_brackets_and_stop_tests():
+    rng = np.random.default_rng(5)
+    _, prec, coeffs = allocation_stack(rng, batch=(4,), m=5, k=2)
+    # one item starts from an empty bracket, one from a bracket that must grow
+    t_hi = opa_bisection(coeffs, prec.delta).achieved_t * np.array([2.0, 0.25, 3.0, 1.0])
+    t_hi[0] = 0.0
+    with pytest.warns(RuntimeWarning, match="doubling"):
+        opa = opa_bisection(coeffs, prec.delta, t_hi=t_hi, tol=1e-3)
+    for i in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = opa_bisection(one(coeffs, prec, i)[0], prec.delta[i], t_hi=t_hi[i],
+                                tol=1e-3)
+        assert opa.achieved_t[i] == ref.achieved_t
+        assert np.array_equal(opa.eta[i], ref.eta)
+    assert opa.achieved_t[0] == 0.0 and np.all(opa.eta[0] == 0.0)
+
+
+def test_a_singular_feasibility_system_fails_only_its_own_item():
+    rng = np.random.default_rng(6)
+    _, prec, coeffs = allocation_stack(rng, batch=(3,), m=5, k=2)
+    zero = np.zeros_like(coeffs.phi[1])
+    stack = SinrCoefficients(psi=np.stack([coeffs.psi[0], np.zeros(2), coeffs.psi[2]]),
+                             phi=np.stack([coeffs.phi[0], zero, coeffs.phi[2]]),
+                             gamma=np.stack([coeffs.gamma[0], zero, coeffs.gamma[2]]),
+                             rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+    t = 0.5 * opa_bisection(coeffs, prec.delta).achieved_t
+    ok, eta = sinr_feasible(t, stack, prec.delta)
+    assert not ok[1] and np.all(np.isnan(eta[1]))
+    for i in (0, 2):
+        ok_i, eta_i = sinr_feasible(t[i], one(coeffs, prec, i)[0], prec.delta[i])
+        assert ok_i and ok[i]
+        assert np.array_equal(eta[i], eta_i)
+
+
+# --------------------------------------------------- exhaustive selection
+
+def es_reference(realization, cfg, scheme, rho_f, e_tr, solver):
+    """First strict maximum over every candidate, one 2-D chain each."""
+    best, best_score = None, -np.inf
+    for choices in itertools.product(
+            itertools.combinations(range(cfg.num_aps), cfg.selected_aps),
+            repeat=cfg.num_users):
+        mask = selection._mask_from_ap_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
+        primed = apply_mask(mask, realization)
+        score = run_chain(primed.g_hat, primed.error_variance, scheme, rho_f, e_tr,
+                          cfg.noise_variance_w(), cfg.symbol_power, solver).metrics.min_sinr
+        if score > best_score:
+            best, best_score = mask, score
+    return best
+
+
+TINY = dict(num_aps=5, antennas_per_ap=1, num_users=2, selected_aps=3, csi_quality=0.99)
+TWO_ANTENNA = dict(num_aps=3, antennas_per_ap=2, num_users=2, selected_aps=2,
+                   csi_quality=0.95)
+SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+PAIRS = [(p, a) for p in SCHEMES["precoder"] for a in SCHEMES["allocation"]]
+
+
+@pytest.mark.parametrize("config", [TINY, TWO_ANTENNA], ids=["5x2", "3x2-antennas"])
+def test_es_winner_equals_the_candidate_loop(config):
+    """Every (trial, SNR) point of a 20 x 6 grid, each precoder x allocator
+    pair on its share of the points. Short solver runs keep the
+    100-candidate loop affordable; the bisection still stops by its
+    tolerance at a different halving for different candidates, or at the
+    iteration cap."""
+    cfg = dataclasses.replace(SystemConfig(), **config).validate()
+    solver = SolverParams(opa_iterations=16, opa_tol=1e-2, apa_iterations=2)
+    sigma_w2 = cfg.noise_variance_w()
+    compared = failures = 0
+    for n, (trial, snr) in enumerate(itertools.product(range(20), SNRS)):
+        scheme = Scheme(*PAIRS[n % len(PAIRS)], "ES")
+        streams = TrialStreams.for_trial(cfg.rng_seed, trial)
+        real = generate_realization(cfg, streams.topology, streams.shadowing,
+                                    streams.fading)
+        rho_f = snr_to_rho_f(10.0 ** (snr / 10.0), real.g_hat, sigma_w2)
+        e_tr = cfg.total_antennas * rho_f
+        try:
+            want = es_reference(real, cfg, scheme, rho_f, e_tr, solver)
+        except ValueError as err:
+            # a candidate fails (APA diverges, ZF is rank-deficient): so must ES
+            with pytest.raises(type(err)):
+                run_trial(cfg, scheme, snr, trial, solver)
+            failures += 1
+            continue
+        got = run_trial(cfg, scheme, snr, trial, solver)
+        assert got.mask.selected == want.selected, (scheme.label, trial, snr)
+        assert np.array_equal(got.mask.q, want.q)
+        compared += 1
+    assert compared >= 100, (compared, failures)
+
+
+def constant_scores(value):
+    return lambda masks: np.full(masks.q.shape[0], value)
+
+
+def test_tied_scores_keep_the_first_candidate(monkeypatch):
+    for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
+        monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
+        mask, score = es_aps(5, 2, 3, 1, constant_scores(1.5))
+        assert mask.selected == ((0, 1, 2), (0, 1, 2))
+        assert score == 1.5
+
+
+def test_nan_scores_never_win(monkeypatch):
+    last = ((2, 3, 4), (2, 3, 4))
+
+    def nan_but_the_last(masks):
+        return np.array([0.25 if chosen == last else np.nan for chosen in masks.selected])
+
+    for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
+        monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
+        mask, score = es_aps(5, 2, 3, 1, nan_but_the_last)
+        assert mask.selected == last
+        assert score == 0.25
+    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
+
+
+def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
+    # 8000 candidates (L=6, S=3, K=3), scored by the chain and by a coarse
+    # score whose maximum is shared by hundreds of candidates across chunks
+    cfg = dataclasses.replace(SystemConfig(), num_aps=6, num_users=3,
+                              selected_aps=3).validate()
+    real = generate_realization(cfg, *[np.random.default_rng([53, i]) for i in range(3)])
+    gains = np.round(real.beta / real.beta.max(axis=0), 1)
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
+    calls = []
+
+    def coarse(masks):
+        calls.append(masks.q.shape[0])
+        return (masks.q * gains).sum(axis=-2).min(axis=-1)
+
+    def chain(masks):
+        calls.append(masks.q.shape[0])
+        primed = apply_mask(masks, real)
+        return run_chain(primed.g_hat, primed.error_variance, Scheme("MMSE", "UPA", "ES"),
+                         rho_f, cfg.total_antennas * rho_f, sigma_w2, 1.0).metrics.min_sinr
+
+    order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
+    for score in (coarse, chain):
+        results = []
+        for chunk in (10 ** 9, 18 * 333):
+            monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
+            calls.clear()
+            results.append(es_aps(6, 3, 3, 1, score))
+            assert sum(calls) == 8000
+        assert len(calls) == 25
+        (one_mask, one_score), (many_mask, many_score) = results
+        assert one_mask.selected == many_mask.selected and one_score == many_score
+    # the coarse reference: first strict maximum in itertools.product order
+    scores = [coarse(selection._mask_from_ap_choices(c, 6, 1)) for c in order]
+    first = int(np.argmax(scores))
+    assert first >= 333 and scores.count(max(scores)) > 1
+    assert es_aps(6, 3, 3, 1, coarse)[0].selected == order[first]
+
+
+def test_candidate_masks_follow_product_order(monkeypatch):
+    seen = []
+
+    def record(masks):
+        seen.extend(masks.selected)
+        for q, chosen in zip(masks.q, masks.selected):
+            assert np.array_equal(q, selection._mask_from_ap_choices(chosen, 4, 2).q)
+        return np.zeros(masks.q.shape[0])
+
+    monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 8 * 3 * 5)
+    es_aps(4, 3, 2, 2, record)
+    assert seen == list(itertools.product(itertools.combinations(range(4), 2), repeat=3))

@@ -217,3 +217,19 @@ def test_config_file_feeds_the_run(tmp_path):
                  "--schemes", "MMSE+UPA+NS"])
     assert code == 0
     assert all(r.seed == 31337 for r in read_results(out))
+
+
+def test_failed_trial_is_one_line_and_a_nonzero_exit(tmp_path, capsys, monkeypatch):
+    preset = dataclasses.replace(
+        PRESETS["fig-tiny-opa"], name="rank-deficient",
+        config=dict(num_aps=8, antennas_per_ap=1, num_users=4, selected_aps=1,
+                    snr_grid_db=(10.0,)),
+        schemes=("ZF+OPA+LS",))
+    monkeypatch.setitem(PRESETS, preset.name, preset)
+    out = tmp_path / "zf.csv"
+    code = main(["run", "--preset", preset.name, "--out", str(out), "--trials", "40"])
+    assert code != 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("trial failed: ZF+OPA+LS at snr_grid=10, trial ")
+    assert "seed 12345" in err[-1] and "rank-deficient" in err[-1]
+    assert not out.exists()

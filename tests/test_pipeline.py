@@ -5,8 +5,8 @@ import pytest
 
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import (Scheme, SolverParams, TrialStreams, run_chain,
-                               run_learning_curve, run_sweep, run_trial)
+from cellfree.pipeline import (Scheme, SolverParams, TrialError, TrialStreams,
+                               run_chain, run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import apa_sgd, opa_bisection, upa
 from cellfree.precoding import mmse_precoder
 from cellfree.selection import apply_mask, ls_aps
@@ -250,3 +250,38 @@ def test_learning_curve_shape_and_guard():
     assert rows[-1].cost_mean < rows[0].cost_mean
     with pytest.raises(ValueError, match="APA"):
         run_learning_curve(cfg, Scheme.parse("MMSE+OPA+LS"), trials=1)
+
+
+# --------------------------------------------------------- failed trials
+
+RANK_DEFICIENT = dict(num_aps=8, num_users=4, selected_aps=1, snr_grid_db=(10.0,))
+
+
+def test_a_draw_dependent_failure_names_its_trial():
+    # one AP per user: ZF's masked channel is rank-deficient whenever two
+    # users pick the same AP, which happens on 12 of trials 0-39
+    cfg = cfg_with(**RANK_DEFICIENT)
+    scheme = Scheme.parse("ZF+OPA+LS")
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [scheme], "snr_grid", trials=40, seed=cfg.rng_seed)
+    err = caught.value
+    assert (err.scheme, err.axis_name, err.axis_value, err.seed) == (
+        "ZF+OPA+LS", "snr_grid", 10.0, cfg.rng_seed)
+    assert isinstance(err.__cause__, np.linalg.LinAlgError)
+    message = str(err)
+    assert "\n" not in message
+    for part in ("ZF+OPA+LS", "snr_grid=10", f"trial {err.trial}",
+                 f"seed {cfg.rng_seed}", "rank-deficient"):
+        assert part in message
+    # the named trial reproduces the failure; the ones before it run
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        run_trial(cfg, scheme, 10.0, err.trial, seed=err.seed)
+    for t in range(err.trial):
+        run_trial(cfg, scheme, 10.0, t, seed=err.seed)
+    failing = 0
+    for t in range(40):
+        try:
+            run_trial(cfg, scheme, 10.0, t)
+        except np.linalg.LinAlgError:
+            failing += 1
+    assert failing == 12

@@ -96,6 +96,7 @@ def test_masking_matches_elementwise_product_and_is_idempotent():
 # --------------------------------------------------------- exhaustive search
 
 def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
+    """Minimum SINR of the chain on one mask, or on each of a stack of masks."""
     sigma_w2 = cfg.noise_variance_w()
     rho_f = 1e-3
     e_tr = cfg.total_antennas * rho_f
@@ -122,7 +123,7 @@ def test_single_candidate_when_everything_selected():
         return base(mask)
 
     mask, score = es_aps(4, 2, 4, 1, counting)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0].q.shape == (1, 4, 2)
     assert np.all(mask.q == 1.0)
     assert score == base(full_mask(4, 1, 2))
 
@@ -135,10 +136,10 @@ def test_candidate_count_for_tiny_system():
     count = 0
     base = chain_evaluator(real, cfg)
 
-    def counting(mask):
+    def counting(masks):
         nonlocal count
-        count += 1
-        return base(mask)
+        count += masks.q.shape[0]
+        return base(masks)
 
     es_aps(5, 2, 3, 1, counting)
     assert count == 100  # C(5,3)^2
