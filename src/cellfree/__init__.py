@@ -13,7 +13,7 @@ from .pipeline import (PipelineResult, Scheme, SolverParams, SweepRow, TrialErro
 from .power_allocation import AllocationResult
 from .precoding import PrecoderOutput
 from .presets import PRESETS
-from .selection import SelectionMask, apply_mask, es_aps, full_mask, ls_aps
+from .selection import apply_mask, es_aps, ls_aps
 
 __all__ = [
     "AllocationResult",
@@ -24,7 +24,6 @@ __all__ = [
     "PRESETS",
     "PrecoderOutput",
     "Scheme",
-    "SelectionMask",
     "SinrCoefficients",
     "SolverParams",
     "SweepRow",
@@ -33,7 +32,6 @@ __all__ = [
     "analytic_sinr",
     "apply_mask",
     "es_aps",
-    "full_mask",
     "generate_realization",
     "ls_aps",
     "rates",

@@ -21,6 +21,13 @@ import numpy as np
 # Boltzmann constant in J/K (value used by the noise-power convention here).
 BOLTZMANN_J_PER_K = 1.381e-23
 
+# Smallest accepted csi_quality. Below it the estimate holds under a
+# millionth of the channel variance, and the power scale and the precoders
+# grow like its inverse until their products leave the floating-point range
+# (a 3-AP ZF+OPA trial at 0 dB overflows at csi_quality 3.9e-181; at 0 the
+# estimate vanishes).
+MIN_CSI_QUALITY = 1e-6
+
 
 class ConfigError(ValueError):
     """A scenario configuration violates one of its invariants."""
@@ -82,9 +89,8 @@ class SystemConfig:
             raise ConfigError("num_aps * antennas_per_ap must exceed num_users")
         if not 1 <= self.selected_aps <= self.num_aps:
             raise ConfigError("selected_aps must lie in [1, num_aps]")
-        if not 0.0 < self.csi_quality <= 1.0:
-            # at 0 the channel estimate is identically zero and no SNR maps
-            raise ConfigError("csi_quality must lie in (0, 1]")
+        if not MIN_CSI_QUALITY <= self.csi_quality <= 1.0:
+            raise ConfigError(f"csi_quality must lie in [{MIN_CSI_QUALITY:g}, 1]")
         if self.d0_m >= self.d1_m:
             raise ConfigError("d0_m must be smaller than d1_m")
         if len(self.snr_grid_db) == 0:

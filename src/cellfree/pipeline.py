@@ -1,7 +1,8 @@
 """The scheme table, the one-pass trial chain and Monte-Carlo sweeps.
 
 One trial runs: draw a channel block, map the requested SNR to the
-per-antenna power scale, select APs (none / gain-ranked / exhaustive),
+per-antenna power scale, select APs (none / gain-ranked / exhaustive) as a
+0/1 mask array, mask the channel estimate and its error variance with it,
 precode with an identity allocation, allocate, then score the pair. Only
 MMSE+APA re-forms the precoder with that allocation (``P N^(-1)``, a column
 scaling) and allocates again: OPA and UPA are invariant to column scaling,
@@ -67,9 +68,9 @@ def _apa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
 
 def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
     def evaluate(masks):
-        primed = sel.apply_mask(masks, realization)
-        result = run_chain(primed.g_hat, primed.error_variance, scheme,
-                           rho_f, e_tr, sigma_w2, sigma_s2, solver)
+        g_hat, err_var = sel.apply_mask(masks, realization)
+        result = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
+                           sigma_s2, solver)
         return result.metrics.min_sinr
 
     mask, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
@@ -79,7 +80,7 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
 
 # Every scheme name, keyed by Scheme field. A selector maps (scheme,
 # realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver) to
-# (mask, number of ES candidates scored).
+# ((M, K) mask array, number of ES candidates scored).
 SCHEMES = {
     "precoder": {
         "MMSE": _Precoder(_mmse, reformed=True),
@@ -95,7 +96,7 @@ SCHEMES = {
     },
     "selection": {
         "NS": lambda scheme, realization, cfg, *_: (
-            sel.full_mask(cfg.num_aps, cfg.antennas_per_ap, cfg.num_users), 0),
+            np.ones((cfg.total_antennas, cfg.num_users)), 0),
         "LS": lambda scheme, realization, cfg, *_: (
             sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0),
         "ES": _es,
@@ -171,13 +172,8 @@ class ChainResult:
 
 
 @dataclass
-class PipelineResult:
-    mask: sel.SelectionMask
-    precoder: pc.PrecoderOutput
-    n_first: pa.AllocationResult
-    n_final: pa.AllocationResult
-    metrics: mt.LinkMetrics
-    trace: dict
+class PipelineResult(ChainResult):
+    mask: np.ndarray      # (M, K) selection the chain ran on
 
 
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
@@ -235,29 +231,24 @@ def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
     mask, es_candidates = select(scheme, realization, cfg, rho_f, e_tr,
                                  sigma_w2, sigma_s2, solver)
     t2 = time.perf_counter()
-    primed = sel.apply_mask(mask, realization)
-    chain = run_chain(primed.g_hat, primed.error_variance, scheme, rho_f, e_tr,
-                      sigma_w2, sigma_s2, solver)
+    g_hat, err_var = sel.apply_mask(mask, realization)
+    chain = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2, solver)
     t3 = time.perf_counter()
 
-    metrics = chain.metrics
     if with_ber:
         ber, degenerate = mt.ber_qpsk(chain.precoder.p, chain.n_final.n_diag,
-                                      realization.g, primed.g_hat, rho_f, sigma_w2,
+                                      realization.g, g_hat, rho_f, sigma_w2,
                                       solver.symbols_per_packet, streams.symbols,
                                       packets=solver.packets_per_trial,
                                       noise_rng=streams.noise)
-        metrics.ber = ber
+        chain.metrics.ber = ber
         chain.trace["ber_degenerate_gains"] = degenerate
     t4 = time.perf_counter()
 
-    trace = dict(chain.trace)
-    trace["es_candidates"] = es_candidates
-    trace["seconds"] = dict(chain.trace["seconds"])
-    trace["seconds"].update({"channel": t1 - t0, "selection": t2 - t1,
-                             "ber": t4 - t3})
-    return PipelineResult(mask=mask, precoder=chain.precoder, n_first=chain.n_first,
-                          n_final=chain.n_final, metrics=metrics, trace=trace)
+    chain.trace["es_candidates"] = es_candidates
+    chain.trace["seconds"].update({"channel": t1 - t0, "selection": t2 - t1,
+                                   "ber": t4 - t3})
+    return PipelineResult(**vars(chain), mask=mask)
 
 
 class TrialError(RuntimeError):

@@ -22,7 +22,6 @@ items in lockstep, each with its own bracket and stop test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,22 +127,12 @@ def _probe_trees(t_lo, t_hi, levels: int) -> np.ndarray:
     return np.concatenate(mids, axis=1)
 
 
-def _bisect(coeffs, delta, t_lo, t_hi, iterations, tol):
+def _bisect(coeffs, delta, t_hi, iterations, tol):
     """Lockstep bisection over a flat batch (coefficients and loadings carry
-    a singleton probe axis, ``(n, 1, ...)``) whose brackets all have
-    t_hi > t_lo. Returns (t_lo, eta, steps)."""
-    for _ in range(60):
-        # an item whose bracket is infeasible stays so: it is retested unchanged
-        ok, _ = sinr_feasible(t_hi[:, None], coeffs, delta)
-        ok = ok[:, 0]
-        if not np.count_nonzero(ok):
-            break
-        warnings.warn("upper SINR bracket was feasible; doubling it", RuntimeWarning)
-        t_lo = np.where(ok, t_hi, t_lo)
-        t_hi = np.where(ok, 2.0 * t_hi, t_hi)
-
-    n = t_lo.size
-    lo, hi = t_lo.tolist(), t_hi.tolist()
+    a singleton probe axis, ``(n, 1, ...)``) of brackets [0, t_hi] with
+    t_hi > 0. Returns (lower bracket ends, eta, steps)."""
+    n = t_hi.size
+    lo, hi = [0.0] * n, t_hi.tolist()
     best_eta = np.zeros((n, coeffs.psi.shape[-1]))
     levels = max(1, (OPA_PROBES_PER_CALL // n + 1).bit_length() - 1)
     steps = 0
@@ -177,16 +166,16 @@ def _bisect(coeffs, delta, t_lo, t_hi, iterations, tol):
     return np.array(lo), best_eta, steps
 
 
-def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
-                  t_hi: Optional[float] = None, iterations: int = 30,
+def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                   tol: float = 1e-6) -> AllocationResult:
     """Max-min SINR allocation by bisection on the common target.
 
-    The default upper bracket doubles each user's interference-free SINR at
-    its per-antenna power cap. If the bracket turns out feasible it is
-    doubled (with a warning) until it is not, so the interval always
-    contains the optimum. Runs ``iterations`` halvings or stops once the
-    interval is narrower than ``tol``.
+    The bracket is [0, t_hi], where t_hi doubles the largest of the users'
+    interference-free SINRs at their per-antenna power caps. No allocation
+    reaches t_hi: ``eta_k max_m delta[m,k] <= 1`` bounds every
+    ``SINR_k <= rho_f psi_k / (sigma_w2 max_m delta[m,k])``, so the bracket
+    always contains the optimum. Runs ``iterations`` halvings or stops once
+    the interval is narrower than ``tol``.
 
     Stacked items bisect in lockstep, each with its own bracket, stop test
     and best point; ``iterations`` of the result counts the lockstep
@@ -198,22 +187,19 @@ def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
     batch, k = coeffs.psi.shape[:-1], coeffs.psi.shape[-1]
     m = delta.shape[-2]
 
-    if t_hi is None:
-        col_peak = delta.max(axis=-2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(col_peak > 0,
-                             coeffs.rho_f * coeffs.psi / (coeffs.sigma_w2 * col_peak),
-                             0.0)
-        t_hi = 2.0 * bound.max(axis=-1)
-    t_lo = (np.zeros(batch) + t_lo).reshape(-1)
-    t_hi = (np.zeros(batch) + t_hi).reshape(-1)
+    col_peak = delta.max(axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(col_peak > 0,
+                         coeffs.rho_f * coeffs.psi / (coeffs.sigma_w2 * col_peak),
+                         0.0)
+    t_hi = (2.0 * bound.max(axis=-1)).reshape(-1)
 
-    # one flat batch axis plus a singleton probe axis; brackets with
-    # t_hi <= t_lo keep eta = 0 and achieved_t = 0
-    live = ~(t_hi <= t_lo)
+    # one flat batch axis plus a singleton probe axis; an empty bracket
+    # (t_hi == 0) keeps eta = 0 and achieved_t = 0
+    live = ~(t_hi <= 0.0)
     rows = slice(None) if np.count_nonzero(live) == live.size else live
-    eta = np.zeros((t_lo.size, k))
-    achieved = np.zeros(t_lo.size)
+    eta = np.zeros((t_hi.size, k))
+    achieved = np.zeros(t_hi.size)
     steps = 0
     if np.count_nonzero(live):
         probed = SinrCoefficients(psi=coeffs.psi.reshape(-1, 1, k)[rows],
@@ -221,8 +207,8 @@ def opa_bisection(coeffs: SinrCoefficients, delta, t_lo: float = 0.0,
                                   gamma=coeffs.gamma.reshape(-1, 1, k, k)[rows],
                                   rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
         delta = np.broadcast_to(delta, batch + (m, k)).reshape(-1, 1, m, k)[rows]
-        achieved[rows], eta[rows], steps = _bisect(probed, delta, t_lo[rows],
-                                                   t_hi[rows], iterations, tol)
+        achieved[rows], eta[rows], steps = _bisect(probed, delta, t_hi[rows],
+                                                   iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
                             achieved_t=achieved.reshape(batch)[()])
 

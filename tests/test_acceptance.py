@@ -18,7 +18,6 @@ from cellfree.pipeline import Scheme, SolverParams, TrialStreams, run_trial
 from cellfree.power_allocation import (apa_cost, apa_gradient, apa_sgd,
                                        opa_bisection, sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder, zf_precoder, _ridge_solve
-from cellfree.selection import apply_mask, ls_aps
 
 
 def report(num, label, ok, detail=""):

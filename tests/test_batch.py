@@ -7,7 +7,6 @@ loop over ``itertools.product`` with one 2-D chain per candidate picks.
 
 import dataclasses
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -155,20 +154,20 @@ def test_allocators_on_a_stack_equal_their_2d_calls():
 
 def test_bisection_items_keep_their_own_brackets_and_stop_tests():
     rng = np.random.default_rng(5)
-    _, prec, coeffs = allocation_stack(rng, batch=(4,), m=5, k=2)
-    # one item starts from an empty bracket, one from a bracket that must grow
-    t_hi = opa_bisection(coeffs, prec.delta).achieved_t * np.array([2.0, 0.25, 3.0, 1.0])
-    t_hi[0] = 0.0
-    with pytest.warns(RuntimeWarning, match="doubling"):
-        opa = opa_bisection(coeffs, prec.delta, t_hi=t_hi, tol=1e-3)
-    for i in range(4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ref = opa_bisection(one(coeffs, prec, i)[0], prec.delta[i], t_hi=t_hi[i],
-                                tol=1e-3)
+    _, prec, coeffs = allocation_stack(rng, batch=(5,), m=5, k=2)
+    # scaling an item's psi scales its bracket and its optimum; the last
+    # item's zero psi gives it the empty bracket [0, 0]
+    scale = np.array([1.0, 0.25, 40.0, 1e-3, 0.0])
+    coeffs = dataclasses.replace(coeffs, psi=coeffs.psi * scale[:, None])
+    opa = opa_bisection(coeffs, prec.delta, tol=1e-3)
+    refs = [opa_bisection(one(coeffs, prec, i)[0], prec.delta[i], tol=1e-3)
+            for i in range(5)]
+    for i, ref in enumerate(refs):
         assert opa.achieved_t[i] == ref.achieved_t
         assert np.array_equal(opa.eta[i], ref.eta)
-    assert opa.achieved_t[0] == 0.0 and np.all(opa.eta[0] == 0.0)
+    # the absolute tolerance stops the items after different halving counts
+    assert len({ref.iterations for ref in refs[:4]}) > 1
+    assert opa.achieved_t[4] == 0.0 and np.all(opa.eta[4] == 0.0)
 
 
 def test_a_singular_feasibility_system_fails_only_its_own_item():
@@ -190,16 +189,30 @@ def test_a_singular_feasibility_system_fails_only_its_own_item():
 
 # --------------------------------------------------- exhaustive selection
 
+def mask_from_choices(choices, num_aps, antennas_per_ap):
+    """The (M, K) mask keeping the APs ``choices[k]`` for each user k."""
+    q_ap = np.zeros((num_aps, len(choices)))
+    for k, aps in enumerate(choices):
+        q_ap[list(aps), k] = 1.0
+    return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def choices_of(mask, antennas_per_ap):
+    """Each user's selected AP indices, read back from an (M, K) mask."""
+    return tuple(tuple(np.flatnonzero(column).tolist())
+                 for column in mask[::antennas_per_ap].T)
+
+
 def es_reference(realization, cfg, scheme, rho_f, e_tr, solver):
     """First strict maximum over every candidate, one 2-D chain each."""
     best, best_score = None, -np.inf
     for choices in itertools.product(
             itertools.combinations(range(cfg.num_aps), cfg.selected_aps),
             repeat=cfg.num_users):
-        mask = selection._mask_from_ap_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
-        primed = apply_mask(mask, realization)
-        score = run_chain(primed.g_hat, primed.error_variance, scheme, rho_f, e_tr,
-                          cfg.noise_variance_w(), cfg.symbol_power, solver).metrics.min_sinr
+        mask = mask_from_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
+        g_hat, err_var = apply_mask(mask, realization)
+        score = run_chain(g_hat, err_var, scheme, rho_f, e_tr, cfg.noise_variance_w(),
+                          cfg.symbol_power, solver).metrics.min_sinr
         if score > best_score:
             best, best_score = mask, score
     return best
@@ -239,21 +252,20 @@ def test_es_winner_equals_the_candidate_loop(config):
             failures += 1
             continue
         got = run_trial(cfg, scheme, snr, trial, solver)
-        assert got.mask.selected == want.selected, (scheme.label, trial, snr)
-        assert np.array_equal(got.mask.q, want.q)
+        assert np.array_equal(got.mask, want), (scheme.label, trial, snr)
         compared += 1
     assert compared >= 100, (compared, failures)
 
 
 def constant_scores(value):
-    return lambda masks: np.full(masks.q.shape[0], value)
+    return lambda masks: np.full(masks.shape[0], value)
 
 
 def test_tied_scores_keep_the_first_candidate(monkeypatch):
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
         mask, score = es_aps(5, 2, 3, 1, constant_scores(1.5))
-        assert mask.selected == ((0, 1, 2), (0, 1, 2))
+        assert choices_of(mask, 1) == ((0, 1, 2), (0, 1, 2))
         assert score == 1.5
 
 
@@ -261,12 +273,12 @@ def test_nan_scores_never_win(monkeypatch):
     last = ((2, 3, 4), (2, 3, 4))
 
     def nan_but_the_last(masks):
-        return np.array([0.25 if chosen == last else np.nan for chosen in masks.selected])
+        return np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks])
 
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
         mask, score = es_aps(5, 2, 3, 1, nan_but_the_last)
-        assert mask.selected == last
+        assert choices_of(mask, 1) == last
         assert score == 0.25
     assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
 
@@ -283,14 +295,14 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
     calls = []
 
     def coarse(masks):
-        calls.append(masks.q.shape[0])
-        return (masks.q * gains).sum(axis=-2).min(axis=-1)
+        calls.append(masks.shape[0])
+        return (masks * gains).sum(axis=-2).min(axis=-1)
 
     def chain(masks):
-        calls.append(masks.q.shape[0])
-        primed = apply_mask(masks, real)
-        return run_chain(primed.g_hat, primed.error_variance, Scheme("MMSE", "UPA", "ES"),
-                         rho_f, cfg.total_antennas * rho_f, sigma_w2, 1.0).metrics.min_sinr
+        calls.append(masks.shape[0])
+        g_hat, err_var = apply_mask(masks, real)
+        return run_chain(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
+                         cfg.total_antennas * rho_f, sigma_w2, 1.0).metrics.min_sinr
 
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     for score in (coarse, chain):
@@ -302,22 +314,22 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
             assert sum(calls) == 8000
         assert len(calls) == 25
         (one_mask, one_score), (many_mask, many_score) = results
-        assert one_mask.selected == many_mask.selected and one_score == many_score
+        assert np.array_equal(one_mask, many_mask) and one_score == many_score
     # the coarse reference: first strict maximum in itertools.product order
-    scores = [coarse(selection._mask_from_ap_choices(c, 6, 1)) for c in order]
+    scores = [coarse(mask_from_choices(c, 6, 1)) for c in order]
     first = int(np.argmax(scores))
     assert first >= 333 and scores.count(max(scores)) > 1
-    assert es_aps(6, 3, 3, 1, coarse)[0].selected == order[first]
+    assert choices_of(es_aps(6, 3, 3, 1, coarse)[0], 1) == order[first]
 
 
 def test_candidate_masks_follow_product_order(monkeypatch):
     seen = []
 
     def record(masks):
-        seen.extend(masks.selected)
-        for q, chosen in zip(masks.q, masks.selected):
-            assert np.array_equal(q, selection._mask_from_ap_choices(chosen, 4, 2).q)
-        return np.zeros(masks.q.shape[0])
+        for q in masks:
+            seen.append(choices_of(q, 2))
+            assert np.array_equal(q, mask_from_choices(seen[-1], 4, 2))
+        return np.zeros(masks.shape[0])
 
     monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 8 * 3 * 5)
     es_aps(4, 3, 2, 2, record)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellfree.channel import (ChannelRealization, ConfigError, SystemConfig,
-                              attenuation_constant_db, complex_normal,
+from cellfree.channel import (MIN_CSI_QUALITY, ChannelRealization, ConfigError,
+                              SystemConfig, attenuation_constant_db, complex_normal,
                               generate_realization, generate_topology,
                               large_scale_coeffs, mmse_pilot_estimate,
                               pairwise_distances, path_loss_db,
@@ -261,6 +261,9 @@ def test_config_invariants():
         default_cfg(csi_quality=0.0)
     with pytest.raises(ConfigError, match="csi_quality"):
         default_cfg(csi_quality=float("nan"))
+    with pytest.raises(ConfigError, match="csi_quality"):
+        default_cfg(csi_quality=MIN_CSI_QUALITY / 2)
+    assert default_cfg(csi_quality=MIN_CSI_QUALITY).csi_quality == MIN_CSI_QUALITY
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError, match="snr_grid_db"):
             default_cfg(snr_grid_db=(0.0, bad))

@@ -77,8 +77,7 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
         streams = TrialStreams.for_trial(cfg.rng_seed, trial)
         real = generate_realization(cfg, streams.topology, streams.shadowing,
                                     streams.fading)
-        primed = apply_mask(ls_aps(real.beta, cfg.selected_aps, 1), real)
-        g, err = primed.g_hat, primed.error_variance
+        g, err = apply_mask(ls_aps(real.beta, cfg.selected_aps, 1), real)
         rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
         e_tr = cfg.total_antennas * rho_f
 

@@ -139,23 +139,33 @@ def test_bisection_reaches_single_user_optimum():
     assert abs(res2.achieved_t - t_star2) < 1e-5 * t_star2
 
 
+def default_t_hi(coeffs, delta):
+    """The upper end of OPA's bracket: twice the largest interference-free
+    SINR at a user's per-antenna power cap."""
+    return 2.0 * float(np.max(coeffs.rho_f * coeffs.psi
+                              / (coeffs.sigma_w2 * delta.max(axis=0))))
+
+
 def test_bisection_interval_arithmetic():
     rng = np.random.default_rng(5)
     coeffs, delta, _, _ = random_instance(rng)
-    t_hi0 = 2.0 * float(np.max(coeffs.rho_f * coeffs.psi
-                               / (coeffs.sigma_w2 * delta.max(axis=0))))
     ref = opa_bisection(coeffs, delta, iterations=60, tol=0.0).achieved_t
     coarse = opa_bisection(coeffs, delta, iterations=12, tol=0.0).achieved_t
-    assert ref - coarse <= t_hi0 / 2 ** 12 + 1e-12
+    assert ref - coarse <= default_t_hi(coeffs, delta) / 2 ** 12 + 1e-12
 
 
-def test_bisection_widens_a_feasible_bracket():
+def test_the_upper_bracket_end_is_never_feasible():
+    # eta_k max_m delta[m,k] <= 1 bounds SINR_k by
+    # rho_f psi_k / (sigma_w2 max_m delta[m,k]), at most half of t_hi, so
+    # OPA's bracket [0, t_hi] needs no widening
     rng = np.random.default_rng(6)
-    coeffs, delta, _, _ = random_instance(rng)
-    ref = opa_bisection(coeffs, delta, iterations=60, tol=0.0).achieved_t
-    with pytest.warns(RuntimeWarning, match="doubling"):
-        res = opa_bisection(coeffs, delta, t_hi=ref / 4.0, iterations=60, tol=0.0)
-    assert abs(res.achieved_t - ref) < 1e-4 * ref
+    for m, k in [(5, 2), (6, 3), (12, 4), (4, 4)]:
+        for _ in range(50):
+            coeffs, delta, _, _ = random_instance(
+                rng, m=m, k=k, rho_f=10.0 ** rng.uniform(-3, 3),
+                sigma_w2=10.0 ** rng.uniform(-2, 1))
+            ok, eta = sinr_feasible(default_t_hi(coeffs, delta), coeffs, delta)
+            assert not ok and np.all(np.isnan(eta))
 
 
 def test_bisection_result_dominates_uniform_allocation():

@@ -5,7 +5,7 @@ import pytest
 
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.pipeline import Scheme, run_chain
-from cellfree.selection import apply_mask, es_aps, full_mask, ls_aps
+from cellfree.selection import apply_mask, es_aps, ls_aps
 
 
 def small_realization(num_aps=6, antennas=1, users=3, n=0.9, seed=0):
@@ -22,20 +22,19 @@ def small_realization(num_aps=6, antennas=1, users=3, n=0.9, seed=0):
 def test_ranking_single_antenna_example():
     beta = np.array([[3.0], [1.0], [2.0]])
     mask = ls_aps(beta, num_selected=2, antennas_per_ap=1)
-    assert np.array_equal(mask.q[:, 0], [1, 0, 1])
-    assert mask.selected == ((0, 2),)
+    assert np.array_equal(mask, [[1.0], [0.0], [1.0]])
 
 
 def test_ranking_replicates_ap_blocks():
     beta = np.array([[5.0], [5.0], [9.0], [9.0], [1.0], [1.0]])
     mask = ls_aps(beta, num_selected=1, antennas_per_ap=2)
-    assert np.array_equal(mask.q[:, 0], [0, 0, 1, 1, 0, 0])
+    assert np.array_equal(mask[:, 0], [0, 0, 1, 1, 0, 0])
 
 
 def test_selecting_everything_gives_all_ones():
     beta = np.random.default_rng(0).uniform(size=(8, 3))
     mask = ls_aps(beta, num_selected=8, antennas_per_ap=1)
-    assert np.all(mask.q == 1.0)
+    assert mask.shape == (8, 3) and np.all(mask == 1.0)
 
 
 def test_column_sums_and_block_structure():
@@ -44,9 +43,9 @@ def test_column_sums_and_block_structure():
         l, n, k, s = 7, 3, 4, 4
         beta = np.repeat(rng.uniform(size=(l, k)), n, axis=0)
         mask = ls_aps(beta, s, n)
-        assert np.all(mask.q.sum(axis=0) == s * n)
+        assert np.all(mask.sum(axis=0) == s * n)
         for ap in range(l):
-            block = mask.q[n * ap:n * (ap + 1), :]
+            block = mask[n * ap:n * (ap + 1), :]
             assert np.all(block == block[0])
 
 
@@ -55,42 +54,74 @@ def test_ranking_invariant_under_positive_rescaling():
     beta = rng.uniform(size=(9, 4))
     m1 = ls_aps(beta, 3, 1)
     m2 = ls_aps(beta * 173.25, 3, 1)
-    assert np.array_equal(m1.q, m2.q)
+    assert np.array_equal(m1, m2)
+
+
+def ls_reference(beta, num_selected, antennas_per_ap):
+    """Gain ranking one user at a time: a stable argsort of the user's AP gains."""
+    beta_ap = np.asarray(beta, dtype=float)[::antennas_per_ap, :]
+    q_ap = np.zeros(beta_ap.shape)
+    for k in range(beta_ap.shape[1]):
+        order = np.argsort(-beta_ap[:, k], kind="stable")
+        q_ap[order[:num_selected], k] = 1.0
+    return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def test_ranking_equals_the_per_user_loop_when_aps_tie():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        l, n, k = (int(x) for x in rng.integers((2, 1, 1), (9, 4, 6)))
+        # three gain levels, so most users see several APs with equal gains
+        beta = np.repeat(rng.integers(1, 4, size=(l, k)) * 0.1, n, axis=0)
+        for s in range(1, l + 1):
+            assert np.array_equal(ls_aps(beta, s, n), ls_reference(beta, s, n))
+
+
+def test_ties_across_aps_go_to_the_lower_ap_index():
+    gains = np.array([[3.0, 2.0],
+                      [1.0, 2.0],
+                      [3.0, 2.0],
+                      [3.0, 5.0]])
+    # user 0: APs 0, 2 and 3 tie for two places; user 1: AP 3 leads and
+    # APs 0, 1 and 2 tie for the second place
+    want = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mask = ls_aps(np.repeat(gains, 2, axis=0), 2, 2)
+    assert np.array_equal(mask, np.repeat(want, 2, axis=0))
+    assert np.array_equal(ls_aps(np.ones((4, 3)), 1, 1)[0], [1.0, 1.0, 1.0])
 
 
 # ------------------------------------------------------------------- masking
 
 def test_all_ones_mask_preserves_everything_bitwise():
     real = small_realization()
-    mask = full_mask(6, 1, 3)
-    primed = apply_mask(mask, real)
-    for name in ("beta", "alpha", "g", "g_hat", "g_tilde"):
-        assert np.array_equal(getattr(primed, name), getattr(real, name))
+    g_hat, err_var = apply_mask(np.ones((6, 3)), real)
+    assert np.array_equal(g_hat, real.g_hat)
+    assert np.array_equal(err_var, real.error_variance)
 
 
 def test_zero_column_blanks_that_user():
     real = small_realization()
-    mask = full_mask(6, 1, 3)
-    q = mask.q.copy()
+    q = np.ones((6, 3))
     q[:, 1] = 0.0
-    primed = apply_mask(dataclasses.replace(mask, q=q), real)
-    assert np.all(primed.g_hat[:, 1] == 0)
-    assert np.all(primed.beta[:, 1] == 0)
-    assert not np.all(primed.g_hat[:, 0] == 0)
+    g_hat, err_var = apply_mask(q, real)
+    assert np.all(g_hat[:, 1] == 0)
+    assert np.all(err_var[:, 1] == 0)
+    assert not np.all(g_hat[:, 0] == 0)
 
 
 def test_masking_matches_elementwise_product_and_is_idempotent():
     real = small_realization(seed=5)
     rng = np.random.default_rng(9)
     q = np.repeat((rng.uniform(size=(6, 3)) > 0.4).astype(float), 1, axis=0)
-    mask = dataclasses.replace(full_mask(6, 1, 3), q=q)
-    primed = apply_mask(mask, real)
-    assert np.array_equal(primed.g_hat, q * real.g_hat)
-    assert np.array_equal(primed.g_tilde, q * real.g_tilde)
-    twice = apply_mask(mask, primed)
-    assert np.array_equal(twice.g_hat, primed.g_hat)
+    g_hat, err_var = apply_mask(q, real)
+    assert np.array_equal(g_hat, q * real.g_hat)
+    assert np.array_equal(err_var, q * (real.beta - real.alpha))
+    primed = dataclasses.replace(real, g_hat=g_hat, beta=q * real.beta,
+                                 alpha=q * real.alpha)
+    twice = apply_mask(q, primed)
+    assert np.array_equal(twice[0], g_hat) and np.array_equal(twice[1], err_var)
     # source untouched
-    assert not np.array_equal(real.g_hat, primed.g_hat)
+    assert not np.array_equal(real.g_hat, g_hat)
 
 
 # --------------------------------------------------------- exhaustive search
@@ -102,9 +133,9 @@ def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
     e_tr = cfg.total_antennas * rho_f
 
     def evaluate(mask):
-        primed = apply_mask(mask, real)
-        out = run_chain(primed.g_hat, primed.error_variance, scheme, rho_f,
-                        e_tr, sigma_w2, cfg.symbol_power)
+        g_hat, err_var = apply_mask(mask, real)
+        out = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
+                        cfg.symbol_power)
         return out.metrics.min_sinr
 
     return evaluate
@@ -123,9 +154,9 @@ def test_single_candidate_when_everything_selected():
         return base(mask)
 
     mask, score = es_aps(4, 2, 4, 1, counting)
-    assert len(calls) == 1 and calls[0].q.shape == (1, 4, 2)
-    assert np.all(mask.q == 1.0)
-    assert score == base(full_mask(4, 1, 2))
+    assert len(calls) == 1 and calls[0].shape == (1, 4, 2)
+    assert mask.shape == (4, 2) and np.all(mask == 1.0)
+    assert score == base(np.ones((4, 2)))
 
 
 def test_candidate_count_for_tiny_system():
@@ -138,7 +169,7 @@ def test_candidate_count_for_tiny_system():
 
     def counting(masks):
         nonlocal count
-        count += masks.q.shape[0]
+        count += masks.shape[0]
         return base(masks)
 
     es_aps(5, 2, 3, 1, counting)
@@ -158,15 +189,14 @@ def test_search_picks_the_strong_aps():
                                g=np.sqrt(beta) * (1 + 0j) * np.ones((3, 1)))
     evaluate = chain_evaluator(real, cfg)
     mask, best = es_aps(3, 1, 2, 1, evaluate)
-    assert mask.selected == ((0, 2),)
+    assert np.array_equal(mask, [[1.0], [0.0], [1.0]])
     # brute-force re-evaluation of every candidate confirms the choice
     import itertools
     rescored = []
     for aps in itertools.combinations(range(3), 2):
         q = np.zeros((3, 1))
         q[list(aps), 0] = 1.0
-        rescored.append((evaluate(dataclasses.replace(mask, q=q,
-                                                      selected=(aps,))), aps))
+        rescored.append((evaluate(q), aps))
     assert max(rescored)[1] == (0, 2)
     assert np.isclose(max(rescored)[0], best)
 
