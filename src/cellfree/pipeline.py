@@ -15,16 +15,26 @@ metrics.
 stacks, in chunks, and the trial then re-runs the 2-D chain on the winning
 mask, so every reported number comes from the 2-D chain.
 
+A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
+of trial ``t`` at one config shares: the channel block, and the NS and LS
+masks with the estimate and error variance they mask, made once each on
+first use and read-only. ``run_cell`` runs one cell on a draw; exhaustive
+selection depends on the scheme and the SNR, so it searches per cell.
+``run_trial`` is one cell on a fresh draw, and ``run_sweep`` loops
+trial-major, running every scheme and SNR point of a config on one draw.
+
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
-or concurrently.
+or concurrently, and a cell that measures BER restarts its symbol and noise
+streams, so it sees the same bits and noise whichever cells ran before it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,19 +78,37 @@ def _apa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
 
 def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
     def evaluate(masks):
-        g_hat, err_var = sel.apply_mask(masks, realization)
-        result = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
-                           sigma_s2, solver)
-        return result.metrics.min_sinr
+        """Minimum SINRs of a (B, M, K) stack, or of one (M, K) mask. A mask
+        that leaves ZF rank-deficient scores -inf: a stack that raises is
+        scored again one mask at a time."""
+        try:
+            g_hat, err_var = sel.apply_mask(masks, realization)
+            return run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
+                             sigma_s2, solver).metrics.min_sinr
+        except np.linalg.LinAlgError as err:
+            if "rank-deficient" not in str(err):      # zf_precoder's message
+                raise
+            if masks.ndim == 2:
+                return -np.inf
+        return np.array([evaluate(mask) for mask in masks])
 
     mask, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
                          cfg.antennas_per_ap, evaluate, budget=solver.es_budget)
+    if mask is None:
+        raise np.linalg.LinAlgError(
+            "exhaustive selection has no candidate mask that keeps the channel "
+            "full-rank with a finite minimum SINR")
     return mask, math.comb(cfg.num_aps, cfg.selected_aps) ** cfg.num_users
 
 
-# Every scheme name, keyed by Scheme field. A selector maps (scheme,
-# realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver) to
-# ((M, K) mask array, number of ES candidates scored).
+@dataclass(frozen=True)
+class _Selector:
+    select: Callable      # (scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2,
+                          # solver) -> ((M, K) mask array, ES candidates scored)
+    per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
+
+
+# Every scheme name, keyed by Scheme field.
 SCHEMES = {
     "precoder": {
         "MMSE": _Precoder(_mmse, reformed=True),
@@ -95,11 +123,11 @@ SCHEMES = {
                           scale_invariant=True),
     },
     "selection": {
-        "NS": lambda scheme, realization, cfg, *_: (
-            np.ones((cfg.total_antennas, cfg.num_users)), 0),
-        "LS": lambda scheme, realization, cfg, *_: (
-            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0),
-        "ES": _es,
+        "NS": _Selector(lambda scheme, realization, cfg, *_: (
+            np.ones((cfg.total_antennas, cfg.num_users)), 0)),
+        "LS": _Selector(lambda scheme, realization, cfg, *_: (
+            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0)),
+        "ES": _Selector(_es, per_cell=True),
     },
 }
 
@@ -157,9 +185,46 @@ class TrialStreams:
 
     @classmethod
     def for_trial(cls, seed: int, trial: int) -> "TrialStreams":
-        gens = {name: np.random.default_rng([seed, trial, i])
-                for i, name in enumerate(_STREAMS)}
-        return cls(**gens)
+        return cls(**{name: _stream(seed, trial, name) for name in _STREAMS})
+
+
+def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
+    """The sub-stream ``name`` of trial ``trial``, from its start."""
+    return np.random.default_rng([seed, trial, _STREAMS.index(name)])
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True)
+class TrialDraw:
+    """What every (scheme, SNR) cell of one trial at one config shares.
+
+    The channel block is drawn on first use from the (seed, trial) topology,
+    shadowing and fading sub-streams. ``selections`` memoizes, per selection
+    name that does not depend on the cell (NS, LS), the mask, the masked
+    estimate, the masked error variance and the ES candidate count. All of
+    these arrays are read-only. A draw belongs to one config, so LS masks
+    are never shared across configs that select a different number of APs.
+    """
+
+    cfg: ch.SystemConfig
+    trial: int
+    seed: int
+    selections: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    @cached_property
+    def realization(self) -> ch.ChannelRealization:
+        realization = ch.generate_realization(
+            self.cfg, _stream(self.seed, self.trial, "topology"),
+            _stream(self.seed, self.trial, "shadowing"),
+            _stream(self.seed, self.trial, "fading"))
+        _read_only(*vars(realization).values())
+        return realization
 
 
 @dataclass
@@ -210,37 +275,53 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
                        metrics=metrics, trace=trace)
 
 
-def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
-              solver: SolverParams = SolverParams(), with_ber: bool = False,
-              seed: Optional[int] = None) -> PipelineResult:
-    """One Monte-Carlo trial of the full chain at a given SNR grid point."""
-    if seed is None:
-        seed = cfg.rng_seed
-    streams = TrialStreams.for_trial(seed, trial)
+def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
+            solver):
+    """``(mask, masked g_hat, masked error variance, ES candidates scored)``
+    of one cell, read-only; NS and LS come from the draw's memo."""
+    if scheme.selection in draw.selections:
+        return draw.selections[scheme.selection]
+    selector = SCHEMES["selection"][scheme.selection]
+    realization = draw.realization
+    mask, es_candidates = selector.select(scheme, realization, draw.cfg, rho_f, e_tr,
+                                          sigma_w2, sigma_s2, solver)
+    selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), es_candidates)
+    if not selector.per_cell:
+        draw.selections[scheme.selection] = selected
+    return selected
+
+
+def run_cell(draw: TrialDraw, scheme: Scheme, snr_db: float,
+             solver: SolverParams = SolverParams(),
+             with_ber: bool = False) -> PipelineResult:
+    """One (scheme, SNR) cell of a trial, on the trial's shared draw.
+
+    ``trace["seconds"]["channel"]`` holds the channel draw's time only in
+    the cell that made the draw (the first to run on it), and the selection
+    time of NS and LS only in the cell that made that selection.
+    """
+    cfg = draw.cfg
     sigma_w2 = cfg.noise_variance_w()
     sigma_s2 = cfg.symbol_power
 
     t0 = time.perf_counter()
-    realization = ch.generate_realization(cfg, streams.topology,
-                                          streams.shadowing, streams.fading)
+    realization = draw.realization
     t1 = time.perf_counter()
     rho_f = mt.snr_to_rho_f(10.0 ** (snr_db / 10.0), realization.g_hat, sigma_w2)
     e_tr = cfg.total_antennas * rho_f
-
-    select = SCHEMES["selection"][scheme.selection]
-    mask, es_candidates = select(scheme, realization, cfg, rho_f, e_tr,
-                                 sigma_w2, sigma_s2, solver)
+    mask, g_hat, err_var, es_candidates = _select(draw, scheme, rho_f, e_tr,
+                                                  sigma_w2, sigma_s2, solver)
     t2 = time.perf_counter()
-    g_hat, err_var = sel.apply_mask(mask, realization)
     chain = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2, solver)
     t3 = time.perf_counter()
 
     if with_ber:
         ber, degenerate = mt.ber_qpsk(chain.precoder.p, chain.n_final.n_diag,
                                       realization.g, g_hat, rho_f, sigma_w2,
-                                      solver.symbols_per_packet, streams.symbols,
+                                      solver.symbols_per_packet,
+                                      _stream(draw.seed, draw.trial, "symbols"),
                                       packets=solver.packets_per_trial,
-                                      noise_rng=streams.noise)
+                                      noise_rng=_stream(draw.seed, draw.trial, "noise"))
         chain.metrics.ber = ber
         chain.trace["ber_degenerate_gains"] = degenerate
     t4 = time.perf_counter()
@@ -249,6 +330,16 @@ def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
     chain.trace["seconds"].update({"channel": t1 - t0, "selection": t2 - t1,
                                    "ber": t4 - t3})
     return PipelineResult(**vars(chain), mask=mask)
+
+
+def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
+              solver: SolverParams = SolverParams(), with_ber: bool = False,
+              seed: Optional[int] = None) -> PipelineResult:
+    """One Monte-Carlo trial of the full chain at a given SNR grid point:
+    ``run_cell`` on a fresh draw."""
+    if seed is None:
+        seed = cfg.rng_seed
+    return run_cell(TrialDraw(cfg, trial, seed), scheme, snr_db, solver, with_ber)
 
 
 class TrialError(RuntimeError):
@@ -271,12 +362,13 @@ class TrialError(RuntimeError):
                          f"seed {seed}: {detail}")
 
 
-def _point_trial(cfg, scheme, snr, trial, solver, with_ber, seed, axis_name, axis_value):
-    """``run_trial`` at one axis point, its draw-dependent failures named."""
+def _point_cell(draw, scheme, snr, solver, with_ber, axis_name, axis_value):
+    """``run_cell`` at one axis point, its draw-dependent failures named."""
     try:
-        return run_trial(cfg, scheme, snr, trial, solver, with_ber=with_ber, seed=seed)
+        return run_cell(draw, scheme, snr, solver, with_ber=with_ber)
     except (ArithmeticError, ValueError) as err:   # LinAlgError is a ValueError
-        raise TrialError(scheme.label, axis_name, axis_value, trial, seed, err) from err
+        raise TrialError(scheme.label, axis_name, axis_value, draw.trial, draw.seed,
+                         err) from err
 
 
 @dataclass(frozen=True)
@@ -336,25 +428,37 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
               seed: Optional[int] = None):
     """Average per-trial metrics per (scheme, axis point).
 
-    The same trial index reuses the same channel block for every scheme and
-    axis point, so scheme comparisons are paired. A trial that fails on its
-    draw raises ``TrialError``.
+    The sweep runs trial-major: for each trial it draws the channel block
+    (and the NS and LS masks) once per distinct axis-point config, and runs
+    every (scheme, SNR point) cell of that config on it, so scheme
+    comparisons are paired. Each cell gives what ``run_trial`` gives for it.
+    Rows come scheme-major, axis points in order. A trial that fails on its
+    draw raises ``TrialError`` for the first failing cell in (trial, axis
+    point, scheme) order, so it names the smallest failing trial over all
+    schemes and points.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed is None:
         seed = cfg.rng_seed
+    points = _axis_points(cfg, axis, axis_values)
+    # [scheme][point] -> per-trial (sum rate, min SINR in dB, BER)
+    samples = [[[] for _ in points] for _ in schemes]
+    for t in range(trials):
+        draws = {}          # this trial's draw per config; the SNR points share one
+        for p, (value, cfg_point, snr) in enumerate(points):
+            draw = draws.get(id(cfg_point))
+            if draw is None:
+                draw = draws[id(cfg_point)] = TrialDraw(cfg_point, t, seed)
+            for s, scheme in enumerate(schemes):
+                metrics = _point_cell(draw, scheme, snr, solver, with_ber, axis,
+                                      value).metrics
+                samples[s][p].append((metrics.sum_rate,
+                                      10.0 * np.log10(metrics.min_sinr), metrics.ber))
     rows = []
-    for scheme in schemes:
-        for value, cfg_point, snr in _axis_points(cfg, axis, axis_values):
-            sums, mins_db, bers = [], [], []
-            for t in range(trials):
-                res = _point_trial(cfg_point, scheme, snr, t, solver, with_ber, seed,
-                                   axis, value)
-                sums.append(res.metrics.sum_rate)
-                mins_db.append(10.0 * np.log10(res.metrics.min_sinr))
-                if with_ber:
-                    bers.append(res.metrics.ber)
+    for scheme, per_point in zip(schemes, samples):
+        for (value, _, _), per_trial in zip(points, per_point):
+            sums, mins_db, bers = zip(*per_trial)
             sr_mean, sr_se = _mean_se(sums)
             ms_mean, ms_se = _mean_se(mins_db)
             if with_ber:
@@ -395,7 +499,8 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
     snr = float(cfg.snr_grid_db[0])
     traces = []
     for t in range(trials):
-        res = _point_trial(cfg, scheme, snr, t, solver, False, seed, "snr_grid", snr)
+        res = _point_cell(TrialDraw(cfg, t, seed), scheme, snr, solver, False,
+                          "snr_grid", snr)
         traces.append(res.n_first.cost_trace)
     arr = np.asarray(traces, dtype=float)         # (trials, iterations + 1)
     rows = []

@@ -204,15 +204,23 @@ def choices_of(mask, antennas_per_ap):
 
 
 def es_reference(realization, cfg, scheme, rho_f, e_tr, solver):
-    """First strict maximum over every candidate, one 2-D chain each."""
+    """First strict maximum over every candidate, one 2-D chain each; a
+    candidate that leaves ZF rank-deficient scores -inf, any other error
+    propagates. None when no candidate scores above -inf."""
     best, best_score = None, -np.inf
     for choices in itertools.product(
             itertools.combinations(range(cfg.num_aps), cfg.selected_aps),
             repeat=cfg.num_users):
         mask = mask_from_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
         g_hat, err_var = apply_mask(mask, realization)
-        score = run_chain(g_hat, err_var, scheme, rho_f, e_tr, cfg.noise_variance_w(),
-                          cfg.symbol_power, solver).metrics.min_sinr
+        try:
+            score = run_chain(g_hat, err_var, scheme, rho_f, e_tr,
+                              cfg.noise_variance_w(), cfg.symbol_power,
+                              solver).metrics.min_sinr
+        except np.linalg.LinAlgError as err:
+            if "rank-deficient" not in str(err):
+                raise
+            continue
         if score > best_score:
             best, best_score = mask, score
     return best
@@ -246,8 +254,14 @@ def test_es_winner_equals_the_candidate_loop(config):
         try:
             want = es_reference(real, cfg, scheme, rho_f, e_tr, solver)
         except ValueError as err:
-            # a candidate fails (APA diverges, ZF is rank-deficient): so must ES
+            # a candidate fails other than by ZF rank deficiency (APA
+            # diverges): so must ES
             with pytest.raises(type(err)):
+                run_trial(cfg, scheme, snr, trial, solver)
+            failures += 1
+            continue
+        if want is None:
+            with pytest.raises(np.linalg.LinAlgError, match="full-rank"):
                 run_trial(cfg, scheme, snr, trial, solver)
             failures += 1
             continue
@@ -255,6 +269,42 @@ def test_es_winner_equals_the_candidate_loop(config):
         assert np.array_equal(got.mask, want), (scheme.label, trial, snr)
         compared += 1
     assert compared >= 100, (compared, failures)
+
+
+def test_zero_forcing_es_skips_rank_deficient_candidates():
+    # one AP per user on 5 APs: the 5 of 25 candidates that give both users
+    # the same AP leave ZF rank-deficient, so the stacked chain raises and
+    # ES scores the candidates again one at a time
+    cfg = dataclasses.replace(SystemConfig(), **dict(TINY, selected_aps=1)).validate()
+    scheme = Scheme("ZF", "UPA", "ES")
+    solver = SolverParams()
+    sigma_w2 = cfg.noise_variance_w()
+    for trial in range(10):
+        got = run_trial(cfg, scheme, 10.0, trial, solver)
+        (first,), (second,) = choices_of(got.mask, 1)
+        assert first != second
+        streams = TrialStreams.for_trial(cfg.rng_seed, trial)
+        real = generate_realization(cfg, streams.topology, streams.shadowing,
+                                    streams.fading)
+        rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
+        want = es_reference(real, cfg, scheme, rho_f, cfg.total_antennas * rho_f, solver)
+        assert np.array_equal(got.mask, want)
+        assert got.trace["es_candidates"] == 25
+
+
+def test_zero_forcing_es_without_a_full_rank_candidate_raises():
+    cfg = dataclasses.replace(SystemConfig(), **TINY).validate()
+    streams = TrialStreams.for_trial(cfg.rng_seed, 0)
+    real = generate_realization(cfg, streams.topology, streams.shadowing, streams.fading)
+    g_hat = real.g_hat.copy()
+    g_hat[:, 1] = 0.0                         # no mask can make user 1 full-rank
+    real = dataclasses.replace(real, g_hat=g_hat)
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
+    es = SCHEMES["selection"]["ES"].select
+    with pytest.raises(np.linalg.LinAlgError, match="full-rank"):
+        es(Scheme("ZF", "UPA", "ES"), real, cfg, rho_f, cfg.total_antennas * rho_f,
+           sigma_w2, cfg.symbol_power, SolverParams())
 
 
 def constant_scores(value):

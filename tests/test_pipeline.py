@@ -1,14 +1,18 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from cellfree import channel, selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import (Scheme, SolverParams, TrialError, TrialStreams,
-                               run_chain, run_learning_curve, run_sweep, run_trial)
+from cellfree.pipeline import (Scheme, SolverParams, SweepRow, TrialDraw, TrialError,
+                               TrialStreams, _mean_se, run_cell, run_chain,
+                               run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import apa_sgd, opa_bisection, upa
 from cellfree.precoding import mmse_precoder
+from cellfree.presets import PRESETS
 from cellfree.selection import apply_mask, ls_aps
 
 
@@ -237,6 +241,89 @@ def test_ber_columns_only_when_requested():
     assert 0.0 <= with_ber[0].ber_mean <= 0.5
 
 
+# ------------------------------------------------------------ shared draws
+
+MIXED = [Scheme.parse(label) for label in
+         ("MMSE+APA+NS", "MMSE+APA+LS", "MMSE+APA+ES", "CB+OPA+LS")]
+SMALL = dict(num_aps=6, antennas_per_ap=1, num_users=2, selected_aps=2,
+             csi_quality=0.95, snr_grid_db=(0.0, 10.0, 20.0))
+
+
+def rows_from_trials(schemes, axis, points, trials, solver, seed):
+    """Sweep rows built from one independent ``run_trial`` per cell."""
+    rows = []
+    for scheme in schemes:
+        for value, cfg_point, snr in points:
+            metrics = [run_trial(cfg_point, scheme, snr, t, solver, with_ber=True,
+                                 seed=seed).metrics for t in range(trials)]
+            sr = _mean_se([m.sum_rate for m in metrics])
+            ms = _mean_se([10.0 * np.log10(m.min_sinr) for m in metrics])
+            ber = _mean_se([m.ber for m in metrics])
+            rows.append(SweepRow(scheme.label, axis, value, *sr, *ms, *ber,
+                                 trials=trials, seed=seed))
+    return rows
+
+
+@pytest.mark.parametrize("axis", ["snr_grid", "selection_fraction", "antennas_per_ap"])
+def test_sweep_rows_equal_independent_trials_bitwise(axis):
+    cfg = cfg_with(**SMALL)
+    solver = SolverParams(symbols_per_packet=64)
+    seed = 4242
+    if axis == "snr_grid":
+        values = None
+        points = [(snr, cfg, snr) for snr in cfg.snr_grid_db]
+    elif axis == "selection_fraction":
+        values = (1.0, 0.5, 0.2)                 # 6, 3 and 1 of the 6 APs
+        points = [(f, dataclasses.replace(cfg, selected_aps=s), 0.0)
+                  for f, s in zip(values, (6, 3, 1))]
+    else:
+        values = (1, 2)
+        points = [(1.0, cfg, 0.0),
+                  (2.0, dataclasses.replace(cfg, antennas_per_ap=2, num_aps=3,
+                                            selected_aps=1), 0.0)]
+    rows = run_sweep(cfg, MIXED, axis, trials=3, solver=solver, with_ber=True,
+                     axis_values=values, seed=seed)
+    assert rows == rows_from_trials(MIXED, axis, points, 3, solver, seed)
+
+
+def counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
+    calls = collections.Counter()
+    monkeypatch.setattr(channel, "generate_realization",
+                        counting(calls, "channel", channel.generate_realization))
+    monkeypatch.setattr(selection, "ls_aps", counting(calls, "ls", selection.ls_aps))
+    preset = PRESETS["fig-large-sumrate"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    schemes = [Scheme.parse(label) for label in preset.schemes]
+    assert len(schemes) * len(cfg.snr_grid_db) == 48
+    run_sweep(cfg, schemes, "snr_grid", trials=3)
+    assert calls == {"channel": 3, "ls": 3}
+    calls.clear()
+    run_sweep(cfg_with(**SMALL), MIXED, "selection_fraction", trials=2,
+              axis_values=(1.0, 0.5, 0.2))
+    assert calls == {"channel": 6, "ls": 6}
+
+
+def test_shared_draw_arrays_are_read_only():
+    cfg = cfg_with(**TINY)
+    for label in ("MMSE+OPA+NS", "MMSE+OPA+LS", "MMSE+OPA+ES"):
+        res = run_trial(cfg, Scheme.parse(label), 10.0, trial=0)
+        with pytest.raises(ValueError, match="read-only"):
+            res.mask[0, 0] = 0.0
+    draw = TrialDraw(cfg, 0, cfg.rng_seed)
+    run_cell(draw, Scheme.parse("MMSE+OPA+LS"), 10.0)
+    mask, g_hat, err_var, _ = draw.selections["LS"]
+    for array in (*vars(draw.realization).values(), mask, g_hat, err_var):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
 # ------------------------------------------------------------ learning curve
 
 def test_learning_curve_shape_and_guard():
@@ -284,3 +371,27 @@ def test_a_draw_dependent_failure_names_its_trial():
         except np.linalg.LinAlgError:
             failing += 1
     assert failing == 12
+
+
+def test_a_sweep_names_the_smallest_failing_trial_over_its_schemes():
+    # trial-major: the first failing cell in (trial, point, scheme) order. On
+    # this config ZF+APA diverges from trial 0 and ZF+OPA+LS's mask is first
+    # rank-deficient on trial 4, so scheme-major order would name trial 4.
+    cfg = cfg_with(**RANK_DEFICIENT)
+    schemes = [Scheme.parse("ZF+OPA+LS"), Scheme.parse("ZF+APA+LS")]
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, schemes, "snr_grid", trials=40)
+    err = caught.value
+
+    def fails(scheme, t):
+        try:
+            run_trial(cfg, scheme, 10.0, t, seed=err.seed)
+        except ValueError:                      # LinAlgError is a ValueError
+            return True
+        return False
+
+    first = min(t for t in range(40) if any(fails(s, t) for s in schemes))
+    assert err.trial == first
+    assert err.scheme == next(s.label for s in schemes if fails(s, first))
+    with pytest.raises(type(err.__cause__)):
+        run_trial(cfg, Scheme.parse(err.scheme), 10.0, err.trial, seed=err.seed)
