@@ -8,7 +8,8 @@ MMSE+APA re-forms the precoder with that allocation (``P N^(-1)``, a column
 scaling) and allocates again: OPA and UPA are invariant to column scaling,
 so for them a second pass would reproduce the first. The SINR coefficients
 of a precoder are computed once and shared by the allocator and the
-metrics.
+metrics; they are all an allocator reads besides the precoder. APA takes
+only the MMSE-family precoders, and ``Scheme`` rejects any other pairing.
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
 ``(B, M, K)``; exhaustive selection scores its candidate masks as such
@@ -56,9 +57,13 @@ class _Precoder:
 
 @dataclass(frozen=True)
 class _Allocator:
-    solve: Callable       # (precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver)
+    solve: Callable       # (precoder, coeffs, sigma_s2, solver) -> AllocationResult
     scale_invariant: bool  # column scaling of P leaves the allocated P N unchanged
     cost_trace: bool = False  # records its cost per iteration (learning curves)
+    precoders: Optional[tuple] = None  # the precoders it accepts; None: every one
+
+    def accepts(self, precoder: str) -> bool:
+        return self.precoders is None or precoder in self.precoders
 
 
 def _mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
@@ -66,13 +71,13 @@ def _mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
                             sigma_w2, sigma_s2)
 
 
-def _opa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
+def _opa(precoder, coeffs, sigma_s2, solver):
     return pa.opa_bisection(coeffs, precoder.delta,
                             iterations=solver.opa_iterations, tol=solver.opa_tol)
 
 
-def _apa(precoder, coeffs, g_hat, rho_f, sigma_w2, sigma_s2, solver):
-    return pa.apa_sgd(precoder, g_hat, rho_f, sigma_w2, mu=solver.apa_mu,
+def _apa(precoder, coeffs, sigma_s2, solver):
+    return pa.apa_sgd(precoder, coeffs, mu=solver.apa_mu,
                       iterations=solver.apa_iterations, sigma_s2=sigma_s2)
 
 
@@ -118,7 +123,9 @@ SCHEMES = {
     },
     "allocation": {
         "OPA": _Allocator(_opa, scale_invariant=True),
-        "APA": _Allocator(_apa, scale_invariant=False, cost_trace=True),
+        # its step is scale-free only where f cancels the precoder's scale
+        "APA": _Allocator(_apa, scale_invariant=False, cost_trace=True,
+                          precoders=("MMSE", "MMSE_CONV")),
         "UPA": _Allocator(lambda precoder, *_: pa.upa(precoder.delta),
                           scale_invariant=True),
     },
@@ -145,6 +152,11 @@ class Scheme:
             if getattr(self, stage) not in options:
                 raise ValueError(f"unknown {stage} {getattr(self, stage)!r}; "
                                  f"valid: {', '.join(options)}")
+        allocator = SCHEMES["allocation"][self.allocation]
+        if not allocator.accepts(self.precoder):
+            raise ValueError(f"allocation {self.allocation} does not take precoder "
+                             f"{self.precoder!r}; it takes: "
+                             f"{', '.join(allocator.precoders)}")
 
     @classmethod
     def parse(cls, label: str) -> "Scheme":
@@ -171,21 +183,6 @@ class SolverParams:
     es_budget: int = 10 ** 6
     symbols_per_packet: int = 100
     packets_per_trial: int = 1
-
-
-@dataclass(frozen=True)
-class TrialStreams:
-    """Independent per-trial random streams, one per model component."""
-
-    topology: np.random.Generator
-    shadowing: np.random.Generator
-    fading: np.random.Generator
-    noise: np.random.Generator
-    symbols: np.random.Generator
-
-    @classmethod
-    def for_trial(cls, seed: int, trial: int) -> "TrialStreams":
-        return cls(**{name: _stream(seed, trial, name) for name in _STREAMS})
 
 
 def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
@@ -249,19 +246,18 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
     module docstring)."""
     precoder = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
-    args = (g_hat, rho_f, sigma_w2, sigma_s2, solver)
     t0 = time.perf_counter()
     prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     t1 = time.perf_counter()
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
-    solves = [allocator.solve(prec, coeffs, *args)]
+    solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
     t2 = time.perf_counter()
     seconds = {"precoder": t1 - t0, "allocation": t2 - t1}
     if precoder.reformed and not allocator.scale_invariant:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
         coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
-        solves.append(allocator.solve(prec, coeffs, *args))
+        solves.append(allocator.solve(prec, coeffs, sigma_s2, solver))
         seconds["precoder"] += t3 - t2
         seconds["allocation"] += time.perf_counter() - t3
     metrics = mt.rates(mt.analytic_sinr(coeffs, solves[-1].eta))

@@ -9,8 +9,9 @@ are provided:
   reduces to a K x K linear solve because the SINR constraints, taken at
   equality, form a monotone interference system whose nonnegative solution
   (when it exists) is the componentwise-minimal feasible point.
-* APA: stochastic-gradient descent on the transmit MSE, rescaled to the
-  per-antenna constraint after every update.
+* APA: gradient descent on the transmit MSE of a fixed MMSE-family
+  precoder, a separable per-user quadratic read from the SINR
+  coefficients, rescaled to the per-antenna constraint after every update.
 * UPA: one common coefficient sized so the hottest antenna transmits at
   full power.
 
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import SinrCoefficients, analytic_sinr
+from .metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
 from .precoding import PrecoderOutput
 
 # slack for the per-antenna constraint checks; results satisfy the
@@ -213,73 +214,65 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                             achieved_t=achieved.reshape(batch)[()])
 
 
-def apa_cost(n_diag, effective, rho_f: float, f: float, sigma_w2: float,
-             sigma_s2: float = 1.0) -> float:
-    """Transmit MSE for allocation diagonal n_diag.
+def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
+    """``(c, b, const)`` of the transmit MSE of an MMSE-family precoder,
+    ``const + sum_k (c_k nu_k^2 - 2 b_k nu_k)`` in ``nu = sqrt(eta)``.
 
-    ``effective`` is the K x K matrix g_hat^T P of the fixed precoder. The
-    cost is the mean-square error between the symbols and the
-    gain-normalized receive vector, dropping the CSI-error contribution.
+    With ``a = g_hat^T P``: ``c_k = rho_f sigma_s2 / f^2 sum_i |a_ik|^2`` and
+    ``b_k = sqrt(rho_f) sigma_s2 / f Re a_kk``, where ``Re a_kk = sqrt(psi_k)``
+    because ``a`` is Hermitian positive semidefinite, times a positive
+    diagonal once re-formed as ``P N^(-1)``.
     """
-    nu = np.asarray(n_diag, dtype=float)
-    k = nu.shape[-1]
-    a = np.asarray(effective)
-    lin = np.vecdot(np.real(a.diagonal(axis1=-2, axis2=-1)), nu)
-    quad = np.real(np.einsum("...ik,...ik,...k->...", a.conj(), a, nu ** 2))
-    return (k * sigma_s2 + k * sigma_w2 / f ** 2
-            - 2.0 * np.sqrt(rho_f) / f * sigma_s2 * lin
-            + rho_f / f ** 2 * sigma_s2 * quad)[()]
+    f = np.asarray(f, dtype=float)
+    k = coeffs.psi.shape[-1]
+    c = (coeffs.rho_f / f ** 2 * sigma_s2)[..., None] * coeffs.phi.sum(axis=-2)
+    b = (np.sqrt(coeffs.rho_f) / f * sigma_s2)[..., None] * np.sqrt(coeffs.psi)
+    return c, b, k * sigma_s2 + k * coeffs.sigma_w2 / f ** 2
 
 
-def apa_gradient(n_diag, effective, rho_f: float, f: float,
-                 sigma_s2: float = 1.0) -> np.ndarray:
-    """Wirtinger gradient of the transmit MSE with respect to conj(N)."""
-    nu = np.asarray(n_diag, dtype=float)
-    a = np.asarray(effective)
-    a_h = a.conj().mT
-    # the scalar factors on f's own shape, then one per stacked matrix
-    linear = np.asarray(-np.sqrt(rho_f) / f * sigma_s2)[..., None, None]
-    quadratic = np.asarray(rho_f / f ** 2 * sigma_s2)[..., None, None]
-    return linear * a_h + quadratic * (a_h @ a) * nu[..., None, :]
+def _mse(nu, c, b, const):
+    return (const + np.vecdot(c * nu - 2.0 * b, nu))[()]
 
 
-def apa_sgd(precoder: PrecoderOutput, g_hat, rho_f: float, sigma_w2: float,
-            mu: float, iterations: int, sigma_s2: float = 1.0) -> AllocationResult:
-    """Stochastic-gradient power allocation against a fixed precoder.
+def apa_cost(n_diag, coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
+    """MSE between the symbols and the gain-normalized receive vector, CSI
+    error dropped, at the allocation diagonal n_diag."""
+    return _mse(np.asarray(n_diag, dtype=float), *apa_terms(coeffs, f, sigma_s2))
 
-    Starts from eta = 1e-3 for every user and takes ``iterations`` gradient
-    steps on the transmit MSE, keeping the real diagonal of each update.
-    After every step the coefficients are rescaled uniformly onto the
-    per-antenna cap when they exceed it, and the rescaled state is carried
-    into the next step, so every iterate is feasible and the state stays
-    bounded. Raises if a coefficient passes 1e6 before rescaling, which
-    indicates a step size too large for the cost curvature.
 
-    ``cost_trace`` holds the MSE at the carried state (one entry per
-    iteration plus the start); ``eta_trace`` the matching coefficients.
+def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float, iterations: int,
+            sigma_s2: float = 1.0) -> AllocationResult:
+    """Gradient-descent allocation against a fixed MMSE-family precoder.
+
+    From eta = 1e-3 for every user, takes ``iterations`` steps
+    ``nu <- nu - mu (c nu - b)`` (see ``apa_terms``), each followed by a
+    uniform rescale onto the per-antenna cap when the coefficients exceed
+    it, so every iterate is feasible. Raises if a coefficient passes 1e6
+    before rescaling: the step is too large for the cost curvature.
+    ``cost_trace`` and ``eta_trace`` hold the MSE and coefficients at the
+    start and after every step. ``apa_sgd(precoder, g_hat, rho_f, sigma_w2,
+    mu=, iterations=)``, as ``bench/micro.py`` calls it, forms ``coeffs``.
     """
     if mu < 0:
         raise ValueError("step size mu must be nonnegative")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    g_hat = np.asarray(g_hat)
-    delta = precoder.delta
-    effective = g_hat.mT @ precoder.p
-    f = precoder.f
+    if legacy:
+        g_hat = np.asarray(coeffs)
+        coeffs = sinr_coefficients(precoder.p, g_hat, np.zeros(g_hat.shape), *legacy)
+    c, b, const = apa_terms(coeffs, precoder.f, sigma_s2)
 
-    eta = np.full(effective.shape[:-1], 1e-3)
-    cost_trace = [apa_cost(np.sqrt(eta), effective, rho_f, f, sigma_w2, sigma_s2)]
-    eta_trace = [eta.copy()]
+    eta = np.full(c.shape, 1e-3)
+    cost_trace, eta_trace = [_mse(np.sqrt(eta), c, b, const)], [eta]
     for _ in range(iterations):
         nu = np.sqrt(eta)
-        grad = apa_gradient(nu, effective, rho_f, f, sigma_s2)
-        nu_next = nu - mu * np.real(grad.diagonal(axis1=-2, axis2=-1))
-        eta = nu_next ** 2
+        eta = (nu - mu * (c * nu - b)) ** 2
         if np.any(eta > 1e6):
             raise ValueError("allocation diverged before rescaling; reduce the step size")
         # x / max(load, 1) is x itself wherever load <= 1
-        eta = eta / np.maximum(np.matvec(delta, eta).max(axis=-1), 1.0)[..., None]
-        cost_trace.append(apa_cost(np.sqrt(eta), effective, rho_f, f, sigma_w2, sigma_s2))
-        eta_trace.append(eta.copy())
+        load = np.matvec(precoder.delta, eta).max(axis=-1)
+        eta = eta / np.maximum(load, 1.0)[..., None]
+        cost_trace.append(_mse(np.sqrt(eta), c, b, const))
+        eta_trace.append(eta)
     return AllocationResult(eta=eta, iterations=iterations,
                             cost_trace=cost_trace, eta_trace=eta_trace)

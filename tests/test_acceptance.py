@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 
-from cellfree.channel import SystemConfig, generate_realization
+from cellfree.channel import SystemConfig
 from cellfree.cli_io import main
 from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
-from cellfree.pipeline import Scheme, SolverParams, TrialStreams, run_trial
-from cellfree.power_allocation import (apa_cost, apa_gradient, apa_sgd,
-                                       opa_bisection, sinr_feasible, upa)
+from cellfree.pipeline import Scheme, SolverParams, TrialDraw, _stream, run_trial
+from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
+                                       sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder, zf_precoder, _ridge_solve
 
 
@@ -182,7 +182,7 @@ def test_criterion_4_max_min_allocation_correctness():
         grid_ok &= ok_low and not ok_high
         opa_min = float(np.min(analytic_sinr(coeffs, res.eta)))
         upa_min = float(np.min(analytic_sinr(coeffs, upa(pre.delta).eta)))
-        apa = apa_sgd(pre, g, coeffs.rho_f, coeffs.sigma_w2, mu=0.25, iterations=5)
+        apa = apa_sgd(pre, coeffs, mu=0.25, iterations=5)
         apa_min = float(np.min(analytic_sinr(coeffs, apa.eta)))
         dominance_ok &= opa_min >= upa_min * (1 - 1e-5) - 1e-12
         dominance_ok &= opa_min >= apa_min * (1 - 1e-5) - 1e-12
@@ -213,20 +213,21 @@ def test_criterion_5_adaptive_allocation_learning():
         good += bool(np.all(c[2:] <= c[1] * 1.01) and c[-1] < c[0])
     rate = good / trials
 
+    # the step direction c nu - b is half the derivative of the cost in nu
     rng = np.random.default_rng(505)
-    k = 5
-    effective = random_channel(rng, k, k)
+    k, ss2 = 5, 0.9
+    coeffs, pre, _ = random_opa_instance(rng, m=8, k=k, rho_f=1.7, sigma_w2=0.6)
     nu = rng.uniform(0.3, 1.5, size=k)
-    rho_f, f, sw2, ss2 = 1.7, 1.3, 0.6, 0.9
-    analytic = 2.0 * np.real(np.diag(apa_gradient(nu, effective, rho_f, f, ss2)))
+    c, b, _ = apa_terms(coeffs, pre.f, ss2)
+    analytic = 2.0 * (c * nu - b)
     h = 1e-6
     fd = np.empty(k)
     for i in range(k):
         up, dn = nu.copy(), nu.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (apa_cost(up, effective, rho_f, f, sw2, ss2)
-                 - apa_cost(dn, effective, rho_f, f, sw2, ss2)) / (2 * h)
+        fd[i] = (apa_cost(up, coeffs, pre.f, ss2)
+                 - apa_cost(dn, coeffs, pre.f, ss2)) / (2 * h)
     grad_err = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
     report(5, "adaptive allocation learning behavior",
            rate >= 0.9 and grad_err < 1e-5,
@@ -315,13 +316,12 @@ def test_criterion_9_error_rate_sanity():
     # exact zero without noise, ideal zero forcing
     cfg = cfg_with(num_aps=8, antennas_per_ap=1, num_users=3, selected_aps=8,
                    csi_quality=1.0)
-    streams = TrialStreams.for_trial(cfg.rng_seed, 0)
-    real = generate_realization(cfg, streams.topology, streams.shadowing,
-                                streams.fading)
+    real = TrialDraw(cfg, 0, cfg.rng_seed).realization
     pre = zf_precoder(real.g_hat)
     alloc = upa(pre.delta)
     zero_ber, _ = ber_qpsk(pre.p, alloc.n_diag, real.g, real.g_hat, 1.0, 0.0,
-                           500, streams.symbols, noise_rng=streams.noise)
+                           500, _stream(cfg.rng_seed, 0, "symbols"),
+                           noise_rng=_stream(cfg.rng_seed, 0, "noise"))
 
     # coin flips when the noise dominates everything
     noisy_ber, _ = ber_qpsk(pre.p, alloc.n_diag, real.g, real.g_hat, 1.0,

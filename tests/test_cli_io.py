@@ -143,6 +143,17 @@ def test_unknown_preset_and_scheme_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_apa_without_an_mmse_family_precoder_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", "fig-tiny-apa", "--out", str(out),
+                 "--schemes", "CB+APA+LS"]) == 2
+    err = capsys.readouterr().err
+    assert "APA" in err and "MMSE, MMSE_CONV" in err
+    assert "running preset" not in err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.config.json").exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     assert main([]) != 0
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from cellfree import channel, selection
-from cellfree.channel import SystemConfig, generate_realization
+from cellfree.channel import SystemConfig
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (Scheme, SolverParams, SweepRow, TrialDraw, TrialError,
-                               TrialStreams, _mean_se, run_cell, run_chain,
+                               _mean_se, _stream, run_cell, run_chain,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import apa_sgd, opa_bisection, upa
 from cellfree.precoding import mmse_precoder
@@ -38,6 +38,12 @@ def test_scheme_parsing():
         Scheme.parse("MMSE+FOO+LS")
     with pytest.raises(ValueError, match="valid"):
         Scheme.parse("MMSE+OPA+FOO")
+    # APA's step is scale-free only for the MMSE-family precoders
+    for label in ("ZF+APA+LS", "CB+APA+NS"):
+        with pytest.raises(ValueError, match="APA.*MMSE, MMSE_CONV"):
+            Scheme.parse(label)
+    for label in ("MMSE+APA+LS", "MMSE_CONV+APA+NS", "ZF+OPA+LS", "CB+UPA+ES"):
+        assert Scheme.parse(label).label == label
 
 
 # ----------------------------------------------------------------- the chain
@@ -78,9 +84,7 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
     solver = SolverParams()
     sigma_w2 = cfg.noise_variance_w()
     for trial in range(4):
-        streams = TrialStreams.for_trial(cfg.rng_seed, trial)
-        real = generate_realization(cfg, streams.topology, streams.shadowing,
-                                    streams.fading)
+        real = TrialDraw(cfg, trial, cfg.rng_seed).realization
         g, err = apply_mask(ls_aps(real.beta, cfg.selected_aps, 1), real)
         rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
         e_tr = cfg.total_antennas * rho_f
@@ -109,8 +113,8 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
                                rtol=1e-12, atol=0.0)
 
         second, n_final, sinr = two_pass(
-            lambda prec: apa_sgd(prec, g, rho_f, sigma_w2, mu=solver.apa_mu,
-                                 iterations=solver.apa_iterations))
+            lambda prec: apa_sgd(prec, sinr_coefficients(prec.p, g, err, rho_f, sigma_w2),
+                                 mu=solver.apa_mu, iterations=solver.apa_iterations))
         got = one_pass("APA")
         assert np.array_equal(got.precoder.p, second.p)
         assert np.array_equal(got.n_final.eta, n_final.eta)
@@ -156,10 +160,8 @@ def test_trials_are_reproducible_and_distinct():
 
 
 def test_trial_streams_are_stable_and_separate():
-    s1 = TrialStreams.for_trial(11, 0)
-    s2 = TrialStreams.for_trial(11, 0)
-    assert s1.topology.uniform() == s2.topology.uniform()
-    assert s1.fading.uniform() != s2.shadowing.uniform()
+    assert _stream(11, 0, "topology").uniform() == _stream(11, 0, "topology").uniform()
+    assert _stream(11, 0, "fading").uniform() != _stream(11, 0, "shadowing").uniform()
 
 
 def test_measured_error_rate_tracks_the_analytic_ratio():
@@ -375,23 +377,30 @@ def test_a_draw_dependent_failure_names_its_trial():
 
 def test_a_sweep_names_the_smallest_failing_trial_over_its_schemes():
     # trial-major: the first failing cell in (trial, point, scheme) order. On
-    # this config ZF+APA diverges from trial 0 and ZF+OPA+LS's mask is first
-    # rank-deficient on trial 4, so scheme-major order would name trial 4.
+    # this config ZF+UPA+LS is rank-deficient from trial 13 on with 2 of 8
+    # APs per user and from trial 4 on with 1, and MMSE+OPA+LS never fails,
+    # so point-major or scheme-major order would name trial 13.
     cfg = cfg_with(**RANK_DEFICIENT)
-    schemes = [Scheme.parse("ZF+OPA+LS"), Scheme.parse("ZF+APA+LS")]
+    fractions = (0.25, 0.125)
+    schemes = [Scheme.parse("MMSE+OPA+LS"), Scheme.parse("ZF+UPA+LS")]
     with pytest.raises(TrialError) as caught:
-        run_sweep(cfg, schemes, "snr_grid", trials=40)
+        run_sweep(cfg, schemes, "selection_fraction", trials=40, axis_values=fractions)
     err = caught.value
+    points = {frac: cfg_with(**dict(RANK_DEFICIENT, selected_aps=round(frac * 8)))
+              for frac in fractions}
 
-    def fails(scheme, t):
+    def fails(frac, scheme, t):
         try:
-            run_trial(cfg, scheme, 10.0, t, seed=err.seed)
+            run_trial(points[frac], scheme, 10.0, t, seed=err.seed)
         except ValueError:                      # LinAlgError is a ValueError
             return True
         return False
 
-    first = min(t for t in range(40) if any(fails(s, t) for s in schemes))
-    assert err.trial == first
-    assert err.scheme == next(s.label for s in schemes if fails(s, first))
+    cells = [(frac, s) for frac in fractions for s in schemes]
+    first = min(t for t in range(40) if any(fails(*cell, t) for cell in cells))
+    assert err.trial == first == 4
+    assert (err.axis_value, err.scheme) == next(
+        (frac, s.label) for frac, s in cells if fails(frac, s, first))
     with pytest.raises(type(err.__cause__)):
-        run_trial(cfg, Scheme.parse(err.scheme), 10.0, err.trial, seed=err.seed)
+        run_trial(points[err.axis_value], Scheme.parse(err.scheme), 10.0, err.trial,
+                  seed=err.seed)

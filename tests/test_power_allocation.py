@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
-from cellfree.power_allocation import (apa_cost, apa_gradient, apa_sgd,
-                                       opa_bisection, sinr_feasible, upa)
+from cellfree.pipeline import Scheme, run_chain
+from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
+                                       sinr_feasible, upa)
 from cellfree.precoding import PrecoderOutput, mmse_precoder
 
 
@@ -182,21 +183,60 @@ def test_bisection_result_dominates_uniform_allocation():
 
 # ---------------------------------------------------------------- adaptive SG
 
+def oracle_cost(nu, effective, rho_f, f, sigma_w2, sigma_s2):
+    """Transmit MSE from the full K x K matrix ``g_hat^T P``, without the
+    separable shortcut: the reference for ``apa_cost``."""
+    k = nu.shape[-1]
+    lin = np.vecdot(np.real(effective.diagonal(axis1=-2, axis2=-1)), nu)
+    quad = np.real(np.einsum("...ik,...ik,...k->...", effective.conj(), effective,
+                             nu ** 2))
+    return (k * sigma_s2 + k * sigma_w2 / f ** 2
+            - 2.0 * np.sqrt(rho_f) / f * sigma_s2 * lin
+            + rho_f / f ** 2 * sigma_s2 * quad)
+
+
+def oracle_gradient(nu, effective, rho_f, f, sigma_s2):
+    """Wirtinger gradient of ``oracle_cost`` with respect to conj(N)."""
+    a_h = effective.conj().mT
+    linear = np.asarray(-np.sqrt(rho_f) / f * sigma_s2)[..., None, None]
+    quadratic = np.asarray(rho_f / f ** 2 * sigma_s2)[..., None, None]
+    return linear * a_h + quadratic * (a_h @ effective) * nu[..., None, :]
+
+
+def oracle_apa(precoder, g_hat, rho_f, sigma_w2, mu, iterations, sigma_s2):
+    """The gradient loop on the oracle's full-matrix cost and gradient."""
+    effective = g_hat.mT @ precoder.p
+    eta = np.full(effective.shape[:-1], 1e-3)
+    costs, etas = [oracle_cost(np.sqrt(eta), effective, rho_f, precoder.f, sigma_w2,
+                               sigma_s2)], [eta]
+    for _ in range(iterations):
+        nu = np.sqrt(eta)
+        grad = oracle_gradient(nu, effective, rho_f, precoder.f, sigma_s2)
+        eta = (nu - mu * np.real(grad.diagonal(axis1=-2, axis2=-1))) ** 2
+        eta = eta / np.maximum((precoder.delta @ eta[..., None])[..., 0].max(axis=-1),
+                               1.0)[..., None]
+        costs.append(oracle_cost(np.sqrt(eta), effective, rho_f, precoder.f, sigma_w2,
+                                 sigma_s2))
+        etas.append(eta)
+    return costs, etas
+
+
 def test_zero_step_size_keeps_the_initialization():
     rng = np.random.default_rng(8)
-    _, delta, pre, g = random_instance(rng)
-    res = apa_sgd(pre, g, rho_f=2.0, sigma_w2=0.5, mu=0.0, iterations=4)
+    coeffs, _, pre, _ = random_instance(rng)
+    res = apa_sgd(pre, coeffs, mu=0.0, iterations=4)
     for eta in res.eta_trace:
         assert np.allclose(eta, 1e-3)
 
 
 def test_gradient_matches_central_finite_differences():
+    # the oracle's gradient, on a generic (non-Hermitian) K x K matrix
     rng = np.random.default_rng(9)
     k = 4
     effective = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     nu = rng.uniform(0.3, 1.5, size=k)
     rho_f, f, sw2, ss2 = 1.7, 1.3, 0.6, 0.9
-    grad = apa_gradient(nu, effective, rho_f, f, ss2)
+    grad = oracle_gradient(nu, effective, rho_f, f, ss2)
     analytic = 2.0 * np.real(np.diag(grad))
     h = 1e-6
     fd = np.empty(k)
@@ -204,16 +244,57 @@ def test_gradient_matches_central_finite_differences():
         up, dn = nu.copy(), nu.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (apa_cost(up, effective, rho_f, f, sw2, ss2)
-                 - apa_cost(dn, effective, rho_f, f, sw2, ss2)) / (2 * h)
+        fd[i] = (oracle_cost(up, effective, rho_f, f, sw2, ss2)
+                 - oracle_cost(dn, effective, rho_f, f, sw2, ss2)) / (2 * h)
     assert np.linalg.norm(fd - analytic) < 1e-5 * np.linalg.norm(analytic)
+
+
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["2d", "stack"])
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+@pytest.mark.parametrize("precoder", ["MMSE", "MMSE_CONV"])
+def test_separable_form_matches_the_full_matrix_oracle(precoder, csi, batch):
+    """Cost, step direction and the whole gradient loop on the precoders an
+    MMSE-family chain hands APA: the identity-allocation pass, and for MMSE
+    the pass re-formed with the first allocation."""
+    rng = np.random.default_rng([77, len(batch), len(csi), len(precoder)])
+    m, k, rho_f, sigma_w2, sigma_s2 = 7, 3, 3.0, 0.4, 1.3
+    shape = batch + (m, k)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    err = np.zeros(shape) if csi == "perfect" else rng.uniform(0.0, 0.3, size=shape)
+    chain = run_chain(g, err, Scheme(precoder, "APA", "NS"), rho_f, float(m) * rho_f,
+                      sigma_w2, sigma_s2)
+    first = mmse_precoder(g, np.ones(k), float(m) * rho_f, rho_f, sigma_w2, sigma_s2)
+    passes = [(first, chain.n_first)]
+    if precoder == "MMSE":
+        passes.append((chain.precoder, chain.n_final))
+    else:
+        assert np.array_equal(chain.precoder.p, first.p)
+    assert len(passes) == chain.trace["allocation_solves"]
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    for prec, solved in passes:
+        coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
+        effective = g.mT @ prec.p
+        c, b, _ = apa_terms(coeffs, prec.f, sigma_s2)
+        for nu in (rng.uniform(0.05, 3.0, size=batch + (k,)),
+                   np.sqrt(solved.eta_trace[2])):
+            close(apa_cost(nu, coeffs, prec.f, sigma_s2),
+                  oracle_cost(nu, effective, rho_f, prec.f, sigma_w2, sigma_s2))
+            grad = oracle_gradient(nu, effective, rho_f, prec.f, sigma_s2)
+            close(c * nu - b, np.real(grad.diagonal(axis1=-2, axis2=-1)))
+        costs, etas = oracle_apa(prec, g, rho_f, sigma_w2, 0.25, 5, sigma_s2)
+        for step in range(6):
+            close(solved.cost_trace[step], costs[step])
+            close(solved.eta_trace[step], etas[step])
 
 
 def test_every_iteration_respects_the_antenna_cap():
     rng = np.random.default_rng(10)
     for _ in range(5):
-        _, delta, pre, g = random_instance(rng, m=6, k=3)
-        res = apa_sgd(pre, g, rho_f=2.0, sigma_w2=0.5, mu=0.25, iterations=6)
+        coeffs, _, pre, _ = random_instance(rng, m=6, k=3)
+        res = apa_sgd(pre, coeffs, mu=0.25, iterations=6)
         for eta in res.eta_trace:
             assert np.max(pre.delta @ eta) <= 1.0 + 1e-9
         assert np.max(pre.delta @ res.eta) <= 1.0 + 1e-9
@@ -221,8 +302,8 @@ def test_every_iteration_respects_the_antenna_cap():
 
 def test_cost_descends_from_the_initialization():
     rng = np.random.default_rng(11)
-    _, delta, pre, g = random_instance(rng, m=8, k=3)
-    res = apa_sgd(pre, g, rho_f=2.0, sigma_w2=0.5, mu=0.25, iterations=5)
+    coeffs, _, pre, _ = random_instance(rng, m=8, k=3)
+    res = apa_sgd(pre, coeffs, mu=0.25, iterations=5)
     costs = np.asarray(res.cost_trace)
     assert costs.shape == (6,)
     assert costs[-1] < costs[0]
@@ -230,9 +311,9 @@ def test_cost_descends_from_the_initialization():
 
 def test_oversized_step_raises():
     rng = np.random.default_rng(12)
-    _, delta, pre, g = random_instance(rng)
+    coeffs, _, pre, _ = random_instance(rng)
     with pytest.raises(ValueError, match="step size"):
-        apa_sgd(pre, g, rho_f=2.0, sigma_w2=0.5, mu=1e9, iterations=50)
+        apa_sgd(pre, coeffs, mu=1e9, iterations=50)
 
 
 def test_allocation_result_diagonal():
