@@ -265,6 +265,7 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
         "precoder_builds": len(solves),   # every solve has its own precoder
         "allocation_solves": len(solves),
         "allocation_iterations": [n.iterations for n in solves],
+        "allocation_tests": [n.tests for n in solves],
         "seconds": seconds,
     }
     return ChainResult(precoder=prec, n_first=solves[0], n_final=solves[-1],

@@ -5,10 +5,13 @@ Every scheme returns coefficients eta >= 0 satisfying
 ``delta_{m,i} = |P_{m,i}|^2`` is the precoder's power loading. Three solvers
 are provided:
 
-* OPA: max-min SINR via bisection on the target t. Feasibility of a target
-  reduces to a K x K linear solve because the SINR constraints, taken at
-  equality, form a monotone interference system whose nonnegative solution
-  (when it exists) is the componentwise-minimal feasible point.
+* OPA: max-min SINR, as bisection on the target t finds it. Feasibility of
+  a target reduces to a K x K linear solve because the SINR constraints,
+  taken at equality, form a monotone interference system whose nonnegative
+  solution (when it exists) is the componentwise-minimal feasible point.
+  The max-min target t* itself is an inverse Perron root, found with one
+  eigendecomposition and a few Newton steps; the bisection's halvings are
+  replayed from it, and only the midpoints within 1e-8 of t* are tested.
 * APA: gradient descent on the transmit MSE of a fixed MMSE-family
   precoder, a separable per-user quadratic read from the SINR
   coefficients, rescaled to the per-antenna constraint after every update.
@@ -17,8 +20,9 @@ are provided:
 
 Every solver also accepts stacked coefficient sets and loadings along
 leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients). Each
-item is solved exactly as its own 2-D call would solve it; OPA bisects all
-items in lockstep, each with its own bracket and stop test.
+item is solved exactly as its own 2-D call would solve it; OPA finds every
+item's root with one batched eigendecomposition and tests the items'
+undecided midpoints together, one ``sinr_feasible`` call per round.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class AllocationResult:
     eta: np.ndarray               # (..., K) nonnegative
     iterations: int               # OPA: halvings (for a stack, the most any item took)
     achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR, (...)
+    tests: int = 0                          # OPA: targets handed to sinr_feasible
     cost_trace: Optional[list] = None       # APA: MSE cost per iteration
     eta_trace: Optional[list] = None        # APA: coefficients per iteration
 
@@ -103,84 +108,179 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     return ok[()], np.where(ok[..., None], eta, np.nan)
 
 
-# Feasibility targets per lockstep round. Each round tests, for each of the
-# n items, every midpoint its next `levels` halvings could visit (a probe
-# tree of 2**levels - 1 targets) in one call, then follows the item's own
-# decisions down the tree: the same targets and decisions as one call per
-# halving, with fewer calls. `levels` is the most that keeps n trees within
-# this many targets, and at least 1; a single link gets 4.
-OPA_PROBES_PER_CALL = 16
+# Half-width, relative to the max-min root t*, of the band
+# [t*(1 - w), t*(1 + w)] whose two ends OPA certifies with
+# ``sinr_feasible``. It must exceed the root's own error and the 1e-9 slack
+# ``sinr_feasible`` allows on the per-antenna loads, so that the band holds
+# the target where the feasibility test flips.
+OPA_ROOT_BAND = 1e-8
+# Newton steps after which the root solve stops, converged or not; the
+# certificate catches an item it did not converge on
+ROOT_MAX_STEPS = 60
 
 
-def _probe_trees(t_lo, t_hi, levels: int) -> np.ndarray:
-    """Midpoints of every bracket the next ``levels`` halvings of each
-    [t_lo, t_hi] could test, (n, 2**levels - 1).
+def _max_min_root(coeffs: SinrCoefficients, delta):
+    """The max-min SINR target t* of each item of a flat batch, ``(n, K)``
+    coefficients and ``(n, M, K)`` loadings, and the Newton steps taken.
 
-    Level l holds 2**l probes from index 2**l - 1 on; the probe at position p
-    of level l splits its bracket into those of positions p (lower half) and
-    p + 2**l (upper half) of level l + 1.
+    At equality the SINR constraints read ``eta = t (b + A eta)`` with
+    ``A = (phi_cross + gamma) / psi[:, None]`` and
+    ``b = sigma_w2 / (rho_f psi)``, so in ``s = 1/t`` the minimal
+    coefficients are ``(sI - A)^-1 b`` and antenna m carries the load
+    ``g_m(s) = delta[m] (sI - A)^-1 b``. Every load falls from a pole at the
+    Perron root rho(A) toward 0, and ``t* = 1/s*`` where s* is the largest s
+    at which some load is 1 (Cai, Quek, Tan and Low, IEEE TSP 2012). One
+    eigendecomposition ``A = V diag(lam) V^-1`` makes each load a sum of K
+    poles. s* lies between ``max(rho(A), max_m delta[m] b)`` and the bound
+    the uniform allocation gives; from ``rho(A) + max_m delta[m] b``, each
+    step moves to the largest of the antennas' tangent roots of
+    ``1/g_m = 1``. ``1/g_m`` is nearly linear in s, where a tangent to
+    ``g_m`` itself would overshoot past the pole. A step that leaves the
+    bracket known to hold s* is replaced by the bracket's midpoint. The
+    steps converge quadratically, so the solve stops once every item's
+    tangent step is at most 1e-6 relative, which leaves it about 1e-13 from
+    s*. Every root is NaN when a user of any item has no desired signal
+    (``psi_k = 0``) or the decomposition fails.
     """
-    lo, hi, mids = t_lo[:, None], t_hi[:, None], []
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        lo, hi = np.concatenate((lo, mid), axis=1), np.concatenate((mid, hi), axis=1)
-    return np.concatenate(mids, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
+        b = coeffs.sigma_w2 / (coeffs.rho_f * coeffs.psi)
+        try:
+            lam, v = np.linalg.eig(a)
+            # residues of the loads: g_m(s) = Re sum_j w[m, j] / (s - lam_j)
+            w = (delta @ v) * np.linalg.solve(v, b[..., None]).mT
+        except np.linalg.LinAlgError:
+            return np.full(b.shape[0], np.nan), 0
+        pole = lam.real.max(axis=-1)
+        noise = np.matvec(delta, b).max(axis=-1)
+        s_lo = np.maximum(pole, noise)
+        # the uniform allocation reaches SINR_k = 1 / (peak b_k + (A 1)_k),
+        # so s* is at most the largest of those
+        peak = delta.sum(axis=-1).max(axis=-1)
+        s_hi = (peak[..., None] * b + a.sum(axis=-1)).max(axis=-1)
+        s = pole * (1.0 + 1e-12) + noise
+        for steps in range(1, ROOT_MAX_STEPS + 1):
+            u = 1.0 / (s[..., None] - lam)
+            g = np.matvec(w, u).real
+            # the largest tangent step; an unloaded antenna (g_m = 0) gives NaN
+            move = np.fmax.reduce(g * (g - 1.0) / np.matvec(w, u * u).real, axis=-1)
+            left = move >= 0.0                          # some load is at least 1
+            s_lo = np.where(left, s, s_lo)
+            s_hi = np.where(left, s_hi, s)
+            tangent = s + move
+            s = np.where((tangent >= s_lo) & (tangent <= s_hi), tangent, 0.5 * (s_lo + s_hi))
+            if (np.abs(move) <= 1e-6 * s).all():
+                break
+        return 1.0 / s, steps
+
+
+def _replay(low, high, step, floor, ceiling, iterations, tol):
+    """Bisection's float loop on [low, high] after ``step`` halvings, with a
+    midpoint at or below ``floor`` taken as feasible and one at or above
+    ``ceiling`` as infeasible. Returns (low, high, step, mid), where mid is
+    the first midpoint it cannot decide, or None once the loop stops."""
+    while step < iterations and not high - low < tol:
+        mid = 0.5 * (low + high)
+        if mid <= floor:
+            low = mid
+        elif mid >= ceiling:
+            high = mid
+        else:
+            return low, high, step, mid
+        step += 1
+    return low, high, step, None
 
 
 def _bisect(coeffs, delta, t_hi, iterations, tol):
-    """Lockstep bisection over a flat batch (coefficients and loadings carry
-    a singleton probe axis, ``(n, 1, ...)``) of brackets [0, t_hi] with
-    t_hi > 0. Returns (lower bracket ends, eta, steps)."""
-    n = t_hi.size
-    lo, hi = [0.0] * n, t_hi.tolist()
-    best_eta = np.zeros((n, coeffs.psi.shape[-1]))
-    levels = max(1, (OPA_PROBES_PER_CALL // n + 1).bit_length() - 1)
-    steps = 0
-    while steps < iterations:
-        depth = min(levels, iterations - steps)
-        probes = _probe_trees(np.array(lo), np.array(hi), depth)
-        ok, eta = sinr_feasible(probes, coeffs, delta)
-        probes, ok = probes.tolist(), ok.tolist()
-        deepest = 0
-        raised = {}                     # item -> probe of its new best eta
-        for i in range(n):
-            # the scalar bisection loop, on this round's tested targets
-            position = 0
-            for level in range(depth):
-                if hi[i] - lo[i] < tol:
-                    break
-                deepest = max(deepest, level + 1)
-                j = 2 ** level - 1 + position
-                if ok[i][j]:
-                    lo[i] = probes[i][j]
-                    raised[i] = j
-                    position += 2 ** level
+    """Bisection over a flat batch of brackets [0, t_hi] with t_hi > 0,
+    decided from the max-min root. Returns (lower bracket ends, eta, halvings
+    of the longest item, feasibility targets tested).
+
+    Each item's root t* gives a band [t*(1 - OPA_ROOT_BAND),
+    t*(1 + OPA_ROOT_BAND)]. Feasibility is monotone in the target, so once
+    the band's low end is feasible and its high end is not, a midpoint at or
+    below the band is feasible and one at or above it is not. Each item
+    replays bisection's float loop on those decisions until it stops or
+    reaches a midpoint inside the band. One ``sinr_feasible`` call over the
+    batch then tests each item's undecided midpoint, or its result to
+    obtain eta; the first call also checks the bands. An item whose band
+    fails a check has that side widened to 0 or t_hi and replays from the
+    start, so every item makes the decisions that testing each midpoint
+    would, whatever the root. An item with no feasible midpoint returns the
+    low end of its band, once certified, instead of 0.
+    """
+    n, k = coeffs.psi.shape
+    root, _ = _max_min_root(coeffs, delta)
+    found_root = root > 0.0                     # False where the root is NaN
+    floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0).tolist()
+    ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi).tolist()
+    t_hi = t_hi.tolist()
+    lo, hi, steps, achieved = [0.0] * n, list(t_hi), [0] * n, [0.0] * n
+    eta = np.zeros((n, k))
+    pending, unchecked, tested = list(range(n)), True, 0
+    while pending:
+        # an item with nothing left to test re-tests its floor
+        targets, paused, stopped = list(floor), [], []
+        for i in pending:
+            lo[i], hi[i], steps[i], mid = _replay(lo[i], hi[i], steps[i], floor[i],
+                                                  ceiling[i], iterations, tol)
+            if mid is None:
+                # with no feasible midpoint, the band's low end (0 if uncertified)
+                mid = achieved[i] = lo[i] if lo[i] > 0.0 else floor[i]
+                stopped.append(i)
+            else:
+                paused.append(i)
+            targets[i] = mid
+        rows = [targets, floor, ceiling] if unchecked else [targets]
+        ok, found = sinr_feasible(np.array(rows), coeffs, delta)
+        tested += ok.size
+        ok = ok.tolist()
+        restart = []
+        if unchecked:
+            # a band is certified when its floor is feasible and its ceiling
+            # is not (an item without a root has [0, t_hi], which is)
+            for i, (low_ok, high_ok) in enumerate(zip(ok[1], ok[2])):
+                if not low_ok or high_ok:
+                    floor[i] = floor[i] if low_ok else 0.0
+                    ceiling[i] = t_hi[i] if high_ok else ceiling[i]
+                    lo[i], hi[i], steps[i] = 0.0, t_hi[i], 0
+                    restart.append(i)
+            unchecked = False
+        stopped = [i for i in stopped if i not in restart]
+        eta[stopped] = found[0, stopped]
+        pending = restart
+        for i in paused:
+            if i not in restart:
+                if ok[0][i]:
+                    lo[i] = targets[i]
                 else:
-                    hi[i] = probes[i][j]
-        if raised:
-            rows = list(raised)
-            best_eta[rows] = eta[rows, list(raised.values())]
-        steps += deepest
-        if deepest < depth:
-            break
-    return np.array(lo), best_eta, steps
+                    hi[i] = targets[i]
+                steps[i] += 1
+                pending.append(i)
+    return np.array(achieved), eta, max(steps), tested
 
 
 def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                   tol: float = 1e-6) -> AllocationResult:
-    """Max-min SINR allocation by bisection on the common target.
+    """Max-min SINR allocation: bisection's answer on the common target,
+    decided from the exact max-min root.
 
     The bracket is [0, t_hi], where t_hi doubles the largest of the users'
     interference-free SINRs at their per-antenna power caps. No allocation
     reaches t_hi: ``eta_k max_m delta[m,k] <= 1`` bounds every
     ``SINR_k <= rho_f psi_k / (sigma_w2 max_m delta[m,k])``, so the bracket
-    always contains the optimum. Runs ``iterations`` halvings or stops once
-    the interval is narrower than ``tol``.
+    always contains the optimum. Bisection runs ``iterations`` halvings or
+    stops once the interval is narrower than ``tol``; ``achieved_t`` is its
+    lower end and ``eta`` the minimal coefficients reaching it. The halvings
+    are replayed from the root t* (see ``_bisect``) rather than each tested,
+    with the same result; only midpoints within ``OPA_ROOT_BAND`` relative
+    of t* are tested. Where no midpoint is feasible, as when t* is below
+    ``tol``, the result is the certified t*(1 - OPA_ROOT_BAND), not 0.
 
-    Stacked items bisect in lockstep, each with its own bracket, stop test
-    and best point; ``iterations`` of the result counts the lockstep
-    halvings, which for a single item is its number of halvings.
+    Stacked items are solved together, each with its own bracket, stop test
+    and result; ``iterations`` of the result is the most halvings any item
+    made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
+    all items.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -195,23 +295,23 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                          0.0)
     t_hi = (2.0 * bound.max(axis=-1)).reshape(-1)
 
-    # one flat batch axis plus a singleton probe axis; an empty bracket
-    # (t_hi == 0) keeps eta = 0 and achieved_t = 0
+    # one flat batch axis; an empty bracket (t_hi == 0) keeps eta = 0 and
+    # achieved_t = 0
     live = ~(t_hi <= 0.0)
     rows = slice(None) if np.count_nonzero(live) == live.size else live
     eta = np.zeros((t_hi.size, k))
     achieved = np.zeros(t_hi.size)
-    steps = 0
+    steps = tested = 0
     if np.count_nonzero(live):
-        probed = SinrCoefficients(psi=coeffs.psi.reshape(-1, 1, k)[rows],
-                                  phi=coeffs.phi.reshape(-1, 1, k, k)[rows],
-                                  gamma=coeffs.gamma.reshape(-1, 1, k, k)[rows],
-                                  rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
-        delta = np.broadcast_to(delta, batch + (m, k)).reshape(-1, 1, m, k)[rows]
-        achieved[rows], eta[rows], steps = _bisect(probed, delta, t_hi[rows],
-                                                   iterations, tol)
+        flat = SinrCoefficients(psi=coeffs.psi.reshape(-1, k)[rows],
+                                phi=coeffs.phi.reshape(-1, k, k)[rows],
+                                gamma=coeffs.gamma.reshape(-1, k, k)[rows],
+                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        delta = np.broadcast_to(delta, batch + (m, k)).reshape(-1, m, k)[rows]
+        achieved[rows], eta[rows], steps, tested = _bisect(flat, delta, t_hi[rows],
+                                                           iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
-                            achieved_t=achieved.reshape(batch)[()])
+                            achieved_t=achieved.reshape(batch)[()], tests=tested)
 
 
 def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,7 @@ def test_identity_channel_chain_by_hand():
     assert out.trace["precoder_builds"] == 1
     assert out.trace["allocation_solves"] == 1
     assert out.trace["allocation_iterations"] == [0]
+    assert out.trace["allocation_tests"] == [0]
 
     # APA is not: the precoder is re-formed as P / n_first and allocated again
     out = run_chain(g, scheme=Scheme("MMSE", "APA", "NS"), **by_hand)
@@ -77,6 +79,7 @@ def test_identity_channel_chain_by_hand():
     assert out.trace["precoder_builds"] == 2
     assert out.trace["allocation_solves"] == 2
     assert out.trace["allocation_iterations"] == [5, 5]
+    assert out.trace["allocation_tests"] == [0, 0]
 
 
 def test_one_pass_equals_the_explicit_two_pass_chain():
@@ -109,6 +112,9 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
         for name, allocate in (("OPA", opa), ("UPA", lambda prec: upa(prec.delta))):
             got = one_pass(name)
             assert got.trace["allocation_solves"] == 1
+            # OPA reports the feasibility targets it tested, one entry per solve
+            assert got.trace["allocation_tests"] == [got.n_final.tests]
+            assert (got.n_final.tests > 0) == (name == "OPA")
             assert np.allclose(got.metrics.per_user_sinr, two_pass(allocate)[2],
                                rtol=1e-12, atol=0.0)
 
@@ -185,6 +191,35 @@ def test_large_system_max_min_beats_uniform():
     opa = run_trial(cfg, Scheme.parse("MMSE+OPA+LS"), 10.0, trial=0)
     uni = run_trial(cfg, Scheme.parse("MMSE+UPA+LS"), 10.0, trial=0)
     assert opa.metrics.min_sinr >= uni.metrics.min_sinr * (1 - 1e-6)
+
+
+
+@pytest.mark.parametrize("snr_db", [-60.0, -70.0, -80.0, -90.0])
+@pytest.mark.parametrize("precoder", ["MMSE", "ZF", "CB"])
+def test_max_min_allocation_stays_certified_far_below_its_stop_width(precoder, snr_db):
+    # here the max-min SINR is below OPA's absolute stop width (1e-6), so no
+    # bisection midpoint is feasible; OPA returns the certified low end of
+    # the band around the max-min root t*, t*(1 - 1e-8), instead of eta = 0.
+    # That trails an allocation that is itself max-min optimal by 1e-8, as
+    # UPA is for ZF on this draw.
+    cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8)
+    opa = run_trial(cfg, Scheme(precoder, "OPA", "LS"), snr_db, trial=0)
+    uni = run_trial(cfg, Scheme(precoder, "UPA", "LS"), snr_db, trial=0)
+    t = opa.n_final.achieved_t
+    assert uni.metrics.min_sinr > 0.0
+    assert opa.metrics.min_sinr >= uni.metrics.min_sinr * (1.0 - 2e-8)
+    assert abs(opa.metrics.min_sinr - t) <= 1e-9 * t
+    assert np.max(opa.precoder.delta @ opa.n_final.eta) <= 1.0 + 1e-9
+
+
+def test_a_sweep_at_minus_70_db_reports_a_finite_min_sinr():
+    cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8, snr_grid_db=(-70.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_sweep(cfg, [Scheme.parse("MMSE+OPA+LS"), Scheme.parse("ZF+OPA+LS")],
+                         axis="snr_grid", trials=3)
+    for row in rows:
+        assert np.isfinite(row.min_sinr_db_mean) and np.isfinite(row.min_sinr_db_se)
 
 
 # ------------------------------------------------------------------- sweeps

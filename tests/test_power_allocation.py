@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cellfree import power_allocation as pa
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
 from cellfree.pipeline import Scheme, run_chain
 from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
                                        sinr_feasible, upa)
-from cellfree.precoding import PrecoderOutput, mmse_precoder
+from cellfree.precoding import PrecoderOutput, cb_precoder, mmse_precoder, zf_precoder
 
 
 def random_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
@@ -179,6 +182,157 @@ def test_bisection_result_dominates_uniform_allocation():
         upa_min = float(np.min(analytic_sinr(coeffs, uni.eta)))
         assert np.max(delta @ res.eta) <= 1.0 + 1e-9
         assert opa_min >= upa_min * (1 - 1e-5) - 1e-12
+
+
+# ------------------------------------------------- bisection replayed from t*
+
+def oracle_opa(coeffs, delta, iterations=30, tol=1e-6):
+    """Plain bisection, one ``sinr_feasible`` call per midpoint, on one 2-D
+    link: the reference for ``opa_bisection``'s replay. Returns
+    (achieved_t, eta, halvings)."""
+    col_peak = delta.max(axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(col_peak > 0,
+                         coeffs.rho_f * coeffs.psi / (coeffs.sigma_w2 * col_peak), 0.0)
+    lo, hi = 0.0, float(2.0 * bound.max(axis=-1))
+    eta, steps = np.zeros(coeffs.psi.shape[-1]), 0
+    if hi <= 0.0:
+        return lo, eta, steps
+    while steps < iterations and not hi - lo < tol:
+        mid = 0.5 * (lo + hi)
+        ok, found = sinr_feasible(mid, coeffs, delta)
+        if ok:
+            lo, eta = mid, found
+        else:
+            hi = mid
+        steps += 1
+    return lo, eta, steps
+
+
+def assert_replays_the_oracle(coeffs, delta, **kwargs):
+    """``opa_bisection`` equals ``oracle_opa`` bitwise, item by item for a
+    stack; the stack's iteration count is the most any item took."""
+    res = opa_bisection(coeffs, delta, **kwargs)
+    batch = coeffs.psi.shape[:-1]
+    delta = np.broadcast_to(delta, batch + delta.shape[-2:])
+    steps = []
+    for i in np.ndindex(batch):
+        item = SinrCoefficients(psi=coeffs.psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
+                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        t, eta, n = oracle_opa(item, delta[i], **kwargs)
+        assert t > 0.0          # so the low-SNR fallback is not what is compared
+        assert np.asarray(res.achieved_t)[i] == t
+        assert np.array_equal(res.eta[i], eta)
+        steps.append(n)
+    assert res.iterations == max(steps)
+    return res
+
+
+def precoded_instance(rng, kind, m, k, batch=()):
+    """Coefficients and loadings of a precoder on a random channel, with
+    leading axes ``batch``: MMSE with imperfect CSI, ZF with perfect CSI (so
+    ``A`` is 0 up to rounding), dense CB, or MMSE on an LS-style mask."""
+    shape = batch + (m, k)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g *= 10.0 ** rng.uniform(-1.0, 0.0, size=batch + (m, 1))
+    err = rng.uniform(0.0, 0.2, size=shape)
+    rho_f, sigma_w2 = 10.0 ** rng.uniform(0.0, 2.0), 0.5
+    if kind == "ls":
+        keep = rng.random(shape) < 0.5
+        keep[..., rng.integers(0, m, size=k), np.arange(k)] = True
+        g, err = g * keep, err * keep
+    if kind == "zf":
+        pre, err = zf_precoder(g), np.zeros(shape)
+    elif kind == "cb":
+        pre = cb_precoder(g)
+    else:
+        pre = mmse_precoder(g, np.ones(k), float(m) * rho_f, rho_f, sigma_w2)
+    return sinr_coefficients(pre.p, g, err, rho_f, sigma_w2), pre.delta
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)], ids=["2d", "stack", "stack2"])
+@pytest.mark.parametrize("kind", ["mmse", "zf", "cb", "ls"])
+def test_opa_replays_plain_bisection_bitwise(kind, batch):
+    rng = np.random.default_rng([31, len(kind), len(batch)])
+    for k in (1, 2, 3, 5, 8, 16):
+        coeffs, delta = precoded_instance(rng, kind, max(k, 2 * k - 1), k, batch)
+        assert_replays_the_oracle(coeffs, delta)
+
+
+def test_opa_replays_bisection_with_shared_loadings_and_no_stop_width():
+    # one (M, K) loading for a whole stack; tol = 0 runs every halving, so
+    # the last ones all fall inside the band and are tested
+    rng = np.random.default_rng(32)
+    coeffs, delta = precoded_instance(rng, "mmse", 6, 3, (4,))
+    res = assert_replays_the_oracle(coeffs, delta[0], iterations=60, tol=0.0)
+    assert res.tests > 3 * 4
+
+
+def test_opa_replays_bisection_through_a_wide_band(monkeypatch):
+    # a band of +-30% puts most midpoints inside it, so most are tested
+    monkeypatch.setattr(pa, "OPA_ROOT_BAND", 0.3)
+    rng = np.random.default_rng(33)
+    for kind in ("mmse", "ls"):
+        coeffs, delta = precoded_instance(rng, kind, 8, 4, (3,))
+        res = assert_replays_the_oracle(coeffs, delta)
+        assert res.tests > 10 * 3
+
+
+@pytest.mark.parametrize("wrong", [2.0, 0.5, np.nan], ids=["double", "half", "nan"])
+def test_opa_replays_bisection_from_a_wrong_root(monkeypatch, wrong):
+    # a root that fails its certificate widens that side of the band, and
+    # the replay falls back to testing every midpoint there
+    right = pa._max_min_root
+    monkeypatch.setattr(pa, "_max_min_root",
+                        lambda coeffs, delta: (right(coeffs, delta)[0] * wrong, 0))
+    rng = np.random.default_rng(34)
+    for kind in ("mmse", "zf", "cb", "ls"):
+        coeffs, delta = precoded_instance(rng, kind, 7, 3, (2,))
+        res = assert_replays_the_oracle(coeffs, delta)
+        assert res.tests > 3 * 2
+
+
+def random_coupling(rng, k):
+    """Nonnegative SINR coefficients with no precoder behind them. About one
+    instance in three is reducible: block-triangular coupling, so some users
+    interfere with others that do not interfere back."""
+    psi = 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+    phi = rng.uniform(0.0, 1.0, size=(k, k)) * (rng.random((k, k)) < 0.7)
+    gamma = rng.uniform(0.0, 0.2, size=(k, k)) * (rng.random((k, k)) < 0.5)
+    if rng.integers(3) == 0 and k > 1:
+        cut = int(rng.integers(1, k))
+        phi[cut:, :cut] = 0.0
+        gamma[cut:, :cut] = 0.0
+    np.einsum("ii->i", phi)[...] = psi
+    np.einsum("ii->i", gamma)[...] = rng.uniform(0.01, 0.2, size=k)
+    return psi, phi, gamma
+
+
+# Newton steps the root solve may take on the instances below; it takes 2-4
+ROOT_STEP_CAP = 8
+
+
+def test_the_max_min_root_is_certified_on_both_sides():
+    rng = np.random.default_rng(35)
+    steps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(200):
+            k = 1 if trial % 10 == 0 else int(rng.integers(2, 9))
+            m = int(rng.integers(1, 13))
+            psi, phi, gamma = random_coupling(rng, k)
+            delta = rng.uniform(0.0, 1.0, size=(m, k)) * (rng.random((m, k)) < 0.6)
+            delta[rng.integers(0, m, size=k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
+            coeffs = SinrCoefficients(psi=psi[None], phi=phi[None], gamma=gamma[None],
+                                      rho_f=10.0 ** rng.uniform(-3.0, 3.0),
+                                      sigma_w2=10.0 ** rng.uniform(-1.0, 1.0))
+            root, taken = pa._max_min_root(coeffs, delta[None])
+            ok, _ = sinr_feasible(root * (1.0 - pa.OPA_ROOT_BAND), coeffs, delta[None])
+            assert ok
+            ok, _ = sinr_feasible(root * (1.0 + pa.OPA_ROOT_BAND), coeffs, delta[None])
+            assert not ok
+            steps.append(taken)
+    assert max(steps) <= ROOT_STEP_CAP
 
 
 # ---------------------------------------------------------------- adaptive SG
