@@ -218,6 +218,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     trials = args.trials if args.trials is not None else preset.trials
+    if trials < 1:
+        print(f"--trials must be at least 1, got {trials}", file=sys.stderr)
+        return 2
     solver = dataclasses.replace(SolverParams(), **preset.solver)
 
     print(f"running preset {preset.name!r}: {len(schemes)} scheme(s), "

@@ -16,7 +16,10 @@ estimate and the CSI-error variances:
 ``sinr_coefficients``, ``analytic_sinr`` and ``rates`` also accept stacks of
 links along leading axes, ``(..., M, K)`` channels and precoders with
 ``(..., K)`` power coefficients; each item is computed exactly as its own
-2-D call.
+2-D call. ``rho_f`` may be given per item, ``(...)``, against one channel:
+the coefficients of a precoder that does not depend on it are then computed
+once and broadcast over the items. ``snr_to_rho_f`` maps a grid of SNRs
+the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class SinrCoefficients:
     psi: np.ndarray       # (..., K)
     phi: np.ndarray       # (..., K, K), diagonal unused
     gamma: np.ndarray     # (..., K, K)
-    rho_f: float
+    rho_f: float          # one, or one per item, (...)
     sigma_w2: float
 
     # Terms that do not depend on the power coefficients, computed once per
@@ -53,8 +56,13 @@ class SinrCoefficients:
         return self.phi + self.gamma
 
     @cached_property
+    def rho_user(self) -> np.ndarray:
+        """rho_f with a trailing user axis, to broadcast against (..., K) terms."""
+        return np.asarray(self.rho_f, dtype=float)[..., None]
+
+    @cached_property
     def rho_psi(self) -> np.ndarray:
-        return self.rho_f * self.psi
+        return self.rho_user * self.psi
 
     @cached_property
     def gamma_diag(self) -> np.ndarray:
@@ -75,7 +83,8 @@ def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrC
 
     ``err_var`` is the (..., M, K) per-entry CSI-error variance,
     `(1 - n) * beta` after masking; with perfect CSI it is zero and gamma
-    vanishes.
+    vanishes. ``rho_f`` is one scale or one per item; the coefficients
+    themselves do not depend on it.
     """
     p = np.asarray(p)
     g_hat = np.asarray(g_hat)
@@ -85,15 +94,17 @@ def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrC
     psi = phi.diagonal(axis1=-2, axis2=-1).copy()
     gamma = err_var.mT @ (np.abs(p) ** 2)     # (K, K): [k, i] couples user i into k
     return SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
-                            rho_f=float(rho_f), sigma_w2=float(sigma_w2))
+                            rho_f=np.asarray(rho_f, dtype=float)[()],
+                            sigma_w2=float(sigma_w2))
 
 
 def analytic_sinr(coeffs: SinrCoefficients, eta) -> np.ndarray:
-    """Per-user SINR (linear) for power coefficients eta >= 0."""
+    """Per-user SINR (linear) for power coefficients eta >= 0; the items of
+    ``eta``, the coefficients and a per-item ``rho_f`` broadcast together."""
     eta = np.asarray(eta, dtype=float)
-    interference = coeffs.rho_f * np.matvec(coeffs.phi_cross, eta)
-    csi_leak = coeffs.rho_f * np.matvec(coeffs.gamma, eta)
-    signal = coeffs.rho_f * eta * coeffs.psi
+    interference = coeffs.rho_user * np.matvec(coeffs.phi_cross, eta)
+    csi_leak = coeffs.rho_user * np.matvec(coeffs.gamma, eta)
+    signal = coeffs.rho_user * eta * coeffs.psi
     return signal / (coeffs.sigma_w2 + interference + csi_leak)
 
 
@@ -106,19 +117,20 @@ def rates(per_user_sinr, ber: Optional[float] = None) -> LinkMetrics:
                        min_sinr=np.min(sinr, axis=-1)[()], ber=ber)
 
 
-def snr_to_rho_f(snr_linear: float, g_hat, sigma_w2: float) -> float:
+def snr_to_rho_f(snr_linear, g_hat, sigma_w2: float):
     """Per-antenna power scale rho_f = SNR * K * sigma_w^2 / tr(G_hat G_hat^H).
 
     The trace normalizes out the aggregate channel gain so the SNR grid is
     comparable across topologies; the inverse mapping
     snr = rho_f * tr(G_hat G_hat^H) / (K * sigma_w^2) round-trips exactly.
+    ``snr_linear`` may be an array of SNRs, each mapped as its own call maps it.
     """
     g_hat = np.asarray(g_hat)
     trace = float(np.linalg.norm(g_hat) ** 2)
     if trace == 0.0:
         raise ValueError("channel estimate is identically zero")
-    k = g_hat.shape[1]
-    return float(snr_linear) * k * sigma_w2 / trace
+    k = g_hat.shape[-1]
+    return (np.asarray(snr_linear, dtype=float) * k * sigma_w2 / trace)[()]
 
 
 def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,

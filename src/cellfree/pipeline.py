@@ -14,7 +14,12 @@ only the MMSE-family precoders, and ``Scheme`` rejects any other pairing.
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
 ``(B, M, K)``; exhaustive selection scores its candidate masks as such
 stacks, in chunks, and the trial then re-runs the 2-D chain on the winning
-mask, so every reported number comes from the 2-D chain.
+mask, so every reported number comes from the 2-D chain. It also runs one
+``(M, K)`` channel at a grid of SNRs, ``rho_f`` and ``e_tr`` of shape
+``(S,)``: MMSE builds one precoder per item from one Gram matrix, while ZF
+and CB, whose precoders and SINR coefficients do not depend on the SNR,
+build once and are broadcast over the items. Each item equals its own 2-D
+chain bitwise.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
 of trial ``t`` at one config shares: the channel block, and the NS and LS
@@ -22,7 +27,9 @@ masks with the estimate and error variance they mask, made once each on
 first use and read-only. ``run_cell`` runs one cell on a draw; exhaustive
 selection depends on the scheme and the SNR, so it searches per cell.
 ``run_trial`` is one cell on a fresh draw, and ``run_sweep`` loops
-trial-major, running every scheme and SNR point of a config on one draw.
+trial-major, running every scheme and SNR point of a config on one draw. On
+the SNR-grid axis, a cell of ``run_cell`` is a scheme's whole grid at once
+wherever the selection does not depend on the SNR (NS, LS).
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
@@ -238,18 +245,24 @@ class PipelineResult(ChainResult):
     mask: np.ndarray      # (M, K) selection the chain ran on
 
 
-def run_chain(g_hat, err_var, scheme: Scheme, rho_f: float, e_tr: float,
-              sigma_w2: float, sigma_s2: float,
-              solver: SolverParams = SolverParams()) -> ChainResult:
+def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
+              sigma_s2: float, solver: SolverParams = SolverParams()) -> ChainResult:
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
-    module docstring)."""
+    module docstring). ``rho_f`` and ``e_tr`` are scalars or one value per
+    item, ``(S,)``, against one channel; every array of the result then has
+    the items' leading axis."""
     precoder = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     t0 = time.perf_counter()
     prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     t1 = time.perf_counter()
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+    if np.ndim(rho_f) > prec.p.ndim - 2:
+        # ZF and CB do not depend on rho_f: one precoder serves every item
+        items = np.shape(rho_f)
+        prec = pc.PrecoderOutput(p=np.broadcast_to(prec.p, items + prec.p.shape[-2:]),
+                                 f=np.broadcast_to(prec.f, items))
     solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
     t2 = time.perf_counter()
     seconds = {"precoder": t1 - t0, "allocation": t2 - t1}
@@ -279,6 +292,9 @@ def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
     if scheme.selection in draw.selections:
         return draw.selections[scheme.selection]
     selector = SCHEMES["selection"][scheme.selection]
+    if selector.per_cell and np.ndim(rho_f):
+        raise TypeError(f"{scheme.selection} selection depends on the SNR; "
+                        f"run it one SNR point per cell")
     realization = draw.realization
     mask, es_candidates = selector.select(scheme, realization, draw.cfg, rho_f, e_tr,
                                           sigma_w2, sigma_s2, solver)
@@ -288,14 +304,28 @@ def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
     return selected
 
 
-def run_cell(draw: TrialDraw, scheme: Scheme, snr_db: float,
+def _snr_linear(snr_db) -> np.ndarray:
+    """Linear SNR of one point or of a grid, each point converted in Python
+    floats, so that a grid point rounds as it does on its own."""
+    grid = np.asarray(snr_db, dtype=float)
+    return np.array([10.0 ** (snr / 10.0) for snr in grid.ravel().tolist()]
+                    ).reshape(grid.shape)
+
+
+def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
              solver: SolverParams = SolverParams(),
              with_ber: bool = False) -> PipelineResult:
     """One (scheme, SNR) cell of a trial, on the trial's shared draw.
 
+    ``snr_db`` is one SNR point, or a grid ``(S,)`` for a selection that does
+    not depend on the SNR (NS, LS): the cell then runs one stacked chain,
+    every result has a leading grid axis, and each item equals its own
+    cell's result. BER is measured per point, each on restarted streams.
+
     ``trace["seconds"]["channel"]`` holds the channel draw's time only in
     the cell that made the draw (the first to run on it), and the selection
-    time of NS and LS only in the cell that made that selection.
+    time of NS and LS only in the cell that made that selection. The times
+    of a stacked cell cover all of its points.
     """
     cfg = draw.cfg
     sigma_w2 = cfg.noise_variance_w()
@@ -304,7 +334,7 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db: float,
     t0 = time.perf_counter()
     realization = draw.realization
     t1 = time.perf_counter()
-    rho_f = mt.snr_to_rho_f(10.0 ** (snr_db / 10.0), realization.g_hat, sigma_w2)
+    rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
     e_tr = cfg.total_antennas * rho_f
     mask, g_hat, err_var, es_candidates = _select(draw, scheme, rho_f, e_tr,
                                                   sigma_w2, sigma_s2, solver)
@@ -313,14 +343,16 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db: float,
     t3 = time.perf_counter()
 
     if with_ber:
-        ber, degenerate = mt.ber_qpsk(chain.precoder.p, chain.n_final.n_diag,
-                                      realization.g, g_hat, rho_f, sigma_w2,
-                                      solver.symbols_per_packet,
-                                      _stream(draw.seed, draw.trial, "symbols"),
-                                      packets=solver.packets_per_trial,
-                                      noise_rng=_stream(draw.seed, draw.trial, "noise"))
-        chain.metrics.ber = ber
-        chain.trace["ber_degenerate_gains"] = degenerate
+        p, n_diag = chain.precoder.p, chain.n_final.n_diag
+        bers, degenerate = zip(*(
+            mt.ber_qpsk(p[i], n_diag[i], realization.g, g_hat, rho_f[i], sigma_w2,
+                        solver.symbols_per_packet,
+                        _stream(draw.seed, draw.trial, "symbols"),
+                        packets=solver.packets_per_trial,
+                        noise_rng=_stream(draw.seed, draw.trial, "noise"))
+            for i in np.ndindex(np.shape(rho_f))))
+        chain.metrics.ber = np.reshape(bers, np.shape(rho_f))[()]
+        chain.trace["ber_degenerate_gains"] = sum(degenerate)
     t4 = time.perf_counter()
 
     chain.trace["es_candidates"] = es_candidates
@@ -419,6 +451,41 @@ def _axis_points(cfg, axis, axis_values):
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def _sample(metrics, i=()):
+    """(sum rate, min SINR in dB, BER) of item ``i`` of a cell's metrics."""
+    ber = None if metrics.ber is None else metrics.ber[i]
+    return metrics.sum_rate[i], 10.0 * np.log10(metrics.min_sinr[i]), ber
+
+
+def _cell_by_cell(points, schemes, draws, solver, with_ber, axis):
+    """A trial's samples, [scheme][point], one cell at a time in (axis point,
+    scheme) order; the first failing cell raises ``TrialError``."""
+    samples = [[None] * len(points) for _ in schemes]
+    for p, (value, cfg_point, snr) in enumerate(points):
+        for s, scheme in enumerate(schemes):
+            metrics = _point_cell(draws[id(cfg_point)], scheme, snr, solver, with_ber,
+                                  axis, value).metrics
+            samples[s][p] = _sample(metrics)
+    return samples
+
+
+def _grid_stacked(points, schemes, draws, solver, with_ber):
+    """The same samples on the SNR-grid axis, where every point shares one
+    config: one ``run_cell`` over the whole grid per scheme, except for a
+    selection that depends on the SNR (ES), which runs per point."""
+    (_, cfg, _), snrs = points[0], [snr for _, _, snr in points]
+    draw = draws[id(cfg)]
+    samples = []
+    for scheme in schemes:
+        if SCHEMES["selection"][scheme.selection].per_cell:
+            samples.append([_sample(run_cell(draw, scheme, snr, solver, with_ber).metrics)
+                            for snr in snrs])
+        else:
+            metrics = run_cell(draw, scheme, snrs, solver, with_ber).metrics
+            samples.append([_sample(metrics, i) for i in range(len(snrs))])
+    return samples
+
+
 def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
               trials: int, solver: SolverParams = SolverParams(),
               with_ber: bool = False, axis_values=None,
@@ -429,10 +496,12 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     (and the NS and LS masks) once per distinct axis-point config, and runs
     every (scheme, SNR point) cell of that config on it, so scheme
     comparisons are paired. Each cell gives what ``run_trial`` gives for it.
-    Rows come scheme-major, axis points in order. A trial that fails on its
-    draw raises ``TrialError`` for the first failing cell in (trial, axis
-    point, scheme) order, so it names the smallest failing trial over all
-    schemes and points.
+    On the SNR-grid axis a scheme whose selection does not depend on the SNR
+    runs its whole grid as one stacked cell. Rows come scheme-major, axis
+    points in order. A trial that fails on its draw raises ``TrialError``
+    for the first failing cell in (trial, axis point, scheme) order, so it
+    names the smallest failing trial over all schemes and points; a trial
+    whose stacked cells fail is re-run one cell at a time to find that cell.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -442,16 +511,19 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     # [scheme][point] -> per-trial (sum rate, min SINR in dB, BER)
     samples = [[[] for _ in points] for _ in schemes]
     for t in range(trials):
-        draws = {}          # this trial's draw per config; the SNR points share one
-        for p, (value, cfg_point, snr) in enumerate(points):
-            draw = draws.get(id(cfg_point))
-            if draw is None:
-                draw = draws[id(cfg_point)] = TrialDraw(cfg_point, t, seed)
-            for s, scheme in enumerate(schemes):
-                metrics = _point_cell(draw, scheme, snr, solver, with_ber, axis,
-                                      value).metrics
-                samples[s][p].append((metrics.sum_rate,
-                                      10.0 * np.log10(metrics.min_sinr), metrics.ber))
+        # this trial's draw per config; the SNR points share one
+        draws = {id(c): TrialDraw(c, t, seed) for _, c, _ in points}
+        trial_samples = None
+        if axis == "snr_grid":
+            try:
+                trial_samples = _grid_stacked(points, schemes, draws, solver, with_ber)
+            except (ArithmeticError, ValueError):  # LinAlgError is a ValueError
+                pass                               # named below, one cell at a time
+        if trial_samples is None:
+            trial_samples = _cell_by_cell(points, schemes, draws, solver, with_ber, axis)
+        for per_scheme, per_point in zip(samples, trial_samples):
+            for per_trial, sample in zip(per_scheme, per_point):
+                per_trial.append(sample)
     rows = []
     for scheme, per_point in zip(schemes, samples):
         for (value, _, _), per_trial in zip(points, per_point):
@@ -491,6 +563,8 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
         raise ValueError("learning curves require an allocation that records its cost: "
                          + ", ".join(n for n, a in SCHEMES["allocation"].items()
                                      if a.cost_trace))
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if seed is None:
         seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])

@@ -19,10 +19,12 @@ are provided:
   full power.
 
 Every solver also accepts stacked coefficient sets and loadings along
-leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients). Each
-item is solved exactly as its own 2-D call would solve it; OPA finds every
-item's root with one batched eigendecomposition and tests the items'
-undecided midpoints together, one ``sinr_feasible`` call per round.
+leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients), and
+coefficients whose ``rho_f`` is given per item, ``(...)``; the items of the
+loadings, the coefficients and ``rho_f`` broadcast together. Each item is
+solved exactly as its own 2-D call would solve it; OPA finds every item's
+root with one batched eigendecomposition and tests the items' undecided
+midpoints together, one ``sinr_feasible`` call per round.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     Solves the SINR constraints at equality; the interference coupling is a
     nonnegative monotone map, so an elementwise-nonnegative solution is the
     minimal eta meeting the SINR targets and only the per-antenna caps
-    remain to be checked. ``t`` is one target or one per stacked item.
+    remain to be checked. ``t`` is one target or one per stacked item, and
+    broadcasts against the items of the coefficients and of their ``rho_f``.
     Returns (feasible, eta): feasible per item, and the minimal eta where
     feasible (NaN rows elsewhere). A singular system makes only its own item
     infeasible.
@@ -80,7 +83,7 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     if np.count_nonzero(t < 0):
         raise ValueError("SINR target t must be nonnegative")
     delta = np.asarray(delta, dtype=float)
-    t_rho = t * coeffs.rho_f
+    t_rho = t * np.asarray(coeffs.rho_f)
     a = (-t_rho)[..., None, None] * coeffs.coupling
     diagonal = np.einsum("...ii->...i", a)              # a writable view
     diagonal[...] = coeffs.rho_psi - t_rho[..., None] * coeffs.gamma_diag
@@ -137,16 +140,19 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     ``1/g_m = 1``. ``1/g_m`` is nearly linear in s, where a tangent to
     ``g_m`` itself would overshoot past the pole. A step that leaves the
     bracket known to hold s* is replaced by the bracket's midpoint. The
-    steps converge quadratically, so the solve stops once every item's
-    tangent step is at most 1e-6 relative, which leaves it about 1e-13 from
-    s*. Every root is NaN when a user of any item has no desired signal
-    (``psi_k = 0``) or the decomposition fails.
+    steps converge quadratically, so an item stops once its tangent step is
+    at most 1e-6 relative, which leaves it about 1e-13 from s*; it then
+    keeps that root while the others step on, so each item's root is the
+    one its own call finds. Every root is NaN when a user of any item has
+    no desired signal (``psi_k = 0``) or the decomposition fails.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
-        b = coeffs.sigma_w2 / (coeffs.rho_f * coeffs.psi)
+        b = coeffs.sigma_w2 / coeffs.rho_psi
         try:
-            lam, v = np.linalg.eig(a)
+            # eig returns real arrays only when every item's eigenvalues are
+            # real; complex ones keep each item's arithmetic the same in any batch
+            lam, v = (x.astype(complex) for x in np.linalg.eig(a))
             # residues of the loads: g_m(s) = Re sum_j w[m, j] / (s - lam_j)
             w = (delta @ v) * np.linalg.solve(v, b[..., None]).mT
         except np.linalg.LinAlgError:
@@ -159,6 +165,7 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
         peak = delta.sum(axis=-1).max(axis=-1)
         s_hi = (peak[..., None] * b + a.sum(axis=-1)).max(axis=-1)
         s = pole * (1.0 + 1e-12) + noise
+        done = np.zeros(s.shape, dtype=bool)
         for steps in range(1, ROOT_MAX_STEPS + 1):
             u = 1.0 / (s[..., None] - lam)
             g = np.matvec(w, u).real
@@ -168,8 +175,11 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
             s_lo = np.where(left, s, s_lo)
             s_hi = np.where(left, s_hi, s)
             tangent = s + move
-            s = np.where((tangent >= s_lo) & (tangent <= s_hi), tangent, 0.5 * (s_lo + s_hi))
-            if (np.abs(move) <= 1e-6 * s).all():
+            # an item that has stopped keeps its root, as it would on its own
+            s = np.where(done, s, np.where((tangent >= s_lo) & (tangent <= s_hi),
+                                           tangent, 0.5 * (s_lo + s_hi)))
+            done |= np.abs(move) <= 1e-6 * s
+            if done.all():
                 break
         return 1.0 / s, steps
 
@@ -280,19 +290,19 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     Stacked items are solved together, each with its own bracket, stop test
     and result; ``iterations`` of the result is the most halvings any item
     made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
-    all items.
+    all items. The items are those of the coefficients, of a per-item
+    ``rho_f`` and of ``delta``, broadcast together.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     delta = np.asarray(delta, dtype=float)
-    batch, k = coeffs.psi.shape[:-1], coeffs.psi.shape[-1]
-    m = delta.shape[-2]
+    k, m = coeffs.psi.shape[-1], delta.shape[-2]
 
     col_peak = delta.max(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(col_peak > 0,
-                         coeffs.rho_f * coeffs.psi / (coeffs.sigma_w2 * col_peak),
-                         0.0)
+                         coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
+    batch = bound.shape[:-1]
     t_hi = (2.0 * bound.max(axis=-1)).reshape(-1)
 
     # one flat batch axis; an empty bracket (t_hi == 0) keeps eta = 0 and
@@ -303,11 +313,15 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     achieved = np.zeros(t_hi.size)
     steps = tested = 0
     if np.count_nonzero(live):
-        flat = SinrCoefficients(psi=coeffs.psi.reshape(-1, k)[rows],
-                                phi=coeffs.phi.reshape(-1, k, k)[rows],
-                                gamma=coeffs.gamma.reshape(-1, k, k)[rows],
-                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
-        delta = np.broadcast_to(delta, batch + (m, k)).reshape(-1, m, k)[rows]
+        def flat_items(x, core):
+            return np.broadcast_to(x, batch + core).reshape((-1,) + core)[rows]
+
+        flat = SinrCoefficients(psi=flat_items(coeffs.psi, (k,)),
+                                phi=flat_items(coeffs.phi, (k, k)),
+                                gamma=flat_items(coeffs.gamma, (k, k)),
+                                rho_f=flat_items(coeffs.rho_f, ()),
+                                sigma_w2=coeffs.sigma_w2)
+        delta = flat_items(delta, (m, k))
         achieved[rows], eta[rows], steps, tested = _bisect(flat, delta, t_hi[rows],
                                                            iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
@@ -316,7 +330,8 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
 
 def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
     """``(c, b, const)`` of the transmit MSE of an MMSE-family precoder,
-    ``const + sum_k (c_k nu_k^2 - 2 b_k nu_k)`` in ``nu = sqrt(eta)``.
+    ``const + sum_k (c_k nu_k^2 - 2 b_k nu_k)`` in ``nu = sqrt(eta)``; ``f``
+    and the coefficients' ``rho_f`` are one value or one per item.
 
     With ``a = g_hat^T P``: ``c_k = rho_f sigma_s2 / f^2 sum_i |a_ik|^2`` and
     ``b_k = sqrt(rho_f) sigma_s2 / f Re a_kk``, where ``Re a_kk = sqrt(psi_k)``

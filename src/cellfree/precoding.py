@@ -16,7 +16,9 @@ allocation stage.
 
 Every function also accepts a stack of channels ``(..., M, K)`` and then
 returns stacked outputs (``f`` of shape ``(...)``); each item of a stack is
-computed exactly as its own 2-D call.
+computed exactly as its own 2-D call. ``mmse_precoder`` also takes ``e_tr``
+and ``rho_f`` per item, ``(...)``, against one channel: the Gram matrix is
+then formed once and only the ridge and the scaling differ per item.
 """
 
 from __future__ import annotations
@@ -41,22 +43,25 @@ class PrecoderOutput:
         return np.abs(self.p) ** 2
 
 
-def _ridge_solve(g_hat: np.ndarray, eps: float, method: str) -> np.ndarray:
+def _ridge_solve(g_hat: np.ndarray, eps, method: str) -> np.ndarray:
     """Solve (conj(G) G^T + eps I_M) X = conj(G) without forming an inverse.
 
     ``method`` picks the primal M x M factorization or the equivalent K x K
     Gram form conj(G) (G^T conj(G) + eps I_K)^(-1); "auto" uses the Gram form
     whenever M > K. Both sides are Hermitian positive definite for eps > 0.
+    ``eps`` is one ridge or one per item, ``(...)``, broadcast against the
+    channel's leading axes; the Gram matrix is formed once either way.
     """
     m, k = g_hat.shape[-2:]
     if method == "auto":
         method = "gram" if m > k else "primal"
+    ridge = np.asarray(eps, dtype=float)[..., None, None]
     g_conj = g_hat.conj()
     if method == "primal":
-        a = g_conj @ g_hat.mT + eps * np.eye(m)
+        a = g_conj @ g_hat.mT + ridge * np.eye(m)
         return cho_solve(cho_factor(a, lower=True), g_conj)
     if method == "gram":
-        a = g_hat.mT @ g_conj + eps * np.eye(k)
+        a = g_hat.mT @ g_conj + ridge * np.eye(k)
         # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
         # conjugate-transpose the result
         return cho_solve(cho_factor(a, lower=True), g_hat.mT).conj().mT
@@ -67,11 +72,15 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm over the last two axes.
 
     Sums in memory order with the same dot products as
-    ``np.linalg.norm(x) ** 2``, so a 2-D call rounds exactly like it.
+    ``np.linalg.norm(x) ** 2``, so a 2-D call rounds exactly like it. Each
+    norm is squared as a Python float, with libm's ``pow`` as a scalar
+    ``np.float64 ** 2`` squares it; an array's ``** 2`` multiplies instead,
+    which differs in the last bit for about one value in a thousand, so a
+    stacked item would not round as its own 2-D call.
     """
     flat = x.ravel(order="K").reshape(x.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat.real, flat.real)
-                   + np.vecdot(flat.imag, flat.imag)) ** 2
+    norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.array([norm ** 2 for norm in norms.ravel().tolist()]).reshape(norms.shape)
 
 
 def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
@@ -88,7 +97,7 @@ def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
     return PrecoderOutput(p=precoder.p / n_diag[..., None, :], f=precoder.f)
 
 
-def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
+def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
                   sigma_s2: float = 1.0) -> PrecoderOutput:
     """MMSE precoder for a given diagonal power allocation.
 
@@ -96,11 +105,13 @@ def mmse_precoder(g_hat, n_diag, e_tr: float, rho_f: float, sigma_w2: float,
     per-user power coefficients), or one such row per stacked channel. The
     auxiliary solution and normalization f do not depend on it, so
     ``mmse_precoder(g, n)`` is ``apply_allocation(mmse_precoder(g, ones), n)``.
+    ``e_tr`` and ``rho_f`` are scalars or one value per item, ``(...)``; the
+    items broadcast against the channel's leading axes.
     """
     g_hat = np.asarray(g_hat)
-    if e_tr <= 0:
+    if np.count_nonzero(np.asarray(e_tr) <= 0):
         raise ValueError("e_tr must be positive")
-    if rho_f <= 0:
+    if np.count_nonzero(np.asarray(rho_f) <= 0):
         raise ValueError("rho_f must be positive")
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be nonnegative")

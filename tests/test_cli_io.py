@@ -154,6 +154,18 @@ def test_apa_without_an_mmse_family_precoder_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv.config.json").exists()
 
 
+@pytest.mark.parametrize("preset", ["fig-tiny-opa", "fig-learning"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_a_trial_count_below_one_is_a_usage_error(tmp_path, capsys, preset, trials):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", preset, "--trials", trials, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--trials must be at least 1, got {trials}" in err
+    assert "running preset" not in err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.config.json").exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     assert main([]) != 0
 

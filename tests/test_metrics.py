@@ -159,6 +159,17 @@ def test_power_scale_mapping():
         snr_to_rho_f(1.0, np.zeros((4, 2)), sw2)
 
 
+def test_power_scale_of_an_snr_grid_equals_its_scalar_calls_bitwise():
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    snrs = [10.0 ** (db / 10.0) for db in rng.uniform(-90.0, 60.0, size=40)]
+    grid = snr_to_rho_f(np.array(snrs), g, 0.37)
+    assert grid.shape == (40,)
+    assert all(grid[i] == snr_to_rho_f(snr, g, 0.37) for i, snr in enumerate(snrs))
+    # K is the last axis of the estimate
+    assert snr_to_rho_f(1.0, g, 0.37) == 1.0 * 3 * 0.37 / np.linalg.norm(g) ** 2
+
+
 # ----------------------------------------------------------------------- BER
 
 def perfect_csi_realization(seed=0, **overrides):

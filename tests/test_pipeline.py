@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cellfree import channel, selection
+from cellfree import channel, pipeline, selection
 from cellfree.channel import SystemConfig
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import (Scheme, SolverParams, SweepRow, TrialDraw, TrialError,
-                               _mean_se, _stream, run_cell, run_chain,
+from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
+                               TrialError, _mean_se, _stream, run_cell, run_chain,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import apa_sgd, opa_bisection, upa
 from cellfree.precoding import mmse_precoder
@@ -347,6 +347,39 @@ def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
     assert calls == {"channel": 6, "ls": 6}
 
 
+def test_a_grid_cell_equals_its_point_cells_bitwise():
+    cfg = cfg_with(**SMALL)
+    solver = SolverParams(symbols_per_packet=64)
+    snrs = list(cfg.snr_grid_db)
+    for label in ("MMSE+APA+LS", "ZF+OPA+NS", "CB+UPA+LS"):
+        scheme = Scheme.parse(label)
+        grid = run_cell(TrialDraw(cfg, 1, 99), scheme, snrs, solver, with_ber=True)
+        assert grid.metrics.ber.shape == grid.metrics.min_sinr.shape == (len(snrs),)
+        for i, snr in enumerate(snrs):
+            point = run_cell(TrialDraw(cfg, 1, 99), scheme, snr, solver, with_ber=True)
+            assert np.array_equal(grid.precoder.p[i], point.precoder.p)
+            assert np.array_equal(grid.n_final.eta[i], point.n_final.eta)
+            assert grid.metrics.sum_rate[i] == point.metrics.sum_rate
+            assert grid.metrics.min_sinr[i] == point.metrics.min_sinr
+            assert grid.metrics.ber[i] == point.metrics.ber
+    with pytest.raises(TypeError, match="one SNR point per cell"):
+        run_cell(TrialDraw(cfg, 1, 99), Scheme.parse("MMSE+OPA+ES"), snrs)
+
+
+def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial_but_es_per_point(monkeypatch):
+    calls = collections.Counter()
+    run = pipeline.run_cell
+
+    def counted(draw, scheme, snr_db, *args, **kwargs):
+        calls[scheme.selection, np.ndim(snr_db)] += 1
+        return run(draw, scheme, snr_db, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_cell", counted)
+    run_sweep(cfg_with(**SMALL), MIXED, "snr_grid", trials=2)
+    # NS and LS: one grid cell per trial; ES: one cell per trial and point
+    assert calls == {("NS", 1): 2, ("LS", 1): 4, ("ES", 0): 6}
+
+
 def test_shared_draw_arrays_are_read_only():
     cfg = cfg_with(**TINY)
     for label in ("MMSE+OPA+NS", "MMSE+OPA+LS", "MMSE+OPA+ES"):
@@ -373,6 +406,15 @@ def test_learning_curve_shape_and_guard():
     assert rows[-1].cost_mean < rows[0].cost_mean
     with pytest.raises(ValueError, match="APA"):
         run_learning_curve(cfg, Scheme.parse("MMSE+OPA+LS"), trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sweeps_and_learning_curves_need_a_trial(trials):
+    cfg = cfg_with(**TINY)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], "snr_grid", trials=trials)
 
 
 # --------------------------------------------------------- failed trials
@@ -439,3 +481,51 @@ def test_a_sweep_names_the_smallest_failing_trial_over_its_schemes():
     with pytest.raises(type(err.__cause__)):
         run_trial(points[err.axis_value], Scheme.parse(err.scheme), 10.0, err.trial,
                   seed=err.seed)
+
+
+def fail_at(monkeypatch, allocation, rho_f, error):
+    """Make ``allocation`` raise ``error`` on any item whose rho_f is ``rho_f``."""
+    allocator = SCHEMES["allocation"][allocation]
+
+    def solve(precoder, coeffs, sigma_s2, solver):
+        if np.count_nonzero(coeffs.rho_f == rho_f):
+            raise error
+        return allocator.solve(precoder, coeffs, sigma_s2, solver)
+
+    monkeypatch.setitem(SCHEMES["allocation"], allocation,
+                        dataclasses.replace(allocator, solve=solve))
+
+
+def test_a_failing_grid_cell_is_named_in_point_then_scheme_order(monkeypatch):
+    # the earlier-listed scheme fails at point 2 and the later one at point
+    # 0, both only on trial 1's draw; the stacked cells run scheme by scheme,
+    # so the sweep re-runs the trial cell by cell to name point 0 first
+    cfg = cfg_with(**SMALL)
+    real = TrialDraw(cfg, 1, cfg.rng_seed).realization
+    rho = [snr_to_rho_f(10.0 ** (snr / 10.0), real.g_hat, cfg.noise_variance_w())
+           for snr in cfg.snr_grid_db]
+    first, second = Scheme.parse("MMSE+OPA+LS"), Scheme.parse("CB+UPA+NS")
+    fail_at(monkeypatch, "OPA", rho[2], FloatingPointError("OPA fails at point 2"))
+    fail_at(monkeypatch, "UPA", rho[0], ValueError("UPA fails at point 0"))
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [first, second], "snr_grid", trials=3)
+    err = caught.value
+    assert (err.scheme, err.axis_value, err.trial) == (second.label, 0.0, 1)
+    assert isinstance(err.__cause__, ValueError)
+    assert "snr_grid=0, trial 1" in str(err) and "UPA fails at point 0" in str(err)
+    with pytest.raises(ValueError, match="UPA fails at point 0"):
+        run_trial(cfg, second, err.axis_value, err.trial, seed=err.seed)
+    run_trial(cfg, first, 0.0, 1)                # the earlier scheme passes point 0
+
+    # with the later scheme listed first, it still fails first; alone, the
+    # earlier scheme is named at point 2 with its ArithmeticError
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [second, first], "snr_grid", trials=3)
+    assert (caught.value.scheme, caught.value.axis_value) == (second.label, 0.0)
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [first], "snr_grid", trials=3)
+    err = caught.value
+    assert (err.scheme, err.axis_value, err.trial) == (first.label, 20.0, 1)
+    assert isinstance(err.__cause__, FloatingPointError)
+    with pytest.raises(FloatingPointError, match="OPA fails at point 2"):
+        run_trial(cfg, first, err.axis_value, err.trial, seed=err.seed)

@@ -1,4 +1,5 @@
-"""Properties of exhaustive selection over random small configurations."""
+"""Properties of exhaustive selection and of the stacked SNR-grid chain over
+random small configurations."""
 
 import dataclasses
 import itertools
@@ -13,6 +14,7 @@ from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import snr_to_rho_f
 from cellfree.pipeline import SCHEMES, Scheme, SolverParams, TrialDraw, run_chain, run_trial
+from cellfree.selection import ls_aps
 
 # candidates of the reference loop per example, to bound the test's run time
 MAX_CANDIDATES = 36
@@ -89,3 +91,55 @@ def test_exhaustive_selection_is_the_loop_winner_and_never_loses_to_ranking(case
         assert "rank-deficient" in str(err)
         return
     assert es.metrics.min_sinr >= ls.metrics.min_sinr * (1.0 - 1e-9)
+
+
+@st.composite
+def grid_cases(draw):
+    num_aps = draw(st.integers(2, 8))
+    antennas = draw(st.integers(1, 2))
+    cfg = dataclasses.replace(
+        SystemConfig(), num_aps=num_aps, antennas_per_ap=antennas,
+        num_users=draw(st.integers(1, min(4, num_aps * antennas - 1))),
+        selected_aps=draw(st.integers(1, num_aps)),
+        csi_quality=draw(st.floats(MIN_CSI_QUALITY, 1.0)))
+    snrs = draw(st.lists(st.floats(-90.0, 60.0), min_size=1, max_size=5))
+    return (cfg.validate(), draw(st.sampled_from(["NS", "LS"])), snrs,
+            draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid_cases())
+def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
+    """Every (precoder, allocation) pair on one random draw and mask."""
+    cfg, selected, snrs, trial = case
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    mask = (ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap)
+            if selected == "LS" else np.ones(real.g_hat.shape))
+    g_hat, err_var = selection.apply_mask(mask, real)
+    sigma_w2 = cfg.noise_variance_w()
+    rho = [snr_to_rho_f(10.0 ** (snr / 10.0), real.g_hat, sigma_w2) for snr in snrs]
+    for pair in PAIRS:
+        scheme = Scheme(*pair, selected)
+
+        def chain(rho_f):
+            return run_chain(g_hat, err_var, scheme, rho_f, cfg.total_antennas * rho_f,
+                             sigma_w2, cfg.symbol_power, SolverParams())
+
+        try:
+            points = [chain(r) for r in rho]
+        except (ArithmeticError, ValueError) as err:   # ZF on a rank-deficient mask
+            with pytest.raises(type(err)):
+                chain(np.array(rho))
+            continue
+        stacked = chain(np.array(rho))
+        for i, point in enumerate(points):
+            assert np.array_equal(stacked.precoder.p[i], point.precoder.p)
+            assert stacked.precoder.f[i] == point.precoder.f
+            for got, want in ((stacked.n_first, point.n_first),
+                              (stacked.n_final, point.n_final)):
+                assert np.array_equal(got.eta[i], want.eta)
+                if want.achieved_t is not None:
+                    assert got.achieved_t[i] == want.achieved_t
+            for name in ("per_user_sinr", "per_user_rate", "sum_rate", "min_sinr"):
+                assert np.array_equal(getattr(stacked.metrics, name)[i],
+                                      getattr(point.metrics, name)), (scheme.label, name)
