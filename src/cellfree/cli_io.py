@@ -242,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrialError as err:
         print(f"trial failed: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:          # refused before the first trial
+        print(f"cannot run: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"cannot write results: {err}", file=sys.stderr)
         return 1

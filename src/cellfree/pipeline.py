@@ -12,14 +12,15 @@ metrics; they are all an allocator reads besides the precoder. APA takes
 only the MMSE-family precoders, and ``Scheme`` rejects any other pairing.
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
-``(B, M, K)``; exhaustive selection scores its candidate masks as such
-stacks, in chunks, and the trial then re-runs the 2-D chain on the winning
-mask, so every reported number comes from the 2-D chain. It also runs one
-``(M, K)`` channel at a grid of SNRs, ``rho_f`` and ``e_tr`` of shape
-``(S,)``: MMSE builds one precoder per item from one Gram matrix, while ZF
-and CB, whose precoders and SINR coefficients do not depend on the SNR,
-build once and are broadcast over the items. Each item equals its own 2-D
-chain bitwise.
+``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` and ``e_tr`` of
+shape ``(S,)`` against one channel or paired with ``(S, M, K)`` channels,
+or ``(S, 1)`` against a stack. MMSE builds one precoder per item, from one
+Gram matrix per channel, while ZF and CB, whose precoders and SINR
+coefficients do not depend on the SNR, build once per channel and are
+broadcast over the points. Each item equals its own 2-D chain bitwise.
+Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
+chunks, and then runs the ``(S, M, K)`` winners as one chain, so every
+reported number is what the 2-D chain on the winning mask gives.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
 of trial ``t`` at one config shares: the channel block, and the NS and LS
@@ -28,8 +29,8 @@ first use and read-only. ``run_cell`` runs one cell on a draw; exhaustive
 selection depends on the scheme and the SNR, so it searches per cell.
 ``run_trial`` is one cell on a fresh draw, and ``run_sweep`` loops
 trial-major, running every scheme and SNR point of a config on one draw. On
-the SNR-grid axis, a cell of ``run_cell`` is a scheme's whole grid at once
-wherever the selection does not depend on the SNR (NS, LS).
+the SNR-grid axis, a cell of ``run_cell`` is a scheme's whole grid at once;
+ES then searches once per cell for every point's mask.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
@@ -89,34 +90,49 @@ def _apa(precoder, coeffs, sigma_s2, solver):
 
 
 def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
+    """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
+    ``(S, M, K)``, from one search: a stack of B candidates runs as one
+    ``(S, B)`` chain against ``rho_f`` and ``e_tr`` of shape ``(S, 1)``."""
+    points = np.shape(rho_f)
+    if points:
+        rho_stack, e_tr_stack = rho_f[..., None], e_tr[..., None]
+    else:
+        rho_stack, e_tr_stack = rho_f, e_tr
+
     def evaluate(masks):
-        """Minimum SINRs of a (B, M, K) stack, or of one (M, K) mask. A mask
-        that leaves ZF rank-deficient scores -inf: a stack that raises is
-        scored again one mask at a time."""
+        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, or of one
+        (M, K) mask, ``points``. A mask that leaves ZF rank-deficient scores
+        -inf at every point: a stack that raises is scored again one mask at
+        a time."""
+        stacked = masks.ndim == 3
         try:
             g_hat, err_var = sel.apply_mask(masks, realization)
-            return run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
-                             sigma_s2, solver).metrics.min_sinr
+            return run_chain(g_hat, err_var, scheme,
+                             rho_stack if stacked else rho_f,
+                             e_tr_stack if stacked else e_tr,
+                             sigma_w2, sigma_s2, solver).metrics.min_sinr
         except np.linalg.LinAlgError as err:
             if "rank-deficient" not in str(err):      # zf_precoder's message
                 raise
-            if masks.ndim == 2:
-                return -np.inf
-        return np.array([evaluate(mask) for mask in masks])
+            if not stacked:
+                return np.full(points, -np.inf)[()]
+        return np.stack([evaluate(mask) for mask in masks], axis=-1)
 
-    mask, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
-                         cfg.antennas_per_ap, evaluate, budget=solver.es_budget)
-    if mask is None:
+    masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
+                          cfg.antennas_per_ap, evaluate, budget=solver.es_budget,
+                          points=math.prod(points))
+    if masks is None:
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    return mask, math.comb(cfg.num_aps, cfg.selected_aps) ** cfg.num_users
+    candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
+    return masks, candidates * math.prod(points)
 
 
 @dataclass(frozen=True)
 class _Selector:
     select: Callable      # (scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2,
-                          # solver) -> ((M, K) mask array, ES candidates scored)
+                          # solver) -> (mask array, ES candidates scored)
     per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
 
 
@@ -181,7 +197,8 @@ class Scheme:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs of the iterative solvers and of the BER measurement."""
+    """Knobs of the iterative solvers and of the BER measurement; counts are
+    at least 1, and the step size and tolerance are nonnegative."""
 
     opa_iterations: int = 30
     opa_tol: float = 1e-6
@@ -190,6 +207,15 @@ class SolverParams:
     es_budget: int = 10 ** 6
     symbols_per_packet: int = 100
     packets_per_trial: int = 1
+
+    def __post_init__(self):
+        for name in ("opa_iterations", "apa_iterations", "es_budget",
+                     "symbols_per_packet", "packets_per_trial"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("apa_mu", "opa_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
 
 def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
@@ -242,7 +268,7 @@ class ChainResult:
 
 @dataclass
 class PipelineResult(ChainResult):
-    mask: np.ndarray      # (M, K) selection the chain ran on
+    mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) for ES on a grid
 
 
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
@@ -250,17 +276,19 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
     module docstring). ``rho_f`` and ``e_tr`` are scalars or one value per
-    item, ``(S,)``, against one channel; every array of the result then has
-    the items' leading axis."""
+    item, and their items broadcast against the channel's: ``(S,)`` against
+    one channel, ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)``
+    against ``(B, M, K)`` runs every channel at every point. Every array of
+    the result has the broadcast items' leading axes."""
     precoder = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     t0 = time.perf_counter()
     prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     t1 = time.perf_counter()
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
-    if np.ndim(rho_f) > prec.p.ndim - 2:
+    items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
+    if items != prec.p.shape[:-2]:
         # ZF and CB do not depend on rho_f: one precoder serves every item
-        items = np.shape(rho_f)
         prec = pc.PrecoderOutput(p=np.broadcast_to(prec.p, items + prec.p.shape[-2:]),
                                  f=np.broadcast_to(prec.f, items))
     solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
@@ -288,13 +316,11 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
 def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
             solver):
     """``(mask, masked g_hat, masked error variance, ES candidates scored)``
-    of one cell, read-only; NS and LS come from the draw's memo."""
+    of one cell, read-only; NS and LS come from the draw's memo. ES on a grid
+    ``(S,)`` gives one mask per point, ``(S, M, K)``."""
     if scheme.selection in draw.selections:
         return draw.selections[scheme.selection]
     selector = SCHEMES["selection"][scheme.selection]
-    if selector.per_cell and np.ndim(rho_f):
-        raise TypeError(f"{scheme.selection} selection depends on the SNR; "
-                        f"run it one SNR point per cell")
     realization = draw.realization
     mask, es_candidates = selector.select(scheme, realization, draw.cfg, rho_f, e_tr,
                                           sigma_w2, sigma_s2, solver)
@@ -317,10 +343,12 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
              with_ber: bool = False) -> PipelineResult:
     """One (scheme, SNR) cell of a trial, on the trial's shared draw.
 
-    ``snr_db`` is one SNR point, or a grid ``(S,)`` for a selection that does
-    not depend on the SNR (NS, LS): the cell then runs one stacked chain,
-    every result has a leading grid axis, and each item equals its own
-    cell's result. BER is measured per point, each on restarted streams.
+    ``snr_db`` is one SNR point, or a grid ``(S,)``: the cell then runs one
+    stacked chain, every result has a leading grid axis, and each item
+    equals its own cell's result. NS and LS share one mask over the grid;
+    ES searches once for every point's mask and runs the ``(S, M, K)``
+    winners as one chain. BER is measured per point, each on restarted
+    streams.
 
     ``trace["seconds"]["channel"]`` holds the channel draw's time only in
     the cell that made the draw (the first to run on it), and the selection
@@ -344,8 +372,9 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
 
     if with_ber:
         p, n_diag = chain.precoder.p, chain.n_final.n_diag
+        g_hat = np.broadcast_to(g_hat, np.shape(rho_f) + g_hat.shape[-2:])
         bers, degenerate = zip(*(
-            mt.ber_qpsk(p[i], n_diag[i], realization.g, g_hat, rho_f[i], sigma_w2,
+            mt.ber_qpsk(p[i], n_diag[i], realization.g, g_hat[i], rho_f[i], sigma_w2,
                         solver.symbols_per_packet,
                         _stream(draw.seed, draw.trial, "symbols"),
                         packets=solver.packets_per_trial,
@@ -389,6 +418,24 @@ class TrialError(RuntimeError):
         detail = " ".join(f"{type(cause).__name__}: {cause}".split())
         super().__init__(f"{scheme} at {axis_name}={axis_value:g}, trial {trial}, "
                          f"seed {seed}: {detail}")
+
+
+def _check_es_budget(schemes, cfgs, solver):
+    """Refuse, before any trial runs, an ES scheme whose candidates at one of
+    ``cfgs`` exceed the solver's budget."""
+    for scheme in schemes:
+        if scheme.selection != "ES":
+            continue
+        for cfg in cfgs:
+            total = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
+            if total > solver.es_budget:
+                digits = len(str(total))
+                count = str(total) if digits <= 12 else f"about 1e{digits - 1}"
+                raise ValueError(
+                    f"{scheme.label}: exhaustive selection of {cfg.selected_aps} of "
+                    f"{cfg.num_aps} APs for {cfg.num_users} users needs "
+                    f"C({cfg.num_aps}, {cfg.selected_aps})^{cfg.num_users} = {count} "
+                    f"candidate evaluations, exceeding the budget of {solver.es_budget}")
 
 
 def _point_cell(draw, scheme, snr, solver, with_ber, axis_name, axis_value):
@@ -471,18 +518,13 @@ def _cell_by_cell(points, schemes, draws, solver, with_ber, axis):
 
 def _grid_stacked(points, schemes, draws, solver, with_ber):
     """The same samples on the SNR-grid axis, where every point shares one
-    config: one ``run_cell`` over the whole grid per scheme, except for a
-    selection that depends on the SNR (ES), which runs per point."""
+    config: one ``run_cell`` over the whole grid per scheme."""
     (_, cfg, _), snrs = points[0], [snr for _, _, snr in points]
     draw = draws[id(cfg)]
     samples = []
     for scheme in schemes:
-        if SCHEMES["selection"][scheme.selection].per_cell:
-            samples.append([_sample(run_cell(draw, scheme, snr, solver, with_ber).metrics)
-                            for snr in snrs])
-        else:
-            metrics = run_cell(draw, scheme, snrs, solver, with_ber).metrics
-            samples.append([_sample(metrics, i) for i in range(len(snrs))])
+        metrics = run_cell(draw, scheme, snrs, solver, with_ber).metrics
+        samples.append([_sample(metrics, i) for i in range(len(snrs))])
     return samples
 
 
@@ -502,12 +544,15 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     for the first failing cell in (trial, axis point, scheme) order, so it
     names the smallest failing trial over all schemes and points; a trial
     whose stacked cells fail is re-run one cell at a time to find that cell.
+    An ES scheme over the solver's candidate budget at any axis point raises
+    ``ValueError`` before the first trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed is None:
         seed = cfg.rng_seed
     points = _axis_points(cfg, axis, axis_values)
+    _check_es_budget(schemes, [c for _, c, _ in points], solver)
     # [scheme][point] -> per-trial (sum rate, min SINR in dB, BER)
     samples = [[[] for _ in points] for _ in schemes]
     for t in range(trials):
@@ -565,6 +610,7 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
                                      if a.cost_trace))
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_es_budget([scheme], [cfg], solver)
     if seed is None:
         seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])

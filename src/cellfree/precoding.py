@@ -17,8 +17,13 @@ allocation stage.
 Every function also accepts a stack of channels ``(..., M, K)`` and then
 returns stacked outputs (``f`` of shape ``(...)``); each item of a stack is
 computed exactly as its own 2-D call. ``mmse_precoder`` also takes ``e_tr``
-and ``rho_f`` per item, ``(...)``, against one channel: the Gram matrix is
-then formed once and only the ridge and the scaling differ per item.
+and ``rho_f`` per item, ``(...)``, broadcast against the channels' leading
+axes: ``(S,)`` against one channel, or ``(S, 1)`` against a stack of B
+channels for S x B items. Each channel's Gram matrix is formed once and
+only the ridge and the scaling differ per item. The ridge and ZF systems
+are solved by one loop of LAPACK's Cholesky pair over the items
+(``_cho_solve``), which gives SciPy's ``cho_solve(cho_factor(...))``
+bitwise, memory order included.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,44 @@ class PrecoderOutput:
     def delta(self) -> np.ndarray:
         """(..., M, K) per-antenna per-user power loadings |P_{m,i}|^2."""
         return np.abs(self.p) ** 2
+
+
+def _cho_solve(a, b) -> np.ndarray:
+    """``cho_solve(cho_factor(a, lower=True), b)`` over leading axes.
+
+    ``a`` is ``(..., n, n)`` Hermitian and ``b`` is ``(..., n, r)``; their
+    leading axes broadcast. Each item runs LAPACK's ``potrf``/``potrs`` pair
+    as SciPy's 2-D calls do, without the per-item checks and lookups of
+    SciPy's leading-axis wrapper. A stack is assembled as that wrapper
+    assembles it, ``np.stack`` of the items' Fortran-ordered solutions, and a
+    2-D call returns ``potrs``'s array itself, so every result has SciPy's
+    memory order as well as its values. Raises ``ValueError`` on a
+    non-finite operand and ``LinAlgError`` on an item that is not positive
+    definite.
+    """
+    a = np.asarray_chkfinite(a)
+    b = np.asarray_chkfinite(b)
+    potrf, = get_lapack_funcs(("potrf",), (a,))
+    potrs, = get_lapack_funcs(("potrs",), (a, b))
+
+    def solve(a, b):
+        c, info = potrf(a, lower=True, overwrite_a=False, clean=False)
+        if info == 0:
+            x, info = potrs(c, b, lower=True, overwrite_b=False)
+            if info == 0:
+                return x
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+
+    if a.ndim == b.ndim == 2:
+        return solve(a, b)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    x = np.stack([solve(a[i], b[i]) for i in np.ndindex(batch)])
+    return x.reshape(batch + x.shape[1:])
 
 
 def _ridge_solve(g_hat: np.ndarray, eps, method: str) -> np.ndarray:
@@ -59,12 +102,12 @@ def _ridge_solve(g_hat: np.ndarray, eps, method: str) -> np.ndarray:
     g_conj = g_hat.conj()
     if method == "primal":
         a = g_conj @ g_hat.mT + ridge * np.eye(m)
-        return cho_solve(cho_factor(a, lower=True), g_conj)
+        return _cho_solve(a, g_conj)
     if method == "gram":
         a = g_hat.mT @ g_conj + ridge * np.eye(k)
         # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
         # conjugate-transpose the result
-        return cho_solve(cho_factor(a, lower=True), g_hat.mT).conj().mT
+        return _cho_solve(a, g_hat.mT).conj().mT
     raise ValueError(f"unknown solve method: {method!r}")
 
 
@@ -130,7 +173,7 @@ def zf_precoder(g_hat) -> PrecoderOutput:
     g_hat = np.asarray(g_hat)
     gram = g_hat.mT @ g_hat.conj()
     try:
-        p = cho_solve(cho_factor(gram, lower=True), g_hat.mT).conj().mT
+        p = _cho_solve(gram, g_hat.mT).conj().mT
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"rank-deficient channel: {err}") from err
     return PrecoderOutput(p=p, f=1.0)

@@ -6,7 +6,8 @@ dropped together) in which every user keeps exactly S APs. Masked channel
 quantities are plain Hadamard products, so selection composes with any
 precoder or power-allocation stage downstream. A stack of B masks, shape
 (B, M, K), masks a channel into a stack of B channels; this is how
-exhaustive selection scores its candidates.
+exhaustive selection scores its candidates, at one SNR point or at a whole
+grid of them in one search.
 """
 
 from __future__ import annotations
@@ -35,52 +36,69 @@ def ls_aps(beta, num_selected: int, antennas_per_ap: int) -> np.ndarray:
     return np.repeat(q_ap, antennas_per_ap, axis=0)
 
 
-# Candidate masks scored per ``evaluate`` call by exhaustive selection, as a
-# count of mask entries (candidates x M x K); it bounds the memory of one call.
+# Mask entries scored per ``evaluate`` call by exhaustive selection, counted
+# as points x candidates x M x K; it bounds the memory of one call.
 ES_CHUNK_ENTRIES = 2 ** 15
+
+
+def es_candidate_count(num_aps: int, num_users: int, num_selected: int) -> int:
+    """C(L, S)^K: the masks exhaustive selection scores, one per per-user
+    choice of S of the L APs."""
+    return math.comb(num_aps, num_selected) ** num_users
 
 
 def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
            evaluate: Callable[[np.ndarray], np.ndarray],
-           budget: int = 10 ** 6):
+           budget: int = 10 ** 6, *, points: int = 1):
     """Exhaustive search over every per-user choice of S APs.
 
     ``evaluate`` must run the complete downstream chain (precoding, power
     allocation, SINR evaluation) on a stack of candidate masks of shape
-    (B, M, K) and return the B minimum per-user SINRs. All C(L, S)^K
-    candidates are scored, in chunks of at most ``ES_CHUNK_ENTRIES`` mask
-    entries, in the lexicographic order of ``itertools.product`` over the
-    users' AP combinations. The best (M, K) mask is returned together with
-    its score; ties keep the first candidate in that order, and a NaN score
-    never wins (an all-NaN search returns ``(None, -inf)``).
+    (B, M, K) and return their minimum per-user SINRs, ``(..., B)``: one
+    score per candidate for each of ``points`` leading items (the SNR points
+    of a grid), or ``(B,)`` for one item. All C(L, S)^K candidates are
+    scored, in chunks of at most ``ES_CHUNK_ENTRIES`` entries counted as
+    points x B x M x K, in the lexicographic order of ``itertools.product``
+    over the users' AP combinations. Each item's best (M, K) mask is
+    returned together with its score, ``(..., M, K)`` and ``(...)``; ties
+    keep the first candidate in that order, and a NaN score never wins. An
+    item on which no candidate wins (every score NaN or -inf) scores -inf,
+    and the masks are then None: an all-NaN search of one item returns
+    ``(None, -inf)``.
     """
-    per_user = math.comb(num_aps, num_selected)
-    total = per_user ** num_users
+    total = es_candidate_count(num_aps, num_users, num_selected)
     if total > budget:
         raise ValueError(
             f"exhaustive selection needs {total} candidate evaluations, "
             f"exceeding the budget of {budget}")
+    per_user = math.comb(num_aps, num_selected)
     members = np.zeros((per_user, num_aps))            # combination -> AP indicator
     for c, aps in enumerate(itertools.combinations(range(num_aps), num_selected)):
         members[c, list(aps)] = 1.0
     # digit j of a candidate index in base C(L, S) picks user j's combination,
     # most significant first: the order of itertools.product
     place = per_user ** np.arange(num_users - 1, -1, -1)
-    chunk = max(1, ES_CHUNK_ENTRIES // (num_aps * antennas_per_ap * num_users))
-    best_mask = None
-    best_score = -np.inf
+
+    def masks_of(index):
+        choice = index[..., None] // place % per_user     # (..., K)
+        q_ap = members[choice].swapaxes(-1, -2)           # (..., L, K)
+        return np.repeat(q_ap, antennas_per_ap, axis=-2)
+
+    chunk = max(1, ES_CHUNK_ENTRIES // (points * num_aps * antennas_per_ap * num_users))
+    best, best_score = -1, -np.inf
     for start in range(0, total, chunk):
         index = np.arange(start, min(start + chunk, total))
-        choice = index[:, None] // place % per_user      # (B, K)
-        q_ap = members[choice].transpose(0, 2, 1)         # (B, L, K)
-        masks = np.repeat(q_ap, antennas_per_ap, axis=1)
-        scores = np.asarray(evaluate(masks), dtype=float)
+        scores = np.asarray(evaluate(masks_of(index)), dtype=float)
         scores = np.where(np.isnan(scores), -np.inf, scores)
-        i = int(np.argmax(scores))                        # first of the maxima
-        if scores[i] > best_score:
-            best_score = float(scores[i])
-            best_mask = masks[i].copy()
-    return best_mask, best_score
+        i = np.argmax(scores, axis=-1)                    # first of the maxima
+        top = np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
+        better = top > best_score
+        best = np.where(better, index[i], best)
+        best_score = np.where(better, top, best_score)
+    best_score = best_score[()]
+    if np.count_nonzero(best < 0):
+        return None, best_score
+    return masks_of(best), best_score
 
 
 def apply_mask(q, realization: ChannelRealization):

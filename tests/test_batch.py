@@ -360,6 +360,47 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
     assert choices_of(es_aps(6, 3, 3, 1, coarse)[0], 1) == order[first]
 
 
+def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypatch):
+    # 8000 candidates (L=6, S=3, K=3) scored at four points at once: a coarse
+    # score whose maximum hundreds of candidates share across chunks, NaN but
+    # for one candidate in a later chunk, a tie of every candidate, and the
+    # coarse score negated
+    cfg = dataclasses.replace(SystemConfig(), num_aps=6, num_users=3,
+                              selected_aps=3).validate()
+    real = generate_realization(cfg, *[np.random.default_rng([53, i]) for i in range(3)])
+    gains = np.round(real.beta / real.beta.max(axis=0), 1)
+    order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
+    late = mask_from_choices(order[7000], 6, 1)
+    sizes = []
+
+    def grid(masks):
+        sizes.append(masks.shape[0])
+        coarse = (masks * gains).sum(axis=-2).min(axis=-1)
+        only_late = np.where((masks == late).all(axis=(-2, -1)), 0.25, np.nan)
+        return np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse])
+
+    every = np.stack([mask_from_choices(c, 6, 1) for c in order])
+    reference = grid(every)
+    first = np.argmax(np.where(np.isnan(reference), -np.inf, reference), axis=-1)
+    assert first[0] >= 333 and first[1] == 7000 and first[2] == 0
+    for entries in (10 ** 9, 4 * 18 * 333):
+        monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
+        sizes.clear()
+        masks, scores = es_aps(6, 3, 3, 1, grid, points=4)
+        assert sum(sizes) == 8000 and max(sizes) * 4 * 18 <= entries
+        assert masks.shape == (4, 6, 3) and scores.shape == (4,)
+        for point, winner in enumerate(first):
+            assert choices_of(masks[point], 1) == order[winner]
+            assert scores[point] == reference[point, winner]
+    assert len(sizes) == 25
+
+    def one_point_all_nan(masks):
+        return np.stack([grid(masks)[0], np.full(masks.shape[0], np.nan)])
+
+    masks, scores = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
+    assert masks is None and scores.tolist() == [reference[0, first[0]], -np.inf]
+
+
 def test_candidate_masks_follow_product_order(monkeypatch):
     seen = []
 

@@ -154,6 +154,17 @@ def test_apa_without_an_mmse_family_precoder_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv.config.json").exists()
 
 
+def test_an_es_scheme_over_budget_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", "fig-large-sumrate", "--trials", "1",
+                 "--out", str(out), "--schemes", "MMSE+OPA+LS,MMSE+OPA+ES"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("cannot run: MMSE+OPA+ES: exhaustive selection")
+    assert "C(128, 64)^16 = about 1e" in err[-1] and "budget of 1000000" in err[-1]
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.config.json").exists()
+
+
 @pytest.mark.parametrize("preset", ["fig-tiny-opa", "fig-learning"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_a_trial_count_below_one_is_a_usage_error(tmp_path, capsys, preset, trials):

@@ -349,24 +349,31 @@ def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
 
 def test_a_grid_cell_equals_its_point_cells_bitwise():
     cfg = cfg_with(**SMALL)
+    # one AP per user: the candidates that give both users the same AP leave
+    # ZF rank-deficient, so its stacked ES chains fall back to one mask at a time
+    one_ap = cfg_with(**dict(SMALL, selected_aps=1))
     solver = SolverParams(symbols_per_packet=64)
     snrs = list(cfg.snr_grid_db)
-    for label in ("MMSE+APA+LS", "ZF+OPA+NS", "CB+UPA+LS"):
+    cases = [(cfg, label) for label in ("MMSE+APA+LS", "ZF+OPA+NS", "CB+UPA+LS")]
+    cases += [(one_ap, label) for label in ("MMSE+OPA+ES", "MMSE+APA+ES", "ZF+UPA+ES")]
+    for config, label in cases:
         scheme = Scheme.parse(label)
-        grid = run_cell(TrialDraw(cfg, 1, 99), scheme, snrs, solver, with_ber=True)
+        grid = run_cell(TrialDraw(config, 1, 99), scheme, snrs, solver, with_ber=True)
         assert grid.metrics.ber.shape == grid.metrics.min_sinr.shape == (len(snrs),)
         for i, snr in enumerate(snrs):
-            point = run_cell(TrialDraw(cfg, 1, 99), scheme, snr, solver, with_ber=True)
+            point = run_cell(TrialDraw(config, 1, 99), scheme, snr, solver, with_ber=True)
+            assert np.array_equal(np.broadcast_to(grid.mask, (len(snrs),) + point.mask.shape)[i],
+                                  point.mask), (label, snr)
             assert np.array_equal(grid.precoder.p[i], point.precoder.p)
             assert np.array_equal(grid.n_final.eta[i], point.n_final.eta)
             assert grid.metrics.sum_rate[i] == point.metrics.sum_rate
             assert grid.metrics.min_sinr[i] == point.metrics.min_sinr
             assert grid.metrics.ber[i] == point.metrics.ber
-    with pytest.raises(TypeError, match="one SNR point per cell"):
-        run_cell(TrialDraw(cfg, 1, 99), Scheme.parse("MMSE+OPA+ES"), snrs)
+        if scheme.selection == "ES":
+            assert grid.trace["es_candidates"] == 6 ** 2 * len(snrs)
 
 
-def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial_but_es_per_point(monkeypatch):
+def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
     calls = collections.Counter()
     run = pipeline.run_cell
 
@@ -376,8 +383,8 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial_but_es_per_point(monkey
 
     monkeypatch.setattr(pipeline, "run_cell", counted)
     run_sweep(cfg_with(**SMALL), MIXED, "snr_grid", trials=2)
-    # NS and LS: one grid cell per trial; ES: one cell per trial and point
-    assert calls == {("NS", 1): 2, ("LS", 1): 4, ("ES", 0): 6}
+    # every selection, ES too: one grid cell per trial
+    assert calls == {("NS", 1): 2, ("LS", 1): 4, ("ES", 1): 2}
 
 
 def test_shared_draw_arrays_are_read_only():
@@ -415,6 +422,37 @@ def test_sweeps_and_learning_curves_need_a_trial(trials):
         run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=trials)
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], "snr_grid", trials=trials)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("opa_iterations", 0), ("apa_iterations", 0), ("es_budget", 0),
+    ("symbols_per_packet", 0), ("packets_per_trial", 0),
+    ("apa_mu", -1.0), ("opa_tol", -1.0), ("opa_tol", np.nan)])
+def test_solver_params_reject_bad_values_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverParams(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(SolverParams(), **{field: value})
+
+
+def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch):
+    # 10 APs, 3 users, 5 selected: C(10, 5)^3 = 16,003,008 candidates
+    calls = collections.Counter()
+    monkeypatch.setattr(channel, "generate_realization",
+                        counting(calls, "channel", channel.generate_realization))
+    cfg = cfg_with(num_aps=10, num_users=3, selected_aps=5, snr_grid_db=(10.0,))
+    ls, es = Scheme.parse("MMSE+OPA+LS"), Scheme.parse("MMSE+APA+ES")
+    assert selection.es_candidate_count(10, 3, 5) == 16_003_008
+    with pytest.raises(ValueError, match="MMSE[+]APA[+]ES.*16003008.*budget of 1000000"):
+        run_sweep(cfg, [ls, es], "snr_grid", trials=2)
+    with pytest.raises(ValueError, match="16003008"):
+        run_learning_curve(cfg, es, trials=2)
+    # every point of the axis counts: all 10 APs is one candidate, half is not
+    with pytest.raises(ValueError, match="16003008"):
+        run_sweep(cfg, [es], "selection_fraction", trials=1, axis_values=(1.0, 0.5))
+    assert calls["channel"] == 0
+    run_sweep(cfg, [ls, es], "selection_fraction", trials=1, axis_values=(1.0,))
+    assert calls["channel"] == 1
 
 
 # --------------------------------------------------------- failed trials
@@ -529,3 +567,30 @@ def test_a_failing_grid_cell_is_named_in_point_then_scheme_order(monkeypatch):
     assert isinstance(err.__cause__, FloatingPointError)
     with pytest.raises(FloatingPointError, match="OPA fails at point 2"):
         run_trial(cfg, first, err.axis_value, err.trial, seed=err.seed)
+
+
+def test_an_es_grid_point_without_a_finite_candidate_is_named(monkeypatch):
+    # every candidate scores NaN at the middle point on trial 1's draw: the
+    # stacked ES cell raises, and the sweep names that point cell by cell
+    cfg = cfg_with(**SMALL)
+    real = TrialDraw(cfg, 1, cfg.rng_seed).realization
+    rho = snr_to_rho_f(10.0, real.g_hat, cfg.noise_variance_w())
+    upa_allocator = SCHEMES["allocation"]["UPA"]
+
+    def solve(precoder, coeffs, sigma_s2, solver):
+        result = upa_allocator.solve(precoder, coeffs, sigma_s2, solver)
+        result.eta = np.where((coeffs.rho_f == rho)[..., None], np.nan, result.eta)
+        return result
+
+    monkeypatch.setitem(SCHEMES["allocation"], "UPA",
+                        dataclasses.replace(upa_allocator, solve=solve))
+    scheme = Scheme.parse("MMSE+UPA+ES")
+    with pytest.raises(np.linalg.LinAlgError, match="finite minimum SINR"):
+        run_cell(TrialDraw(cfg, 1, cfg.rng_seed), scheme, list(cfg.snr_grid_db))
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS"), scheme], "snr_grid", trials=3)
+    err = caught.value
+    assert (err.scheme, err.axis_value, err.trial) == (scheme.label, 10.0, 1)
+    assert isinstance(err.__cause__, np.linalg.LinAlgError)
+    run_trial(cfg, scheme, 0.0, 1)
+    run_trial(cfg, scheme, 20.0, 1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from cellfree.pipeline import SCHEMES
 from cellfree.precoding import (apply_allocation, cb_precoder, mmse_precoder,
-                                zf_precoder, _ridge_solve)
+                                zf_precoder, _cho_solve, _ridge_solve)
 
 
 def random_channel(rng, m, k):
@@ -69,6 +70,61 @@ def test_trace_relation_between_effective_matrix_and_quadratic_form():
         a = g.conj() @ g.T + eps * np.eye(m)
         rhs = np.trace(a @ p_tilde @ c_s @ p_tilde.conj().T).real
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+
+def ridge_system(rng, batch, m, k, form):
+    """The Hermitian system ``a`` and right-hand side ``b`` of the ridge
+    solve in its Gram (K x K) or primal (M x M) form, for a stack of
+    channels."""
+    g = rng.standard_normal(batch + (m, k)) + 1j * rng.standard_normal(batch + (m, k))
+    eps = rng.uniform(0.01, 1.0, size=batch + (1, 1))
+    if form == "gram":
+        return g.mT @ g.conj() + eps * np.eye(k), g.mT
+    return g.conj() @ g.mT + eps * np.eye(m), g.conj()
+
+
+def assert_same_as_scipy(a, b):
+    want = cho_solve(cho_factor(a, lower=True), b)
+    got = _cho_solve(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # the squared norms of the MMSE scaling sum in memory order
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,), (2, 3)], ids=str)
+@pytest.mark.parametrize("m, k, form", [(6, 3, "gram"), (3, 3, "primal"), (2, 3, "primal")])
+def test_cholesky_loop_equals_scipy_bitwise(batch, m, k, form):
+    assert_same_as_scipy(*ridge_system(np.random.default_rng(12), batch, m, k, form))
+
+
+def test_cholesky_loop_broadcasts_a_ridge_stack_against_channels():
+    # (S, 1, K, K) systems against a (B, K, M) right-hand side: (S, B) solves
+    rng = np.random.default_rng(13)
+    a, _ = ridge_system(rng, (4, 1), 5, 2, "gram")
+    _, b = ridge_system(rng, (3,), 5, 2, "gram")
+    assert_same_as_scipy(a, b)
+    assert _cho_solve(a, b).shape == (4, 3, 2, 5)
+
+
+def test_cholesky_loop_rejects_nonfinite_and_indefinite_systems():
+    a, b = ridge_system(np.random.default_rng(14), (3,), 6, 3, "gram")
+    for bad in (np.nan, np.inf):
+        for operand in ("a", "b"):
+            poisoned = {"a": a.copy(), "b": b.copy()}
+            poisoned[operand][1, 0, 0] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _cho_solve(poisoned["a"], poisoned["b"])
+    singular = a.copy()
+    singular[2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        _cho_solve(singular, b)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        _cho_solve(singular[2], b[2])
+    g = np.random.default_rng(15).standard_normal((2, 4, 2)) + 0j
+    g[1, :, 1] = 0.0                                # item 1 loses a user
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        zf_precoder(g)
 
 
 def test_gram_and_primal_solves_agree():
@@ -147,7 +203,7 @@ def test_zero_forcing_matches_min_norm_least_squares():
 
 def test_zero_forcing_rejects_rank_deficient_channel():
     g = np.ones((4, 2), dtype=complex)  # duplicate columns
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         zf_precoder(g)
 
 

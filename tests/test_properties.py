@@ -1,9 +1,10 @@
-"""Properties of exhaustive selection and of the stacked SNR-grid chain over
-random small configurations."""
+"""Properties of exhaustive selection, at one SNR point and over a grid, and
+of the stacked SNR-grid chain over random small configurations."""
 
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import snr_to_rho_f
-from cellfree.pipeline import SCHEMES, Scheme, SolverParams, TrialDraw, run_chain, run_trial
+from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell, run_chain,
+                               run_trial)
 from cellfree.selection import ls_aps
 
 # candidates of the reference loop per example, to bound the test's run time
@@ -91,6 +93,40 @@ def test_exhaustive_selection_is_the_loop_winner_and_never_loses_to_ranking(case
         assert "rank-deficient" in str(err)
         return
     assert es.metrics.min_sinr >= ls.metrics.min_sinr * (1.0 - 1e-9)
+
+
+@st.composite
+def es_grid_cases(draw):
+    cfg, scheme, _, trial = draw(es_cases())
+    snrs = draw(st.lists(st.floats(-90.0, 60.0), min_size=1, max_size=4))
+    return cfg, scheme, snrs, trial
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(es_grid_cases())
+def test_an_es_grid_cell_equals_its_per_point_cells_bitwise(case):
+    """One search scores every point of the grid; each point's mask and
+    chain must be those of its own cell, and a grid cell fails exactly
+    when one of its points does."""
+    cfg, scheme, snrs, trial = case
+    points = []
+    for snr in snrs:
+        try:
+            points.append(run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snr))
+        except np.linalg.LinAlgError as err:
+            with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(err))):
+                run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snrs)
+            return
+    grid = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snrs)
+    assert grid.mask.shape == (len(snrs),) + points[0].mask.shape
+    assert grid.trace["es_candidates"] == points[0].trace["es_candidates"] * len(snrs)
+    for i, point in enumerate(points):
+        assert np.array_equal(grid.mask[i], point.mask)
+        assert np.array_equal(grid.precoder.p[i], point.precoder.p)
+        assert np.array_equal(grid.n_final.eta[i], point.n_final.eta)
+        for name in ("per_user_sinr", "sum_rate", "min_sinr"):
+            assert np.array_equal(getattr(grid.metrics, name)[i],
+                                  getattr(point.metrics, name)), (scheme.label, name)
 
 
 @st.composite
