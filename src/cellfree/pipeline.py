@@ -27,10 +27,10 @@ of trial ``t`` at one config shares: the channel block, and the NS and LS
 masks with the estimate and error variance they mask, made once each on
 first use and read-only. ``run_cell`` runs one cell on a draw; exhaustive
 selection depends on the scheme and the SNR, so it searches per cell.
-``run_trial`` is one cell on a fresh draw, and ``run_sweep`` loops
-trial-major, running every scheme and SNR point of a config on one draw. On
-the SNR-grid axis, a cell of ``run_cell`` is a scheme's whole grid at once;
-ES then searches once per cell for every point's mask.
+``run_trial`` is one cell on a fresh draw. ``run_sweep`` runs trial-major,
+one draw per config and one cell per scheme over that config's SNR points:
+the whole grid on the SNR axis, one point on the others. ES then searches
+once per cell for every point's mask.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
@@ -303,7 +303,6 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
         seconds["allocation"] += time.perf_counter() - t3
     metrics = mt.rates(mt.analytic_sinr(coeffs, solves[-1].eta))
     trace = {
-        "precoder_builds": len(solves),   # every solve has its own precoder
         "allocation_solves": len(solves),
         "allocation_iterations": [n.iterations for n in solves],
         "allocation_tests": [n.tests for n in solves],
@@ -439,7 +438,7 @@ def _check_es_budget(schemes, cfgs, solver):
 
 
 def _point_cell(draw, scheme, snr, solver, with_ber, axis_name, axis_value):
-    """``run_cell`` at one axis point, its draw-dependent failures named."""
+    """``run_cell``, its draw-dependent failures named at ``axis_value``."""
     try:
         return run_cell(draw, scheme, snr, solver, with_ber=with_ber)
     except (ArithmeticError, ValueError) as err:   # LinAlgError is a ValueError
@@ -470,61 +469,71 @@ def _mean_se(values):
 
 
 def _axis_points(cfg, axis, axis_values):
-    """Yield (axis_value, config, snr_db) for every point of the sweep axis."""
+    """The sweep axis as groups ``(axis values, config, SNR list)``, one per
+    distinct config: the SNR grid is one group, and every selection-fraction
+    or antenna-split point is a group of its own, at the grid's first SNR.
+    Malformed ``axis_values`` raise ``ValueError`` naming the axis."""
     if axis == "snr_grid":
-        return [(float(snr), cfg, float(snr)) for snr in cfg.snr_grid_db]
-    snr = float(cfg.snr_grid_db[0])
-    points = []
-    if axis == "selection_fraction":
-        values = axis_values if axis_values is not None else (1.0, 0.5, 0.25, 0.125)
-        for frac in values:
-            s = max(1, round(frac * cfg.num_aps))
-            points.append((float(frac), replace(cfg, selected_aps=s).validate(), snr))
-        return points
-    if axis == "antennas_per_ap":
-        values = axis_values if axis_values is not None else (1, 2, 4)
-        m = cfg.total_antennas
-        sn = cfg.selected_aps * cfg.antennas_per_ap
-        for n in values:
-            n = int(n)
+        if axis_values is not None:
+            raise ValueError(f"axis snr_grid takes its points from the config's "
+                             f"snr_grid_db, not from axis_values={axis_values!r}")
+        grid = [float(snr) for snr in cfg.snr_grid_db]
+        return [(grid, cfg, grid)]
+    defaults = {"selection_fraction": (1.0, 0.5, 0.25, 0.125), "antennas_per_ap": (1, 2, 4)}
+    if axis not in defaults:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    values = defaults[axis] if axis_values is None else tuple(axis_values)
+    if not values:
+        raise ValueError(f"axis {axis} needs at least one value")
+    snr = [float(cfg.snr_grid_db[0])]
+    groups = []
+    for value in values:
+        if axis == "selection_fraction":
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"axis selection_fraction value {value!r} must lie in (0, 1]")
+            cfg_point = replace(cfg, selected_aps=max(1, round(value * cfg.num_aps)))
+        else:
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"axis antennas_per_ap value {value!r} must be a "
+                                 f"positive integer")
+            n, m = int(value), cfg.total_antennas
+            sn = cfg.selected_aps * cfg.antennas_per_ap
             if m % n != 0 or sn % n != 0:
                 raise ValueError(
                     f"antennas_per_ap={n} must divide both the antenna total {m} "
                     f"and the selected-antenna total {sn}")
-            cfg_n = replace(cfg, antennas_per_ap=n, num_aps=m // n,
-                            selected_aps=sn // n).validate()
-            points.append((float(n), cfg_n, snr))
-        return points
-    raise ValueError(f"unknown sweep axis {axis!r}")
+            cfg_point = replace(cfg, antennas_per_ap=n, num_aps=m // n, selected_aps=sn // n)
+        groups.append(([float(value)], cfg_point.validate(), snr))
+    return groups
 
 
-def _sample(metrics, i=()):
+def _sample(metrics, i):
     """(sum rate, min SINR in dB, BER) of item ``i`` of a cell's metrics."""
     ber = None if metrics.ber is None else metrics.ber[i]
     return metrics.sum_rate[i], 10.0 * np.log10(metrics.min_sinr[i]), ber
 
 
-def _cell_by_cell(points, schemes, draws, solver, with_ber, axis):
-    """A trial's samples, [scheme][point], one cell at a time in (axis point,
-    scheme) order; the first failing cell raises ``TrialError``."""
-    samples = [[None] * len(points) for _ in schemes]
-    for p, (value, cfg_point, snr) in enumerate(points):
-        for s, scheme in enumerate(schemes):
-            metrics = _point_cell(draws[id(cfg_point)], scheme, snr, solver, with_ber,
-                                  axis, value).metrics
-            samples[s][p] = _sample(metrics)
-    return samples
-
-
-def _grid_stacked(points, schemes, draws, solver, with_ber):
-    """The same samples on the SNR-grid axis, where every point shares one
-    config: one ``run_cell`` over the whole grid per scheme."""
-    (_, cfg, _), snrs = points[0], [snr for _, _, snr in points]
-    draw = draws[id(cfg)]
-    samples = []
-    for scheme in schemes:
-        metrics = run_cell(draw, scheme, snrs, solver, with_ber).metrics
-        samples.append([_sample(metrics, i) for i in range(len(snrs))])
+def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
+    """Trial ``trial``'s samples, [scheme][point]: one draw per group and one
+    ``run_cell`` per (group, scheme) over the group's SNR list. A failing
+    cell of a one-point group raises its ``TrialError``; a failing cell of a
+    larger group re-runs the trial with every point a group of its own,
+    which names the first failing cell in (point, scheme) order."""
+    samples = [[] for _ in schemes]
+    for values, cfg, snrs in groups:
+        draw = TrialDraw(cfg, trial, seed)
+        for per_point, scheme in zip(samples, schemes):
+            try:
+                metrics = _point_cell(draw, scheme, snrs, solver, with_ber, axis,
+                                      values[0]).metrics
+            except TrialError:
+                if len(values) == 1:
+                    raise
+                points = [([value], group_cfg, [snr])
+                          for group_values, group_cfg, group_snrs in groups
+                          for value, snr in zip(group_values, group_snrs)]
+                return _trial_samples(points, schemes, trial, seed, solver, with_ber, axis)
+            per_point += [_sample(metrics, i) for i in range(len(values))]
     return samples
 
 
@@ -534,45 +543,34 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
               seed: Optional[int] = None):
     """Average per-trial metrics per (scheme, axis point).
 
-    The sweep runs trial-major: for each trial it draws the channel block
-    (and the NS and LS masks) once per distinct axis-point config, and runs
-    every (scheme, SNR point) cell of that config on it, so scheme
-    comparisons are paired. Each cell gives what ``run_trial`` gives for it.
-    On the SNR-grid axis a scheme whose selection does not depend on the SNR
-    runs its whole grid as one stacked cell. Rows come scheme-major, axis
-    points in order. A trial that fails on its draw raises ``TrialError``
-    for the first failing cell in (trial, axis point, scheme) order, so it
-    names the smallest failing trial over all schemes and points; a trial
-    whose stacked cells fail is re-run one cell at a time to find that cell.
-    An ES scheme over the solver's candidate budget at any axis point raises
-    ``ValueError`` before the first trial.
+    The axis is split into groups of points that share one config: the whole
+    SNR grid is one group, and every selection-fraction or antenna-split
+    point is a group of one. The sweep runs trial-major: for each trial it
+    draws the channel block (and the NS and LS masks) once per group, and
+    runs each scheme over the group's SNR points as one cell, so scheme
+    comparisons are paired. Each point of a cell gives what ``run_trial``
+    gives for it. Rows come scheme-major, axis points in order. A trial that
+    fails on its draw raises ``TrialError`` for the first failing cell in
+    (trial, axis point, scheme) order, so it names the smallest failing
+    trial over all schemes and points; a trial whose grid cell fails is
+    re-run one point at a time to find that cell. Malformed ``axis_values``,
+    and an ES scheme over the solver's candidate budget at any axis point,
+    raise ``ValueError`` before the first trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed is None:
         seed = cfg.rng_seed
-    points = _axis_points(cfg, axis, axis_values)
-    _check_es_budget(schemes, [c for _, c, _ in points], solver)
-    # [scheme][point] -> per-trial (sum rate, min SINR in dB, BER)
-    samples = [[[] for _ in points] for _ in schemes]
-    for t in range(trials):
-        # this trial's draw per config; the SNR points share one
-        draws = {id(c): TrialDraw(c, t, seed) for _, c, _ in points}
-        trial_samples = None
-        if axis == "snr_grid":
-            try:
-                trial_samples = _grid_stacked(points, schemes, draws, solver, with_ber)
-            except (ArithmeticError, ValueError):  # LinAlgError is a ValueError
-                pass                               # named below, one cell at a time
-        if trial_samples is None:
-            trial_samples = _cell_by_cell(points, schemes, draws, solver, with_ber, axis)
-        for per_scheme, per_point in zip(samples, trial_samples):
-            for per_trial, sample in zip(per_scheme, per_point):
-                per_trial.append(sample)
+    groups = _axis_points(cfg, axis, axis_values)
+    _check_es_budget(schemes, [c for _, c, _ in groups], solver)
+    # [trial][scheme][point] -> (sum rate, min SINR in dB, BER)
+    runs = [_trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
+            for t in range(trials)]
+    values = [value for group_values, _, _ in groups for value in group_values]
     rows = []
-    for scheme, per_point in zip(schemes, samples):
-        for (value, _, _), per_trial in zip(points, per_point):
-            sums, mins_db, bers = zip(*per_trial)
+    for s, scheme in enumerate(schemes):
+        for p, value in enumerate(values):
+            sums, mins_db, bers = zip(*(run[s][p] for run in runs))
             sr_mean, sr_se = _mean_se(sums)
             ms_mean, ms_se = _mean_se(mins_db)
             if with_ber:

@@ -49,7 +49,6 @@ class AllocationResult:
     achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR, (...)
     tests: int = 0                          # OPA: targets handed to sinr_feasible
     cost_trace: Optional[list] = None       # APA: MSE cost per iteration
-    eta_trace: Optional[list] = None        # APA: coefficients per iteration
 
     @property
     def n_diag(self) -> np.ndarray:
@@ -364,9 +363,9 @@ def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float, iterations: in
     uniform rescale onto the per-antenna cap when the coefficients exceed
     it, so every iterate is feasible. Raises if a coefficient passes 1e6
     before rescaling: the step is too large for the cost curvature.
-    ``cost_trace`` and ``eta_trace`` hold the MSE and coefficients at the
-    start and after every step. ``apa_sgd(precoder, g_hat, rho_f, sigma_w2,
-    mu=, iterations=)``, as ``bench/micro.py`` calls it, forms ``coeffs``.
+    ``cost_trace`` holds the MSE at the start and after every step.
+    ``apa_sgd(precoder, g_hat, rho_f, sigma_w2, mu=, iterations=)``, as
+    ``bench/micro.py`` calls it, forms ``coeffs``.
     """
     if mu < 0:
         raise ValueError("step size mu must be nonnegative")
@@ -378,7 +377,7 @@ def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float, iterations: in
     c, b, const = apa_terms(coeffs, precoder.f, sigma_s2)
 
     eta = np.full(c.shape, 1e-3)
-    cost_trace, eta_trace = [_mse(np.sqrt(eta), c, b, const)], [eta]
+    cost_trace = [_mse(np.sqrt(eta), c, b, const)]
     for _ in range(iterations):
         nu = np.sqrt(eta)
         eta = (nu - mu * (c * nu - b)) ** 2
@@ -388,6 +387,4 @@ def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float, iterations: in
         load = np.matvec(precoder.delta, eta).max(axis=-1)
         eta = eta / np.maximum(load, 1.0)[..., None]
         cost_trace.append(_mse(np.sqrt(eta), c, b, const))
-        eta_trace.append(eta)
-    return AllocationResult(eta=eta, iterations=iterations,
-                            cost_trace=cost_trace, eta_trace=eta_trace)
+    return AllocationResult(eta=eta, iterations=iterations, cost_trace=cost_trace)

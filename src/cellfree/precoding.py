@@ -86,29 +86,19 @@ def _cho_solve(a, b) -> np.ndarray:
     return x.reshape(batch + x.shape[1:])
 
 
-def _ridge_solve(g_hat: np.ndarray, eps, method: str) -> np.ndarray:
-    """Solve (conj(G) G^T + eps I_M) X = conj(G) without forming an inverse.
-
-    ``method`` picks the primal M x M factorization or the equivalent K x K
-    Gram form conj(G) (G^T conj(G) + eps I_K)^(-1); "auto" uses the Gram form
-    whenever M > K. Both sides are Hermitian positive definite for eps > 0.
-    ``eps`` is one ridge or one per item, ``(...)``, broadcast against the
-    channel's leading axes; the Gram matrix is formed once either way.
+def _ridge_solve(g_hat: np.ndarray, eps) -> np.ndarray:
+    """Solve (conj(G) G^T + eps I_M) X = conj(G) without forming an inverse,
+    in the equivalent K x K Gram form conj(G) (G^T conj(G) + eps I_K)^(-1).
+    The Gram matrix is Hermitian positive definite for eps > 0 whatever the
+    shape. ``eps`` is one ridge or one per item, ``(...)``, broadcast against
+    the channel's leading axes; the Gram matrix is formed once either way.
     """
-    m, k = g_hat.shape[-2:]
-    if method == "auto":
-        method = "gram" if m > k else "primal"
+    k = g_hat.shape[-1]
     ridge = np.asarray(eps, dtype=float)[..., None, None]
-    g_conj = g_hat.conj()
-    if method == "primal":
-        a = g_conj @ g_hat.mT + ridge * np.eye(m)
-        return _cho_solve(a, g_conj)
-    if method == "gram":
-        a = g_hat.mT @ g_conj + ridge * np.eye(k)
-        # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
-        # conjugate-transpose the result
-        return _cho_solve(a, g_hat.mT).conj().mT
-    raise ValueError(f"unknown solve method: {method!r}")
+    a = g_hat.mT @ g_hat.conj() + ridge * np.eye(k)
+    # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
+    # conjugate-transpose the result
+    return _cho_solve(a, g_hat.mT).conj().mT
 
 
 def _squared_norm(x: np.ndarray) -> np.ndarray:
@@ -161,7 +151,7 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
 
     k = g_hat.shape[-1]
     eps = k * sigma_w2 / e_tr
-    p_tilde = _ridge_solve(g_hat, eps, "auto")
+    p_tilde = _ridge_solve(g_hat, eps)
     f = np.sqrt(e_tr / (sigma_s2 * _squared_norm(p_tilde)))
     p = (f / np.sqrt(rho_f))[..., None, None] * p_tilde
     return apply_allocation(PrecoderOutput(p=p, f=f[()]), n_diag)

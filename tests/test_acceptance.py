@@ -82,7 +82,7 @@ def test_criterion_2_ridge_system_identities():
         g = random_channel(rng, m, k)
         eps = float(rng.uniform(0.01, 2.0))
         sigma_s2 = float(rng.uniform(0.5, 2.0))
-        p_tilde = _ridge_solve(g, eps, "auto")
+        p_tilde = _ridge_solve(g, eps)
         a = g.conj() @ g.T + eps * np.eye(m)
         stat = np.linalg.norm(a @ p_tilde - g.conj()) / np.linalg.norm(g)
         worst_stat = max(worst_stat, stat)

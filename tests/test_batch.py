@@ -46,9 +46,8 @@ def test_precoders_on_a_stack_equal_their_2d_calls(m, k):
     rng = np.random.default_rng(m * 10 + k)
     batch = (2, 3)
     g, _ = stacked_channels(rng, batch, m, k)
-    for method in ("primal", "gram"):
-        close(_ridge_solve(g, 0.3, method).reshape(-1, m, k),
-              [_ridge_solve(g[i], 0.3, method) for i in items(batch)])
+    close(_ridge_solve(g, 0.3).reshape(-1, m, k),
+          [_ridge_solve(g[i], 0.3) for i in items(batch)])
     n_diag = rng.uniform(0.5, 2.0, size=batch + (k,))
     out = mmse_precoder(g, n_diag, 4.0, 2.0, 0.7, sigma_s2=1.3)
     ref = [mmse_precoder(g[i], n_diag[i], 4.0, 2.0, 0.7, sigma_s2=1.3) for i in items(batch)]
@@ -132,7 +131,10 @@ def test_allocators_on_a_stack_equal_their_2d_calls():
     close(apa.eta, [r.eta for r in ref])
     for step in range(6):
         close(apa.cost_trace[step], [r.cost_trace[step] for r in ref])
-        close(apa.eta_trace[step], [r.eta_trace[step] for r in ref])
+    for step in range(1, 5):            # a run of `step` steps ends at that iterate
+        close(apa_sgd(prec, coeffs, mu=0.25, iterations=step).eta,
+              [apa_sgd(prec_i, coeffs_i, mu=0.25, iterations=step).eta
+               for coeffs_i, prec_i in (one(coeffs, prec, i) for i in idx)])
 
     opa = opa_bisection(coeffs, prec.delta)
     ref = [opa_bisection(one(coeffs, prec, i)[0], prec.delta[i]) for i in idx]

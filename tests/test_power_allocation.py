@@ -20,6 +20,14 @@ def random_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
     return coeffs, pre.delta, pre, g
 
 
+def eta_iterates(precoder, coeffs, iterations, **kwargs):
+    """APA's coefficients at the start and after each of ``iterations``
+    steps: a run of s steps ends at the s-th iterate of a longer run."""
+    return [np.full(coeffs.psi.shape, 1e-3)] + [
+        apa_sgd(precoder, coeffs, iterations=s, **kwargs).eta
+        for s in range(1, iterations + 1)]
+
+
 def grid_max_min(coeffs, delta, resolution=1000):
     """Independent oracle: exhaustive grid over the per-user power box."""
     cap = 1.0 / delta.max(axis=0)
@@ -378,8 +386,7 @@ def oracle_apa(precoder, g_hat, rho_f, sigma_w2, mu, iterations, sigma_s2):
 def test_zero_step_size_keeps_the_initialization():
     rng = np.random.default_rng(8)
     coeffs, _, pre, _ = random_instance(rng)
-    res = apa_sgd(pre, coeffs, mu=0.0, iterations=4)
-    for eta in res.eta_trace:
+    for eta in eta_iterates(pre, coeffs, 4, mu=0.0):
         assert np.allclose(eta, 1e-3)
 
 
@@ -432,8 +439,9 @@ def test_separable_form_matches_the_full_matrix_oracle(precoder, csi, batch):
         coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
         effective = g.mT @ prec.p
         c, b, _ = apa_terms(coeffs, prec.f, sigma_s2)
-        for nu in (rng.uniform(0.05, 3.0, size=batch + (k,)),
-                   np.sqrt(solved.eta_trace[2])):
+        iterates = eta_iterates(prec, coeffs, 5, mu=0.25, sigma_s2=sigma_s2)
+        assert np.array_equal(iterates[-1], solved.eta)
+        for nu in (rng.uniform(0.05, 3.0, size=batch + (k,)), np.sqrt(iterates[2])):
             close(apa_cost(nu, coeffs, prec.f, sigma_s2),
                   oracle_cost(nu, effective, rho_f, prec.f, sigma_w2, sigma_s2))
             grad = oracle_gradient(nu, effective, rho_f, prec.f, sigma_s2)
@@ -441,7 +449,7 @@ def test_separable_form_matches_the_full_matrix_oracle(precoder, csi, batch):
         costs, etas = oracle_apa(prec, g, rho_f, sigma_w2, 0.25, 5, sigma_s2)
         for step in range(6):
             close(solved.cost_trace[step], costs[step])
-            close(solved.eta_trace[step], etas[step])
+            close(iterates[step], etas[step])
 
 
 def test_every_iteration_respects_the_antenna_cap():
@@ -449,7 +457,7 @@ def test_every_iteration_respects_the_antenna_cap():
     for _ in range(5):
         coeffs, _, pre, _ = random_instance(rng, m=6, k=3)
         res = apa_sgd(pre, coeffs, mu=0.25, iterations=6)
-        for eta in res.eta_trace:
+        for eta in eta_iterates(pre, coeffs, 6, mu=0.25):
             assert np.max(pre.delta @ eta) <= 1.0 + 1e-9
         assert np.max(pre.delta @ res.eta) <= 1.0 + 1e-9
 

@@ -25,7 +25,7 @@ def test_identity_channel_closed_form():
 def test_vanishing_regularizer_approaches_channel_inverse():
     rng = np.random.default_rng(0)
     g = random_channel(rng, 6, 3)
-    p_tilde = _ridge_solve(g, 1e-12, "primal")
+    p_tilde = _ridge_solve(g, 1e-12)
     assert np.linalg.norm(g.T @ p_tilde - np.eye(3)) < 1e-8
 
 
@@ -45,16 +45,16 @@ def test_total_power_identity_on_random_instances():
 
 
 def test_stationarity_residual_defines_the_solution():
+    # the Gram form solves the M x M system for every shape, M <= K included
     rng = np.random.default_rng(2)
-    for method in ("primal", "gram"):
-        for _ in range(20):
-            m = int(rng.integers(2, 20))
-            k = int(rng.integers(1, min(m, 7)))
-            g = random_channel(rng, m, k)
-            eps = float(rng.uniform(0.01, 2.0))
-            p_tilde = _ridge_solve(g, eps, method)
-            lhs = (g.conj() @ g.T + eps * np.eye(m)) @ p_tilde
-            assert np.linalg.norm(lhs - g.conj()) < 1e-9 * np.linalg.norm(g)
+    shapes = [(int(m), int(rng.integers(1, min(m, 7)))) for m in rng.integers(2, 20, 20)]
+    shapes += [(1, 1), (1, 4), (2, 2), (3, 5), (4, 4), (6, 9)]
+    for m, k in shapes:
+        g = random_channel(rng, m, k)
+        eps = float(rng.uniform(0.01, 2.0))
+        p_tilde = _ridge_solve(g, eps)
+        lhs = (g.conj() @ g.T + eps * np.eye(m)) @ p_tilde
+        assert np.linalg.norm(lhs - g.conj()) < 1e-9 * np.linalg.norm(g)
 
 
 def test_trace_relation_between_effective_matrix_and_quadratic_form():
@@ -65,7 +65,7 @@ def test_trace_relation_between_effective_matrix_and_quadratic_form():
         eps = float(rng.uniform(0.05, 1.5))
         sigma_s2 = float(rng.uniform(0.5, 2.0))
         c_s = sigma_s2 * np.eye(k)
-        p_tilde = _ridge_solve(g, eps, "primal")
+        p_tilde = _ridge_solve(g, eps)
         lhs = np.trace(np.real(g.T @ p_tilde @ c_s))
         a = g.conj() @ g.T + eps * np.eye(m)
         rhs = np.trace(a @ p_tilde @ c_s @ p_tilde.conj().T).real
@@ -128,13 +128,14 @@ def test_cholesky_loop_rejects_nonfinite_and_indefinite_systems():
 
 
 def test_gram_and_primal_solves_agree():
+    # the Gram-form solve against a dense solve of the primal M x M system
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        g = random_channel(rng, 12, 5)
+    for m, k in [(12, 5)] * 10 + [(5, 5), (3, 5)]:
+        g = random_channel(rng, m, k)
         eps = float(rng.uniform(0.01, 1.0))
-        a = _ridge_solve(g, eps, "primal")
-        b = _ridge_solve(g, eps, "gram")
-        assert np.linalg.norm(a - b) < 1e-8 * np.linalg.norm(a)
+        primal = np.linalg.solve(g.conj() @ g.T + eps * np.eye(m), g.conj())
+        gram = _ridge_solve(g, eps)
+        assert np.linalg.norm(gram - primal) < 1e-8 * np.linalg.norm(primal)
 
 
 def test_shrinking_regularizer_converges_to_zero_forcing():
