@@ -19,7 +19,8 @@ links along leading axes, ``(..., M, K)`` channels and precoders with
 2-D call. ``rho_f`` may be given per item, ``(...)``, against one channel:
 the coefficients of a precoder that does not depend on it are then computed
 once and broadcast over the items. ``snr_to_rho_f`` maps a grid of SNRs
-the same way.
+the same way, and ``ber_qpsk`` measures a stack of links over one true
+channel, sending the same bits and noise over every item.
 """
 
 from __future__ import annotations
@@ -147,35 +148,44 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
     Bits come from ``rng``; noise comes from ``noise_rng`` (default: the
     same stream), so the two can be frozen independently.
 
-    Returns (ber, num_degenerate_gains).
+    Links may be stacked along leading axes: ``p (..., M, K)``,
+    ``n_diag (..., K)``, ``g_hat`` and ``rho_f (...)`` broadcast together
+    against one true channel ``g``. Each packet's bits and noise are drawn
+    once, in the order a 2-D call draws them, and sent over every item, so
+    each item's BER equals its own 2-D call's on streams restarted from the
+    same state.
+
+    Returns (ber, num_degenerate_gains): the BER, ``(...)``, and the count
+    of degenerate gains over all items.
     """
     p = np.asarray(p)
     n_diag = np.asarray(n_diag, dtype=float)
     g = np.asarray(g)
     g_hat = np.asarray(g_hat)
+    root = np.sqrt(np.asarray(rho_f, dtype=float))[..., None]
     if noise_rng is None:
         noise_rng = rng
-    k = p.shape[1]
+    k = p.shape[-1]
 
-    gains = np.sqrt(rho_f) * np.einsum("mk,mk->k", g_hat, p) * n_diag
+    gains = root * np.einsum("...mk,...mk->...k", g_hat, p) * n_diag
     degenerate = np.abs(gains) < 1e-12
-    safe_gains = np.where(degenerate, 1.0, gains)
+    safe_gains = np.where(degenerate, 1.0, gains)[..., None]
+    # a degenerate user's 2 * symbols_per_packet bits each count half an error
+    dead_errors = symbols_per_packet * np.count_nonzero(degenerate, axis=-1)
+    live = ~degenerate[..., None, :, None]
+    transmit = root[..., None] * (p * n_diag[..., None, :])
 
-    total_bits = 0
-    error_bits = 0.0
+    error_bits = 0
     for _ in range(packets):
         bits = rng.integers(0, 2, size=(2, k, symbols_per_packet))
         s = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
-        x = np.sqrt(rho_f) * (p * n_diag[None, :]) @ s
+        x = transmit @ s
         noise_scale = np.sqrt(sigma_w2 / 2.0)
         w = noise_scale * (noise_rng.standard_normal((k, symbols_per_packet))
                            + 1j * noise_rng.standard_normal((k, symbols_per_packet)))
-        y = g.T @ x + w
-        s_hat = y / safe_gains[:, None]
-        wrong = np.empty((2, k, symbols_per_packet), dtype=float)
-        wrong[0] = (s_hat.real < 0) != (bits[0] == 1)
-        wrong[1] = (s_hat.imag < 0) != (bits[1] == 1)
-        wrong[:, degenerate, :] = 0.5
-        total_bits += 2 * k * symbols_per_packet
-        error_bits += float(np.sum(wrong))
-    return error_bits / total_bits, int(np.sum(degenerate))
+        s_hat = (g.T @ x + w) / safe_gains
+        decided = np.stack((s_hat.real < 0, s_hat.imag < 0), axis=-3)
+        wrong = (decided != (bits == 1)) & live
+        error_bits = error_bits + np.count_nonzero(wrong, axis=(-3, -2, -1)) + dead_errors
+    ber = error_bits / (2 * k * symbols_per_packet * packets)
+    return (ber if np.ndim(ber) else float(ber)), int(np.count_nonzero(degenerate))

@@ -10,6 +10,10 @@ so for them a second pass would reproduce the first. The SINR coefficients
 of a precoder are computed once and shared by the allocator and the
 metrics; they are all an allocator reads besides the precoder. APA takes
 only the MMSE-family precoders, and ``Scheme`` rejects any other pairing.
+``run_chain`` composes two stages: a build (the precoder of an identity
+allocation and its SINR coefficients), which depends only on the precoder,
+and an allocate stage, which only reads the build, so that one build can
+serve every chain on the same masked channel and SNR points.
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
 ``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` and ``e_tr`` of
@@ -20,22 +24,31 @@ coefficients do not depend on the SNR, build once per channel and are
 broadcast over the points. Each item equals its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and then runs the ``(S, M, K)`` winners as one chain, so every
-reported number is what the 2-D chain on the winning mask gives.
+reported number is what the 2-D chain on the winning mask gives. A chunk
+that leaves ZF rank-deficient runs again without the candidates that fail
+ZF's Cholesky test, which score -inf.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
-of trial ``t`` at one config shares: the channel block, and the NS and LS
-masks with the estimate and error variance they mask, made once each on
-first use and read-only. ``run_cell`` runs one cell on a draw; exhaustive
-selection depends on the scheme and the SNR, so it searches per cell.
-``run_trial`` is one cell on a fresh draw. ``run_sweep`` runs trial-major,
-one draw per config and one cell per scheme over that config's SNR points:
-the whole grid on the SNR axis, one point on the others. ES then searches
-once per cell for every point's mask.
+of trial ``t`` at one config shares, each made once on first use and
+read-only: the channel block; the NS and LS masks with the estimate and
+error variance they mask; and, per (NS or LS selection, precoder build,
+SNR points), the build, which MMSE and MMSE_CONV share. ``run_cell`` runs
+one cell on a draw; exhaustive selection depends on the scheme and the
+SNR, so it searches and builds per cell. ``run_trial`` is one cell on a
+fresh draw. ``run_sweep`` runs trial-major, one draw per config and one
+cell per scheme over that config's SNR points: the whole grid on the SNR
+axis, one point on the others. ES then searches once per cell for every
+point's mask. The points of a selection-fraction axis differ only in
+``selected_aps``, which the channel draw does not read, so their draws
+share one channel block.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
 or concurrently, and a cell that measures BER restarts its symbol and noise
 streams, so it sees the same bits and noise whichever cells ran before it.
+A cell measures the BER of all its points in one ``ber_qpsk`` call, which
+sends the same bits and noise over every point, as a restart per point
+would.
 """
 
 from __future__ import annotations
@@ -95,28 +108,28 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
     ``(S, B)`` chain against ``rho_f`` and ``e_tr`` of shape ``(S, 1)``."""
     points = np.shape(rho_f)
     if points:
-        rho_stack, e_tr_stack = rho_f[..., None], e_tr[..., None]
-    else:
-        rho_stack, e_tr_stack = rho_f, e_tr
+        rho_f, e_tr = rho_f[..., None], e_tr[..., None]
+
+    def min_sinr(g_hat, err_var):
+        return run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2,
+                         solver).metrics.min_sinr
 
     def evaluate(masks):
-        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, or of one
-        (M, K) mask, ``points``. A mask that leaves ZF rank-deficient scores
-        -inf at every point: a stack that raises is scored again one mask at
-        a time."""
-        stacked = masks.ndim == 3
+        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``. A mask that
+        leaves ZF rank-deficient scores -inf at every point: when a stack
+        raises, the masks that fail ZF's Cholesky test are set aside and the
+        rest run again as one stack."""
+        g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            g_hat, err_var = sel.apply_mask(masks, realization)
-            return run_chain(g_hat, err_var, scheme,
-                             rho_stack if stacked else rho_f,
-                             e_tr_stack if stacked else e_tr,
-                             sigma_w2, sigma_s2, solver).metrics.min_sinr
+            return min_sinr(g_hat, err_var)
         except np.linalg.LinAlgError as err:
             if "rank-deficient" not in str(err):      # zf_precoder's message
                 raise
-            if not stacked:
-                return np.full(points, -np.inf)[()]
-        return np.stack([evaluate(mask) for mask in masks], axis=-1)
+        full = pc.zf_full_rank(g_hat)
+        scores = np.full(points + full.shape, -np.inf)
+        if full.any():
+            scores[..., full] = min_sinr(g_hat[full], err_var[full])
+        return scores
 
     masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
                           cfg.antennas_per_ap, evaluate, budget=solver.es_budget,
@@ -225,7 +238,8 @@ def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
 
 def _read_only(*arrays):
     for array in arrays:
-        array.setflags(write=False)
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
     return arrays
 
 
@@ -236,9 +250,14 @@ class TrialDraw:
     The channel block is drawn on first use from the (seed, trial) topology,
     shadowing and fading sub-streams. ``selections`` memoizes, per selection
     name that does not depend on the cell (NS, LS), the mask, the masked
-    estimate, the masked error variance and the ES candidate count. All of
-    these arrays are read-only. A draw belongs to one config, so LS masks
-    are never shared across configs that select a different number of APs.
+    estimate, the masked error variance and the ES candidate count.
+    ``builds`` memoizes, per (NS or LS selection, precoder build function,
+    SNR points), the precoder of an identity allocation and its SINR
+    coefficients, broadcast over the points: MMSE and MMSE_CONV share one
+    build function, so they share one build too. All of these arrays are
+    read-only. A draw belongs to one config, so LS masks are never shared
+    across configs that select a different number of APs; ``at`` makes the
+    draw of such a config, which shares only the channel block.
     """
 
     cfg: ch.SystemConfig
@@ -246,6 +265,7 @@ class TrialDraw:
     seed: int
     selections: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    builds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def realization(self) -> ch.ChannelRealization:
@@ -255,6 +275,17 @@ class TrialDraw:
             _stream(self.seed, self.trial, "fading"))
         _read_only(*vars(realization).values())
         return realization
+
+    def at(self, cfg: ch.SystemConfig) -> "TrialDraw":
+        """This trial's draw at ``cfg``. ``generate_realization`` does not
+        read ``selected_aps``, so where ``cfg`` differs from this draw's
+        config in nothing else the new draw shares this draw's channel block
+        (drawing it now if no cell has yet); its selections and builds are
+        its own."""
+        draw = TrialDraw(cfg, self.trial, self.seed)
+        if replace(cfg, selected_aps=self.cfg.selected_aps) == self.cfg:
+            vars(draw)["realization"] = self.realization   # the cached property's slot
+        return draw
 
 
 @dataclass
@@ -271,29 +302,45 @@ class PipelineResult(ChainResult):
     mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) for ES on a grid
 
 
-def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
-              sigma_s2: float, solver: SolverParams = SolverParams()) -> ChainResult:
-    """Precode and allocate on a (masked) channel, or a stack of them;
-    re-form and re-allocate only where that changes the result (see the
-    module docstring). ``rho_f`` and ``e_tr`` are scalars or one value per
-    item, and their items broadcast against the channel's: ``(S,)`` against
-    one channel, ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)``
-    against ``(B, M, K)`` runs every channel at every point. Every array of
-    the result has the broadcast items' leading axes."""
-    precoder = SCHEMES["precoder"][scheme.precoder]
-    allocator = SCHEMES["allocation"][scheme.allocation]
+def _build(build: Callable, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2):
+    """The build stage of a chain: ``(precoder, SINR coefficients, seconds)``
+    of an identity allocation, the precoder broadcast over the items."""
     t0 = time.perf_counter()
-    prec = precoder.build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
-    t1 = time.perf_counter()
+    prec = build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
     items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
     if items != prec.p.shape[:-2]:
         # ZF and CB do not depend on rho_f: one precoder serves every item
         prec = pc.PrecoderOutput(p=np.broadcast_to(prec.p, items + prec.p.shape[-2:]),
                                  f=np.broadcast_to(prec.f, items))
+    return prec, coeffs, time.perf_counter() - t0
+
+
+def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
+              sigma_s2: float, solver: SolverParams = SolverParams(),
+              built: Optional[tuple] = None) -> ChainResult:
+    """Precode and allocate on a (masked) channel, or a stack of them;
+    re-form and re-allocate only where that changes the result (see the
+    module docstring). ``rho_f`` and ``e_tr`` are scalars or one value per
+    item, and their items broadcast against the channel's: ``(S,)`` against
+    one channel, ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)``
+    against ``(B, M, K)`` runs every channel at every point. Every array of
+    the result has the broadcast items' leading axes.
+
+    The chain is a build stage (``_build``: the precoder of an identity
+    allocation and its SINR coefficients) and an allocate stage, which only
+    reads the build. ``built``, the build of the scheme's precoder on the
+    same channel and points, skips the first stage, so one build can serve
+    several chains."""
+    precoder = SCHEMES["precoder"][scheme.precoder]
+    allocator = SCHEMES["allocation"][scheme.allocation]
+    if built is None:
+        built = _build(precoder.build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+    prec, coeffs, build_seconds = built
+    t1 = time.perf_counter()
     solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
     t2 = time.perf_counter()
-    seconds = {"precoder": t1 - t0, "allocation": t2 - t1}
+    seconds = {"precoder": build_seconds, "allocation": t2 - t1}
     if precoder.reformed and not allocator.scale_invariant:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
@@ -329,6 +376,23 @@ def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
     return selected
 
 
+def _cell_build(draw: TrialDraw, scheme: Scheme, snr_db, g_hat, err_var, rho_f, e_tr,
+                sigma_w2, sigma_s2):
+    """The ``_build`` of one cell. NS and LS builds come from the draw's
+    memo, read-only; a shared build's seconds count only in the cell that
+    made it."""
+    build = SCHEMES["precoder"][scheme.precoder].build
+    if SCHEMES["selection"][scheme.selection].per_cell:
+        return _build(build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+    key = (scheme.selection, build, np.shape(snr_db), tuple(np.ravel(snr_db).tolist()))
+    if key in draw.builds:
+        return (*draw.builds[key], 0.0)
+    prec, coeffs, seconds = _build(build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+    _read_only(prec.p, prec.f, coeffs.psi, coeffs.phi, coeffs.gamma, coeffs.rho_f)
+    draw.builds[key] = prec, coeffs
+    return prec, coeffs, seconds
+
+
 def _snr_linear(snr_db) -> np.ndarray:
     """Linear SNR of one point or of a grid, each point converted in Python
     floats, so that a grid point rounds as it does on its own."""
@@ -346,13 +410,16 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     stacked chain, every result has a leading grid axis, and each item
     equals its own cell's result. NS and LS share one mask over the grid;
     ES searches once for every point's mask and runs the ``(S, M, K)``
-    winners as one chain. BER is measured per point, each on restarted
-    streams.
+    winners as one chain. BER is measured for every point in one
+    ``ber_qpsk`` call on the restarted symbol and noise streams, so each
+    point sees the bits and noise it would see on its own.
 
     ``trace["seconds"]["channel"]`` holds the channel draw's time only in
-    the cell that made the draw (the first to run on it), and the selection
-    time of NS and LS only in the cell that made that selection. The times
-    of a stacked cell cover all of its points.
+    the cell that made the draw (the first to run on it), the selection
+    time of NS and LS only in the cell that made that selection, and
+    ``trace["seconds"]["precoder"]`` the time of a shared build (precoder
+    and SINR coefficients) only in the cell that made it. The times of a
+    stacked cell cover all of its points.
     """
     cfg = draw.cfg
     sigma_w2 = cfg.noise_variance_w()
@@ -366,21 +433,18 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     mask, g_hat, err_var, es_candidates = _select(draw, scheme, rho_f, e_tr,
                                                   sigma_w2, sigma_s2, solver)
     t2 = time.perf_counter()
-    chain = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2, solver)
+    built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, e_tr, sigma_w2,
+                        sigma_s2)
+    chain = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2, solver,
+                      built=built)
     t3 = time.perf_counter()
 
     if with_ber:
-        p, n_diag = chain.precoder.p, chain.n_final.n_diag
-        g_hat = np.broadcast_to(g_hat, np.shape(rho_f) + g_hat.shape[-2:])
-        bers, degenerate = zip(*(
-            mt.ber_qpsk(p[i], n_diag[i], realization.g, g_hat[i], rho_f[i], sigma_w2,
-                        solver.symbols_per_packet,
-                        _stream(draw.seed, draw.trial, "symbols"),
-                        packets=solver.packets_per_trial,
-                        noise_rng=_stream(draw.seed, draw.trial, "noise"))
-            for i in np.ndindex(np.shape(rho_f))))
-        chain.metrics.ber = np.reshape(bers, np.shape(rho_f))[()]
-        chain.trace["ber_degenerate_gains"] = sum(degenerate)
+        chain.metrics.ber, chain.trace["ber_degenerate_gains"] = mt.ber_qpsk(
+            chain.precoder.p, chain.n_final.n_diag, realization.g, g_hat, rho_f,
+            sigma_w2, solver.symbols_per_packet, _stream(draw.seed, draw.trial, "symbols"),
+            packets=solver.packets_per_trial,
+            noise_rng=_stream(draw.seed, draw.trial, "noise"))
     t4 = time.perf_counter()
 
     chain.trace["es_candidates"] = es_candidates
@@ -520,8 +584,9 @@ def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
     larger group re-runs the trial with every point a group of its own,
     which names the first failing cell in (point, scheme) order."""
     samples = [[] for _ in schemes]
+    draw = None
     for values, cfg, snrs in groups:
-        draw = TrialDraw(cfg, trial, seed)
+        draw = TrialDraw(cfg, trial, seed) if draw is None else draw.at(cfg)
         for per_point, scheme in zip(samples, schemes):
             try:
                 metrics = _point_cell(draw, scheme, snrs, solver, with_ber, axis,
@@ -546,16 +611,17 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     The axis is split into groups of points that share one config: the whole
     SNR grid is one group, and every selection-fraction or antenna-split
     point is a group of one. The sweep runs trial-major: for each trial it
-    draws the channel block (and the NS and LS masks) once per group, and
-    runs each scheme over the group's SNR points as one cell, so scheme
-    comparisons are paired. Each point of a cell gives what ``run_trial``
-    gives for it. Rows come scheme-major, axis points in order. A trial that
-    fails on its draw raises ``TrialError`` for the first failing cell in
-    (trial, axis point, scheme) order, so it names the smallest failing
-    trial over all schemes and points; a trial whose grid cell fails is
-    re-run one point at a time to find that cell. Malformed ``axis_values``,
-    and an ES scheme over the solver's candidate budget at any axis point,
-    raise ``ValueError`` before the first trial.
+    draws the channel block once per group (once per trial on the
+    selection-fraction axis), makes the NS and LS masks and builds once per
+    group, and runs each scheme over the group's SNR points as one cell, so
+    scheme comparisons are paired. Each point of a cell gives what
+    ``run_trial`` gives for it. Rows come scheme-major, axis points in
+    order. A trial that fails on its draw raises ``TrialError`` for the
+    first failing cell in (trial, axis point, scheme) order, so it names the
+    smallest failing trial over all schemes and points; a trial whose grid
+    cell fails is re-run one point at a time to find that cell. Malformed
+    ``axis_values``, and an ES scheme over the solver's candidate budget at
+    any axis point, raise ``ValueError`` before the first trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

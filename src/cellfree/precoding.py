@@ -48,6 +48,13 @@ class PrecoderOutput:
         return np.abs(self.p) ** 2
 
 
+def _cholesky(potrf, a):
+    """LAPACK's lower Cholesky factor of one ``(n, n)`` item and its info,
+    as ``cho_factor`` calls ``potrf``; info > 0 where it is not positive
+    definite."""
+    return potrf(a, lower=True, overwrite_a=False, clean=False)
+
+
 def _cho_solve(a, b) -> np.ndarray:
     """``cho_solve(cho_factor(a, lower=True), b)`` over leading axes.
 
@@ -67,7 +74,7 @@ def _cho_solve(a, b) -> np.ndarray:
     potrs, = get_lapack_funcs(("potrs",), (a, b))
 
     def solve(a, b):
-        c, info = potrf(a, lower=True, overwrite_a=False, clean=False)
+        c, info = _cholesky(potrf, a)
         if info == 0:
             x, info = potrs(c, b, lower=True, overwrite_b=False)
             if info == 0:
@@ -157,11 +164,26 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
     return apply_allocation(PrecoderOutput(p=p, f=f[()]), n_diag)
 
 
+def _zf_gram(g_hat: np.ndarray) -> np.ndarray:
+    return g_hat.mT @ g_hat.conj()
+
+
+def zf_full_rank(g_hat) -> np.ndarray:
+    """Per item of a ``(..., M, K)`` stack of channels, whether
+    ``zf_precoder`` accepts it: whether the Cholesky factorization of its
+    Gram matrix, the test ``zf_precoder``'s solve applies, succeeds."""
+    gram = np.asarray_chkfinite(_zf_gram(np.asarray(g_hat)))
+    potrf, = get_lapack_funcs(("potrf",), (gram,))
+    items = gram.shape[:-2]
+    return np.array([_cholesky(potrf, gram[i])[1] == 0 for i in np.ndindex(items)],
+                    dtype=bool).reshape(items)
+
+
 def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
     on the estimated channel. Raises on a rank-deficient channel."""
     g_hat = np.asarray(g_hat)
-    gram = g_hat.mT @ g_hat.conj()
+    gram = _zf_gram(g_hat)
     try:
         p = _cho_solve(gram, g_hat.mT).conj().mT
     except np.linalg.LinAlgError as err:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cellfree import channel, pipeline, selection
+from cellfree import channel, metrics, pipeline, precoding, selection
 from cellfree.channel import SystemConfig
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
@@ -341,7 +341,7 @@ def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
     calls.clear()
     run_sweep(cfg_with(**SMALL), MIXED, "selection_fraction", trials=2,
               axis_values=(1.0, 0.5, 0.2))
-    assert calls == {"channel": 6, "ls": 6}
+    assert calls == {"channel": 2, "ls": 6}
 
 
 def test_a_grid_cell_equals_its_point_cells_bitwise():
@@ -399,10 +399,75 @@ def test_shared_draw_arrays_are_read_only():
             res.mask[0, 0] = 0.0
     draw = TrialDraw(cfg, 0, cfg.rng_seed)
     run_cell(draw, Scheme.parse("MMSE+OPA+LS"), 10.0)
+    run_cell(draw, Scheme.parse("MMSE+UPA+LS"), [0.0, 10.0])
+    run_cell(draw, Scheme.parse("ZF+UPA+NS"), [0.0, 10.0])
+    assert len(draw.builds) == 3
     mask, g_hat, err_var, _ = draw.selections["LS"]
-    for array in (*vars(draw.realization).values(), mask, g_hat, err_var):
+    built = [array for prec, coeffs in draw.builds.values()
+             for array in (prec.p, prec.f, coeffs.psi, coeffs.phi, coeffs.gamma)
+             if np.ndim(array)]
+    assert len(built) == 14                   # f is a scalar at one SNR point
+    for array in (*vars(draw.realization).values(), mask, g_hat, err_var, *built):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
+
+
+def same_cell(got, want):
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.precoder.p, want.precoder.p)
+    assert np.array_equal(got.n_final.eta, want.n_final.eta)
+    for name in ("sum_rate", "min_sinr", "ber"):
+        assert np.array_equal(getattr(got.metrics, name), getattr(want.metrics, name)), name
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sharing_a_draw_is_invisible(preset):
+    """Every cell on one shared draw, in the preset's scheme order and in
+    reverse, at a grid and then at one of its points, equals the same cell
+    on a fresh draw bitwise."""
+    cfg = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
+    solver = SolverParams(symbols_per_packet=32)
+    schemes = [Scheme.parse(label) for label in PRESETS[preset].schemes]
+    for order in (schemes, schemes[::-1]):
+        draw = TrialDraw(cfg, 3, 77)
+        for snr in (list(cfg.snr_grid_db), 10.0):
+            for scheme in order:
+                shared = run_cell(draw, scheme, snr, solver, with_ber=True)
+                fresh = run_cell(TrialDraw(cfg, 3, 77), scheme, snr, solver, with_ber=True)
+                same_cell(shared, fresh)
+
+
+def test_one_large_sumrate_trial_builds_each_precoder_once_per_selection(monkeypatch):
+    calls = collections.Counter()
+    for name in ("mmse_precoder", "zf_precoder", "cb_precoder"):
+        monkeypatch.setattr(precoding, name, counting(calls, name, getattr(precoding, name)))
+    preset = PRESETS["fig-large-sumrate"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
+    # MMSE and MMSE_CONV share a build: one on the LS mask, one on NS
+    assert calls == {"mmse_precoder": 2, "zf_precoder": 1, "cb_precoder": 1}
+
+
+def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
+    calls = collections.Counter()
+    monkeypatch.setattr(metrics, "ber_qpsk", counting(calls, "ber", metrics.ber_qpsk))
+    preset = PRESETS["fig-ber"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    solver = SolverParams(**preset.solver)
+    run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
+              trials=2, solver=solver, with_ber=True)
+    assert calls == {"ber": len(preset.schemes) * 2}
+
+
+def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatch):
+    # one AP per user: the 6 candidates that give both users the same AP
+    # leave ZF rank-deficient, and the first stacked chain raises
+    calls = collections.Counter()
+    monkeypatch.setattr(pipeline, "run_chain", counting(calls, "chain", pipeline.run_chain))
+    cfg = cfg_with(**dict(SMALL, selected_aps=1))
+    res = run_cell(TrialDraw(cfg, 1, 99), Scheme.parse("ZF+UPA+ES"), list(cfg.snr_grid_db))
+    assert res.trace["es_candidates"] == 36 * 3
+    assert calls["chain"] <= 3
 
 
 # ------------------------------------------------------------ learning curve

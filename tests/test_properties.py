@@ -1,5 +1,6 @@
-"""Properties of exhaustive selection, at one SNR point and over a grid, and
-of the stacked SNR-grid chain over random small configurations."""
+"""Properties of exhaustive selection, at one SNR point and over a grid, of
+the stacked SNR-grid chain, of the shared MMSE build and of stacked BER
+measurement, over random small configurations."""
 
 import dataclasses
 import itertools
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
-from cellfree.metrics import snr_to_rho_f
+from cellfree.metrics import ber_qpsk, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell, run_chain,
                                run_trial)
+from cellfree.power_allocation import upa
+from cellfree.precoding import mmse_precoder
 from cellfree.selection import ls_aps
 
 # candidates of the reference loop per example, to bound the test's run time
@@ -179,3 +182,102 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
             for name in ("per_user_sinr", "per_user_rate", "sum_rate", "min_sinr"):
                 assert np.array_equal(getattr(stacked.metrics, name)[i],
                                       getattr(point.metrics, name)), (scheme.label, name)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid_cases())
+def test_mmse_equals_mmse_conv_under_scale_invariant_allocations(case):
+    """The draw's build memo serves MMSE and MMSE_CONV from one build; under
+    OPA and UPA neither re-forms, so their chains must agree bitwise."""
+    cfg, selected, snrs, trial = case
+    for allocation in ("OPA", "UPA"):
+        mmse, conv = [run_cell(TrialDraw(cfg, trial, cfg.rng_seed),
+                               Scheme(precoder, allocation, selected), snrs)
+                      for precoder in ("MMSE", "MMSE_CONV")]
+        assert np.array_equal(mmse.precoder.p, conv.precoder.p)
+        assert np.array_equal(mmse.precoder.f, conv.precoder.f)
+        assert np.array_equal(mmse.n_final.eta, conv.n_final.eta)
+        for name in ("per_user_sinr", "sum_rate", "min_sinr"):
+            assert np.array_equal(getattr(mmse.metrics, name), getattr(conv.metrics, name))
+
+
+def reference_ber(p, n_diag, g, g_hat, rho_f, sigma_w2, symbols, rng, packets, noise_rng):
+    """One link's BER as a float sum over per-packet error arrays, with a
+    degenerate user's bits set to 0.5 errors each."""
+    k = p.shape[1]
+    gains = np.sqrt(rho_f) * np.einsum("mk,mk->k", g_hat, p) * n_diag
+    degenerate = np.abs(gains) < 1e-12
+    safe_gains = np.where(degenerate, 1.0, gains)
+    total_bits, error_bits = 0, 0.0
+    for _ in range(packets):
+        bits = rng.integers(0, 2, size=(2, k, symbols))
+        s = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
+        x = np.sqrt(rho_f) * (p * n_diag[None, :]) @ s
+        w = np.sqrt(sigma_w2 / 2.0) * (noise_rng.standard_normal((k, symbols))
+                                       + 1j * noise_rng.standard_normal((k, symbols)))
+        s_hat = (g.T @ x + w) / safe_gains[:, None]
+        wrong = np.empty((2, k, symbols))
+        wrong[0] = (s_hat.real < 0) != (bits[0] == 1)
+        wrong[1] = (s_hat.imag < 0) != (bits[1] == 1)
+        wrong[:, degenerate, :] = 0.5
+        total_bits += 2 * k * symbols
+        error_bits += float(np.sum(wrong))
+    return error_bits / total_bits, int(np.sum(degenerate))
+
+
+def assert_ber_items_equal_their_2d_calls(p, n_diag, g, g_hat, rho_f, sigma_w2,
+                                          symbols, packets):
+    """Each item of a stacked ``ber_qpsk`` call equals its own 2-D call on
+    fresh streams, and the reference loop, BER and degenerate count alike."""
+    def streams():
+        return np.random.default_rng([5, 1]), np.random.default_rng([5, 2])
+
+    bits, noise = streams()
+    ber, degenerate = ber_qpsk(p, n_diag, g, g_hat, rho_f, sigma_w2, symbols, bits,
+                               packets=packets, noise_rng=noise)
+    assert ber.shape == rho_f.shape
+    g_hat = np.broadcast_to(g_hat, p.shape)
+    count = 0
+    for i in np.ndindex(rho_f.shape):
+        bits, noise = streams()
+        want, flagged = ber_qpsk(p[i], n_diag[i], g, g_hat[i], rho_f[i], sigma_w2, symbols,
+                                 bits, packets=packets, noise_rng=noise)
+        assert type(want) is float
+        bits, noise = streams()
+        assert (want, flagged) == reference_ber(p[i], n_diag[i], g, g_hat[i], rho_f[i],
+                                                sigma_w2, symbols, bits, packets, noise)
+        assert ber[i] == want
+        count += flagged
+    assert degenerate == count
+    return count
+
+
+def stacked_ber_link(cfg, trial, snrs, per_item_channels):
+    """MMSE precoders and UPA at each SNR on one draw, its estimate shared
+    by the items or, as exhaustive selection's winners have, one per item."""
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0 ** (np.array(snrs) / 10.0), real.g_hat, sigma_w2)
+    p = mmse_precoder(real.g_hat, np.ones(cfg.num_users), cfg.total_antennas * rho_f,
+                      rho_f, sigma_w2).p
+    g_hat = np.broadcast_to(real.g_hat, p.shape).copy() if per_item_channels else real.g_hat
+    return p, upa(np.abs(p) ** 2).n_diag, real.g, g_hat, rho_f, sigma_w2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid_cases(), st.booleans(), st.integers(1, 2), st.integers(1, 40))
+def test_a_stacked_ber_call_equals_its_2d_calls_bitwise(case, per_item, packets, symbols):
+    cfg, _, snrs, trial = case
+    assert_ber_items_equal_their_2d_calls(*stacked_ber_link(cfg, trial, snrs, per_item),
+                                          symbols, packets)
+
+
+def test_a_stacked_ber_call_counts_a_degenerate_item_as_its_2d_call_does():
+    cfg = dataclasses.replace(SystemConfig(), num_aps=6, num_users=3,
+                              selected_aps=3).validate()
+    p, n_diag, g, g_hat, rho_f, sigma_w2 = stacked_ber_link(cfg, 4, [-90.0, 10.0, 60.0],
+                                                            False)
+    p = p.copy()
+    p[1, :, 2] = 0.0                          # user 2 of item 1 has no gain
+    assert assert_ber_items_equal_their_2d_calls(p, n_diag, g, g_hat, rho_f, sigma_w2,
+                                                 16, packets=2) == 1
