@@ -13,7 +13,7 @@ can be reproduced (and parallelized) from per-trial sub-streams.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +27,13 @@ BOLTZMANN_J_PER_K = 1.381e-23
 # (a 3-AP ZF+OPA trial at 0 dB overflows at csi_quality 3.9e-181; at 0 the
 # estimate vanishes).
 MIN_CSI_QUALITY = 1e-6
+
+# Largest accepted |SNR| in dB on the grid. Every scheme completes within it.
+# Beyond it the power scale and the SINR terms leave the floating-point
+# range: over 2-16 AP configs, MMSE+OPA returned NaN SINRs from -1600 dB (at
+# symbol_power 1e-30) and CB+UPA from +2600 dB (on a 1e6 m area), and at
+# 3100 dB the linear SNR itself overflows.
+MAX_ABS_SNR_DB = 1000.0
 
 
 class ConfigError(ValueError):
@@ -77,6 +84,9 @@ class SystemConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
+        for name in ("num_aps", "antennas_per_ap", "num_users", "selected_aps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("num_aps", "antennas_per_ap", "num_users", "carrier_freq_mhz",
                      "ap_height_m", "user_height_m", "d0_m", "d1_m", "noise_temp_k",
                      "bandwidth_hz", "symbol_power"):
@@ -95,8 +105,9 @@ class SystemConfig:
             raise ConfigError("d0_m must be smaller than d1_m")
         if len(self.snr_grid_db) == 0:
             raise ConfigError("snr_grid_db must not be empty")
-        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
-            raise ConfigError("snr_grid_db must hold finite values")
+        if not all(abs(snr) <= MAX_ABS_SNR_DB for snr in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db values must lie in [-{MAX_ABS_SNR_DB:g}, "
+                              f"{MAX_ABS_SNR_DB:g}] dB")
         if self.total_power_policy != "M*rho_f":
             raise ConfigError("total_power_policy: only 'M*rho_f' is supported")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2 ** 64:

@@ -3,13 +3,15 @@
 One trial runs: draw a channel block, map the requested SNR to the
 per-antenna power scale, select APs (none / gain-ranked / exhaustive) as a
 0/1 mask array, mask the channel estimate and its error variance with it,
-precode with an identity allocation, allocate, then score the pair. Only
-MMSE+APA re-forms the precoder with that allocation (``P N^(-1)``, a column
-scaling) and allocates again: OPA and UPA are invariant to column scaling,
-so for them a second pass would reproduce the first. The SINR coefficients
-of a precoder are computed once and shared by the allocator and the
-metrics; they are all an allocator reads besides the precoder. APA takes
-only the MMSE-family precoders, and ``Scheme`` rejects any other pairing.
+precode with an identity allocation, allocate, then score the pair. A chain
+re-forms the precoder with that allocation (``P N^(-1)``, a column scaling)
+and allocates again exactly when it is APA: OPA and UPA are invariant to
+column scaling, so for them a second pass would reproduce the first. APA's
+fixed step is scale-free only on a re-formed precoder, so it takes only MMSE
+and ``Scheme`` rejects any other pairing; so MMSE_CONV, MMSE without the
+re-form, is an alias of MMSE. The SINR coefficients of a precoder are computed
+once and shared by the allocator and the metrics; they are all an allocator
+reads besides the precoder.
 ``run_chain`` composes two stages: a build (the precoder of an identity
 allocation and its SINR coefficients), which depends only on the precoder,
 and an allocate stage, which only reads the build, so that one build can
@@ -54,6 +56,7 @@ would.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -71,16 +74,11 @@ _STREAMS = ("topology", "shadowing", "fading", "noise", "symbols")
 
 
 @dataclass(frozen=True)
-class _Precoder:
-    build: Callable       # (g_hat, e_tr, rho_f, sigma_w2, sigma_s2), N = I
-    reformed: bool        # the allocation re-forms the matrix as P N^(-1)
-
-
-@dataclass(frozen=True)
 class _Allocator:
     solve: Callable       # (precoder, coeffs, sigma_s2, solver) -> AllocationResult
-    scale_invariant: bool  # column scaling of P leaves the allocated P N unchanged
-    cost_trace: bool = False  # records its cost per iteration (learning curves)
+    # a gradient solver whose step is not scale-free: the chain re-forms P with
+    # its allocation and solves again, and it records its cost per iteration
+    adaptive: bool = False
     precoders: Optional[tuple] = None  # the precoders it accepts; None: every one
 
     def accepts(self, precoder: str) -> bool:
@@ -149,21 +147,20 @@ class _Selector:
     per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
 
 
-# Every scheme name, keyed by Scheme field.
+# Every scheme name, keyed by Scheme field. A precoder is its build function,
+# (g_hat, e_tr, rho_f, sigma_w2, sigma_s2) with N = I.
 SCHEMES = {
     "precoder": {
-        "MMSE": _Precoder(_mmse, reformed=True),
-        "MMSE_CONV": _Precoder(_mmse, reformed=False),
-        "ZF": _Precoder(lambda g_hat, *_: pc.zf_precoder(g_hat), reformed=False),
-        "CB": _Precoder(lambda g_hat, *_: pc.cb_precoder(g_hat), reformed=False),
+        "MMSE": _mmse,
+        "MMSE_CONV": _mmse,
+        "ZF": lambda g_hat, *_: pc.zf_precoder(g_hat),
+        "CB": lambda g_hat, *_: pc.cb_precoder(g_hat),
     },
     "allocation": {
-        "OPA": _Allocator(_opa, scale_invariant=True),
+        "OPA": _Allocator(_opa),
         # its step is scale-free only where f cancels the precoder's scale
-        "APA": _Allocator(_apa, scale_invariant=False, cost_trace=True,
-                          precoders=("MMSE", "MMSE_CONV")),
-        "UPA": _Allocator(lambda precoder, *_: pa.upa(precoder.delta),
-                          scale_invariant=True),
+        "APA": _Allocator(_apa, adaptive=True, precoders=("MMSE",)),
+        "UPA": _Allocator(lambda precoder, *_: pa.upa(precoder.delta)),
     },
     "selection": {
         "NS": _Selector(lambda scheme, realization, cfg, *_: (
@@ -211,7 +208,7 @@ class Scheme:
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs of the iterative solvers and of the BER measurement; counts are
-    at least 1, and the step size and tolerance are nonnegative."""
+    integers of at least 1, and the step size and tolerance are nonnegative."""
 
     opa_iterations: int = 30
     opa_tol: float = 1e-6
@@ -224,8 +221,9 @@ class SolverParams:
     def __post_init__(self):
         for name in ("opa_iterations", "apa_iterations", "es_budget",
                      "symbols_per_packet", "packets_per_trial"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         for name in ("apa_mu", "opa_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
@@ -332,16 +330,16 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
     reads the build. ``built``, the build of the scheme's precoder on the
     same channel and points, skips the first stage, so one build can serve
     several chains."""
-    precoder = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     if built is None:
-        built = _build(precoder.build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+        built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f, e_tr,
+                       sigma_w2, sigma_s2)
     prec, coeffs, build_seconds = built
     t1 = time.perf_counter()
     solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
     t2 = time.perf_counter()
     seconds = {"precoder": build_seconds, "allocation": t2 - t1}
-    if precoder.reformed and not allocator.scale_invariant:
+    if allocator.adaptive:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
         coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
@@ -381,7 +379,7 @@ def _cell_build(draw: TrialDraw, scheme: Scheme, snr_db, g_hat, err_var, rho_f, 
     """The ``_build`` of one cell. NS and LS builds come from the draw's
     memo, read-only; a shared build's seconds count only in the cell that
     made it."""
-    build = SCHEMES["precoder"][scheme.precoder].build
+    build = SCHEMES["precoder"][scheme.precoder]
     if SCHEMES["selection"][scheme.selection].per_cell:
         return _build(build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
     key = (scheme.selection, build, np.shape(snr_db), tuple(np.ravel(snr_db).tolist()))
@@ -668,10 +666,10 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
     Uses the first allocation pass (identity-allocation precoder), which is
     where the gradient solver starts from scratch.
     """
-    if not SCHEMES["allocation"][scheme.allocation].cost_trace:
+    if not SCHEMES["allocation"][scheme.allocation].adaptive:
         raise ValueError("learning curves require an allocation that records its cost: "
                          + ", ".join(n for n, a in SCHEMES["allocation"].items()
-                                     if a.cost_trace))
+                                     if a.adaptive))
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_es_budget([scheme], [cfg], solver)

@@ -267,7 +267,7 @@ def test_es_winner_equals_the_candidate_loop(config):
 def test_zero_forcing_es_skips_rank_deficient_candidates():
     # one AP per user on 5 APs: the 5 of 25 candidates that give both users
     # the same AP leave ZF rank-deficient, so the stacked chain raises and
-    # ES scores the candidates again one at a time
+    # ES scores the 20 full-rank candidates again as one stack
     cfg = dataclasses.replace(SystemConfig(), **dict(TINY, selected_aps=1)).validate()
     scheme = Scheme("ZF", "UPA", "ES")
     solver = SolverParams()

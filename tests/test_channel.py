@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellfree.channel import (MIN_CSI_QUALITY, ChannelRealization, ConfigError,
-                              SystemConfig, attenuation_constant_db, complex_normal,
-                              generate_realization, generate_topology,
+from cellfree.channel import (MAX_ABS_SNR_DB, MIN_CSI_QUALITY, ChannelRealization,
+                              ConfigError, SystemConfig, attenuation_constant_db,
+                              complex_normal, generate_realization, generate_topology,
                               large_scale_coeffs, mmse_pilot_estimate,
                               pairwise_distances, path_loss_db,
                               pilot_estimate_variance, realize_channel)
@@ -269,3 +269,18 @@ def test_config_invariants():
             default_cfg(snr_grid_db=(0.0, bad))
     noise = default_cfg().noise_variance_w()
     assert np.isclose(noise, 290 * 1.381e-23 * 20e6 * 10 ** 0.9)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_aps", 32.5), ("antennas_per_ap", 1.0), ("num_users", 8.0), ("selected_aps", 16.0)])
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        default_cfg(**{field: value})
+
+
+def test_snr_grid_is_bounded():
+    bound = (-MAX_ABS_SNR_DB, MAX_ABS_SNR_DB)
+    assert default_cfg(snr_grid_db=bound).snr_grid_db == bound
+    for bad in (np.nextafter(MAX_ABS_SNR_DB, np.inf), -3000.0, 3100.0):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            default_cfg(snr_grid_db=(0.0, bad))

@@ -143,12 +143,13 @@ def test_unknown_preset_and_scheme_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_apa_without_an_mmse_family_precoder_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("label", ["CB+APA+LS", "MMSE_CONV+APA+NS"])
+def test_apa_without_the_mmse_precoder_is_a_usage_error(tmp_path, capsys, label):
     out = tmp_path / "x.csv"
     assert main(["run", "--preset", "fig-tiny-apa", "--out", str(out),
-                 "--schemes", "CB+APA+LS"]) == 2
+                 "--schemes", label]) == 2
     err = capsys.readouterr().err
-    assert "APA" in err and "MMSE, MMSE_CONV" in err
+    assert "APA" in err and "it takes: MMSE\n" in err
     assert "running preset" not in err
     assert not out.exists()
     assert not (tmp_path / "x.csv.config.json").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellfree import channel, metrics, pipeline, precoding, selection
-from cellfree.channel import SystemConfig
+from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
                                TrialError, _mean_se, _stream, run_cell, run_chain,
@@ -39,11 +39,11 @@ def test_scheme_parsing():
         Scheme.parse("MMSE+FOO+LS")
     with pytest.raises(ValueError, match="valid"):
         Scheme.parse("MMSE+OPA+FOO")
-    # APA's step is scale-free only for the MMSE-family precoders
-    for label in ("ZF+APA+LS", "CB+APA+NS"):
-        with pytest.raises(ValueError, match="APA.*MMSE, MMSE_CONV"):
+    # APA's step is scale-free only on a precoder that it re-forms: MMSE
+    for label in ("ZF+APA+LS", "CB+APA+NS", "MMSE_CONV+APA+NS"):
+        with pytest.raises(ValueError, match="APA.*it takes: MMSE$"):
             Scheme.parse(label)
-    for label in ("MMSE+APA+LS", "MMSE_CONV+APA+NS", "ZF+OPA+LS", "CB+UPA+ES"):
+    for label in ("MMSE+APA+LS", "MMSE_CONV+OPA+NS", "ZF+OPA+LS", "CB+UPA+ES"):
         assert Scheme.parse(label).label == label
 
 
@@ -347,7 +347,7 @@ def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
 def test_a_grid_cell_equals_its_point_cells_bitwise():
     cfg = cfg_with(**SMALL)
     # one AP per user: the candidates that give both users the same AP leave
-    # ZF rank-deficient, so its stacked ES chains fall back to one mask at a time
+    # ZF rank-deficient, so its stacked ES chains run again without them
     one_ap = cfg_with(**dict(SMALL, selected_aps=1))
     solver = SolverParams(symbols_per_packet=64)
     snrs = list(cfg.snr_grid_db)
@@ -496,12 +496,26 @@ def test_sweeps_and_learning_curves_need_a_trial(trials):
 @pytest.mark.parametrize("field, value", [
     ("opa_iterations", 0), ("apa_iterations", 0), ("es_budget", 0),
     ("symbols_per_packet", 0), ("packets_per_trial", 0),
+    ("opa_iterations", 2.5), ("apa_iterations", 2.5), ("es_budget", 1e6),
+    ("symbols_per_packet", 10.5), ("packets_per_trial", 2.0),
     ("apa_mu", -1.0), ("opa_tol", -1.0), ("opa_tol", np.nan)])
 def test_solver_params_reject_bad_values_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         SolverParams(**{field: value})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(SolverParams(), **{field: value})
+
+
+def test_every_scheme_completes_at_the_snr_bound():
+    cfg = cfg_with(num_aps=4, antennas_per_ap=2, num_users=2, selected_aps=1,
+                   snr_grid_db=(-MAX_ABS_SNR_DB, MAX_ABS_SNR_DB))
+    schemes = [Scheme(precoder, allocation, selection)
+               for precoder in SCHEMES["precoder"]
+               for allocation, allocator in SCHEMES["allocation"].items()
+               if allocator.accepts(precoder) for selection in SCHEMES["selection"]]
+    assert len(schemes) == 27
+    for row in run_sweep(cfg, schemes, "snr_grid", trials=3, with_ber=True):
+        assert np.isfinite([row.sum_rate_mean, row.min_sinr_db_mean, row.ber_mean]).all()
 
 
 def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch):

@@ -228,9 +228,9 @@ def test_conjugate_beamformer():
 def test_conventional_variant_equals_identity_allocation():
     rng = np.random.default_rng(11)
     g = random_channel(rng, 9, 4)
-    conv = SCHEMES["precoder"]["MMSE_CONV"]
-    assert not conv.reformed
-    got = conv.build(g, 3.0, 1.5, 0.7, 1.0)
+    # never re-formed: APA, the one allocation that re-forms, does not take it
+    assert not SCHEMES["allocation"]["APA"].accepts("MMSE_CONV")
+    got = SCHEMES["precoder"]["MMSE_CONV"](g, 3.0, 1.5, 0.7, 1.0)
     base = mmse_precoder(g, np.ones(4), 3.0, 1.5, 0.7)
     assert np.array_equal(got.p, base.p)
     assert got.f == base.f

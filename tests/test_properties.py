@@ -149,7 +149,8 @@ def grid_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(grid_cases())
 def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
-    """Every (precoder, allocation) pair on one random draw and mask."""
+    """Every (precoder, allocation) pair on one random draw and mask. APA
+    also ends with its peak antenna load at the cap."""
     cfg, selected, snrs, trial = case
     real = TrialDraw(cfg, trial, cfg.rng_seed).realization
     mask = (ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap)
@@ -171,6 +172,9 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
                 chain(np.array(rho))
             continue
         stacked = chain(np.array(rho))
+        if scheme.allocation == "APA":
+            peak = np.matvec(stacked.precoder.delta, stacked.n_final.eta).max(axis=-1)
+            np.testing.assert_allclose(peak, 1.0, rtol=1e-9, atol=0.0)
         for i, point in enumerate(points):
             assert np.array_equal(stacked.precoder.p[i], point.precoder.p)
             assert stacked.precoder.f[i] == point.precoder.f
@@ -186,17 +190,22 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(grid_cases())
-def test_mmse_equals_mmse_conv_under_scale_invariant_allocations(case):
-    """The draw's build memo serves MMSE and MMSE_CONV from one build; under
-    OPA and UPA neither re-forms, so their chains must agree bitwise."""
+def test_mmse_conv_equals_mmse_under_every_allocation_it_takes(case):
+    """The draw's build memo serves MMSE and MMSE_CONV from one build, and
+    APA, the one allocation that re-forms, does not take MMSE_CONV, so their
+    chains must agree bitwise wherever MMSE_CONV is accepted."""
     cfg, selected, snrs, trial = case
-    for allocation in ("OPA", "UPA"):
+    allocations = [a for a, allocator in SCHEMES["allocation"].items()
+                   if allocator.accepts("MMSE_CONV")]
+    for allocation in allocations:
         mmse, conv = [run_cell(TrialDraw(cfg, trial, cfg.rng_seed),
                                Scheme(precoder, allocation, selected), snrs)
                       for precoder in ("MMSE", "MMSE_CONV")]
         assert np.array_equal(mmse.precoder.p, conv.precoder.p)
         assert np.array_equal(mmse.precoder.f, conv.precoder.f)
+        assert np.array_equal(mmse.n_first.eta, conv.n_first.eta)
         assert np.array_equal(mmse.n_final.eta, conv.n_final.eta)
+        assert mmse.trace["allocation_solves"] == conv.trace["allocation_solves"]
         for name in ("per_user_sinr", "sum_rate", "min_sinr"):
             assert np.array_equal(getattr(mmse.metrics, name), getattr(conv.metrics, name))
 
