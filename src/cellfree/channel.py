@@ -13,6 +13,7 @@ can be reproduced (and parallelized) from per-trial sub-streams.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -87,6 +88,11 @@ class SystemConfig:
         for name in ("num_aps", "antennas_per_ap", "num_users", "selected_aps"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # NaN passes every comparison below and inf every positivity test
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("num_aps", "antennas_per_ap", "num_users", "carrier_freq_mhz",
                      "ap_height_m", "user_height_m", "d0_m", "d1_m", "noise_temp_k",
                      "bandwidth_hz", "symbol_power"):

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import sys
+import typing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,30 +23,33 @@ from .pipeline import (SCHEMES, LearningCurveRow, Scheme, SolverParams,
                        SweepRow, TrialError, run_learning_curve, run_sweep)
 from .presets import PRESETS
 
-CSV_HEADER = ("scheme,axis_name,axis_value,sum_rate_mean,sum_rate_se,"
-              "min_sinr_db_mean,min_sinr_db_se,ber_mean,ber_se,trials,seed")
-LEARNING_HEADER = "iteration,cost_mean,cost_se,trials,seed"
+# int, float, str or tuple: each config field's type is its default's
+_DEFAULT_CONFIG = SystemConfig()
 
-_INT_FIELDS = {"num_aps", "antennas_per_ap", "num_users", "selected_aps", "rng_seed"}
-_STR_FIELDS = {"total_power_policy"}
-_TUPLE_FIELDS = {"snr_grid_db"}
+
+def _header(row_type) -> str:
+    return ",".join(f.name for f in dataclasses.fields(row_type))
+
+
+CSV_HEADER = _header(SweepRow)
+LEARNING_HEADER = _header(LearningCurveRow)
 
 
 def _parse_value(key: str, raw: str):
-    if key in _STR_FIELDS:
-        return raw
-    if key in _TUPLE_FIELDS:
+    kind = type(getattr(_DEFAULT_CONFIG, key))
+    if kind is tuple:
         return tuple(float(part) for part in raw.replace(",", " ").split())
-    if key in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+    return kind(raw)
 
 
 def load_config(path) -> SystemConfig:
     """Parse a flat key = value file into a validated SystemConfig."""
-    valid = set(SystemConfig().field_names())
+    valid = set(_DEFAULT_CONFIG.field_names())
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -66,42 +71,44 @@ def load_config(path) -> SystemConfig:
 def dump_config(cfg: SystemConfig, path) -> None:
     """Serialize a SystemConfig so load_config round-trips it."""
     lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
+    for name in cfg.field_names():
+        value, kind = getattr(cfg, name), type(getattr(_DEFAULT_CONFIG, name))
+        if kind is tuple:
             rendered = ",".join(repr(float(v)) for v in value)
-        elif f.name in _INT_FIELDS:
-            rendered = str(int(value))
-        elif f.name in _STR_FIELDS:
-            rendered = str(value)
         else:
-            rendered = repr(float(value))
-        lines.append(f"{f.name} = {rendered}")
+            rendered = _fmt(kind(value))
+        lines.append(f"{name} = {rendered}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
 
-def emit_results(rows: Sequence[SweepRow], path, sidecar: Optional[dict] = None) -> None:
-    """Write sweep rows as CSV; floats use shortest round-trip decimals."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.scheme, r.axis_name, _fmt(r.axis_value),
-            _fmt(r.sum_rate_mean), _fmt(r.sum_rate_se),
-            _fmt(r.min_sinr_db_mean), _fmt(r.min_sinr_db_se),
-            _fmt(r.ber_mean), _fmt(r.ber_se),
-            _fmt(r.trials), _fmt(r.seed),
-        ]))
+def emit_results(rows: Sequence, path, sidecar: Optional[dict] = None,
+                 row_type=SweepRow) -> None:
+    """Write sweep rows, or rows of another ``row_type`` such as
+    LearningCurveRow, as CSV with one column per field; floats use shortest
+    round-trip decimals."""
+    values = operator.attrgetter(*(f.name for f in dataclasses.fields(row_type)))
+    lines = [_header(row_type)] + [",".join(map(_fmt, values(r))) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if sidecar is not None:
         _write_sidecar(path, sidecar)
+
+
+def _parser(kind):
+    if kind == Optional[float]:
+        return lambda raw: float(raw) if raw else None
+    return kind
+
+
+# one parser per results column, from the column's type
+_SWEEP_PARSERS = tuple(map(_parser, typing.get_type_hints(SweepRow).values()))
 
 
 def read_results(path) -> list:
@@ -109,28 +116,9 @@ def read_results(path) -> list:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a results CSV (unexpected header)")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(SweepRow(
-            scheme=parts[0], axis_name=parts[1], axis_value=float(parts[2]),
-            sum_rate_mean=float(parts[3]), sum_rate_se=float(parts[4]),
-            min_sinr_db_mean=float(parts[5]), min_sinr_db_se=float(parts[6]),
-            ber_mean=float(parts[7]) if parts[7] else None,
-            ber_se=float(parts[8]) if parts[8] else None,
-            trials=int(parts[9]), seed=int(parts[10])))
-    return rows
-
-
-def emit_learning_curve(rows: Sequence[LearningCurveRow], path,
-                        sidecar: Optional[dict] = None) -> None:
-    lines = [LEARNING_HEADER]
-    for r in rows:
-        lines.append(",".join([_fmt(r.iteration), _fmt(r.cost_mean),
-                               _fmt(r.cost_se), _fmt(r.trials), _fmt(r.seed)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if sidecar is not None:
-        _write_sidecar(path, sidecar)
+    return [SweepRow(*[parse(raw) for parse, raw
+                       in zip(_SWEEP_PARSERS, line.split(","), strict=True)])
+            for line in lines[1:]]
 
 
 def _write_sidecar(path, sidecar: dict) -> None:
@@ -233,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"learning curves track one scheme; using {schemes[0].label}",
                       file=sys.stderr)
             rows = run_learning_curve(cfg, schemes[0], trials, solver)
-            emit_learning_curve(rows, args.out, sidecar)
+            emit_results(rows, args.out, sidecar, row_type=LearningCurveRow)
         else:
             rows = run_sweep(cfg, schemes, preset.axis, trials, solver,
                              with_ber=preset.with_ber,

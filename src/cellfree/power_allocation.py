@@ -12,6 +12,8 @@ are provided:
   The max-min target t* itself is an inverse Perron root, found with one
   eigendecomposition and a few Newton steps; the bisection's halvings are
   replayed from it, and only the midpoints within 1e-8 of t* are tested.
+  The call that returns eta also certifies that band; a band that fails
+  widens and the replay runs once more.
 * APA: gradient descent on the transmit MSE of a fixed MMSE-family
   precoder, a separable per-user quadratic read from the SINR
   coefficients, rescaled to the per-antenna constraint after every update.
@@ -24,7 +26,8 @@ coefficients whose ``rho_f`` is given per item, ``(...)``; the items of the
 loadings, the coefficients and ``rho_f`` broadcast together. Each item is
 solved exactly as its own 2-D call would solve it; OPA finds every item's
 root with one batched eigendecomposition and tests the items' undecided
-midpoints together, one ``sinr_feasible`` call per round.
+midpoints together, one ``sinr_feasible`` call per round, then returns
+every item's eta and checks every band in one more call.
 """
 
 from __future__ import annotations
@@ -206,67 +209,53 @@ def _bisect(coeffs, delta, t_hi, iterations, tol):
     of the longest item, feasibility targets tested).
 
     Each item's root t* gives a band [t*(1 - OPA_ROOT_BAND),
-    t*(1 + OPA_ROOT_BAND)]. Feasibility is monotone in the target, so once
-    the band's low end is feasible and its high end is not, a midpoint at or
-    below the band is feasible and one at or above it is not. Each item
-    replays bisection's float loop on those decisions until it stops or
-    reaches a midpoint inside the band. One ``sinr_feasible`` call over the
-    batch then tests each item's undecided midpoint, or its result to
-    obtain eta; the first call also checks the bands. An item whose band
-    fails a check has that side widened to 0 or t_hi and replays from the
-    start, so every item makes the decisions that testing each midpoint
-    would, whatever the root. An item with no feasible midpoint returns the
-    low end of its band, once certified, instead of 0.
+    t*(1 + OPA_ROOT_BAND)]. Feasibility is monotone in the target, so if the
+    band's low end is feasible and its high end is not, a midpoint at or
+    below the band is feasible and one at or above it is not. Every item
+    replays bisection's float loop on those decisions; while some items
+    stop at a midpoint inside their band, one ``sinr_feasible`` call tests
+    those midpoints (a zero target stands in for the other items) and the
+    replay carries on. A last call on the rows [result, band's low end,
+    band's high end] returns eta and checks every band. If a band fails, its
+    failed side widens to 0 or t_hi and the whole batch replays once more;
+    a widened side always passes, as eta = 0 meets a zero target and no
+    allocation reaches t_hi. Every item so makes the decisions that testing
+    each midpoint would, whatever the root. An item with no feasible
+    midpoint returns the low end of its band, once certified, instead of 0.
     """
-    n, k = coeffs.psi.shape
+    n = t_hi.size
     root, _ = _max_min_root(coeffs, delta)
     found_root = root > 0.0                     # False where the root is NaN
-    floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0).tolist()
-    ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi).tolist()
-    t_hi = t_hi.tolist()
-    lo, hi, steps, achieved = [0.0] * n, list(t_hi), [0] * n, [0.0] * n
-    eta = np.zeros((n, k))
-    pending, unchecked, tested = list(range(n)), True, 0
-    while pending:
-        # an item with nothing left to test re-tests its floor
-        targets, paused, stopped = list(floor), [], []
-        for i in pending:
-            lo[i], hi[i], steps[i], mid = _replay(lo[i], hi[i], steps[i], floor[i],
-                                                  ceiling[i], iterations, tol)
-            if mid is None:
-                # with no feasible midpoint, the band's low end (0 if uncertified)
-                mid = achieved[i] = lo[i] if lo[i] > 0.0 else floor[i]
-                stopped.append(i)
-            else:
-                paused.append(i)
-            targets[i] = mid
-        rows = [targets, floor, ceiling] if unchecked else [targets]
-        ok, found = sinr_feasible(np.array(rows), coeffs, delta)
+    floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0)
+    ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi)
+    tested = 0
+    while True:
+        lo, hi, steps, mid = [0.0] * n, t_hi.tolist(), [0] * n, [None] * n
+        band = list(zip(floor.tolist(), ceiling.tolist()))
+        undecided = range(n)
+        while undecided:
+            for i in undecided:
+                lo[i], hi[i], steps[i], mid[i] = _replay(lo[i], hi[i], steps[i], *band[i],
+                                                         iterations, tol)
+            undecided = [i for i in undecided if mid[i] is not None]
+            if undecided:
+                targets = np.zeros(n)
+                targets[undecided] = [mid[i] for i in undecided]
+                ok = sinr_feasible(targets, coeffs, delta)[0].tolist()
+                tested += n
+                for i in undecided:
+                    lo[i], hi[i] = (mid[i], hi[i]) if ok[i] else (lo[i], mid[i])
+                    steps[i] += 1
+        # with no feasible midpoint, the band's low end (0 if uncertified)
+        achieved = np.where(np.array(lo) > 0.0, lo, floor)
+        ok, found = sinr_feasible(np.array([achieved, floor, ceiling]), coeffs, delta)
         tested += ok.size
-        ok = ok.tolist()
-        restart = []
-        if unchecked:
-            # a band is certified when its floor is feasible and its ceiling
-            # is not (an item without a root has [0, t_hi], which is)
-            for i, (low_ok, high_ok) in enumerate(zip(ok[1], ok[2])):
-                if not low_ok or high_ok:
-                    floor[i] = floor[i] if low_ok else 0.0
-                    ceiling[i] = t_hi[i] if high_ok else ceiling[i]
-                    lo[i], hi[i], steps[i] = 0.0, t_hi[i], 0
-                    restart.append(i)
-            unchecked = False
-        stopped = [i for i in stopped if i not in restart]
-        eta[stopped] = found[0, stopped]
-        pending = restart
-        for i in paused:
-            if i not in restart:
-                if ok[0][i]:
-                    lo[i] = targets[i]
-                else:
-                    hi[i] = targets[i]
-                steps[i] += 1
-                pending.append(i)
-    return np.array(achieved), eta, max(steps), tested
+        # a band is certified when its low end is feasible and its high end
+        # is not; a side at 0 or t_hi has nothing left to widen
+        wider = np.where(ok[1], floor, 0.0), np.where(ok[2], t_hi, ceiling)
+        if np.array_equal(wider, (floor, ceiling)):
+            return achieved, found[0], max(steps), tested
+        floor, ceiling = wider
 
 
 def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
@@ -283,14 +272,16 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     lower end and ``eta`` the minimal coefficients reaching it. The halvings
     are replayed from the root t* (see ``_bisect``) rather than each tested,
     with the same result; only midpoints within ``OPA_ROOT_BAND`` relative
-    of t* are tested. Where no midpoint is feasible, as when t* is below
-    ``tol``, the result is the certified t*(1 - OPA_ROOT_BAND), not 0.
+    of t* are tested, and the call that returns eta checks that band. If it
+    fails, the band widens and the whole batch replays once more. Where no
+    midpoint is feasible, as when t* is below ``tol``, the result is the
+    certified t*(1 - OPA_ROOT_BAND), not 0.
 
     Stacked items are solved together, each with its own bracket, stop test
     and result; ``iterations`` of the result is the most halvings any item
     made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
-    all items. The items are those of the coefficients, of a per-item
-    ``rho_f`` and of ``delta``, broadcast together.
+    all items and passes. The items are those of the coefficients, of a
+    per-item ``rho_f`` and of ``delta``, broadcast together.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")

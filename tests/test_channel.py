@@ -278,6 +278,18 @@ def test_config_counts_must_be_integers(field, value):
         default_cfg(**{field: value})
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)
+                if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_every_float_field_must_be_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        default_cfg(**{field: value})
+
+
 def test_snr_grid_is_bounded():
     bound = (-MAX_ABS_SNR_DB, MAX_ABS_SNR_DB)
     assert default_cfg(snr_grid_db=bound).snr_grid_db == bound

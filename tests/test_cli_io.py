@@ -131,6 +131,30 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "selected_aps" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("symbol_power", "nan"), ("noise_temp_k", "inf"), ("carrier_freq_mhz", "inf"),
+    ("shadow_sigma_db", "nan"), ("d1_m", "inf"), ("noise_figure_db", "nan"),
+    ("area_side_m", "inf"), ("bandwidth_hz", "-inf")])
+def test_validate_rejects_a_non_finite_float(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{field} = {value}\n")
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    bad, out = tmp_path / "binary.cfg", tmp_path / "x.csv"
+    bad.write_bytes(b"num_aps = 8\n\xff\n")
+    with pytest.raises(ConfigError, match="binary.cfg"):
+        load_config(bad)
+    run = ["--preset", "fig-tiny-opa", "--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(bad)] + run) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "binary.cfg" in err
+    assert not out.exists()
+
+
 def test_unknown_preset_and_scheme_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "--preset", "nope", "--out", str(out)]) == 2

@@ -343,6 +343,23 @@ def test_the_max_min_root_is_certified_on_both_sides():
     assert max(steps) <= ROOT_STEP_CAP
 
 
+def test_opa_replays_bisection_on_coefficients_without_a_precoder():
+    # random coupling, often reducible, over a wide range of rho_f and noise;
+    # every user keeps one loaded antenna so every bracket is nonempty
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        k, m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        psi, phi, gamma = (np.stack(x) for x in zip(*(random_coupling(rng, k)
+                                                       for _ in range(n))))
+        delta = rng.uniform(0.0, 1.0, size=(n, m, k)) * (rng.random((n, m, k)) < 0.6)
+        delta[:, rng.integers(0, m, size=k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
+        coeffs = SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
+                                  rho_f=10.0 ** rng.uniform(-3.0, 3.0),
+                                  sigma_w2=10.0 ** rng.uniform(-1.0, 1.0))
+        assert_replays_the_oracle(coeffs, delta)
+        assert_replays_the_oracle(coeffs, delta, iterations=60, tol=0.0)
+
+
 # ---------------------------------------------------------------- adaptive SG
 
 def oracle_cost(nu, effective, rho_f, f, sigma_w2, sigma_s2):
