@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import operator
 import sys
@@ -139,6 +140,7 @@ def _sidecar_dict(cfg, solver, preset_name, schemes, axis, trials, seed) -> dict
     }
 
 
+@functools.cache      # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellfree",

@@ -20,7 +20,10 @@ links along leading axes, ``(..., M, K)`` channels and precoders with
 the coefficients of a precoder that does not depend on it are then computed
 once and broadcast over the items. ``snr_to_rho_f`` maps a grid of SNRs
 the same way, and ``ber_qpsk`` measures a stack of links over one true
-channel, sending the same bits and noise over every item.
+channel, sending the same bits and noise over every item. It forms each
+link's K x K effective channel ``g^T sqrt(rho_f) P N`` once per call and
+sends every packet through that product, never through the M-antenna
+transmit signal: the per-packet work is K x K, not M x K, per symbol.
 """
 
 from __future__ import annotations
@@ -139,11 +142,15 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
              packets: int = 1, noise_rng: Optional[np.random.Generator] = None):
     """Uncoded Gray-QPSK bit error rate over the true channel.
 
-    Transmits ``x = sqrt(rho_f) P N s`` through ``g`` with additive noise of
-    variance sigma_w2 per user. Each receiver divides by its known effective
-    gain ``a_k = sqrt(rho_f) g_hat_k^T p_k sqrt(eta_k)`` and slices to the
-    nearest constellation point. Users whose gain magnitude falls below
-    1e-12 cannot decode; their bits count as random (0.5 error rate).
+    Sends ``s`` over each link's K x K effective channel
+    ``g^T sqrt(rho_f) P N``, formed once per call, with additive noise of
+    variance sigma_w2 per user: receiver k gets row k of that product times
+    ``s``, which is what it would get from the M-antenna signal
+    ``x = sqrt(rho_f) P N s`` through ``g``. Each receiver divides by its
+    known effective gain ``a_k = sqrt(rho_f) g_hat_k^T p_k sqrt(eta_k)`` and
+    slices to the nearest constellation point. Users whose gain magnitude
+    falls below 1e-12 cannot decode; their bits count as random (0.5 error
+    rate).
 
     Bits come from ``rng``; noise comes from ``noise_rng`` (default: the
     same stream), so the two can be frozen independently.
@@ -173,17 +180,16 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
     # a degenerate user's 2 * symbols_per_packet bits each count half an error
     dead_errors = symbols_per_packet * np.count_nonzero(degenerate, axis=-1)
     live = ~degenerate[..., None, :, None]
-    transmit = root[..., None] * (p * n_diag[..., None, :])
+    link = g.T @ (root[..., None] * (p * n_diag[..., None, :]))     # (..., K, K)
+    noise_scale = np.sqrt(sigma_w2 / 2.0)
 
     error_bits = 0
     for _ in range(packets):
         bits = rng.integers(0, 2, size=(2, k, symbols_per_packet))
         s = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
-        x = transmit @ s
-        noise_scale = np.sqrt(sigma_w2 / 2.0)
         w = noise_scale * (noise_rng.standard_normal((k, symbols_per_packet))
                            + 1j * noise_rng.standard_normal((k, symbols_per_packet)))
-        s_hat = (g.T @ x + w) / safe_gains
+        s_hat = (link @ s + w) / safe_gains
         decided = np.stack((s_hat.real < 0, s_hat.imag < 0), axis=-3)
         wrong = (decided != (bits == 1)) & live
         error_bits = error_bits + np.count_nonzero(wrong, axis=(-3, -2, -1)) + dead_errors

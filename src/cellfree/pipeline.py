@@ -208,7 +208,8 @@ class Scheme:
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs of the iterative solvers and of the BER measurement; counts are
-    integers of at least 1, and the step size and tolerance are nonnegative."""
+    integers of at least 1, and the step size and tolerance are finite and
+    nonnegative."""
 
     opa_iterations: int = 30
     opa_tol: float = 1e-6
@@ -225,8 +226,9 @@ class SolverParams:
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         for name in ("apa_mu", "opa_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _stream(seed: int, trial: int, name: str) -> np.random.Generator:

@@ -206,6 +206,23 @@ def test_missing_subcommand_is_a_usage_error():
     assert main([]) != 0
 
 
+def test_main_calls_in_one_process_share_no_parsed_state(tmp_path, capsys):
+    preset = PRESETS["fig-tiny-opa"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["run", "--preset", preset.name, "--out", str(first), "--trials", "1",
+                 "--schemes", "MMSE+UPA+NS"]) == 0
+    assert main(["run", "--preset", preset.name, "--out", str(second),
+                 "--trials", "1"]) == 0
+    assert {r.scheme for r in read_results(first)} == {"MMSE+UPA+NS"}
+    assert {r.scheme for r in read_results(second)} == set(preset.schemes)
+
+    assert main(["run", "--preset", preset.name, "--trials", "one"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["run", "--preset", preset.name, "--out", str(first), "--trials", "1",
+                 "--schemes", "ZF+UPA+LS"]) == 0
+    assert {r.scheme for r in read_results(first)} == {"ZF+UPA+LS"}
+
+
 def test_run_learning_preset_writes_curve(tmp_path, capsys):
     out = tmp_path / "learn.csv"
     code = main(["run", "--preset", "fig-learning", "--out", str(out),

@@ -498,7 +498,8 @@ def test_sweeps_and_learning_curves_need_a_trial(trials):
     ("symbols_per_packet", 0), ("packets_per_trial", 0),
     ("opa_iterations", 2.5), ("apa_iterations", 2.5), ("es_budget", 1e6),
     ("symbols_per_packet", 10.5), ("packets_per_trial", 2.0),
-    ("apa_mu", -1.0), ("opa_tol", -1.0), ("opa_tol", np.nan)])
+    ("apa_mu", -1.0), ("opa_tol", -1.0), ("opa_tol", np.nan),
+    ("apa_mu", np.inf), ("opa_tol", np.inf)])
 def test_solver_params_reject_bad_values_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         SolverParams(**{field: value})

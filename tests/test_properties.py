@@ -19,6 +19,7 @@ from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cel
                                run_trial)
 from cellfree.power_allocation import upa
 from cellfree.precoding import mmse_precoder
+from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
 
 # candidates of the reference loop per example, to bound the test's run time
@@ -290,3 +291,24 @@ def test_a_stacked_ber_call_counts_a_degenerate_item_as_its_2d_call_does():
     p[1, :, 2] = 0.0                          # user 2 of item 1 has no gain
     assert assert_ber_items_equal_their_2d_calls(p, n_diag, g, g_hat, rho_f, sigma_w2,
                                                  16, packets=2) == 1
+
+
+@pytest.mark.parametrize("per_item", [False, True])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_fig_ber_sized_links_in_a_two_axis_stack_equal_the_reference(per_item, noiseless):
+    """96 x 8 links, as fig-ber measures them, stacked (2, 3) over its six SNRs;
+    every item equals the explicit M-antenna reference, with and without noise."""
+    preset = PRESETS["fig-ber"]
+    cfg = dataclasses.replace(SystemConfig(), **preset.config).validate()
+    p, n_diag, g, g_hat, rho_f, sigma_w2 = stacked_ber_link(cfg, 3, preset.config["snr_grid_db"],
+                                                            per_item)
+    assert p.shape == (6, 96, 8)
+    p = p.reshape(2, 3, 96, 8).copy()
+    p[1, 0, :, 5] = 0.0                       # user 5 of item (1, 0) has no gain
+    n_diag, rho_f = n_diag.reshape(2, 3, 8), rho_f.reshape(2, 3)
+    if per_item:
+        g_hat = g_hat.reshape(2, 3, 96, 8)
+    assert assert_ber_items_equal_their_2d_calls(p, n_diag, g, g_hat, rho_f,
+                                                 0.0 if noiseless else sigma_w2,
+                                                 preset.solver["symbols_per_packet"],
+                                                 packets=3) == 1
