@@ -310,9 +310,12 @@ def _build(build: Callable, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2):
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
     items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
     if items != prec.p.shape[:-2]:
-        # ZF and CB do not depend on rho_f: one precoder serves every item
+        # ZF and CB do not depend on rho_f: one precoder, and one load matrix
+        # computed from it, serve every item
+        loads = prec.delta
         prec = pc.PrecoderOutput(p=np.broadcast_to(prec.p, items + prec.p.shape[-2:]),
                                  f=np.broadcast_to(prec.f, items))
+        vars(prec)["delta"] = np.broadcast_to(loads, prec.p.shape)  # the cached property's slot
     return prec, coeffs, time.perf_counter() - t0
 
 
@@ -571,34 +574,37 @@ def _axis_points(cfg, axis, axis_values):
     return groups
 
 
-def _sample(metrics, i):
-    """(sum rate, min SINR in dB, BER) of item ``i`` of a cell's metrics."""
-    ber = None if metrics.ber is None else metrics.ber[i]
-    return metrics.sum_rate[i], 10.0 * np.log10(metrics.min_sinr[i]), ber
-
-
 def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
-    """Trial ``trial``'s samples, [scheme][point]: one draw per group and one
-    ``run_cell`` per (group, scheme) over the group's SNR list. A failing
-    cell of a one-point group raises its ``TrialError``; a failing cell of a
-    larger group re-runs the trial with every point a group of its own,
-    which names the first failing cell in (point, scheme) order."""
-    samples = [[] for _ in schemes]
+    """Trial ``trial``'s samples, ``(fields, schemes, points)``: the sum
+    rate, the minimum SINR in dB and, with BER, the BER of each cell. One
+    draw per group and one ``run_cell`` per (group, scheme) over the
+    group's SNR list. A failing cell of a one-point group raises its
+    ``TrialError``; a failing cell of a larger group re-runs the trial with
+    every point a group of its own, which names the first failing cell in
+    (point, scheme) order."""
+    points = sum(len(values) for values, _, _ in groups)
+    samples = np.empty((3 if with_ber else 2, len(schemes), points))
     draw = None
+    start = 0
     for values, cfg, snrs in groups:
         draw = TrialDraw(cfg, trial, seed) if draw is None else draw.at(cfg)
-        for per_point, scheme in zip(samples, schemes):
+        cells = slice(start, start + len(values))
+        for s, scheme in enumerate(schemes):
             try:
                 metrics = _point_cell(draw, scheme, snrs, solver, with_ber, axis,
                                       values[0]).metrics
             except TrialError:
                 if len(values) == 1:
                     raise
-                points = [([value], group_cfg, [snr])
-                          for group_values, group_cfg, group_snrs in groups
-                          for value, snr in zip(group_values, group_snrs)]
-                return _trial_samples(points, schemes, trial, seed, solver, with_ber, axis)
-            per_point += [_sample(metrics, i) for i in range(len(values))]
+                singles = [([value], group_cfg, [snr])
+                           for group_values, group_cfg, group_snrs in groups
+                           for value, snr in zip(group_values, group_snrs)]
+                return _trial_samples(singles, schemes, trial, seed, solver, with_ber, axis)
+            samples[0, s, cells] = metrics.sum_rate
+            samples[1, s, cells] = 10.0 * np.log10(metrics.min_sinr)
+            if with_ber:
+                samples[2, s, cells] = metrics.ber
+        start = cells.stop
     return samples
 
 
@@ -629,24 +635,24 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
         seed = cfg.rng_seed
     groups = _axis_points(cfg, axis, axis_values)
     _check_es_budget(schemes, [c for _, c, _ in groups], solver)
-    # [trial][scheme][point] -> (sum rate, min SINR in dB, BER)
-    runs = [_trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
-            for t in range(trials)]
+    # (field, scheme, point, trial): trials along the contiguous last axis,
+    # so that each cell's statistics round as a 1-D array's would
+    runs = np.stack([_trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
+                     for t in range(trials)], axis=-1)
+    means = runs.mean(axis=-1)
+    ses = (runs.std(axis=-1, ddof=1) / np.sqrt(trials) if trials > 1
+           else np.zeros(means.shape))
     values = [value for group_values, _, _ in groups for value in group_values]
     rows = []
     for s, scheme in enumerate(schemes):
         for p, value in enumerate(values):
-            sums, mins_db, bers = zip(*(run[s][p] for run in runs))
-            sr_mean, sr_se = _mean_se(sums)
-            ms_mean, ms_se = _mean_se(mins_db)
-            if with_ber:
-                ber_mean, ber_se = _mean_se(bers)
-            else:
-                ber_mean = ber_se = None
+            ber_mean, ber_se = ((float(means[2, s, p]), float(ses[2, s, p])) if with_ber
+                                else (None, None))
             rows.append(SweepRow(scheme=scheme.label, axis_name=axis,
-                                 axis_value=value, sum_rate_mean=sr_mean,
-                                 sum_rate_se=sr_se, min_sinr_db_mean=ms_mean,
-                                 min_sinr_db_se=ms_se, ber_mean=ber_mean,
+                                 axis_value=value, sum_rate_mean=float(means[0, s, p]),
+                                 sum_rate_se=float(ses[0, s, p]),
+                                 min_sinr_db_mean=float(means[1, s, p]),
+                                 min_sinr_db_se=float(ses[1, s, p]), ber_mean=ber_mean,
                                  ber_se=ber_se, trials=trials, seed=seed))
     return rows
 

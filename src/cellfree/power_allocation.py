@@ -24,10 +24,13 @@ Every solver also accepts stacked coefficient sets and loadings along
 leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients), and
 coefficients whose ``rho_f`` is given per item, ``(...)``; the items of the
 loadings, the coefficients and ``rho_f`` broadcast together. Each item is
-solved exactly as its own 2-D call would solve it; OPA finds every item's
-root with one batched eigendecomposition and tests the items' undecided
-midpoints together, one ``sinr_feasible`` call per round, then returns
-every item's eta and checks every band in one more call.
+solved exactly as its own 2-D call would solve it. OPA's root solve keeps
+each array at its own item shape: it decomposes each coefficient set's
+coupling matrix once, whatever the number of ``rho_f`` items it serves, so
+a ZF or CB precoder's whole SNR grid costs one eigendecomposition. OPA then
+tests the items' undecided midpoints together, one ``sinr_feasible`` call
+per round, and returns every item's eta and checks every band in one more
+call.
 """
 
 from __future__ import annotations
@@ -125,10 +128,11 @@ ROOT_MAX_STEPS = 60
 
 
 def _max_min_root(coeffs: SinrCoefficients, delta):
-    """The max-min SINR target t* of each item of a flat batch, ``(n, K)``
-    coefficients and ``(n, M, K)`` loadings, and the Newton steps taken.
+    """The max-min SINR target t* of every item, and the Newton steps taken.
 
-    At equality the SINR constraints read ``eta = t (b + A eta)`` with
+    The items are those of the coefficients, of a per-item ``rho_f`` and of
+    the ``(..., M, K)`` loadings, broadcast together. At equality the SINR
+    constraints read ``eta = t (b + A eta)`` with
     ``A = (phi_cross + gamma) / psi[:, None]`` and
     ``b = sigma_w2 / (rho_f psi)``, so in ``s = 1/t`` the minimal
     coefficients are ``(sI - A)^-1 b`` and antenna m carries the load
@@ -136,38 +140,50 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     Perron root rho(A) toward 0, and ``t* = 1/s*`` where s* is the largest s
     at which some load is 1 (Cai, Quek, Tan and Low, IEEE TSP 2012). One
     eigendecomposition ``A = V diag(lam) V^-1`` makes each load a sum of K
-    poles. s* lies between ``max(rho(A), max_m delta[m] b)`` and the bound
-    the uniform allocation gives; from ``rho(A) + max_m delta[m] b``, each
-    step moves to the largest of the antennas' tangent roots of
-    ``1/g_m = 1``. ``1/g_m`` is nearly linear in s, where a tangent to
-    ``g_m`` itself would overshoot past the pole. A step that leaves the
-    bracket known to hold s* is replaced by the bracket's midpoint. The
-    steps converge quadratically, so an item stops once its tangent step is
-    at most 1e-6 relative, which leaves it about 1e-13 from s*; it then
-    keeps that root while the others step on, so each item's root is the
-    one its own call finds. Every root is NaN when a user of any item has
-    no desired signal (``psi_k = 0``) or the decomposition fails.
+    poles. ``A`` does not depend on ``rho_f``, so ``A``, its decomposition,
+    ``delta @ V`` and the antennas' peak loads are formed at the batch shape
+    of the coefficient sets and loadings and broadcast to the items: a
+    precoder whose coefficients serve a whole SNR grid is decomposed once.
+    Only the residues, ``solve(V, b)``, and the steps are per item. s* lies
+    between ``max(rho(A), max_m delta[m] b)`` and the bound the uniform
+    allocation gives; from ``rho(A) + max_m delta[m] b``, each step moves to
+    the largest of the antennas' tangent roots of ``1/g_m = 1``. ``1/g_m``
+    is nearly linear in s, where a tangent to ``g_m`` itself would overshoot
+    past the pole. A step that leaves the bracket known to hold s* is
+    replaced by the bracket's midpoint. The steps converge quadratically, so
+    an item stops once its tangent step is at most 1e-6 relative, which
+    leaves it about 1e-13 from s*; it then keeps that root while the others
+    step on, so each item's root is the one its own call finds. An item has
+    no root, NaN, where a user has no desired signal (``psi_k = 0``), ``b``
+    is not finite or no antenna carries a load; every root is NaN if a
+    decomposition fails.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
         b = coeffs.sigma_w2 / coeffs.rho_psi
+        peak = delta.sum(axis=-1).max(axis=-1)
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        rootless = ~(finite & np.isfinite(b).all(axis=-1) & (peak > 0.0))
         try:
             # eig returns real arrays only when every item's eigenvalues are
-            # real; complex ones keep each item's arithmetic the same in any batch
-            lam, v = (x.astype(complex) for x in np.linalg.eig(a))
-            # residues of the loads: g_m(s) = Re sum_j w[m, j] / (s - lam_j)
+            # real; complex ones keep each item's arithmetic the same in any
+            # batch. An A that is not finite is decomposed as 0, so that it
+            # cannot fail the others' decomposition.
+            lam, v = (x.astype(complex)
+                      for x in np.linalg.eig(np.where(finite[..., None, None], a, 0.0)))
+            # residues of the loads: g_m(s) = Re sum_j w[m, j] / (s - lam_j);
+            # one solve per item, as a multi-column solve rounds differently
             w = (delta @ v) * np.linalg.solve(v, b[..., None]).mT
         except np.linalg.LinAlgError:
-            return np.full(b.shape[0], np.nan), 0
+            return np.full(rootless.shape, np.nan), 0
         pole = lam.real.max(axis=-1)
         noise = np.matvec(delta, b).max(axis=-1)
         s_lo = np.maximum(pole, noise)
         # the uniform allocation reaches SINR_k = 1 / (peak b_k + (A 1)_k),
         # so s* is at most the largest of those
-        peak = delta.sum(axis=-1).max(axis=-1)
         s_hi = (peak[..., None] * b + a.sum(axis=-1)).max(axis=-1)
         s = pole * (1.0 + 1e-12) + noise
-        done = np.zeros(s.shape, dtype=bool)
+        done = np.broadcast_to(rootless, s.shape).copy()
         for steps in range(1, ROOT_MAX_STEPS + 1):
             u = 1.0 / (s[..., None] - lam)
             g = np.matvec(w, u).real
@@ -183,7 +199,7 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
             done |= np.abs(move) <= 1e-6 * s
             if done.all():
                 break
-        return 1.0 / s, steps
+        return np.where(rootless, np.nan, 1.0 / s), steps
 
 
 def _replay(low, high, step, floor, ceiling, iterations, tol):
@@ -203,10 +219,11 @@ def _replay(low, high, step, floor, ceiling, iterations, tol):
     return low, high, step, None
 
 
-def _bisect(coeffs, delta, t_hi, iterations, tol):
+def _bisect(coeffs, delta, t_hi, root, iterations, tol):
     """Bisection over a flat batch of brackets [0, t_hi] with t_hi > 0,
-    decided from the max-min root. Returns (lower bracket ends, eta, halvings
-    of the longest item, feasibility targets tested).
+    decided from each item's max-min root (NaN where it has none). Returns
+    (lower bracket ends, eta, halvings of the longest item, feasibility
+    targets tested).
 
     Each item's root t* gives a band [t*(1 - OPA_ROOT_BAND),
     t*(1 + OPA_ROOT_BAND)]. Feasibility is monotone in the target, so if the
@@ -224,7 +241,6 @@ def _bisect(coeffs, delta, t_hi, iterations, tol):
     midpoint returns the low end of its band, once certified, instead of 0.
     """
     n = t_hi.size
-    root, _ = _max_min_root(coeffs, delta)
     found_root = root > 0.0                     # False where the root is NaN
     floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0)
     ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi)
@@ -281,22 +297,28 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     and result; ``iterations`` of the result is the most halvings any item
     made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
     all items and passes. The items are those of the coefficients, of a
-    per-item ``rho_f`` and of ``delta``, broadcast together.
+    per-item ``rho_f`` and of ``delta``, broadcast together. The root solve
+    (see ``_max_min_root``) decomposes each coefficient set's coupling once,
+    whatever the number of ``rho_f`` items it serves; a leading axis along
+    which ``delta`` repeats one load matrix (a stride-0 view, as
+    ``np.broadcast_to`` makes) counts once there too.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     delta = np.asarray(delta, dtype=float)
     k, m = coeffs.psi.shape[-1], delta.shape[-2]
+    loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
+                        for step in delta.strides[:-2])]
 
-    col_peak = delta.max(axis=-2)
+    col_peak = loads.max(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(col_peak > 0,
                          coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
-    batch = bound.shape[:-1]
-    t_hi = (2.0 * bound.max(axis=-1)).reshape(-1)
+    batch = np.broadcast_shapes(bound.shape[:-1], delta.shape[:-2])
+    t_hi = np.broadcast_to(2.0 * bound.max(axis=-1), batch).reshape(-1)
 
-    # one flat batch axis; an empty bracket (t_hi == 0) keeps eta = 0 and
-    # achieved_t = 0
+    # the replay runs on one flat batch axis; an empty bracket (t_hi == 0)
+    # keeps eta = 0 and achieved_t = 0
     live = ~(t_hi <= 0.0)
     rows = slice(None) if np.count_nonzero(live) == live.size else live
     eta = np.zeros((t_hi.size, k))
@@ -306,14 +328,15 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
         def flat_items(x, core):
             return np.broadcast_to(x, batch + core).reshape((-1,) + core)[rows]
 
+        root, _ = _max_min_root(coeffs, loads)
         flat = SinrCoefficients(psi=flat_items(coeffs.psi, (k,)),
                                 phi=flat_items(coeffs.phi, (k, k)),
                                 gamma=flat_items(coeffs.gamma, (k, k)),
                                 rho_f=flat_items(coeffs.rho_f, ()),
                                 sigma_w2=coeffs.sigma_w2)
-        delta = flat_items(delta, (m, k))
-        achieved[rows], eta[rows], steps, tested = _bisect(flat, delta, t_hi[rows],
-                                                           iterations, tol)
+        achieved[rows], eta[rows], steps, tested = _bisect(
+            flat, flat_items(loads, (m, k)), t_hi[rows], flat_items(root, ()),
+            iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
                             achieved_t=achieved.reshape(batch)[()], tests=tested)
 

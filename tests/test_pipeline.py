@@ -219,6 +219,23 @@ def test_a_sweep_at_minus_70_db_reports_a_finite_min_sinr():
         assert np.isfinite(row.min_sinr_db_mean) and np.isfinite(row.min_sinr_db_se)
 
 
+@pytest.mark.parametrize("precoder", ["MMSE", "ZF", "CB"])
+def test_a_grid_below_the_stop_width_equals_its_point_cells_bitwise(precoder):
+    # at -70 and -80 dB OPA reports t*(1 - 1e-8), so the last bits of the
+    # max-min root reach achieved_t: a root whose decomposition a ZF or CB
+    # grid shares must still round as each point's own call rounds it
+    cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8)
+    snrs = [-80.0, -70.0, -50.0, 0.0, 20.0]
+    scheme = Scheme(precoder, "OPA", "LS")
+    for trial in range(3):
+        grid = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snrs)
+        for i, snr in enumerate(snrs):
+            point = run_trial(cfg, scheme, snr, trial=trial)
+            assert grid.n_final.achieved_t[i] == point.n_final.achieved_t, (trial, snr)
+            assert np.array_equal(grid.n_final.eta[i], point.n_final.eta)
+            assert grid.metrics.min_sinr[i] == point.metrics.min_sinr
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_single_trial_sweep_matches_run_trial():
@@ -446,6 +463,28 @@ def test_one_large_sumrate_trial_builds_each_precoder_once_per_selection(monkeyp
     run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
     # MMSE and MMSE_CONV share a build: one on the LS mask, one on NS
     assert calls == {"mmse_precoder": 2, "zf_precoder": 1, "cb_precoder": 1}
+
+
+def test_max_min_roots_decompose_each_coupling_matrix_once(monkeypatch):
+    # A does not depend on rho_f: ZF's and CB's one coefficient set per
+    # channel serves every grid point, and an ES chunk every point of a
+    # candidate; MMSE's coefficients differ per point
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+    preset = PRESETS["fig-large-sumrate"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
+    # MMSE+OPA+LS 6, ZF+OPA+LS 1, CB+OPA+LS 1
+    assert sorted(shapes) == [(6, 16, 16), (16, 16), (16, 16)]
+    shapes.clear()
+    tiny = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
+    run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+OPA+ES"), list(tiny.snr_grid_db))
+    # one matrix per candidate, then one per point for the winners' chain
+    assert shapes == [(100, 2, 2), (3, 2, 2)]
+    # and UPA and OPA read one load matrix for every point of a ZF grid
+    zf = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+UPA+LS"), list(tiny.snr_grid_db))
+    assert zf.precoder.delta.shape == (3, 5, 2) and zf.precoder.delta.strides[0] == 0
 
 
 def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):

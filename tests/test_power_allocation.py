@@ -343,6 +343,47 @@ def test_the_max_min_root_is_certified_on_both_sides():
     assert max(steps) <= ROOT_STEP_CAP
 
 
+def test_an_item_without_a_root_leaves_its_batch_mates_their_own():
+    # a user with no desired signal (psi_k = 0) leaves its item no root; the
+    # other items of the stack keep the roots their own calls find
+    rng = np.random.default_rng(37)
+    coeffs, delta = precoded_instance(rng, "mmse", 7, 3, (3,))
+    psi = coeffs.psi.copy()
+    psi[1, 0] = 0.0
+    stack = SinrCoefficients(psi=psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                             rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+    root, _ = pa._max_min_root(stack, delta)
+    assert np.isnan(root[1])
+    for i in (0, 2):
+        item = SinrCoefficients(psi=psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
+                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        assert root[i] == pa._max_min_root(item, delta[i])[0]
+
+
+def test_a_shared_load_matrix_is_decomposed_once_per_coefficient_set(monkeypatch):
+    # one coefficient set and one load matrix, broadcast over rho_f items as
+    # a ZF or CB build over an SNR grid is: one eigendecomposition serves
+    # every item, and each item equals its own call bitwise
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+    rng = np.random.default_rng(38)
+    for kind in ("zf", "cb"):
+        coeffs, delta = precoded_instance(rng, kind, 9, 4)
+        rho = coeffs.rho_f * 10.0 ** np.array([-9.0, -7.0, -3.0, 0.0, 2.0])
+        grid = SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                                rho_f=rho, sigma_w2=coeffs.sigma_w2)
+        shapes.clear()
+        res = opa_bisection(grid, np.broadcast_to(delta, rho.shape + delta.shape))
+        assert shapes == [(4, 4)]
+        for i, rho_f in enumerate(rho):
+            one = SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                                   rho_f=rho_f, sigma_w2=coeffs.sigma_w2)
+            want = opa_bisection(one, delta)
+            assert res.achieved_t[i] == want.achieved_t
+            assert np.array_equal(res.eta[i], want.eta)
+
+
 def test_opa_replays_bisection_on_coefficients_without_a_precoder():
     # random coupling, often reducible, over a wide range of rho_f and noise;
     # every user keeps one loaded antenna so every bracket is nonempty
