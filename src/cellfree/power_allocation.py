@@ -274,6 +274,21 @@ def _bisect(coeffs, delta, t_hi, root, iterations, tol):
         floor, ceiling = wider
 
 
+def _bracket(coeffs: SinrCoefficients, delta):
+    """``(loads, t_hi)``: ``delta`` with each leading axis along which it
+    repeats one load matrix (a stride-0 view) cut to length 1, and the upper
+    end of every item's bisection bracket, at the items' batch shape."""
+    delta = np.asarray(delta, dtype=float)
+    loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
+                        for step in delta.strides[:-2])]
+    col_peak = loads.max(axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(col_peak > 0,
+                         coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
+    batch = np.broadcast_shapes(bound.shape[:-1], delta.shape[:-2])
+    return loads, np.broadcast_to(2.0 * bound.max(axis=-1), batch)
+
+
 def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                   tol: float = 1e-6) -> AllocationResult:
     """Max-min SINR allocation: bisection's answer on the common target,
@@ -305,17 +320,10 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    delta = np.asarray(delta, dtype=float)
-    k, m = coeffs.psi.shape[-1], delta.shape[-2]
-    loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
-                        for step in delta.strides[:-2])]
-
-    col_peak = loads.max(axis=-2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(col_peak > 0,
-                         coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
-    batch = np.broadcast_shapes(bound.shape[:-1], delta.shape[:-2])
-    t_hi = np.broadcast_to(2.0 * bound.max(axis=-1), batch).reshape(-1)
+    loads, t_hi = _bracket(coeffs, delta)
+    k, m = coeffs.psi.shape[-1], loads.shape[-2]
+    batch = t_hi.shape
+    t_hi = t_hi.reshape(-1)
 
     # the replay runs on one flat batch axis; an empty bracket (t_hi == 0)
     # keeps eta = 0 and achieved_t = 0
@@ -339,6 +347,33 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
             iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
                             achieved_t=achieved.reshape(batch)[()], tests=tested)
+
+
+def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float = 1e-6,
+              *, margin: float):
+    """``(lo, hi)`` per item: an interval that holds ``opa_bisection``'s
+    ``achieved_t`` with the same arguments, and the minimum SINR of its eta,
+    from the max-min root t* alone, with no bisection and no feasibility test.
+
+    Bisection's last bracket lies across the target where feasibility flips,
+    within ``OPA_ROOT_BAND`` relative of t*, and is at most
+    ``w = max(tol, t_hi 2^-iterations)`` wide, so its low end lies in
+    ``[t*(1 - margin) - w, t*(1 + margin)]``; its eta meets every SINR
+    target to 1e-9 relative. ``w`` also carries two spacings of ``t_hi`` for
+    the rounding of the bracket's midpoints. ``margin`` must be at least
+    ``2 * OPA_ROOT_BAND``. An item whose root solve gives no root or may not
+    have converged, or whose bracket is empty, gets ``(nan, nan)``: it has
+    no bound to give.
+    """
+    if not margin >= 2.0 * OPA_ROOT_BAND:
+        raise ValueError(f"margin must be at least {2.0 * OPA_ROOT_BAND:g}")
+    loads, t_hi = _bracket(coeffs, delta)
+    root, steps = _max_min_root(coeffs, loads)
+    width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
+    lo = root * (1.0 - margin) - width
+    hi = root * (1.0 + margin)
+    unsure = ~(t_hi > 0.0) | (steps >= ROOT_MAX_STEPS)
+    return np.where(unsure, np.nan, lo), np.where(unsure, np.nan, hi)
 
 
 def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,7 +49,8 @@ def es_candidate_count(num_aps: int, num_users: int, num_selected: int) -> int:
 
 def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
            evaluate: Callable[[np.ndarray], np.ndarray],
-           budget: int = 10 ** 6, *, points: int = 1):
+           budget: int = 10 ** 6, *, points: int = 1,
+           screen: Optional[Callable[[np.ndarray], tuple]] = None):
     """Exhaustive search over every per-user choice of S APs.
 
     ``evaluate`` must run the complete downstream chain (precoding, power
@@ -65,6 +66,19 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     item on which no candidate wins (every score NaN or -inf) scores -inf,
     and the masks are then None: an all-NaN search of one item returns
     ``(None, -inf)``.
+
+    ``screen``, given, scores every chunk first, cheaply: it returns
+    ``(lo, hi)`` of the shape ``evaluate`` returns, an interval that must
+    hold each item's ``evaluate`` score, or NaN where it gives none. Over
+    all chunks each item keeps its largest ``lo``; that floor only rises,
+    so a candidate whose ``hi`` is below it at every item can never win and
+    is dropped as the search goes. Only the candidates left (those whose
+    ``hi`` reaches some item's floor, or with a NaN end) are scored by
+    ``evaluate``, at every item, and the first strict maximum among them in
+    product order wins: it is the winner of the whole search, since every
+    candidate that ties with or beats it is left. If some item has no
+    finite score among them, every candidate is scored by ``evaluate``, as
+    without a screen.
     """
     total = es_candidate_count(num_aps, num_users, num_selected)
     if total > budget:
@@ -85,9 +99,30 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
         return np.repeat(q_ap, antennas_per_ap, axis=-2)
 
     chunk = max(1, ES_CHUNK_ENTRIES // (points * num_aps * antennas_per_ap * num_users))
+
+    def every():
+        return (np.arange(start, min(start + chunk, total))
+                for start in range(0, total, chunk))
+
+    best = -1
+    if screen is not None:
+        kept = _screened(screen, masks_of, every())
+        best, best_score = _first_maxima(evaluate, masks_of, (
+            kept[start:start + chunk] for start in range(0, kept.size, chunk)))
+    if np.count_nonzero(best < 0):
+        best, best_score = _first_maxima(evaluate, masks_of, every())
+    best_score = best_score[()]
+    if np.count_nonzero(best < 0):
+        return None, best_score
+    return masks_of(best), best_score
+
+
+def _first_maxima(evaluate, masks_of, chunks):
+    """Each item's first strict maximum over the candidates of ``chunks``,
+    index arrays in ascending order: ``(index, score)``, with index -1 and
+    score -inf where no score beats -inf."""
     best, best_score = -1, -np.inf
-    for start in range(0, total, chunk):
-        index = np.arange(start, min(start + chunk, total))
+    for index in chunks:
         scores = np.asarray(evaluate(masks_of(index)), dtype=float)
         scores = np.where(np.isnan(scores), -np.inf, scores)
         i = np.argmax(scores, axis=-1)                    # first of the maxima
@@ -95,10 +130,26 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
         better = top > best_score
         best = np.where(better, index[i], best)
         best_score = np.where(better, top, best_score)
-    best_score = best_score[()]
-    if np.count_nonzero(best < 0):
-        return None, best_score
-    return masks_of(best), best_score
+    return best, best_score
+
+
+def _screened(screen, masks_of, chunks):
+    """The candidates of ``chunks`` that ``screen`` cannot rule out, in
+    ascending order: those whose ``hi`` reaches the largest ``lo`` of some
+    item over all chunks, or with a NaN end."""
+    floor = -np.inf
+    kept = np.empty(0, dtype=int)
+    kept_hi = None
+    for index in chunks:
+        lo, hi = (np.asarray(x, dtype=float) for x in screen(masks_of(index)))
+        # a NaN end rules nothing out: such a candidate is always kept
+        hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
+        floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
+        kept = np.concatenate([kept, index])
+        kept_hi = hi if kept_hi is None else np.concatenate([kept_hi, hi], axis=-1)
+        live = (kept_hi >= floor[..., None]).reshape(-1, kept.size).any(axis=0)
+        kept, kept_hi = kept[live], kept_hi[..., live]
+    return kept
 
 
 def apply_mask(q, realization: ChannelRealization):

@@ -264,6 +264,47 @@ def test_es_winner_equals_the_candidate_loop(config):
     assert compared >= 100, (compared, failures)
 
 
+def twin_aps(realization, a, b):
+    """``realization`` with single-antenna AP ``b``'s rows made AP ``a``'s."""
+    rows = {}
+    for name in ("distances", "beta", "alpha", "g", "g_hat", "g_tilde"):
+        rows[name] = getattr(realization, name).copy()
+        rows[name][b] = rows[name][a]
+    return dataclasses.replace(realization, **rows)
+
+
+@pytest.mark.parametrize("label", ["MMSE+OPA+ES", "MMSE+APA+ES"])
+def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
+    """Two identical APs make candidates that swap one for the other score
+    exactly alike on the exact chain, while the screen's fast build may
+    break the tie either way; the first tied candidate must still win."""
+    cfg = dataclasses.replace(SystemConfig(), **TINY).validate()
+    scheme, solver = Scheme.parse(label), SolverParams()
+    sigma_w2 = cfg.noise_variance_w()
+    order = list(itertools.product(itertools.combinations(range(5), 3), repeat=2))
+    every = np.stack([mask_from_choices(choices, 5, 1) for choices in order])
+    tied = 0
+    for trial in range(10):
+        real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+        strongest = int(np.argmax(real.beta.sum(axis=1)))
+        real = twin_aps(real, strongest, (strongest + 1) % 5)
+        rho_f = snr_to_rho_f(10.0 ** (np.array(SNRS) / 10.0), real.g_hat, sigma_w2)
+        e_tr = cfg.total_antennas * rho_f
+        # every candidate on the exact chain: the search without a screen
+        scores = run_chain(*apply_mask(every, real), scheme, rho_f[:, None],
+                           e_tr[:, None], sigma_w2, cfg.symbol_power,
+                           solver).metrics.min_sinr
+        best = scores.max(axis=-1)
+        tied += np.count_nonzero((scores == best[:, None]).sum(axis=-1) > 1)
+        masks, counts = SCHEMES["selection"]["ES"].select(
+            scheme, real, cfg, rho_f, e_tr, sigma_w2, cfg.symbol_power, solver)
+        assert counts["es_certified"] < counts["es_candidates"]
+        for point, first in enumerate(np.argmax(scores, axis=-1)):
+            assert np.array_equal(masks[point], every[first]), (trial, SNRS[point])
+    # the twins tie the best score at about half of the 60 points
+    assert tied >= 15
+
+
 def test_zero_forcing_es_skips_rank_deficient_candidates():
     # one AP per user on 5 APs: the 5 of 25 candidates that give both users
     # the same AP leave ZF rank-deficient, so the stacked chain raises and

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellfree.channel import (MAX_ABS_SNR_DB, MIN_CSI_QUALITY, ChannelRealization,
-                              ConfigError, SystemConfig, attenuation_constant_db,
+from cellfree.channel import (MAX_ABS_SNR_DB, MIN_CSI_QUALITY, SYMBOL_POWER_RANGE,
+                              ChannelRealization, ConfigError, SystemConfig,
+                              attenuation_constant_db,
                               complex_normal, generate_realization, generate_topology,
                               large_scale_coeffs, mmse_pilot_estimate,
                               pairwise_distances, path_loss_db,
@@ -296,3 +297,14 @@ def test_snr_grid_is_bounded():
     for bad in (np.nextafter(MAX_ABS_SNR_DB, np.inf), -3000.0, 3100.0):
         with pytest.raises(ConfigError, match="snr_grid_db"):
             default_cfg(snr_grid_db=(0.0, bad))
+
+
+def test_symbol_power_is_bounded_to_where_every_scheme_completes():
+    low, high = SYMBOL_POWER_RANGE
+    assert low <= 1.0 <= high
+    for inside in (low, high):
+        assert default_cfg(symbol_power=inside).symbol_power == inside
+    for outside in (np.nextafter(low, 0.0), np.nextafter(high, np.inf), 0.0, -1.0, 1e3):
+        with pytest.raises(ConfigError, match="symbol_power") as caught:
+            default_cfg(symbol_power=outside)
+        assert repr(outside) in str(caught.value)

@@ -498,6 +498,29 @@ def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
     assert calls == {"ber": len(preset.schemes) * 2}
 
 
+def test_es_scores_few_of_its_candidates_on_the_exact_chain():
+    # the trace counts the (point, candidate) items an ES cell searched and
+    # those its screen left for the exact chain
+    preset = PRESETS["fig-tiny-opa"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    snrs = list(cfg.snr_grid_db)
+    certified = candidates = 0
+    for label in preset.schemes:
+        if label.endswith("+ES"):
+            for trial in range(10):
+                trace = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), Scheme.parse(label),
+                                 snrs).trace
+                certified += trace["es_certified"]
+                candidates += trace["es_candidates"]
+    assert candidates == 10 * 100 * len(snrs)
+    assert 0 < certified < candidates / 10
+    # no screen for ZF: every item is exact; NS and LS search nothing
+    zf = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse("ZF+UPA+ES"), snrs).trace
+    assert zf["es_certified"] == zf["es_candidates"] == 100 * len(snrs)
+    ls = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse("MMSE+OPA+LS"), snrs).trace
+    assert ls["es_certified"] == ls["es_candidates"] == 0
+
+
 def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatch):
     # one AP per user: the 6 candidates that give both users the same AP
     # leave ZF rank-deficient, and the first stacked chain raises

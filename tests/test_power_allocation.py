@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree import power_allocation as pa
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
@@ -399,6 +402,83 @@ def test_opa_replays_bisection_on_coefficients_without_a_precoder():
                                   sigma_w2=10.0 ** rng.uniform(-1.0, 1.0))
         assert_replays_the_oracle(coeffs, delta)
         assert_replays_the_oracle(coeffs, delta, iterations=60, tol=0.0)
+
+
+@st.composite
+def opa_bound_cases(draw):
+    """A stack of coefficient sets and loadings: from a precoder on a random
+    channel (see ``precoded_instance``) or random coupling with no precoder
+    behind it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["mmse", "zf", "cb", "ls", "coupling"]))
+    k = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (3,), (2, 2)]))
+    if kind != "coupling":
+        return precoded_instance(rng, kind, max(k, 2 * k - 1), k, batch)
+    n, m = math.prod(batch), int(rng.integers(1, 10))
+    psi, phi, gamma = (np.stack(x) for x in zip(*(random_coupling(rng, k)
+                                                   for _ in range(n))))
+    delta = rng.uniform(0.0, 1.0, size=(n, m, k)) * (rng.random((n, m, k)) < 0.6)
+    delta[:, rng.integers(0, m, size=k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
+    return SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
+                            rho_f=10.0 ** rng.uniform(-3.0, 3.0),
+                            sigma_w2=10.0 ** rng.uniform(-1.0, 1.0)), delta
+
+
+def with_rho_f(coeffs, rho_f):
+    return SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                            rho_f=rho_f, sigma_w2=coeffs.sigma_w2)
+
+
+def bracket_ends(coeffs, delta):
+    """t_hi of every item, as ``opa_bisection`` sets it."""
+    bound = coeffs.rho_psi / (coeffs.sigma_w2 * delta.max(axis=-2))
+    return 2.0 * bound.max(axis=-1)
+
+
+@pytest.mark.parametrize("stop", ["tol", "cap", "no-feasible-midpoint"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=opa_bound_cases(), halvings=st.integers(1, 24))
+def test_opa_bound_holds_bisections_target_and_its_minimum_sinr(stop, case, halvings):
+    coeffs, delta = case
+    t_hi = bracket_ends(coeffs, delta)
+    if stop == "tol":
+        # a stop width that ends every item's run before the 60-halving cap
+        iterations, tol = 60, float(t_hi.min()) * 2.0 ** -halvings
+    elif stop == "cap":
+        iterations, tol = halvings, 0.0
+    else:
+        # a bracket below the stop width: no midpoint is tested, as at -60 dB
+        coeffs = with_rho_f(coeffs, coeffs.rho_f * 0.5e-6 / t_hi)
+        iterations, tol = 30, 1e-6
+    res = opa_bisection(coeffs, delta, iterations=iterations, tol=tol)
+    # the narrowest margin the bound accepts
+    lo, hi = pa.opa_bound(coeffs, delta, iterations=iterations, tol=tol,
+                          margin=2.0 * pa.OPA_ROOT_BAND)
+    min_sinr = analytic_sinr(coeffs, res.eta).min(axis=-1)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert (lo <= res.achieved_t).all() and (res.achieved_t <= hi).all()
+    assert (lo <= min_sinr).all() and (min_sinr <= hi).all()
+    if stop == "tol":
+        assert res.iterations < iterations
+    elif stop == "cap":
+        assert res.iterations == iterations
+    else:
+        root = np.broadcast_to(pa._max_min_root(coeffs, delta)[0], lo.shape)
+        assert np.array_equal(res.achieved_t, root * (1.0 - pa.OPA_ROOT_BAND))
+
+
+def test_opa_bound_has_no_bound_to_give_without_a_root():
+    rng = np.random.default_rng(39)
+    coeffs, delta = precoded_instance(rng, "mmse", 7, 3, (3,))
+    psi = coeffs.psi.copy()
+    psi[1, 0] = 0.0                            # no desired signal: no root
+    lo, hi = pa.opa_bound(SinrCoefficients(psi=psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                                           rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2),
+                          delta, margin=1e-7)
+    assert np.isnan([lo[1], hi[1]]).all() and np.isfinite([lo[::2], hi[::2]]).all()
+    with pytest.raises(ValueError, match="margin"):
+        pa.opa_bound(coeffs, delta, margin=pa.OPA_ROOT_BAND)
 
 
 # ---------------------------------------------------------------- adaptive SG

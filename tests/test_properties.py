@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellfree import selection
+from cellfree import pipeline, selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import ber_qpsk, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell, run_chain,
@@ -131,6 +131,60 @@ def test_an_es_grid_cell_equals_its_per_point_cells_bitwise(case):
         for name in ("per_user_sinr", "sum_rate", "min_sinr"):
             assert np.array_equal(getattr(grid.metrics, name)[i],
                                   getattr(point.metrics, name)), (scheme.label, name)
+
+
+def es_cell(cfg, scheme, snrs, trial):
+    """A grid cell's masks, minimum SINRs and trace, or its error's text."""
+    try:
+        res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snrs)
+    except (ArithmeticError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    return res.mask, res.metrics.min_sinr, res.trace
+
+
+def assert_the_screen_changes_nothing(cfg, scheme, snrs, trial):
+    """With the default screen margin and with an infinite one, which keeps
+    every candidate for the exact chain as a search without a screen does,
+    one chunk and a chunk that splits the candidates give bitwise-equal
+    masks and minimum SINRs, or the same error."""
+    total = selection.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
+    split = len(snrs) * cfg.total_antennas * cfg.num_users * max(1, total // 3)
+    for entries in (selection.ES_CHUNK_ENTRIES, split):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
+            screened = es_cell(cfg, scheme, snrs, trial)
+            patch.setattr(pipeline, "ES_SCREEN_MARGIN", np.inf)
+            exhaustive = es_cell(cfg, scheme, snrs, trial)
+        if isinstance(exhaustive, str):
+            assert screened == exhaustive, (scheme.label, snrs, trial)
+            continue
+        assert np.array_equal(screened[0], exhaustive[0]), (scheme.label, snrs, trial)
+        assert np.array_equal(screened[1], exhaustive[1]), (scheme.label, snrs, trial)
+        assert screened[2]["es_certified"] <= exhaustive[2]["es_certified"]
+        assert exhaustive[2]["es_certified"] >= exhaustive[2]["es_candidates"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(es_grid_cases())
+def test_the_es_screen_picks_the_winners_of_the_exact_search(case):
+    assert_the_screen_changes_nothing(*case)
+
+
+def test_the_es_screen_picks_the_exact_winners_of_every_scheme():
+    cfg = PRESETS["fig-tiny-opa"].resolve_config(SystemConfig())
+    for pair in PAIRS:
+        for trial in (3, 4):
+            assert_the_screen_changes_nothing(cfg, Scheme(*pair, "ES"),
+                                              list(cfg.snr_grid_db), trial)
+    # one AP per user at 200 dB and up: the ridge is below rounding, so the
+    # exact MMSE build's Cholesky test rejects the candidates that give both
+    # users one AP, and a screened cell must fail with the same error
+    one_ap = dataclasses.replace(cfg, selected_aps=1).validate()
+    for pair in PAIRS:
+        if pair[0] == "MMSE":
+            assert_the_screen_changes_nothing(one_ap, Scheme(*pair, "ES"),
+                                              [0.0, 200.0, 1000.0], 0)
+            assert isinstance(es_cell(one_ap, Scheme(*pair, "ES"), [200.0], 0), str)
 
 
 @st.composite
