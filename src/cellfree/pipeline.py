@@ -80,8 +80,8 @@ class _Allocator:
     # its allocation and solves again, and it records its cost per iteration
     adaptive: bool = False
     precoders: Optional[tuple] = None  # the precoders it accepts; None: every one
-    # (precoder, coeffs, solver, margin) -> (lo, hi): an interval holding the
-    # minimum SINR that ``solve`` gives, for exhaustive selection's screen
+    # (precoder, coeffs, solver) -> (lo, hi): an interval holding the minimum
+    # SINR that ``solve`` gives, for exhaustive selection's screen
     bound: Optional[Callable] = None
 
     def accepts(self, precoder: str) -> bool:
@@ -98,9 +98,9 @@ def _opa(precoder, coeffs, sigma_s2, solver):
                             iterations=solver.opa_iterations, tol=solver.opa_tol)
 
 
-def _opa_bound(precoder, coeffs, solver, margin):
+def _opa_bound(precoder, coeffs, solver):
     return pa.opa_bound(coeffs, precoder.delta, iterations=solver.opa_iterations,
-                        tol=solver.opa_tol, margin=margin)
+                        tol=solver.opa_tol)
 
 
 def _apa(precoder, coeffs, sigma_s2, solver):
@@ -108,57 +108,32 @@ def _apa(precoder, coeffs, sigma_s2, solver):
                       iterations=solver.apa_iterations, sigma_s2=sigma_s2)
 
 
-# Relative half-width of the interval that exhaustive selection's screen
-# puts around a fast score; candidates whose interval can reach the best are
-# scored again on the exact chain. The fast MMSE build's scores were measured
-# within 5e-12 relative of the exact ones.
-ES_SCREEN_MARGIN = 1e-7
-
-
-def _fast_mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
-    """The MMSE precoder of an identity allocation from one batched LU solve
-    of the K x K ridge systems and an array squared norm: ``_mmse``'s
-    precoder to rounding, not bitwise, at a fraction of its per-item loop.
-    It raises where ``_mmse`` does: a ridge system that LAPACK's Cholesky
-    factorization rejects (a rank-deficient mask at an SNR whose ridge is
-    below rounding) fails numpy's batched one too."""
-    k = g_hat.shape[-1]
-    e_tr = np.asarray(e_tr, dtype=float)
-    ridge = (k * sigma_w2 / e_tr)[..., None, None]
-    gram = g_hat.mT @ g_hat.conj() + ridge * np.eye(k)
-    np.linalg.cholesky(gram)
-    p_tilde = np.linalg.solve(gram, g_hat.mT).conj().mT
-    norm2 = (p_tilde.real ** 2 + p_tilde.imag ** 2).sum(axis=(-2, -1))
-    f = np.sqrt(e_tr / (sigma_s2 * norm2))
-    return pc.PrecoderOutput(p=(f / np.sqrt(rho_f))[..., None, None] * p_tilde, f=f)
-
-
 def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
     ``(S, M, K)``, from one search, and its trace counts: ``es_candidates``,
     the (point, candidate) items searched, and ``es_certified``, those scored
-    on the exact chain. A stack of B candidates runs as one ``(S, B)``
+    on the whole chain. A stack of B candidates runs as one ``(S, B)``
     chain against ``rho_f`` and ``e_tr`` of shape ``(S, 1)``.
 
-    An MMSE search is screened: every chunk is first scored on
-    ``_fast_mmse``'s build, and only the candidates whose score interval can
-    reach the best run the exact chain (see ``sel.es_aps``), so the winner
-    is the exact search's. OPA's interval is ``pa.opa_bound`` around the
-    max-min root, without bisection; APA's and UPA's is the chain's own
-    minimum SINR on the fast build, widened by ``ES_SCREEN_MARGIN``. A
-    chunk the screen cannot score (it raises) has NaN intervals, so the
-    exact chain scores it and meets the same error. ZF and CB have no fast
-    build and score every candidate exactly."""
+    MMSE+OPA's search is screened: every chunk is first bounded on its own
+    MMSE build by ``pa.opa_bound``, the max-min root without bisection, and
+    only the candidates whose interval can reach the best run the chain
+    (see ``sel.es_aps``), so the winner is the unscreened search's. A chunk
+    the screen cannot bound (it raises) has NaN intervals, so the chain
+    scores it and meets the same error. APA and UPA have no bound cheaper
+    than their own chain, and ZF and CB, which no preset searches with OPA,
+    are not screened: their searches score every candidate."""
     points = np.shape(rho_f)
     if points:
         rho_f, e_tr = rho_f[..., None], e_tr[..., None]
-    screened = SCHEMES["precoder"][scheme.precoder] is _mmse
+    build = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
+    screened = build is _mmse and allocator.bound is not None
     certified = 0
 
-    def min_sinr(g_hat, err_var, built=None):
+    def min_sinr(g_hat, err_var):
         return run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2,
-                         solver, built=built).metrics.min_sinr
+                         solver).metrics.min_sinr
 
     def evaluate(masks):
         """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``. A mask that
@@ -180,16 +155,13 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
         return scores
 
     def screen(masks):
-        """``(lo, hi)`` around each exact minimum SINR of a (B, M, K) stack,
-        ``points + (B,)``; NaN where the fast build cannot score it."""
+        """``(lo, hi)`` around each minimum SINR of a (B, M, K) stack,
+        ``points + (B,)``; NaN where the build cannot be bounded."""
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            prec = _fast_mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
+            prec = build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
             coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
-            if allocator.bound is not None:
-                return allocator.bound(prec, coeffs, solver, ES_SCREEN_MARGIN)
-            score = min_sinr(g_hat, err_var, (prec, coeffs, 0.0))
-            return score * (1.0 - ES_SCREEN_MARGIN), score * (1.0 + ES_SCREEN_MARGIN)
+            return allocator.bound(prec, coeffs, solver)
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
             return (np.full(points + masks.shape[:1], np.nan),) * 2
 

@@ -349,8 +349,7 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                             achieved_t=achieved.reshape(batch)[()], tests=tested)
 
 
-def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float = 1e-6,
-              *, margin: float):
+def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float = 1e-6):
     """``(lo, hi)`` per item: an interval that holds ``opa_bisection``'s
     ``achieved_t`` with the same arguments, and the minimum SINR of its eta,
     from the max-min root t* alone, with no bisection and no feasibility test.
@@ -358,18 +357,17 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float 
     Bisection's last bracket lies across the target where feasibility flips,
     within ``OPA_ROOT_BAND`` relative of t*, and is at most
     ``w = max(tol, t_hi 2^-iterations)`` wide, so its low end lies in
-    ``[t*(1 - margin) - w, t*(1 + margin)]``; its eta meets every SINR
-    target to 1e-9 relative. ``w`` also carries two spacings of ``t_hi`` for
-    the rounding of the bracket's midpoints. ``margin`` must be at least
-    ``2 * OPA_ROOT_BAND``. An item whose root solve gives no root or may not
-    have converged, or whose bracket is empty, gets ``(nan, nan)``: it has
-    no bound to give.
+    ``[t*(1 - 2 OPA_ROOT_BAND) - w, t*(1 + 2 OPA_ROOT_BAND)]``: twice the
+    band also covers the root's own error and eta meeting every SINR target
+    to 1e-9 relative. ``w`` also carries two spacings of ``t_hi`` for the
+    rounding of the bracket's midpoints. An item whose root solve gives no
+    root or may not have converged, or whose bracket is empty, gets
+    ``(nan, nan)``: it has no bound to give.
     """
-    if not margin >= 2.0 * OPA_ROOT_BAND:
-        raise ValueError(f"margin must be at least {2.0 * OPA_ROOT_BAND:g}")
     loads, t_hi = _bracket(coeffs, delta)
     root, steps = _max_min_root(coeffs, loads)
     width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
+    margin = 2.0 * OPA_ROOT_BAND
     lo = root * (1.0 - margin) - width
     hi = root * (1.0 + margin)
     unsure = ~(t_hi > 0.0) | (steps >= ROOT_MAX_STEPS)

@@ -20,10 +20,12 @@ computed exactly as its own 2-D call. ``mmse_precoder`` also takes ``e_tr``
 and ``rho_f`` per item, ``(...)``, broadcast against the channels' leading
 axes: ``(S,)`` against one channel, or ``(S, 1)`` against a stack of B
 channels for S x B items. Each channel's Gram matrix is formed once and
-only the ridge and the scaling differ per item. The ridge and ZF systems
-are solved by one loop of LAPACK's Cholesky pair over the items
-(``_cho_solve``), which gives SciPy's ``cho_solve(cho_factor(...))``
-bitwise, memory order included.
+only the ridge and the scaling differ per item. The ridge systems are
+solved by one batched ``np.linalg.solve``, after a batched Cholesky test
+that they are positive definite (``_ridge_solve``). The ZF systems are
+solved by a loop of LAPACK's Cholesky pair over the items (``_cho_solve``,
+SciPy's ``cho_solve(cho_factor(...))`` bitwise): its per-item rank test
+decides which masks ZF rejects.
 """
 
 from __future__ import annotations
@@ -96,31 +98,31 @@ def _cho_solve(a, b) -> np.ndarray:
 def _ridge_solve(g_hat: np.ndarray, eps) -> np.ndarray:
     """Solve (conj(G) G^T + eps I_M) X = conj(G) without forming an inverse,
     in the equivalent K x K Gram form conj(G) (G^T conj(G) + eps I_K)^(-1).
-    The Gram matrix is Hermitian positive definite for eps > 0 whatever the
-    shape. ``eps`` is one ridge or one per item, ``(...)``, broadcast against
-    the channel's leading axes; the Gram matrix is formed once either way.
+    ``eps`` is one ridge or one per item, ``(...)``, broadcast against the
+    channel's leading axes; the Gram matrix is formed once either way, and
+    every item is solved by one batched ``np.linalg.solve``.
+
+    The Gram matrix is Hermitian positive definite for eps > 0 in exact
+    arithmetic, and a batched Cholesky factorization tests that it is so in
+    floating point before the solve. It fails where the ridge is below the
+    rounding of a singular Gram matrix, as when users share a selection at
+    very high SNR; the ``LinAlgError`` then names that cause.
     """
     k = g_hat.shape[-1]
     ridge = np.asarray(eps, dtype=float)[..., None, None]
+    if not (np.isfinite(g_hat).all() and np.isfinite(ridge).all()):
+        raise ValueError("the MMSE ridge system must not contain infs or NaNs")
     a = g_hat.mT @ g_hat.conj() + ridge * np.eye(k)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            "the MMSE ridge system is not positive definite: its ridge "
+            "K sigma_w2 / E_tr is below the rounding of the Gram matrix, as when "
+            "users share a selection at very high SNR") from err
     # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
     # conjugate-transpose the result
-    return _cho_solve(a, g_hat.mT).conj().mT
-
-
-def _squared_norm(x: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm over the last two axes.
-
-    Sums in memory order with the same dot products as
-    ``np.linalg.norm(x) ** 2``, so a 2-D call rounds exactly like it. Each
-    norm is squared as a Python float, with libm's ``pow`` as a scalar
-    ``np.float64 ** 2`` squares it; an array's ``** 2`` multiplies instead,
-    which differs in the last bit for about one value in a thousand, so a
-    stacked item would not round as its own 2-D call.
-    """
-    flat = x.ravel(order="K").reshape(x.shape[:-2] + (-1,))
-    norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-    return np.array([norm ** 2 for norm in norms.ravel().tolist()]).reshape(norms.shape)
+    return np.linalg.solve(a, g_hat.mT).conj().mT
 
 
 def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
@@ -159,7 +161,8 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
     k = g_hat.shape[-1]
     eps = k * sigma_w2 / e_tr
     p_tilde = _ridge_solve(g_hat, eps)
-    f = np.sqrt(e_tr / (sigma_s2 * _squared_norm(p_tilde)))
+    norm2 = (p_tilde.real ** 2 + p_tilde.imag ** 2).sum(axis=(-2, -1))
+    f = np.sqrt(e_tr / (sigma_s2 * norm2))
     p = (f / np.sqrt(rho_f))[..., None, None] * p_tilde
     return apply_allocation(PrecoderOutput(p=p, f=f[()]), n_diag)
 

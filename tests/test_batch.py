@@ -276,8 +276,8 @@ def twin_aps(realization, a, b):
 @pytest.mark.parametrize("label", ["MMSE+OPA+ES", "MMSE+APA+ES"])
 def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
     """Two identical APs make candidates that swap one for the other score
-    exactly alike on the exact chain, while the screen's fast build may
-    break the tie either way; the first tied candidate must still win."""
+    exactly alike on the chain, while OPA's screen bounds them from the
+    max-min root; the first tied candidate must still win."""
     cfg = dataclasses.replace(SystemConfig(), **TINY).validate()
     scheme, solver = Scheme.parse(label), SolverParams()
     sigma_w2 = cfg.noise_variance_w()
@@ -298,7 +298,8 @@ def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
         tied += np.count_nonzero((scores == best[:, None]).sum(axis=-1) > 1)
         masks, counts = SCHEMES["selection"]["ES"].select(
             scheme, real, cfg, rho_f, e_tr, sigma_w2, cfg.symbol_power, solver)
-        assert counts["es_certified"] < counts["es_candidates"]
+        if scheme.allocation == "OPA":               # the one screened search
+            assert counts["es_certified"] < counts["es_candidates"]
         for point, first in enumerate(np.argmax(scores, axis=-1)):
             assert np.array_equal(masks[point], every[first]), (trial, SNRS[point])
     # the twins tie the best score at about half of the 60 points

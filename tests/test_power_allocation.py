@@ -452,9 +452,7 @@ def test_opa_bound_holds_bisections_target_and_its_minimum_sinr(stop, case, halv
         coeffs = with_rho_f(coeffs, coeffs.rho_f * 0.5e-6 / t_hi)
         iterations, tol = 30, 1e-6
     res = opa_bisection(coeffs, delta, iterations=iterations, tol=tol)
-    # the narrowest margin the bound accepts
-    lo, hi = pa.opa_bound(coeffs, delta, iterations=iterations, tol=tol,
-                          margin=2.0 * pa.OPA_ROOT_BAND)
+    lo, hi = pa.opa_bound(coeffs, delta, iterations=iterations, tol=tol)
     min_sinr = analytic_sinr(coeffs, res.eta).min(axis=-1)
     assert np.isfinite(lo).all() and np.isfinite(hi).all()
     assert (lo <= res.achieved_t).all() and (res.achieved_t <= hi).all()
@@ -475,10 +473,8 @@ def test_opa_bound_has_no_bound_to_give_without_a_root():
     psi[1, 0] = 0.0                            # no desired signal: no root
     lo, hi = pa.opa_bound(SinrCoefficients(psi=psi, phi=coeffs.phi, gamma=coeffs.gamma,
                                            rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2),
-                          delta, margin=1e-7)
+                          delta)
     assert np.isnan([lo[1], hi[1]]).all() and np.isfinite([lo[::2], hi[::2]]).all()
-    with pytest.raises(ValueError, match="margin"):
-        pa.opa_bound(coeffs, delta, margin=pa.OPA_ROOT_BAND)
 
 
 # ---------------------------------------------------------------- adaptive SG

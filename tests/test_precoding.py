@@ -127,6 +127,53 @@ def test_cholesky_loop_rejects_nonfinite_and_indefinite_systems():
         zf_precoder(g)
 
 
+def scipy_mmse(g, e_tr, rho_f, sigma_w2):
+    """The MMSE precoder of one channel and one item, from SciPy's Cholesky
+    solve of the Gram form and ``np.linalg.norm``."""
+    k = g.shape[-1]
+    gram = g.T @ g.conj() + k * sigma_w2 / e_tr * np.eye(k)
+    p_tilde = cho_solve(cho_factor(gram, lower=True), g.T).conj().T
+    f = np.sqrt(e_tr / np.linalg.norm(p_tilde) ** 2)
+    return f / np.sqrt(rho_f) * p_tilde, f
+
+
+@pytest.mark.parametrize("m, k", [(5, 2), (12, 4), (16, 16)])
+def test_mmse_precoder_agrees_with_scipys_cholesky_solve(m, k):
+    # (S, 1) items against a (B,) stack of channels, with ridges from the
+    # trace of each channel's Gram matrix down to 1e-10 of it
+    rng = np.random.default_rng(16)
+    s, b = 4, 3
+    g = rng.standard_normal((b, m, k)) + 1j * rng.standard_normal((b, m, k))
+    trace = np.linalg.norm(g, axis=(-2, -1)) ** 2
+    rel_ridge = np.logspace(0.0, -10.0, s)
+    sigma_w2 = 0.5
+    e_tr = k * sigma_w2 / (rel_ridge[:, None] * trace)          # (S, B)
+    rho_f = rng.uniform(0.1, 10.0, size=(s, 1))
+    got = mmse_precoder(g, np.ones(k), e_tr, rho_f, sigma_w2)
+    assert got.p.shape == (s, b, m, k)
+    for i in range(s):
+        for j in range(b):
+            eps = k * sigma_w2 / e_tr[i, j]
+            p_tilde = _ridge_solve(g[j], eps)
+            want_tilde = cho_solve(cho_factor(g[j].T @ g[j].conj() + eps * np.eye(k),
+                                              lower=True), g[j].T).conj().T
+            assert np.linalg.norm(p_tilde - want_tilde) <= 1e-12 * np.linalg.norm(want_tilde)
+            want_p, want_f = scipy_mmse(g[j], e_tr[i, j], rho_f[i, 0], sigma_w2)
+            assert np.linalg.norm(got.p[i, j] - want_p) <= 1e-12 * np.linalg.norm(want_p)
+            assert abs(got.f[i, j] - want_f) <= 1e-12 * want_f
+
+
+def test_mmse_names_a_ridge_below_rounding():
+    # two users on one antenna: a rank-1 Gram matrix that a 1e-20 ridge
+    # cannot lift above rounding
+    g = np.ones((1, 2), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="MMSE ridge system is not positive definite") as err:
+        mmse_precoder(g, np.ones(2), e_tr=2e20, rho_f=1.0, sigma_w2=1.0)
+    assert "rank-deficient" not in str(err.value)
+    assert "K sigma_w2 / E_tr" in str(err.value)
+
+
 def test_gram_and_primal_solves_agree():
     # the Gram-form solve against a dense solve of the primal M x M system
     rng = np.random.default_rng(4)
@@ -176,6 +223,9 @@ def test_parameter_validation():
         mmse_precoder(g, np.ones(2), 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="rho_f"):
         mmse_precoder(g, np.ones(3), 1.0, -1.0, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mmse_precoder(np.where(np.eye(3) > 0, bad, g), np.ones(3), 1.0, 1.0, 1.0)
     base = mmse_precoder(g, np.ones(3), 1.0, 1.0, 1.0)
     for bad in ([1.0, np.inf, 1.0], [1.0, -1.0, 1.0]):
         with pytest.raises(ValueError, match="positive"):

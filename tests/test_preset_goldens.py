@@ -1,11 +1,13 @@
 """Every preset's CSV and config sidecar at 2 trials, against stored goldens.
 
 The goldens in ``tests/goldens/`` were written by this module's ``__main__``
-block (``PYTHONPATH=src python tests/test_preset_goldens.py``) before two
+block (``PYTHONPATH=src python tests/test_preset_goldens.py``) before three
 changes that reorder floating-point operations: the chain stopped re-running
 the precoder and allocation for MMSE with a scale-invariant allocator (OPA,
-UPA), and APA moved from the full K x K MSE gradient to its separable
-per-user form (MMSE+APA rows and the fig-learning cost curve). Those rows
+UPA); APA moved from the full K x K MSE gradient to its separable per-user
+form (MMSE+APA rows and the fig-learning cost curve); and the MMSE ridge
+systems moved from a per-item Cholesky loop to one batched solve, with the
+gain's squared norm an array sum (every MMSE and MMSE_CONV row). Those rows
 may move by rounding only, so their ``*_mean`` and ``*_se`` columns are
 compared to 1e-9 relative; every other row and column, and every sidecar,
 must stay byte-identical.
@@ -24,7 +26,7 @@ TRIALS = 2
 REL_TOL = 1e-9
 # rows whose floating-point order changed: by scheme prefix, and every row
 # of a preset
-ROUNDING_ONLY = ("MMSE+OPA+", "MMSE+UPA+", "MMSE+APA+")
+ROUNDING_ONLY = ("MMSE+OPA+", "MMSE+UPA+", "MMSE+APA+", "MMSE_CONV+")
 ROUNDING_ONLY_PRESETS = ("fig-learning",)
 
 

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellfree import pipeline, selection
+from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
-from cellfree.metrics import ber_qpsk, snr_to_rho_f
+from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell, run_chain,
                                run_trial)
-from cellfree.power_allocation import upa
+from cellfree.power_allocation import CONSTRAINT_TOL, _bracket, upa
 from cellfree.precoding import mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
@@ -143,17 +143,18 @@ def es_cell(cfg, scheme, snrs, trial):
 
 
 def assert_the_screen_changes_nothing(cfg, scheme, snrs, trial):
-    """With the default screen margin and with an infinite one, which keeps
-    every candidate for the exact chain as a search without a screen does,
-    one chunk and a chunk that splits the candidates give bitwise-equal
-    masks and minimum SINRs, or the same error."""
+    """With the screen and without it (OPA with no bound, which scores every
+    candidate on the chain), one chunk and a chunk that splits the
+    candidates give bitwise-equal masks and minimum SINRs, or the same
+    error."""
     total = selection.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
     split = len(snrs) * cfg.total_antennas * cfg.num_users * max(1, total // 3)
+    unbounded = dataclasses.replace(SCHEMES["allocation"]["OPA"], bound=None)
     for entries in (selection.ES_CHUNK_ENTRIES, split):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
             screened = es_cell(cfg, scheme, snrs, trial)
-            patch.setattr(pipeline, "ES_SCREEN_MARGIN", np.inf)
+            patch.setitem(SCHEMES["allocation"], "OPA", unbounded)
             exhaustive = es_cell(cfg, scheme, snrs, trial)
         if isinstance(exhaustive, str):
             assert screened == exhaustive, (scheme.label, snrs, trial)
@@ -177,14 +178,16 @@ def test_the_es_screen_picks_the_exact_winners_of_every_scheme():
             assert_the_screen_changes_nothing(cfg, Scheme(*pair, "ES"),
                                               list(cfg.snr_grid_db), trial)
     # one AP per user at 200 dB and up: the ridge is below rounding, so the
-    # exact MMSE build's Cholesky test rejects the candidates that give both
-    # users one AP, and a screened cell must fail with the same error
+    # MMSE build's Cholesky test rejects the candidates that give both users
+    # one AP, and a cell fails with the same error, screened or not
     one_ap = dataclasses.replace(cfg, selected_aps=1).validate()
     for pair in PAIRS:
         if pair[0] == "MMSE":
             assert_the_screen_changes_nothing(one_ap, Scheme(*pair, "ES"),
                                               [0.0, 200.0, 1000.0], 0)
-            assert isinstance(es_cell(one_ap, Scheme(*pair, "ES"), [200.0], 0), str)
+            err = es_cell(one_ap, Scheme(*pair, "ES"), [200.0], 0)
+            assert err.startswith("LinAlgError: the MMSE ridge system is not positive")
+            assert "rank-deficient" not in err
 
 
 @st.composite
@@ -263,6 +266,45 @@ def test_mmse_conv_equals_mmse_under_every_allocation_it_takes(case):
         assert mmse.trace["allocation_solves"] == conv.trace["allocation_solves"]
         for name in ("per_user_sinr", "sum_rate", "min_sinr"):
             assert np.array_equal(getattr(mmse.metrics, name), getattr(conv.metrics, name))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid_cases())
+def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
+    """On one random draw and NS or LS mask, over a random SNR grid: every
+    (precoder, allocation) pair keeps each antenna's load at most
+    1 + CONSTRAINT_TOL and gives finite, nonnegative SINRs, and each
+    precoder's OPA minimum SINR is at least its UPA's and APA's, less
+    bisection's final bracket width ``max(opa_tol, t_hi 2^-iterations)``."""
+    cfg, selected, snrs, trial = case
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    mask = (ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap)
+            if selected == "LS" else np.ones(real.g_hat.shape))
+    g_hat, err_var = selection.apply_mask(mask, real)
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0 ** (np.array(snrs) / 10.0), real.g_hat, sigma_w2)
+    solver = SolverParams()
+    min_sinr, width = {}, {}
+    for pair in PAIRS:
+        try:
+            res = run_chain(g_hat, err_var, Scheme(*pair, selected), rho_f,
+                            cfg.total_antennas * rho_f, sigma_w2, cfg.symbol_power, solver)
+        except np.linalg.LinAlgError as err:    # ZF on a rank-deficient mask
+            assert pair[0] == "ZF" and "rank-deficient" in str(err)
+            continue
+        peak = np.matvec(res.precoder.delta, res.n_final.eta).max(axis=-1)
+        assert (peak <= 1.0 + CONSTRAINT_TOL).all(), (pair, peak)
+        sinr = res.metrics.per_user_sinr
+        assert (np.isfinite(sinr) & (sinr >= 0.0)).all(), (pair, sinr)
+        min_sinr[pair] = res.metrics.min_sinr
+        if pair[1] == "OPA":
+            coeffs = sinr_coefficients(res.precoder.p, g_hat, err_var, rho_f, sigma_w2)
+            _, t_hi = _bracket(coeffs, res.precoder.delta)
+            width[pair[0]] = np.maximum(solver.opa_tol, t_hi * 2.0 ** -solver.opa_iterations)
+    for (precoder, allocation), sinr in min_sinr.items():
+        if allocation != "OPA" and precoder in width:
+            assert (min_sinr[precoder, "OPA"] >= sinr - width[precoder]).all(), \
+                (precoder, allocation, snrs)
 
 
 def reference_ber(p, n_diag, g, g_hat, rho_f, sigma_w2, symbols, rng, packets, noise_rng):
