@@ -77,7 +77,6 @@ class SystemConfig:
     symbol_power: float = 1.0          # sigma_s^2
     csi_quality: float = 1.0           # n
     snr_grid_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
-    total_power_policy: str = "M*rho_f"
     rng_seed: int = 12345
 
     @property
@@ -127,8 +126,6 @@ class SystemConfig:
         if not all(abs(snr) <= MAX_ABS_SNR_DB for snr in self.snr_grid_db):
             raise ConfigError(f"snr_grid_db values must lie in [-{MAX_ABS_SNR_DB:g}, "
                               f"{MAX_ABS_SNR_DB:g}] dB")
-        if self.total_power_policy != "M*rho_f":
-            raise ConfigError("total_power_policy: only 'M*rho_f' is supported")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2 ** 64:
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
         return self

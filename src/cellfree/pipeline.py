@@ -18,12 +18,13 @@ and an allocate stage, which only reads the build, so that one build can
 serve every chain on the same masked channel and SNR points.
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
-``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` and ``e_tr`` of
-shape ``(S,)`` against one channel or paired with ``(S, M, K)`` channels,
-or ``(S, 1)`` against a stack. MMSE builds one precoder per item, from one
-Gram matrix per channel, while ZF and CB, whose precoders and SINR
-coefficients do not depend on the SNR, build once per channel and are
-broadcast over the points. Each item equals its own 2-D chain bitwise.
+``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` of shape
+``(S,)`` against one channel or paired with ``(S, M, K)`` channels, or
+``(S, 1)`` against a stack. MMSE builds one precoder per item under the
+total transmit energy ``E_tr = M rho_f``, from one Gram matrix per channel,
+while ZF and CB, whose precoders and SINR coefficients do not depend on the
+SNR, build once per channel and are broadcast over the points. Each item
+equals its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and then runs the ``(S, M, K)`` winners as one chain, so every
 reported number is what the 2-D chain on the winning mask gives. A chunk
@@ -88,9 +89,9 @@ class _Allocator:
         return self.precoders is None or precoder in self.precoders
 
 
-def _mmse(g_hat, e_tr, rho_f, sigma_w2, sigma_s2):
-    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[-1]), e_tr, rho_f,
-                            sigma_w2, sigma_s2)
+def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
+    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[-1]), e_tr=g_hat.shape[-2] * rho_f,
+                            rho_f=rho_f, sigma_w2=sigma_w2, sigma_s2=sigma_s2)
 
 
 def _opa(precoder, coeffs, sigma_s2, solver):
@@ -108,12 +109,12 @@ def _apa(precoder, coeffs, sigma_s2, solver):
                       iterations=solver.apa_iterations, sigma_s2=sigma_s2)
 
 
-def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
+def _es(scheme, realization, cfg, rho_f, solver):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
     ``(S, M, K)``, from one search, and its trace counts: ``es_candidates``,
     the (point, candidate) items searched, and ``es_certified``, those scored
     on the whole chain. A stack of B candidates runs as one ``(S, B)``
-    chain against ``rho_f`` and ``e_tr`` of shape ``(S, 1)``.
+    chain against ``rho_f`` of shape ``(S, 1)``.
 
     MMSE+OPA's search is screened: every chunk is first bounded on its own
     MMSE build by ``pa.opa_bound``, the max-min root without bisection, and
@@ -125,14 +126,15 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
     are not screened: their searches score every candidate."""
     points = np.shape(rho_f)
     if points:
-        rho_f, e_tr = rho_f[..., None], e_tr[..., None]
+        rho_f = rho_f[..., None]
+    sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     screened = build is _mmse and allocator.bound is not None
     certified = 0
 
     def min_sinr(g_hat, err_var):
-        return run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2,
+        return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2,
                          solver).metrics.min_sinr
 
     def evaluate(masks):
@@ -145,10 +147,8 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
             return min_sinr(g_hat, err_var)
-        except np.linalg.LinAlgError as err:
-            if "rank-deficient" not in str(err):      # zf_precoder's message
-                raise
-        full = pc.zf_full_rank(g_hat)
+        except pc.RankDeficientError:
+            full = pc.zf_full_rank(g_hat)
         scores = np.full(points + full.shape, -np.inf)
         if full.any():
             scores[..., full] = min_sinr(g_hat[full], err_var[full])
@@ -159,7 +159,7 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
         ``points + (B,)``; NaN where the build cannot be bounded."""
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            prec = build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
+            prec = build(g_hat, rho_f, sigma_w2, sigma_s2)
             coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
             return allocator.bound(prec, coeffs, solver)
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
@@ -179,13 +179,13 @@ def _es(scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2, solver):
 
 @dataclass(frozen=True)
 class _Selector:
-    select: Callable      # (scheme, realization, cfg, rho_f, e_tr, sigma_w2, sigma_s2,
-                          # solver) -> (mask array, ES trace counts)
+    select: Callable      # (scheme, realization, cfg, rho_f, solver)
+                          # -> (mask array, ES trace counts)
     per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
 
 
 # Every scheme name, keyed by Scheme field. A precoder is its build function,
-# (g_hat, e_tr, rho_f, sigma_w2, sigma_s2) with N = I.
+# (g_hat, rho_f, sigma_w2, sigma_s2) with N = I.
 SCHEMES = {
     "precoder": {
         "MMSE": _mmse,
@@ -339,11 +339,11 @@ class PipelineResult(ChainResult):
     mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) for ES on a grid
 
 
-def _build(build: Callable, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2):
+def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2):
     """The build stage of a chain: ``(precoder, SINR coefficients, seconds)``
     of an identity allocation, the precoder broadcast over the items."""
     t0 = time.perf_counter()
-    prec = build(g_hat, e_tr, rho_f, sigma_w2, sigma_s2)
+    prec = build(g_hat, rho_f, sigma_w2, sigma_s2)
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
     items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
     if items != prec.p.shape[:-2]:
@@ -356,16 +356,16 @@ def _build(build: Callable, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2):
     return prec, coeffs, time.perf_counter() - t0
 
 
-def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
+def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
               sigma_s2: float, solver: SolverParams = SolverParams(),
               built: Optional[tuple] = None) -> ChainResult:
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
-    module docstring). ``rho_f`` and ``e_tr`` are scalars or one value per
-    item, and their items broadcast against the channel's: ``(S,)`` against
-    one channel, ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)``
-    against ``(B, M, K)`` runs every channel at every point. Every array of
-    the result has the broadcast items' leading axes.
+    module docstring). ``rho_f`` is a scalar or one value per item, and its
+    items broadcast against the channel's: ``(S,)`` against one channel,
+    ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)`` against
+    ``(B, M, K)`` runs every channel at every point. Every array of the
+    result has the broadcast items' leading axes.
 
     The chain is a build stage (``_build``: the precoder of an identity
     allocation and its SINR coefficients) and an allocate stage, which only
@@ -374,7 +374,7 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
     several chains."""
     allocator = SCHEMES["allocation"][scheme.allocation]
     if built is None:
-        built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f, e_tr,
+        built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f,
                        sigma_w2, sigma_s2)
     prec, coeffs, build_seconds = built
     t1 = time.perf_counter()
@@ -399,8 +399,7 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, e_tr, sigma_w2: float,
                        metrics=metrics, trace=trace)
 
 
-def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
-            solver):
+def _select(draw: TrialDraw, scheme: Scheme, rho_f, solver):
     """``(mask, masked g_hat, masked error variance, ES trace counts)`` of
     one cell, read-only; NS and LS come from the draw's memo. ES on a grid
     ``(S,)`` gives one mask per point, ``(S, M, K)``."""
@@ -408,26 +407,25 @@ def _select(draw: TrialDraw, scheme: Scheme, rho_f, e_tr, sigma_w2, sigma_s2,
         return draw.selections[scheme.selection]
     selector = SCHEMES["selection"][scheme.selection]
     realization = draw.realization
-    mask, es_counts = selector.select(scheme, realization, draw.cfg, rho_f, e_tr,
-                                      sigma_w2, sigma_s2, solver)
+    mask, es_counts = selector.select(scheme, realization, draw.cfg, rho_f, solver)
     selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), es_counts)
     if not selector.per_cell:
         draw.selections[scheme.selection] = selected
     return selected
 
 
-def _cell_build(draw: TrialDraw, scheme: Scheme, snr_db, g_hat, err_var, rho_f, e_tr,
+def _cell_build(draw: TrialDraw, scheme: Scheme, snr_db, g_hat, err_var, rho_f,
                 sigma_w2, sigma_s2):
     """The ``_build`` of one cell. NS and LS builds come from the draw's
     memo, read-only; a shared build's seconds count only in the cell that
     made it."""
     build = SCHEMES["precoder"][scheme.precoder]
     if SCHEMES["selection"][scheme.selection].per_cell:
-        return _build(build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+        return _build(build, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
     key = (scheme.selection, build, np.shape(snr_db), tuple(np.ravel(snr_db).tolist()))
     if key in draw.builds:
         return (*draw.builds[key], 0.0)
-    prec, coeffs, seconds = _build(build, g_hat, err_var, rho_f, e_tr, sigma_w2, sigma_s2)
+    prec, coeffs, seconds = _build(build, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
     _read_only(prec.p, prec.f, coeffs.psi, coeffs.phi, coeffs.gamma, coeffs.rho_f)
     draw.builds[key] = prec, coeffs
     return prec, coeffs, seconds
@@ -469,13 +467,10 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     realization = draw.realization
     t1 = time.perf_counter()
     rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
-    e_tr = cfg.total_antennas * rho_f
-    mask, g_hat, err_var, es_counts = _select(draw, scheme, rho_f, e_tr,
-                                              sigma_w2, sigma_s2, solver)
+    mask, g_hat, err_var, es_counts = _select(draw, scheme, rho_f, solver)
     t2 = time.perf_counter()
-    built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, e_tr, sigma_w2,
-                        sigma_s2)
-    chain = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2, sigma_s2, solver,
+    built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
+    chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, solver,
                       built=built)
     t3 = time.perf_counter()
 
@@ -576,17 +571,18 @@ def _axis_points(cfg, axis, axis_values):
     """The sweep axis as groups ``(axis values, config, SNR list)``, one per
     distinct config: the SNR grid is one group, and every selection-fraction
     or antenna-split point is a group of its own, at the grid's first SNR.
-    Malformed ``axis_values`` raise ``ValueError`` naming the axis."""
+    The selection-fraction and antenna-split axes take their points only
+    from ``axis_values``; missing or malformed values raise ``ValueError``
+    naming the axis."""
     if axis == "snr_grid":
         if axis_values is not None:
             raise ValueError(f"axis snr_grid takes its points from the config's "
                              f"snr_grid_db, not from axis_values={axis_values!r}")
         grid = [float(snr) for snr in cfg.snr_grid_db]
         return [(grid, cfg, grid)]
-    defaults = {"selection_fraction": (1.0, 0.5, 0.25, 0.125), "antennas_per_ap": (1, 2, 4)}
-    if axis not in defaults:
+    if axis not in ("selection_fraction", "antennas_per_ap"):
         raise ValueError(f"unknown sweep axis {axis!r}")
-    values = defaults[axis] if axis_values is None else tuple(axis_values)
+    values = () if axis_values is None else tuple(axis_values)
     if not values:
         raise ValueError(f"axis {axis} needs at least one value")
     snr = [float(cfg.snr_grid_db[0])]
@@ -662,9 +658,9 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     order. A trial that fails on its draw raises ``TrialError`` for the
     first failing cell in (trial, axis point, scheme) order, so it names the
     smallest failing trial over all schemes and points; a trial whose grid
-    cell fails is re-run one point at a time to find that cell. Malformed
-    ``axis_values``, and an ES scheme over the solver's candidate budget at
-    any axis point, raise ``ValueError`` before the first trial.
+    cell fails is re-run one point at a time to find that cell. Missing or
+    malformed ``axis_values``, and an ES scheme over the solver's candidate
+    budget at any axis point, raise ``ValueError`` before the first trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

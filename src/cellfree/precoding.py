@@ -50,6 +50,11 @@ class PrecoderOutput:
         return np.abs(self.p) ** 2
 
 
+class RankDeficientError(np.linalg.LinAlgError):
+    """ZF's Gram matrix of a channel is not positive definite in floating
+    point: the channel is rank-deficient."""
+
+
 def _cholesky(potrf, a):
     """LAPACK's lower Cholesky factor of one ``(n, n)`` item and its info,
     as ``cho_factor`` calls ``potrf``; info > 0 where it is not positive
@@ -184,13 +189,14 @@ def zf_full_rank(g_hat) -> np.ndarray:
 
 def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
-    on the estimated channel. Raises on a rank-deficient channel."""
+    on the estimated channel. Raises ``RankDeficientError`` on a
+    rank-deficient channel."""
     g_hat = np.asarray(g_hat)
     gram = _zf_gram(g_hat)
     try:
         p = _cho_solve(gram, g_hat.mT).conj().mT
     except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"rank-deficient channel: {err}") from err
+        raise RankDeficientError(f"rank-deficient channel: {err}") from err
     return PrecoderOutput(p=p, f=1.0)
 
 

@@ -48,6 +48,10 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("unknown_thing = 3\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
+    # the total energy is fixed at E_tr = M rho_f, not a key
+    path.write_text("num_aps = 8\ntotal_power_policy = M*rho_f\n")
+    with pytest.raises(ConfigError, match=":2: unknown key 'total_power_policy'"):
+        load_config(path)
     path.write_text("num_aps = banana\n")
     with pytest.raises(ConfigError, match=":1:"):
         load_config(path)

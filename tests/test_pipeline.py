@@ -52,29 +52,36 @@ def test_scheme_parsing():
 def test_identity_channel_chain_by_hand():
     k, rho_f = 3, 2.0
     g = np.eye(k, dtype=complex)
-    by_hand = dict(err_var=np.zeros((k, k)), rho_f=rho_f, e_tr=float(k),
-                   sigma_w2=1.0, sigma_s2=1.0)
+    by_hand = dict(err_var=np.zeros((k, k)), rho_f=rho_f, sigma_w2=1.0, sigma_s2=1.0)
 
-    # UPA is scale-invariant: one build, one solve. A second pass would give
-    # P = I / rho_f with eta = rho_f^2; the one pass keeps P = I / sqrt(rho_f)
-    # with eta = rho_f. Both have the same P N, so both reach the SINR
-    # rho_f * eta * |p_kk|^2 / sigma_w2 = rho_f.
+    # M = K = 3, so E_tr = M rho_f = 6 and the ridge is K sigma_w2 / E_tr =
+    # 1/2: p_tilde = I / (3/2), f = sqrt(E_tr / ||p_tilde||_F^2) = 3 / sqrt(2),
+    # and P = f p_tilde / sqrt(rho_f) = I. UPA is scale-invariant: one build,
+    # one solve, eta = 1 under the per-antenna cap, and the SINR
+    # rho_f * eta * |p_kk|^2 / sigma_w2 = rho_f. A second pass would re-form
+    # P / sqrt(eta) = I and reproduce the first.
     out = run_chain(g, scheme=Scheme("MMSE", "UPA", "NS"), **by_hand)
-    assert np.allclose(out.precoder.p, np.eye(k) / np.sqrt(rho_f))
-    assert np.allclose(out.precoder.delta, np.eye(k) / rho_f)
-    assert np.allclose(out.n_first.eta, rho_f)
+    assert np.allclose(out.precoder.p, np.eye(k))
+    assert np.allclose(out.precoder.f, 3.0 / np.sqrt(2.0))
+    assert np.allclose(out.precoder.delta, np.eye(k))
+    assert np.allclose(out.n_first.eta, 1.0)
     assert out.n_final is out.n_first
     assert np.allclose(out.metrics.per_user_sinr, rho_f)
     assert out.trace["allocation_solves"] == 1
     assert out.trace["allocation_iterations"] == [0]
     assert out.trace["allocation_tests"] == [0]
 
-    # APA is not: the precoder is re-formed as P / n_first and allocated again
+    # APA is not: the precoder is re-formed as P / n_first = I / n1 and
+    # allocated again. The first pass stops below the cap, eta < 1; the
+    # second, on loads 1 / eta_first, climbs to the cap at eta_first, so the
+    # link ends at P N = I with the SINR rho_f instead of rho_f * eta_first.
     out = run_chain(g, scheme=Scheme("MMSE", "APA", "NS"), **by_hand)
     n1 = np.sqrt(out.n_first.eta)
-    assert np.allclose(out.precoder.p, np.eye(k) / np.sqrt(rho_f) / n1[None, :])
-    assert not np.allclose(out.n_final.eta, out.n_first.eta)
-    assert np.max(out.precoder.delta @ out.n_final.eta) <= 1.0 + 1e-9
+    assert np.allclose(out.precoder.p, np.eye(k) / n1[None, :])
+    assert np.all(out.n_first.eta < 0.5)
+    assert np.allclose(out.n_final.eta, out.n_first.eta)
+    assert np.allclose(out.precoder.delta @ out.n_final.eta, 1.0)
+    assert np.allclose(out.metrics.per_user_sinr, rho_f)
     assert out.trace["allocation_solves"] == 2
     assert out.trace["allocation_iterations"] == [5, 5]
     assert out.trace["allocation_tests"] == [0, 0]
@@ -88,7 +95,7 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
         real = TrialDraw(cfg, trial, cfg.rng_seed).realization
         g, err = apply_mask(ls_aps(real.beta, cfg.selected_aps, 1), real)
         rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
-        e_tr = cfg.total_antennas * rho_f
+        e_tr = cfg.total_antennas * rho_f         # the chain's total energy
 
         def two_pass(allocate):
             """The paper's chain: allocate, re-solve MMSE with N, allocate again."""
@@ -100,7 +107,7 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
 
         def one_pass(allocation):
             return run_chain(g, err, Scheme("MMSE", allocation, "LS"), rho_f,
-                             e_tr, sigma_w2, 1.0, solver)
+                             sigma_w2, 1.0, solver)
 
         def opa(prec):
             coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
@@ -123,6 +130,22 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
         assert np.array_equal(got.precoder.p, second.p)
         assert np.array_equal(got.n_final.eta, n_final.eta)
         assert np.array_equal(got.metrics.per_user_sinr, sinr)
+
+
+def test_mmse_chain_transmits_m_rho_f_on_every_item():
+    # the chain's total transmit energy is E_tr = M rho_f: the identity
+    # allocation's signal sqrt(rho_f) P s carries rho_f sigma_s2 ||P||_F^2 of it
+    rng = np.random.default_rng(7)
+    shape = (5, 12, 3)                                        # (B, M, K)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho_f = np.array([0.3, 2.0, 45.0, 1e3])[:, None]          # (S, 1)
+    sigma_s2 = 1.7
+    out = run_chain(g, rng.uniform(0.0, 0.1, shape), Scheme("MMSE", "UPA", "NS"), rho_f,
+                    0.4, sigma_s2)
+    assert out.precoder.p.shape == (4,) + shape
+    sent = rho_f * sigma_s2 * np.linalg.norm(out.precoder.p, axis=(-2, -1)) ** 2
+    np.testing.assert_allclose(sent, np.broadcast_to(12 * rho_f, (4, 5)), rtol=1e-12,
+                               atol=0.0)
 
 
 def test_allocation_independent_precoders_repeat_the_first_pass():
@@ -281,6 +304,9 @@ def test_antenna_split_axis_keeps_totals():
                   trials=1, axis_values=(3,))
     with pytest.raises(ValueError, match="axis"):
         run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], axis="bogus", trials=1)
+    # the axis has no default points
+    with pytest.raises(ValueError, match="axis antennas_per_ap needs at least one value"):
+        run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], axis="antennas_per_ap", trials=1)
 
 
 def test_ber_columns_only_when_requested():

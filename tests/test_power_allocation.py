@@ -555,8 +555,7 @@ def test_separable_form_matches_the_full_matrix_oracle(csi, batch):
     shape = batch + (m, k)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     err = np.zeros(shape) if csi == "perfect" else rng.uniform(0.0, 0.3, size=shape)
-    chain = run_chain(g, err, Scheme("MMSE", "APA", "NS"), rho_f, float(m) * rho_f,
-                      sigma_w2, sigma_s2)
+    chain = run_chain(g, err, Scheme("MMSE", "APA", "NS"), rho_f, sigma_w2, sigma_s2)
     first = mmse_precoder(g, np.ones(k), float(m) * rho_f, rho_f, sigma_w2, sigma_s2)
     passes = [(first, chain.n_first), (chain.precoder, chain.n_final)]
     assert len(passes) == chain.trace["allocation_solves"]

@@ -130,12 +130,10 @@ def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
     """Minimum SINR of the chain on one mask, or on each of a stack of masks."""
     sigma_w2 = cfg.noise_variance_w()
     rho_f = 1e-3
-    e_tr = cfg.total_antennas * rho_f
 
     def evaluate(mask):
         g_hat, err_var = apply_mask(mask, real)
-        out = run_chain(g_hat, err_var, scheme, rho_f, e_tr, sigma_w2,
-                        cfg.symbol_power)
+        out = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
         return out.metrics.min_sinr
 
     return evaluate
