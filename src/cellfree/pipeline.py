@@ -26,10 +26,11 @@ while ZF and CB, whose precoders and SINR coefficients do not depend on the
 SNR, build once per channel and are broadcast over the points. Each item
 equals its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
-chunks, and then runs the ``(S, M, K)`` winners as one chain, so every
-reported number is what the 2-D chain on the winning mask gives. A chunk
-that leaves ZF rank-deficient runs again without the candidates that fail
-ZF's Cholesky test, which score -inf.
+chunks, and takes each point's winning item from the chunk that scored it,
+so every reported number is what the 2-D chain on the winning mask gives,
+and no chain runs on the winners again. A chunk that leaves ZF
+rank-deficient runs again without the candidates that fail ZF's Cholesky
+test, which score -inf.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
 of trial ``t`` at one config shares, each made once on first use and
@@ -37,10 +38,10 @@ read-only: the channel block; the NS and LS masks with the estimate and
 error variance they mask; and, per (NS or LS selection, precoder build,
 SNR points), the build, which MMSE and MMSE_CONV share. ``run_cell`` runs
 one cell on a draw; exhaustive selection depends on the scheme and the
-SNR, so it searches and builds per cell. ``run_trial`` is one cell on a
-fresh draw. ``run_sweep`` runs trial-major, one draw per config and one
-cell per scheme over that config's SNR points: the whole grid on the SNR
-axis, one point on the others. ES then searches once per cell for every
+SNR, so it searches per cell, and its search gives the cell's chain.
+``run_trial`` is one cell on a fresh draw. ``run_sweep`` runs trial-major,
+one draw per config and one cell per scheme over that config's SNR points:
+the whole grid on the SNR axis, one point on the others. ES then searches once per cell for every
 point's mask. The points of a selection-fraction axis differ only in
 ``selected_aps``, which the channel draw does not read, so their draws
 share one channel block.
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -111,76 +112,120 @@ def _apa(precoder, coeffs, sigma_s2, solver):
 
 def _es(scheme, realization, cfg, rho_f, solver):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
-    ``(S, M, K)``, from one search, and its trace counts: ``es_candidates``,
-    the (point, candidate) items searched, and ``es_certified``, those scored
-    on the whole chain. A stack of B candidates runs as one ``(S, B)``
-    chain against ``rho_f`` of shape ``(S, 1)``.
+    ``(S, M, K)``, from one search, and the winners' ``ChainResult``, taken
+    from the search. A stack of B candidates runs as one ``(S, B)`` chain
+    against ``rho_f`` of shape ``(S, 1)``, and each of its items equals its
+    own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` of the
+    chunk that scored it is what the chain on that point's mask gives: no
+    chain runs again on the winners. The result's trace holds the counts of
+    that scored stack (of the first point's winner on a grid):
+    ``allocation_solves``, ``allocation_iterations`` and
+    ``allocation_tests``; its precoder and allocation seconds are 0, as the
+    search that ran them is the cell's selection time. It also holds
+    ``es_candidates``, the (point, candidate) items searched, and
+    ``es_certified``, those scored on the whole chain.
 
-    MMSE+OPA's search is screened: every chunk is first bounded on its own
-    MMSE build by ``pa.opa_bound``, the max-min root without bisection, and
-    only the candidates whose interval can reach the best run the chain
-    (see ``sel.es_aps``), so the winner is the unscreened search's. A chunk
-    the screen cannot bound (it raises) has NaN intervals, so the chain
-    scores it and meets the same error. APA and UPA have no bound cheaper
-    than their own chain, and ZF and CB, which no preset searches with OPA,
-    are not screened: their searches score every candidate."""
+    OPA's search is screened, with every precoder: every chunk is first
+    bounded on its own build by ``pa.opa_bound``, a closed-form interval
+    with no eigendecomposition and no bisection, and only the candidates
+    whose interval can reach the best run the chain (see ``sel.es_aps``), so
+    the winner is the unscreened search's. A chunk the screen cannot bound
+    (its build raises) has NaN intervals, so the chain scores it and meets
+    the same error, or, for ZF, sets its rank-deficient candidates aside.
+    APA and UPA have no bound cheaper than their own chain: their searches
+    score every candidate."""
     points = np.shape(rho_f)
-    if points:
-        rho_f = rho_f[..., None]
+    stack_rho = rho_f[..., None] if points else rho_f
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
-    screened = build is _mmse and allocator.bound is not None
     certified = 0
 
-    def min_sinr(g_hat, err_var):
-        return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2,
-                         solver).metrics.min_sinr
+    def chain(g_hat, err_var):
+        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, solver)
 
     def evaluate(masks):
-        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``. A mask that
-        leaves ZF rank-deficient scores -inf at every point: when a stack
-        raises, the masks that fail ZF's Cholesky test are set aside and the
-        rest run again as one stack."""
+        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and
+        ``(chain result, its column of each mask)``. A mask that leaves ZF
+        rank-deficient scores -inf at every point: when a stack raises, the
+        masks that fail ZF's Cholesky test are set aside and the rest run
+        again as one stack."""
         nonlocal certified
         certified += len(masks) * math.prod(points)
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            return min_sinr(g_hat, err_var)
+            result = chain(g_hat, err_var)
+            return result.metrics.min_sinr, (result, np.arange(len(masks)))
         except pc.RankDeficientError:
             full = pc.zf_full_rank(g_hat)
         scores = np.full(points + full.shape, -np.inf)
-        if full.any():
-            scores[..., full] = min_sinr(g_hat[full], err_var[full])
-        return scores
+        if not full.any():
+            return scores, None
+        result = chain(g_hat[full], err_var[full])
+        scores[..., full] = result.metrics.min_sinr
+        return scores, (result, np.cumsum(full) - 1)
 
     def screen(masks):
         """``(lo, hi)`` around each minimum SINR of a (B, M, K) stack,
         ``points + (B,)``; NaN where the build cannot be bounded."""
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            prec = build(g_hat, rho_f, sigma_w2, sigma_s2)
-            coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+            prec = build(g_hat, stack_rho, sigma_w2, sigma_s2)
+            coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, stack_rho, sigma_w2)
             return allocator.bound(prec, coeffs, solver)
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
             return (np.full(points + masks.shape[:1], np.nan),) * 2
 
-    masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
-                          cfg.antennas_per_ap, evaluate, budget=solver.es_budget,
-                          points=math.prod(points), screen=screen if screened else None)
+    masks, _, winners = sel.es_aps(
+        cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
+        budget=solver.es_budget, points=math.prod(points),
+        screen=None if allocator.bound is None else screen)
     if masks is None:
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
+    won = _take([(result, (*point, columns[column]))
+                 for point, ((result, columns), column) in zip(np.ndindex(points), winners)],
+                stacked=bool(points))
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
-    return masks, {"es_candidates": candidates * math.prod(points),
-                   "es_certified": certified}
+    won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
+                 "es_candidates": candidates * math.prod(points), "es_certified": certified}
+    return masks, won
+
+
+def _take(picks, stacked):
+    """One ``ChainResult`` from ``(chain result, item index)`` picks: every
+    per-item array of each chain at its index, the picks stacked along a
+    leading axis if ``stacked``. What is not per item (the counts of a
+    solve, the trace) comes from the first pick's chain."""
+    results = [result for result, _ in picks]
+    if all(result is results[0] for result in results):
+        # one chunk scored every winner: one index per array
+        index = (tuple(np.array([index for _, index in picks]).T) if stacked
+                 else picks[0][1])
+        return _tree_map(lambda value: value[index], results[0])
+    return _tree_map(lambda *values: np.stack([value[index] for value, (_, index)
+                                               in zip(values, picks)]), *results)
+
+
+def _tree_map(fn, *trees):
+    """``fn`` of the trees' arrays, leaf by leaf, through dataclasses and
+    lists of the same structure; any other leaf is the first tree's."""
+    first = trees[0]
+    if isinstance(first, np.ndarray):
+        return fn(*trees)
+    if isinstance(first, list):
+        return [_tree_map(fn, *items) for items in zip(*trees)]
+    if is_dataclass(first):
+        return type(first)(**{f.name: _tree_map(fn, *(getattr(tree, f.name) for tree in trees))
+                              for f in fields(first)})
+    return first
 
 
 @dataclass(frozen=True)
 class _Selector:
     select: Callable      # (scheme, realization, cfg, rho_f, solver)
-                          # -> (mask array, ES trace counts)
+                          # -> (mask array, the chain ES ran on it or None)
     per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
 
 
@@ -201,9 +246,9 @@ SCHEMES = {
     },
     "selection": {
         "NS": _Selector(lambda scheme, realization, cfg, *_: (
-            np.ones((cfg.total_antennas, cfg.num_users)), {})),
+            np.ones((cfg.total_antennas, cfg.num_users)), None)),
         "LS": _Selector(lambda scheme, realization, cfg, *_: (
-            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), {})),
+            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), None)),
         "ES": _Selector(_es, per_cell=True),
     },
 }
@@ -400,15 +445,16 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
 
 
 def _select(draw: TrialDraw, scheme: Scheme, rho_f, solver):
-    """``(mask, masked g_hat, masked error variance, ES trace counts)`` of
-    one cell, read-only; NS and LS come from the draw's memo. ES on a grid
-    ``(S,)`` gives one mask per point, ``(S, M, K)``."""
+    """``(mask, masked g_hat, masked error variance, ES chain)`` of one cell,
+    read-only; NS and LS come from the draw's memo and have no chain. ES on
+    a grid ``(S,)`` gives one mask per point, ``(S, M, K)``, and the chain
+    result of those winners (see ``_es``)."""
     if scheme.selection in draw.selections:
         return draw.selections[scheme.selection]
     selector = SCHEMES["selection"][scheme.selection]
     realization = draw.realization
-    mask, es_counts = selector.select(scheme, realization, draw.cfg, rho_f, solver)
-    selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), es_counts)
+    mask, chain = selector.select(scheme, realization, draw.cfg, rho_f, solver)
+    selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), chain)
     if not selector.per_cell:
         draw.selections[scheme.selection] = selected
     return selected
@@ -447,8 +493,9 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     ``snr_db`` is one SNR point, or a grid ``(S,)``: the cell then runs one
     stacked chain, every result has a leading grid axis, and each item
     equals its own cell's result. NS and LS share one mask over the grid;
-    ES searches once for every point's mask and runs the ``(S, M, K)``
-    winners as one chain. BER is measured for every point in one
+    ES searches once for every point's mask, and its chain result is the
+    winners' items of the chunks the search scored (see ``_es``). BER is
+    measured for every point in one
     ``ber_qpsk`` call on the restarted symbol and noise streams, so each
     point sees the bits and noise it would see on its own.
 
@@ -456,8 +503,11 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     the cell that made the draw (the first to run on it), the selection
     time of NS and LS only in the cell that made that selection, and
     ``trace["seconds"]["precoder"]`` the time of a shared build (precoder
-    and SINR coefficients) only in the cell that made it. The times of a
-    stacked cell cover all of its points.
+    and SINR coefficients) only in the cell that made it. An ES cell's
+    search, the winners' chain included, counts under
+    ``trace["seconds"]["selection"]``; its precoder and allocation seconds
+    are 0, and its solver counts are those of a scored stack (see ``_es``).
+    The times of a stacked cell cover all of its points.
     """
     cfg = draw.cfg
     sigma_w2 = cfg.noise_variance_w()
@@ -467,11 +517,13 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     realization = draw.realization
     t1 = time.perf_counter()
     rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
-    mask, g_hat, err_var, es_counts = _select(draw, scheme, rho_f, solver)
+    mask, g_hat, err_var, chain = _select(draw, scheme, rho_f, solver)
     t2 = time.perf_counter()
-    built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-    chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, solver,
-                      built=built)
+    if chain is None:
+        built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
+        chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, solver,
+                          built=built)
+        chain.trace.update({"es_candidates": 0, "es_certified": 0})
     t3 = time.perf_counter()
 
     if with_ber:
@@ -482,7 +534,6 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
             noise_rng=_stream(draw.seed, draw.trial, "noise"))
     t4 = time.perf_counter()
 
-    chain.trace.update({"es_candidates": 0, "es_certified": 0, **es_counts})
     chain.trace["seconds"].update({"channel": t1 - t0, "selection": t2 - t1,
                                    "ber": t4 - t3})
     return PipelineResult(**vars(chain), mask=mask)

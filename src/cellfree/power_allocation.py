@@ -13,7 +13,9 @@ are provided:
   eigendecomposition and a few Newton steps; the bisection's halvings are
   replayed from it, and only the midpoints within 1e-8 of t* are tested.
   The call that returns eta also certifies that band; a band that fails
-  widens and the replay runs once more.
+  widens and the replay runs once more. ``opa_bound`` brackets OPA's answer
+  in closed form, with no eigendecomposition, for exhaustive selection's
+  screen.
 * APA: gradient descent on the transmit MSE of a fixed MMSE-family
   precoder, a separable per-user quadratic read from the SINR
   coefficients, rescaled to the per-antenna constraint after every update.
@@ -349,29 +351,67 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
                             achieved_t=achieved.reshape(batch)[()], tests=tested)
 
 
+# Steps of the scaled fixed-point iteration whose iterates give
+# ``opa_bound`` its lower end
+OPA_BOUND_STEPS = 2
+
+
 def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float = 1e-6):
     """``(lo, hi)`` per item: an interval that holds ``opa_bisection``'s
     ``achieved_t`` with the same arguments, and the minimum SINR of its eta,
-    from the max-min root t* alone, with no bisection and no feasibility test.
+    in closed form: no eigendecomposition, no root solve, no bisection and
+    no feasibility test.
+
+    With ``A = (phi_cross + gamma) / psi[:, None]``, ``b = sigma_w2 /
+    (rho_f psi)`` and ``c_k = 1 / max_m delta[m, k]``, user k's SINR is
+    ``eta_k / (b + A eta)_k``. An allocation whose minimum SINR is at least
+    t has ``eta >= t (b + A eta) >= t b`` and ``eta_k <= c_k``, so the
+    max-min target t* is at most
+    ``min_k 2 c_k / (beta_k + sqrt(beta_k^2 + 4 r_k c_k))``, with
+    ``beta_k = b_k + A_kk c_k`` and ``r_k = sum_{i != k} A_ki b_i``. For the
+    lower end, ``eta = b`` and ``OPA_BOUND_STEPS`` steps of
+    ``eta <- b + A eta``, each scaled to a peak antenna load of 1, are
+    feasible allocations; t* is at least the best of their minimum SINRs.
 
     Bisection's last bracket lies across the target where feasibility flips,
     within ``OPA_ROOT_BAND`` relative of t*, and is at most
     ``w = max(tol, t_hi 2^-iterations)`` wide, so its low end lies in
     ``[t*(1 - 2 OPA_ROOT_BAND) - w, t*(1 + 2 OPA_ROOT_BAND)]``: twice the
-    band also covers the root's own error and eta meeting every SINR target
-    to 1e-9 relative. ``w`` also carries two spacings of ``t_hi`` for the
-    rounding of the bracket's midpoints. An item whose root solve gives no
-    root or may not have converged, or whose bracket is empty, gets
-    ``(nan, nan)``: it has no bound to give.
+    band also covers rounding and eta meeting every SINR target to 1e-9
+    relative. ``w`` also carries two spacings of ``t_hi`` for the rounding
+    of the bracket's midpoints. Those margins widen the two ends. An item
+    with no max-min root (a user with no desired signal, ``psi_k = 0``, a
+    non-finite ``A`` or ``b``, or no loaded antenna), or whose bracket is
+    empty, gets ``(nan, nan)``: it has no bound to give.
     """
     loads, t_hi = _bracket(coeffs, delta)
-    root, steps = _max_min_root(coeffs, loads)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
+        b = coeffs.sigma_w2 / coeffs.rho_psi
+        # d = 1/c_k. The upper end in d, 2 / (u + sqrt(u^2 + 4 r d)) with
+        # u = b d + A_kk, stays defined for a user no antenna loads (d = 0):
+        # 1/A_kk, or inf
+        d = loads.max(axis=-2)
+        a_kk = np.einsum("...ii->...i", a)
+        off = a.copy()
+        np.einsum("...ii->...i", off)[...] = 0.0
+        u = b * d + a_kk
+        hi = (2.0 / (u + np.sqrt(u * u + 4.0 * np.matvec(off, b) * d))).min(axis=-1)
+        # eta = b and each step's iterate, scaled to a peak load of 1, with
+        # its minimum SINR eta_k / (b + A eta)_k
+        lo = np.full(hi.shape, -np.inf)
+        eta = b
+        for _ in range(OPA_BOUND_STEPS + 1):
+            eta = eta / np.matvec(loads, eta).max(axis=-1)[..., None]
+            step = b + np.matvec(a, eta)
+            lo = np.fmax(lo, (eta / step).min(axis=-1))
+            eta = step
+        rootless = ~(np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+                     & (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
     width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
     margin = 2.0 * OPA_ROOT_BAND
-    lo = root * (1.0 - margin) - width
-    hi = root * (1.0 + margin)
-    unsure = ~(t_hi > 0.0) | (steps >= ROOT_MAX_STEPS)
-    return np.where(unsure, np.nan, lo), np.where(unsure, np.nan, hi)
+    return (np.where(rootless, np.nan, lo * (1.0 - margin) - width),
+            np.where(rootless, np.nan, hi * (1.0 + margin)))
 
 
 def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):

@@ -55,25 +55,29 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
 
     ``evaluate`` must run the complete downstream chain (precoding, power
     allocation, SINR evaluation) on a stack of candidate masks of shape
-    (B, M, K) and return their minimum per-user SINRs, ``(..., B)``: one
-    score per candidate for each of ``points`` leading items (the SNR points
-    of a grid), or ``(B,)`` for one item. All C(L, S)^K candidates are
-    scored, in chunks of at most ``ES_CHUNK_ENTRIES`` entries counted as
-    points x B x M x K, in the lexicographic order of ``itertools.product``
-    over the users' AP combinations. Each item's best (M, K) mask is
-    returned together with its score, ``(..., M, K)`` and ``(...)``; ties
+    (B, M, K) and return ``(scores, result)``: their minimum per-user SINRs,
+    ``(..., B)``, one score per candidate for each of ``points`` leading
+    items (the SNR points of a grid), or ``(B,)`` for one item, and whatever
+    it ran to score them. All C(L, S)^K candidates are scored, in chunks of
+    at most ``ES_CHUNK_ENTRIES`` entries counted as points x B x M x K, in
+    the lexicographic order of ``itertools.product`` over the users' AP
+    combinations. Returns ``(masks, scores, winners)``: each item's best
+    (M, K) mask and its score, ``(..., M, K)`` and ``(...)``, and per item,
+    in ``np.ndindex`` order, ``(result, column)``: the ``result`` of the
+    chunk that scored its winner and the winner's column in that chunk.
+    Only the results that hold some item's winner so far are kept. Ties
     keep the first candidate in that order, and a NaN score never wins. An
     item on which no candidate wins (every score NaN or -inf) scores -inf,
-    and the masks are then None: an all-NaN search of one item returns
-    ``(None, -inf)``.
+    and the masks and winners are then None: an all-NaN search of one item
+    returns ``(None, -inf, None)``.
 
     ``screen``, given, scores every chunk first, cheaply: it returns
-    ``(lo, hi)`` of the shape ``evaluate`` returns, an interval that must
-    hold each item's ``evaluate`` score, or NaN where it gives none. Over
-    all chunks each item keeps its largest ``lo``; that floor only rises,
-    so a candidate whose ``hi`` is below it at every item can never win and
-    is dropped as the search goes. Only the candidates left (those whose
-    ``hi`` reaches some item's floor, or with a NaN end) are scored by
+    ``(lo, hi)`` of the shape of ``evaluate``'s scores, an interval that
+    must hold each item's ``evaluate`` score, or NaN where it gives none.
+    Over all chunks each item keeps its largest ``lo``; that floor only
+    rises, so a candidate whose ``hi`` is below it at every item can never
+    win and is dropped as the search goes. Only the candidates left (those
+    whose ``hi`` reaches some item's floor, or with a NaN end) are scored by
     ``evaluate``, at every item, and the first strict maximum among them in
     product order wins: it is the winner of the whole search, since every
     candidate that ties with or beats it is left. If some item has no
@@ -107,30 +111,40 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     best = -1
     if screen is not None:
         kept = _screened(screen, masks_of, every())
-        best, best_score = _first_maxima(evaluate, masks_of, (
+        best, best_score, winners = _first_maxima(evaluate, masks_of, (
             kept[start:start + chunk] for start in range(0, kept.size, chunk)))
     if np.count_nonzero(best < 0):
-        best, best_score = _first_maxima(evaluate, masks_of, every())
+        best, best_score, winners = _first_maxima(evaluate, masks_of, every())
     best_score = best_score[()]
     if np.count_nonzero(best < 0):
-        return None, best_score
-    return masks_of(best), best_score
+        return None, best_score, None
+    return masks_of(best), best_score, winners
 
 
 def _first_maxima(evaluate, masks_of, chunks):
     """Each item's first strict maximum over the candidates of ``chunks``,
-    index arrays in ascending order: ``(index, score)``, with index -1 and
-    score -inf where no score beats -inf."""
+    index arrays in ascending order: ``(index, score, winners)``, with index
+    -1 and score -inf where no score beats -inf, and ``winners`` the
+    ``(result, column)`` of each item's maximum in ``np.ndindex`` order."""
     best, best_score = -1, -np.inf
-    for index in chunks:
-        scores = np.asarray(evaluate(masks_of(index)), dtype=float)
+    owner = column = -1                 # per item: the chunk and column of its best
+    results = {}
+    for n, index in enumerate(chunks):
+        scores, result = evaluate(masks_of(index))
+        scores = np.asarray(scores, dtype=float)
         scores = np.where(np.isnan(scores), -np.inf, scores)
         i = np.argmax(scores, axis=-1)                    # first of the maxima
         top = np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
         better = top > best_score
         best = np.where(better, index[i], best)
         best_score = np.where(better, top, best_score)
-    return best, best_score
+        owner = np.where(better, n, owner)
+        column = np.where(better, i, column)
+        # keep only the results that hold some item's best
+        results = {o: results.get(o, result) for o in np.unique(owner).tolist() if o >= 0}
+    winners = [(results.get(o), c) for o, c in zip(np.ravel(owner).tolist(),
+                                                    np.ravel(column).tolist())]
+    return best, best_score, winners
 
 
 def _screened(screen, masks_of, chunks):

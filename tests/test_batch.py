@@ -292,10 +292,9 @@ def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
                            sigma_w2, cfg.symbol_power, solver).metrics.min_sinr
         best = scores.max(axis=-1)
         tied += np.count_nonzero((scores == best[:, None]).sum(axis=-1) > 1)
-        masks, counts = SCHEMES["selection"]["ES"].select(scheme, real, cfg, rho_f,
-                                                          solver)
+        masks, won = SCHEMES["selection"]["ES"].select(scheme, real, cfg, rho_f, solver)
         if scheme.allocation == "OPA":               # the one screened search
-            assert counts["es_certified"] < counts["es_candidates"]
+            assert won.trace["es_certified"] < won.trace["es_candidates"]
         for point, first in enumerate(np.argmax(scores, axis=-1)):
             assert np.array_equal(masks[point], every[first]), (trial, SNRS[point])
     # the twins tie the best score at about half of the 60 points
@@ -335,13 +334,13 @@ def test_zero_forcing_es_without_a_full_rank_candidate_raises():
 
 
 def constant_scores(value):
-    return lambda masks: np.full(masks.shape[0], value)
+    return lambda masks: (np.full(masks.shape[0], value), None)
 
 
 def test_tied_scores_keep_the_first_candidate(monkeypatch):
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score = es_aps(5, 2, 3, 1, constant_scores(1.5))
+        mask, score, _ = es_aps(5, 2, 3, 1, constant_scores(1.5))
         assert choices_of(mask, 1) == ((0, 1, 2), (0, 1, 2))
         assert score == 1.5
 
@@ -350,14 +349,14 @@ def test_nan_scores_never_win(monkeypatch):
     last = ((2, 3, 4), (2, 3, 4))
 
     def nan_but_the_last(masks):
-        return np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks])
+        return np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks]), None
 
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score = es_aps(5, 2, 3, 1, nan_but_the_last)
+        mask, score, _ = es_aps(5, 2, 3, 1, nan_but_the_last)
         assert choices_of(mask, 1) == last
         assert score == 0.25
-    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
+    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf, None)
 
 
 def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
@@ -373,13 +372,13 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
 
     def coarse(masks):
         calls.append(masks.shape[0])
-        return (masks * gains).sum(axis=-2).min(axis=-1)
+        return (masks * gains).sum(axis=-2).min(axis=-1), masks
 
     def chain(masks):
         calls.append(masks.shape[0])
         g_hat, err_var = apply_mask(masks, real)
         return run_chain(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
-                         cfg.total_antennas * rho_f, sigma_w2, 1.0).metrics.min_sinr
+                         sigma_w2, 1.0).metrics.min_sinr, masks
 
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     for score in (coarse, chain):
@@ -390,10 +389,12 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
             results.append(es_aps(6, 3, 3, 1, score))
             assert sum(calls) == 8000
         assert len(calls) == 25
-        (one_mask, one_score), (many_mask, many_score) = results
+        (one_mask, one_score, _), (many_mask, many_score, [(chunk, column)]) = results
         assert np.array_equal(one_mask, many_mask) and one_score == many_score
+        # the winner's chunk is the one that scored it, the winner at its column
+        assert np.array_equal(chunk[column], many_mask)
     # the coarse reference: first strict maximum in itertools.product order
-    scores = [coarse(mask_from_choices(c, 6, 1)) for c in order]
+    scores = [coarse(mask_from_choices(c, 6, 1))[0] for c in order]
     first = int(np.argmax(scores))
     assert first >= 333 and scores.count(max(scores)) > 1
     assert choices_of(es_aps(6, 3, 3, 1, coarse)[0], 1) == order[first]
@@ -416,28 +417,31 @@ def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypa
         sizes.append(masks.shape[0])
         coarse = (masks * gains).sum(axis=-2).min(axis=-1)
         only_late = np.where((masks == late).all(axis=(-2, -1)), 0.25, np.nan)
-        return np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse])
+        return np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse]), masks
 
     every = np.stack([mask_from_choices(c, 6, 1) for c in order])
-    reference = grid(every)
+    reference = grid(every)[0]
     first = np.argmax(np.where(np.isnan(reference), -np.inf, reference), axis=-1)
     assert first[0] >= 333 and first[1] == 7000 and first[2] == 0
     for entries in (10 ** 9, 4 * 18 * 333):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
         sizes.clear()
-        masks, scores = es_aps(6, 3, 3, 1, grid, points=4)
+        masks, scores, winners = es_aps(6, 3, 3, 1, grid, points=4)
         assert sum(sizes) == 8000 and max(sizes) * 4 * 18 <= entries
         assert masks.shape == (4, 6, 3) and scores.shape == (4,)
         for point, winner in enumerate(first):
             assert choices_of(masks[point], 1) == order[winner]
             assert scores[point] == reference[point, winner]
+            chunk, column = winners[point]
+            assert np.array_equal(chunk[column], masks[point])
     assert len(sizes) == 25
 
     def one_point_all_nan(masks):
-        return np.stack([grid(masks)[0], np.full(masks.shape[0], np.nan)])
+        return np.stack([grid(masks)[0][0], np.full(masks.shape[0], np.nan)]), None
 
-    masks, scores = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
-    assert masks is None and scores.tolist() == [reference[0, first[0]], -np.inf]
+    masks, scores, winners = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
+    assert masks is None and winners is None
+    assert scores.tolist() == [reference[0, first[0]], -np.inf]
 
 
 def test_candidate_masks_follow_product_order(monkeypatch):
@@ -447,7 +451,7 @@ def test_candidate_masks_follow_product_order(monkeypatch):
         for q in masks:
             seen.append(choices_of(q, 2))
             assert np.array_equal(q, mask_from_choices(seen[-1], 4, 2))
-        return np.zeros(masks.shape[0])
+        return np.zeros(masks.shape[0]), None
 
     monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 8 * 3 * 5)
     es_aps(4, 3, 2, 2, record)

@@ -505,9 +505,12 @@ def test_max_min_roots_decompose_each_coupling_matrix_once(monkeypatch):
     assert sorted(shapes) == [(6, 16, 16), (16, 16), (16, 16)]
     shapes.clear()
     tiny = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
-    run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+OPA+ES"), list(tiny.snr_grid_db))
-    # one matrix per candidate, then one per point for the winners' chain
-    assert shapes == [(100, 2, 2), (3, 2, 2)]
+    es = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+OPA+ES"), list(tiny.snr_grid_db))
+    # one matrix per candidate the screen leaves for the chain, shared by the
+    # 3 points; the screen decomposes none, and the winners' chain comes from
+    # the search
+    left = es.trace["es_certified"] // 3
+    assert shapes == [(left, 2, 2)] and 0 < left < 100
     # and UPA and OPA read one load matrix for every point of a ZF grid
     zf = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+UPA+LS"), list(tiny.snr_grid_db))
     assert zf.precoder.delta.shape == (3, 5, 2) and zf.precoder.delta.strides[0] == 0
@@ -540,11 +543,91 @@ def test_es_scores_few_of_its_candidates_on_the_exact_chain():
                 candidates += trace["es_candidates"]
     assert candidates == 10 * 100 * len(snrs)
     assert 0 < certified < candidates / 10
-    # no screen for ZF: every item is exact; NS and LS search nothing
+    # no screen for UPA: every item is exact; NS and LS search nothing
     zf = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse("ZF+UPA+ES"), snrs).trace
     assert zf["es_certified"] == zf["es_candidates"] == 100 * len(snrs)
     ls = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse("MMSE+OPA+LS"), snrs).trace
     assert ls["es_certified"] == ls["es_candidates"] == 0
+
+
+ES_PAIRS = [(p, a) for p in ("MMSE", "ZF", "CB") for a in SCHEMES["allocation"]
+            if SCHEMES["allocation"][a].accepts(p)]
+
+
+def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
+    """An ES cell's result, taken from its search, is what ``run_chain`` on
+    the cell's masks gives at the same ``rho_f``, bitwise, BER included."""
+    draw = TrialDraw(cfg, trial, cfg.rng_seed)
+    res = run_cell(draw, scheme, snr_db, solver, with_ber=True)
+    real = draw.realization
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(pipeline._snr_linear(snr_db), real.g_hat, sigma_w2)
+    g_hat, err_var = apply_mask(res.mask, real)
+    want = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power, solver)
+    ber, _ = metrics.ber_qpsk(want.precoder.p, want.n_final.n_diag, real.g, g_hat, rho_f,
+                              sigma_w2, solver.symbols_per_packet,
+                              _stream(cfg.rng_seed, trial, "symbols"),
+                              packets=solver.packets_per_trial,
+                              noise_rng=_stream(cfg.rng_seed, trial, "noise"))
+    label = (scheme.label, snr_db, trial)
+    assert np.array_equal(res.precoder.p, want.precoder.p), label
+    # ZF and CB keep f = 1 unbroadcast on one channel
+    assert np.array_equal(np.broadcast_to(res.precoder.f, np.shape(rho_f)),
+                          np.broadcast_to(want.precoder.f, np.shape(rho_f))), label
+    for got, solve in ((res.n_first, want.n_first), (res.n_final, want.n_final)):
+        assert np.array_equal(got.eta, solve.eta), label
+        for name in ("achieved_t", "cost_trace"):          # OPA's; APA's
+            mine, theirs = getattr(got, name), getattr(solve, name)
+            assert (mine is None and theirs is None) or np.array_equal(mine, theirs), label
+    for name in ("per_user_sinr", "per_user_rate", "sum_rate", "min_sinr"):
+        assert np.array_equal(getattr(res.metrics, name), getattr(want.metrics, name)), label
+    assert np.array_equal(res.metrics.ber, ber), label
+    assert res.trace["allocation_solves"] == want.trace["allocation_solves"]
+    assert res.trace["seconds"]["precoder"] == res.trace["seconds"]["allocation"] == 0.0
+
+
+def test_an_es_cell_is_the_chain_on_its_masks_bitwise():
+    # every ES pair, at the preset's grid and at one point, with a second
+    # chunk from a small ES_CHUNK_ENTRIES: no chain runs on the winners
+    # again, and the result taken from the search is the winners' chain
+    cfg = PRESETS["fig-tiny-opa"].resolve_config(SystemConfig().validate())
+    solver = SolverParams(symbols_per_packet=64)
+    snrs = list(cfg.snr_grid_db)
+    for pair in ES_PAIRS:
+        scheme = Scheme(*pair, "ES")
+        for trial in range(3):
+            for snr_db in (snrs, 10.0):
+                assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selection, "ES_CHUNK_ENTRIES", len(snrs) * 5 * 2 * 40)
+            assert_the_chain_on_its_masks(cfg, scheme, snrs, 3, solver)
+    # one AP per user: a chunk raises, ZF sets its 1-4 rank-deficient
+    # candidates aside, and the winners' columns are those of the full-rank
+    # stack
+    one_ap = cfg_with(**dict(TINY, selected_aps=1))
+    for label in ("ZF+OPA+ES", "ZF+UPA+ES"):
+        for trial in range(4):
+            assert_the_chain_on_its_masks(one_ap, Scheme.parse(label), snrs[:3], trial,
+                                          solver)
+
+
+def test_an_apa_es_learning_curve_is_the_chain_on_its_masks():
+    # the curve averages each trial's first-pass costs, taken from the search
+    cfg = cfg_with(**dict(TINY, snr_grid_db=(10.0,)))
+    scheme, solver = Scheme.parse("MMSE+APA+ES"), SolverParams()
+    sigma_w2 = cfg.noise_variance_w()
+    traces = []
+    for trial in range(4):
+        draw = TrialDraw(cfg, trial, cfg.rng_seed)
+        mask = run_cell(draw, scheme, 10.0, solver).mask
+        rho_f = snr_to_rho_f(10.0, draw.realization.g_hat, sigma_w2)
+        chain = run_chain(*apply_mask(mask, draw.realization), scheme, rho_f, sigma_w2,
+                          cfg.symbol_power, solver)
+        traces.append(chain.n_first.cost_trace)
+    rows = run_learning_curve(cfg, scheme, trials=4, solver=solver)
+    costs = np.asarray(traces, dtype=float)
+    assert [(r.cost_mean, r.cost_se) for r in rows] == [_mean_se(costs[:, i])
+                                                       for i in range(costs.shape[1])]
 
 
 def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatch):

@@ -466,6 +466,60 @@ def test_opa_bound_holds_bisections_target_and_its_minimum_sinr(stop, case, halv
         assert np.array_equal(res.achieved_t, root * (1.0 - pa.OPA_ROOT_BAND))
 
 
+def feasible_allocations(coeffs, delta, rng):
+    """UPA's, APA's and a random eta, each scaled to a peak antenna load of
+    1: allocations whose minimum SINR is at most the max-min target. APA
+    runs against a precoder that carries the case's loads, with a step its
+    cost's curvature admits."""
+    precoder = PrecoderOutput(p=np.sqrt(delta), f=1.0)
+    vars(precoder)["delta"] = delta                  # the cached property's slot
+    mu = 1.0 / apa_terms(coeffs, precoder.f)[0].max()
+    random = rng.uniform(0.01, 1.0, size=delta.shape[:-2] + delta.shape[-1:])
+    etas = [upa(delta).eta, apa_sgd(precoder, coeffs, mu=mu, iterations=5).eta,
+            random / np.matvec(delta, random).max(axis=-1)[..., None]]
+    return [np.broadcast_to(eta, np.broadcast_shapes(eta.shape, coeffs.psi.shape))
+            for eta in etas]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=opa_bound_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_opa_bound_is_closed_form_and_holds_the_max_min_target(case, seed):
+    # no eigendecomposition: a call to eig fails the test
+    coeffs, delta = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eig", lambda a: pytest.fail("opa_bound called eig"))
+        lo, hi = pa.opa_bound(coeffs, delta)
+    root, steps = pa._max_min_root(coeffs, delta)
+    assert steps < pa.ROOT_MAX_STEPS and np.isfinite(root).all()
+    assert (lo <= root).all() and (root <= hi).all()
+    for eta in feasible_allocations(coeffs, delta, np.random.default_rng(seed)):
+        assert (np.matvec(delta, eta).max(axis=-1) <= 1.0 + 1e-12).all()
+        assert (analytic_sinr(coeffs, eta).min(axis=-1) <= hi).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=opa_bound_cases(), how=st.sampled_from(["no signal", "infinite A", "no load"]))
+def test_opa_bound_is_nan_exactly_where_there_is_no_root(case, how):
+    # the first item loses its root: a user with no desired signal (A and b
+    # are not finite), an infinite coupling, or no loaded antenna (an empty
+    # bracket); the other items keep finite ends
+    coeffs, delta = case
+    psi, gamma, delta = coeffs.psi.copy(), coeffs.gamma.copy(), delta.copy()
+    first = (0,) * (psi.ndim - 1)
+    if how == "no signal":
+        psi[first + (0,)] = 0.0
+    elif how == "infinite A":
+        gamma[first + (0, 0)] = np.inf
+    else:
+        delta[first] = 0.0
+    coeffs = SinrCoefficients(psi=psi, phi=coeffs.phi, gamma=gamma,
+                              rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+    lo, hi = pa.opa_bound(coeffs, delta)
+    rootless = np.isnan(np.broadcast_to(pa._max_min_root(coeffs, delta)[0], lo.shape))
+    assert rootless[first] and rootless.sum() == 1
+    assert np.array_equal(np.isnan(lo), rootless) and np.array_equal(np.isnan(hi), rootless)
+
+
 def test_opa_bound_has_no_bound_to_give_without_a_root():
     rng = np.random.default_rng(39)
     coeffs, delta = precoded_instance(rng, "mmse", 7, 3, (3,))

@@ -127,14 +127,15 @@ def test_masking_matches_elementwise_product_and_is_idempotent():
 # --------------------------------------------------------- exhaustive search
 
 def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
-    """Minimum SINR of the chain on one mask, or on each of a stack of masks."""
+    """Minimum SINR of the chain on one mask, or on each of a stack of masks,
+    and the chain's result."""
     sigma_w2 = cfg.noise_variance_w()
     rho_f = 1e-3
 
     def evaluate(mask):
         g_hat, err_var = apply_mask(mask, real)
         out = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
-        return out.metrics.min_sinr
+        return out.metrics.min_sinr, out
 
     return evaluate
 
@@ -151,10 +152,13 @@ def test_single_candidate_when_everything_selected():
         calls.append(mask)
         return base(mask)
 
-    mask, score = es_aps(4, 2, 4, 1, counting)
+    mask, score, winners = es_aps(4, 2, 4, 1, counting)
     assert len(calls) == 1 and calls[0].shape == (1, 4, 2)
     assert mask.shape == (4, 2) and np.all(mask == 1.0)
-    assert score == base(np.ones((4, 2)))
+    assert score == base(np.ones((4, 2)))[0]
+    # the one item's winner: the scored chunk's result and its column
+    (result, column), = winners
+    assert column == 0 and result.metrics.min_sinr[column] == score
 
 
 def test_candidate_count_for_tiny_system():
@@ -186,7 +190,7 @@ def test_search_picks_the_strong_aps():
                                g_tilde=np.zeros((3, 1), complex),
                                g=np.sqrt(beta) * (1 + 0j) * np.ones((3, 1)))
     evaluate = chain_evaluator(real, cfg)
-    mask, best = es_aps(3, 1, 2, 1, evaluate)
+    mask, best, _ = es_aps(3, 1, 2, 1, evaluate)
     assert np.array_equal(mask, [[1.0], [0.0], [1.0]])
     # brute-force re-evaluation of every candidate confirms the choice
     import itertools
@@ -194,7 +198,7 @@ def test_search_picks_the_strong_aps():
     for aps in itertools.combinations(range(3), 2):
         q = np.zeros((3, 1))
         q[list(aps), 0] = 1.0
-        rescored.append((evaluate(q), aps))
+        rescored.append((evaluate(q)[0], aps))
     assert max(rescored)[1] == (0, 2)
     assert np.isclose(max(rescored)[0], best)
 
