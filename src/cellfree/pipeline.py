@@ -117,9 +117,10 @@ def _es(scheme, realization, cfg, rho_f, solver):
     against ``rho_f`` of shape ``(S, 1)``, and each of its items equals its
     own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` of the
     chunk that scored it is what the chain on that point's mask gives: no
-    chain runs again on the winners. The result's trace holds the counts of
-    that scored stack (of the first point's winner on a grid):
-    ``allocation_solves``, ``allocation_iterations`` and
+    chain runs again on the winners. The search copies each point's winning
+    item out of its chunk as it goes and keeps no chunk's result. The
+    result's trace holds the counts of the last scored stack a winner was
+    copied from: ``allocation_solves``, ``allocation_iterations`` and
     ``allocation_tests``; its precoder and allocation seconds are 0, as the
     search that ran them is the cell's selection time. It also holds
     ``es_candidates``, the (point, candidate) items searched, and
@@ -140,30 +141,41 @@ def _es(scheme, realization, cfg, rho_f, solver):
     build = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     certified = 0
+    won = None      # each point's winning item, copied out as the search goes
 
     def chain(g_hat, err_var):
         return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, solver)
 
     def evaluate(masks):
-        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and
-        ``(chain result, its column of each mask)``. A mask that leaves ZF
-        rank-deficient scores -inf at every point: when a stack raises, the
-        masks that fail ZF's Cholesky test are set aside and the rest run
-        again as one stack."""
+        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
+        ``take`` that copies the picked items of its chain result into the
+        winners (see ``sel.es_aps``). A mask that leaves ZF rank-deficient
+        scores -inf at every point: when a stack raises, the masks that fail
+        ZF's Cholesky test are set aside and the rest run again as one
+        stack."""
         nonlocal certified
         certified += len(masks) * math.prod(points)
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            result = chain(g_hat, err_var)
-            return result.metrics.min_sinr, (result, np.arange(len(masks)))
+            result, rows = chain(g_hat, err_var), np.arange(len(masks))
+            scores = result.metrics.min_sinr
         except pc.RankDeficientError:
             full = pc.zf_full_rank(g_hat)
-        scores = np.full(points + full.shape, -np.inf)
-        if not full.any():
-            return scores, None
-        result = chain(g_hat[full], err_var[full])
-        scores[..., full] = result.metrics.min_sinr
-        return scores, (result, np.cumsum(full) - 1)
+            scores = np.full(points + full.shape, -np.inf)
+            if not full.any():
+                return scores, None                 # no score to take: none beats -inf
+            result, rows = chain(g_hat[full], err_var[full]), np.cumsum(full) - 1
+            scores[..., full] = result.metrics.min_sinr
+
+        def take(items, columns):
+            nonlocal won
+            if won is None:
+                won = _tree_map(lambda value: np.empty(
+                    points + value.shape[len(points) + 1:], value.dtype), result)
+            # what is not per item comes from this chunk's result
+            won = _tree_map(lambda value, out: _put(out, items, value[items, rows[columns]]),
+                            result, won)
+        return scores, take
 
     def screen(masks):
         """``(lo, hi)`` around each minimum SINR of a (B, M, K) stack,
@@ -176,7 +188,7 @@ def _es(scheme, realization, cfg, rho_f, solver):
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
             return (np.full(points + masks.shape[:1], np.nan),) * 2
 
-    masks, _, winners = sel.es_aps(
+    masks, _ = sel.es_aps(
         cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
         budget=solver.es_budget, points=math.prod(points),
         screen=None if allocator.bound is None else screen)
@@ -184,28 +196,18 @@ def _es(scheme, realization, cfg, rho_f, solver):
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    won = _take([(result, (*point, columns[column]))
-                 for point, ((result, columns), column) in zip(np.ndindex(points), winners)],
-                stacked=bool(points))
+    won = _tree_map(lambda value: value[()], won)   # one point's 0-d items as scalars
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
     won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
                  "es_candidates": candidates * math.prod(points), "es_certified": certified}
     return masks, won
 
 
-def _take(picks, stacked):
-    """One ``ChainResult`` from ``(chain result, item index)`` picks: every
-    per-item array of each chain at its index, the picks stacked along a
-    leading axis if ``stacked``. What is not per item (the counts of a
-    solve, the trace) comes from the first pick's chain."""
-    results = [result for result, _ in picks]
-    if all(result is results[0] for result in results):
-        # one chunk scored every winner: one index per array
-        index = (tuple(np.array([index for _, index in picks]).T) if stacked
-                 else picks[0][1])
-        return _tree_map(lambda value: value[index], results[0])
-    return _tree_map(lambda *values: np.stack([value[index] for value, (_, index)
-                                               in zip(values, picks)]), *results)
+def _put(out, index, value):
+    """``out[index] = value``, returning ``out``: ``_tree_map``'s leaf update
+    in place."""
+    out[index] = value
+    return out
 
 
 def _tree_map(fn, *trees):

@@ -129,6 +129,21 @@ OPA_ROOT_BAND = 1e-8
 ROOT_MAX_STEPS = 60
 
 
+def _coupling(coeffs: SinrCoefficients, loaded):
+    """``(A, b, finite, rootless)`` of the SINR constraints, under which
+    user k's SINR is ``eta_k / (b + A eta)_k``: ``A = (phi_cross + gamma) /
+    psi[:, None]`` and ``b = sigma_w2 / (rho_f psi)``. ``finite`` marks, at
+    the batch shape of ``A``, the coefficient sets whose ``A`` is finite;
+    ``rootless`` marks the items with no max-min root: a user with no
+    desired signal (``psi_k = 0``), a non-finite ``A`` or ``b``, or no
+    antenna carrying a load (``loaded`` False)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
+        b = coeffs.sigma_w2 / coeffs.rho_psi
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    return a, b, finite, ~(finite & np.isfinite(b).all(axis=-1) & loaded)
+
+
 def _max_min_root(coeffs: SinrCoefficients, delta):
     """The max-min SINR target t* of every item, and the Newton steps taken.
 
@@ -160,12 +175,9 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     is not finite or no antenna carries a load; every root is NaN if a
     decomposition fails.
     """
+    peak = delta.sum(axis=-1).max(axis=-1)
+    a, b, finite, rootless = _coupling(coeffs, peak > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
-        b = coeffs.sigma_w2 / coeffs.rho_psi
-        peak = delta.sum(axis=-1).max(axis=-1)
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        rootless = ~(finite & np.isfinite(b).all(axis=-1) & (peak > 0.0))
         try:
             # eig returns real arrays only when every item's eigenvalues are
             # real; complex ones keep each item's arithmetic the same in any
@@ -277,9 +289,10 @@ def _bisect(coeffs, delta, t_hi, root, iterations, tol):
 
 
 def _bracket(coeffs: SinrCoefficients, delta):
-    """``(loads, t_hi)``: ``delta`` with each leading axis along which it
-    repeats one load matrix (a stride-0 view) cut to length 1, and the upper
-    end of every item's bisection bracket, at the items' batch shape."""
+    """``(loads, col_peak, t_hi)``: ``delta`` with each leading axis along
+    which it repeats one load matrix (a stride-0 view) cut to length 1, each
+    user's peak antenna load ``max_m loads[m, k]``, and the upper end of
+    every item's bisection bracket, at the items' batch shape."""
     delta = np.asarray(delta, dtype=float)
     loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
                         for step in delta.strides[:-2])]
@@ -288,7 +301,7 @@ def _bracket(coeffs: SinrCoefficients, delta):
         bound = np.where(col_peak > 0,
                          coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
     batch = np.broadcast_shapes(bound.shape[:-1], delta.shape[:-2])
-    return loads, np.broadcast_to(2.0 * bound.max(axis=-1), batch)
+    return loads, col_peak, np.broadcast_to(2.0 * bound.max(axis=-1), batch)
 
 
 def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
@@ -322,7 +335,7 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    loads, t_hi = _bracket(coeffs, delta)
+    loads, _, t_hi = _bracket(coeffs, delta)
     k, m = coeffs.psi.shape[-1], loads.shape[-2]
     batch = t_hi.shape
     t_hi = t_hi.reshape(-1)
@@ -384,14 +397,12 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float 
     non-finite ``A`` or ``b``, or no loaded antenna), or whose bracket is
     empty, gets ``(nan, nan)``: it has no bound to give.
     """
-    loads, t_hi = _bracket(coeffs, delta)
+    # d = 1/c_k. The upper end in d, 2 / (u + sqrt(u^2 + 4 r d)) with
+    # u = b d + A_kk, stays defined for a user no antenna loads (d = 0):
+    # 1/A_kk, or inf
+    loads, d, t_hi = _bracket(coeffs, delta)
+    a, b, _, rootless = _coupling(coeffs, (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
-        b = coeffs.sigma_w2 / coeffs.rho_psi
-        # d = 1/c_k. The upper end in d, 2 / (u + sqrt(u^2 + 4 r d)) with
-        # u = b d + A_kk, stays defined for a user no antenna loads (d = 0):
-        # 1/A_kk, or inf
-        d = loads.max(axis=-2)
         a_kk = np.einsum("...ii->...i", a)
         off = a.copy()
         np.einsum("...ii->...i", off)[...] = 0.0
@@ -406,8 +417,6 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float 
             step = b + np.matvec(a, eta)
             lo = np.fmax(lo, (eta / step).min(axis=-1))
             eta = step
-        rootless = ~(np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
-                     & (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
     width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
     margin = 2.0 * OPA_ROOT_BAND
     return (np.where(rootless, np.nan, lo * (1.0 - margin) - width),

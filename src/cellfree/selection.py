@@ -37,7 +37,8 @@ def ls_aps(beta, num_selected: int, antennas_per_ap: int) -> np.ndarray:
 
 
 # Mask entries scored per ``evaluate`` call by exhaustive selection, counted
-# as points x candidates x M x K; it bounds the memory of one call.
+# as points x candidates x M x K; it bounds the memory of one call, and no
+# call's result outlives it but what its ``take`` copies out.
 ES_CHUNK_ENTRIES = 2 ** 15
 
 
@@ -48,28 +49,29 @@ def es_candidate_count(num_aps: int, num_users: int, num_selected: int) -> int:
 
 
 def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
-           evaluate: Callable[[np.ndarray], np.ndarray],
+           evaluate: Callable[[np.ndarray], tuple],
            budget: int = 10 ** 6, *, points: int = 1,
            screen: Optional[Callable[[np.ndarray], tuple]] = None):
     """Exhaustive search over every per-user choice of S APs.
 
     ``evaluate`` must run the complete downstream chain (precoding, power
     allocation, SINR evaluation) on a stack of candidate masks of shape
-    (B, M, K) and return ``(scores, result)``: their minimum per-user SINRs,
+    (B, M, K) and return ``(scores, take)``: their minimum per-user SINRs,
     ``(..., B)``, one score per candidate for each of ``points`` leading
-    items (the SNR points of a grid), or ``(B,)`` for one item, and whatever
-    it ran to score them. All C(L, S)^K candidates are scored, in chunks of
-    at most ``ES_CHUNK_ENTRIES`` entries counted as points x B x M x K, in
-    the lexicographic order of ``itertools.product`` over the users' AP
-    combinations. Returns ``(masks, scores, winners)``: each item's best
-    (M, K) mask and its score, ``(..., M, K)`` and ``(...)``, and per item,
-    in ``np.ndindex`` order, ``(result, column)``: the ``result`` of the
-    chunk that scored its winner and the winner's column in that chunk.
-    Only the results that hold some item's winner so far are kept. Ties
-    keep the first candidate in that order, and a NaN score never wins. An
-    item on which no candidate wins (every score NaN or -inf) scores -inf,
-    and the masks and winners are then None: an all-NaN search of one item
-    returns ``(None, -inf, None)``.
+    items (the SNR points of a grid), or ``(B,)`` for one item, and a
+    callable. All C(L, S)^K candidates are scored, in chunks of at most
+    ``ES_CHUNK_ENTRIES`` entries counted as points x B x M x K, in the
+    lexicographic order of ``itertools.product`` over the users' AP
+    combinations. Each item's best (M, K) mask is returned together with
+    its score, ``(..., M, K)`` and ``(...)``; ties keep the first candidate
+    in that order, and a NaN score never wins. A chunk that raises some
+    items' best calls its ``take(items, columns)`` once, with a boolean mask
+    of those items (0-d for one item) and their new best's column in the
+    chunk, one per item it marks: an item's last call names its winner, so
+    ``take`` can copy the winners' results out as the search goes. An item
+    on which no candidate wins (every score NaN or -inf) scores -inf, and
+    the masks are then None: an all-NaN search of one item returns
+    ``(None, -inf)``.
 
     ``screen``, given, scores every chunk first, cheaply: it returns
     ``(lo, hi)`` of the shape of ``evaluate``'s scores, an interval that
@@ -111,26 +113,24 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     best = -1
     if screen is not None:
         kept = _screened(screen, masks_of, every())
-        best, best_score, winners = _first_maxima(evaluate, masks_of, (
+        best, best_score = _first_maxima(evaluate, masks_of, (
             kept[start:start + chunk] for start in range(0, kept.size, chunk)))
     if np.count_nonzero(best < 0):
-        best, best_score, winners = _first_maxima(evaluate, masks_of, every())
+        best, best_score = _first_maxima(evaluate, masks_of, every())
     best_score = best_score[()]
     if np.count_nonzero(best < 0):
-        return None, best_score, None
-    return masks_of(best), best_score, winners
+        return None, best_score
+    return masks_of(best), best_score
 
 
 def _first_maxima(evaluate, masks_of, chunks):
     """Each item's first strict maximum over the candidates of ``chunks``,
-    index arrays in ascending order: ``(index, score, winners)``, with index
-    -1 and score -inf where no score beats -inf, and ``winners`` the
-    ``(result, column)`` of each item's maximum in ``np.ndindex`` order."""
+    index arrays in ascending order: ``(index, score)``, with index -1 and
+    score -inf where no score beats -inf. Each chunk that raises some
+    items' best hands them to its ``take`` (see ``es_aps``)."""
     best, best_score = -1, -np.inf
-    owner = column = -1                 # per item: the chunk and column of its best
-    results = {}
-    for n, index in enumerate(chunks):
-        scores, result = evaluate(masks_of(index))
+    for index in chunks:
+        scores, take = evaluate(masks_of(index))
         scores = np.asarray(scores, dtype=float)
         scores = np.where(np.isnan(scores), -np.inf, scores)
         i = np.argmax(scores, axis=-1)                    # first of the maxima
@@ -138,13 +138,9 @@ def _first_maxima(evaluate, masks_of, chunks):
         better = top > best_score
         best = np.where(better, index[i], best)
         best_score = np.where(better, top, best_score)
-        owner = np.where(better, n, owner)
-        column = np.where(better, i, column)
-        # keep only the results that hold some item's best
-        results = {o: results.get(o, result) for o in np.unique(owner).tolist() if o >= 0}
-    winners = [(results.get(o), c) for o, c in zip(np.ravel(owner).tolist(),
-                                                    np.ravel(column).tolist())]
-    return best, best_score, winners
+        if np.count_nonzero(better):
+            take(better, i[better])
+    return best, best_score
 
 
 def _screened(screen, masks_of, chunks):

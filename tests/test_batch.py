@@ -333,14 +333,26 @@ def test_zero_forcing_es_without_a_full_rank_candidate_raises():
         es(Scheme("ZF", "UPA", "ES"), real, cfg, rho_f, SolverParams())
 
 
+def taking(masks, kept=None):
+    """An ``es_aps`` ``take`` that stores each picked candidate's mask in
+    ``kept`` by the item's flat index, so an item's last store is its
+    winner's."""
+    def take(items, columns):
+        assert np.count_nonzero(items) == len(columns) > 0
+        for item, column in zip(np.flatnonzero(items).tolist(), columns.tolist()):
+            if kept is not None:
+                kept[item] = masks[column]
+    return take
+
+
 def constant_scores(value):
-    return lambda masks: (np.full(masks.shape[0], value), None)
+    return lambda masks: (np.full(masks.shape[0], value), taking(masks))
 
 
 def test_tied_scores_keep_the_first_candidate(monkeypatch):
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score, _ = es_aps(5, 2, 3, 1, constant_scores(1.5))
+        mask, score = es_aps(5, 2, 3, 1, constant_scores(1.5))
         assert choices_of(mask, 1) == ((0, 1, 2), (0, 1, 2))
         assert score == 1.5
 
@@ -349,14 +361,15 @@ def test_nan_scores_never_win(monkeypatch):
     last = ((2, 3, 4), (2, 3, 4))
 
     def nan_but_the_last(masks):
-        return np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks]), None
+        return (np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks]),
+                taking(masks))
 
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score, _ = es_aps(5, 2, 3, 1, nan_but_the_last)
+        mask, score = es_aps(5, 2, 3, 1, nan_but_the_last)
         assert choices_of(mask, 1) == last
         assert score == 0.25
-    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf, None)
+    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
 
 
 def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
@@ -369,16 +382,17 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
     calls = []
+    kept = {}
 
     def coarse(masks):
         calls.append(masks.shape[0])
-        return (masks * gains).sum(axis=-2).min(axis=-1), masks
+        return (masks * gains).sum(axis=-2).min(axis=-1), taking(masks, kept)
 
     def chain(masks):
         calls.append(masks.shape[0])
         g_hat, err_var = apply_mask(masks, real)
         return run_chain(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
-                         sigma_w2, 1.0).metrics.min_sinr, masks
+                         sigma_w2, 1.0).metrics.min_sinr, taking(masks, kept)
 
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     for score in (coarse, chain):
@@ -386,13 +400,14 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
         for chunk in (10 ** 9, 18 * 333):
             monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
             calls.clear()
+            kept.clear()
             results.append(es_aps(6, 3, 3, 1, score))
             assert sum(calls) == 8000
+            # the last take names the winner, at its column of its chunk
+            assert np.array_equal(kept[0], results[-1][0])
         assert len(calls) == 25
-        (one_mask, one_score, _), (many_mask, many_score, [(chunk, column)]) = results
+        (one_mask, one_score), (many_mask, many_score) = results
         assert np.array_equal(one_mask, many_mask) and one_score == many_score
-        # the winner's chunk is the one that scored it, the winner at its column
-        assert np.array_equal(chunk[column], many_mask)
     # the coarse reference: first strict maximum in itertools.product order
     scores = [coarse(mask_from_choices(c, 6, 1))[0] for c in order]
     first = int(np.argmax(scores))
@@ -412,12 +427,14 @@ def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypa
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     late = mask_from_choices(order[7000], 6, 1)
     sizes = []
+    kept = {}
 
     def grid(masks):
         sizes.append(masks.shape[0])
         coarse = (masks * gains).sum(axis=-2).min(axis=-1)
         only_late = np.where((masks == late).all(axis=(-2, -1)), 0.25, np.nan)
-        return np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse]), masks
+        return (np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse]),
+                taking(masks, kept))
 
     every = np.stack([mask_from_choices(c, 6, 1) for c in order])
     reference = grid(every)[0]
@@ -426,22 +443,24 @@ def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypa
     for entries in (10 ** 9, 4 * 18 * 333):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
         sizes.clear()
-        masks, scores, winners = es_aps(6, 3, 3, 1, grid, points=4)
+        kept.clear()
+        masks, scores = es_aps(6, 3, 3, 1, grid, points=4)
         assert sum(sizes) == 8000 and max(sizes) * 4 * 18 <= entries
         assert masks.shape == (4, 6, 3) and scores.shape == (4,)
         for point, winner in enumerate(first):
             assert choices_of(masks[point], 1) == order[winner]
             assert scores[point] == reference[point, winner]
-            chunk, column = winners[point]
-            assert np.array_equal(chunk[column], masks[point])
+            assert np.array_equal(kept[point], masks[point])
     assert len(sizes) == 25
 
     def one_point_all_nan(masks):
-        return np.stack([grid(masks)[0][0], np.full(masks.shape[0], np.nan)]), None
+        return (np.stack([grid(masks)[0][0], np.full(masks.shape[0], np.nan)]),
+                taking(masks, kept))
 
-    masks, scores, winners = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
-    assert masks is None and winners is None
-    assert scores.tolist() == [reference[0, first[0]], -np.inf]
+    kept.clear()
+    masks, scores = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
+    assert masks is None and scores.tolist() == [reference[0, first[0]], -np.inf]
+    assert list(kept) == [0]                 # no take for the item nothing wins
 
 
 def test_candidate_masks_follow_product_order(monkeypatch):
@@ -451,7 +470,7 @@ def test_candidate_masks_follow_product_order(monkeypatch):
         for q in masks:
             seen.append(choices_of(q, 2))
             assert np.array_equal(q, mask_from_choices(seen[-1], 4, 2))
-        return np.zeros(masks.shape[0]), None
+        return np.zeros(masks.shape[0]), taking(masks)
 
     monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 8 * 3 * 5)
     es_aps(4, 3, 2, 2, record)

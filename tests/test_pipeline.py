@@ -580,10 +580,15 @@ def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
             mine, theirs = getattr(got, name), getattr(solve, name)
             assert (mine is None and theirs is None) or np.array_equal(mine, theirs), label
     for name in ("per_user_sinr", "per_user_rate", "sum_rate", "min_sinr"):
-        assert np.array_equal(getattr(res.metrics, name), getattr(want.metrics, name)), label
+        mine, theirs = getattr(res.metrics, name), getattr(want.metrics, name)
+        # a point's numbers are the chain's scalars too, not 0-d arrays
+        assert np.array_equal(mine, theirs) and type(mine) is type(theirs), label
     assert np.array_equal(res.metrics.ber, ber), label
     assert res.trace["allocation_solves"] == want.trace["allocation_solves"]
     assert res.trace["seconds"]["precoder"] == res.trace["seconds"]["allocation"] == 0.0
+    # the winners are copies: no array of the result pins a scored chunk's
+    for array in (res.precoder.p, res.n_final.eta):
+        assert array.base is None or array.base.size == array.size, label
 
 
 def test_an_es_cell_is_the_chain_on_its_masks_bitwise():

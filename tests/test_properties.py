@@ -296,7 +296,7 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
         min_sinr[pair] = res.metrics.min_sinr
         if pair[1] == "OPA":
             coeffs = sinr_coefficients(res.precoder.p, g_hat, err_var, rho_f, sigma_w2)
-            _, t_hi = _bracket(coeffs, res.precoder.delta)
+            _, _, t_hi = _bracket(coeffs, res.precoder.delta)
             width[pair[0]] = np.maximum(solver.opa_tol, t_hi * 2.0 ** -solver.opa_iterations)
     for (precoder, allocation), sinr in min_sinr.items():
         if allocation != "OPA" and precoder in width:

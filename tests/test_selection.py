@@ -128,14 +128,14 @@ def test_masking_matches_elementwise_product_and_is_idempotent():
 
 def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
     """Minimum SINR of the chain on one mask, or on each of a stack of masks,
-    and the chain's result."""
+    and an ``es_aps`` ``take`` that keeps nothing."""
     sigma_w2 = cfg.noise_variance_w()
     rho_f = 1e-3
 
     def evaluate(mask):
         g_hat, err_var = apply_mask(mask, real)
         out = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
-        return out.metrics.min_sinr, out
+        return out.metrics.min_sinr, lambda items, columns: None
 
     return evaluate
 
@@ -146,19 +146,20 @@ def test_single_candidate_when_everything_selected():
     streams = [np.random.default_rng([31, i]) for i in range(3)]
     real = generate_realization(cfg, *streams)
     calls = []
+    taken = []
     base = chain_evaluator(real, cfg)
 
     def counting(mask):
         calls.append(mask)
-        return base(mask)
+        return base(mask)[0], lambda items, columns: taken.append((items, columns))
 
-    mask, score, winners = es_aps(4, 2, 4, 1, counting)
+    mask, score = es_aps(4, 2, 4, 1, counting)
     assert len(calls) == 1 and calls[0].shape == (1, 4, 2)
     assert mask.shape == (4, 2) and np.all(mask == 1.0)
     assert score == base(np.ones((4, 2)))[0]
-    # the one item's winner: the scored chunk's result and its column
-    (result, column), = winners
-    assert column == 0 and result.metrics.min_sinr[column] == score
+    # one take, of the one item (a 0-d mask) at the chunk's only column
+    (items, columns), = taken
+    assert items.shape == () and items and columns.tolist() == [0]
 
 
 def test_candidate_count_for_tiny_system():
@@ -190,7 +191,7 @@ def test_search_picks_the_strong_aps():
                                g_tilde=np.zeros((3, 1), complex),
                                g=np.sqrt(beta) * (1 + 0j) * np.ones((3, 1)))
     evaluate = chain_evaluator(real, cfg)
-    mask, best, _ = es_aps(3, 1, 2, 1, evaluate)
+    mask, best = es_aps(3, 1, 2, 1, evaluate)
     assert np.array_equal(mask, [[1.0], [0.0], [1.0]])
     # brute-force re-evaluation of every candidate confirms the choice
     import itertools
