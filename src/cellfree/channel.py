@@ -50,6 +50,11 @@ class ConfigError(ValueError):
     """A scenario configuration violates one of its invariants."""
 
 
+def is_integer(value) -> bool:
+    """The rule for counts, seeds and trial numbers: integral, not ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SystemConfig:
     """Scenario constants for one simulation campaign.
@@ -93,8 +98,8 @@ class SystemConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
-        for name in ("num_aps", "antennas_per_ap", "num_users", "selected_aps"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+        for name in ("num_aps", "antennas_per_ap", "num_users", "selected_aps", "rng_seed"):
+            if not is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # NaN passes every comparison below and inf every positivity test
         for f in fields(self):
@@ -126,7 +131,7 @@ class SystemConfig:
         if not all(abs(snr) <= MAX_ABS_SNR_DB for snr in self.snr_grid_db):
             raise ConfigError(f"snr_grid_db values must lie in [-{MAX_ABS_SNR_DB:g}, "
                               f"{MAX_ABS_SNR_DB:g}] dB")
-        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2 ** 64:
+        if not 0 <= self.rng_seed < 2 ** 64:
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
         return self
 

@@ -123,9 +123,9 @@ def read_results(path) -> list:
 
 
 def _write_sidecar(path, sidecar: dict) -> None:
-    out = Path(str(path) + ".config.json")
-    out.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    # numpy integers, which a config's counts and seed may be, go out as ints
+    text = json.dumps(sidecar, indent=2, sort_keys=True, default=operator.index)
+    Path(str(path) + ".config.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _sidecar_dict(cfg, solver, preset_name, schemes, axis, trials, seed) -> dict:
@@ -222,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if len(schemes) > 1:
                 print(f"learning curves track one scheme; using {schemes[0].label}",
                       file=sys.stderr)
-            rows = run_learning_curve(cfg, schemes[0], trials, solver)
+            rows = run_learning_curve(cfg, schemes[0], trials)
             emit_results(rows, args.out, sidecar, row_type=LearningCurveRow)
         else:
             rows = run_sweep(cfg, schemes, preset.axis, trials, solver,

@@ -58,7 +58,6 @@ would.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
@@ -77,12 +76,12 @@ _STREAMS = ("topology", "shadowing", "fading", "noise", "symbols")
 
 @dataclass(frozen=True)
 class _Allocator:
-    solve: Callable       # (precoder, coeffs, sigma_s2, solver) -> AllocationResult
+    solve: Callable       # (precoder, coeffs, sigma_s2) -> AllocationResult
     # a gradient solver whose step is not scale-free: the chain re-forms P with
     # its allocation and solves again, and it records its cost per iteration
     adaptive: bool = False
     precoders: Optional[tuple] = None  # the precoders it accepts; None: every one
-    # (precoder, coeffs, solver) -> (lo, hi): an interval holding the minimum
+    # (precoder, coeffs) -> (lo, hi): an interval holding the minimum
     # SINR that ``solve`` gives, for exhaustive selection's screen
     bound: Optional[Callable] = None
 
@@ -95,22 +94,7 @@ def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
                             rho_f=rho_f, sigma_w2=sigma_w2, sigma_s2=sigma_s2)
 
 
-def _opa(precoder, coeffs, sigma_s2, solver):
-    return pa.opa_bisection(coeffs, precoder.delta,
-                            iterations=solver.opa_iterations, tol=solver.opa_tol)
-
-
-def _opa_bound(precoder, coeffs, solver):
-    return pa.opa_bound(coeffs, precoder.delta, iterations=solver.opa_iterations,
-                        tol=solver.opa_tol)
-
-
-def _apa(precoder, coeffs, sigma_s2, solver):
-    return pa.apa_sgd(precoder, coeffs, mu=solver.apa_mu,
-                      iterations=solver.apa_iterations, sigma_s2=sigma_s2)
-
-
-def _es(scheme, realization, cfg, rho_f, solver):
+def _es(scheme, realization, cfg, rho_f):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
     ``(S, M, K)``, from one search, and the winners' ``ChainResult``, taken
     from the search. A stack of B candidates runs as one ``(S, B)`` chain
@@ -128,7 +112,8 @@ def _es(scheme, realization, cfg, rho_f, solver):
 
     OPA's search is screened, with every precoder: every chunk is first
     bounded on its own build by ``pa.opa_bound``, a closed-form interval
-    with no eigendecomposition and no bisection, and only the candidates
+    with no eigendecomposition and no bisection, at the chain's own
+    ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``, and only the candidates
     whose interval can reach the best run the chain (see ``sel.es_aps``), so
     the winner is the unscreened search's. A chunk the screen cannot bound
     (its build raises) has NaN intervals, so the chain scores it and meets
@@ -144,7 +129,7 @@ def _es(scheme, realization, cfg, rho_f, solver):
     won = None      # each point's winning item, copied out as the search goes
 
     def chain(g_hat, err_var):
-        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, solver)
+        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2)
 
     def evaluate(masks):
         """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
@@ -184,13 +169,13 @@ def _es(scheme, realization, cfg, rho_f, solver):
         try:
             prec = build(g_hat, stack_rho, sigma_w2, sigma_s2)
             coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, stack_rho, sigma_w2)
-            return allocator.bound(prec, coeffs, solver)
+            return allocator.bound(prec, coeffs)
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
             return (np.full(points + masks.shape[:1], np.nan),) * 2
 
     masks, _ = sel.es_aps(
         cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
-        budget=solver.es_budget, points=math.prod(points),
+        points=math.prod(points),
         screen=None if allocator.bound is None else screen)
     if masks is None:
         raise np.linalg.LinAlgError(
@@ -226,7 +211,7 @@ def _tree_map(fn, *trees):
 
 @dataclass(frozen=True)
 class _Selector:
-    select: Callable      # (scheme, realization, cfg, rho_f, solver)
+    select: Callable      # (scheme, realization, cfg, rho_f)
                           # -> (mask array, the chain ES ran on it or None)
     per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
 
@@ -241,9 +226,13 @@ SCHEMES = {
         "CB": lambda g_hat, *_: pc.cb_precoder(g_hat),
     },
     "allocation": {
-        "OPA": _Allocator(_opa, bound=_opa_bound),
+        "OPA": _Allocator(
+            lambda precoder, coeffs, _: pa.opa_bisection(coeffs, precoder.delta),
+            bound=lambda precoder, coeffs: pa.opa_bound(coeffs, precoder.delta)),
         # its step is scale-free only where f cancels the precoder's scale
-        "APA": _Allocator(_apa, adaptive=True, precoders=("MMSE",)),
+        "APA": _Allocator(
+            lambda precoder, coeffs, sigma_s2: pa.apa_sgd(precoder, coeffs, sigma_s2=sigma_s2),
+            adaptive=True, precoders=("MMSE",)),
         "UPA": _Allocator(lambda precoder, *_: pa.upa(precoder.delta)),
     },
     "selection": {
@@ -289,30 +278,24 @@ class Scheme:
         return f"{self.precoder}+{self.allocation}+{self.selection}"
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse ``value``, naming ``name``, unless it is an integer
+    (``ch.is_integer``) of at least 1."""
+    if not (ch.is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs of the iterative solvers and of the BER measurement; counts are
-    integers of at least 1, and the step size and tolerance are finite and
-    nonnegative."""
+    """BER's packet shape: QPSK symbols per packet and packets per trial,
+    each an integer of at least 1."""
 
-    opa_iterations: int = 30
-    opa_tol: float = 1e-6
-    apa_mu: float = 0.25
-    apa_iterations: int = 5
-    es_budget: int = 10 ** 6
     symbols_per_packet: int = 100
     packets_per_trial: int = 1
 
     def __post_init__(self):
-        for name in ("opa_iterations", "apa_iterations", "es_budget",
-                     "symbols_per_packet", "packets_per_trial"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        for name in ("apa_mu", "opa_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        for f in fields(self):
+            _check_count(f.name, getattr(self, f.name))
 
 
 def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
@@ -404,8 +387,7 @@ def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2):
 
 
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
-              sigma_s2: float, solver: SolverParams = SolverParams(),
-              built: Optional[tuple] = None) -> ChainResult:
+              sigma_s2: float, built: Optional[tuple] = None) -> ChainResult:
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
     module docstring). ``rho_f`` is a scalar or one value per item, and its
@@ -418,21 +400,23 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
     allocation and its SINR coefficients) and an allocate stage, which only
     reads the build. ``built``, the build of the scheme's precoder on the
     same channel and points, skips the first stage, so one build can serve
-    several chains."""
+    several chains. The chain takes no solver settings: OPA and APA run at
+    their module's constants (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``,
+    ``pa.APA_STEP``, ``pa.APA_ITERATIONS``)."""
     allocator = SCHEMES["allocation"][scheme.allocation]
     if built is None:
         built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f,
                        sigma_w2, sigma_s2)
     prec, coeffs, build_seconds = built
     t1 = time.perf_counter()
-    solves = [allocator.solve(prec, coeffs, sigma_s2, solver)]
+    solves = [allocator.solve(prec, coeffs, sigma_s2)]
     t2 = time.perf_counter()
     seconds = {"precoder": build_seconds, "allocation": t2 - t1}
     if allocator.adaptive:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
         coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
-        solves.append(allocator.solve(prec, coeffs, sigma_s2, solver))
+        solves.append(allocator.solve(prec, coeffs, sigma_s2))
         seconds["precoder"] += t3 - t2
         seconds["allocation"] += time.perf_counter() - t3
     metrics = mt.rates(mt.analytic_sinr(coeffs, solves[-1].eta))
@@ -446,7 +430,7 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
                        metrics=metrics, trace=trace)
 
 
-def _select(draw: TrialDraw, scheme: Scheme, rho_f, solver):
+def _select(draw: TrialDraw, scheme: Scheme, rho_f):
     """``(mask, masked g_hat, masked error variance, ES chain)`` of one cell,
     read-only; NS and LS come from the draw's memo and have no chain. ES on
     a grid ``(S,)`` gives one mask per point, ``(S, M, K)``, and the chain
@@ -455,7 +439,7 @@ def _select(draw: TrialDraw, scheme: Scheme, rho_f, solver):
         return draw.selections[scheme.selection]
     selector = SCHEMES["selection"][scheme.selection]
     realization = draw.realization
-    mask, chain = selector.select(scheme, realization, draw.cfg, rho_f, solver)
+    mask, chain = selector.select(scheme, realization, draw.cfg, rho_f)
     selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), chain)
     if not selector.per_cell:
         draw.selections[scheme.selection] = selected
@@ -499,7 +483,8 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     winners' items of the chunks the search scored (see ``_es``). BER is
     measured for every point in one
     ``ber_qpsk`` call on the restarted symbol and noise streams, so each
-    point sees the bits and noise it would see on its own.
+    point sees the bits and noise it would see on its own; ``solver`` gives
+    its packet shape and is read by nothing else.
 
     ``trace["seconds"]["channel"]`` holds the channel draw's time only in
     the cell that made the draw (the first to run on it), the selection
@@ -519,12 +504,11 @@ def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
     realization = draw.realization
     t1 = time.perf_counter()
     rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
-    mask, g_hat, err_var, chain = _select(draw, scheme, rho_f, solver)
+    mask, g_hat, err_var, chain = _select(draw, scheme, rho_f)
     t2 = time.perf_counter()
     if chain is None:
         built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-        chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, solver,
-                          built=built)
+        chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, built=built)
         chain.trace.update({"es_candidates": 0, "es_certified": 0})
     t3 = time.perf_counter()
 
@@ -571,28 +555,20 @@ class TrialError(RuntimeError):
                          f"seed {seed}: {detail}")
 
 
-def _check_es_budget(schemes, cfgs, solver):
-    """Refuse, before any trial runs, an ES scheme whose candidates at one of
-    ``cfgs`` exceed the solver's budget."""
-    for scheme in schemes:
-        if scheme.selection != "ES":
-            continue
+def _preflight(schemes, cfgs, trials):
+    """Refuse, before any trial runs, a ``trials`` that is not an integer of
+    at least 1, or an ES scheme whose search at one of ``cfgs`` exceeds
+    ``sel.ES_BUDGET``."""
+    _check_count("trials", trials)
+    if any(scheme.selection == "ES" for scheme in schemes):
         for cfg in cfgs:
-            total = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
-            if total > solver.es_budget:
-                digits = len(str(total))
-                count = str(total) if digits <= 12 else f"about 1e{digits - 1}"
-                raise ValueError(
-                    f"{scheme.label}: exhaustive selection of {cfg.selected_aps} of "
-                    f"{cfg.num_aps} APs for {cfg.num_users} users needs "
-                    f"C({cfg.num_aps}, {cfg.selected_aps})^{cfg.num_users} = {count} "
-                    f"candidate evaluations, exceeding the budget of {solver.es_budget}")
+            sel.check_es_budget(cfg.num_aps, cfg.num_users, cfg.selected_aps)
 
 
-def _point_cell(draw, scheme, snr, solver, with_ber, axis_name, axis_value):
+def _point_cell(draw, scheme, snr, axis_name, axis_value, **options):
     """``run_cell``, its draw-dependent failures named at ``axis_value``."""
     try:
-        return run_cell(draw, scheme, snr, solver, with_ber=with_ber)
+        return run_cell(draw, scheme, snr, **options)
     except (ArithmeticError, ValueError) as err:   # LinAlgError is a ValueError
         raise TrialError(scheme.label, axis_name, axis_value, draw.trial, draw.seed,
                          err) from err
@@ -677,8 +653,8 @@ def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
         cells = slice(start, start + len(values))
         for s, scheme in enumerate(schemes):
             try:
-                metrics = _point_cell(draw, scheme, snrs, solver, with_ber, axis,
-                                      values[0]).metrics
+                metrics = _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
+                                      with_ber=with_ber).metrics
             except TrialError:
                 if len(values) == 1:
                     raise
@@ -712,15 +688,15 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     first failing cell in (trial, axis point, scheme) order, so it names the
     smallest failing trial over all schemes and points; a trial whose grid
     cell fails is re-run one point at a time to find that cell. Missing or
-    malformed ``axis_values``, and an ES scheme over the solver's candidate
-    budget at any axis point, raise ``ValueError`` before the first trial.
+    malformed ``axis_values``, a ``trials`` that is not an integer of at least
+    1, and an ES scheme over ``sel.ES_BUDGET`` candidates at any axis point
+    (``sel.check_es_budget``), raise ``ValueError`` before the first trial.
+    ``solver`` shapes the BER measurement only.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if seed is None:
         seed = cfg.rng_seed
     groups = _axis_points(cfg, axis, axis_values)
-    _check_es_budget(schemes, [c for _, c, _ in groups], solver)
+    _preflight(schemes, [c for _, c, _ in groups], trials)
     # (field, scheme, point, trial): trials along the contiguous last axis,
     # so that each cell's statistics round as a 1-D array's would
     runs = np.stack([_trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
@@ -739,7 +715,7 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
                                  sum_rate_se=float(ses[0, s, p]),
                                  min_sinr_db_mean=float(means[1, s, p]),
                                  min_sinr_db_se=float(ses[1, s, p]), ber_mean=ber_mean,
-                                 ber_se=ber_se, trials=trials, seed=seed))
+                                 ber_se=ber_se, trials=int(trials), seed=int(seed)))
     return rows
 
 
@@ -753,7 +729,6 @@ class LearningCurveRow:
 
 
 def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
-                       solver: SolverParams = SolverParams(),
                        seed: Optional[int] = None):
     """Per-iteration adaptive-allocation cost, averaged over trials.
 
@@ -764,21 +739,18 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
         raise ValueError("learning curves require an allocation that records its cost: "
                          + ", ".join(n for n, a in SCHEMES["allocation"].items()
                                      if a.adaptive))
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _check_es_budget([scheme], [cfg], solver)
+    _preflight([scheme], [cfg], trials)
     if seed is None:
         seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])
     traces = []
     for t in range(trials):
-        res = _point_cell(TrialDraw(cfg, t, seed), scheme, snr, solver, False,
-                          "snr_grid", snr)
+        res = _point_cell(TrialDraw(cfg, t, seed), scheme, snr, "snr_grid", snr)
         traces.append(res.n_first.cost_trace)
     arr = np.asarray(traces, dtype=float)         # (trials, iterations + 1)
     rows = []
     for i in range(arr.shape[1]):
         mean, se = _mean_se(arr[:, i])
         rows.append(LearningCurveRow(iteration=i, cost_mean=mean, cost_se=se,
-                                     trials=trials, seed=seed))
+                                     trials=int(trials), seed=int(seed)))
     return rows

@@ -118,6 +118,12 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     return ok[()], np.where(ok[..., None], eta, np.nan)
 
 
+# The solvers' settings, at which every scheme runs them: OPA's bisection
+# halvings and stop width, and APA's step size and step count
+OPA_ITERATIONS = 30
+OPA_TOL = 1e-6
+APA_STEP = 0.25
+APA_ITERATIONS = 5
 # Half-width, relative to the max-min root t*, of the band
 # [t*(1 - w), t*(1 + w)] whose two ends OPA certifies with
 # ``sinr_feasible``. It must exceed the root's own error and the 1e-9 slack
@@ -304,8 +310,8 @@ def _bracket(coeffs: SinrCoefficients, delta):
     return loads, col_peak, np.broadcast_to(2.0 * bound.max(axis=-1), batch)
 
 
-def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
-                  tol: float = 1e-6) -> AllocationResult:
+def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
+                  tol: float = OPA_TOL) -> AllocationResult:
     """Max-min SINR allocation: bisection's answer on the common target,
     decided from the exact max-min root.
 
@@ -369,11 +375,13 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = 30,
 OPA_BOUND_STEPS = 2
 
 
-def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float = 1e-6):
+def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
+              tol: float = OPA_TOL):
     """``(lo, hi)`` per item: an interval that holds ``opa_bisection``'s
-    ``achieved_t`` with the same arguments, and the minimum SINR of its eta,
-    in closed form: no eigendecomposition, no root solve, no bisection and
-    no feasibility test.
+    ``achieved_t`` with the same ``iterations`` and ``tol`` (the chain's
+    ``OPA_ITERATIONS`` and ``OPA_TOL`` by default), and the minimum SINR of
+    its eta, in closed form: no eigendecomposition, no root solve, no
+    bisection and no feasibility test.
 
     With ``A = (phi_cross + gamma) / psi[:, None]``, ``b = sigma_w2 /
     (rho_f psi)`` and ``c_k = 1 / max_m delta[m, k]``, user k's SINR is
@@ -388,7 +396,8 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = 30, tol: float 
 
     Bisection's last bracket lies across the target where feasibility flips,
     within ``OPA_ROOT_BAND`` relative of t*, and is at most
-    ``w = max(tol, t_hi 2^-iterations)`` wide, so its low end lies in
+    ``w = max(tol, t_hi 2^-iterations)`` wide (``max(OPA_TOL, t_hi
+    2^-OPA_ITERATIONS)`` by default), so its low end lies in
     ``[t*(1 - 2 OPA_ROOT_BAND) - w, t*(1 + 2 OPA_ROOT_BAND)]``: twice the
     band also covers rounding and eta meeting every SINR target to 1e-9
     relative. ``w`` also carries two spacings of ``t_hi`` for the rounding
@@ -450,12 +459,13 @@ def apa_cost(n_diag, coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
     return _mse(np.asarray(n_diag, dtype=float), *apa_terms(coeffs, f, sigma_s2))
 
 
-def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float, iterations: int,
-            sigma_s2: float = 1.0) -> AllocationResult:
+def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float = APA_STEP,
+            iterations: int = APA_ITERATIONS, sigma_s2: float = 1.0) -> AllocationResult:
     """Gradient-descent allocation against a fixed MMSE-family precoder.
 
     From eta = 1e-3 for every user, takes ``iterations`` steps
-    ``nu <- nu - mu (c nu - b)`` (see ``apa_terms``), each followed by a
+    ``nu <- nu - mu (c nu - b)`` (see ``apa_terms``; by default
+    ``APA_ITERATIONS`` steps of ``APA_STEP``), each followed by a
     uniform rescale onto the per-antenna cap when the coefficients exceed
     it, so every iterate is feasible. Raises if a coefficient passes 1e6
     before rescaling: the step is too large for the cost curvature.

@@ -26,7 +26,7 @@ class ExperimentPreset:
     trials: int = 120
     kind: str = "sweep"              # "sweep" or "learning"
     with_ber: bool = False
-    solver: dict = field(default_factory=dict)
+    solver: dict = field(default_factory=dict)  # SolverParams fields: BER's packet shape
 
     def resolve_config(self, base: SystemConfig) -> SystemConfig:
         return replace(base, **self.config).validate()
@@ -47,7 +47,6 @@ PRESETS = {
         config=dict(_MULTI_ANTENNA, snr_grid_db=(25.0,)),
         schemes=("MMSE+APA+LS",),
         kind="learning",
-        solver=dict(apa_mu=0.25, apa_iterations=5),
     ),
     "fig-tiny-opa": ExperimentPreset(
         name="fig-tiny-opa",

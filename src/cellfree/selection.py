@@ -42,15 +42,32 @@ def ls_aps(beta, num_selected: int, antennas_per_ap: int) -> np.ndarray:
 ES_CHUNK_ENTRIES = 2 ** 15
 
 
+# Most candidate masks an exhaustive search takes on; a larger one is refused
+ES_BUDGET = 10 ** 6
+
+
 def es_candidate_count(num_aps: int, num_users: int, num_selected: int) -> int:
     """C(L, S)^K: the masks exhaustive selection scores, one per per-user
     choice of S of the L APs."""
     return math.comb(num_aps, num_selected) ** num_users
 
 
+def check_es_budget(num_aps: int, num_users: int, num_selected: int) -> int:
+    """The candidate count ``es_candidate_count``; a search of more than
+    ``ES_BUDGET`` candidates is refused with a ``ValueError`` that gives it."""
+    total = es_candidate_count(num_aps, num_users, num_selected)
+    if total > ES_BUDGET:
+        digits = len(str(total))
+        count = str(total) if digits <= 12 else f"about 1e{digits - 1}"
+        raise ValueError(
+            f"exhaustive selection of {num_selected} of {num_aps} APs for {num_users} "
+            f"users needs C({num_aps}, {num_selected})^{num_users} = {count} candidate "
+            f"evaluations, exceeding the budget of {ES_BUDGET}")
+    return total
+
+
 def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
-           evaluate: Callable[[np.ndarray], tuple],
-           budget: int = 10 ** 6, *, points: int = 1,
+           evaluate: Callable[[np.ndarray], tuple], *, points: int = 1,
            screen: Optional[Callable[[np.ndarray], tuple]] = None):
     """Exhaustive search over every per-user choice of S APs.
 
@@ -84,13 +101,9 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     product order wins: it is the winner of the whole search, since every
     candidate that ties with or beats it is left. If some item has no
     finite score among them, every candidate is scored by ``evaluate``, as
-    without a screen.
+    without a screen. ``check_es_budget`` refuses a search over ``ES_BUDGET``.
     """
-    total = es_candidate_count(num_aps, num_users, num_selected)
-    if total > budget:
-        raise ValueError(
-            f"exhaustive selection needs {total} candidate evaluations, "
-            f"exceeding the budget of {budget}")
+    total = check_es_budget(num_aps, num_users, num_selected)
     per_user = math.comb(num_aps, num_selected)
     members = np.zeros((per_user, num_aps))            # combination -> AP indicator
     for c, aps in enumerate(itertools.combinations(range(num_aps), num_selected)):

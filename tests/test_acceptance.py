@@ -14,7 +14,7 @@ import numpy as np
 from cellfree.channel import SystemConfig
 from cellfree.cli_io import main
 from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
-from cellfree.pipeline import Scheme, SolverParams, TrialDraw, _stream, run_trial
+from cellfree.pipeline import Scheme, TrialDraw, _stream, run_trial
 from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
                                        sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder, zf_precoder, _ridge_solve
@@ -198,12 +198,11 @@ def test_criterion_4_max_min_allocation_correctness():
 def test_criterion_5_adaptive_allocation_learning():
     cfg = cfg_with(num_aps=24, antennas_per_ap=4, num_users=8,
                    selected_aps=12, csi_quality=1.0, snr_grid_db=(25.0,))
-    solver = SolverParams(apa_mu=0.25, apa_iterations=5)
     scheme = Scheme.parse("MMSE+APA+LS")
     good = 0
     trials = 50
     for t in range(trials):
-        res = run_trial(cfg, scheme, 25.0, t, solver)
+        res = run_trial(cfg, scheme, 25.0, t)
         c = np.asarray(res.n_first.cost_trace)
         # converged learning: after the first update the cost never rises
         # above that update's level at curve resolution. The uniform

@@ -15,8 +15,8 @@ from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.metrics import (SinrCoefficients, analytic_sinr, rates,
                               sinr_coefficients, snr_to_rho_f)
-from cellfree.pipeline import SCHEMES, Scheme, SolverParams, TrialDraw, run_chain, run_trial
-from cellfree.power_allocation import apa_sgd, opa_bisection, sinr_feasible, upa
+from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_chain, run_trial
+from cellfree.power_allocation import apa_sgd, opa_bisection, opa_bound, sinr_feasible, upa
 from cellfree.precoding import (PrecoderOutput, RankDeficientError, _ridge_solve,
                                 apply_allocation, cb_precoder, mmse_precoder,
                                 zf_precoder)
@@ -206,7 +206,7 @@ def choices_of(mask, antennas_per_ap):
                  for column in mask[::antennas_per_ap].T)
 
 
-def es_reference(realization, cfg, scheme, rho_f, solver):
+def es_reference(realization, cfg, scheme, rho_f):
     """First strict maximum over every candidate, one 2-D chain each; a
     candidate that leaves ZF rank-deficient scores -inf, any other error
     propagates. None when no candidate scores above -inf."""
@@ -218,8 +218,7 @@ def es_reference(realization, cfg, scheme, rho_f, solver):
         g_hat, err_var = apply_mask(mask, realization)
         try:
             score = run_chain(g_hat, err_var, scheme, rho_f,
-                              cfg.noise_variance_w(), cfg.symbol_power,
-                              solver).metrics.min_sinr
+                              cfg.noise_variance_w(), cfg.symbol_power).metrics.min_sinr
         except RankDeficientError:
             continue
         if score > best_score:
@@ -235,28 +234,41 @@ PAIRS = [(p, a) for p in SCHEMES["precoder"]
          for a, allocator in SCHEMES["allocation"].items() if allocator.accepts(p)]
 
 
+def short_solvers(monkeypatch):
+    """The scheme table's OPA at 16 halvings and a stop width of 1e-2, its
+    ES screen bounding that bisection, and APA at 2 steps."""
+    opa, apa = SCHEMES["allocation"]["OPA"], SCHEMES["allocation"]["APA"]
+    monkeypatch.setitem(SCHEMES["allocation"], "OPA", dataclasses.replace(
+        opa, solve=lambda precoder, coeffs, _: opa_bisection(coeffs, precoder.delta, 16,
+                                                             1e-2),
+        bound=lambda precoder, coeffs: opa_bound(coeffs, precoder.delta, 16, 1e-2)))
+    monkeypatch.setitem(SCHEMES["allocation"], "APA", dataclasses.replace(
+        apa, solve=lambda precoder, coeffs, sigma_s2: apa_sgd(
+            precoder, coeffs, iterations=2, sigma_s2=sigma_s2)))
+
+
 @pytest.mark.parametrize("config", [TINY, TWO_ANTENNA], ids=["5x2", "3x2-antennas"])
-def test_es_winner_equals_the_candidate_loop(config):
+def test_es_winner_equals_the_candidate_loop(config, monkeypatch):
     """Every (trial, SNR) point of a 20 x 6 grid, each precoder x allocator
     pair that ``Scheme`` accepts on its share of the points. Short solver
     runs keep the 100-candidate loop affordable; the bisection still stops
     by its tolerance at a different halving for different candidates, or at
     the iteration cap."""
     cfg = dataclasses.replace(SystemConfig(), **config).validate()
-    solver = SolverParams(opa_iterations=16, opa_tol=1e-2, apa_iterations=2)
+    short_solvers(monkeypatch)
     sigma_w2 = cfg.noise_variance_w()
     compared = failures = 0
     for n, (trial, snr) in enumerate(itertools.product(range(20), SNRS)):
         scheme = Scheme(*PAIRS[n % len(PAIRS)], "ES")
         real = TrialDraw(cfg, trial, cfg.rng_seed).realization
         rho_f = snr_to_rho_f(10.0 ** (snr / 10.0), real.g_hat, sigma_w2)
-        want = es_reference(real, cfg, scheme, rho_f, solver)
+        want = es_reference(real, cfg, scheme, rho_f)
         if want is None:
             with pytest.raises(np.linalg.LinAlgError, match="full-rank"):
-                run_trial(cfg, scheme, snr, trial, solver)
+                run_trial(cfg, scheme, snr, trial)
             failures += 1
             continue
-        got = run_trial(cfg, scheme, snr, trial, solver)
+        got = run_trial(cfg, scheme, snr, trial)
         assert np.array_equal(got.mask, want), (scheme.label, trial, snr)
         compared += 1
     assert compared >= 100, (compared, failures)
@@ -277,7 +289,7 @@ def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
     exactly alike on the chain, while OPA's screen bounds them from the
     max-min root; the first tied candidate must still win."""
     cfg = dataclasses.replace(SystemConfig(), **TINY).validate()
-    scheme, solver = Scheme.parse(label), SolverParams()
+    scheme = Scheme.parse(label)
     sigma_w2 = cfg.noise_variance_w()
     order = list(itertools.product(itertools.combinations(range(5), 3), repeat=2))
     every = np.stack([mask_from_choices(choices, 5, 1) for choices in order])
@@ -289,10 +301,10 @@ def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
         rho_f = snr_to_rho_f(10.0 ** (np.array(SNRS) / 10.0), real.g_hat, sigma_w2)
         # every candidate on the exact chain: the search without a screen
         scores = run_chain(*apply_mask(every, real), scheme, rho_f[:, None],
-                           sigma_w2, cfg.symbol_power, solver).metrics.min_sinr
+                           sigma_w2, cfg.symbol_power).metrics.min_sinr
         best = scores.max(axis=-1)
         tied += np.count_nonzero((scores == best[:, None]).sum(axis=-1) > 1)
-        masks, won = SCHEMES["selection"]["ES"].select(scheme, real, cfg, rho_f, solver)
+        masks, won = SCHEMES["selection"]["ES"].select(scheme, real, cfg, rho_f)
         if scheme.allocation == "OPA":               # the one screened search
             assert won.trace["es_certified"] < won.trace["es_candidates"]
         for point, first in enumerate(np.argmax(scores, axis=-1)):
@@ -307,15 +319,14 @@ def test_zero_forcing_es_skips_rank_deficient_candidates():
     # ES scores the 20 full-rank candidates again as one stack
     cfg = dataclasses.replace(SystemConfig(), **dict(TINY, selected_aps=1)).validate()
     scheme = Scheme("ZF", "UPA", "ES")
-    solver = SolverParams()
     sigma_w2 = cfg.noise_variance_w()
     for trial in range(10):
-        got = run_trial(cfg, scheme, 10.0, trial, solver)
+        got = run_trial(cfg, scheme, 10.0, trial)
         (first,), (second,) = choices_of(got.mask, 1)
         assert first != second
         real = TrialDraw(cfg, trial, cfg.rng_seed).realization
         rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
-        want = es_reference(real, cfg, scheme, rho_f, solver)
+        want = es_reference(real, cfg, scheme, rho_f)
         assert np.array_equal(got.mask, want)
         assert got.trace["es_candidates"] == 25
 
@@ -330,7 +341,7 @@ def test_zero_forcing_es_without_a_full_rank_candidate_raises():
     rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
     es = SCHEMES["selection"]["ES"].select
     with pytest.raises(np.linalg.LinAlgError, match="full-rank"):
-        es(Scheme("ZF", "UPA", "ES"), real, cfg, rho_f, SolverParams())
+        es(Scheme("ZF", "UPA", "ES"), real, cfg, rho_f)
 
 
 def taking(masks, kept=None):

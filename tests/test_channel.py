@@ -273,10 +273,20 @@ def test_config_invariants():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("num_aps", 32.5), ("antennas_per_ap", 1.0), ("num_users", 8.0), ("selected_aps", 16.0)])
+    ("num_aps", 32.5), ("antennas_per_ap", 1.0), ("num_users", 8.0), ("selected_aps", 16.0),
+    ("num_users", True), ("antennas_per_ap", True), ("rng_seed", True), ("rng_seed", 7.0)])
 def test_config_counts_must_be_integers(field, value):
+    # a bool is a flag, not a count or a seed
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         default_cfg(**{field: value})
+
+
+def test_config_counts_and_seed_take_numpy_integers():
+    cfg = default_cfg(num_aps=np.int64(8), antennas_per_ap=np.int32(2),
+                      num_users=np.int64(3), selected_aps=np.uint8(4), rng_seed=np.int64(7))
+    assert cfg.total_antennas == 16 and cfg.rng_seed == 7
+    with pytest.raises(ConfigError, match="rng_seed must be an unsigned 64-bit integer"):
+        default_cfg(rng_seed=np.int64(-1))
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)

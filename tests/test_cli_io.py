@@ -106,6 +106,11 @@ def test_sidecar_provenance(tmp_path):
     emit_results(make_rows(), path, sidecar={"seed": 42, "config": {"k": 1}})
     side = json.loads((tmp_path / "out.csv.config.json").read_text())
     assert side["seed"] == 42
+    # numpy integers, which SystemConfig accepts, are written as JSON ints
+    emit_results(make_rows(), tmp_path / "np.csv",
+                 sidecar={"seed": np.int64(42), "config": {"k": np.uint8(1)}})
+    assert ((tmp_path / "np.csv.config.json").read_bytes()
+            == (tmp_path / "out.csv.config.json").read_bytes())
 
 
 # ---------------------------------------------------------------------- CLI
@@ -188,7 +193,7 @@ def test_an_es_scheme_over_budget_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--preset", "fig-large-sumrate", "--trials", "1",
                  "--out", str(out), "--schemes", "MMSE+OPA+LS,MMSE+OPA+ES"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("cannot run: MMSE+OPA+ES: exhaustive selection")
+    assert err[-1].startswith("cannot run: exhaustive selection of 64 of 128 APs")
     assert "C(128, 64)^16 = about 1e" in err[-1] and "budget of 1000000" in err[-1]
     assert not out.exists()
     assert not (tmp_path / "x.csv.config.json").exists()

@@ -7,11 +7,13 @@ import pytest
 
 from cellfree import channel, metrics, pipeline, precoding, selection
 from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
+from cellfree.cli_io import emit_results, read_results
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
                                TrialError, _mean_se, _stream, run_cell, run_chain,
                                run_learning_curve, run_sweep, run_trial)
-from cellfree.power_allocation import apa_sgd, opa_bisection, upa
+from cellfree.power_allocation import (APA_ITERATIONS, APA_STEP, OPA_ITERATIONS, OPA_TOL,
+                                       apa_sgd, opa_bisection, upa)
 from cellfree.precoding import mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import apply_mask, ls_aps
@@ -89,7 +91,6 @@ def test_identity_channel_chain_by_hand():
 
 def test_one_pass_equals_the_explicit_two_pass_chain():
     cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8, csi_quality=0.95)
-    solver = SolverParams()
     sigma_w2 = cfg.noise_variance_w()
     for trial in range(4):
         real = TrialDraw(cfg, trial, cfg.rng_seed).realization
@@ -107,12 +108,12 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
 
         def one_pass(allocation):
             return run_chain(g, err, Scheme("MMSE", allocation, "LS"), rho_f,
-                             sigma_w2, 1.0, solver)
+                             sigma_w2, 1.0)
 
         def opa(prec):
             coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
-            return opa_bisection(coeffs, prec.delta, iterations=solver.opa_iterations,
-                                 tol=solver.opa_tol)
+            return opa_bisection(coeffs, prec.delta, iterations=OPA_ITERATIONS,
+                                 tol=OPA_TOL)
 
         for name, allocate in (("OPA", opa), ("UPA", lambda prec: upa(prec.delta))):
             got = one_pass(name)
@@ -125,7 +126,7 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
 
         second, n_final, sinr = two_pass(
             lambda prec: apa_sgd(prec, sinr_coefficients(prec.p, g, err, rho_f, sigma_w2),
-                                 mu=solver.apa_mu, iterations=solver.apa_iterations))
+                                 mu=APA_STEP, iterations=APA_ITERATIONS))
         got = one_pass("APA")
         assert np.array_equal(got.precoder.p, second.p)
         assert np.array_equal(got.n_final.eta, n_final.eta)
@@ -563,7 +564,7 @@ def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(pipeline._snr_linear(snr_db), real.g_hat, sigma_w2)
     g_hat, err_var = apply_mask(res.mask, real)
-    want = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power, solver)
+    want = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
     ber, _ = metrics.ber_qpsk(want.precoder.p, want.n_final.n_diag, real.g, g_hat, rho_f,
                               sigma_w2, solver.symbols_per_packet,
                               _stream(cfg.rng_seed, trial, "symbols"),
@@ -619,17 +620,17 @@ def test_an_es_cell_is_the_chain_on_its_masks_bitwise():
 def test_an_apa_es_learning_curve_is_the_chain_on_its_masks():
     # the curve averages each trial's first-pass costs, taken from the search
     cfg = cfg_with(**dict(TINY, snr_grid_db=(10.0,)))
-    scheme, solver = Scheme.parse("MMSE+APA+ES"), SolverParams()
+    scheme = Scheme.parse("MMSE+APA+ES")
     sigma_w2 = cfg.noise_variance_w()
     traces = []
     for trial in range(4):
         draw = TrialDraw(cfg, trial, cfg.rng_seed)
-        mask = run_cell(draw, scheme, 10.0, solver).mask
+        mask = run_cell(draw, scheme, 10.0).mask
         rho_f = snr_to_rho_f(10.0, draw.realization.g_hat, sigma_w2)
         chain = run_chain(*apply_mask(mask, draw.realization), scheme, rho_f, sigma_w2,
-                          cfg.symbol_power, solver)
+                          cfg.symbol_power)
         traces.append(chain.n_first.cost_trace)
-    rows = run_learning_curve(cfg, scheme, trials=4, solver=solver)
+    rows = run_learning_curve(cfg, scheme, trials=4)
     costs = np.asarray(traces, dtype=float)
     assert [(r.cost_mean, r.cost_se) for r in rows] == [_mean_se(costs[:, i])
                                                        for i in range(costs.shape[1])]
@@ -651,36 +652,79 @@ def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatc
 def test_learning_curve_shape_and_guard():
     cfg = cfg_with(num_aps=8, antennas_per_ap=2, num_users=3,
                    selected_aps=4, csi_quality=1.0, snr_grid_db=(25.0,))
-    solver = SolverParams(apa_mu=0.25, apa_iterations=5)
-    rows = run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=4,
-                              solver=solver)
-    assert [r.iteration for r in rows] == list(range(6))
+    rows = run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=4)
+    assert [r.iteration for r in rows] == list(range(APA_ITERATIONS + 1))
     assert rows[-1].cost_mean < rows[0].cost_mean
     with pytest.raises(ValueError, match="APA"):
         run_learning_curve(cfg, Scheme.parse("MMSE+OPA+LS"), trials=1)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, True, 2.0, np.float64(3.0)])
 def test_sweeps_and_learning_curves_need_a_trial(trials):
+    # a bool or a float is refused by name before the first trial, not
+    # written to the CSV's trials column or handed to range()
     cfg = cfg_with(**TINY)
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(ValueError, match="trials must be at least 1 and an integer"):
         run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=trials)
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(ValueError, match="trials must be at least 1 and an integer"):
         run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], "snr_grid", trials=trials)
 
 
+def test_numpy_integer_trials_and_seeds_write_integer_columns(tmp_path):
+    cfg = cfg_with(**dict(TINY, snr_grid_db=(10.0,), rng_seed=np.int64(7)))
+    rows = run_sweep(cfg, [Scheme.parse("MMSE+UPA+LS")], "snr_grid", trials=np.int64(2))
+    assert rows == run_sweep(cfg_with(**dict(TINY, snr_grid_db=(10.0,), rng_seed=7)),
+                             [Scheme.parse("MMSE+UPA+LS")], "snr_grid", trials=2)
+    emit_results(rows, tmp_path / "x.csv")
+    (row,) = read_results(tmp_path / "x.csv")
+    assert (row.trials, row.seed) == (2, 7)
+    curve = run_learning_curve(cfg, Scheme.parse("MMSE+APA+LS"), trials=np.int32(2))
+    assert {(type(r.trials), r.trials, type(r.seed), r.seed) for r in curve} == {
+        (int, 2, int, 7)}
+
+
+def test_solver_params_hold_only_the_ber_packet_shape():
+    assert [f.name for f in dataclasses.fields(SolverParams)] == [
+        "symbols_per_packet", "packets_per_trial"]
+    assert SolverParams(symbols_per_packet=np.int64(7)).symbols_per_packet == 7
+
+
 @pytest.mark.parametrize("field, value", [
-    ("opa_iterations", 0), ("apa_iterations", 0), ("es_budget", 0),
     ("symbols_per_packet", 0), ("packets_per_trial", 0),
-    ("opa_iterations", 2.5), ("apa_iterations", 2.5), ("es_budget", 1e6),
     ("symbols_per_packet", 10.5), ("packets_per_trial", 2.0),
-    ("apa_mu", -1.0), ("opa_tol", -1.0), ("opa_tol", np.nan),
-    ("apa_mu", np.inf), ("opa_tol", np.inf)])
+    ("symbols_per_packet", True), ("packets_per_trial", np.float64(1.0))])
 def test_solver_params_reject_bad_values_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         SolverParams(**{field: value})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(SolverParams(), **{field: value})
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_solver_dict_builds_solver_params(preset):
+    # the benchmark builds BER's packet shape this way from every preset
+    solver = dataclasses.replace(SolverParams(), **PRESETS[preset].solver)
+    assert dataclasses.asdict(solver).keys() == {"symbols_per_packet", "packets_per_trial"}
+
+
+def test_learning_and_ber_presets_run_at_their_settings():
+    # fig-learning: APA's curve has its start and APA_ITERATIONS steps
+    preset = PRESETS["fig-learning"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    rows = run_learning_curve(cfg, Scheme.parse(preset.schemes[0]), trials=2)
+    assert [r.iteration for r in rows] == list(range(APA_ITERATIONS + 1))
+    assert APA_ITERATIONS == 5 and APA_STEP == 0.25
+    # fig-ber: each point's BER counts errors over its preset packet shape
+    preset = PRESETS["fig-ber"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    solver = dataclasses.replace(SolverParams(), **preset.solver)
+    bits = 2 * cfg.num_users * solver.symbols_per_packet * solver.packets_per_trial
+    assert bits == 1600
+    for label in preset.schemes:
+        res = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse(label),
+                       list(cfg.snr_grid_db), solver, with_ber=True)
+        errors = np.asarray(res.metrics.ber) * bits
+        assert np.allclose(errors, np.round(errors), rtol=0.0, atol=1e-9), label
 
 
 def test_every_scheme_completes_at_the_snr_bound():
@@ -703,7 +747,8 @@ def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch)
     cfg = cfg_with(num_aps=10, num_users=3, selected_aps=5, snr_grid_db=(10.0,))
     ls, es = Scheme.parse("MMSE+OPA+LS"), Scheme.parse("MMSE+APA+ES")
     assert selection.es_candidate_count(10, 3, 5) == 16_003_008
-    with pytest.raises(ValueError, match="MMSE[+]APA[+]ES.*16003008.*budget of 1000000"):
+    with pytest.raises(ValueError,
+                       match="5 of 10 APs for 3 users.*16003008.*budget of 1000000"):
         run_sweep(cfg, [ls, es], "snr_grid", trials=2)
     with pytest.raises(ValueError, match="16003008"):
         run_learning_curve(cfg, es, trials=2)
@@ -713,6 +758,20 @@ def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch)
     assert calls["channel"] == 0
     run_sweep(cfg, [ls, es], "selection_fraction", trials=1, axis_values=(1.0,))
     assert calls["channel"] == 1
+
+
+def test_es_aps_and_a_sweep_refuse_an_oversized_search_alike():
+    # C(16, 8)^4 = 12870^4, about 2.7e16 candidates: one check, one message
+    cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8, snr_grid_db=(10.0,))
+    with pytest.raises(ValueError) as search:
+        selection.es_aps(16, 4, 8, 1, None)
+    with pytest.raises(ValueError) as sweep:
+        run_sweep(cfg, [Scheme.parse("MMSE+OPA+ES")], "snr_grid", trials=1)
+    with pytest.raises(ValueError) as curve:
+        run_learning_curve(cfg, Scheme.parse("MMSE+APA+ES"), trials=1)
+    assert str(search.value) == str(sweep.value) == str(curve.value) == (
+        "exhaustive selection of 8 of 16 APs for 4 users needs C(16, 8)^4 = about 1e16 "
+        f"candidate evaluations, exceeding the budget of {selection.ES_BUDGET}")
 
 
 # --------------------------------------------------------- failed trials
@@ -785,10 +844,10 @@ def fail_at(monkeypatch, allocation, rho_f, error):
     """Make ``allocation`` raise ``error`` on any item whose rho_f is ``rho_f``."""
     allocator = SCHEMES["allocation"][allocation]
 
-    def solve(precoder, coeffs, sigma_s2, solver):
+    def solve(precoder, coeffs, sigma_s2):
         if np.count_nonzero(coeffs.rho_f == rho_f):
             raise error
-        return allocator.solve(precoder, coeffs, sigma_s2, solver)
+        return allocator.solve(precoder, coeffs, sigma_s2)
 
     monkeypatch.setitem(SCHEMES["allocation"], allocation,
                         dataclasses.replace(allocator, solve=solve))
@@ -837,8 +896,8 @@ def test_an_es_grid_point_without_a_finite_candidate_is_named(monkeypatch):
     rho = snr_to_rho_f(10.0, real.g_hat, cfg.noise_variance_w())
     upa_allocator = SCHEMES["allocation"]["UPA"]
 
-    def solve(precoder, coeffs, sigma_s2, solver):
-        result = upa_allocator.solve(precoder, coeffs, sigma_s2, solver)
+    def solve(precoder, coeffs, sigma_s2):
+        result = upa_allocator.solve(precoder, coeffs, sigma_s2)
         result.eta = np.where((coeffs.rho_f == rho)[..., None], np.nan, result.eta)
         return result
 

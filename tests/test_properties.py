@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell, run_chain,
-                               run_trial)
-from cellfree.power_allocation import CONSTRAINT_TOL, _bracket, upa
+from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_cell, run_chain, run_trial
+from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
 from cellfree.precoding import RankDeficientError, mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
@@ -53,7 +52,7 @@ def mask_from_choices(choices, num_aps, antennas_per_ap):
     return np.repeat(q_ap, antennas_per_ap, axis=0)
 
 
-def reference_winner(cfg, scheme, snr, trial, solver):
+def reference_winner(cfg, scheme, snr, trial):
     """First strict maximum of the 2-D chain over ``itertools.product``; a
     candidate that leaves ZF rank-deficient scores -inf, any other error
     propagates. None when no candidate scores above -inf."""
@@ -67,8 +66,8 @@ def reference_winner(cfg, scheme, snr, trial, solver):
         mask = mask_from_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
         g_hat, err_var = selection.apply_mask(mask, real)
         try:
-            score = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power,
-                              solver).metrics.min_sinr
+            score = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2,
+                              cfg.symbol_power).metrics.min_sinr
         except RankDeficientError:
             continue
         if score > best_score:
@@ -80,16 +79,15 @@ def reference_winner(cfg, scheme, snr, trial, solver):
 @given(es_cases())
 def test_exhaustive_selection_is_the_loop_winner_and_never_loses_to_ranking(case):
     cfg, scheme, snr, trial = case
-    solver = SolverParams()
-    want = reference_winner(cfg, scheme, snr, trial, solver)
+    want = reference_winner(cfg, scheme, snr, trial)
     if want is None:
         with pytest.raises(np.linalg.LinAlgError, match="full-rank"):
-            run_trial(cfg, scheme, snr, trial, solver)
+            run_trial(cfg, scheme, snr, trial)
         return
-    es = run_trial(cfg, scheme, snr, trial, solver)
+    es = run_trial(cfg, scheme, snr, trial)
     assert np.array_equal(es.mask, want)
     try:
-        ls = run_trial(cfg, dataclasses.replace(scheme, selection="LS"), snr, trial, solver)
+        ls = run_trial(cfg, dataclasses.replace(scheme, selection="LS"), snr, trial)
     except RankDeficientError:
         # the LS mask is one of the candidates, and a rank-deficient one
         return
@@ -217,8 +215,7 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
         scheme = Scheme(*pair, selected)
 
         def chain(rho_f):
-            return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power,
-                             SolverParams())
+            return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
 
         try:
             points = [chain(r) for r in rho]
@@ -272,7 +269,7 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
     (precoder, allocation) pair keeps each antenna's load at most
     1 + CONSTRAINT_TOL and gives finite, nonnegative SINRs, and each
     precoder's OPA minimum SINR is at least its UPA's and APA's, less
-    bisection's final bracket width ``max(opa_tol, t_hi 2^-iterations)``."""
+    bisection's final bracket width ``max(OPA_TOL, t_hi 2^-OPA_ITERATIONS)``."""
     cfg, selected, snrs, trial = case
     real = TrialDraw(cfg, trial, cfg.rng_seed).realization
     mask = (ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap)
@@ -280,12 +277,11 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
     g_hat, err_var = selection.apply_mask(mask, real)
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(10.0 ** (np.array(snrs) / 10.0), real.g_hat, sigma_w2)
-    solver = SolverParams()
     min_sinr, width = {}, {}
     for pair in PAIRS:
         try:
             res = run_chain(g_hat, err_var, Scheme(*pair, selected), rho_f, sigma_w2,
-                            cfg.symbol_power, solver)
+                            cfg.symbol_power)
         except RankDeficientError:              # ZF on a rank-deficient mask
             assert pair[0] == "ZF"
             continue
@@ -297,7 +293,7 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
         if pair[1] == "OPA":
             coeffs = sinr_coefficients(res.precoder.p, g_hat, err_var, rho_f, sigma_w2)
             _, _, t_hi = _bracket(coeffs, res.precoder.delta)
-            width[pair[0]] = np.maximum(solver.opa_tol, t_hi * 2.0 ** -solver.opa_iterations)
+            width[pair[0]] = np.maximum(OPA_TOL, t_hi * 2.0 ** -OPA_ITERATIONS)
     for (precoder, allocation), sinr in min_sinr.items():
         if allocation != "OPA" and precoder in width:
             assert (min_sinr[precoder, "OPA"] >= sinr - width[precoder]).all(), \

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.pipeline import Scheme, run_chain
 from cellfree.selection import apply_mask, es_aps, ls_aps
@@ -204,6 +205,11 @@ def test_search_picks_the_strong_aps():
     assert np.isclose(max(rescored)[0], best)
 
 
-def test_budget_refusal_reports_required_count():
-    with pytest.raises(ValueError, match="100"):
-        es_aps(5, 2, 3, 1, lambda m: 0.0, budget=99)
+def test_budget_refusal_reports_required_count(monkeypatch):
+    # C(5, 3)^2 = 100 candidates: refused over a budget of 99, searched at 100
+    monkeypatch.setattr(selection, "ES_BUDGET", 99)
+    with pytest.raises(ValueError, match=r"C\(5, 3\)\^2 = 100 .*budget of 99"):
+        es_aps(5, 2, 3, 1, lambda m: 0.0)
+    monkeypatch.setattr(selection, "ES_BUDGET", 100)
+    mask, _ = es_aps(5, 2, 3, 1, lambda m: (np.zeros(len(m)), lambda items, columns: None))
+    assert mask.shape == (5, 2)
