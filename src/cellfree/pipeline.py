@@ -90,8 +90,8 @@ class _Allocator:
 
 
 def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
-    return pc.mmse_precoder(g_hat, np.ones(g_hat.shape[-1]), e_tr=g_hat.shape[-2] * rho_f,
-                            rho_f=rho_f, sigma_w2=sigma_w2, sigma_s2=sigma_s2)
+    return pc.mmse_precoder(g_hat, None, e_tr=g_hat.shape[-2] * rho_f, rho_f=rho_f,
+                            sigma_w2=sigma_w2, sigma_s2=sigma_s2)
 
 
 def _es(scheme, realization, cfg, rho_f):
@@ -115,9 +115,12 @@ def _es(scheme, realization, cfg, rho_f):
     with no eigendecomposition and no bisection, at the chain's own
     ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``, and only the candidates
     whose interval can reach the best run the chain (see ``sel.es_aps``), so
-    the winner is the unscreened search's. A chunk the screen cannot bound
-    (its build raises) has NaN intervals, so the chain scores it and meets
-    the same error, or, for ZF, sets its rank-deficient candidates aside.
+    the winner is the unscreened search's. Their chain takes their build
+    cut from the chunk's, which gives the same bits as building them again,
+    as each item equals its own 2-D build: each candidate is built once. A
+    chunk the screen cannot bound (its build raises) has NaN intervals, so
+    the chain builds and scores it and meets the same error, or, for ZF,
+    sets its rank-deficient candidates aside.
     APA and UPA have no bound cheaper than their own chain: their searches
     score every candidate."""
     points = np.shape(rho_f)
@@ -128,21 +131,22 @@ def _es(scheme, realization, cfg, rho_f):
     certified = 0
     won = None      # each point's winning item, copied out as the search goes
 
-    def chain(g_hat, err_var):
-        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2)
+    def chain(g_hat, err_var, built=None):
+        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, built=built)
 
-    def evaluate(masks):
+    def evaluate(masks, built=None):
         """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
         ``take`` that copies the picked items of its chain result into the
-        winners (see ``sel.es_aps``). A mask that leaves ZF rank-deficient
-        scores -inf at every point: when a stack raises, the masks that fail
-        ZF's Cholesky test are set aside and the rest run again as one
-        stack."""
+        winners (see ``sel.es_aps``). ``built``, the stack's build cut from
+        its chunk's, skips the chain's build. A mask that leaves ZF
+        rank-deficient scores -inf at every point: when a stack raises, the
+        masks that fail ZF's Cholesky test are set aside and the rest run
+        again as one stack."""
         nonlocal certified
         certified += len(masks) * math.prod(points)
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            result, rows = chain(g_hat, err_var), np.arange(len(masks))
+            result, rows = chain(g_hat, err_var, built), np.arange(len(masks))
             scores = result.metrics.min_sinr
         except pc.RankDeficientError:
             full = pc.zf_full_rank(g_hat)
@@ -164,14 +168,16 @@ def _es(scheme, realization, cfg, rho_f):
 
     def screen(masks):
         """``(lo, hi)`` around each minimum SINR of a (B, M, K) stack,
-        ``points + (B,)``; NaN where the build cannot be bounded."""
+        ``points + (B,)``, NaN where the build cannot be bounded, and the
+        ``score`` of its candidates, which reuses the stack's build."""
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
-            prec = build(g_hat, stack_rho, sigma_w2, sigma_s2)
-            coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, stack_rho, sigma_w2)
-            return allocator.bound(prec, coeffs)
+            built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
+            lo, hi = allocator.bound(*built[:2])
         except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
-            return (np.full(points + masks.shape[:1], np.nan),) * 2
+            nan = np.full(points + masks.shape[:1], np.nan)
+            return nan, nan, lambda columns: evaluate(masks[columns])
+        return lo, hi, lambda columns: evaluate(masks[columns], _candidates(built, columns))
 
     masks, _ = sel.es_aps(
         cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
@@ -186,6 +192,19 @@ def _es(scheme, realization, cfg, rho_f):
     won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
                  "es_candidates": candidates * math.prod(points), "es_certified": certified}
     return masks, won
+
+
+def _candidates(built, columns):
+    """A stack's ``_build`` cut to the candidates ``columns``: each array's
+    axis before its matrix or user axes (ZF's and CB's f of one point is
+    one float)."""
+    prec, coeffs, seconds = built
+    cut = pc.PrecoderOutput(p=prec.p[..., columns, :, :],
+                            f=prec.f[..., columns] if np.ndim(prec.f) else prec.f)
+    vars(cut)["delta"] = prec.delta[..., columns, :, :]     # the cached property's slot
+    return cut, replace(coeffs, psi=coeffs.psi[..., columns, :],
+                        phi=coeffs.phi[..., columns, :, :],
+                        gamma=coeffs.gamma[..., columns, :, :]), seconds
 
 
 def _put(out, index, value):

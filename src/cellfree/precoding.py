@@ -14,18 +14,30 @@ where N is the diagonal power-allocation matrix the transmit stage applies
 afterwards. The baselines keep f = 1 and leave power scaling entirely to the
 allocation stage.
 
+The ridge system is solved in its K x K Gram form from one
+eigendecomposition per channel, ``G^T conj(G) = V diag(lam) V^H`` (Tikhonov
+regularisation in the spectral basis):
+
+    p_tilde = conj(G) V diag(d) V^H,   d_j = 1 / (lam_j + eps)
+    ||p_tilde||^2 = sum_j |conj(G) v_j|^2 d_j^2
+
+so a ridge, which is all that changes from one SNR point to the next, costs
+a K-vector of weights and one (M x K)(K x K) product with ``conj(G) V``;
+the gain f and the scaling ``f / sqrt(rho_f)`` fold into that K x K factor.
+A shifted eigenvalue ``lam_j + eps`` at or below the Gram matrix's rounding,
+``K eps_machine max(lam)``, gets weight 0. That is the pseudo-inverse limit,
+reached where users share a selection at very high SNR and the ridge is
+below the rounding of a singular Gram matrix.
+
 Every function also accepts a stack of channels ``(..., M, K)`` and then
 returns stacked outputs (``f`` of shape ``(...)``); each item of a stack is
 computed exactly as its own 2-D call. ``mmse_precoder`` also takes ``e_tr``
 and ``rho_f`` per item, ``(...)``, broadcast against the channels' leading
 axes: ``(S,)`` against one channel, or ``(S, 1)`` against a stack of B
-channels for S x B items. Each channel's Gram matrix is formed once and
-only the ridge and the scaling differ per item. The ridge systems are
-solved by one batched ``np.linalg.solve``, after a batched Cholesky test
-that they are positive definite (``_ridge_solve``). The ZF systems are
-solved by a loop of LAPACK's Cholesky pair over the items (``_cho_solve``,
-SciPy's ``cho_solve(cho_factor(...))`` bitwise): its per-item rank test
-decides which masks ZF rejects.
+channels for S x B items; each channel is eigendecomposed once for all of
+its items. The ZF systems are solved by a loop of LAPACK's Cholesky pair
+over the items (``_cho_solve``, SciPy's ``cho_solve(cho_factor(...))``
+bitwise): its per-item rank test decides which masks ZF rejects.
 """
 
 from __future__ import annotations
@@ -100,34 +112,9 @@ def _cho_solve(a, b) -> np.ndarray:
     return x.reshape(batch + x.shape[1:])
 
 
-def _ridge_solve(g_hat: np.ndarray, eps) -> np.ndarray:
-    """Solve (conj(G) G^T + eps I_M) X = conj(G) without forming an inverse,
-    in the equivalent K x K Gram form conj(G) (G^T conj(G) + eps I_K)^(-1).
-    ``eps`` is one ridge or one per item, ``(...)``, broadcast against the
-    channel's leading axes; the Gram matrix is formed once either way, and
-    every item is solved by one batched ``np.linalg.solve``.
-
-    The Gram matrix is Hermitian positive definite for eps > 0 in exact
-    arithmetic, and a batched Cholesky factorization tests that it is so in
-    floating point before the solve. It fails where the ridge is below the
-    rounding of a singular Gram matrix, as when users share a selection at
-    very high SNR; the ``LinAlgError`` then names that cause.
-    """
-    k = g_hat.shape[-1]
-    ridge = np.asarray(eps, dtype=float)[..., None, None]
-    if not (np.isfinite(g_hat).all() and np.isfinite(ridge).all()):
-        raise ValueError("the MMSE ridge system must not contain infs or NaNs")
-    a = g_hat.mT @ g_hat.conj() + ridge * np.eye(k)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            "the MMSE ridge system is not positive definite: its ridge "
-            "K sigma_w2 / E_tr is below the rounding of the Gram matrix, as when "
-            "users share a selection at very high SNR") from err
-    # want conj(G) a^(-1); a is Hermitian, so solve a X = G^T and
-    # conjugate-transpose the result
-    return np.linalg.solve(a, g_hat.mT).conj().mT
+def _gram(g_hat: np.ndarray) -> np.ndarray:
+    """G^T conj(G), the K x K Gram matrix of each channel."""
+    return g_hat.mT @ g_hat.conj()
 
 
 def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
@@ -149,11 +136,20 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
     """MMSE precoder for a given diagonal power allocation.
 
     ``n_diag`` holds the K strictly positive diagonal entries (sqrt of the
-    per-user power coefficients), or one such row per stacked channel. The
-    auxiliary solution and normalization f do not depend on it, so
-    ``mmse_precoder(g, n)`` is ``apply_allocation(mmse_precoder(g, ones), n)``.
+    per-user power coefficients), or one such row per stacked channel, or
+    None for the identity allocation, which divides nothing. The auxiliary
+    solution and normalization f do not depend on it, so
+    ``mmse_precoder(g, n)`` is ``apply_allocation(mmse_precoder(g, None), n)``.
     ``e_tr`` and ``rho_f`` are scalars or one value per item, ``(...)``; the
     items broadcast against the channel's leading axes.
+
+    Each channel's Gram matrix is eigendecomposed once, ``G^T conj(G) = V
+    diag(lam) V^H``, and serves every item on it: an item's ridge ``eps``
+    only sets its weights ``d = 1 / (lam + eps)``. A shifted eigenvalue
+    ``lam_j + eps`` at or below the Gram matrix's rounding, ``K eps_machine
+    max(lam)``, gets weight 0: the pseudo-inverse limit of a singular Gram
+    matrix whose ridge is below its rounding. Raises ``ValueError`` on a
+    non-finite channel or ridge, and on an item whose channel is all zero.
     """
     g_hat = np.asarray(g_hat)
     if np.count_nonzero(np.asarray(e_tr) <= 0):
@@ -164,23 +160,31 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
         raise ValueError("sigma_w2 must be nonnegative")
 
     k = g_hat.shape[-1]
-    eps = k * sigma_w2 / e_tr
-    p_tilde = _ridge_solve(g_hat, eps)
-    norm2 = (p_tilde.real ** 2 + p_tilde.imag ** 2).sum(axis=(-2, -1))
-    f = np.sqrt(e_tr / (sigma_s2 * norm2))
-    p = (f / np.sqrt(rho_f))[..., None, None] * p_tilde
-    return apply_allocation(PrecoderOutput(p=p, f=f[()]), n_diag)
-
-
-def _zf_gram(g_hat: np.ndarray) -> np.ndarray:
-    return g_hat.mT @ g_hat.conj()
+    eps = np.asarray(k * sigma_w2 / e_tr, dtype=float)[..., None]
+    if not (np.isfinite(g_hat).all() and np.isfinite(eps).all()):
+        raise ValueError("the MMSE channel and ridge must not contain infs or NaNs")
+    lam, v = np.linalg.eigh(_gram(g_hat))       # ascending: lam[..., -1] is the largest
+    if np.count_nonzero(lam[..., -1] <= 0.0):
+        raise ValueError("the MMSE channel must not be all zero")
+    hv = g_hat.conj() @ v
+    # |conj(G) v_j|^2 is lam_j in exact arithmetic, but stays accurate where
+    # lam_j is only the rounding of a singular Gram matrix
+    columns = (hv.real ** 2 + hv.imag ** 2).sum(axis=-2)
+    shifted = lam + eps
+    kept = shifted > k * np.finfo(float).eps * lam[..., -1:]
+    d = np.divide(1.0, shifted, out=np.zeros(kept.shape), where=kept)
+    f = np.sqrt(e_tr / (sigma_s2 * (columns * d * d).sum(axis=-1)))
+    # P = conj(G) V diag((f / sqrt(rho_f)) d) V^H: one (M x K)(K x K) product per item
+    scale = (f / np.sqrt(rho_f))[..., None] * d
+    precoder = PrecoderOutput(p=hv @ (scale[..., :, None] * v.conj().mT), f=f[()])
+    return precoder if n_diag is None else apply_allocation(precoder, n_diag)
 
 
 def zf_full_rank(g_hat) -> np.ndarray:
     """Per item of a ``(..., M, K)`` stack of channels, whether
     ``zf_precoder`` accepts it: whether the Cholesky factorization of its
     Gram matrix, the test ``zf_precoder``'s solve applies, succeeds."""
-    gram = np.asarray_chkfinite(_zf_gram(np.asarray(g_hat)))
+    gram = np.asarray_chkfinite(_gram(np.asarray(g_hat)))
     potrf, = get_lapack_funcs(("potrf",), (gram,))
     items = gram.shape[:-2]
     return np.array([_cholesky(potrf, gram[i])[1] == 0 for i in np.ndindex(items)],
@@ -192,7 +196,7 @@ def zf_precoder(g_hat) -> PrecoderOutput:
     on the estimated channel. Raises ``RankDeficientError`` on a
     rank-deficient channel."""
     g_hat = np.asarray(g_hat)
-    gram = _zf_gram(g_hat)
+    gram = _gram(g_hat)
     try:
         p = _cho_solve(gram, g_hat.mT).conj().mT
     except np.linalg.LinAlgError as err:

@@ -17,7 +17,7 @@ from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
 from cellfree.pipeline import Scheme, TrialDraw, _stream, run_trial
 from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
                                        sinr_feasible, upa)
-from cellfree.precoding import mmse_precoder, zf_precoder, _ridge_solve
+from cellfree.precoding import mmse_precoder, zf_precoder
 
 
 def report(num, label, ok, detail=""):
@@ -82,7 +82,8 @@ def test_criterion_2_ridge_system_identities():
         g = random_channel(rng, m, k)
         eps = float(rng.uniform(0.01, 2.0))
         sigma_s2 = float(rng.uniform(0.5, 2.0))
-        p_tilde = _ridge_solve(g, eps)
+        out = mmse_precoder(g, None, e_tr=k, rho_f=1.0, sigma_w2=eps)   # ridge eps
+        p_tilde = out.p / out.f
         a = g.conj() @ g.T + eps * np.eye(m)
         stat = np.linalg.norm(a @ p_tilde - g.conj()) / np.linalg.norm(g)
         worst_stat = max(worst_stat, stat)

@@ -17,9 +17,8 @@ from cellfree.metrics import (SinrCoefficients, analytic_sinr, rates,
                               sinr_coefficients, snr_to_rho_f)
 from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_chain, run_trial
 from cellfree.power_allocation import apa_sgd, opa_bisection, opa_bound, sinr_feasible, upa
-from cellfree.precoding import (PrecoderOutput, RankDeficientError, _ridge_solve,
-                                apply_allocation, cb_precoder, mmse_precoder,
-                                zf_precoder)
+from cellfree.precoding import (PrecoderOutput, RankDeficientError, apply_allocation,
+                                cb_precoder, mmse_precoder, zf_precoder)
 from cellfree.selection import apply_mask, es_aps
 
 RTOL = 1e-12
@@ -47,8 +46,8 @@ def test_precoders_on_a_stack_equal_their_2d_calls(m, k):
     rng = np.random.default_rng(m * 10 + k)
     batch = (2, 3)
     g, _ = stacked_channels(rng, batch, m, k)
-    close(_ridge_solve(g, 0.3).reshape(-1, m, k),
-          [_ridge_solve(g[i], 0.3) for i in items(batch)])
+    close(mmse_precoder(g, None, k, 1.0, 0.3).p.reshape(-1, m, k),
+          [mmse_precoder(g[i], None, k, 1.0, 0.3).p for i in items(batch)])
     n_diag = rng.uniform(0.5, 2.0, size=batch + (k,))
     out = mmse_precoder(g, n_diag, 4.0, 2.0, 0.7, sigma_s2=1.3)
     ref = [mmse_precoder(g[i], n_diag[i], 4.0, 2.0, 0.7, sigma_s2=1.3) for i in items(batch)]

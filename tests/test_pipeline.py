@@ -517,6 +517,49 @@ def test_max_min_roots_decompose_each_coupling_matrix_once(monkeypatch):
     assert zf.precoder.delta.shape == (3, 5, 2) and zf.precoder.delta.strides[0] == 0
 
 
+def test_an_mmse_build_decomposes_each_channel_once(monkeypatch):
+    # one Gram eigendecomposition per channel serves every SNR point, and
+    # no Cholesky test or solve runs in the build
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
+                             (precoding, "_cho_solve")):
+            patch.setattr(module, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((4, 8, 3)) + 1j * rng.standard_normal((4, 8, 3))
+        for rho_f in (2.0, np.logspace(-1.0, 1.0, 6)):
+            mmse_precoder(g[0], None, 8 * rho_f, rho_f, 0.5)
+        mmse_precoder(g, None, 8.0, np.logspace(-1.0, 1.0, 6)[:, None], 0.5)
+    assert shapes == [(3, 3), (3, 3), (4, 3, 3)]
+    shapes.clear()
+    preset = PRESETS["fig-large-sumrate"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
+    # the LS build, shared by MMSE's three LS schemes, and MMSE_CONV+UPA+NS's
+    assert shapes == [(16, 16), (16, 16)]
+
+
+def test_an_es_search_builds_each_chunk_once(monkeypatch):
+    # the exact chain of the candidates OPA's screen leaves takes their
+    # build from the screen's
+    calls = collections.Counter()
+    monkeypatch.setattr(precoding, "mmse_precoder",
+                        counting(calls, "mmse", precoding.mmse_precoder))
+    monkeypatch.setattr(metrics, "sinr_coefficients",
+                        counting(calls, "coefficients", metrics.sinr_coefficients))
+    preset = PRESETS["fig-tiny-opa"]
+    cfg = preset.resolve_config(SystemConfig().validate())
+    scheme = Scheme.parse("MMSE+OPA+ES")
+    certified = 0
+    for trial in range(100):
+        res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, list(cfg.snr_grid_db))
+        certified += res.trace["es_certified"]
+    assert calls == {"mmse": 100, "coefficients": 100}
+    assert certified > 0
+
+
 def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
     calls = collections.Counter()
     monkeypatch.setattr(metrics, "ber_qpsk", counting(calls, "ber", metrics.ber_qpsk))
@@ -737,6 +780,24 @@ def test_every_scheme_completes_at_the_snr_bound():
     assert len(schemes) == 27
     for row in run_sweep(cfg, schemes, "snr_grid", trials=3, with_ber=True):
         assert np.isfinite([row.sum_rate_mean, row.min_sinr_db_mean, row.ber_mean]).all()
+
+
+def test_mmse_completes_where_users_share_one_single_antenna_ap():
+    # from 200 dB the ridge is below the rounding of the rank-1 Gram matrix
+    # of two users on one single-antenna AP: MMSE takes its pseudo-inverse
+    # limit there, with no RuntimeWarning, where it used to raise
+    cfg = cfg_with(num_aps=5, antennas_per_ap=1, num_users=2, selected_aps=1,
+                   csi_quality=0.5)
+    snrs = [200.0, 500.0, 1000.0]
+    runs = [(f"MMSE+{a}+ES", trial) for a in ("OPA", "APA", "UPA") for trial in range(3)]
+    runs += [(f"MMSE+{a}+LS", trial) for a in ("OPA", "APA") for trial in range(20)]
+    shared = 0
+    for label, trial in runs:
+        res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), Scheme.parse(label), snrs)
+        assert np.isfinite(res.metrics.per_user_sinr).all(), (label, trial)
+        assert np.isfinite(res.metrics.sum_rate).all(), (label, trial)
+        shared += label.endswith("LS") and bool((res.mask[:, 0] * res.mask[:, 1]).any())
+    assert shared > 0
 
 
 def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch):

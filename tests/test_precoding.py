@@ -4,11 +4,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cellfree.pipeline import SCHEMES
 from cellfree.precoding import (RankDeficientError, apply_allocation, cb_precoder,
-                                mmse_precoder, zf_precoder, _cho_solve, _ridge_solve)
+                                mmse_precoder, zf_precoder, _cho_solve)
 
 
 def random_channel(rng, m, k):
     return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+
+def ridge_solve(g, eps):
+    """conj(G) (G^T conj(G) + eps I)^(-1): the MMSE precoder at ridge eps
+    (E_tr = K, rho_f = 1, sigma_w2 = eps) without its gain f."""
+    out = mmse_precoder(g, None, e_tr=g.shape[-1], rho_f=1.0, sigma_w2=eps)
+    return out.p / out.f
 
 
 # ------------------------------------------------------------- ridge system
@@ -25,7 +32,7 @@ def test_identity_channel_closed_form():
 def test_vanishing_regularizer_approaches_channel_inverse():
     rng = np.random.default_rng(0)
     g = random_channel(rng, 6, 3)
-    p_tilde = _ridge_solve(g, 1e-12)
+    p_tilde = ridge_solve(g, 1e-12)
     assert np.linalg.norm(g.T @ p_tilde - np.eye(3)) < 1e-8
 
 
@@ -52,7 +59,7 @@ def test_stationarity_residual_defines_the_solution():
     for m, k in shapes:
         g = random_channel(rng, m, k)
         eps = float(rng.uniform(0.01, 2.0))
-        p_tilde = _ridge_solve(g, eps)
+        p_tilde = ridge_solve(g, eps)
         lhs = (g.conj() @ g.T + eps * np.eye(m)) @ p_tilde
         assert np.linalg.norm(lhs - g.conj()) < 1e-9 * np.linalg.norm(g)
 
@@ -65,7 +72,7 @@ def test_trace_relation_between_effective_matrix_and_quadratic_form():
         eps = float(rng.uniform(0.05, 1.5))
         sigma_s2 = float(rng.uniform(0.5, 2.0))
         c_s = sigma_s2 * np.eye(k)
-        p_tilde = _ridge_solve(g, eps)
+        p_tilde = ridge_solve(g, eps)
         lhs = np.trace(np.real(g.T @ p_tilde @ c_s))
         a = g.conj() @ g.T + eps * np.eye(m)
         rhs = np.trace(a @ p_tilde @ c_s @ p_tilde.conj().T).real
@@ -154,7 +161,7 @@ def test_mmse_precoder_agrees_with_scipys_cholesky_solve(m, k):
     for i in range(s):
         for j in range(b):
             eps = k * sigma_w2 / e_tr[i, j]
-            p_tilde = _ridge_solve(g[j], eps)
+            p_tilde = ridge_solve(g[j], eps)
             want_tilde = cho_solve(cho_factor(g[j].T @ g[j].conj() + eps * np.eye(k),
                                               lower=True), g[j].T).conj().T
             assert np.linalg.norm(p_tilde - want_tilde) <= 1e-12 * np.linalg.norm(want_tilde)
@@ -163,15 +170,23 @@ def test_mmse_precoder_agrees_with_scipys_cholesky_solve(m, k):
             assert abs(got.f[i, j] - want_f) <= 1e-12 * want_f
 
 
-def test_mmse_names_a_ridge_below_rounding():
+def test_mmse_takes_the_pseudo_inverse_limit_below_rounding():
     # two users on one antenna: a rank-1 Gram matrix that a 1e-20 ridge
-    # cannot lift above rounding
+    # cannot lift above rounding, so its null direction gets weight 0
     g = np.ones((1, 2), dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="MMSE ridge system is not positive definite") as err:
-        mmse_precoder(g, np.ones(2), e_tr=2e20, rho_f=1.0, sigma_w2=1.0)
-    assert not isinstance(err.value, RankDeficientError)
-    assert "K sigma_w2 / E_tr" in str(err.value)
+    out = mmse_precoder(g, None, e_tr=2e20, rho_f=1.0, sigma_w2=1.0)
+    assert np.isfinite(out.p).all() and np.isfinite(out.f)
+    np.testing.assert_allclose(out.p / out.f, np.linalg.pinv(g.T), rtol=1e-15)
+    assert abs(np.linalg.norm(out.p) ** 2 - 2e20) <= 1e-15 * 2e20
+
+
+def test_mmse_rejects_an_all_zero_channel():
+    with pytest.raises(ValueError, match="all zero"):
+        mmse_precoder(np.zeros((4, 2), dtype=complex), None, 1.0, 1.0, 1.0)
+    stack = np.ones((3, 4, 2), dtype=complex)
+    stack[1] = 0.0
+    with pytest.raises(ValueError, match="all zero"):
+        mmse_precoder(stack, None, 1.0, 1.0, 1.0)
 
 
 def test_gram_and_primal_solves_agree():
@@ -181,7 +196,7 @@ def test_gram_and_primal_solves_agree():
         g = random_channel(rng, m, k)
         eps = float(rng.uniform(0.01, 1.0))
         primal = np.linalg.solve(g.conj() @ g.T + eps * np.eye(m), g.conj())
-        gram = _ridge_solve(g, eps)
+        gram = ridge_solve(g, eps)
         assert np.linalg.norm(gram - primal) < 1e-8 * np.linalg.norm(primal)
 
 

@@ -10,7 +10,8 @@ the precoder and allocation for MMSE with a scale-invariant allocator (OPA,
 UPA); APA moved from the full K x K MSE gradient to its separable per-user
 form (MMSE+APA rows and the fig-learning cost curve); and the MMSE ridge
 systems moved from a per-item Cholesky loop to one batched solve, with the
-gain's squared norm an array sum (every MMSE and MMSE_CONV row). Those rows
+gain's squared norm an array sum, and later to one Gram eigendecomposition
+per channel (every MMSE and MMSE_CONV row). Those rows
 may move by rounding only, so their ``*_mean`` and ``*_se`` columns are
 compared to 1e-9 relative; every other row and column, and every sidecar,
 must stay byte-identical.

@@ -1,6 +1,7 @@
 """Properties of exhaustive selection, at one SNR point and over a grid, of
-the stacked SNR-grid chain, of the shared MMSE build and of stacked BER
-measurement, over random small configurations."""
+the stacked SNR-grid chain, of the shared MMSE build, of the MMSE build
+against a dense ridge solve and of stacked BER measurement, over random
+small configurations."""
 
 import dataclasses
 import itertools
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
@@ -172,17 +174,53 @@ def test_the_es_screen_picks_the_exact_winners_of_every_scheme():
         for trial in (3, 4):
             assert_the_screen_changes_nothing(cfg, Scheme(*pair, "ES"),
                                               list(cfg.snr_grid_db), trial)
-    # one AP per user at 200 dB and up: the ridge is below rounding, so the
-    # MMSE build's Cholesky test rejects the candidates that give both users
-    # one AP, and a cell fails with the same error, screened or not
+    # one AP per user at 200 dB and up: the ridge is below the rounding of
+    # the candidates that give both users one AP, so their MMSE build takes
+    # the pseudo-inverse limit, and every cell completes, screened or not
     one_ap = dataclasses.replace(cfg, selected_aps=1).validate()
     for pair in PAIRS:
         if pair[0] == "MMSE":
             assert_the_screen_changes_nothing(one_ap, Scheme(*pair, "ES"),
                                               [0.0, 200.0, 1000.0], 0)
-            err = es_cell(one_ap, Scheme(*pair, "ES"), [200.0], 0)
-            assert err.startswith("LinAlgError: the MMSE ridge system is not positive")
-            assert "rank-deficient" not in err
+            cell = es_cell(one_ap, Scheme(*pair, "ES"), [200.0], 0)
+            assert not isinstance(cell, str), cell
+            assert np.isfinite(cell[1]).all() and (cell[1] > 0).all()
+
+
+@st.composite
+def mmse_stacks(draw):
+    """A (B, M, K) stack of channels over a wide range of scales, half of
+    them masked at random, so that a Gram matrix may be singular, with
+    (S, B) ridges from 1e-3 to 10 times each channel's trace, so that the
+    dense solve is accurate, and (S, 1) power scales."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    s, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((b, m, k)) + 1j * rng.standard_normal((b, m, k))
+    if draw(st.booleans()):
+        g = g * (rng.random((b, m, k)) < draw(st.floats(0.2, 1.0)))
+        g[:, 0, 0] += 1.0                               # no channel all zero
+    g = g * 10.0 ** draw(st.floats(-5.0, 5.0))
+    rel_ridge = 10.0 ** rng.uniform(-3.0, 1.0, size=(s, b))
+    return g, rel_ridge, rng.uniform(0.1, 10.0, size=(s, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mmse_stacks())
+def test_the_mmse_build_agrees_with_a_dense_ridge_solve(case):
+    g, rel_ridge, rho_f = case
+    k = g.shape[-1]
+    sigma_w2 = 0.5
+    e_tr = k * sigma_w2 / (rel_ridge * np.linalg.norm(g, axis=(-2, -1)) ** 2)
+    got = mmse_precoder(g, None, e_tr, rho_f, sigma_w2)
+    for i, j in np.ndindex(e_tr.shape):
+        eps = k * sigma_w2 / e_tr[i, j]
+        gram = g[j].T @ g[j].conj() + eps * np.eye(k)
+        p_tilde = cho_solve(cho_factor(gram, lower=True), g[j].T).conj().T
+        want_f = np.sqrt(e_tr[i, j] / np.linalg.norm(p_tilde) ** 2)
+        want_p = want_f / np.sqrt(rho_f[i, 0]) * p_tilde
+        assert np.linalg.norm(got.p[i, j] - want_p) <= 1e-12 * np.linalg.norm(want_p)
+        assert abs(got.f[i, j] - want_f) <= 1e-12 * want_f
 
 
 @st.composite
