@@ -29,8 +29,9 @@ Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and takes each point's winning item from the chunk that scored it,
 so every reported number is what the 2-D chain on the winning mask gives,
 and no chain runs on the winners again. A chunk that leaves ZF
-rank-deficient runs again without the candidates that fail ZF's Cholesky
-test, which score -inf.
+rank-deficient runs again without the candidates that fail ZF's rank test
+(``pc.zf_full_rank``: a Gram eigenvalue at or below rounding), which score
+-inf.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
 of trial ``t`` at one config shares, each made once on first use and
@@ -140,8 +141,8 @@ def _es(scheme, realization, cfg, rho_f):
         winners (see ``sel.es_aps``). ``built``, the stack's build cut from
         its chunk's, skips the chain's build. A mask that leaves ZF
         rank-deficient scores -inf at every point: when a stack raises, the
-        masks that fail ZF's Cholesky test are set aside and the rest run
-        again as one stack."""
+        masks that fail ZF's rank test (``pc.zf_full_rank``) are set aside and
+        the rest run again as one stack."""
         nonlocal certified
         certified += len(masks) * math.prod(points)
         g_hat, err_var = sel.apply_mask(masks, realization)

@@ -29,15 +29,20 @@ A shifted eigenvalue ``lam_j + eps`` at or below the Gram matrix's rounding,
 reached where users share a selection at very high SNR and the ridge is
 below the rounding of a singular Gram matrix.
 
+ZF is the ridge-free limit, ``P = conj(G) (G^T conj(G))^(-1)``, and needs
+only the eigenvalues of the same Gram matrix: a channel is rank-deficient,
+and ZF rejects it, exactly when its smallest eigenvalue is at or below that
+rounding, the threshold of MMSE's pseudo-inverse limit. It inverts a
+full-rank Gram matrix by LU (``np.linalg.inv``), which costs less than the
+eigenvectors an inverse ``V diag(1 / lam) V^H`` would need.
+
 Every function also accepts a stack of channels ``(..., M, K)`` and then
 returns stacked outputs (``f`` of shape ``(...)``); each item of a stack is
 computed exactly as its own 2-D call. ``mmse_precoder`` also takes ``e_tr``
 and ``rho_f`` per item, ``(...)``, broadcast against the channels' leading
 axes: ``(S,)`` against one channel, or ``(S, 1)`` against a stack of B
 channels for S x B items; each channel is eigendecomposed once for all of
-its items. The ZF systems are solved by a loop of LAPACK's Cholesky pair
-over the items (``_cho_solve``, SciPy's ``cho_solve(cho_factor(...))``
-bitwise): its per-item rank test decides which masks ZF rejects.
+its items.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -63,58 +69,24 @@ class PrecoderOutput:
 
 
 class RankDeficientError(np.linalg.LinAlgError):
-    """ZF's Gram matrix of a channel is not positive definite in floating
-    point: the channel is rank-deficient."""
+    """ZF's Gram matrix of a channel is singular to rounding: the channel is
+    rank-deficient."""
 
 
-def _cholesky(potrf, a):
-    """LAPACK's lower Cholesky factor of one ``(n, n)`` item and its info,
-    as ``cho_factor`` calls ``potrf``; info > 0 where it is not positive
-    definite."""
-    return potrf(a, lower=True, overwrite_a=False, clean=False)
+def _gram(g_hat: np.ndarray):
+    """``(conj(G), G^T conj(G))``: each channel's conjugate and its K x K
+    Gram matrix. Raises ``ValueError`` on a non-finite channel."""
+    if not np.isfinite(g_hat).all():
+        raise ValueError("the channel must not contain infs or NaNs")
+    g_conj = g_hat.conj()
+    return g_conj, g_hat.mT @ g_conj
 
 
-def _cho_solve(a, b) -> np.ndarray:
-    """``cho_solve(cho_factor(a, lower=True), b)`` over leading axes.
-
-    ``a`` is ``(..., n, n)`` Hermitian and ``b`` is ``(..., n, r)``; their
-    leading axes broadcast. Each item runs LAPACK's ``potrf``/``potrs`` pair
-    as SciPy's 2-D calls do, without the per-item checks and lookups of
-    SciPy's leading-axis wrapper. A stack is assembled as that wrapper
-    assembles it, ``np.stack`` of the items' Fortran-ordered solutions, and a
-    2-D call returns ``potrs``'s array itself, so every result has SciPy's
-    memory order as well as its values. Raises ``ValueError`` on a
-    non-finite operand and ``LinAlgError`` on an item that is not positive
-    definite.
-    """
-    a = np.asarray_chkfinite(a)
-    b = np.asarray_chkfinite(b)
-    potrf, = get_lapack_funcs(("potrf",), (a,))
-    potrs, = get_lapack_funcs(("potrs",), (a, b))
-
-    def solve(a, b):
-        c, info = _cholesky(potrf, a)
-        if info == 0:
-            x, info = potrs(c, b, lower=True, overwrite_b=False)
-            if info == 0:
-                return x
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-
-    if a.ndim == b.ndim == 2:
-        return solve(a, b)
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    a = np.broadcast_to(a, batch + a.shape[-2:])
-    b = np.broadcast_to(b, batch + b.shape[-2:])
-    x = np.stack([solve(a[i], b[i]) for i in np.ndindex(batch)])
-    return x.reshape(batch + x.shape[1:])
-
-
-def _gram(g_hat: np.ndarray) -> np.ndarray:
-    """G^T conj(G), the K x K Gram matrix of each channel."""
-    return g_hat.mT @ g_hat.conj()
+def _rounding(lam: np.ndarray) -> np.ndarray:
+    """``K eps_machine max(lam)``, ``(..., 1)``: the rounding of Gram matrices
+    with ascending eigenvalues ``lam``; an eigenvalue at or below it is zero
+    to rounding."""
+    return lam.shape[-1] * _EPS * lam[..., -1:]
 
 
 def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
@@ -128,7 +100,7 @@ def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
         raise ValueError("n_diag must hold one positive entry per user")
     if (n_diag <= 0).any() or not np.isfinite(n_diag).all():
         raise ValueError("power-allocation diagonal must be strictly positive")
-    return PrecoderOutput(p=precoder.p / n_diag[..., None, :], f=precoder.f)
+    return PrecoderOutput(p=precoder.p * (1.0 / n_diag)[..., None, :], f=precoder.f)
 
 
 def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
@@ -161,17 +133,18 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
 
     k = g_hat.shape[-1]
     eps = np.asarray(k * sigma_w2 / e_tr, dtype=float)[..., None]
-    if not (np.isfinite(g_hat).all() and np.isfinite(eps).all()):
-        raise ValueError("the MMSE channel and ridge must not contain infs or NaNs")
-    lam, v = np.linalg.eigh(_gram(g_hat))       # ascending: lam[..., -1] is the largest
+    if not np.isfinite(eps).all():
+        raise ValueError("the MMSE ridge must not contain infs or NaNs")
+    g_conj, gram = _gram(g_hat)
+    lam, v = np.linalg.eigh(gram)               # ascending: lam[..., -1] is the largest
     if np.count_nonzero(lam[..., -1] <= 0.0):
         raise ValueError("the MMSE channel must not be all zero")
-    hv = g_hat.conj() @ v
+    hv = g_conj @ v
     # |conj(G) v_j|^2 is lam_j in exact arithmetic, but stays accurate where
     # lam_j is only the rounding of a singular Gram matrix
     columns = (hv.real ** 2 + hv.imag ** 2).sum(axis=-2)
     shifted = lam + eps
-    kept = shifted > k * np.finfo(float).eps * lam[..., -1:]
+    kept = shifted > _rounding(lam)
     d = np.divide(1.0, shifted, out=np.zeros(kept.shape), where=kept)
     f = np.sqrt(e_tr / (sigma_s2 * (columns * d * d).sum(axis=-1)))
     # P = conj(G) V diag((f / sqrt(rho_f)) d) V^H: one (M x K)(K x K) product per item
@@ -180,28 +153,37 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
     return precoder if n_diag is None else apply_allocation(precoder, n_diag)
 
 
+def _zf_rank(g_hat):
+    """``(conj(G), gram, full)``: each channel's conjugate and Gram matrix,
+    and whether the matrix's smallest eigenvalue is above its rounding."""
+    g_conj, gram = _gram(g_hat)
+    lam = np.linalg.eigvalsh(gram)
+    return g_conj, gram, lam[..., 0] > _rounding(lam)[..., 0]
+
+
 def zf_full_rank(g_hat) -> np.ndarray:
     """Per item of a ``(..., M, K)`` stack of channels, whether
-    ``zf_precoder`` accepts it: whether the Cholesky factorization of its
-    Gram matrix, the test ``zf_precoder``'s solve applies, succeeds."""
-    gram = np.asarray_chkfinite(_gram(np.asarray(g_hat)))
-    potrf, = get_lapack_funcs(("potrf",), (gram,))
-    items = gram.shape[:-2]
-    return np.array([_cholesky(potrf, gram[i])[1] == 0 for i in np.ndindex(items)],
-                    dtype=bool).reshape(items)
+    ``zf_precoder`` accepts it: whether the smallest eigenvalue of its Gram
+    matrix is above that matrix's rounding, ``K eps_machine max(lam)``, the
+    threshold of MMSE's pseudo-inverse limit."""
+    return _zf_rank(np.asarray(g_hat))[2]
 
 
 def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
-    on the estimated channel. Raises ``RankDeficientError`` on a
-    rank-deficient channel."""
+    on the estimated channel. The K x K inverse is formed first, so one
+    (M x K)(K x K) product remains. Raises ``RankDeficientError`` if any
+    channel fails ``zf_full_rank``'s test, and ``ValueError`` on a
+    non-finite channel."""
     g_hat = np.asarray(g_hat)
-    gram = _gram(g_hat)
-    try:
-        p = _cho_solve(gram, g_hat.mT).conj().mT
-    except np.linalg.LinAlgError as err:
-        raise RankDeficientError(f"rank-deficient channel: {err}") from err
-    return PrecoderOutput(p=p, f=1.0)
+    g_conj, gram, full = _zf_rank(g_hat)
+    if not full.all():
+        deficient = full.size - np.count_nonzero(full)
+        where = "" if g_hat.ndim == 2 else f" on {deficient} of {full.size} channels"
+        raise RankDeficientError(
+            "rank-deficient channel: the smallest eigenvalue of the Gram matrix is at or "
+            f"below its rounding, K eps_machine times the largest{where}")
+    return PrecoderOutput(p=g_conj @ np.linalg.inv(gram), f=1.0)
 
 
 def cb_precoder(g_hat) -> PrecoderOutput:

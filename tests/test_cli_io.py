@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellfree
 from cellfree.channel import ConfigError, SystemConfig
 from cellfree.cli_io import (CSV_HEADER, dump_config, emit_results,
                              load_config, main, read_results)
@@ -23,6 +28,20 @@ def make_rows():
                  min_sinr_db_mean=12.0, min_sinr_db_se=0.0,
                  ber_mean=0.015625, ber_se=0.001, trials=7, seed=42),
     ]
+
+
+def test_the_package_and_its_cli_import_no_scipy():
+    # a fresh interpreter, so no other test's import of SciPy counts
+    code = ("import sys, cellfree.cli_io\n"
+            "assert cellfree.cli_io.main(['list-presets']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(cellfree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "fig-tiny-opa" in run.stdout
 
 
 # ------------------------------------------------------------- config files

@@ -524,9 +524,8 @@ def test_an_mmse_build_decomposes_each_channel_once(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((np.linalg, "cholesky"), (np.linalg, "solve"),
-                             (precoding, "_cho_solve")):
-            patch.setattr(module, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+        for name in ("cholesky", "solve"):
+            patch.setattr(np.linalg, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
         rng = np.random.default_rng(21)
         g = rng.standard_normal((4, 8, 3)) + 1j * rng.standard_normal((4, 8, 3))
         for rho_f in (2.0, np.logspace(-1.0, 1.0, 6)):
@@ -690,6 +689,17 @@ def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatc
     assert calls["chain"] <= 3
 
 
+def test_zero_forcing_es_never_wins_with_users_sharing_an_ap():
+    # one single-antenna AP per user: a mask that gives two users the same AP
+    # leaves ZF's Gram matrix singular, although on trials 0 and 19 its
+    # rounding passes a Cholesky test and its chain scores a winner
+    cfg = cfg_with(num_aps=6, num_users=3, selected_aps=1, snr_grid_db=(10.0,))
+    for trial in range(30):
+        res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), Scheme.parse("ZF+OPA+ES"), 10.0)
+        assert (res.mask.sum(axis=1) <= 1).all(), trial
+        assert np.isfinite(res.metrics.min_sinr), trial
+
+
 # ------------------------------------------------------------ learning curve
 
 def test_learning_curve_shape_and_guard():
@@ -842,7 +852,7 @@ RANK_DEFICIENT = dict(num_aps=8, num_users=4, selected_aps=1, snr_grid_db=(10.0,
 
 def test_a_draw_dependent_failure_names_its_trial():
     # one AP per user: ZF's masked channel is rank-deficient whenever two
-    # users pick the same AP, which happens on 12 of trials 0-39
+    # users pick the same AP, which happens on 21 of trials 0-39
     cfg = cfg_with(**RANK_DEFICIENT)
     scheme = Scheme.parse("ZF+OPA+LS")
     with pytest.raises(TrialError) as caught:
@@ -861,19 +871,24 @@ def test_a_draw_dependent_failure_names_its_trial():
         run_trial(cfg, scheme, 10.0, err.trial, seed=err.seed)
     for t in range(err.trial):
         run_trial(cfg, scheme, 10.0, t, seed=err.seed)
-    failing = 0
+    failing, shared = [], []
     for t in range(40):
         try:
             run_trial(cfg, scheme, 10.0, t)
         except np.linalg.LinAlgError:
-            failing += 1
-    assert failing == 12
+            failing.append(t)
+        beta = TrialDraw(cfg, t, cfg.rng_seed).realization.beta
+        if (selection.ls_aps(beta, 1, 1).sum(axis=1) > 1).any():
+            shared.append(t)
+    # every trial whose users share an AP fails, trial 25 included, whose
+    # Gram matrix has an exact zero eigenvalue but a Cholesky factor
+    assert failing == shared and len(failing) == 21 and 25 in failing
 
 
 def test_a_sweep_names_the_smallest_failing_trial_over_its_schemes():
     # trial-major: the first failing cell in (trial, point, scheme) order. On
     # this config ZF+UPA+LS is rank-deficient from trial 13 on with 2 of 8
-    # APs per user and from trial 4 on with 1, and MMSE+OPA+LS never fails,
+    # APs per user and from trial 2 on with 1, and MMSE+OPA+LS never fails,
     # so point-major or scheme-major order would name trial 13.
     cfg = cfg_with(**RANK_DEFICIENT)
     fractions = (0.25, 0.125)
@@ -893,7 +908,7 @@ def test_a_sweep_names_the_smallest_failing_trial_over_its_schemes():
 
     cells = [(frac, s) for frac in fractions for s in schemes]
     first = min(t for t in range(40) if any(fails(*cell, t) for cell in cells))
-    assert err.trial == first == 4
+    assert err.trial == first == 2
     assert (err.axis_value, err.scheme) == next(
         (frac, s.label) for frac, s in cells if fails(frac, s, first))
     with pytest.raises(type(err.__cause__)):
@@ -985,14 +1000,14 @@ def test_a_failing_sweep_re_runs_only_a_grid_trial_and_only_once(monkeypatch):
         return run(draw, scheme, snr_db, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_cell", counted)
-    # one-point groups: each cell runs once, up to the failing one (trial 4,
+    # one-point groups: each cell runs once, up to the failing one (trial 2,
     # the last of the four cells; see the test above)
     cfg = cfg_with(**RANK_DEFICIENT)
     schemes = [Scheme.parse("MMSE+OPA+LS"), Scheme.parse("ZF+UPA+LS")]
     with pytest.raises(TrialError) as caught:
         run_sweep(cfg, schemes, "selection_fraction", trials=40, axis_values=(0.25, 0.125))
-    assert caught.value.trial == 4
-    assert calls == {(t, (1,)): 4 for t in range(5)}
+    assert caught.value.trial == 2
+    assert calls == {(t, (1,)): 4 for t in range(3)}
 
     # a grid cell that fails re-runs its trial once, split into points: the
     # first scheme's grid cell fails at point 2, the split run names the

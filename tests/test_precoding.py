@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from cellfree.pipeline import SCHEMES
 from cellfree.precoding import (RankDeficientError, apply_allocation, cb_precoder,
-                                mmse_precoder, zf_precoder, _cho_solve)
+                                mmse_precoder, zf_full_rank, zf_precoder)
 
 
 def random_channel(rng, m, k):
@@ -77,61 +79,6 @@ def test_trace_relation_between_effective_matrix_and_quadratic_form():
         a = g.conj() @ g.T + eps * np.eye(m)
         rhs = np.trace(a @ p_tilde @ c_s @ p_tilde.conj().T).real
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
-
-
-def ridge_system(rng, batch, m, k, form):
-    """The Hermitian system ``a`` and right-hand side ``b`` of the ridge
-    solve in its Gram (K x K) or primal (M x M) form, for a stack of
-    channels."""
-    g = rng.standard_normal(batch + (m, k)) + 1j * rng.standard_normal(batch + (m, k))
-    eps = rng.uniform(0.01, 1.0, size=batch + (1, 1))
-    if form == "gram":
-        return g.mT @ g.conj() + eps * np.eye(k), g.mT
-    return g.conj() @ g.mT + eps * np.eye(m), g.conj()
-
-
-def assert_same_as_scipy(a, b):
-    want = cho_solve(cho_factor(a, lower=True), b)
-    got = _cho_solve(a, b)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    # the squared norms of the MMSE scaling sum in memory order
-    assert got.strides == want.strides
-
-
-@pytest.mark.parametrize("batch", [(), (1,), (100,), (2, 3)], ids=str)
-@pytest.mark.parametrize("m, k, form", [(6, 3, "gram"), (3, 3, "primal"), (2, 3, "primal")])
-def test_cholesky_loop_equals_scipy_bitwise(batch, m, k, form):
-    assert_same_as_scipy(*ridge_system(np.random.default_rng(12), batch, m, k, form))
-
-
-def test_cholesky_loop_broadcasts_a_ridge_stack_against_channels():
-    # (S, 1, K, K) systems against a (B, K, M) right-hand side: (S, B) solves
-    rng = np.random.default_rng(13)
-    a, _ = ridge_system(rng, (4, 1), 5, 2, "gram")
-    _, b = ridge_system(rng, (3,), 5, 2, "gram")
-    assert_same_as_scipy(a, b)
-    assert _cho_solve(a, b).shape == (4, 3, 2, 5)
-
-
-def test_cholesky_loop_rejects_nonfinite_and_indefinite_systems():
-    a, b = ridge_system(np.random.default_rng(14), (3,), 6, 3, "gram")
-    for bad in (np.nan, np.inf):
-        for operand in ("a", "b"):
-            poisoned = {"a": a.copy(), "b": b.copy()}
-            poisoned[operand][1, 0, 0] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                _cho_solve(poisoned["a"], poisoned["b"])
-    singular = a.copy()
-    singular[2] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        _cho_solve(singular, b)
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        _cho_solve(singular[2], b[2])
-    g = np.random.default_rng(15).standard_normal((2, 4, 2)) + 0j
-    g[1, :, 1] = 0.0                                # item 1 loses a user
-    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-        zf_precoder(g)
 
 
 def scipy_mmse(g, e_tr, rho_f, sigma_w2):
@@ -271,6 +218,114 @@ def test_zero_forcing_rejects_rank_deficient_channel():
     g = np.ones((4, 2), dtype=complex)  # duplicate columns
     with pytest.raises(RankDeficientError, match="rank-deficient"):
         zf_precoder(g)
+    assert not zf_full_rank(g)
+    # a stack raises if any item is rank-deficient
+    g = np.random.default_rng(15).standard_normal((2, 4, 2)) + 0j
+    g[1, :, 1] = 0.0                                # item 1 loses a user
+    with pytest.raises(RankDeficientError, match="on 1 of 2 channels"):
+        zf_precoder(g)
+    assert zf_full_rank(g).tolist() == [True, False]
+
+
+def test_zero_forcing_rejects_a_nonfinite_channel():
+    g = np.random.default_rng(14).standard_normal((3, 6, 3)) + 0j
+    for bad in (np.nan, np.inf):
+        poisoned = g.copy()
+        poisoned[1, 0, 0] = bad
+        for call in (zf_precoder, zf_full_rank):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call(poisoned)
+
+
+def test_zero_forcing_rejects_a_singular_gram_matrix_that_cholesky_passes():
+    # two users on one single-antenna AP: the Gram matrix is rank 1, and its
+    # eigenvalue 0 is below rounding although LAPACK's Cholesky factor of
+    # the rounded matrix may exist
+    g = np.zeros((3, 2), dtype=complex)
+    g[1] = [0.3 - 1.2j, 2.0 + 0.7j]
+    assert not zf_full_rank(g)
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        zf_precoder(g)
+
+
+@st.composite
+def zf_stacks(draw):
+    """A (B, M, K) stack of masked channels of L APs with N antennas each:
+    each item either gives every user S APs of its own, drawn at random, or
+    gives all users the same S APs, so that users may share fewer antennas
+    than there are users; large-scale gains spread over 60 dB."""
+    num_aps, antennas = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, min(4, num_aps * antennas)))
+    selected, b = draw(st.integers(1, num_aps)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (b, num_aps, antennas, k)
+    fading = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gain = 10.0 ** rng.uniform(-6.0, 0.0, size=(b, num_aps, 1, k))
+    mask = np.zeros((b, num_aps, 1, k))
+    for item in range(b):
+        shared = draw(st.booleans())
+        aps = rng.choice(num_aps, selected, replace=False)
+        for user in range(k):
+            mask[item, aps, 0, user] = 1.0
+            if not shared:
+                aps = rng.choice(num_aps, selected, replace=False)
+    return (np.sqrt(gain) * fading * mask).reshape(b, num_aps * antennas, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(zf_stacks())
+def test_zero_forcing_on_random_masked_stacks(g):
+    k = g.shape[-1]
+    full = zf_full_rank(g)
+    # the rank test flags exactly the items whose 2-D build raises, and
+    # exactly the channels of rank below K
+    for item, accepted in enumerate(full):
+        assert accepted == (np.linalg.matrix_rank(g[item]) == k)
+        if not accepted:
+            with pytest.raises(RankDeficientError, match="rank-deficient"):
+                zf_precoder(g[item])
+    if not full.all():
+        with pytest.raises(RankDeficientError, match="rank-deficient"):
+            zf_precoder(g)
+    if not full.any():
+        return
+    # a stack of the full-rank items equals their 2-D builds bitwise, and
+    # agrees with SciPy's Cholesky solve to its condition number's rounding
+    stack = zf_precoder(g[full])
+    assert stack.f == 1.0
+    for got, channel in zip(stack.p, g[full]):
+        assert np.array_equal(got, zf_precoder(channel).p)
+        gram = channel.T @ channel.conj()
+        want = cho_solve(cho_factor(gram, lower=True), channel.T).conj().T
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(gram)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,), (2, 3)], ids=str)
+@pytest.mark.parametrize("m, k", [(6, 3), (3, 3), (2, 3)])
+def test_zero_forcing_stack_shapes(batch, m, k):
+    # any leading shape of i.i.d. channels: a stack equals its items' 2-D
+    # builds bitwise and SciPy's Cholesky solve to rounding; fewer antennas
+    # than users is rank-deficient on every item
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal(batch + (m, k)) + 1j * rng.standard_normal(batch + (m, k))
+    full = zf_full_rank(g)
+    assert full.shape == batch
+    if m < k:
+        assert not full.any()
+        with pytest.raises(RankDeficientError, match="rank-deficient"):
+            zf_precoder(g)
+        return
+    assert full.all()
+    got = zf_precoder(g)
+    assert got.p.shape == g.shape and got.p.dtype == np.complex128
+    for index in np.ndindex(batch):
+        channel = g[index]
+        assert np.array_equal(got.p[index], zf_precoder(channel).p)
+        gram = channel.T @ channel.conj()
+        want = cho_solve(cho_factor(gram, lower=True), channel.T).conj().T
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(gram)
+        assert np.linalg.norm(got.p[index] - want) <= tol * np.linalg.norm(want)
 
 
 # ----------------------------------------------------- conjugate beamforming

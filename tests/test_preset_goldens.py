@@ -1,17 +1,18 @@
 """Every preset's CSV and config sidecar at 2 trials, against stored goldens.
 
 The goldens in ``tests/goldens/`` were written by this module's ``__main__``
-block (``PYTHONPATH=src python tests/test_preset_goldens.py``) before three
+block (``PYTHONPATH=src python tests/test_preset_goldens.py``) before four
 changes that reorder floating-point operations; ``__main__`` keeps every
 stored row that still matches its new row as ``test_preset_matches_golden``
 compares them, so a rerun rewrites only the rows a change moved past that
-comparison, and the sidecars. The three changes: the chain stopped re-running
+comparison, and the sidecars. The four changes: the chain stopped re-running
 the precoder and allocation for MMSE with a scale-invariant allocator (OPA,
 UPA); APA moved from the full K x K MSE gradient to its separable per-user
-form (MMSE+APA rows and the fig-learning cost curve); and the MMSE ridge
+form (MMSE+APA rows and the fig-learning cost curve); the MMSE ridge
 systems moved from a per-item Cholesky loop to one batched solve, with the
 gain's squared norm an array sum, and later to one Gram eigendecomposition
-per channel (every MMSE and MMSE_CONV row). Those rows
+per channel (every MMSE and MMSE_CONV row); and ZF moved from a per-item
+Cholesky solve to an LU inverse of the Gram matrix (every ZF row). Those rows
 may move by rounding only, so their ``*_mean`` and ``*_se`` columns are
 compared to 1e-9 relative; every other row and column, and every sidecar,
 must stay byte-identical.
@@ -30,7 +31,7 @@ TRIALS = 2
 REL_TOL = 1e-9
 # rows whose floating-point order changed: by scheme prefix, and every row
 # of a preset
-ROUNDING_ONLY = ("MMSE+OPA+", "MMSE+UPA+", "MMSE+APA+", "MMSE_CONV+")
+ROUNDING_ONLY = ("MMSE+OPA+", "MMSE+UPA+", "MMSE+APA+", "MMSE_CONV+", "ZF+")
 ROUNDING_ONLY_PRESETS = ("fig-learning",)
 
 
@@ -106,9 +107,9 @@ def test_regeneration_keeps_every_stored_row_that_still_matches():
 
     got = list(want)
     got[1] = nudged(want[1], 1.0 + 1e-12)             # MMSE+OPA+NS: rounding only
-    got[25] = nudged(want[25], 1.0 + 1e-12)           # ZF+OPA+NS: byte-identical
-    assert got[1] != want[1] and want[25].startswith("ZF+OPA+NS")
-    assert merge_rows("fig-tiny-opa", got, want) == want[:25] + [got[25]] + want[26:]
+    got[37] = nudged(want[37], 1.0 + 1e-12)           # CB+OPA+NS: byte-identical
+    assert got[1] != want[1] and want[37].startswith("CB+OPA+NS")
+    assert merge_rows("fig-tiny-opa", got, want) == want[:37] + [got[37]] + want[38:]
     assert merge_rows("fig-tiny-opa", got[:-1], want) == got[:-1]
 
 
