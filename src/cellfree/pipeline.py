@@ -31,7 +31,8 @@ so every reported number is what the 2-D chain on the winning mask gives,
 and no chain runs on the winners again. A chunk that leaves ZF
 rank-deficient runs again without the candidates that fail ZF's rank test
 (``pc.zf_full_rank``: a Gram eigenvalue at or below rounding), which score
--inf.
+-inf; the ``pc.RankDeficientError`` of the chunk's build carries that
+test's mask, so no Gram matrix is tested twice.
 
 A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
 of trial ``t`` at one config shares, each made once on first use and
@@ -41,9 +42,14 @@ SNR points), the build, which MMSE and MMSE_CONV share. ``run_cell`` runs
 one cell on a draw; exhaustive selection depends on the scheme and the
 SNR, so it searches per cell, and its search gives the cell's chain.
 ``run_trial`` is one cell on a fresh draw. ``run_sweep`` runs trial-major,
-one draw per config and one cell per scheme over that config's SNR points:
-the whole grid on the SNR axis, one point on the others. ES then searches once per cell for every
-point's mask. The points of a selection-fraction axis differ only in
+one draw per config, over that config's SNR points: the whole grid on the
+SNR axis, one point on the others. Each ES scheme runs one cell, whose
+search finds every point's mask. The NS and LS schemes run one chain per
+distinct (selection, precoder build, allocation), so MMSE and MMSE_CONV
+twins share one, and the chains of one allocation whose coefficient sets
+have one batch shape run as one allocate stage: one ``run_chain`` on their
+builds stacked along a new leading axis, whose items each equal their own
+cell's. The points of a selection-fraction axis differ only in
 ``selected_aps``, which the channel draw does not read, so their draws
 share one channel block.
 
@@ -51,9 +57,9 @@ Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
 or concurrently, and a cell that measures BER restarts its symbol and noise
 streams, so it sees the same bits and noise whichever cells ran before it.
-A cell measures the BER of all its points in one ``ber_qpsk`` call, which
-sends the same bits and noise over every point, as a restart per point
-would.
+A cell measures the BER of all its points in one ``ber_qpsk`` call, and a
+sweep the BER of a config's NS and LS chains in one, which sends the same
+bits and noise over every item, as a restart per item would.
 """
 
 from __future__ import annotations
@@ -121,7 +127,8 @@ def _es(scheme, realization, cfg, rho_f):
     as each item equals its own 2-D build: each candidate is built once. A
     chunk the screen cannot bound (its build raises) has NaN intervals, so
     the chain builds and scores it and meets the same error, or, for ZF,
-    sets its rank-deficient candidates aside.
+    sets aside the rank-deficient candidates that the screen's
+    ``pc.RankDeficientError`` names, without testing them again.
     APA and UPA have no bound cheaper than their own chain: their searches
     score every candidate."""
     points = np.shape(rho_f)
@@ -135,22 +142,26 @@ def _es(scheme, realization, cfg, rho_f):
     def chain(g_hat, err_var, built=None):
         return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, built=built)
 
-    def evaluate(masks, built=None):
+    def evaluate(masks, built=None, full=None):
         """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
         ``take`` that copies the picked items of its chain result into the
         winners (see ``sel.es_aps``). ``built``, the stack's build cut from
         its chunk's, skips the chain's build. A mask that leaves ZF
         rank-deficient scores -inf at every point: when a stack raises, the
-        masks that fail ZF's rank test (``pc.zf_full_rank``) are set aside and
-        the rest run again as one stack."""
+        masks that fail ZF's rank test, which ``pc.RankDeficientError``
+        carries, are set aside and the rest run again as one stack. ``full``,
+        that test's mask from a build of the same stack that raised, sets
+        them aside before the first run."""
         nonlocal certified
         certified += len(masks) * math.prod(points)
         g_hat, err_var = sel.apply_mask(masks, realization)
-        try:
-            result, rows = chain(g_hat, err_var, built), np.arange(len(masks))
-            scores = result.metrics.min_sinr
-        except pc.RankDeficientError:
-            full = pc.zf_full_rank(g_hat)
+        if full is None:
+            try:
+                result, rows = chain(g_hat, err_var, built), np.arange(len(masks))
+                scores = result.metrics.min_sinr
+            except pc.RankDeficientError as err:
+                full = err.full
+        if full is not None:
             scores = np.full(points + full.shape, -np.inf)
             if not full.any():
                 return scores, None                 # no score to take: none beats -inf
@@ -175,9 +186,11 @@ def _es(scheme, realization, cfg, rho_f):
         try:
             built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
             lo, hi = allocator.bound(*built[:2])
-        except (ArithmeticError, ValueError):        # LinAlgError is a ValueError
+        except (ArithmeticError, ValueError) as err:  # LinAlgError is a ValueError
             nan = np.full(points + masks.shape[:1], np.nan)
-            return nan, nan, lambda columns: evaluate(masks[columns])
+            full = getattr(err, "full", None)          # a RankDeficientError's
+            return nan, nan, lambda columns: evaluate(
+                masks[columns], full=None if full is None else full[columns])
         return lo, hi, lambda columns: evaluate(masks[columns], _candidates(built, columns))
 
     masks, _ = sel.es_aps(
@@ -656,38 +669,160 @@ def _axis_points(cfg, axis, axis_values):
     return groups
 
 
-def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
-    """Trial ``trial``'s samples, ``(fields, schemes, points)``: the sum
-    rate, the minimum SINR in dB and, with BER, the BER of each cell. One
-    draw per group and one ``run_cell`` per (group, scheme) over the
-    group's SNR list. A failing cell of a one-point group raises its
-    ``TrialError``; a failing cell of a larger group re-runs the trial with
-    every point a group of its own, which names the first failing cell in
-    (point, scheme) order."""
+def _stack(arrays, ndim):
+    """``arrays`` stacked along a new leading axis, each first given leading
+    length-1 axes up to ``ndim`` axes. A lone array is a view, not a copy,
+    and an axis along which every array repeats one value (stride 0, as
+    ``np.broadcast_to`` makes) stays a stride-0 view of that value."""
+    arrays = [a if a.ndim == ndim else a.reshape((1,) * (ndim - a.ndim) + a.shape)
+              for a in map(np.asarray, arrays)]
+    if len(arrays) == 1:
+        return arrays[0][None]
+    repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
+    if not any(repeated):
+        return np.stack(arrays)
+    one = tuple(slice(0, 1) if cut else slice(None) for cut in repeated)
+    return np.broadcast_to(np.stack([a[one] for a in arrays]),
+                           (len(arrays),) + arrays[0].shape)
+
+
+def _stacked_build(builds, ndim, reform):
+    """One ``_build`` of a stack of chains from the chains' ``(precoder,
+    coefficients)``, whose coefficient sets have one batch shape once
+    padded to the ``ndim`` axes of ``rho_f``, stacked along a new leading
+    axis (``_stack``). The precoder holds the stacked load matrices, and
+    stacks ``p`` and the gains f only for ``reform``: an adaptive
+    allocator, whose solve and re-form are the one allocate stage that
+    reads them. Elsewhere they are None."""
+    precs, sets = zip(*builds)
+    prec = pc.PrecoderOutput(*((_stack([x.p for x in precs], ndim + 2),
+                                _stack([x.f for x in precs], ndim)) if reform
+                               else (None, None)))
+    vars(prec)["delta"] = _stack([x.delta for x in precs], ndim + 2)  # the cached property's slot
+    coeffs = replace(sets[0], psi=_stack([c.psi for c in sets], ndim + 1),
+                     phi=_stack([c.phi for c in sets], ndim + 2),
+                     gamma=_stack([c.gamma for c in sets], ndim + 2))
+    return prec, coeffs, 0.0
+
+
+def _chain_key(scheme: Scheme):
+    """What a scheme's chain computes: its selection, precoder build
+    function (MMSE_CONV's is MMSE's) and allocation."""
+    return scheme.selection, SCHEMES["precoder"][scheme.precoder], scheme.allocation
+
+
+def _group_metrics(draw, schemes, snr_db, solver, with_ber):
+    """``(sum rate, minimum SINR, BER or None)`` of each scheme on ``draw``
+    over the SNR list ``snr_db``, each what ``run_cell`` gives.
+
+    ES schemes run ``run_cell``. The NS and LS schemes run one chain per
+    distinct (selection, precoder build, allocation), so the MMSE and
+    MMSE_CONV twins share one chain. The chains of one allocation whose
+    coefficient sets have one batch shape (MMSE's has the SNR axis; ZF's
+    and CB's, which do not depend on the SNR, a length-1 axis that
+    broadcasts over it) run as one allocate stage, ``run_chain`` on their
+    builds stacked along a new leading axis (``_stacked_build``): one solve,
+    one re-form for APA, one ``analytic_sinr`` and one ``rates``. Each item
+    equals its own chain bitwise. With BER, one ``ber_qpsk`` call on the
+    restarted streams measures every chain."""
+    cfg = draw.cfg
+    sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
+    realization = draw.realization
+    rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
+    ndim = np.ndim(rho_f)
+    chains, stacks = {}, {}
+    for scheme in schemes:
+        key = _chain_key(scheme)
+        if SCHEMES["selection"][scheme.selection].per_cell or key in chains:
+            continue
+        _, g_hat, err_var, _ = _select(draw, scheme, rho_f)
+        prec, coeffs, _ = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f,
+                                      sigma_w2, sigma_s2)
+        chains[key] = scheme, g_hat, err_var, (prec, coeffs)
+        batch = coeffs.psi.shape[:-1]
+        stacks.setdefault((scheme.allocation, (1,) * (ndim - len(batch)) + batch),
+                          []).append(key)
+
+    ran, links = {}, []     # chain -> (its stack's metrics, its item, its link); BER's links
+    for keys in stacks.values():
+        stacked, g_hats, err_vars, builds = zip(*(chains[key] for key in keys))
+        reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
+        g_hat, err_var = ((_stack(g_hats, ndim + 2), _stack(err_vars, ndim + 2)) if reform
+                          else (None, None))
+        result = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
+                           built=_stacked_build(builds, ndim, reform))
+        n_diag = result.n_final.n_diag
+        for i, key in enumerate(keys):
+            ran[key] = result.metrics, i, len(links)
+            links.append((result.precoder.p[i] if reform else builds[i][0].p, n_diag[i],
+                          g_hats[i]))
+
+    ber = None
+    if with_ber and links:
+        p, n_diag, g_hat = zip(*links)
+        ber, _ = mt.ber_qpsk(
+            _stack(p, ndim + 2), _stack(n_diag, ndim + 1), realization.g,
+            _stack(g_hat, ndim + 2), rho_f, sigma_w2, solver.symbols_per_packet,
+            _stream(draw.seed, draw.trial, "symbols"), packets=solver.packets_per_trial,
+            noise_rng=_stream(draw.seed, draw.trial, "noise"))
+    cells = []
+    for scheme in schemes:
+        key = _chain_key(scheme)
+        if key in ran:
+            metrics, i, link = ran[key]
+            cells.append((metrics.sum_rate[i], metrics.min_sinr[i],
+                          None if ber is None else ber[link]))
+        else:
+            metrics = run_cell(draw, scheme, snr_db, solver, with_ber).metrics
+            cells.append((metrics.sum_rate, metrics.min_sinr, metrics.ber))
+    return cells
+
+
+def _samples(groups, num_schemes, trial, seed, with_ber, cells_of):
+    """``(fields, schemes, points)`` samples of one trial: one draw per
+    group, and ``cells_of(draw, values, snrs)``, each scheme's ``(sum rate,
+    minimum SINR, BER)`` over the group's points, in scheme order."""
     points = sum(len(values) for values, _, _ in groups)
-    samples = np.empty((3 if with_ber else 2, len(schemes), points))
+    samples = np.empty((3 if with_ber else 2, num_schemes, points))
     draw = None
     start = 0
     for values, cfg, snrs in groups:
         draw = TrialDraw(cfg, trial, seed) if draw is None else draw.at(cfg)
         cells = slice(start, start + len(values))
-        for s, scheme in enumerate(schemes):
-            try:
-                metrics = _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
-                                      with_ber=with_ber).metrics
-            except TrialError:
-                if len(values) == 1:
-                    raise
-                singles = [([value], group_cfg, [snr])
-                           for group_values, group_cfg, group_snrs in groups
-                           for value, snr in zip(group_values, group_snrs)]
-                return _trial_samples(singles, schemes, trial, seed, solver, with_ber, axis)
-            samples[0, s, cells] = metrics.sum_rate
-            samples[1, s, cells] = 10.0 * np.log10(metrics.min_sinr)
+        for s, (sum_rate, min_sinr, ber) in enumerate(cells_of(draw, values, snrs)):
+            samples[0, s, cells] = sum_rate
+            samples[1, s, cells] = 10.0 * np.log10(min_sinr)
             if with_ber:
-                samples[2, s, cells] = metrics.ber
+                samples[2, s, cells] = ber
         start = cells.stop
     return samples
+
+
+def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
+    """Trial ``trial``'s samples, ``(fields, schemes, points)``: the sum
+    rate, the minimum SINR in dB and, with BER, the BER of each cell. One
+    draw per group, whose schemes run over the group's SNR list as
+    ``_group_metrics`` runs them: stacked allocate stages for NS and LS, and
+    one ``run_cell`` per ES scheme. If any of it fails on the draw, the
+    trial runs again one cell at a time, every point a group of its own,
+    which raises the ``TrialError`` of the first failing cell in (point,
+    scheme) order."""
+    try:
+        return _samples(groups, len(schemes), trial, seed, with_ber,
+                        lambda draw, _, snrs: _group_metrics(draw, schemes, snrs, solver,
+                                                             with_ber))
+    except (ArithmeticError, ValueError):     # LinAlgError is a ValueError
+        pass
+    singles = [([value], cfg, [snr]) for values, cfg, snrs in groups
+               for value, snr in zip(values, snrs)]
+
+    def cells(draw, values, snrs):
+        for scheme in schemes:
+            metrics = _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
+                                  with_ber=with_ber).metrics
+            yield metrics.sum_rate, metrics.min_sinr, metrics.ber
+
+    return _samples(singles, len(schemes), trial, seed, with_ber, cells)
 
 
 def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
@@ -701,13 +836,17 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     point is a group of one. The sweep runs trial-major: for each trial it
     draws the channel block once per group (once per trial on the
     selection-fraction axis), makes the NS and LS masks and builds once per
-    group, and runs each scheme over the group's SNR points as one cell, so
-    scheme comparisons are paired. Each point of a cell gives what
+    group, and runs every scheme over the group's SNR points, so scheme
+    comparisons are paired: each ES scheme as one cell, and the NS and LS
+    schemes as one chain per distinct (selection, precoder build,
+    allocation), stacked by allocation into one allocate stage each, with
+    one ``ber_qpsk`` call for all of them. Each (scheme, point) gives what
     ``run_trial`` gives for it. Rows come scheme-major, axis points in
     order. A trial that fails on its draw raises ``TrialError`` for the
     first failing cell in (trial, axis point, scheme) order, so it names the
-    smallest failing trial over all schemes and points; a trial whose grid
-    cell fails is re-run one point at a time to find that cell. Missing or
+    smallest failing trial over all schemes and points: a trial whose
+    stages or cells fail is re-run one cell at a time, one point at a time,
+    to find that cell. Missing or
     malformed ``axis_values``, a ``trials`` that is not an integer of at least
     1, and an ES scheme over ``sel.ES_BUDGET`` candidates at any axis point
     (``sel.check_es_budget``), raise ``ValueError`` before the first trial.

@@ -70,7 +70,13 @@ class PrecoderOutput:
 
 class RankDeficientError(np.linalg.LinAlgError):
     """ZF's Gram matrix of a channel is singular to rounding: the channel is
-    rank-deficient."""
+    rank-deficient. ``full`` holds ``zf_full_rank``'s mask of the channels
+    the raising call was given, so that a caller can set the deficient ones
+    aside without testing them again."""
+
+    def __init__(self, message: str, full: np.ndarray):
+        super().__init__(message)
+        self.full = full
 
 
 def _gram(g_hat: np.ndarray):
@@ -182,7 +188,7 @@ def zf_precoder(g_hat) -> PrecoderOutput:
         where = "" if g_hat.ndim == 2 else f" on {deficient} of {full.size} channels"
         raise RankDeficientError(
             "rank-deficient channel: the smallest eigenvalue of the Gram matrix is at or "
-            f"below its rounding, K eps_machine times the largest{where}")
+            f"below its rounding, K eps_machine times the largest{where}", full)
     return PrecoderOutput(p=g_conj @ np.linalg.inv(gram), f=1.0)
 
 

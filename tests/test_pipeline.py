@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree import channel, metrics, pipeline, precoding, selection
 from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
@@ -327,16 +329,16 @@ SMALL = dict(num_aps=6, antennas_per_ap=1, num_users=2, selected_aps=2,
              csi_quality=0.95, snr_grid_db=(0.0, 10.0, 20.0))
 
 
-def rows_from_trials(schemes, axis, points, trials, solver, seed):
+def rows_from_trials(schemes, axis, points, trials, solver, seed, with_ber=True):
     """Sweep rows built from one independent ``run_trial`` per cell."""
     rows = []
     for scheme in schemes:
         for value, cfg_point, snr in points:
-            metrics = [run_trial(cfg_point, scheme, snr, t, solver, with_ber=True,
+            metrics = [run_trial(cfg_point, scheme, snr, t, solver, with_ber=with_ber,
                                  seed=seed).metrics for t in range(trials)]
             sr = _mean_se([m.sum_rate for m in metrics])
             ms = _mean_se([10.0 * np.log10(m.min_sinr) for m in metrics])
-            ber = _mean_se([m.ber for m in metrics])
+            ber = _mean_se([m.ber for m in metrics]) if with_ber else (None, None)
             rows.append(SweepRow(scheme.label, axis, value, *sr, *ms, *ber,
                                  trials=trials, seed=seed))
     return rows
@@ -362,6 +364,61 @@ def test_sweep_rows_equal_independent_trials_bitwise(axis):
     rows = run_sweep(cfg, MIXED, axis, trials=3, solver=solver, with_ber=True,
                      axis_values=values, seed=seed)
     assert rows == rows_from_trials(MIXED, axis, points, 3, solver, seed)
+
+
+# every scheme the table accepts: each precoder, allocation and selection
+EVERY_SCHEME = [Scheme(p, a, s) for p in SCHEMES["precoder"]
+                for a, allocator in SCHEMES["allocation"].items() if allocator.accepts(p)
+                for s in SCHEMES["selection"]]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small config whose ES searches take at most 36 candidates at every
+    selected-AP count, a scheme list, with an MMSE/MMSE_CONV twin pair
+    half the time, and an axis with its points."""
+    num_aps = draw(st.integers(2, 4))
+    antennas = draw(st.integers(1, 2))
+    num_users = draw(st.integers(1, min(3 if num_aps < 4 else 2, num_aps * antennas - 1)))
+    cfg = cfg_with(num_aps=num_aps, antennas_per_ap=antennas,
+                   num_users=num_users, selected_aps=draw(st.integers(1, num_aps)),
+                   csi_quality=draw(st.floats(0.5, 1.0)),
+                   snr_grid_db=tuple(draw(st.lists(st.floats(-30.0, 40.0), min_size=1,
+                                                   max_size=3))))
+    schemes = draw(st.lists(st.sampled_from(EVERY_SCHEME), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        twin = draw(st.sampled_from([("OPA", "NS"), ("UPA", "LS"), ("OPA", "ES")]))
+        schemes += [Scheme("MMSE", *twin), Scheme("MMSE_CONV", *twin)]
+    if draw(st.booleans()):
+        return cfg, schemes, "snr_grid", None, [(snr, cfg, snr) for snr in cfg.snr_grid_db]
+    fractions = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1,
+                              max_size=3))
+    points = [(f, dataclasses.replace(cfg, selected_aps=max(1, round(f * num_aps))),
+               cfg.snr_grid_db[0]) for f in fractions]
+    return cfg, schemes, "selection_fraction", fractions, points
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=sweep_cases(), with_ber=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_sweep_rows_equal_per_cell_rows_bitwise(case, with_ber, seed):
+    # a sweep stacks a trial's NS and LS chains by allocation and measures
+    # their BER in one call; its rows are those of one run_trial per cell,
+    # and where a cell fails on its draw it names a cell that fails
+    cfg, schemes, axis, values, points = case
+    solver = SolverParams(symbols_per_packet=16)
+    try:
+        want = rows_from_trials(schemes, axis, points, 2, solver, seed, with_ber)
+    except np.linalg.LinAlgError:          # ZF on a rank-deficient selection
+        with pytest.raises(TrialError) as caught:
+            run_sweep(cfg, schemes, axis, trials=2, solver=solver, with_ber=with_ber,
+                      axis_values=values, seed=seed)
+        err = caught.value
+        point = next(p for p in points if p[0] == err.axis_value)
+        with pytest.raises(np.linalg.LinAlgError):
+            run_trial(point[1], Scheme.parse(err.scheme), point[2], err.trial, seed=seed)
+        return
+    assert run_sweep(cfg, schemes, axis, trials=2, solver=solver, with_ber=with_ber,
+                     axis_values=values, seed=seed) == want
 
 
 def counting(calls, name, fn):
@@ -415,24 +472,32 @@ def test_a_grid_cell_equals_its_point_cells_bitwise():
 
 
 def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
+    # ES runs one grid cell per scheme and trial; NS and LS run one stacked
+    # allocate stage per (allocation, coefficient batch shape) and trial
     calls = collections.Counter()
-    run = pipeline.run_cell
+    run, chain = pipeline.run_cell, pipeline.run_chain
 
     def counted(draw, scheme, snr_db, *args, **kwargs):
         calls[scheme.selection, np.ndim(snr_db)] += 1
         return run(draw, scheme, snr_db, *args, **kwargs)
 
+    def counted_chain(g_hat, err_var, scheme, rho_f, *args, built=None):
+        if built is not None:                   # MIXED's ES search builds its own
+            calls[scheme.allocation, built[1].psi.shape[:-1]] += 1
+        return chain(g_hat, err_var, scheme, rho_f, *args, built=built)
+
     monkeypatch.setattr(pipeline, "run_cell", counted)
+    monkeypatch.setattr(pipeline, "run_chain", counted_chain)
     run_sweep(cfg_with(**SMALL), MIXED, "snr_grid", trials=2)
-    # every selection, ES too: one grid cell per trial
-    assert calls == {("NS", 1): 2, ("LS", 1): 4, ("ES", 1): 2}
-    # the other axes run the same loop: one one-point grid cell per (point,
-    # scheme, trial)
+    # MMSE+APA+NS and +LS stacked over the 3 points; CB+OPA+LS's one
+    # coefficient set serves every point
+    assert calls == {("ES", 1): 2, ("APA", (2, 3)): 2, ("OPA", (1, 1)): 2}
+    # the other axes run the same loop, each point a grid of length 1
     for axis, values in (("selection_fraction", (1.0, 0.5, 0.2)), ("antennas_per_ap", (1, 2))):
         calls.clear()
         run_sweep(cfg_with(**SMALL), MIXED, axis, trials=2, axis_values=values)
         cells = len(values) * 2
-        assert calls == {("NS", 1): cells, ("LS", 1): 2 * cells, ("ES", 1): cells}
+        assert calls == {("ES", 1): cells, ("APA", (2, 1)): cells, ("OPA", (1, 1)): cells}
 
 
 def test_shared_draw_arrays_are_read_only():
@@ -502,8 +567,8 @@ def test_max_min_roots_decompose_each_coupling_matrix_once(monkeypatch):
     preset = PRESETS["fig-large-sumrate"]
     cfg = preset.resolve_config(SystemConfig().validate())
     run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
-    # MMSE+OPA+LS 6, ZF+OPA+LS 1, CB+OPA+LS 1
-    assert sorted(shapes) == [(6, 16, 16), (16, 16), (16, 16)]
+    # MMSE+OPA+LS 6, a stack of one; ZF+OPA+LS 1 and CB+OPA+LS 1, one stack
+    assert sorted(shapes) == [(1, 6, 16, 16), (2, 1, 16, 16)]
     shapes.clear()
     tiny = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
     es = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+OPA+ES"), list(tiny.snr_grid_db))
@@ -560,14 +625,22 @@ def test_an_es_search_builds_each_chunk_once(monkeypatch):
 
 
 def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
-    calls = collections.Counter()
-    monkeypatch.setattr(metrics, "ber_qpsk", counting(calls, "ber", metrics.ber_qpsk))
+    # one call per trial measures every scheme at every point
+    shapes = []
+    ber_qpsk = metrics.ber_qpsk
+
+    def counted(*args, **kwargs):
+        ber, degenerate = ber_qpsk(*args, **kwargs)
+        shapes.append(np.shape(ber))
+        return ber, degenerate
+
+    monkeypatch.setattr(metrics, "ber_qpsk", counted)
     preset = PRESETS["fig-ber"]
     cfg = preset.resolve_config(SystemConfig().validate())
     solver = SolverParams(**preset.solver)
     run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
               trials=2, solver=solver, with_ber=True)
-    assert calls == {"ber": len(preset.schemes) * 2}
+    assert shapes == [(len(preset.schemes), len(cfg.snr_grid_db))] * 2
 
 
 def test_es_scores_few_of_its_candidates_on_the_exact_chain():
@@ -687,6 +760,20 @@ def test_zero_forcing_es_scores_its_full_rank_candidates_in_one_stack(monkeypatc
     res = run_cell(TrialDraw(cfg, 1, 99), Scheme.parse("ZF+UPA+ES"), list(cfg.snr_grid_db))
     assert res.trace["es_candidates"] == 36 * 3
     assert calls["chain"] <= 3
+
+
+@pytest.mark.parametrize("label", ["ZF+OPA+ES", "ZF+UPA+ES"])
+def test_zero_forcing_es_tests_each_gram_matrix_once(monkeypatch, label):
+    # one AP per user: 5 of the 25 candidates give both users the same AP.
+    # The chunk's rank test raises with its mask, in OPA's screen or in
+    # UPA's chain, and only the 20 full-rank candidates are built again
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    cfg = cfg_with(**dict(TINY, selected_aps=1))
+    res = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse(label), [0.0, 10.0])
+    assert shapes == [(25, 2, 2), (20, 2, 2)]
+    assert (res.mask.sum(axis=1) <= 1).all()
 
 
 def test_zero_forcing_es_never_wins_with_users_sharing_an_ap():
@@ -992,26 +1079,34 @@ def test_an_es_grid_point_without_a_finite_candidate_is_named(monkeypatch):
 
 
 def test_a_failing_sweep_re_runs_only_a_grid_trial_and_only_once(monkeypatch):
+    # a trial's groups run as stacked stages (trial, "stacked") or, on the
+    # trial that fails, once more one cell at a time (trial, SNR points)
     calls = collections.Counter()
-    run = pipeline.run_cell
+    run, stacked = pipeline.run_cell, pipeline._group_metrics
 
     def counted(draw, scheme, snr_db, *args, **kwargs):
         calls[draw.trial, np.shape(snr_db)] += 1
         return run(draw, scheme, snr_db, *args, **kwargs)
 
+    def counted_stages(draw, *args):
+        calls[draw.trial, "stacked"] += 1
+        return stacked(draw, *args)
+
     monkeypatch.setattr(pipeline, "run_cell", counted)
-    # one-point groups: each cell runs once, up to the failing one (trial 2,
-    # the last of the four cells; see the test above)
+    monkeypatch.setattr(pipeline, "_group_metrics", counted_stages)
+    # one-point groups: each group's stages run once per trial; the failing
+    # trial (trial 2; see the test above) re-runs each cell once, up to the
+    # failing one, the last of the four
     cfg = cfg_with(**RANK_DEFICIENT)
     schemes = [Scheme.parse("MMSE+OPA+LS"), Scheme.parse("ZF+UPA+LS")]
     with pytest.raises(TrialError) as caught:
         run_sweep(cfg, schemes, "selection_fraction", trials=40, axis_values=(0.25, 0.125))
     assert caught.value.trial == 2
-    assert calls == {(t, (1,)): 4 for t in range(3)}
+    assert calls == {**{(t, "stacked"): 2 for t in range(3)}, (2, (1,)): 4}
 
-    # a grid cell that fails re-runs its trial once, split into points: the
-    # first scheme's grid cell fails at point 2, the split run names the
-    # second scheme at point 0
+    # a grid that fails re-runs its trial once, split into points: the first
+    # scheme fails at point 2 and the second at point 0, and the split run
+    # names the second scheme at point 0
     calls.clear()
     cfg = cfg_with(**SMALL)
     real = TrialDraw(cfg, 1, cfg.rng_seed).realization
@@ -1023,7 +1118,7 @@ def test_a_failing_sweep_re_runs_only_a_grid_trial_and_only_once(monkeypatch):
         run_sweep(cfg, [Scheme.parse("MMSE+OPA+LS"), Scheme.parse("CB+UPA+NS")],
                   "snr_grid", trials=3)
     assert (caught.value.scheme, caught.value.axis_value) == ("CB+UPA+NS", 0.0)
-    assert calls == {(0, (3,)): 2, (1, (3,)): 1, (1, (1,)): 2}
+    assert calls == {(0, "stacked"): 1, (1, "stacked"): 1, (1, (1,)): 2}
 
 
 @pytest.mark.parametrize("axis, values", [
