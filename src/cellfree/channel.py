@@ -55,6 +55,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_count(name: str, value) -> None:
+    """Refuse ``value``, naming ``name``, unless it is an integer
+    (``is_integer``) of at least 1."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+
+
 @dataclass
 class SystemConfig:
     """Scenario constants for one simulation campaign.

@@ -20,10 +20,14 @@ links along leading axes, ``(..., M, K)`` channels and precoders with
 the coefficients of a precoder that does not depend on it are then computed
 once and broadcast over the items. ``snr_to_rho_f`` maps a grid of SNRs
 the same way, and ``ber_qpsk`` measures a stack of links over one true
-channel, sending the same bits and noise over every item. It forms each
-link's K x K effective channel ``g^T sqrt(rho_f) P N`` once per call and
-sends every packet through that product, never through the M-antenna
-transmit signal: the per-packet work is K x K, not M x K, per symbol.
+channel, sending the same bits and noise over every item. It reads the M
+antennas in one product per call, ``[g, g_hat]^T P``, whose K x K blocks
+give each link's effective channel ``g^T P`` and its receivers' gains
+``diag(g_hat^T P)``; ``sqrt(rho_f)`` and ``N`` scale those K x K results.
+Every packet goes through that channel, never through the M-antenna
+transmit signal, so the per-packet work is K x K, not M x K, per symbol,
+and each receiver decides on the signs of ``y conj(a_k)`` instead of
+dividing by its gain ``a_k``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from . import channel as ch
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,19 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
              packets: int = 1, noise_rng: Optional[np.random.Generator] = None):
     """Uncoded Gray-QPSK bit error rate over the true channel.
 
-    Sends ``s`` over each link's K x K effective channel
-    ``g^T sqrt(rho_f) P N``, formed once per call, with additive noise of
-    variance sigma_w2 per user: receiver k gets row k of that product times
-    ``s``, which is what it would get from the M-antenna signal
-    ``x = sqrt(rho_f) P N s`` through ``g``. Each receiver divides by its
-    known effective gain ``a_k = sqrt(rho_f) g_hat_k^T p_k sqrt(eta_k)`` and
-    slices to the nearest constellation point. Users whose gain magnitude
-    falls below 1e-12 cannot decode; their bits count as random (0.5 error
-    rate).
+    One product ``[g, g_hat]^T P`` reads the M antennas once per call: its
+    first K rows are each link's ``g^T P``, and the diagonal of the last K
+    is ``g_hat_k^T p_k``. ``sqrt(rho_f)`` and ``N`` then scale those K x K
+    results into the effective channel ``g^T sqrt(rho_f) P N`` and the
+    known effective gains ``a_k = sqrt(rho_f) g_hat_k^T p_k sqrt(eta_k)``.
+    Symbols ``s`` go through that channel with additive noise of variance
+    sigma_w2 per user: receiver k gets row k of the channel times ``s``,
+    which is what it would get from the M-antenna signal
+    ``x = sqrt(rho_f) P N s`` through ``g``. Each receiver slices ``y / a_k``
+    to the nearest constellation point, deciding on the signs of the real
+    and imaginary parts of ``y conj(a_k)``, which are those of ``y / a_k``
+    as ``|a_k|^2 > 0``. Users whose gain magnitude falls below 1e-12 cannot
+    decode; their bits count as random (0.5 error rate).
 
     Bits come from ``rng``; noise comes from ``noise_rng`` (default: the
     same stream), so the two can be frozen independently.
@@ -162,25 +172,35 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
     each item's BER equals its own 2-D call's on streams restarted from the
     same state.
 
+    ``symbols_per_packet`` and ``packets`` must be integers of at least 1,
+    and ``sigma_w2`` finite and nonnegative; anything else raises a
+    ``ValueError`` naming the argument.
+
     Returns (ber, num_degenerate_gains): the BER, ``(...)``, and the count
     of degenerate gains over all items.
     """
+    ch.check_count("symbols_per_packet", symbols_per_packet)
+    ch.check_count("packets", packets)
+    if not (np.isfinite(sigma_w2) and sigma_w2 >= 0.0):
+        raise ValueError(f"sigma_w2 must be finite and nonnegative, got {sigma_w2!r}")
     p = np.asarray(p)
     n_diag = np.asarray(n_diag, dtype=float)
     g = np.asarray(g)
     g_hat = np.asarray(g_hat)
-    root = np.sqrt(np.asarray(rho_f, dtype=float))[..., None]
     if noise_rng is None:
         noise_rng = rng
     k = p.shape[-1]
 
-    gains = root * np.einsum("...mk,...mk->...k", g_hat, p) * n_diag
+    # the one product over the M antennas: rows :k are g^T P, rows k: g_hat^T P
+    ends = np.concatenate(np.broadcast_arrays(g, g_hat), axis=-1).mT @ p
+    scale = np.sqrt(np.asarray(rho_f, dtype=float))[..., None] * n_diag  # sqrt(rho_f) N
+    link = ends[..., :k, :] * scale[..., None, :]                        # (..., K, K)
+    gains = ends[..., k:, :].diagonal(axis1=-2, axis2=-1) * scale
     degenerate = np.abs(gains) < 1e-12
-    safe_gains = np.where(degenerate, 1.0, gains)[..., None]
     # a degenerate user's 2 * symbols_per_packet bits each count half an error
     dead_errors = symbols_per_packet * np.count_nonzero(degenerate, axis=-1)
-    live = ~degenerate[..., None, :, None]
-    link = g.T @ (root[..., None] * (p * n_diag[..., None, :]))     # (..., K, K)
+    # Re and Im of y / a_k have the signs of those of y conj(a_k), as |a_k|^2 > 0
+    rotate = np.conj(gains)[..., None]
     noise_scale = np.sqrt(sigma_w2 / 2.0)
 
     error_bits = 0
@@ -189,9 +209,17 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
         s = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
         w = noise_scale * (noise_rng.standard_normal((k, symbols_per_packet))
                            + 1j * noise_rng.standard_normal((k, symbols_per_packet)))
-        s_hat = (link @ s + w) / safe_gains
-        decided = np.stack((s_hat.real < 0, s_hat.imag < 0), axis=-3)
-        wrong = (decided != (bits == 1)) & live
-        error_bits = error_bits + np.count_nonzero(wrong, axis=(-3, -2, -1)) + dead_errors
+        # in place: each (..., K, symbols_per_packet) temporary would be a
+        # fresh allocation, whose first touch dominates its arithmetic
+        z = link @ s
+        z += w
+        z *= rotate
+        # each symbol's (Re, Im) decisions against its (first, second) bits,
+        # read from z's interleaved float view, (..., K, 2 symbols_per_packet)
+        wrong = z.view(float) < 0.0
+        wrong ^= np.moveaxis(bits, 0, -1).reshape(k, -1) == 1
+        if degenerate.any():
+            wrong &= ~degenerate[..., None]
+        error_bits = error_bits + np.count_nonzero(wrong, axis=(-2, -1)) + dead_errors
     ber = error_bits / (2 * k * symbols_per_packet * packets)
     return (ber if np.ndim(ber) else float(ber)), int(np.count_nonzero(degenerate))

@@ -311,13 +311,6 @@ class Scheme:
         return f"{self.precoder}+{self.allocation}+{self.selection}"
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse ``value``, naming ``name``, unless it is an integer
-    (``ch.is_integer``) of at least 1."""
-    if not (ch.is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """BER's packet shape: QPSK symbols per packet and packets per trial,
@@ -328,7 +321,7 @@ class SolverParams:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_count(f.name, getattr(self, f.name))
+            ch.check_count(f.name, getattr(self, f.name))
 
 
 def _stream(seed: int, trial: int, name: str) -> np.random.Generator:
@@ -592,7 +585,7 @@ def _preflight(schemes, cfgs, trials):
     """Refuse, before any trial runs, a ``trials`` that is not an integer of
     at least 1, or an ES scheme whose search at one of ``cfgs`` exceeds
     ``sel.ES_BUDGET``."""
-    _check_count("trials", trials)
+    ch.check_count("trials", trials)
     if any(scheme.selection == "ES" for scheme in schemes):
         for cfg in cfgs:
             sel.check_es_budget(cfg.num_aps, cfg.num_users, cfg.selected_aps)

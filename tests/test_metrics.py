@@ -239,3 +239,44 @@ def test_bit_and_noise_streams_are_separable():
     b2, _ = ber_qpsk(*args, np.random.default_rng(7),
                      noise_rng=np.random.default_rng(8))
     assert b1 == b2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("symbols_per_packet", 0), ("symbols_per_packet", -3), ("symbols_per_packet", 2.0),
+    ("symbols_per_packet", True), ("packets", 0), ("packets", -1), ("packets", 1.5),
+    ("sigma_w2", -1e-3), ("sigma_w2", np.nan), ("sigma_w2", np.inf)])
+def test_ber_refuses_an_invalid_packet_shape_or_noise_variance(name, value):
+    """A count that is not an integer of at least 1, or a noise variance that
+    is negative or not finite, raises a ValueError naming the argument."""
+    _, real = perfect_csi_realization(num_aps=8, num_users=3)
+    pre = zf_precoder(real.g_hat)
+    args = {"sigma_w2": 1e-3, "symbols_per_packet": 100, "packets": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        ber_qpsk(pre.p, upa(pre.delta).n_diag, real.g, real.g_hat, 1.0,
+                 rng=np.random.default_rng(1), **args)
+
+
+@pytest.mark.parametrize("build", [zf_precoder, cb_precoder])
+@pytest.mark.parametrize("per_item", [False, True])
+def test_stride_zero_precoders_measure_as_their_materialized_copies(build, per_item):
+    """An SNR-free precoder broadcast over the SNR points with stride 0, as
+    ``run_cell`` hands ZF and CB grids over, and its estimate shared or so
+    broadcast too, gives bitwise the BER and degenerate count of its copy."""
+    cfg, real = perfect_csi_realization(num_aps=8, num_users=3, rng_seed=11)
+    pre = build(real.g_hat)
+    p = pre.p.copy()
+    p[:, 2] = 0.0                             # user 2 has no gain at any point
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0 ** (np.array([-10.0, 10.0, 30.0]) / 10.0), real.g_hat, sigma_w2)
+    p = np.broadcast_to(p, rho_f.shape + p.shape)
+    n_diag = np.broadcast_to(upa(pre.delta).n_diag, rho_f.shape + (3,))
+    g_hat = np.broadcast_to(real.g_hat, p.shape) if per_item else real.g_hat
+    assert 0 in p.strides and 0 in n_diag.strides
+
+    def measure(*link):
+        return ber_qpsk(*link, real.g, g_hat, rho_f, sigma_w2, 64, np.random.default_rng(3),
+                        packets=2, noise_rng=np.random.default_rng(4))
+
+    ber, flagged = measure(p, n_diag)
+    want, want_flagged = measure(p.copy(), n_diag.copy())
+    assert ber.tobytes() == want.tobytes() and flagged == want_flagged == 3

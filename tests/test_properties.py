@@ -439,3 +439,20 @@ def test_fig_ber_sized_links_in_a_two_axis_stack_equal_the_reference(per_item, n
                                                  0.0 if noiseless else sigma_w2,
                                                  preset.solver["symbols_per_packet"],
                                                  packets=3) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid_cases(), st.lists(st.floats(-90.0, 60.0), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 3), st.integers(1, 40))
+def test_the_sign_slicer_equals_the_division_reference_over_the_snr_range(
+        case, snrs, phase_seed, noiseless, packets, symbols):
+    """Over SNRs of -90 to 60 dB, with each item's precoder columns turned by
+    random phases so the gains carry arbitrary phase, every stacked item's
+    BER and degenerate count equal ``reference_ber``'s, which divides the
+    M-antenna signal by each gain, with noise and without."""
+    cfg, _, _, trial = case
+    p, n_diag, g, g_hat, rho_f, sigma_w2 = stacked_ber_link(cfg, trial, snrs, False)
+    phases = np.random.default_rng(phase_seed).uniform(0.0, 2.0 * np.pi, n_diag.shape)
+    p = p * np.exp(1j * phases)[..., None, :]
+    assert_ber_items_equal_their_2d_calls(p, n_diag, g, g_hat, rho_f,
+                                          0.0 if noiseless else sigma_w2, symbols, packets)
