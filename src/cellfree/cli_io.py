@@ -206,6 +206,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           for stage, options in SCHEMES.items())
         print(f"{err}\nvalid {valid}", file=sys.stderr)
         return 2
+    labels = [scheme.label for scheme in schemes]
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated is not None:
+        print(f"--schemes lists {repeated} more than once", file=sys.stderr)
+        return 2
 
     trials = args.trials if args.trials is not None else preset.trials
     if trials < 1:

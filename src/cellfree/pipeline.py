@@ -34,39 +34,40 @@ rank-deficient runs again without the candidates that fail ZF's rank test
 -inf; the ``pc.RankDeficientError`` of the chunk's build carries that
 test's mask, so no Gram matrix is tested twice.
 
-A trial is split in two. ``TrialDraw`` holds what every (scheme, SNR) cell
-of trial ``t`` at one config shares, each made once on first use and
-read-only: the channel block; the NS and LS masks with the estimate and
-error variance they mask; and, per (NS or LS selection, precoder build,
-SNR points), the build, which MMSE and MMSE_CONV share. ``run_cell`` runs
-one cell on a draw; exhaustive selection depends on the scheme and the
-SNR, so it searches per cell, and its search gives the cell's chain.
-``run_trial`` is one cell on a fresh draw. ``run_sweep`` runs trial-major,
-one draw per config, over that config's SNR points: the whole grid on the
-SNR axis, one point on the others. Each ES scheme runs one cell, whose
-search finds every point's mask. The NS and LS schemes run one chain per
-distinct (selection, precoder build, allocation), so MMSE and MMSE_CONV
-twins share one, and the chains of one allocation whose coefficient sets
-have one batch shape run as one allocate stage: one ``run_chain`` on their
-builds stacked along a new leading axis, whose items each equal their own
-cell's. The points of a selection-fraction axis differ only in
-``selected_aps``, which the channel draw does not read, so their draws
-share one channel block.
+A trial is split in two. ``TrialDraw`` holds the channel block of trial
+``t`` at one config, drawn once on first use and read-only. ``run_cells``
+runs a list of schemes on a draw over one SNR point or a grid, and each
+quantity once. An ES scheme's search depends on the scheme and the SNR, so
+it runs per distinct chain, and its search gives that chain. NS and LS
+schemes share each selection, with the estimate and error variance it
+masks, and each (selection, precoder build), which MMSE and MMSE_CONV
+share; all of these are read-only and live only for the call. They run one
+chain per distinct (selection, precoder build, allocation), so MMSE and
+MMSE_CONV twins share one, and the chains of one allocation whose
+coefficient sets have one batch shape run as one allocate stage: one
+``run_chain`` on their builds stacked along a new leading axis, whose items
+each equal their own 2-D chain's. Each cell's result is its chain's item.
+``run_cell`` is ``run_cells`` of one scheme, and ``run_trial`` one cell on a
+fresh draw. ``run_sweep`` runs trial-major: one draw and one ``run_cells``
+per config, over that config's SNR points: the whole grid on the SNR axis,
+one point on the others. The points of a selection-fraction axis differ
+only in ``selected_aps``, which the channel draw does not read, so their
+draws share one channel block.
 
 Trials are reproducible in isolation: every random draw of trial ``t`` comes
 from sub-streams keyed by (seed, t, stream), so trials can run in any order
 or concurrently, and a cell that measures BER restarts its symbol and noise
 streams, so it sees the same bits and noise whichever cells ran before it.
-A cell measures the BER of all its points in one ``ber_qpsk`` call, and a
-sweep the BER of a config's NS and LS chains in one, which sends the same
-bits and noise over every item, as a restart per item would.
+``run_cells`` measures the BER of all its chains at all their points in one
+``ber_qpsk`` call, which sends the same bits and noise over every item, as
+a restart per item would.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -246,7 +247,7 @@ def _tree_map(fn, *trees):
 class _Selector:
     select: Callable      # (scheme, realization, cfg, rho_f)
                           # -> (mask array, the chain ES ran on it or None)
-    per_cell: bool = False  # depends on the scheme and SNR, so a draw cannot share it
+    per_cell: bool = False  # depends on the scheme and SNR: each chain makes its own
 
 
 # Every scheme name, keyed by Scheme field. A precoder is its build function,
@@ -338,27 +339,14 @@ def _read_only(*arrays):
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """What every (scheme, SNR) cell of one trial at one config shares.
-
-    The channel block is drawn on first use from the (seed, trial) topology,
-    shadowing and fading sub-streams. ``selections`` memoizes, per selection
-    name that does not depend on the cell (NS, LS), the mask, the masked
-    estimate, the masked error variance and the ES candidate count.
-    ``builds`` memoizes, per (NS or LS selection, precoder build function,
-    SNR points), the precoder of an identity allocation and its SINR
-    coefficients, broadcast over the points: MMSE and MMSE_CONV share one
-    build function, so they share one build too. All of these arrays are
-    read-only. A draw belongs to one config, so LS masks are never shared
-    across configs that select a different number of APs; ``at`` makes the
-    draw of such a config, which shares only the channel block.
-    """
+    """The channel block of one trial at one config, which every (scheme,
+    SNR) cell of the trial shares: drawn on first use from the (seed, trial)
+    topology, shadowing and fading sub-streams, and read-only. ``at`` makes
+    the draw of another config of the same trial."""
 
     cfg: ch.SystemConfig
     trial: int
     seed: int
-    selections: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
-    builds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def realization(self) -> ch.ChannelRealization:
@@ -373,8 +361,7 @@ class TrialDraw:
         """This trial's draw at ``cfg``. ``generate_realization`` does not
         read ``selected_aps``, so where ``cfg`` differs from this draw's
         config in nothing else the new draw shares this draw's channel block
-        (drawing it now if no cell has yet); its selections and builds are
-        its own."""
+        (drawing it now if no cell has yet)."""
         draw = TrialDraw(cfg, self.trial, self.seed)
         if replace(cfg, selected_aps=self.cfg.selected_aps) == self.cfg:
             vars(draw)["realization"] = self.realization   # the cached property's slot
@@ -456,39 +443,6 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
                        metrics=metrics, trace=trace)
 
 
-def _select(draw: TrialDraw, scheme: Scheme, rho_f):
-    """``(mask, masked g_hat, masked error variance, ES chain)`` of one cell,
-    read-only; NS and LS come from the draw's memo and have no chain. ES on
-    a grid ``(S,)`` gives one mask per point, ``(S, M, K)``, and the chain
-    result of those winners (see ``_es``)."""
-    if scheme.selection in draw.selections:
-        return draw.selections[scheme.selection]
-    selector = SCHEMES["selection"][scheme.selection]
-    realization = draw.realization
-    mask, chain = selector.select(scheme, realization, draw.cfg, rho_f)
-    selected = (*_read_only(mask, *sel.apply_mask(mask, realization)), chain)
-    if not selector.per_cell:
-        draw.selections[scheme.selection] = selected
-    return selected
-
-
-def _cell_build(draw: TrialDraw, scheme: Scheme, snr_db, g_hat, err_var, rho_f,
-                sigma_w2, sigma_s2):
-    """The ``_build`` of one cell. NS and LS builds come from the draw's
-    memo, read-only; a shared build's seconds count only in the cell that
-    made it."""
-    build = SCHEMES["precoder"][scheme.precoder]
-    if SCHEMES["selection"][scheme.selection].per_cell:
-        return _build(build, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-    key = (scheme.selection, build, np.shape(snr_db), tuple(np.ravel(snr_db).tolist()))
-    if key in draw.builds:
-        return (*draw.builds[key], 0.0)
-    prec, coeffs, seconds = _build(build, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-    _read_only(prec.p, prec.f, coeffs.psi, coeffs.phi, coeffs.gamma, coeffs.rho_f)
-    draw.builds[key] = prec, coeffs
-    return prec, coeffs, seconds
-
-
 def _snr_linear(snr_db) -> np.ndarray:
     """Linear SNR of one point or of a grid, each point converted in Python
     floats, so that a grid point rounds as it does on its own."""
@@ -497,58 +451,191 @@ def _snr_linear(snr_db) -> np.ndarray:
                     ).reshape(grid.shape)
 
 
+def _stack(arrays, ndim):
+    """``arrays`` stacked along a new leading axis, each first given leading
+    length-1 axes up to ``ndim`` axes and, where their shapes then differ,
+    broadcast against each other. A lone array is a view, not a copy,
+    and an axis along which every array repeats one value (stride 0, as
+    ``np.broadcast_to`` makes) stays a stride-0 view of that value."""
+    arrays = [a if a.ndim == ndim else a.reshape((1,) * (ndim - a.ndim) + a.shape)
+              for a in map(np.asarray, arrays)]
+    if len(arrays) == 1:
+        return arrays[0][None]
+    if len({a.shape for a in arrays}) > 1:    # ES's per-point estimates beside one mask's
+        arrays = np.broadcast_arrays(*arrays)
+    repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
+    if not any(repeated):
+        return np.stack(arrays)
+    one = tuple(slice(0, 1) if cut else slice(None) for cut in repeated)
+    return np.broadcast_to(np.stack([a[one] for a in arrays]),
+                           (len(arrays),) + arrays[0].shape)
+
+
+def _stacked_build(builds, ndim, reform):
+    """One ``_build`` of a stack of chains from the chains' ``(precoder,
+    coefficients)``, whose coefficient sets have one batch shape once
+    padded to the ``ndim`` axes of ``rho_f``, stacked along a new leading
+    axis (``_stack``). The precoder holds the stacked load matrices, and
+    stacks ``p`` and the gains f only for ``reform``: an adaptive
+    allocator, whose solve and re-form are the one allocate stage that
+    reads them. Elsewhere they are None."""
+    precs, sets = zip(*builds)
+    prec = pc.PrecoderOutput(*((_stack([x.p for x in precs], ndim + 2),
+                                _stack([x.f for x in precs], ndim)) if reform
+                               else (None, None)))
+    vars(prec)["delta"] = _stack([x.delta for x in precs], ndim + 2)  # the cached property's slot
+    coeffs = replace(sets[0], psi=_stack([c.psi for c in sets], ndim + 1),
+                     phi=_stack([c.phi for c in sets], ndim + 2),
+                     gamma=_stack([c.gamma for c in sets], ndim + 2))
+    return prec, coeffs, 0.0
+
+
+def _chain_key(scheme: Scheme):
+    """What a scheme's chain computes: its selection, precoder build
+    function (MMSE_CONV's is MMSE's) and allocation."""
+    return scheme.selection, SCHEMES["precoder"][scheme.precoder], scheme.allocation
+
+
+def _item(stage: ChainResult, i: int, prec=None) -> ChainResult:
+    """Item ``i`` of a stacked allocate stage, as views of its arrays, with
+    the stage's trace. ``prec`` is the item's build's precoder, where the
+    stage stacked none."""
+    def solve(n):
+        return pa.AllocationResult(
+            eta=n.eta[i], iterations=n.iterations, tests=n.tests,
+            achieved_t=None if n.achieved_t is None else n.achieved_t[i],
+            cost_trace=None if n.cost_trace is None else [cost[i] for cost in n.cost_trace])
+
+    n_first = solve(stage.n_first)
+    n_final = n_first if stage.n_final is stage.n_first else solve(stage.n_final)
+    if prec is None:
+        prec = pc.PrecoderOutput(p=stage.precoder.p[i], f=stage.precoder.f[i])
+    m = stage.metrics
+    metrics = mt.LinkMetrics(per_user_sinr=m.per_user_sinr[i], per_user_rate=m.per_user_rate[i],
+                             sum_rate=m.sum_rate[i], min_sinr=m.min_sinr[i])
+    return ChainResult(precoder=prec, n_first=n_first, n_final=n_final, metrics=metrics,
+                       trace=stage.trace)
+
+
+def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
+              solver: SolverParams = SolverParams(),
+              with_ber: bool = False) -> list:
+    """The (scheme, SNR) cells of ``schemes`` on a trial's draw, one
+    ``PipelineResult`` per scheme, in order, each computing every quantity
+    once (see the module docstring).
+
+    ``snr_db`` is one SNR point, or a grid ``(S,)``: every array of a cell
+    then has a leading grid axis, and each item equals its own point's
+    cell. NS and LS share one mask over the grid; an ES search finds every
+    point's mask, and its chain result is the winners' items of the chunks
+    it scored (see ``_es``). Every distinct chain is one item of one
+    ``ber_qpsk`` call on the restarted symbol and noise streams, so each
+    item sees the bits and noise it would see on its own; ``solver`` gives
+    its packet shape and is read by nothing else. Twins share their chain's
+    result objects. Shared arrays are read-only.
+
+    ``trace`` of a cell: its solver counts and its allocate stage's seconds
+    (``trace["seconds"]["allocation"]``, and APA's re-form under
+    ``"precoder"``) are those of its stage, which may hold other chains.
+    The channel draw's seconds (``"channel"``), a selection's
+    (``"selection"``) and a build's (precoder and SINR coefficients, under
+    ``"precoder"``) count only in the first cell that used them. An ES
+    search, the winners' chain included, is its selection; its precoder and
+    allocation seconds are 0, and its solver counts are those of a scored
+    stack (see ``_es``). The BER seconds (``"ber"``) and
+    ``ber_degenerate_gains`` are the one BER call's, over all its items.
+    A cell's times cover all of its points.
+    """
+    cfg = draw.cfg
+    sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
+    t0 = time.perf_counter()
+    realization = draw.realization
+    rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
+    ndim = np.ndim(rho_f)
+    channel_seconds = time.perf_counter() - t0
+    # selections: per NS or LS, or per ES chain, (mask, masked estimate,
+    # masked error variance, ES's chain or None); builds: per (selection,
+    # precoder build), (precoder, coefficients); chains: per chain key, its
+    # selection; ran: per chain key, its result
+    selections, builds, chains, ran = {}, {}, {}, {}
+    stacks = {}     # (allocation, coefficient batch shape) -> one scheme per chain
+    cells = []      # per scheme: its chain's key, and the seconds of what it made
+    for scheme in schemes:
+        key = _chain_key(scheme)
+        made = {"channel": 0.0 if cells else channel_seconds, "selection": 0.0,
+                "precoder": 0.0}
+        cells.append((key, made))
+        if key in chains:
+            continue
+        selector = SCHEMES["selection"][scheme.selection]
+        place = key if selector.per_cell else scheme.selection
+        if place not in selections:
+            t = time.perf_counter()
+            mask, chain = selector.select(scheme, realization, cfg, rho_f)
+            selections[place] = (*_read_only(mask, *sel.apply_mask(mask, realization)), chain)
+            made["selection"] = time.perf_counter() - t
+        chains[key] = selections[place]
+        _, g_hat, err_var, chain = chains[key]
+        if chain is not None:           # ES: its search ran the chain
+            ran[key] = chain
+            continue
+        if key[:2] not in builds:
+            prec, coeffs, made["precoder"] = _build(key[1], g_hat, err_var, rho_f, sigma_w2,
+                                                    sigma_s2)
+            _read_only(prec.p, prec.f, prec.delta, coeffs.psi, coeffs.phi, coeffs.gamma,
+                       coeffs.rho_f)
+            builds[key[:2]] = prec, coeffs
+        batch = builds[key[:2]][1].psi.shape[:-1]
+        stacks.setdefault((scheme.allocation, (1,) * (ndim - len(batch)) + batch),
+                          []).append(scheme)
+
+    for stacked in stacks.values():
+        keys = [_chain_key(scheme) for scheme in stacked]
+        built = [builds[key[:2]] for key in keys]
+        reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
+        g_hat, err_var = ((_stack([chains[key][1] for key in keys], ndim + 2),
+                           _stack([chains[key][2] for key in keys], ndim + 2)) if reform
+                          else (None, None))
+        stage = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
+                          built=_stacked_build(built, ndim, reform))
+        for i, (key, (prec, _)) in enumerate(zip(keys, built)):
+            ran[key] = _item(stage, i, None if reform else prec)
+
+    ber_seconds, degenerate = 0.0, None
+    if with_ber and ran:
+        t = time.perf_counter()
+        p, n_diag, g_hat = zip(*((chain.precoder.p, chain.n_final.n_diag, chains[key][1])
+                                 for key, chain in ran.items()))
+        ber, degenerate = mt.ber_qpsk(
+            _stack(p, ndim + 2), _stack(n_diag, ndim + 1), realization.g,
+            _stack(g_hat, ndim + 2), rho_f, sigma_w2, solver.symbols_per_packet,
+            _stream(draw.seed, draw.trial, "symbols"), packets=solver.packets_per_trial,
+            noise_rng=_stream(draw.seed, draw.trial, "noise"))
+        for chain, link in zip(ran.values(), ber):
+            chain.metrics.ber = link
+        ber_seconds = time.perf_counter() - t
+
+    results = []
+    for key, made in cells:
+        chain = ran[key]
+        ran_seconds = chain.trace["seconds"]
+        trace = {"es_candidates": 0, "es_certified": 0, **chain.trace,
+                 "seconds": {**made, "precoder": ran_seconds["precoder"] + made["precoder"],
+                             "allocation": ran_seconds["allocation"], "ber": ber_seconds}}
+        if with_ber:
+            trace["ber_degenerate_gains"] = degenerate
+        results.append(PipelineResult(precoder=chain.precoder, n_first=chain.n_first,
+                                      n_final=chain.n_final, metrics=chain.metrics,
+                                      trace=trace, mask=chains[key][0]))
+    return results
+
+
 def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
              solver: SolverParams = SolverParams(),
              with_ber: bool = False) -> PipelineResult:
-    """One (scheme, SNR) cell of a trial, on the trial's shared draw.
-
-    ``snr_db`` is one SNR point, or a grid ``(S,)``: the cell then runs one
-    stacked chain, every result has a leading grid axis, and each item
-    equals its own cell's result. NS and LS share one mask over the grid;
-    ES searches once for every point's mask, and its chain result is the
-    winners' items of the chunks the search scored (see ``_es``). BER is
-    measured for every point in one
-    ``ber_qpsk`` call on the restarted symbol and noise streams, so each
-    point sees the bits and noise it would see on its own; ``solver`` gives
-    its packet shape and is read by nothing else.
-
-    ``trace["seconds"]["channel"]`` holds the channel draw's time only in
-    the cell that made the draw (the first to run on it), the selection
-    time of NS and LS only in the cell that made that selection, and
-    ``trace["seconds"]["precoder"]`` the time of a shared build (precoder
-    and SINR coefficients) only in the cell that made it. An ES cell's
-    search, the winners' chain included, counts under
-    ``trace["seconds"]["selection"]``; its precoder and allocation seconds
-    are 0, and its solver counts are those of a scored stack (see ``_es``).
-    The times of a stacked cell cover all of its points.
-    """
-    cfg = draw.cfg
-    sigma_w2 = cfg.noise_variance_w()
-    sigma_s2 = cfg.symbol_power
-
-    t0 = time.perf_counter()
-    realization = draw.realization
-    t1 = time.perf_counter()
-    rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
-    mask, g_hat, err_var, chain = _select(draw, scheme, rho_f)
-    t2 = time.perf_counter()
-    if chain is None:
-        built = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-        chain = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2, built=built)
-        chain.trace.update({"es_candidates": 0, "es_certified": 0})
-    t3 = time.perf_counter()
-
-    if with_ber:
-        chain.metrics.ber, chain.trace["ber_degenerate_gains"] = mt.ber_qpsk(
-            chain.precoder.p, chain.n_final.n_diag, realization.g, g_hat, rho_f,
-            sigma_w2, solver.symbols_per_packet, _stream(draw.seed, draw.trial, "symbols"),
-            packets=solver.packets_per_trial,
-            noise_rng=_stream(draw.seed, draw.trial, "noise"))
-    t4 = time.perf_counter()
-
-    chain.trace["seconds"].update({"channel": t1 - t0, "selection": t2 - t1,
-                                   "ber": t4 - t3})
-    return PipelineResult(**vars(chain), mask=mask)
+    """One (scheme, SNR) cell of a trial on the trial's draw: ``run_cells``
+    of one scheme."""
+    return run_cells(draw, [scheme], snr_db, solver, with_ber)[0]
 
 
 def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
@@ -662,119 +749,10 @@ def _axis_points(cfg, axis, axis_values):
     return groups
 
 
-def _stack(arrays, ndim):
-    """``arrays`` stacked along a new leading axis, each first given leading
-    length-1 axes up to ``ndim`` axes. A lone array is a view, not a copy,
-    and an axis along which every array repeats one value (stride 0, as
-    ``np.broadcast_to`` makes) stays a stride-0 view of that value."""
-    arrays = [a if a.ndim == ndim else a.reshape((1,) * (ndim - a.ndim) + a.shape)
-              for a in map(np.asarray, arrays)]
-    if len(arrays) == 1:
-        return arrays[0][None]
-    repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
-    if not any(repeated):
-        return np.stack(arrays)
-    one = tuple(slice(0, 1) if cut else slice(None) for cut in repeated)
-    return np.broadcast_to(np.stack([a[one] for a in arrays]),
-                           (len(arrays),) + arrays[0].shape)
-
-
-def _stacked_build(builds, ndim, reform):
-    """One ``_build`` of a stack of chains from the chains' ``(precoder,
-    coefficients)``, whose coefficient sets have one batch shape once
-    padded to the ``ndim`` axes of ``rho_f``, stacked along a new leading
-    axis (``_stack``). The precoder holds the stacked load matrices, and
-    stacks ``p`` and the gains f only for ``reform``: an adaptive
-    allocator, whose solve and re-form are the one allocate stage that
-    reads them. Elsewhere they are None."""
-    precs, sets = zip(*builds)
-    prec = pc.PrecoderOutput(*((_stack([x.p for x in precs], ndim + 2),
-                                _stack([x.f for x in precs], ndim)) if reform
-                               else (None, None)))
-    vars(prec)["delta"] = _stack([x.delta for x in precs], ndim + 2)  # the cached property's slot
-    coeffs = replace(sets[0], psi=_stack([c.psi for c in sets], ndim + 1),
-                     phi=_stack([c.phi for c in sets], ndim + 2),
-                     gamma=_stack([c.gamma for c in sets], ndim + 2))
-    return prec, coeffs, 0.0
-
-
-def _chain_key(scheme: Scheme):
-    """What a scheme's chain computes: its selection, precoder build
-    function (MMSE_CONV's is MMSE's) and allocation."""
-    return scheme.selection, SCHEMES["precoder"][scheme.precoder], scheme.allocation
-
-
-def _group_metrics(draw, schemes, snr_db, solver, with_ber):
-    """``(sum rate, minimum SINR, BER or None)`` of each scheme on ``draw``
-    over the SNR list ``snr_db``, each what ``run_cell`` gives.
-
-    ES schemes run ``run_cell``. The NS and LS schemes run one chain per
-    distinct (selection, precoder build, allocation), so the MMSE and
-    MMSE_CONV twins share one chain. The chains of one allocation whose
-    coefficient sets have one batch shape (MMSE's has the SNR axis; ZF's
-    and CB's, which do not depend on the SNR, a length-1 axis that
-    broadcasts over it) run as one allocate stage, ``run_chain`` on their
-    builds stacked along a new leading axis (``_stacked_build``): one solve,
-    one re-form for APA, one ``analytic_sinr`` and one ``rates``. Each item
-    equals its own chain bitwise. With BER, one ``ber_qpsk`` call on the
-    restarted streams measures every chain."""
-    cfg = draw.cfg
-    sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
-    realization = draw.realization
-    rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
-    ndim = np.ndim(rho_f)
-    chains, stacks = {}, {}
-    for scheme in schemes:
-        key = _chain_key(scheme)
-        if SCHEMES["selection"][scheme.selection].per_cell or key in chains:
-            continue
-        _, g_hat, err_var, _ = _select(draw, scheme, rho_f)
-        prec, coeffs, _ = _cell_build(draw, scheme, snr_db, g_hat, err_var, rho_f,
-                                      sigma_w2, sigma_s2)
-        chains[key] = scheme, g_hat, err_var, (prec, coeffs)
-        batch = coeffs.psi.shape[:-1]
-        stacks.setdefault((scheme.allocation, (1,) * (ndim - len(batch)) + batch),
-                          []).append(key)
-
-    ran, links = {}, []     # chain -> (its stack's metrics, its item, its link); BER's links
-    for keys in stacks.values():
-        stacked, g_hats, err_vars, builds = zip(*(chains[key] for key in keys))
-        reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
-        g_hat, err_var = ((_stack(g_hats, ndim + 2), _stack(err_vars, ndim + 2)) if reform
-                          else (None, None))
-        result = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
-                           built=_stacked_build(builds, ndim, reform))
-        n_diag = result.n_final.n_diag
-        for i, key in enumerate(keys):
-            ran[key] = result.metrics, i, len(links)
-            links.append((result.precoder.p[i] if reform else builds[i][0].p, n_diag[i],
-                          g_hats[i]))
-
-    ber = None
-    if with_ber and links:
-        p, n_diag, g_hat = zip(*links)
-        ber, _ = mt.ber_qpsk(
-            _stack(p, ndim + 2), _stack(n_diag, ndim + 1), realization.g,
-            _stack(g_hat, ndim + 2), rho_f, sigma_w2, solver.symbols_per_packet,
-            _stream(draw.seed, draw.trial, "symbols"), packets=solver.packets_per_trial,
-            noise_rng=_stream(draw.seed, draw.trial, "noise"))
-    cells = []
-    for scheme in schemes:
-        key = _chain_key(scheme)
-        if key in ran:
-            metrics, i, link = ran[key]
-            cells.append((metrics.sum_rate[i], metrics.min_sinr[i],
-                          None if ber is None else ber[link]))
-        else:
-            metrics = run_cell(draw, scheme, snr_db, solver, with_ber).metrics
-            cells.append((metrics.sum_rate, metrics.min_sinr, metrics.ber))
-    return cells
-
-
 def _samples(groups, num_schemes, trial, seed, with_ber, cells_of):
     """``(fields, schemes, points)`` samples of one trial: one draw per
-    group, and ``cells_of(draw, values, snrs)``, each scheme's ``(sum rate,
-    minimum SINR, BER)`` over the group's points, in scheme order."""
+    group, and ``cells_of(draw, values, snrs)``, each scheme's
+    ``PipelineResult`` over the group's points, in scheme order."""
     points = sum(len(values) for values, _, _ in groups)
     samples = np.empty((3 if with_ber else 2, num_schemes, points))
     draw = None
@@ -782,11 +760,11 @@ def _samples(groups, num_schemes, trial, seed, with_ber, cells_of):
     for values, cfg, snrs in groups:
         draw = TrialDraw(cfg, trial, seed) if draw is None else draw.at(cfg)
         cells = slice(start, start + len(values))
-        for s, (sum_rate, min_sinr, ber) in enumerate(cells_of(draw, values, snrs)):
-            samples[0, s, cells] = sum_rate
-            samples[1, s, cells] = 10.0 * np.log10(min_sinr)
+        for s, cell in enumerate(cells_of(draw, values, snrs)):
+            samples[0, s, cells] = cell.metrics.sum_rate
+            samples[1, s, cells] = 10.0 * np.log10(cell.metrics.min_sinr)
             if with_ber:
-                samples[2, s, cells] = ber
+                samples[2, s, cells] = cell.metrics.ber
         start = cells.stop
     return samples
 
@@ -794,28 +772,21 @@ def _samples(groups, num_schemes, trial, seed, with_ber, cells_of):
 def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
     """Trial ``trial``'s samples, ``(fields, schemes, points)``: the sum
     rate, the minimum SINR in dB and, with BER, the BER of each cell. One
-    draw per group, whose schemes run over the group's SNR list as
-    ``_group_metrics`` runs them: stacked allocate stages for NS and LS, and
-    one ``run_cell`` per ES scheme. If any of it fails on the draw, the
-    trial runs again one cell at a time, every point a group of its own,
-    which raises the ``TrialError`` of the first failing cell in (point,
-    scheme) order."""
+    draw and one ``run_cells`` per group, over the group's SNR list. If any
+    of it fails on the draw, the trial runs again one cell at a time, every
+    point a group of its own, which raises the ``TrialError`` of the first
+    failing cell in (point, scheme) order."""
     try:
         return _samples(groups, len(schemes), trial, seed, with_ber,
-                        lambda draw, _, snrs: _group_metrics(draw, schemes, snrs, solver,
-                                                             with_ber))
+                        lambda draw, _, snrs: run_cells(draw, schemes, snrs, solver, with_ber))
     except (ArithmeticError, ValueError):     # LinAlgError is a ValueError
         pass
     singles = [([value], cfg, [snr]) for values, cfg, snrs in groups
                for value, snr in zip(values, snrs)]
-
-    def cells(draw, values, snrs):
-        for scheme in schemes:
-            metrics = _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
-                                  with_ber=with_ber).metrics
-            yield metrics.sum_rate, metrics.min_sinr, metrics.ber
-
-    return _samples(singles, len(schemes), trial, seed, with_ber, cells)
+    return _samples(singles, len(schemes), trial, seed, with_ber,
+                    lambda draw, values, snrs: [
+                        _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
+                                    with_ber=with_ber) for scheme in schemes])
 
 
 def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
@@ -828,18 +799,15 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     SNR grid is one group, and every selection-fraction or antenna-split
     point is a group of one. The sweep runs trial-major: for each trial it
     draws the channel block once per group (once per trial on the
-    selection-fraction axis), makes the NS and LS masks and builds once per
-    group, and runs every scheme over the group's SNR points, so scheme
-    comparisons are paired: each ES scheme as one cell, and the NS and LS
-    schemes as one chain per distinct (selection, precoder build,
-    allocation), stacked by allocation into one allocate stage each, with
-    one ``ber_qpsk`` call for all of them. Each (scheme, point) gives what
-    ``run_trial`` gives for it. Rows come scheme-major, axis points in
-    order. A trial that fails on its draw raises ``TrialError`` for the
-    first failing cell in (trial, axis point, scheme) order, so it names the
-    smallest failing trial over all schemes and points: a trial whose
-    stages or cells fail is re-run one cell at a time, one point at a time,
-    to find that cell. Missing or
+    selection-fraction axis) and runs every scheme over the group's SNR
+    points in one ``run_cells``, so scheme comparisons are paired. Each
+    (scheme, point) gives what ``run_trial`` gives for it. Rows come
+    scheme-major, axis points in order; a scheme listed twice gives its
+    rows twice. A trial that fails on its draw raises ``TrialError`` for
+    the first failing cell in (trial, axis point, scheme) order, so it
+    names the smallest failing trial over all schemes and points: a trial
+    whose ``run_cells`` fails is re-run one cell at a time, one point at a
+    time, to find that cell. Missing or
     malformed ``axis_values``, a ``trials`` that is not an integer of at least
     1, and an ES scheme over ``sel.ES_BUDGET`` candidates at any axis point
     (``sel.check_es_budget``), raise ``ValueError`` before the first trial.

@@ -219,6 +219,19 @@ def test_an_es_scheme_over_budget_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset", ["fig-tiny-opa", "fig-learning"])
+def test_a_repeated_scheme_is_a_usage_error(tmp_path, capsys, preset):
+    # each label would write its rows twice; " ZF+UPA+NS" parses to the label
+    out = tmp_path / "x.csv"
+    assert main(["run", "--preset", preset, "--out", str(out),
+                 "--schemes", "MMSE+APA+LS,ZF+UPA+NS,MMSE+UPA+LS, ZF+UPA+NS"]) == 2
+    err = capsys.readouterr().err
+    assert "--schemes lists ZF+UPA+NS more than once" in err
+    assert "running preset" not in err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.config.json").exists()
+
+
+@pytest.mark.parametrize("preset", ["fig-tiny-opa", "fig-learning"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_a_trial_count_below_one_is_a_usage_error(tmp_path, capsys, preset, trials):
     out = tmp_path / "x.csv"

@@ -12,7 +12,7 @@ from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
 from cellfree.cli_io import emit_results, read_results
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
-                               TrialError, _mean_se, _stream, run_cell, run_chain,
+                               TrialError, _mean_se, _stream, run_cell, run_cells, run_chain,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import (APA_ITERATIONS, APA_STEP, OPA_ITERATIONS, OPA_TOL,
                                        apa_sgd, opa_bisection, upa)
@@ -472,51 +472,59 @@ def test_a_grid_cell_equals_its_point_cells_bitwise():
 
 
 def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
-    # ES runs one grid cell per scheme and trial; NS and LS run one stacked
-    # allocate stage per (allocation, coefficient batch shape) and trial
+    # one run_cells per trial and group, on every scheme over the group's
+    # points; in it, NS and LS run one stacked allocate stage per
+    # (allocation, coefficient batch shape), and ES one search per chain
     calls = collections.Counter()
-    run, chain = pipeline.run_cell, pipeline.run_chain
+    run, chain = pipeline.run_cells, pipeline.run_chain
 
-    def counted(draw, scheme, snr_db, *args, **kwargs):
-        calls[scheme.selection, np.ndim(snr_db)] += 1
-        return run(draw, scheme, snr_db, *args, **kwargs)
+    def counted(draw, schemes, snr_db, *args, **kwargs):
+        calls["run_cells", len(schemes), np.ndim(snr_db)] += 1
+        return run(draw, schemes, snr_db, *args, **kwargs)
 
     def counted_chain(g_hat, err_var, scheme, rho_f, *args, built=None):
         if built is not None:                   # MIXED's ES search builds its own
             calls[scheme.allocation, built[1].psi.shape[:-1]] += 1
         return chain(g_hat, err_var, scheme, rho_f, *args, built=built)
 
-    monkeypatch.setattr(pipeline, "run_cell", counted)
+    monkeypatch.setattr(pipeline, "run_cells", counted)
     monkeypatch.setattr(pipeline, "run_chain", counted_chain)
     run_sweep(cfg_with(**SMALL), MIXED, "snr_grid", trials=2)
     # MMSE+APA+NS and +LS stacked over the 3 points; CB+OPA+LS's one
     # coefficient set serves every point
-    assert calls == {("ES", 1): 2, ("APA", (2, 3)): 2, ("OPA", (1, 1)): 2}
+    assert calls == {("run_cells", 4, 1): 2, ("APA", (2, 3)): 2, ("OPA", (1, 1)): 2}
     # the other axes run the same loop, each point a grid of length 1
     for axis, values in (("selection_fraction", (1.0, 0.5, 0.2)), ("antennas_per_ap", (1, 2))):
         calls.clear()
         run_sweep(cfg_with(**SMALL), MIXED, axis, trials=2, axis_values=values)
         cells = len(values) * 2
-        assert calls == {("ES", 1): cells, ("APA", (2, 1)): cells, ("OPA", (1, 1)): cells}
+        assert calls == {("run_cells", 4, 1): cells, ("APA", (2, 1)): cells,
+                         ("OPA", (1, 1)): cells}
 
 
-def test_shared_draw_arrays_are_read_only():
+def test_shared_draw_arrays_are_read_only(monkeypatch):
     cfg = cfg_with(**TINY)
     for label in ("MMSE+OPA+NS", "MMSE+OPA+LS", "MMSE+OPA+ES"):
         res = run_trial(cfg, Scheme.parse(label), 10.0, trial=0)
         with pytest.raises(ValueError, match="read-only"):
             res.mask[0, 0] = 0.0
+    masked, builds = [], []
+    apply, build = selection.apply_mask, pipeline._build
+    monkeypatch.setattr(selection, "apply_mask",
+                        lambda *args: masked.append(apply(*args)) or masked[-1])
+    monkeypatch.setattr(pipeline, "_build",
+                        lambda *args: builds.append(build(*args)) or builds[-1])
     draw = TrialDraw(cfg, 0, cfg.rng_seed)
-    run_cell(draw, Scheme.parse("MMSE+OPA+LS"), 10.0)
-    run_cell(draw, Scheme.parse("MMSE+UPA+LS"), [0.0, 10.0])
-    run_cell(draw, Scheme.parse("ZF+UPA+NS"), [0.0, 10.0])
-    assert len(draw.builds) == 3
-    mask, g_hat, err_var, _ = draw.selections["LS"]
-    built = [array for prec, coeffs in draw.builds.values()
-             for array in (prec.p, prec.f, coeffs.psi, coeffs.phi, coeffs.gamma)
-             if np.ndim(array)]
-    assert len(built) == 14                   # f is a scalar at one SNR point
-    for array in (*vars(draw.realization).values(), mask, g_hat, err_var, *built):
+    opa, upa, zf = run_cells(draw, [Scheme.parse(label) for label in
+                                    ("MMSE+OPA+LS", "MMSE+UPA+LS", "ZF+UPA+NS")], [0.0, 10.0])
+    # one LS mask and one NS mask, each masked once; one MMSE build on the
+    # LS mask, which both LS cells read, and one ZF build on NS
+    assert len(masked) == len(builds) == 2
+    assert opa.mask is upa.mask and opa.precoder is upa.precoder is builds[0][0]
+    shared = [array for prec, coeffs, _ in builds
+              for array in (prec.p, prec.f, prec.delta, coeffs.psi, coeffs.phi, coeffs.gamma)]
+    for array in (*vars(draw.realization).values(), opa.mask, zf.mask,
+                  *(array for pair in masked for array in pair), *shared):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
 
@@ -1082,18 +1090,14 @@ def test_a_failing_sweep_re_runs_only_a_grid_trial_and_only_once(monkeypatch):
     # a trial's groups run as stacked stages (trial, "stacked") or, on the
     # trial that fails, once more one cell at a time (trial, SNR points)
     calls = collections.Counter()
-    run, stacked = pipeline.run_cell, pipeline._group_metrics
+    run = pipeline.run_cells
 
-    def counted(draw, scheme, snr_db, *args, **kwargs):
-        calls[draw.trial, np.shape(snr_db)] += 1
-        return run(draw, scheme, snr_db, *args, **kwargs)
+    def counted(draw, schemes, snr_db, *args, **kwargs):
+        # the sweep's schemes run together; a re-run cell runs alone
+        calls[draw.trial, "stacked" if len(schemes) > 1 else np.shape(snr_db)] += 1
+        return run(draw, schemes, snr_db, *args, **kwargs)
 
-    def counted_stages(draw, *args):
-        calls[draw.trial, "stacked"] += 1
-        return stacked(draw, *args)
-
-    monkeypatch.setattr(pipeline, "run_cell", counted)
-    monkeypatch.setattr(pipeline, "_group_metrics", counted_stages)
+    monkeypatch.setattr(pipeline, "run_cells", counted)
     # one-point groups: each group's stages run once per trial; the failing
     # trial (trial 2; see the test above) re-runs each cell once, up to the
     # failing one, the last of the four

@@ -17,7 +17,8 @@ from scipy.linalg import cho_factor, cho_solve
 from cellfree import selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_cell, run_chain, run_trial
+from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell,
+                               run_cells, run_chain, run_trial)
 from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
 from cellfree.precoding import RankDeficientError, mmse_precoder
 from cellfree.presets import PRESETS
@@ -281,9 +282,9 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(grid_cases())
 def test_mmse_conv_equals_mmse_under_every_allocation_it_takes(case):
-    """The draw's build memo serves MMSE and MMSE_CONV from one build, and
-    APA, the one allocation that re-forms, does not take MMSE_CONV, so their
-    chains must agree bitwise wherever MMSE_CONV is accepted."""
+    """MMSE and MMSE_CONV share one build function, and APA, the one
+    allocation that re-forms, does not take MMSE_CONV, so their chains must
+    agree bitwise wherever MMSE_CONV is accepted."""
     cfg, selected, snrs, trial = case
     allocations = [a for a, allocator in SCHEMES["allocation"].items()
                    if allocator.accepts("MMSE_CONV")]
@@ -298,6 +299,65 @@ def test_mmse_conv_equals_mmse_under_every_allocation_it_takes(case):
         assert mmse.trace["allocation_solves"] == conv.trace["allocation_solves"]
         for name in ("per_user_sinr", "sum_rate", "min_sinr"):
             assert np.array_equal(getattr(mmse.metrics, name), getattr(conv.metrics, name))
+
+
+# every scheme the table accepts, and the twin that shares each MMSE one's build
+ALL_SCHEMES = [Scheme(*pair, selected) for pair in PAIRS for selected in SCHEMES["selection"]]
+TWINS = {s: Scheme({"MMSE": "MMSE_CONV", "MMSE_CONV": "MMSE"}[s.precoder], s.allocation,
+                   s.selection)
+         for s in ALL_SCHEMES if s.precoder in ("MMSE", "MMSE_CONV")
+         and SCHEMES["allocation"][s.allocation].accepts("MMSE_CONV")}
+
+
+@st.composite
+def cells_cases(draw):
+    """A small config whose ES search is affordable; a list of schemes: one
+    (precoder, allocation) pair on NS, LS and ES, so that an allocate stage
+    stacks two chains, some more of the accepted schemes, and repeats and
+    twins of them, in any order; and one SNR point or a grid."""
+    cfg, _, _, trial = draw(es_cases())
+    pair = draw(st.sampled_from(PAIRS))
+    schemes = [Scheme(*pair, selected) for selected in SCHEMES["selection"]]
+    schemes += draw(st.lists(st.sampled_from(ALL_SCHEMES), max_size=3))
+    twins = [TWINS[s] for s in schemes if s in TWINS]
+    schemes += draw(st.lists(st.sampled_from(schemes + twins), max_size=3))
+    snrs = draw(st.lists(st.floats(-90.0, 60.0), min_size=1, max_size=4))
+    snr = snrs if draw(st.booleans()) else snrs[0]
+    return cfg, draw(st.permutations(schemes)), snr, trial
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cells_cases())
+def test_run_cells_equals_each_scheme_on_a_fresh_draw_bitwise(case):
+    """Every field of each cell of one ``run_cells`` call, BER included,
+    equals that scheme's ``run_cell`` on a fresh draw, and the call fails
+    exactly when one of those cells does."""
+    cfg, schemes, snr, trial = case
+    solver = SolverParams(symbols_per_packet=16)
+
+    fresh = []
+    for scheme in schemes:
+        try:
+            fresh.append(run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snr, solver,
+                                  with_ber=True))
+        except (ArithmeticError, ValueError):         # LinAlgError is a ValueError
+            with pytest.raises((ArithmeticError, ValueError)):
+                run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver,
+                          with_ber=True)
+            return
+    got = run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver, with_ber=True)
+    assert len(got) == len(schemes)
+    for scheme, cell, want in zip(schemes, got, fresh):
+        label = (scheme.label, snr)
+        assert np.array_equal(cell.mask, want.mask), label
+        assert np.array_equal(cell.precoder.p, want.precoder.p), label
+        for mine, theirs in ((cell.n_first, want.n_first), (cell.n_final, want.n_final)):
+            for name in ("eta", "achieved_t", "cost_trace"):
+                a, b = getattr(mine, name), getattr(theirs, name)
+                assert (a is None and b is None) or np.array_equal(a, b), (label, name)
+        for field in dataclasses.fields(want.metrics):
+            assert np.array_equal(getattr(cell.metrics, field.name),
+                                  getattr(want.metrics, field.name)), (label, field.name)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
