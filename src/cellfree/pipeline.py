@@ -43,10 +43,11 @@ schemes share each selection, with the estimate and error variance it
 masks, and each (selection, precoder build), which MMSE and MMSE_CONV
 share; all of these are read-only and live only for the call. They run one
 chain per distinct (selection, precoder build, allocation), so MMSE and
-MMSE_CONV twins share one, and the chains of one allocation whose
-coefficient sets have one batch shape run as one allocate stage: one
-``run_chain`` on their builds stacked along a new leading axis, whose items
-each equal their own 2-D chain's. Each cell's result is its chain's item.
+MMSE_CONV twins share one, and the chains of one allocation run as one
+allocate stage: one ``run_chain`` on their builds stacked along a new
+leading axis, ZF's and CB's one coefficient set per channel broadcast over
+the SNR points beside MMSE's one per point, whose items each equal their
+own 2-D chain's. Each cell's result is its chain's item.
 ``run_cell`` is ``run_cells`` of one scheme, and ``run_trial`` one cell on a
 fresh draw. ``run_sweep`` runs trial-major: one draw and one ``run_cells``
 per config, over that config's SNR points: the whole grid on the SNR axis,
@@ -461,7 +462,9 @@ def _stack(arrays, ndim):
               for a in map(np.asarray, arrays)]
     if len(arrays) == 1:
         return arrays[0][None]
-    if len({a.shape for a in arrays}) > 1:    # ES's per-point estimates beside one mask's
+    # ES's per-point estimates beside one mask's, MMSE's per-point sets beside
+    # ZF's or CB's one
+    if len({a.shape for a in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
     repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
     if not any(repeated):
@@ -473,9 +476,9 @@ def _stack(arrays, ndim):
 
 def _stacked_build(builds, ndim, reform):
     """One ``_build`` of a stack of chains from the chains' ``(precoder,
-    coefficients)``, whose coefficient sets have one batch shape once
-    padded to the ``ndim`` axes of ``rho_f``, stacked along a new leading
-    axis (``_stack``). The precoder holds the stacked load matrices, and
+    coefficients)``, each padded to the ``ndim`` axes of ``rho_f``,
+    broadcast against each other and stacked along a new leading axis
+    (``_stack``). The precoder holds the stacked load matrices, and
     stacks ``p`` and the gains f only for ``reform``: an adaptive
     allocator, whose solve and re-form are the one allocate stage that
     reads them. Elsewhere they are None."""
@@ -536,7 +539,10 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
 
     ``trace`` of a cell: its solver counts and its allocate stage's seconds
     (``trace["seconds"]["allocation"]``, and APA's re-form under
-    ``"precoder"``) are those of its stage, which may hold other chains.
+    ``"precoder"``) are those of its stage, which holds every NS and LS
+    chain of its allocation: the MMSE, ZF and CB cells of one allocation
+    share one stage's ``allocation_iterations``, ``allocation_tests`` and
+    seconds.
     The channel draw's seconds (``"channel"``), a selection's
     (``"selection"``) and a build's (precoder and SINR coefficients, under
     ``"precoder"``) count only in the first cell that used them. An ES
@@ -558,7 +564,7 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     # precoder build), (precoder, coefficients); chains: per chain key, its
     # selection; ran: per chain key, its result
     selections, builds, chains, ran = {}, {}, {}, {}
-    stacks = {}     # (allocation, coefficient batch shape) -> one scheme per chain
+    stacks = {}     # allocation -> one scheme per chain
     cells = []      # per scheme: its chain's key, and the seconds of what it made
     for scheme in schemes:
         key = _chain_key(scheme)
@@ -585,9 +591,7 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
             _read_only(prec.p, prec.f, prec.delta, coeffs.psi, coeffs.phi, coeffs.gamma,
                        coeffs.rho_f)
             builds[key[:2]] = prec, coeffs
-        batch = builds[key[:2]][1].psi.shape[:-1]
-        stacks.setdefault((scheme.allocation, (1,) * (ndim - len(batch)) + batch),
-                          []).append(scheme)
+        stacks.setdefault(scheme.allocation, []).append(scheme)
 
     for stacked in stacks.values():
         keys = [_chain_key(scheme) for scheme in stacked]

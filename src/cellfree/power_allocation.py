@@ -9,13 +9,13 @@ are provided:
   a target reduces to a K x K linear solve because the SINR constraints,
   taken at equality, form a monotone interference system whose nonnegative
   solution (when it exists) is the componentwise-minimal feasible point.
-  The max-min target t* itself is an inverse Perron root, found with one
-  eigendecomposition and a few Newton steps; the bisection's halvings are
-  replayed from it, and only the midpoints within 1e-8 of t* are tested.
-  The call that returns eta also certifies that band; a band that fails
-  widens and the replay runs once more. ``opa_bound`` brackets OPA's answer
-  in closed form, with no eigendecomposition, for exhaustive selection's
-  screen.
+  The max-min target t* itself is an inverse Perron root, found by a few
+  Newton steps of two batched K x K solves each, with no
+  eigendecomposition; the bisection's halvings are replayed from it, and
+  only the midpoints within 1e-8 of t* are tested. The call that returns
+  eta also certifies that band; a band that fails widens and the replay
+  runs once more. ``opa_bound`` brackets OPA's answer in closed form, with
+  no solve, for exhaustive selection's screen.
 * APA: gradient descent on the transmit MSE of a fixed MMSE-family
   precoder, a separable per-user quadratic read from the SINR
   coefficients, rescaled to the per-antenna constraint after every update.
@@ -26,13 +26,11 @@ Every solver also accepts stacked coefficient sets and loadings along
 leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients), and
 coefficients whose ``rho_f`` is given per item, ``(...)``; the items of the
 loadings, the coefficients and ``rho_f`` broadcast together. Each item is
-solved exactly as its own 2-D call would solve it. OPA's root solve keeps
-each array at its own item shape: it decomposes each coefficient set's
-coupling matrix once, whatever the number of ``rho_f`` items it serves, so
-a ZF or CB precoder's whole SNR grid costs one eigendecomposition. OPA then
-tests the items' undecided midpoints together, one ``sinr_feasible`` call
-per round, and returns every item's eta and checks every band in one more
-call.
+solved exactly as its own 2-D call would solve it. OPA's root solve steps
+every item with a root together, one pair of batched solves per step, and
+an item leaves the batch at its own stop. OPA then tests the items'
+undecided midpoints together, one ``sinr_feasible`` call per round, and
+returns every item's eta and checks every band in one more call.
 """
 
 from __future__ import annotations
@@ -95,15 +93,7 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     diagonal = np.einsum("...ii->...i", a)              # a writable view
     diagonal[...] = coeffs.rho_psi - t_rho[..., None] * coeffs.gamma_diag
     b = (t * coeffs.sigma_w2)[..., None, None] * np.ones((a.shape[-1], 1))
-    try:
-        eta = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        eta = np.full(a.shape[:-1], np.nan)
-        for i in np.ndindex(a.shape[:-2]):
-            try:
-                eta[i] = np.linalg.solve(a[i], b[i])[..., 0]
-            except np.linalg.LinAlgError:
-                pass                    # singular: this item stays infeasible
+    eta = _solve(a, b)[..., 0]          # a singular system: NaN, infeasible
     if np.count_nonzero(t) < t.size:
         # the zero target is met by eta = 0, whatever the system
         eta = np.where((t == 0.0)[..., None], 0.0, eta)
@@ -136,18 +126,54 @@ ROOT_MAX_STEPS = 60
 
 
 def _coupling(coeffs: SinrCoefficients, loaded):
-    """``(A, b, finite, rootless)`` of the SINR constraints, under which
-    user k's SINR is ``eta_k / (b + A eta)_k``: ``A = (phi_cross + gamma) /
-    psi[:, None]`` and ``b = sigma_w2 / (rho_f psi)``. ``finite`` marks, at
-    the batch shape of ``A``, the coefficient sets whose ``A`` is finite;
-    ``rootless`` marks the items with no max-min root: a user with no
-    desired signal (``psi_k = 0``), a non-finite ``A`` or ``b``, or no
-    antenna carrying a load (``loaded`` False)."""
+    """``(A, b, rootless)`` of the SINR constraints, under which user k's
+    SINR is ``eta_k / (b + A eta)_k``: ``A = (phi_cross + gamma) /
+    psi[:, None]`` and ``b = sigma_w2 / (rho_f psi)``. ``rootless`` marks the
+    items with no max-min root: a user with no desired signal
+    (``psi_k = 0``), a non-finite ``A`` or ``b``, or no antenna carrying a
+    load (``loaded`` False)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
         b = coeffs.sigma_w2 / coeffs.rho_psi
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    return a, b, finite, ~(finite & np.isfinite(b).all(axis=-1) & loaded)
+    finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+    return a, b, ~(finite & loaded)
+
+
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` over a batch of systems. Where one of them
+    is singular, the others are solved one by one and the singular ones'
+    solutions are NaN, so a singular item fails only itself."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        b = np.broadcast_to(b, a.shape[:-2] + b.shape[-2:])
+        x = np.full(b.shape, np.nan)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass                    # singular: this item stays NaN
+        return x
+
+
+# Steps of the scaled fixed-point iteration whose iterates give
+# ``opa_bound`` its lower end and the root solve its start
+OPA_BOUND_STEPS = 2
+
+
+def _feasible_floor(a, b, loads):
+    """The best minimum SINR, ``min_k eta_k / (b + A eta)_k``, of ``eta = b``
+    and ``OPA_BOUND_STEPS`` steps of ``eta <- b + A eta``, each scaled to a
+    peak antenna load of 1: feasible allocations, so a lower bound on the
+    max-min target t*."""
+    lo = -np.inf
+    eta = b
+    for _ in range(OPA_BOUND_STEPS + 1):
+        eta = eta / np.matvec(loads, eta).max(axis=-1)[..., None]
+        step = b + np.matvec(a, eta)
+        lo = np.fmax(lo, (eta / step).min(axis=-1))
+        eta = step
+    return lo
 
 
 def _max_min_root(coeffs: SinrCoefficients, delta):
@@ -158,68 +184,81 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     constraints read ``eta = t (b + A eta)`` with
     ``A = (phi_cross + gamma) / psi[:, None]`` and
     ``b = sigma_w2 / (rho_f psi)``, so in ``s = 1/t`` the minimal
-    coefficients are ``(sI - A)^-1 b`` and antenna m carries the load
-    ``g_m(s) = delta[m] (sI - A)^-1 b``. Every load falls from a pole at the
-    Perron root rho(A) toward 0, and ``t* = 1/s*`` where s* is the largest s
-    at which some load is 1 (Cai, Quek, Tan and Low, IEEE TSP 2012). One
-    eigendecomposition ``A = V diag(lam) V^-1`` makes each load a sum of K
-    poles. ``A`` does not depend on ``rho_f``, so ``A``, its decomposition,
-    ``delta @ V`` and the antennas' peak loads are formed at the batch shape
-    of the coefficient sets and loadings and broadcast to the items: a
-    precoder whose coefficients serve a whole SNR grid is decomposed once.
-    Only the residues, ``solve(V, b)``, and the steps are per item. s* lies
-    between ``max(rho(A), max_m delta[m] b)`` and the bound the uniform
-    allocation gives; from ``rho(A) + max_m delta[m] b``, each step moves to
-    the largest of the antennas' tangent roots of ``1/g_m = 1``. ``1/g_m``
-    is nearly linear in s, where a tangent to ``g_m`` itself would overshoot
-    past the pole. A step that leaves the bracket known to hold s* is
-    replaced by the bracket's midpoint. The steps converge quadratically, so
-    an item stops once its tangent step is at most 1e-6 relative, which
-    leaves it about 1e-13 from s*; it then keeps that root while the others
-    step on, so each item's root is the one its own call finds. An item has
-    no root, NaN, where a user has no desired signal (``psi_k = 0``), ``b``
-    is not finite or no antenna carries a load; every root is NaN if a
-    decomposition fails.
+    coefficients are ``x = (sI - A)^-1 b`` and antenna m carries the load
+    ``g_m(s) = delta[m] x``. Every load falls from a pole at the Perron root
+    rho(A) toward 0, and ``t* = 1/s*`` where s* is the largest s at which
+    some load is 1 (Cai, Quek, Tan and Low, IEEE TSP 2012). Right of the
+    pole ``(sI - A)^-1`` is nonnegative, so x is positive; an x with an
+    entry at or below 0, or a singular ``sI - A``, marks s as left of it.
+
+    Each Newton step takes two batched solves, ``(sI - A) x = b`` and
+    ``(sI - A) y = x``, for the loads ``g = delta x`` and their slope
+    ``-delta y``, and moves to the largest of the antennas' tangent roots of
+    ``1/g_m = 1``. ``1/g_m`` is nearly linear in s, where a tangent to
+    ``g_m`` itself would overshoot past the pole. s* lies between
+    ``max(min_k (A 1)_k, max_m delta[m] b)`` (the smallest row sum bounds
+    rho(A) from below) and the bound the uniform allocation gives. The steps
+    start strictly right of the pole, at the smaller of two upper bounds on
+    s*, each raised by 1e-12 relative: ``max_m delta[m] b`` plus the largest
+    row sum, which bounds rho(A) from above, and ``1/lo`` with lo the
+    minimum SINR of ``_feasible_floor``'s allocations. A step that leaves
+    the bracket known to hold s*, or starts left of the pole, is replaced by
+    the bracket's midpoint. The steps converge quadratically, so an item
+    stops once its tangent step is at most 1e-6 relative, which leaves it
+    about 1e-13 from s*; it then leaves the batch with that root, so each
+    item's root is the one its own call finds. An item has no root, NaN,
+    where a user has no desired signal (``psi_k = 0``), ``A`` or ``b`` is not
+    finite or no antenna carries a load; it takes no step.
     """
     peak = delta.sum(axis=-1).max(axis=-1)
-    a, b, finite, rootless = _coupling(coeffs, peak > 0.0)
+    a, b, rootless = _coupling(coeffs, peak > 0.0)
+    k = b.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            # eig returns real arrays only when every item's eigenvalues are
-            # real; complex ones keep each item's arithmetic the same in any
-            # batch. An A that is not finite is decomposed as 0, so that it
-            # cannot fail the others' decomposition.
-            lam, v = (x.astype(complex)
-                      for x in np.linalg.eig(np.where(finite[..., None, None], a, 0.0)))
-            # residues of the loads: g_m(s) = Re sum_j w[m, j] / (s - lam_j);
-            # one solve per item, as a multi-column solve rounds differently
-            w = (delta @ v) * np.linalg.solve(v, b[..., None]).mT
-        except np.linalg.LinAlgError:
-            return np.full(rootless.shape, np.nan), 0
-        pole = lam.real.max(axis=-1)
+        rows = a.sum(axis=-1)
         noise = np.matvec(delta, b).max(axis=-1)
-        s_lo = np.maximum(pole, noise)
+        s_lo = np.maximum(rows.min(axis=-1), noise)
         # the uniform allocation reaches SINR_k = 1 / (peak b_k + (A 1)_k),
         # so s* is at most the largest of those
-        s_hi = (peak[..., None] * b + a.sum(axis=-1)).max(axis=-1)
-        s = pole * (1.0 + 1e-12) + noise
-        done = np.broadcast_to(rootless, s.shape).copy()
-        for steps in range(1, ROOT_MAX_STEPS + 1):
-            u = 1.0 / (s[..., None] - lam)
-            g = np.matvec(w, u).real
-            # the largest tangent step; an unloaded antenna (g_m = 0) gives NaN
-            move = np.fmax.reduce(g * (g - 1.0) / np.matvec(w, u * u).real, axis=-1)
-            left = move >= 0.0                          # some load is at least 1
+        s_hi = (peak[..., None] * b + rows).max(axis=-1)
+        floor = np.fmax(_feasible_floor(a, b, delta), 0.0)     # 0 where it gives none
+        s = np.fmin(noise + rows.max(axis=-1), 1.0 / floor) * (1.0 + 1e-12)
+
+        # the items with a root, on one flat axis; each leaves it at its stop
+        root = np.full(rootless.size, np.nan)
+        on = np.flatnonzero(~rootless.reshape(-1))
+        pick = slice(None) if on.size == root.size else on     # no copy if all have one
+
+        def flat(x, core=()):
+            return np.broadcast_to(x, rootless.shape + core).reshape((-1,) + core)[pick]
+
+        a, b, delta = flat(a, (k, k)), flat(b, (k,)), flat(delta, delta.shape[-2:])
+        s, s_lo, s_hi = flat(s), flat(s_lo), flat(s_hi)
+        eye = np.eye(k)
+        steps = 0
+        while on.size and steps < ROOT_MAX_STEPS:
+            steps += 1
+            shifted = s[:, None, None] * eye - a
+            x = _solve(shifted, b[..., None])
+            y = _solve(shifted, x)[..., 0]
+            x = x[..., 0]
+            g = np.matvec(delta, x)
+            # the largest tangent step; an unloaded antenna (g_m = 0) gives
+            # NaN, and left of the pole there is none
+            right = ((x > 0.0) & (x < np.inf)).all(axis=-1)
+            move = np.where(right, np.fmax.reduce(g * (g - 1.0) / np.matvec(delta, y),
+                                                  axis=-1), np.nan)
+            left = ~right | (move >= 0.0)                 # some load is at least 1
             s_lo = np.where(left, s, s_lo)
             s_hi = np.where(left, s_hi, s)
             tangent = s + move
-            # an item that has stopped keeps its root, as it would on its own
-            s = np.where(done, s, np.where((tangent >= s_lo) & (tangent <= s_hi),
-                                           tangent, 0.5 * (s_lo + s_hi)))
-            done |= np.abs(move) <= 1e-6 * s
-            if done.all():
-                break
-        return np.where(rootless, np.nan, 1.0 / s), steps
+            s = np.where((tangent >= s_lo) & (tangent <= s_hi), tangent, 0.5 * (s_lo + s_hi))
+            stop = np.abs(move) <= 1e-6 * s
+            if stop.any():
+                root[on[stop]] = 1.0 / s[stop]
+                on, a, b, delta, s, s_lo, s_hi = (v[~stop] for v in (on, a, b, delta, s, s_lo,
+                                                                       s_hi))
+        root[on] = 1.0 / s
+    return root.reshape(rootless.shape), steps
 
 
 def _replay(low, high, step, floor, ceiling, iterations, tol):
@@ -334,10 +373,11 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATI
     made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
     all items and passes. The items are those of the coefficients, of a
     per-item ``rho_f`` and of ``delta``, broadcast together. The root solve
-    (see ``_max_min_root``) decomposes each coefficient set's coupling once,
-    whatever the number of ``rho_f`` items it serves; a leading axis along
-    which ``delta`` repeats one load matrix (a stride-0 view, as
-    ``np.broadcast_to`` makes) counts once there too.
+    (see ``_max_min_root``) takes a few Newton steps of two batched K x K
+    solves each, with no eigendecomposition, and steps each item until its
+    own stop, so a stack of chains with different coefficient batch shapes
+    (MMSE's one set per SNR point beside ZF's or CB's one set for the grid)
+    costs one call.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -368,11 +408,6 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATI
             iterations, tol)
     return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
                             achieved_t=achieved.reshape(batch)[()], tests=tested)
-
-
-# Steps of the scaled fixed-point iteration whose iterates give
-# ``opa_bound`` its lower end
-OPA_BOUND_STEPS = 2
 
 
 def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
@@ -410,22 +445,14 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
     # u = b d + A_kk, stays defined for a user no antenna loads (d = 0):
     # 1/A_kk, or inf
     loads, d, t_hi = _bracket(coeffs, delta)
-    a, b, _, rootless = _coupling(coeffs, (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
+    a, b, rootless = _coupling(coeffs, (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_kk = np.einsum("...ii->...i", a)
         off = a.copy()
         np.einsum("...ii->...i", off)[...] = 0.0
         u = b * d + a_kk
         hi = (2.0 / (u + np.sqrt(u * u + 4.0 * np.matvec(off, b) * d))).min(axis=-1)
-        # eta = b and each step's iterate, scaled to a peak load of 1, with
-        # its minimum SINR eta_k / (b + A eta)_k
-        lo = np.full(hi.shape, -np.inf)
-        eta = b
-        for _ in range(OPA_BOUND_STEPS + 1):
-            eta = eta / np.matvec(loads, eta).max(axis=-1)[..., None]
-            step = b + np.matvec(a, eta)
-            lo = np.fmax(lo, (eta / step).min(axis=-1))
-            eta = step
+        lo = _feasible_floor(a, b, loads)
     width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
     margin = 2.0 * OPA_ROOT_BAND
     return (np.where(rootless, np.nan, lo * (1.0 - margin) - width),

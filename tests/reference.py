@@ -1,0 +1,121 @@
+"""Helpers and reference oracles that several test modules share: each is
+defined once, here.
+
+``eig_max_min_root`` is the max-min root in its eigendecomposition form,
+the package's method before its root solve moved to batched K x K solves:
+an independent oracle for ``power_allocation._max_min_root``.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from cellfree.channel import SystemConfig
+
+# Newton steps after which the oracle stops, converged or not
+ORACLE_MAX_STEPS = 60
+
+
+def cfg_with(**overrides):
+    return dataclasses.replace(SystemConfig(), **overrides).validate()
+
+
+def random_channel(rng, m, k):
+    return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+
+def mask_from_choices(choices, num_aps, antennas_per_ap):
+    """The (M, K) mask keeping the APs ``choices[k]`` for each user k."""
+    q_ap = np.zeros((num_aps, len(choices)))
+    for k, aps in enumerate(choices):
+        q_ap[list(aps), k] = 1.0
+    return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def grid_max_min(coeffs, delta, resolution=1000):
+    """Independent oracle for two users: exhaustive grid over the per-user
+    power box."""
+    cap = 1.0 / delta.max(axis=0)
+    e1 = np.linspace(0.0, cap[0], resolution + 1)[:, None]
+    e2 = np.linspace(0.0, cap[1], resolution + 1)[None, :]
+    feasible = np.ones((resolution + 1, resolution + 1), dtype=bool)
+    for m in range(delta.shape[0]):
+        feasible &= delta[m, 0] * e1 + delta[m, 1] * e2 <= 1.0 + 1e-12
+    rho, sw2 = coeffs.rho_f, coeffs.sigma_w2
+    s1 = rho * e1 * coeffs.psi[0] / (
+        sw2 + rho * (coeffs.phi[0, 1] * e2
+                     + coeffs.gamma[0, 0] * e1 + coeffs.gamma[0, 1] * e2))
+    s2 = rho * e2 * coeffs.psi[1] / (
+        sw2 + rho * (coeffs.phi[1, 0] * e1
+                     + coeffs.gamma[1, 0] * e1 + coeffs.gamma[1, 1] * e2))
+    worst = np.minimum(s1, s2)
+    worst[~feasible] = -np.inf
+    return float(worst.max())
+
+
+def coupling(coeffs):
+    """``(A, b)``: user k's SINR is ``eta_k / (b + A eta)_k`` with ``A =
+    (phi_cross + gamma) / psi[:, None]`` and ``b = sigma_w2 / (rho_f psi)``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return ((coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None],
+                coeffs.sigma_w2 / coeffs.rho_psi)
+
+
+def polished_root(coeffs, delta, t, steps=3):
+    """``t`` refined by ``steps`` Newton steps, in ``s = 1/t``, on the peak
+    antenna load ``max_m delta[m] (sI - A)^-1 b = 1`` that holds at the
+    max-min root t*. From within 1e-10 of t* each step squares the error,
+    so the result is t* up to rounding."""
+    a, b = coupling(coeffs)
+    s = 1.0 / np.asarray(t, dtype=float)
+    for _ in range(steps):
+        shifted = s[..., None, None] * np.eye(b.shape[-1]) - a
+        x = np.linalg.solve(shifted, b[..., None])
+        y = np.linalg.solve(shifted, x)[..., 0]
+        g, slope = np.matvec(delta, x[..., 0]), np.matvec(delta, y)   # slope = -dg/ds
+        peak = g.argmax(axis=-1)[..., None]
+        s = s + ((np.take_along_axis(g, peak, axis=-1) - 1.0)
+                 / np.take_along_axis(slope, peak, axis=-1))[..., 0]
+    return 1.0 / s
+
+
+def eig_max_min_root(coeffs, delta):
+    """The max-min SINR target t* of every item, and the Newton steps taken,
+    from one eigendecomposition ``A = V diag(lam) V^-1`` per coefficient
+    set, which makes each load ``g_m(s) = delta[m] (sI - A)^-1 b`` a sum of
+    K poles, ``Re sum_j w[m, j] / (s - lam_j)``. From ``rho(A) (1 + 1e-12)
+    + max_m delta[m] b``, each step moves to the largest of the antennas'
+    tangent roots of ``1/g_m = 1``, or to the midpoint of the bracket
+    ``[max(rho(A), max_m delta[m] b), max_k (peak b_k + (A 1)_k)]`` where
+    the tangent leaves it, until an item's step is at most 1e-6 relative.
+    NaN where a user has no desired signal, ``A`` or ``b`` is not finite or
+    no antenna carries a load."""
+    delta = np.asarray(delta, dtype=float)
+    peak = delta.sum(axis=-1).max(axis=-1)
+    a, b = coupling(coeffs)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    rootless = ~(finite & np.isfinite(b).all(axis=-1) & (peak > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam, v = (x.astype(complex)
+                  for x in np.linalg.eig(np.where(finite[..., None, None], a, 0.0)))
+        w = (delta @ v) * np.linalg.solve(v, b[..., None]).mT
+        pole = lam.real.max(axis=-1)
+        noise = np.matvec(delta, b).max(axis=-1)
+        s_lo = np.maximum(pole, noise)
+        s_hi = (peak[..., None] * b + a.sum(axis=-1)).max(axis=-1)
+        s = pole * (1.0 + 1e-12) + noise
+        done = np.broadcast_to(rootless, s.shape).copy()
+        for steps in range(1, ORACLE_MAX_STEPS + 1):
+            u = 1.0 / (s[..., None] - lam)
+            g = np.matvec(w, u).real
+            move = np.fmax.reduce(g * (g - 1.0) / np.matvec(w, u * u).real, axis=-1)
+            left = move >= 0.0
+            s_lo = np.where(left, s, s_lo)
+            s_hi = np.where(left, s_hi, s)
+            tangent = s + move
+            s = np.where(done, s, np.where((tangent >= s_lo) & (tangent <= s_hi),
+                                           tangent, 0.5 * (s_lo + s_hi)))
+            done |= np.abs(move) <= 1e-6 * s
+            if done.all():
+                break
+        return np.where(rootless, np.nan, 1.0 / s), steps

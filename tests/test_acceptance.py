@@ -11,27 +11,19 @@ import time
 
 import numpy as np
 
-from cellfree.channel import SystemConfig
 from cellfree.cli_io import main
 from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
 from cellfree.pipeline import Scheme, TrialDraw, _stream, run_trial
 from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
                                        sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder, zf_precoder
+from reference import cfg_with, grid_max_min, random_channel
 
 
 def report(num, label, ok, detail=""):
     print(f"criterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}"
           + (f" — {detail}" if detail else ""))
     assert ok, f"criterion {num} ({label}) failed: {detail}"
-
-
-def cfg_with(**overrides):
-    return dataclasses.replace(SystemConfig(), **overrides).validate()
-
-
-def random_channel(rng, m, k):
-    return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
 
 
 def random_opa_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
@@ -138,25 +130,6 @@ def test_criterion_3_sinr_terms_match_symbol_level_monte_carlo():
 
 
 # --------------------------------------------------------------------- 4
-
-def grid_max_min(coeffs, delta, resolution=1000):
-    cap = 1.0 / delta.max(axis=0)
-    e1 = np.linspace(0.0, cap[0], resolution + 1)[:, None]
-    e2 = np.linspace(0.0, cap[1], resolution + 1)[None, :]
-    feasible = np.ones((resolution + 1, resolution + 1), dtype=bool)
-    for m in range(delta.shape[0]):
-        feasible &= delta[m, 0] * e1 + delta[m, 1] * e2 <= 1.0 + 1e-12
-    rho, sw2 = coeffs.rho_f, coeffs.sigma_w2
-    s1 = rho * e1 * coeffs.psi[0] / (
-        sw2 + rho * (coeffs.phi[0, 1] * e2 + coeffs.gamma[0, 0] * e1
-                     + coeffs.gamma[0, 1] * e2))
-    s2 = rho * e2 * coeffs.psi[1] / (
-        sw2 + rho * (coeffs.phi[1, 0] * e1 + coeffs.gamma[1, 0] * e1
-                     + coeffs.gamma[1, 1] * e2))
-    worst = np.minimum(s1, s2)
-    worst[~feasible] = -np.inf
-    return float(worst.max())
-
 
 def test_criterion_4_max_min_allocation_correctness():
     start = time.perf_counter()

@@ -20,6 +20,7 @@ from cellfree.power_allocation import apa_sgd, opa_bisection, opa_bound, sinr_fe
 from cellfree.precoding import (PrecoderOutput, RankDeficientError, apply_allocation,
                                 cb_precoder, mmse_precoder, zf_precoder)
 from cellfree.selection import apply_mask, es_aps
+from reference import mask_from_choices
 
 RTOL = 1e-12
 
@@ -190,14 +191,6 @@ def test_a_singular_feasibility_system_fails_only_its_own_item():
 
 
 # --------------------------------------------------- exhaustive selection
-
-def mask_from_choices(choices, num_aps, antennas_per_ap):
-    """The (M, K) mask keeping the APs ``choices[k]`` for each user k."""
-    q_ap = np.zeros((num_aps, len(choices)))
-    for k, aps in enumerate(choices):
-        q_ap[list(aps), k] = 1.0
-    return np.repeat(q_ap, antennas_per_ap, axis=0)
-
 
 def choices_of(mask, antennas_per_ap):
     """Each user's selected AP indices, read back from an (M, K) mask."""

@@ -279,6 +279,20 @@ def test_run_learning_preset_writes_curve(tmp_path, capsys):
     assert captured.out == ""  # progress goes to stderr only
 
 
+def test_a_learning_preset_given_two_schemes_tracks_the_first(tmp_path, capsys):
+    # a learning curve tracks one scheme: the run says which, and writes
+    # that scheme's rows, as a run given only that scheme does
+    both, first = tmp_path / "both.csv", tmp_path / "first.csv"
+    assert main(["run", "--preset", "fig-learning", "--out", str(both), "--trials", "1",
+                 "--schemes", "MMSE+APA+LS,MMSE+APA+NS"]) == 0
+    assert "learning curves track one scheme; using MMSE+APA+LS" in capsys.readouterr().err
+    assert main(["run", "--preset", "fig-learning", "--out", str(first), "--trials", "1",
+                 "--schemes", "MMSE+APA+LS"]) == 0
+    assert "track one scheme" not in capsys.readouterr().err
+    assert both.read_bytes() == first.read_bytes()
+    assert len(both.read_text().splitlines()) == 7  # header + initial point + five steps
+
+
 def test_run_sweep_preset_with_overrides(tmp_path):
     out = tmp_path / "tiny.csv"
     code = main(["run", "--preset", "fig-tiny-opa", "--out", str(out),

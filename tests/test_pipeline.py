@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellfree import channel, metrics, pipeline, precoding, selection
+from cellfree import channel, metrics, pipeline, power_allocation, precoding, selection
 from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
 from cellfree.cli_io import emit_results, read_results
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
@@ -15,14 +15,11 @@ from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDra
                                TrialError, _mean_se, _stream, run_cell, run_cells, run_chain,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import (APA_ITERATIONS, APA_STEP, OPA_ITERATIONS, OPA_TOL,
-                                       apa_sgd, opa_bisection, upa)
+                                       apa_sgd, opa_bisection, sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import apply_mask, ls_aps
-
-
-def cfg_with(**overrides):
-    return dataclasses.replace(SystemConfig(), **overrides).validate()
+from reference import cfg_with
 
 
 TINY = dict(num_aps=5, antennas_per_ap=1, num_users=2, selected_aps=3,
@@ -565,26 +562,29 @@ def test_one_large_sumrate_trial_builds_each_precoder_once_per_selection(monkeyp
     assert calls == {"mmse_precoder": 2, "zf_precoder": 1, "cb_precoder": 1}
 
 
-def test_max_min_roots_decompose_each_coupling_matrix_once(monkeypatch):
-    # A does not depend on rho_f: ZF's and CB's one coefficient set per
-    # channel serves every grid point, and an ES chunk every point of a
-    # candidate; MMSE's coefficients differ per point
-    shapes = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
-    preset = PRESETS["fig-large-sumrate"]
-    cfg = preset.resolve_config(SystemConfig().validate())
-    run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid", trials=1)
-    # MMSE+OPA+LS 6, a stack of one; ZF+OPA+LS 1 and CB+OPA+LS 1, one stack
-    assert sorted(shapes) == [(1, 6, 16, 16), (2, 1, 16, 16)]
-    shapes.clear()
+def test_opa_runs_no_eigendecomposition_and_one_stage_per_allocation(monkeypatch):
+    # the max-min root takes batched K x K solves, so no OPA path calls eig:
+    # the NS and LS stage, ES's screen and its exact chain, with every
+    # precoder. With no decomposition to share, MMSE's per-point coefficient
+    # sets and ZF's and CB's one set stack together: one OPA and one UPA
+    # solve per trial
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("OPA called eig"))
+    calls = collections.Counter()
+    for name in ("opa_bisection", "upa"):
+        monkeypatch.setattr(power_allocation, name,
+                            counting(calls, name, getattr(power_allocation, name)))
+    for name in ("fig-large-sumrate", "fig-ber"):
+        preset = PRESETS[name]
+        cfg = preset.resolve_config(SystemConfig().validate())
+        calls.clear()
+        run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
+                  trials=2, with_ber=preset.with_ber)
+        assert calls == {"opa_bisection": 2, "upa": 2}, name
     tiny = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
-    es = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+OPA+ES"), list(tiny.snr_grid_db))
-    # one matrix per candidate the screen leaves for the chain, shared by the
-    # 3 points; the screen decomposes none, and the winners' chain comes from
-    # the search
-    left = es.trace["es_certified"] // 3
-    assert shapes == [(left, 2, 2)] and 0 < left < 100
+    for precoder in ("MMSE", "ZF", "CB"):
+        es = run_cell(TrialDraw(tiny, 0, 1), Scheme(precoder, "OPA", "ES"),
+                      list(tiny.snr_grid_db))
+        assert es.trace["es_certified"] > 0
     # and UPA and OPA read one load matrix for every point of a ZF grid
     zf = run_cell(TrialDraw(tiny, 0, 1), Scheme.parse("ZF+UPA+LS"), list(tiny.snr_grid_db))
     assert zf.precoder.delta.shape == (3, 5, 2) and zf.precoder.delta.strides[0] == 0
@@ -873,6 +873,49 @@ def test_learning_and_ber_presets_run_at_their_settings():
                        list(cfg.snr_grid_db), solver, with_ber=True)
         errors = np.asarray(res.metrics.ber) * bits
         assert np.allclose(errors, np.round(errors), rtol=0.0, atol=1e-9), label
+
+
+def guarded_link():
+    """An MMSE precoder on a 5 x 2 channel, its SINR coefficients and the
+    channel."""
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    prec = mmse_precoder(g, None, 5.0, 1.0, 0.5)
+    return prec, sinr_coefficients(prec.p, g, np.zeros((5, 2)), 1.0, 0.5), g
+
+
+# each guard's bad call on ``guarded_link()``'s link, and its message
+GUARDS = {
+    "area_side_m below 0": (
+        lambda *_: cfg_with(area_side_m=-1.0), "area_side_m must be nonnegative"),
+    "shadow_sigma_db below 0": (
+        lambda *_: cfg_with(shadow_sigma_db=-1.0), "shadow_sigma_db must be nonnegative"),
+    "negative SINR target": (
+        lambda prec, coeffs, _: sinr_feasible(np.array([1.0, -1.0]), coeffs, prec.delta),
+        "target t must be nonnegative"),
+    "OPA without halvings": (
+        lambda prec, coeffs, _: opa_bisection(coeffs, prec.delta, iterations=0),
+        "iterations must be at least 1"),
+    "APA without steps": (
+        lambda prec, coeffs, _: apa_sgd(prec, coeffs, iterations=0),
+        "iterations must be at least 1"),
+    "APA with a negative step": (
+        lambda prec, coeffs, _: apa_sgd(prec, coeffs, mu=-0.25),
+        "step size mu must be nonnegative"),
+    "MMSE with negative noise": (
+        lambda *link: mmse_precoder(link[2], None, 5.0, 1.0, -0.5),
+        "sigma_w2 must be nonnegative"),
+    "MMSE with a non-finite ridge": (
+        lambda *link: mmse_precoder(link[2], None, 5.0, 1.0, np.inf),
+        "ridge must not contain infs or NaNs"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_a_guard_refuses_its_bad_input_by_name(guard):
+    call, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=message):
+        call(*guarded_link())
 
 
 def test_every_scheme_completes_at_the_snr_bound():

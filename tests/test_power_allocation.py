@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellfree import power_allocation as pa
+from cellfree.channel import SystemConfig
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
-from cellfree.pipeline import Scheme, run_chain
+from cellfree.pipeline import Scheme, run_chain, run_sweep
 from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
                                        sinr_feasible, upa)
 from cellfree.precoding import PrecoderOutput, cb_precoder, mmse_precoder, zf_precoder
+from cellfree.presets import PRESETS
+from reference import coupling, eig_max_min_root, grid_max_min, polished_root
 
 
 def random_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
@@ -29,26 +32,6 @@ def eta_iterates(precoder, coeffs, iterations, **kwargs):
     return [np.full(coeffs.psi.shape, 1e-3)] + [
         apa_sgd(precoder, coeffs, iterations=s, **kwargs).eta
         for s in range(1, iterations + 1)]
-
-
-def grid_max_min(coeffs, delta, resolution=1000):
-    """Independent oracle: exhaustive grid over the per-user power box."""
-    cap = 1.0 / delta.max(axis=0)
-    e1 = np.linspace(0.0, cap[0], resolution + 1)[:, None]
-    e2 = np.linspace(0.0, cap[1], resolution + 1)[None, :]
-    feasible = np.ones((resolution + 1, resolution + 1), dtype=bool)
-    for m in range(delta.shape[0]):
-        feasible &= delta[m, 0] * e1 + delta[m, 1] * e2 <= 1.0 + 1e-12
-    rho, sw2 = coeffs.rho_f, coeffs.sigma_w2
-    s1 = rho * e1 * coeffs.psi[0] / (
-        sw2 + rho * (coeffs.phi[0, 1] * e2
-                     + coeffs.gamma[0, 0] * e1 + coeffs.gamma[0, 1] * e2))
-    s2 = rho * e2 * coeffs.psi[1] / (
-        sw2 + rho * (coeffs.phi[1, 0] * e1
-                     + coeffs.gamma[1, 0] * e1 + coeffs.gamma[1, 1] * e2))
-    worst = np.minimum(s1, s2)
-    worst[~feasible] = -np.inf
-    return float(worst.max())
 
 
 # ------------------------------------------------------------------ loadings
@@ -363,28 +346,114 @@ def test_an_item_without_a_root_leaves_its_batch_mates_their_own():
         assert root[i] == pa._max_min_root(item, delta[i])[0]
 
 
-def test_a_shared_load_matrix_is_decomposed_once_per_coefficient_set(monkeypatch):
+def test_a_shared_load_matrix_serves_every_rho_f_item_as_its_own_call(monkeypatch):
     # one coefficient set and one load matrix, broadcast over rho_f items as
-    # a ZF or CB build over an SNR grid is: one eigendecomposition serves
-    # every item, and each item equals its own call bitwise
-    shapes = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+    # a ZF or CB build over an SNR grid is: no eigendecomposition runs, and
+    # each item equals its own call bitwise
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("OPA called eig"))
     rng = np.random.default_rng(38)
     for kind in ("zf", "cb"):
         coeffs, delta = precoded_instance(rng, kind, 9, 4)
         rho = coeffs.rho_f * 10.0 ** np.array([-9.0, -7.0, -3.0, 0.0, 2.0])
         grid = SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
                                 rho_f=rho, sigma_w2=coeffs.sigma_w2)
-        shapes.clear()
         res = opa_bisection(grid, np.broadcast_to(delta, rho.shape + delta.shape))
-        assert shapes == [(4, 4)]
         for i, rho_f in enumerate(rho):
             one = SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
                                    rho_f=rho_f, sigma_w2=coeffs.sigma_w2)
             want = opa_bisection(one, delta)
             assert res.achieved_t[i] == want.achieved_t
             assert np.array_equal(res.eta[i], want.eta)
+
+
+def assert_the_root_matches_the_oracle(coeffs, delta):
+    """The root solve's t* of every item equals the eigendecomposition
+    oracle's to 1e-12 relative, and both are NaN on the same items. Both
+    stop once a Newton step is at most 1e-6 relative, which can leave a
+    root a few 1e-12 from t*, and the oracle's residues lose digits on a
+    nonnormal coupling, so a few items may differ by more: there the root
+    must lie within 1e-11 of t* itself, the oracle's root polished by
+    Newton steps. Returns the count of items with a root, and of those
+    that differed by more than 1e-12."""
+    root, _ = pa._max_min_root(coeffs, delta)
+    want, _ = eig_max_min_root(coeffs, delta)
+    root, want = np.broadcast_arrays(root, want)
+    assert np.array_equal(np.isnan(root), np.isnan(want))
+    with np.errstate(invalid="ignore"):
+        missed = np.abs(root - want) > 1e-12 * want
+    if missed.any():
+        exact = polished_root(coeffs, delta, np.where(missed, want, 1.0))
+        assert (np.abs(root - exact) <= 1e-11 * exact)[missed].all(), (root[missed],
+                                                                       exact[missed])
+    return np.count_nonzero(~np.isnan(root)), np.count_nonzero(missed)
+
+
+def test_the_max_min_root_matches_the_eigendecomposition_oracle():
+    # random coupling, one instance in three reducible, over a wide range of
+    # rho_f and noise, one item per call and stacks of three
+    rng = np.random.default_rng(40)
+    items = missed = 0
+    for trial in range(300):
+        k, m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13)), 1 + 2 * (trial % 2)
+        psi, phi, gamma = (np.stack(x) for x in zip(*(random_coupling(rng, k)
+                                                       for _ in range(n))))
+        delta = rng.uniform(0.0, 1.0, size=(n, m, k)) * (rng.random((n, m, k)) < 0.6)
+        delta[:, rng.integers(0, m, size=k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
+        coeffs = SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
+                                  rho_f=10.0 ** rng.uniform(-3.0, 3.0, size=n),
+                                  sigma_w2=10.0 ** rng.uniform(-1.0, 1.0))
+        counts = assert_the_root_matches_the_oracle(coeffs, delta)
+        items, missed = items + counts[0], missed + counts[1]
+    assert items == 600 and missed <= items // 100
+
+
+def test_the_max_min_root_matches_the_oracle_on_the_presets(monkeypatch):
+    # every OPA call of three trials of the three presets that run OPA on NS,
+    # LS and ES chains, at large and multi-antenna sizes
+    captured = []
+    solve = pa.opa_bisection
+    monkeypatch.setattr(pa, "opa_bisection", lambda coeffs, delta, **kwargs: (
+        captured.append((coeffs, delta)) or solve(coeffs, delta, **kwargs)))
+    for name in ("fig-tiny-opa", "fig-large-sumrate", "fig-ber"):
+        preset = PRESETS[name]
+        cfg = preset.resolve_config(SystemConfig().validate())
+        run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], preset.axis,
+                  trials=3)
+    assert len(captured) == 4 * 3             # tiny: one stage and one ES search
+    items = missed = 0
+    for coeffs, delta in captured:
+        counts = assert_the_root_matches_the_oracle(coeffs, delta)
+        items, missed = items + counts[0], missed + counts[1]
+    assert items > 100 and missed <= items // 100
+
+
+def test_a_singular_system_leaves_its_batch_mates_their_own_roots(monkeypatch):
+    # an item whose sI - A the solver calls singular at every step is taken
+    # as left of the pole each time, so it never stops, and its midpoint
+    # steps close in on the bracket's upper end, the uniform allocation's
+    # bound; the batched solves fall back to one solve per item, and its
+    # batch mates keep the roots their own calls find
+    rng = np.random.default_rng(41)
+    coeffs, delta = precoded_instance(rng, "mmse", 7, 3, (3,))
+    marker = coupling(coeffs)[0][1, 0, 1]      # A[0, 1] of item 1, -A[0, 1] in sI - A
+    solve = np.linalg.solve
+
+    def singular_at_marker(a, b):
+        if (a[..., 0, 1] == -marker).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", singular_at_marker)
+        root, steps = pa._max_min_root(coeffs, delta)
+    assert steps == pa.ROOT_MAX_STEPS and np.isfinite(root).all()
+    a, b = coupling(coeffs)
+    s_hi = (delta[1].sum(axis=-1).max() * b[1] + a[1].sum(axis=-1)).max()
+    assert root[1] == pytest.approx(1.0 / s_hi, rel=1e-12)
+    for i in (0, 2):
+        item = SinrCoefficients(psi=coeffs.psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
+                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        assert root[i] == pa._max_min_root(item, delta[i])[0]
 
 
 def test_opa_replays_bisection_on_coefficients_without_a_precoder():

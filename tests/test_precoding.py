@@ -7,10 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 from cellfree.pipeline import SCHEMES
 from cellfree.precoding import (RankDeficientError, apply_allocation, cb_precoder,
                                 mmse_precoder, zf_full_rank, zf_precoder)
-
-
-def random_channel(rng, m, k):
-    return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+from reference import random_channel
 
 
 def ridge_solve(g, eps):

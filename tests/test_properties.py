@@ -23,6 +23,7 @@ from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _
 from cellfree.precoding import RankDeficientError, mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
+from reference import mask_from_choices
 
 # candidates of the reference loop per example, to bound the test's run time
 MAX_CANDIDATES = 36
@@ -33,11 +34,15 @@ PAIRS = [(p, a) for p in SCHEMES["precoder"]
 
 @st.composite
 def es_cases(draw):
+    """A small config with fewer APs selected than there are, so that ES has
+    at least three candidates and LS masks the channel; at most
+    ``MAX_CANDIDATES``, which caps the users at 3 with 3 APs and at 2 with
+    4 to 6."""
     num_aps = draw(st.integers(3, 6))
     antennas = draw(st.integers(1, 2))
-    num_users = draw(st.integers(1, min(3, num_aps * antennas - 1)))
+    num_users = draw(st.integers(1, min(3 if num_aps == 3 else 2, num_aps * antennas - 1)))
     selected = draw(st.sampled_from(
-        [s for s in range(1, num_aps + 1)
+        [s for s in range(1, num_aps)
          if math.comb(num_aps, s) ** num_users <= MAX_CANDIDATES]))
     cfg = dataclasses.replace(
         SystemConfig(), num_aps=num_aps, antennas_per_ap=antennas, num_users=num_users,
@@ -45,14 +50,6 @@ def es_cases(draw):
     scheme = Scheme(*draw(st.sampled_from(PAIRS)), "ES")
     snr = draw(st.floats(-30.0, 40.0))
     return cfg.validate(), scheme, snr, draw(st.integers(0, 10 ** 6))
-
-
-def mask_from_choices(choices, num_aps, antennas_per_ap):
-    """The (M, K) mask keeping the APs ``choices[k]`` for each user k."""
-    q_ap = np.zeros((num_aps, len(choices)))
-    for k, aps in enumerate(choices):
-        q_ap[list(aps), k] = 1.0
-    return np.repeat(q_ap, antennas_per_ap, axis=0)
 
 
 def reference_winner(cfg, scheme, snr, trial):
