@@ -12,10 +12,12 @@ and ``Scheme`` rejects any other pairing; so MMSE_CONV, MMSE without the
 re-form, is an alias of MMSE. The SINR coefficients of a precoder are computed
 once and shared by the allocator and the metrics; they are all an allocator
 reads besides the precoder.
-``run_chain`` composes two stages: a build (the precoder of an identity
-allocation and its SINR coefficients), which depends only on the precoder,
-and an allocate stage, which only reads the build, so that one build can
-serve every chain on the same masked channel and SNR points.
+``run_chain`` composes two stages: a build, a frozen ``Build`` of the
+precoder of an identity allocation and its SINR coefficients, and an
+allocate stage, which only reads the build, so that one build can serve
+every chain on the same masked channel and SNR points. Every per-item array
+of a build carries its full item axes, stride 0 along those it does not
+depend on, so that its ``take`` and ``stack`` are one walk (``_map_items``).
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
 ``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` of shape
@@ -23,16 +25,16 @@ serve every chain on the same masked channel and SNR points.
 ``(S, 1)`` against a stack. MMSE builds one precoder per item under the
 total transmit energy ``E_tr = M rho_f``, from one Gram matrix per channel,
 while ZF and CB, whose precoders and SINR coefficients do not depend on the
-SNR, build once per channel and are broadcast over the points. Each item
-equals its own 2-D chain bitwise.
+SNR, build once per channel, stride 0 along the points. Each item equals
+its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
-chunks, and takes each point's winning item from the chunk that scored it,
-so every reported number is what the 2-D chain on the winning mask gives,
-and no chain runs on the winners again. A chunk that leaves ZF
-rank-deficient runs again without the candidates that fail ZF's rank test
-(``pc.zf_full_rank``: a Gram eigenvalue at or below rounding), which score
--inf; the ``pc.RankDeficientError`` of the chunk's build carries that
-test's mask, so no Gram matrix is tested twice.
+chunks, and copies each point's winning item out of the chunk that scored
+it (``ChainResult.take``), so every reported number is what the 2-D chain
+on the winning mask gives, and no chain runs on the winners again. A chunk
+that leaves ZF rank-deficient runs again without the candidates that fail
+ZF's rank test (``pc.zf_full_rank``: a Gram eigenvalue at or below
+rounding), which score -inf; the ``pc.RankDeficientError`` of the chunk's
+build carries that test's mask, so no Gram matrix is tested twice.
 
 A trial is split in two. ``TrialDraw`` holds the channel block of trial
 ``t`` at one config, drawn once on first use and read-only. ``run_cells``
@@ -44,10 +46,8 @@ masks, and each (selection, precoder build), which MMSE and MMSE_CONV
 share; all of these are read-only and live only for the call. They run one
 chain per distinct (selection, precoder build, allocation), so MMSE and
 MMSE_CONV twins share one, and the chains of one allocation run as one
-allocate stage: one ``run_chain`` on their builds stacked along a new
-leading axis, ZF's and CB's one coefficient set per channel broadcast over
-the SNR points beside MMSE's one per point, whose items each equal their
-own 2-D chain's. Each cell's result is its chain's item.
+allocate stage, a ``run_chain`` on ``Build.stack`` of their builds, of
+which each cell's result is its chain's ``take``.
 ``run_cell`` is ``run_cells`` of one scheme, and ``run_trial`` one cell on a
 fresh draw. ``run_sweep`` runs trial-major: one draw and one ``run_cells``
 per config, over that config's SNR points: the whole grid on the SNR axis,
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -110,36 +110,37 @@ def _es(scheme, realization, cfg, rho_f):
     against ``rho_f`` of shape ``(S, 1)``, and each of its items equals its
     own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` of the
     chunk that scored it is what the chain on that point's mask gives: no
-    chain runs again on the winners. The search copies each point's winning
-    item out of its chunk as it goes and keeps no chunk's result. The
-    result's trace holds the counts of the last scored stack a winner was
-    copied from: ``allocation_solves``, ``allocation_iterations`` and
+    chain runs again on the winners. The search copies winning items out of
+    their chunk as it goes (``ChainResult.take``), keeps no chunk's result
+    and gathers each point's newest copy at the end. The result's trace
+    holds the counts of the last scored stack a winner was copied from:
+    ``allocation_solves``, ``allocation_iterations`` and
     ``allocation_tests``; its precoder and allocation seconds are 0, as the
     search that ran them is the cell's selection time. It also holds
     ``es_candidates``, the (point, candidate) items searched, and
     ``es_certified``, those scored on the whole chain.
 
     OPA's search is screened, with every precoder: every chunk is first
-    bounded on its own build by ``pa.opa_bound``, a closed-form interval
+    bounded on its own ``Build`` by ``pa.opa_bound``, a closed-form interval
     with no eigendecomposition and no bisection, at the chain's own
     ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``, and only the candidates
     whose interval can reach the best run the chain (see ``sel.es_aps``), so
-    the winner is the unscreened search's. Their chain takes their build
-    cut from the chunk's, which gives the same bits as building them again,
-    as each item equals its own 2-D build: each candidate is built once. A
-    chunk the screen cannot bound (its build raises) has NaN intervals, so
-    the chain builds and scores it and meets the same error, or, for ZF,
-    sets aside the rank-deficient candidates that the screen's
-    ``pc.RankDeficientError`` names, without testing them again.
-    APA and UPA have no bound cheaper than their own chain: their searches
-    score every candidate."""
+    the winner is the unscreened search's. Their chain takes their columns
+    of the chunk's ``Build``, which gives the same bits as building them
+    again, as each item equals its own 2-D build: each candidate is built
+    once. A chunk the screen cannot bound (its build raises) has NaN
+    intervals, so the chain builds and scores it and meets the same error,
+    or, for ZF, sets aside the rank-deficient candidates that the screen's
+    ``pc.RankDeficientError`` names, without testing them again. APA and
+    UPA have no bound cheaper than their own chain: their searches score
+    every candidate."""
     points = np.shape(rho_f)
     stack_rho = rho_f[..., None] if points else rho_f
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
     allocator = SCHEMES["allocation"][scheme.allocation]
     certified = 0
-    won = None      # each point's winning item, copied out as the search goes
+    won = []        # newest first: points a chunk raised, their items copied by index
 
     def chain(g_hat, err_var, built=None):
         return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, built=built)
@@ -147,8 +148,8 @@ def _es(scheme, realization, cfg, rho_f):
     def evaluate(masks, built=None, full=None):
         """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
         ``take`` that copies the picked items of its chain result into the
-        winners (see ``sel.es_aps``). ``built``, the stack's build cut from
-        its chunk's, skips the chain's build. A mask that leaves ZF
+        winners (see ``sel.es_aps``). ``built``, the stack's columns of its
+        chunk's build, skips the chain's build. A mask that leaves ZF
         rank-deficient scores -inf at every point: when a stack raises, the
         masks that fail ZF's rank test, which ``pc.RankDeficientError``
         carries, are set aside and the rest run again as one stack. ``full``,
@@ -171,13 +172,8 @@ def _es(scheme, realization, cfg, rho_f):
             scores[..., full] = result.metrics.min_sinr
 
         def take(items, columns):
-            nonlocal won
-            if won is None:
-                won = _tree_map(lambda value: np.empty(
-                    points + value.shape[len(points) + 1:], value.dtype), result)
-            # what is not per item comes from this chunk's result
-            won = _tree_map(lambda value, out: _put(out, items, value[items, rows[columns]]),
-                            result, won)
+            at = np.flatnonzero(items)
+            won.insert(0, (at, result.take((at, rows[columns]) if points else (rows[columns],))))
         return scores, take
 
     def screen(masks):
@@ -187,13 +183,14 @@ def _es(scheme, realization, cfg, rho_f):
         g_hat, err_var = sel.apply_mask(masks, realization)
         try:
             built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
-            lo, hi = allocator.bound(*built[:2])
+            lo, hi = allocator.bound(built.precoder, built.coeffs)
         except (ArithmeticError, ValueError) as err:  # LinAlgError is a ValueError
             nan = np.full(points + masks.shape[:1], np.nan)
             full = getattr(err, "full", None)          # a RankDeficientError's
             return nan, nan, lambda columns: evaluate(
                 masks[columns], full=None if full is None else full[columns])
-        return lo, hi, lambda columns: evaluate(masks[columns], _candidates(built, columns))
+        cut = (slice(None),) * len(points)
+        return lo, hi, lambda columns: evaluate(masks[columns], built.take(cut + (columns,)))
 
     masks, _ = sel.es_aps(
         cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
@@ -203,45 +200,14 @@ def _es(scheme, realization, cfg, rho_f):
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    won = _tree_map(lambda value: value[()], won)   # one point's 0-d items as scalars
+    # point -> (copy, row) of its winner, in the newest copy that names it
+    found = {s: (i, j) for i, (at, _) in reversed(list(enumerate(won))) for j, s in enumerate(at)}
+    won = (_map_items(lambda _, *xs: np.array([xs[i][j] for _, (i, j) in sorted(found.items())]),
+                      *(copy for _, copy in won)) if points else won[0][1].take(0))
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
     won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
                  "es_candidates": candidates * math.prod(points), "es_certified": certified}
     return masks, won
-
-
-def _candidates(built, columns):
-    """A stack's ``_build`` cut to the candidates ``columns``: each array's
-    axis before its matrix or user axes (ZF's and CB's f of one point is
-    one float)."""
-    prec, coeffs, seconds = built
-    cut = pc.PrecoderOutput(p=prec.p[..., columns, :, :],
-                            f=prec.f[..., columns] if np.ndim(prec.f) else prec.f)
-    vars(cut)["delta"] = prec.delta[..., columns, :, :]     # the cached property's slot
-    return cut, replace(coeffs, psi=coeffs.psi[..., columns, :],
-                        phi=coeffs.phi[..., columns, :, :],
-                        gamma=coeffs.gamma[..., columns, :, :]), seconds
-
-
-def _put(out, index, value):
-    """``out[index] = value``, returning ``out``: ``_tree_map``'s leaf update
-    in place."""
-    out[index] = value
-    return out
-
-
-def _tree_map(fn, *trees):
-    """``fn`` of the trees' arrays, leaf by leaf, through dataclasses and
-    lists of the same structure; any other leaf is the first tree's."""
-    first = trees[0]
-    if isinstance(first, np.ndarray):
-        return fn(*trees)
-    if isinstance(first, list):
-        return [_tree_map(fn, *items) for items in zip(*trees)]
-    if is_dataclass(first):
-        return type(first)(**{f.name: _tree_map(fn, *(getattr(tree, f.name) for tree in trees))
-                              for f in fields(first)})
-    return first
 
 
 @dataclass(frozen=True)
@@ -369,8 +335,44 @@ class TrialDraw:
         return draw
 
 
+def _map_items(fn, *values):
+    """``values[0]`` rebuilt, each value it holds in turn, with ``fn(core,
+    *arrays)`` for each per-item array: its count in ``_LAYOUT`` and that
+    field of each of ``values``. Any other field, and a None, is kept."""
+    first, rest = values[0], values[1:]
+    new = {}
+    for name, core in _LAYOUT[type(first)].items():
+        x = getattr(first, name)
+        parts = [getattr(value, name) for value in rest] if rest else ()
+        if core is None or x is None:
+            new[name] = x
+        elif core is ...:
+            new[name] = _map_items(fn, x, *parts)
+        else:
+            new[name] = ([fn(core, *steps) for steps in zip(x, *parts)] if type(x) is list
+                         else fn(core, x, *parts))
+    return type(first)(**new)
+
+
+class _Items:
+    def take(self, index):
+        """Items ``index``: ``x[index]`` of each per-item array, except that a
+        leading axis ``index`` leaves whole stays stride 0 where it is: an
+        index array would copy it, in a memory order of its own."""
+        index = index if isinstance(index, tuple) else (index,)
+        lead = next((i for i, part in enumerate(index)
+                     if not (isinstance(part, slice) and part == slice(None))), len(index))
+        def cut(_, x):
+            steps = x.strides[:lead]
+            out = x[tuple(slice(0, 1) if step == 0 else slice(None) for step in steps)
+                    + index[lead:]]
+            return (np.broadcast_to(out, x.shape[:lead] + out.shape[lead:]) if 0 in steps
+                    else out)
+        return _map_items(cut, self)
+
+
 @dataclass
-class ChainResult:
+class ChainResult(_Items):
     precoder: pc.PrecoderOutput
     n_first: pa.AllocationResult
     n_final: pa.AllocationResult
@@ -383,25 +385,62 @@ class PipelineResult(ChainResult):
     mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) for ES on a grid
 
 
-def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2):
-    """The build stage of a chain: ``(precoder, SINR coefficients, seconds)``
-    of an identity allocation, the precoder broadcast over the items."""
+@dataclass(frozen=True)
+class Build(_Items):
+    """A chain's build: the precoder of an identity allocation, its SINR
+    coefficients and their seconds. Each per-item array carries the full
+    item axes, stride 0 along those it does not depend on (ZF's and CB's SNR
+    points, ``rho_f``'s ES candidates): ``broadcast_to`` sets this up."""
+
+    precoder: pc.PrecoderOutput
+    coeffs: mt.SinrCoefficients
+    seconds: float = 0.0
+
+    def broadcast_to(self, items) -> "Build":
+        """The build at the item axes ``items``: a read-only stride-0 view of
+        each per-item array along each of them that it lacks."""
+        def to(core, x):
+            shape = tuple(items) + np.shape(x)[np.ndim(x) - core:]
+            return x if np.shape(x) == shape else np.broadcast_to(x, shape)
+        return _map_items(to, self)
+
+    @staticmethod
+    def stack(builds, reform: bool = True) -> "Build":
+        """The builds stacked along a new leading axis (``_stack``), read-only,
+        with 0 seconds: each build's are its own. Without ``reform`` p and f
+        are None: a stage that does not re-form reads only the loads."""
+        return _map_items(lambda _, *xs: _read_only(_stack(xs, np.ndim(xs[0])))[0], *(
+            Build(b.precoder if reform else pc.PrecoderOutput(None, None, b.precoder.delta),
+                  b.coeffs) for b in builds))
+
+
+# Each value's fields along its item axes: a per-item array's own axes after
+# them (APA's cost trace is a list of such arrays), ... a value laid out in
+# turn, and None a field that is one for all the items.
+_LAYOUT = {
+    Build: {"precoder": ..., "coeffs": ..., "seconds": None},
+    ChainResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ..., "trace": None},
+    pc.PrecoderOutput: {"p": 2, "f": 0, "delta": 2},
+    mt.SinrCoefficients: {"psi": 1, "phi": 2, "gamma": 2, "rho_f": 0, "sigma_w2": None},
+    pa.AllocationResult: {"eta": 1, "iterations": None, "achieved_t": 0, "tests": None,
+                          "cost_trace": 0},
+    mt.LinkMetrics: {"per_user_sinr": 1, "per_user_rate": 1, "sum_rate": 0, "min_sinr": 0,
+                     "ber": 0},
+}
+
+
+def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2) -> Build:
+    """The ``Build`` of the precoder function ``build`` on a channel, or a
+    stack of them, at ``rho_f``, broadcast to their items."""
     t0 = time.perf_counter()
     prec = build(g_hat, rho_f, sigma_w2, sigma_s2)
     coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
     items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
-    if items != prec.p.shape[:-2]:
-        # ZF and CB do not depend on rho_f: one precoder, and one load matrix
-        # computed from it, serve every item
-        loads = prec.delta
-        prec = pc.PrecoderOutput(p=np.broadcast_to(prec.p, items + prec.p.shape[-2:]),
-                                 f=np.broadcast_to(prec.f, items))
-        vars(prec)["delta"] = np.broadcast_to(loads, prec.p.shape)  # the cached property's slot
-    return prec, coeffs, time.perf_counter() - t0
+    return Build(prec, coeffs, time.perf_counter() - t0).broadcast_to(items)
 
 
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
-              sigma_s2: float, built: Optional[tuple] = None) -> ChainResult:
+              sigma_s2: float, built: Optional[Build] = None) -> ChainResult:
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
     module docstring). ``rho_f`` is a scalar or one value per item, and its
@@ -410,22 +449,22 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
     ``(B, M, K)`` runs every channel at every point. Every array of the
     result has the broadcast items' leading axes.
 
-    The chain is a build stage (``_build``: the precoder of an identity
-    allocation and its SINR coefficients) and an allocate stage, which only
-    reads the build. ``built``, the build of the scheme's precoder on the
-    same channel and points, skips the first stage, so one build can serve
-    several chains. The chain takes no solver settings: OPA and APA run at
-    their module's constants (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``,
-    ``pa.APA_STEP``, ``pa.APA_ITERATIONS``)."""
+    The chain is a build stage (``_build``, a ``Build``) and an allocate
+    stage, which only reads the build. ``built``, a ``Build`` of the
+    scheme's precoder on the same channel and points, skips the first stage,
+    so one build can serve several chains. The chain takes no solver
+    settings: OPA and APA run at their module's constants
+    (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``, ``pa.APA_STEP``,
+    ``pa.APA_ITERATIONS``)."""
     allocator = SCHEMES["allocation"][scheme.allocation]
     if built is None:
         built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f,
                        sigma_w2, sigma_s2)
-    prec, coeffs, build_seconds = built
+    prec, coeffs = built.precoder, built.coeffs
     t1 = time.perf_counter()
     solves = [allocator.solve(prec, coeffs, sigma_s2)]
     t2 = time.perf_counter()
-    seconds = {"precoder": build_seconds, "allocation": t2 - t1}
+    seconds = {"precoder": built.seconds, "allocation": t2 - t1}
     if allocator.adaptive:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
@@ -462,62 +501,21 @@ def _stack(arrays, ndim):
               for a in map(np.asarray, arrays)]
     if len(arrays) == 1:
         return arrays[0][None]
-    # ES's per-point estimates beside one mask's, MMSE's per-point sets beside
-    # ZF's or CB's one
+    # ES's per-point estimates beside one mask's
     if len({a.shape for a in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
     repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
     if not any(repeated):
-        return np.stack(arrays)
+        return np.array(arrays)         # np.stack's copy, at a fifth of its overhead
     one = tuple(slice(0, 1) if cut else slice(None) for cut in repeated)
-    return np.broadcast_to(np.stack([a[one] for a in arrays]),
+    return np.broadcast_to(np.array([a[one] for a in arrays]),
                            (len(arrays),) + arrays[0].shape)
-
-
-def _stacked_build(builds, ndim, reform):
-    """One ``_build`` of a stack of chains from the chains' ``(precoder,
-    coefficients)``, each padded to the ``ndim`` axes of ``rho_f``,
-    broadcast against each other and stacked along a new leading axis
-    (``_stack``). The precoder holds the stacked load matrices, and
-    stacks ``p`` and the gains f only for ``reform``: an adaptive
-    allocator, whose solve and re-form are the one allocate stage that
-    reads them. Elsewhere they are None."""
-    precs, sets = zip(*builds)
-    prec = pc.PrecoderOutput(*((_stack([x.p for x in precs], ndim + 2),
-                                _stack([x.f for x in precs], ndim)) if reform
-                               else (None, None)))
-    vars(prec)["delta"] = _stack([x.delta for x in precs], ndim + 2)  # the cached property's slot
-    coeffs = replace(sets[0], psi=_stack([c.psi for c in sets], ndim + 1),
-                     phi=_stack([c.phi for c in sets], ndim + 2),
-                     gamma=_stack([c.gamma for c in sets], ndim + 2))
-    return prec, coeffs, 0.0
 
 
 def _chain_key(scheme: Scheme):
     """What a scheme's chain computes: its selection, precoder build
     function (MMSE_CONV's is MMSE's) and allocation."""
     return scheme.selection, SCHEMES["precoder"][scheme.precoder], scheme.allocation
-
-
-def _item(stage: ChainResult, i: int, prec=None) -> ChainResult:
-    """Item ``i`` of a stacked allocate stage, as views of its arrays, with
-    the stage's trace. ``prec`` is the item's build's precoder, where the
-    stage stacked none."""
-    def solve(n):
-        return pa.AllocationResult(
-            eta=n.eta[i], iterations=n.iterations, tests=n.tests,
-            achieved_t=None if n.achieved_t is None else n.achieved_t[i],
-            cost_trace=None if n.cost_trace is None else [cost[i] for cost in n.cost_trace])
-
-    n_first = solve(stage.n_first)
-    n_final = n_first if stage.n_final is stage.n_first else solve(stage.n_final)
-    if prec is None:
-        prec = pc.PrecoderOutput(p=stage.precoder.p[i], f=stage.precoder.f[i])
-    m = stage.metrics
-    metrics = mt.LinkMetrics(per_user_sinr=m.per_user_sinr[i], per_user_rate=m.per_user_rate[i],
-                             sum_rate=m.sum_rate[i], min_sinr=m.min_sinr[i])
-    return ChainResult(precoder=prec, n_first=n_first, n_final=n_final, metrics=metrics,
-                       trace=stage.trace)
 
 
 def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
@@ -539,18 +537,17 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
 
     ``trace`` of a cell: its solver counts and its allocate stage's seconds
     (``trace["seconds"]["allocation"]``, and APA's re-form under
-    ``"precoder"``) are those of its stage, which holds every NS and LS
-    chain of its allocation: the MMSE, ZF and CB cells of one allocation
-    share one stage's ``allocation_iterations``, ``allocation_tests`` and
-    seconds.
-    The channel draw's seconds (``"channel"``), a selection's
-    (``"selection"``) and a build's (precoder and SINR coefficients, under
-    ``"precoder"``) count only in the first cell that used them. An ES
-    search, the winners' chain included, is its selection; its precoder and
-    allocation seconds are 0, and its solver counts are those of a scored
-    stack (see ``_es``). The BER seconds (``"ber"``) and
-    ``ber_degenerate_gains`` are the one BER call's, over all its items.
-    A cell's times cover all of its points.
+    ``"precoder"``) are those of its stage, a ``run_chain`` on
+    ``Build.stack`` of every NS and LS build of its allocation: the MMSE, ZF
+    and CB cells of one allocation share one stage's
+    ``allocation_iterations``, ``allocation_tests`` and seconds. The channel
+    draw's seconds (``"channel"``), a selection's (``"selection"``) and a
+    ``Build``'s (under ``"precoder"``; a stack's are 0) count only in the
+    first cell that used them. An ES search, the winners' chain included, is
+    its selection; its precoder and allocation seconds are 0, and its solver
+    counts are those of a scored stack (see ``_es``). The BER seconds
+    (``"ber"``) and ``ber_degenerate_gains`` are the one BER call's, over
+    all its items. A cell's times cover all of its points.
     """
     cfg = draw.cfg
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
@@ -561,8 +558,8 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     channel_seconds = time.perf_counter() - t0
     # selections: per NS or LS, or per ES chain, (mask, masked estimate,
     # masked error variance, ES's chain or None); builds: per (selection,
-    # precoder build), (precoder, coefficients); chains: per chain key, its
-    # selection; ran: per chain key, its result
+    # precoder build), its Build; chains: per chain key, its selection; ran:
+    # per chain key, its result
     selections, builds, chains, ran = {}, {}, {}, {}
     stacks = {}     # allocation -> one scheme per chain
     cells = []      # per scheme: its chain's key, and the seconds of what it made
@@ -586,24 +583,24 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
             ran[key] = chain
             continue
         if key[:2] not in builds:
-            prec, coeffs, made["precoder"] = _build(key[1], g_hat, err_var, rho_f, sigma_w2,
-                                                    sigma_s2)
-            _read_only(prec.p, prec.f, prec.delta, coeffs.psi, coeffs.phi, coeffs.gamma,
-                       coeffs.rho_f)
-            builds[key[:2]] = prec, coeffs
+            build = builds[key[:2]] = _build(key[1], g_hat, err_var, rho_f, sigma_w2, sigma_s2)
+            made["precoder"] = build.seconds
+            _read_only(build.precoder.p, build.precoder.f, build.precoder.delta,
+                       build.coeffs.psi, build.coeffs.phi, build.coeffs.gamma, build.coeffs.rho_f)
         stacks.setdefault(scheme.allocation, []).append(scheme)
 
     for stacked in stacks.values():
         keys = [_chain_key(scheme) for scheme in stacked]
-        built = [builds[key[:2]] for key in keys]
         reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
         g_hat, err_var = ((_stack([chains[key][1] for key in keys], ndim + 2),
                            _stack([chains[key][2] for key in keys], ndim + 2)) if reform
                           else (None, None))
         stage = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
-                          built=_stacked_build(built, ndim, reform))
-        for i, (key, (prec, _)) in enumerate(zip(keys, built)):
-            ran[key] = _item(stage, i, None if reform else prec)
+                          built=Build.stack([builds[key[:2]] for key in keys], reform))
+        for i, key in enumerate(keys):
+            ran[key] = stage.take(i)
+            if not reform:          # the stage stacked only the loads
+                ran[key].precoder = builds[key[:2]].precoder
 
     ber_seconds, degenerate = 0.0, None
     if with_ber and ran:

@@ -335,9 +335,10 @@ def _bisect(coeffs, delta, t_hi, root, iterations, tol):
 
 def _bracket(coeffs: SinrCoefficients, delta):
     """``(loads, col_peak, t_hi)``: ``delta`` with each leading axis along
-    which it repeats one load matrix (a stride-0 view) cut to length 1, each
-    user's peak antenna load ``max_m loads[m, k]``, and the upper end of
-    every item's bisection bracket, at the items' batch shape."""
+    which it repeats one load matrix (stride 0, as ``pipeline.Build`` keeps
+    ZF's and CB's SNR axis) cut to length 1, each user's peak antenna load
+    ``max_m loads[m, k]``, and the upper end of every item's bisection
+    bracket, at the items' batch shape: the one reader of stride-0 loads."""
     delta = np.asarray(delta, dtype=float)
     loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
                         for step in delta.strides[:-2])]

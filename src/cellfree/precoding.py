@@ -48,7 +48,7 @@ its items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +61,11 @@ class PrecoderOutput:
 
     p: np.ndarray          # (..., M, K) complex
     f: float               # receive-side gain-control normalization, (...)
+    delta: Optional[np.ndarray] = None  # (..., M, K) loadings |P_{m,i}|^2; from p if None
 
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """(..., M, K) per-antenna per-user power loadings |P_{m,i}|^2."""
-        return np.abs(self.p) ** 2
+    def __post_init__(self):
+        if self.delta is None:
+            object.__setattr__(self, "delta", np.abs(self.p) ** 2)
 
 
 class RankDeficientError(np.linalg.LinAlgError):

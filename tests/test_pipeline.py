@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellfree import channel, metrics, pipeline, power_allocation, precoding, selection
@@ -395,8 +395,18 @@ def sweep_cases(draw):
     return cfg, schemes, "selection_fraction", fractions, points
 
 
+# fewer selected antennas than users: at seed 10, both trials' LS masks
+# leave ZF rank-deficient, so the failure branch below runs on every run
+RANK_DEFICIENT = cfg_with(num_aps=2, antennas_per_ap=2, num_users=3, selected_aps=1,
+                          csi_quality=0.9, snr_grid_db=(0.0, 20.0))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=sweep_cases(), with_ber=st.booleans(), seed=st.integers(0, 10 ** 6))
+@example(case=(RANK_DEFICIENT, [Scheme.parse(label) for label in
+                                ("MMSE+OPA+NS", "ZF+UPA+LS", "CB+OPA+ES")],
+               "snr_grid", None, [(snr, RANK_DEFICIENT, snr) for snr in (0.0, 20.0)]),
+         with_ber=True, seed=10)
 def test_sweep_rows_equal_per_cell_rows_bitwise(case, with_ber, seed):
     # a sweep stacks a trial's NS and LS chains by allocation and measures
     # their BER in one call; its rows are those of one run_trial per cell,
@@ -481,7 +491,11 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
 
     def counted_chain(g_hat, err_var, scheme, rho_f, *args, built=None):
         if built is not None:                   # MIXED's ES search builds its own
-            calls[scheme.allocation, built[1].psi.shape[:-1]] += 1
+            # the items whose coefficient sets were computed: a stride-0 axis
+            # repeats one set
+            psi = built.coeffs.psi
+            sets = tuple(1 if step == 0 else n for n, step in zip(psi.shape, psi.strides))
+            calls[scheme.allocation, sets[:-1]] += 1
         return chain(g_hat, err_var, scheme, rho_f, *args, built=built)
 
     monkeypatch.setattr(pipeline, "run_cells", counted)
@@ -517,9 +531,10 @@ def test_shared_draw_arrays_are_read_only(monkeypatch):
     # one LS mask and one NS mask, each masked once; one MMSE build on the
     # LS mask, which both LS cells read, and one ZF build on NS
     assert len(masked) == len(builds) == 2
-    assert opa.mask is upa.mask and opa.precoder is upa.precoder is builds[0][0]
-    shared = [array for prec, coeffs, _ in builds
-              for array in (prec.p, prec.f, prec.delta, coeffs.psi, coeffs.phi, coeffs.gamma)]
+    assert opa.mask is upa.mask and opa.precoder is upa.precoder is builds[0].precoder
+    shared = [array for build in builds
+              for array in (build.precoder.p, build.precoder.f, build.precoder.delta,
+                            build.coeffs.psi, build.coeffs.phi, build.coeffs.gamma)]
     for array in (*vars(draw.realization).values(), opa.mask, zf.mask,
                   *(array for pair in masked for array in pair), *shared):
         with pytest.raises(ValueError, match="read-only"):

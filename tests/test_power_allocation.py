@@ -540,8 +540,7 @@ def feasible_allocations(coeffs, delta, rng):
     1: allocations whose minimum SINR is at most the max-min target. APA
     runs against a precoder that carries the case's loads, with a step its
     cost's curvature admits."""
-    precoder = PrecoderOutput(p=np.sqrt(delta), f=1.0)
-    vars(precoder)["delta"] = delta                  # the cached property's slot
+    precoder = PrecoderOutput(p=np.sqrt(delta), f=1.0, delta=delta)
     mu = 1.0 / apa_terms(coeffs, precoder.f)[0].max()
     random = rng.uniform(0.01, 1.0, size=delta.shape[:-2] + delta.shape[-1:])
     etas = [upa(delta).eta, apa_sgd(precoder, coeffs, mu=mu, iterations=5).eta,

@@ -1,7 +1,7 @@
 """Properties of exhaustive selection, at one SNR point and over a grid, of
 the stacked SNR-grid chain, of the shared MMSE build, of the MMSE build
-against a dense ridge solve and of stacked BER measurement, over random
-small configurations."""
+against a dense ridge solve, of the ``Build`` value's stack and take and of
+stacked BER measurement, over random small configurations."""
 
 import dataclasses
 import itertools
@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from cellfree import selection
+from cellfree import pipeline, selection
 from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
 from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
-from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, TrialDraw, run_cell,
+from cellfree.pipeline import (SCHEMES, Build, Scheme, SolverParams, TrialDraw, run_cell,
                                run_cells, run_chain, run_trial)
 from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
 from cellfree.precoding import RankDeficientError, mmse_precoder
@@ -355,6 +355,96 @@ def test_run_cells_equals_each_scheme_on_a_fresh_draw_bitwise(case):
         for field in dataclasses.fields(want.metrics):
             assert np.array_equal(getattr(cell.metrics, field.name),
                                   getattr(want.metrics, field.name)), (label, field.name)
+
+
+def build_arrays(build):
+    """A ``Build``'s per-item arrays, by name."""
+    return {name: getattr(part, name)
+            for part, names in ((build.precoder, ("p", "f", "delta")),
+                                (build.coeffs, ("psi", "phi", "gamma", "rho_f")))
+            for name in names}
+
+
+def the_builds(g_hat, err_var, rho_f, cfg):
+    """The MMSE, ZF and CB builds of a channel or a stack at ``rho_f``, by
+    precoder; ZF's only where every channel is full rank."""
+    builds = {}
+    for precoder in ("MMSE", "ZF", "CB"):
+        try:
+            builds[precoder] = pipeline._build(SCHEMES["precoder"][precoder], g_hat, err_var,
+                                               rho_f, cfg.noise_variance_w(), cfg.symbol_power)
+        except RankDeficientError:
+            pass
+    return builds
+
+
+def assert_same_build(got, want):
+    for name, array in build_arrays(want).items():
+        assert np.shape(got[name]) == np.shape(array), name
+        assert np.array_equal(got[name], array), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid_cases(), st.booleans(), st.data())
+def test_a_stack_of_builds_takes_back_each_build_bitwise(case, grid, data):
+    """``Build.stack`` of MMSE, ZF and CB builds on one draw and mask, at one
+    SNR point or a grid, in any order and with repeats: ``take(i)`` is build
+    i bitwise, an axis that is stride 0 in every build stays stride 0, and
+    the stacked arrays are read-only. Without ``reform`` p and f are None."""
+    cfg, selected, snrs, trial = case
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    mask = (ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap)
+            if selected == "LS" else np.ones(real.g_hat.shape))
+    g_hat, err_var = selection.apply_mask(mask, real)
+    rho_f = snr_to_rho_f(pipeline._snr_linear(snrs if grid else snrs[0]), real.g_hat,
+                         cfg.noise_variance_w())
+    every = the_builds(g_hat, err_var, rho_f, cfg)
+    drawn = data.draw(st.lists(st.sampled_from(list(every.values())), min_size=1, max_size=4))
+    # ZF's and CB's builds alone are stride 0 along a grid's points in every array
+    fixed = [build for precoder, build in every.items() if precoder != "MMSE"] * 2
+    for builds, reform in itertools.product((drawn, fixed), (True, False)):
+        stacked = Build.stack(builds, reform)
+        assert stacked.seconds == 0.0
+        for name, array in build_arrays(stacked).items():
+            if array is None:
+                assert not reform and name in ("p", "f")
+                continue
+            assert not array.flags.writeable, name
+            inputs = [build_arrays(build)[name] for build in builds]
+            for axis in range(np.ndim(inputs[0])):
+                if all(x.strides[axis] == 0 for x in inputs):
+                    assert array.strides[axis + 1] == 0, (name, axis)
+        for i, build in enumerate(builds):
+            item = build_arrays(stacked.take(i))
+            if not reform:
+                item.update(p=build.precoder.p, f=build.precoder.f)
+            assert_same_build(item, build)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(es_cases(), st.booleans(), st.integers(1, 6), st.data())
+def test_an_es_chunks_take_equals_the_build_of_its_candidates_alone(case, grid, chunk, data):
+    """An ES chunk's build, ``(S, B)`` items against ``rho_f`` of shape
+    ``(S, 1)`` or ``(B,)`` at one point, cut to some of its candidates by
+    ``take`` equals the build of those candidates' masks alone, bitwise,
+    for MMSE, ZF and CB."""
+    cfg, _, snr, trial = case
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    rng = np.random.default_rng(trial)
+    masks = np.stack([mask_from_choices(
+        [rng.choice(cfg.num_aps, cfg.selected_aps, replace=False)
+         for _ in range(cfg.num_users)], cfg.num_aps, cfg.antennas_per_ap)
+        for _ in range(chunk)])
+    columns = np.array(data.draw(st.lists(st.booleans(), min_size=chunk, max_size=chunk)))
+    columns[data.draw(st.integers(0, chunk - 1))] = True
+    snrs = [snr, snr + 10.0] if grid else snr
+    rho_f = snr_to_rho_f(pipeline._snr_linear(snrs), real.g_hat, cfg.noise_variance_w())
+    stack_rho = rho_f[:, None] if grid else rho_f
+    g_hat, err_var = selection.apply_mask(masks, real)
+    alone = the_builds(g_hat[columns], err_var[columns], stack_rho, cfg)
+    cut = (slice(None),) * grid
+    for precoder, build in the_builds(g_hat, err_var, stack_rho, cfg).items():
+        assert_same_build(build_arrays(build.take(cut + (columns,))), alone[precoder])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
