@@ -14,6 +14,8 @@ import dataclasses
 import functools
 import json
 import operator
+import os
+import stat
 import sys
 import typing
 from pathlib import Path
@@ -46,7 +48,7 @@ def _parse_value(key: str, raw: str):
 def load_config(path) -> SystemConfig:
     """Parse a flat key = value file into a validated SystemConfig."""
     valid = set(_DEFAULT_CONFIG.field_names())
-    values = {}
+    values, set_on = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -62,6 +64,9 @@ def load_config(path) -> SystemConfig:
         raw = raw.strip()
         if key not in valid:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_value(key, raw)
         except ValueError as err:
@@ -79,7 +84,28 @@ def dump_config(cfg: SystemConfig, path) -> None:
         else:
             rendered = _fmt(kind(value))
         lines.append(f"{name} = {rendered}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in place: the bytes, and for a new
+    file the mode, of ``open(path, "w")``, without its ``O_TRUNC``. On ext4,
+    truncating a file that has blocks to zero length is slow, and closing a
+    file truncated that way starts its writeback, which back-to-back short
+    runs to one ``--out`` paid on every write. So the file is overwritten
+    from its start and then cut to the new length; only a regular file is
+    cut (``os.devnull`` refuses it). Like ``open(path, "w")``, this is not
+    crash-atomic: a process killed while writing can leave a partial file."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _fmt(value) -> str:
@@ -97,7 +123,7 @@ def emit_results(rows: Sequence, path, sidecar: Optional[dict] = None,
     round-trip decimals."""
     values = operator.attrgetter(*(f.name for f in dataclasses.fields(row_type)))
     lines = [_header(row_type)] + [",".join(map(_fmt, values(r))) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     if sidecar is not None:
         _write_sidecar(path, sidecar)
 
@@ -125,7 +151,7 @@ def read_results(path) -> list:
 def _write_sidecar(path, sidecar: dict) -> None:
     # numpy integers, which a config's counts and seed may be, go out as ints
     text = json.dumps(sidecar, indent=2, sort_keys=True, default=operator.index)
-    Path(str(path) + ".config.json").write_text(text + "\n", encoding="utf-8")
+    _write_text(str(path) + ".config.json", text + "\n")
 
 
 def _sidecar_dict(cfg, solver, preset_name, schemes, axis, trials, seed) -> dict:
@@ -245,7 +271,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

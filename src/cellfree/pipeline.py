@@ -338,7 +338,8 @@ class TrialDraw:
 def _map_items(fn, *values):
     """``values[0]`` rebuilt, each value it holds in turn, with ``fn(core,
     *arrays)`` for each per-item array: its count in ``_LAYOUT`` and that
-    field of each of ``values``. Any other field, and a None, is kept."""
+    field of each of ``values``. Any other field, and a None, is kept. A
+    value whose fields all come back as they were is itself, not rebuilt."""
     first, rest = values[0], values[1:]
     new = {}
     for name, core in _LAYOUT[type(first)].items():
@@ -351,6 +352,8 @@ def _map_items(fn, *values):
         else:
             new[name] = ([fn(core, *steps) for steps in zip(x, *parts)] if type(x) is list
                          else fn(core, x, *parts))
+    if all(new[name] is getattr(first, name) for name in new):
+        return first
     return type(first)(**new)
 
 
@@ -398,10 +401,13 @@ class Build(_Items):
 
     def broadcast_to(self, items) -> "Build":
         """The build at the item axes ``items``: a read-only stride-0 view of
-        each per-item array along each of them that it lacks."""
+        each per-item array along each of them that it lacks; the build
+        itself where none lacks one, as an MMSE build outside an ES chunk."""
+        items = tuple(items)
         def to(core, x):
-            shape = tuple(items) + np.shape(x)[np.ndim(x) - core:]
-            return x if np.shape(x) == shape else np.broadcast_to(x, shape)
+            have = np.shape(x)
+            shape = items + have[len(have) - core:]
+            return x if have == shape else np.broadcast_to(x, shape)
         return _map_items(to, self)
 
     @staticmethod
@@ -597,9 +603,11 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
                           else (None, None))
         stage = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
                           built=Build.stack([builds[key[:2]] for key in keys], reform))
+        if not reform:              # the stage stacked only the loads: each
+            stage.precoder = None   # cell's precoder is its build's, not a take
         for i, key in enumerate(keys):
             ran[key] = stage.take(i)
-            if not reform:          # the stage stacked only the loads
+            if not reform:
                 ran[key].precoder = builds[key[:2]].precoder
 
     ber_seconds, degenerate = 0.0, None

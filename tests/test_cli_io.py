@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -30,18 +31,30 @@ def make_rows():
     ]
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's ``cellfree``."""
+    src = str(Path(cellfree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 def test_the_package_and_its_cli_import_no_scipy():
     # a fresh interpreter, so no other test's import of SciPy counts
     code = ("import sys, cellfree.cli_io\n"
             "assert cellfree.cli_io.main(['list-presets']) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    src = str(Path(cellfree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert "fig-tiny-opa" in run.stdout
+
+
+def test_the_package_runs_as_a_module():
+    run = run_python("-m", "cellfree", "list-presets")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == list(PRESETS)
+    assert run_python("-m", "cellfree").returncode == 2     # no subcommand
 
 
 # ------------------------------------------------------------- config files
@@ -73,6 +86,10 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         load_config(path)
     path.write_text("num_aps = banana\n")
     with pytest.raises(ConfigError, match=":1:"):
+        load_config(path)
+    # a key set twice is refused, not settled by the last line
+    path.write_text("num_users = 4\nnum_aps = 8\n\n  num_users=6  # again\n")
+    with pytest.raises(ConfigError, match=":4: key 'num_users' already set on line 1$"):
         load_config(path)
 
 
@@ -130,6 +147,73 @@ def test_sidecar_provenance(tmp_path):
                  sidecar={"seed": np.int64(42), "config": {"k": np.uint8(1)}})
     assert ((tmp_path / "np.csv.config.json").read_bytes()
             == (tmp_path / "out.csv.config.json").read_bytes())
+
+
+def _long_and_short_writes():
+    """Per writer, a call that writes a longer text and one that writes a
+    shorter text to a path, and the file that holds it."""
+    long_cfg = dataclasses.replace(
+        SystemConfig(), snr_grid_db=tuple(i / 7 for i in range(40)),
+        rng_seed=987654321).validate()
+    return {
+        "csv": (lambda path: emit_results(make_rows() * 3, path),
+                lambda path: emit_results(make_rows()[:1], path), ""),
+        "sidecar": (lambda path: emit_results([], path, sidecar={"config": list(range(60))}),
+                    lambda path: emit_results([], path, sidecar={"seed": 1}), ".config.json"),
+        "dump_config": (lambda path: dump_config(long_cfg, path),
+                        lambda path: dump_config(SystemConfig(), path), ""),
+    }
+
+
+@pytest.mark.parametrize("writer", ["csv", "sidecar", "dump_config"])
+def test_a_shorter_text_over_a_longer_file_equals_a_fresh_write(tmp_path, writer):
+    write_long, write_short, suffix = _long_and_short_writes()[writer]
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    write_long(over)
+    longer = Path(str(over) + suffix).stat().st_size
+    write_short(over)
+    write_short(fresh)
+    written = Path(str(over) + suffix).read_bytes()
+    assert written == Path(str(fresh) + suffix).read_bytes()
+    assert 0 < len(written) < longer
+
+
+def test_results_can_go_to_a_character_device():
+    # os.devnull is not a regular file: it takes the bytes but refuses a truncate
+    emit_results(make_rows(), os.devnull)
+
+
+def test_a_new_file_gets_the_mode_open_w_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        emit_results(make_rows(), tmp_path / "new.csv", sidecar={"seed": 1})
+        dump_config(SystemConfig(), tmp_path / "new.cfg")
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert mode == 0o640
+    for name in ("new.csv", "new.csv.config.json", "new.cfg"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
+def test_no_writer_truncates_on_open(tmp_path, monkeypatch):
+    # truncating on open, as open(path, "w") and Path.write_text do, is what
+    # made each rewrite of a results file slow on ext4
+    opened, os_open = [], os.open
+    def spy(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+    monkeypatch.setattr(os, "open", spy)
+    for write_long, write_short, _ in _long_and_short_writes().values():
+        write_long(tmp_path / "new")
+        write_short(tmp_path / "new")
+    emit_results(make_rows(), tmp_path / "new.csv", sidecar={"seed": 1})
+    assert {path for path, _ in opened} == {
+        str(tmp_path / name) for name in ("new", "new.config.json", "new.csv",
+                                          "new.csv.config.json")}
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -303,6 +387,19 @@ def test_run_sweep_preset_with_overrides(tmp_path):
     assert {r.scheme for r in rows} == {"MMSE+UPA+NS", "ZF+OPA+LS"}
     assert all(r.seed == 777 and r.trials == 2 for r in rows)
     assert len(rows) == 2 * 6  # two schemes, six grid points
+
+
+def test_a_run_over_a_larger_presets_files_equals_a_run_to_a_fresh_path(tmp_path):
+    def files(out):
+        return [out, Path(str(out) + ".config.json")]
+    over, fresh = tmp_path / "over.csv", tmp_path / "fresh.csv"
+    assert main(["run", "--preset", "fig-tiny-opa", "--out", str(over), "--trials", "1"]) == 0
+    sizes = [path.stat().st_size for path in files(over)]
+    for out in (over, fresh):
+        assert main(["run", "--preset", "fig-learning", "--out", str(out), "--trials", "1"]) == 0
+    for written, was, wanted in zip(files(over), sizes, files(fresh)):
+        assert written.read_bytes() == wanted.read_bytes()
+        assert written.stat().st_size < was
 
 
 def test_validate_missing_file_is_an_error(tmp_path, capsys):
