@@ -8,7 +8,15 @@ Rayleigh. Channel state information (CSI) quality is controlled by a scalar
 estimation error carries the remaining ``(1 - n) * beta``.
 
 All randomness flows through explicitly passed numpy Generators so trials
-can be reproduced (and parallelized) from per-trial sub-streams.
+can be reproduced (and parallelized) from per-trial sub-streams. The order
+of the draws is the reproducibility contract: every output of a seed
+depends on it. ``generate_realization`` takes from its topology stream the
+(L, 2) AP positions, then the (K, 2) user positions; from its shadowing
+stream one standard normal per AP-user pair, (L, K); and from its fading
+stream, each in C order over (M, K), the real parts of ``g_hat``, then its
+imaginary parts, then those of ``g_tilde`` in the same order. Every block
+is drawn whatever its variance, so ``g_tilde``'s is drawn at
+``csi_quality`` 1 too.
 """
 
 from __future__ import annotations
@@ -172,11 +180,17 @@ class ChannelRealization:
 
 
 def complex_normal(rng: np.random.Generator, variance, shape) -> np.ndarray:
-    """Draw circularly symmetric complex Gaussians with the given variance."""
+    """Draw circularly symmetric complex Gaussians with the given variance.
+
+    One standard-normal block of shape ``(2, *shape)`` holds the real parts,
+    then the imaginary parts; each is scaled by ``sqrt(variance / 2)``.
+    """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    re, im = rng.standard_normal((2,) + tuple(shape))
+    out = np.empty(shape, dtype=complex)
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out
 
 
 def generate_topology(cfg: SystemConfig, rng: np.random.Generator):
@@ -188,9 +202,9 @@ def generate_topology(cfg: SystemConfig, rng: np.random.Generator):
 
 def pairwise_distances(ap_positions, user_positions, antennas_per_ap: int) -> np.ndarray:
     """Planar AP-to-user distances replicated over each AP's antennas, (M, K)."""
-    diff = ap_positions[:, None, :] - user_positions[None, :, :]
-    d_ap = np.sqrt(np.sum(diff ** 2, axis=-1))        # (L, K)
-    return np.repeat(d_ap, antennas_per_ap, axis=0)   # (M, K)
+    dx = ap_positions[:, 0, None] - user_positions[:, 0]
+    dy = ap_positions[:, 1, None] - user_positions[:, 1]
+    return np.repeat(np.sqrt(dx * dx + dy * dy), antennas_per_ap, axis=0)   # (M, K)
 
 
 def attenuation_constant_db(cfg: SystemConfig) -> float:
@@ -255,39 +269,3 @@ def generate_realization(cfg: SystemConfig, rng_topology, rng_shadowing, rng_fad
     return ChannelRealization(ap_positions=ap_positions, user_positions=user_positions,
                               distances=distances, beta=beta, alpha=alpha,
                               g=g, g_hat=g_hat, g_tilde=g_tilde)
-
-
-def pilot_estimate_variance(beta, rho_r: float, tau: float) -> np.ndarray:
-    """Estimate variance of the pilot-based estimator, rho*tau*beta^2 / (1 + rho*tau*beta)."""
-    beta = np.asarray(beta, dtype=float)
-    return rho_r * tau * beta ** 2 / (1.0 + rho_r * tau * beta)
-
-
-def mmse_pilot_estimate(g, beta, pilots, rho_r: float, rng: np.random.Generator) -> np.ndarray:
-    """Channel estimate from an explicit uplink training round.
-
-    ``pilots`` is (tau, K) with orthonormal columns (one unit-norm sequence
-    per user); overlapping pilots are rejected since contamination is not
-    modeled. Each antenna observes
-    ``y_m = sqrt(rho_r * tau) * sum_k g_{m,k} pilot_k + noise`` and the
-    per-entry estimate is the scaled pilot-matched output. Serves as a
-    consistency check on the variance-split model used by
-    :func:`realize_channel`; the simulation pipeline does not call it.
-    """
-    g = np.asarray(g)
-    beta = np.asarray(beta, dtype=float)
-    pilots = np.asarray(pilots)
-    tau, k = pilots.shape
-    if k != g.shape[1]:
-        raise ValueError("one pilot sequence per user is required")
-    if tau < k:
-        raise ValueError("pilot length tau must be at least the user count")
-    gram = pilots.conj().T @ pilots
-    if not np.allclose(gram, np.eye(k), atol=1e-10):
-        raise ValueError("pilot sequences must be orthonormal (contamination unsupported)")
-    m = g.shape[0]
-    noise = complex_normal(rng, 1.0, (tau, m))
-    y = np.sqrt(rho_r * tau) * pilots @ g.T + noise        # (tau, M)
-    matched = (pilots.conj().T @ y).T                      # (M, K), row m holds pilot_k^H y_m
-    gain = np.sqrt(rho_r * tau) * beta / (1.0 + rho_r * tau * beta)
-    return gain * matched

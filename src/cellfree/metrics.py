@@ -88,13 +88,15 @@ class LinkMetrics:
     ber: Optional[float] = None
 
 
-def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrCoefficients:
+def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float,
+                      delta=None) -> SinrCoefficients:
     """Coefficients (psi, phi, gamma) for the closed-form SINR.
 
     ``err_var`` is the (..., M, K) per-entry CSI-error variance,
     `(1 - n) * beta` after masking; with perfect CSI it is zero and gamma
     vanishes. ``rho_f`` is one scale or one per item; the coefficients
-    themselves do not depend on it.
+    themselves do not depend on it. ``delta`` is P's loads ``|P|^2``, as
+    its ``PrecoderOutput`` holds them; they are formed from ``p`` if None.
     """
     p = np.asarray(p)
     g_hat = np.asarray(g_hat)
@@ -102,7 +104,9 @@ def sinr_coefficients(p, g_hat, err_var, rho_f: float, sigma_w2: float) -> SinrC
     effective = g_hat.mT @ p                  # (K, K): row k = g_hat_k^T P
     phi = np.abs(effective) ** 2
     psi = phi.diagonal(axis1=-2, axis2=-1).copy()
-    gamma = err_var.mT @ (np.abs(p) ** 2)     # (K, K): [k, i] couples user i into k
+    if delta is None:
+        delta = np.abs(p) ** 2
+    gamma = err_var.mT @ delta                # (K, K): [k, i] couples user i into k
     return SinrCoefficients(psi=psi, phi=phi, gamma=gamma,
                             rho_f=np.asarray(rho_f, dtype=float)[()],
                             sigma_w2=float(sigma_w2))

@@ -440,7 +440,7 @@ def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2) -> Build:
     stack of them, at ``rho_f``, broadcast to their items."""
     t0 = time.perf_counter()
     prec = build(g_hat, rho_f, sigma_w2, sigma_s2)
-    coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+    coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2, prec.delta)
     items = np.broadcast_shapes(np.shape(rho_f), prec.p.shape[:-2])
     return Build(prec, coeffs, time.perf_counter() - t0).broadcast_to(items)
 
@@ -474,7 +474,7 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
     if allocator.adaptive:
         prec = pc.apply_allocation(prec, solves[0].n_diag)
         t3 = time.perf_counter()
-        coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2)
+        coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2, prec.delta)
         solves.append(allocator.solve(prec, coeffs, sigma_s2))
         seconds["precoder"] += t3 - t2
         seconds["allocation"] += time.perf_counter() - t3

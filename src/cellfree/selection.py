@@ -24,16 +24,27 @@ from .channel import ChannelRealization
 def ls_aps(beta, num_selected: int, antennas_per_ap: int) -> np.ndarray:
     """Keep, for each user, the S APs with the largest large-scale gain.
 
-    Deterministic given beta; ties resolve to the lower AP index. The ranking
-    only compares per-AP gains, so any positive rescaling of beta yields the
-    same mask.
+    Deterministic given beta; ties resolve to the lower AP index. A
+    partition finds each user's S-th largest AP gain, and the user keeps
+    its APs above it and, of those at it, the lowest-indexed ones that fill
+    the S places: the mask of a stable descending sort's first S. Exact
+    ties arise, for instance, among a user's links closer than d0, where
+    the path loss is flat and unshadowed. The ranking only compares per-AP
+    gains, so any positive rescaling of beta yields the same mask. An S
+    outside [1, L] is refused.
     """
-    beta = np.asarray(beta, dtype=float)
-    beta_ap = beta[::antennas_per_ap, :]               # (L, K), block representative
-    order = np.argsort(-beta_ap, axis=0, kind="stable")
-    q_ap = np.zeros(beta_ap.shape)
-    np.put_along_axis(q_ap, order[:num_selected], 1.0, axis=0)
-    return np.repeat(q_ap, antennas_per_ap, axis=0)
+    beta_ap = np.asarray(beta, dtype=float)[::antennas_per_ap, :]   # (L, K)
+    num_aps = beta_ap.shape[0]
+    if not 1 <= num_selected <= num_aps:
+        raise ValueError(f"num_selected must lie in [1, L] = [1, {num_aps}], "
+                         f"got {num_selected!r}")
+    kth = np.partition(beta_ap, num_aps - num_selected, axis=0)[num_aps - num_selected]
+    q_ap = beta_ap >= kth
+    # each user keeps at least S; more only where gains tie at its kth
+    if np.count_nonzero(q_ap) > num_selected * q_ap.shape[1]:
+        at = beta_ap == kth
+        q_ap &= ~at | (np.cumsum(at, axis=0) <= num_selected - (beta_ap > kth).sum(axis=0))
+    return np.repeat(q_ap.astype(float), antennas_per_ap, axis=0)
 
 
 # Mask entries scored per ``evaluate`` call by exhaustive selection, counted

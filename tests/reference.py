@@ -4,13 +4,20 @@ defined once, here.
 ``eig_max_min_root`` is the max-min root in its eigendecomposition form,
 the package's method before its root solve moved to batched K x K solves:
 an independent oracle for ``power_allocation._max_min_root``.
+``realization_reference`` draws a channel block with the formulas the
+package used before its draw was fused (two normal calls per complex block,
+distances summed over an (L, K, 2) difference), and ``ls_reference`` ranks
+with a stable sort per user: the package must reproduce both bit for bit.
+``mmse_pilot_estimate`` is an explicit uplink training round, a check on the
+channel model's variance split that the simulation itself never runs.
 """
 
 import dataclasses
 
 import numpy as np
 
-from cellfree.channel import SystemConfig
+from cellfree.channel import (SystemConfig, complex_normal, generate_topology,
+                              large_scale_coeffs)
 
 # Newton steps after which the oracle stops, converged or not
 ORACLE_MAX_STEPS = 60
@@ -30,6 +37,75 @@ def mask_from_choices(choices, num_aps, antennas_per_ap):
     for k, aps in enumerate(choices):
         q_ap[list(aps), k] = 1.0
     return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def ls_reference(beta, num_selected, antennas_per_ap):
+    """Gain ranking one user at a time: a stable argsort of the user's AP gains."""
+    beta_ap = np.asarray(beta, dtype=float)[::antennas_per_ap, :]
+    q_ap = np.zeros(beta_ap.shape)
+    for k in range(beta_ap.shape[1]):
+        order = np.argsort(-beta_ap[:, k], kind="stable")
+        q_ap[order[:num_selected], k] = 1.0
+    return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def complex_normal_reference(rng, variance, shape):
+    """A complex Gaussian block from two normal calls, real parts first."""
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return scale * (re + 1j * im)
+
+
+def realization_reference(cfg, rng_topology, rng_shadowing, rng_fading):
+    """``generate_realization``'s distances, gains and fading, as a dict, with
+    the distances summed over an (L, K, 2) difference and each complex block
+    drawn by ``complex_normal_reference``."""
+    ap_positions, user_positions = generate_topology(cfg, rng_topology)
+    diff = ap_positions[:, None, :] - user_positions[None, :, :]
+    distances = np.repeat(np.sqrt(np.sum(diff ** 2, axis=-1)), cfg.antennas_per_ap, axis=0)
+    beta = large_scale_coeffs(distances, cfg, rng_shadowing)
+    alpha = cfg.csi_quality * beta
+    g_hat = complex_normal_reference(rng_fading, alpha, beta.shape)
+    g_tilde = complex_normal_reference(rng_fading, beta - alpha, beta.shape)
+    return {"distances": distances, "beta": beta, "alpha": alpha,
+            "g": g_hat + g_tilde, "g_hat": g_hat, "g_tilde": g_tilde}
+
+
+def pilot_estimate_variance(beta, rho_r: float, tau: float) -> np.ndarray:
+    """Estimate variance of the pilot-based estimator, rho*tau*beta^2 / (1 + rho*tau*beta)."""
+    beta = np.asarray(beta, dtype=float)
+    return rho_r * tau * beta ** 2 / (1.0 + rho_r * tau * beta)
+
+
+def mmse_pilot_estimate(g, beta, pilots, rho_r: float, rng: np.random.Generator) -> np.ndarray:
+    """Channel estimate from an explicit uplink training round.
+
+    ``pilots`` is (tau, K) with orthonormal columns (one unit-norm sequence
+    per user); overlapping pilots are rejected since contamination is not
+    modeled. Each antenna observes
+    ``y_m = sqrt(rho_r * tau) * sum_k g_{m,k} pilot_k + noise`` and the
+    per-entry estimate is the scaled pilot-matched output. Serves as a
+    consistency check on the variance-split model used by
+    ``channel.realize_channel``.
+    """
+    g = np.asarray(g)
+    beta = np.asarray(beta, dtype=float)
+    pilots = np.asarray(pilots)
+    tau, k = pilots.shape
+    if k != g.shape[1]:
+        raise ValueError("one pilot sequence per user is required")
+    if tau < k:
+        raise ValueError("pilot length tau must be at least the user count")
+    gram = pilots.conj().T @ pilots
+    if not np.allclose(gram, np.eye(k), atol=1e-10):
+        raise ValueError("pilot sequences must be orthonormal (contamination unsupported)")
+    m = g.shape[0]
+    noise = complex_normal(rng, 1.0, (tau, m))
+    y = np.sqrt(rho_r * tau) * pilots @ g.T + noise        # (tau, M)
+    matched = (pilots.conj().T @ y).T                      # (M, K), row m holds pilot_k^H y_m
+    gain = np.sqrt(rho_r * tau) * beta / (1.0 + rho_r * tau * beta)
+    return gain * matched
 
 
 def grid_max_min(coeffs, delta, resolution=1000):

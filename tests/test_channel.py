@@ -7,9 +7,11 @@ from cellfree.channel import (MAX_ABS_SNR_DB, MIN_CSI_QUALITY, SYMBOL_POWER_RANG
                               ChannelRealization, ConfigError, SystemConfig,
                               attenuation_constant_db,
                               complex_normal, generate_realization, generate_topology,
-                              large_scale_coeffs, mmse_pilot_estimate,
-                              pairwise_distances, path_loss_db,
-                              pilot_estimate_variance, realize_channel)
+                              large_scale_coeffs, pairwise_distances, path_loss_db,
+                              realize_channel)
+from cellfree.selection import ls_aps
+from reference import (ls_reference, mmse_pilot_estimate, pilot_estimate_variance,
+                       realization_reference)
 
 
 def default_cfg(**overrides):
@@ -179,6 +181,31 @@ def test_realization_is_bit_reproducible():
     for name in ("ap_positions", "user_positions", "distances", "beta",
                  "alpha", "g", "g_hat", "g_tilde"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name))
+
+
+@pytest.mark.parametrize("num_aps, antennas, quality, side", [
+    (24, 1, 0.99, 1000.0), (24, 4, 1.0, 1000.0), (64, 4, 0.99, 1000.0),
+    (24, 1, 1.0, 20.0), (24, 4, 0.99, 20.0)])
+def test_realization_and_ranking_match_the_reference_draw_bitwise(num_aps, antennas,
+                                                                  quality, side):
+    # on a 20 m square about half the links are closer than d0 = 10 m, where
+    # the path loss is flat and unshadowed, so their gains tie exactly
+    cfg = default_cfg(num_aps=num_aps, antennas_per_ap=antennas, num_users=8,
+                      csi_quality=quality, area_side_m=side)
+    for seed in range(3):
+        def streams():
+            return [np.random.default_rng([seed, i]) for i in range(3)]
+        real = generate_realization(cfg, *streams())
+        want = realization_reference(cfg, *streams())
+        for name in ("distances", "beta", "alpha", "g", "g_hat"):
+            assert getattr(real, name).tobytes() == want[name].tobytes(), name
+        # equal in value: an exact zero (csi_quality 1) may differ in sign
+        assert np.array_equal(real.g_tilde, want["g_tilde"])
+        for s in range(1, num_aps + 1):
+            assert (ls_aps(real.beta, s, antennas).tobytes()
+                    == ls_reference(want["beta"], s, antennas).tobytes())
+        if side < cfg.d1_m:     # every user sees tied AP gains
+            assert all(len(np.unique(gains)) < num_aps for gains in real.beta[::antennas].T)
 
 
 # ------------------------------------------------------------ pilot training

@@ -7,6 +7,7 @@ from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.pipeline import Scheme, run_chain
 from cellfree.selection import apply_mask, es_aps, ls_aps
+from reference import ls_reference
 
 
 def small_realization(num_aps=6, antennas=1, users=3, n=0.9, seed=0):
@@ -58,16 +59,6 @@ def test_ranking_invariant_under_positive_rescaling():
     assert np.array_equal(m1, m2)
 
 
-def ls_reference(beta, num_selected, antennas_per_ap):
-    """Gain ranking one user at a time: a stable argsort of the user's AP gains."""
-    beta_ap = np.asarray(beta, dtype=float)[::antennas_per_ap, :]
-    q_ap = np.zeros(beta_ap.shape)
-    for k in range(beta_ap.shape[1]):
-        order = np.argsort(-beta_ap[:, k], kind="stable")
-        q_ap[order[:num_selected], k] = 1.0
-    return np.repeat(q_ap, antennas_per_ap, axis=0)
-
-
 def test_ranking_equals_the_per_user_loop_when_aps_tie():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -76,6 +67,22 @@ def test_ranking_equals_the_per_user_loop_when_aps_tie():
         beta = np.repeat(rng.integers(1, 4, size=(l, k)) * 0.1, n, axis=0)
         for s in range(1, l + 1):
             assert np.array_equal(ls_aps(beta, s, n), ls_reference(beta, s, n))
+    # and at the presets' sizes, with tied and with distinct gains
+    for l, n in ((24, 4), (128, 1), (256, 1)):
+        for tied in (True, False):
+            gains = (rng.integers(1, 4, size=(l, 16)) * 0.1 if tied
+                     else rng.uniform(size=(l, 16)))
+            beta = np.repeat(gains, n, axis=0)
+            for s in sorted({1, 2, l // 3, l // 2, l - 1, l, *rng.integers(1, l, 4)}):
+                assert np.array_equal(ls_aps(beta, s, n), ls_reference(beta, s, n))
+
+
+@pytest.mark.parametrize("bad", [0, -1, 9, 64])
+def test_ranking_refuses_a_budget_outside_one_to_the_ap_count(bad):
+    beta = np.repeat(np.random.default_rng(4).uniform(size=(8, 3)), 2, axis=0)
+    with pytest.raises(ValueError, match=rf"\[1, 8\].*got {bad}"):
+        ls_aps(beta, bad, 2)
+    assert ls_aps(beta, 8, 2).sum() == 8 * 2 * 3
 
 
 def test_ties_across_aps_go_to_the_lower_ap_index():
