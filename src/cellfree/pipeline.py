@@ -30,11 +30,13 @@ its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and copies each point's winning item out of the chunk that scored
 it (``ChainResult.take``), so every reported number is what the 2-D chain
-on the winning mask gives, and no chain runs on the winners again. A chunk
-that leaves ZF rank-deficient runs again without the candidates that fail
-ZF's rank test (``pc.zf_full_rank``: a Gram eigenvalue at or below
-rounding), which score -inf; the ``pc.RankDeficientError`` of the chunk's
-build carries that test's mask, so no Gram matrix is tested twice.
+on the winning mask gives, and no chain runs on the winners again. Each
+chunk is masked and built once. A chunk that leaves ZF rank-deficient is
+built again without the candidates that fail ZF's rank test
+(``pc.zf_full_rank``: a Gram eigenvalue at or below rounding), which score
+-inf; the error of the chunk's build carries that test's mask, so no Gram
+matrix is tested twice. OPA's search is screened by its closed-form bound
+(see ``_es``).
 
 A trial is split in two. ``TrialDraw`` holds the channel block of trial
 ``t`` at one config, drawn once on first use and read-only. ``run_cells``
@@ -118,84 +120,86 @@ def _es(scheme, realization, cfg, rho_f):
     ``allocation_tests``; its precoder and allocation seconds are 0, as the
     search that ran them is the cell's selection time. It also holds
     ``es_candidates``, the (point, candidate) items searched, and
-    ``es_certified``, those scored on the whole chain.
+    ``es_certified``, those decided exactly: scored on the chain, or set
+    aside by ZF's rank test.
 
-    OPA's search is screened, with every precoder: every chunk is first
-    bounded on its own ``Build`` by ``pa.opa_bound``, a closed-form interval
+    Each chunk is masked once and built once. A build that ZF's rank test
+    refuses names the candidates that fail it, which score -inf at every
+    point, and only the rest are built, without being tested again. With an
+    allocator ``bound`` (OPA's, ``pa.opa_bound``: a closed-form interval
     with no eigendecomposition and no bisection, at the chain's own
-    ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``, and only the candidates
-    whose interval can reach the best run the chain (see ``sel.es_aps``), so
-    the winner is the unscreened search's. Their chain takes their columns
-    of the chunk's ``Build``, which gives the same bits as building them
-    again, as each item equals its own 2-D build: each candidate is built
-    once. A chunk the screen cannot bound (its build raises) has NaN
-    intervals, so the chain builds and scores it and meets the same error,
-    or, for ZF, sets aside the rank-deficient candidates that the screen's
-    ``pc.RankDeficientError`` names, without testing them again. APA and
-    UPA have no bound cheaper than their own chain: their searches score
-    every candidate."""
+    ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``) the search is screened: each
+    point keeps the largest ``lo`` so far and its best score so far, both
+    only rising, and a candidate whose ``hi`` is below both at every point
+    can never win, so it scores -inf without running the chain. A NaN end
+    rules nothing out. The candidates left run the allocate stage on their
+    columns of the chunk's build, at every point, and the first strict
+    maximum among them is the unscreened search's winner, ties included.
+    Should a screened search leave some point without a winner, the search
+    runs again unscreened, so its errors are the unscreened search's too. APA
+    and UPA have no bound cheaper than their own chain: their searches
+    score every candidate."""
     points = np.shape(rho_f)
     stack_rho = rho_f[..., None] if points else rho_f
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
-    allocator = SCHEMES["allocation"][scheme.allocation]
-    certified = 0
-    won = []        # newest first: points a chunk raised, their items copied by index
+    cut = (slice(None),) * len(points)
 
-    def chain(g_hat, err_var, built=None):
-        return run_chain(g_hat, err_var, scheme, stack_rho, sigma_w2, sigma_s2, built=built)
+    def search(bound):
+        """``sel.es_aps`` on the chain, screened by ``bound`` unless it is
+        None: the masks, the winners' copies, newest first, as ``(points,
+        ChainResult)``, and the certified count."""
+        won = []        # newest first: points a chunk raised, their items copied by index
+        certified = 0
+        floor, best = np.full(points, -np.inf), np.full(points, -np.inf)
 
-    def evaluate(masks, built=None, full=None):
-        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
-        ``take`` that copies the picked items of its chain result into the
-        winners (see ``sel.es_aps``). ``built``, the stack's columns of its
-        chunk's build, skips the chain's build. A mask that leaves ZF
-        rank-deficient scores -inf at every point: when a stack raises, the
-        masks that fail ZF's rank test, which ``pc.RankDeficientError``
-        carries, are set aside and the rest run again as one stack. ``full``,
-        that test's mask from a build of the same stack that raised, sets
-        them aside before the first run."""
-        nonlocal certified
-        certified += len(masks) * math.prod(points)
-        g_hat, err_var = sel.apply_mask(masks, realization)
-        if full is None:
+        def evaluate(masks):
+            """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and
+            the ``take`` that copies the picked items of its chain result
+            into the winners (see ``sel.es_aps``)."""
+            nonlocal certified, floor, best
+            g_hat, err_var = sel.apply_mask(masks, realization)
+            scores = np.full(points + masks.shape[:1], -np.inf)
+            certified += scores.size
+            run = np.ones(len(masks), dtype=bool)       # the candidates the chain scores
             try:
-                result, rows = chain(g_hat, err_var, built), np.arange(len(masks))
-                scores = result.metrics.min_sinr
+                built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
             except pc.RankDeficientError as err:
-                full = err.full
-        if full is not None:
-            scores = np.full(points + full.shape, -np.inf)
-            if not full.any():
-                return scores, None                 # no score to take: none beats -inf
-            result, rows = chain(g_hat[full], err_var[full]), np.cumsum(full) - 1
-            scores[..., full] = result.metrics.min_sinr
+                run = err.full
+                if not run.any():
+                    return scores, None                 # no score to take: none beats -inf
+                built = _build(build, g_hat[run], err_var[run], stack_rho, sigma_w2, sigma_s2)
+            if bound is not None:
+                lo, hi = (np.asarray(x, dtype=float) for x in bound(built.precoder, built.coeffs))
+                hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
+                floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
+                live = (hi >= np.maximum(floor, best)[..., None]
+                        ).reshape(-1, hi.shape[-1]).any(axis=0)
+                certified -= (live.size - np.count_nonzero(live)) * math.prod(points)
+                if not live.any():
+                    return scores, None
+                built = built.take(cut + (live,))
+                run[run] = live
+            result = run_chain(g_hat[run], err_var[run], scheme, stack_rho, sigma_w2,
+                               sigma_s2, built=built)
+            scores[..., run] = result.metrics.min_sinr
+            best = np.maximum(best, np.where(np.isnan(scores), -np.inf, scores).max(axis=-1))
+            rows = np.cumsum(run) - 1
 
-        def take(items, columns):
-            at = np.flatnonzero(items)
-            won.insert(0, (at, result.take((at, rows[columns]) if points else (rows[columns],))))
-        return scores, take
+            def take(items, columns):
+                at = np.flatnonzero(items)
+                won.insert(0, (at, result.take((at, rows[columns]) if points
+                                               else (rows[columns],))))
+            return scores, take
 
-    def screen(masks):
-        """``(lo, hi)`` around each minimum SINR of a (B, M, K) stack,
-        ``points + (B,)``, NaN where the build cannot be bounded, and the
-        ``score`` of its candidates, which reuses the stack's build."""
-        g_hat, err_var = sel.apply_mask(masks, realization)
-        try:
-            built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
-            lo, hi = allocator.bound(built.precoder, built.coeffs)
-        except (ArithmeticError, ValueError) as err:  # LinAlgError is a ValueError
-            nan = np.full(points + masks.shape[:1], np.nan)
-            full = getattr(err, "full", None)          # a RankDeficientError's
-            return nan, nan, lambda columns: evaluate(
-                masks[columns], full=None if full is None else full[columns])
-        cut = (slice(None),) * len(points)
-        return lo, hi, lambda columns: evaluate(masks[columns], built.take(cut + (columns,)))
+        masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
+                              cfg.antennas_per_ap, evaluate, points=math.prod(points))
+        return masks, won, certified
 
-    masks, _ = sel.es_aps(
-        cfg.num_aps, cfg.num_users, cfg.selected_aps, cfg.antennas_per_ap, evaluate,
-        points=math.prod(points),
-        screen=None if allocator.bound is None else screen)
+    bound = SCHEMES["allocation"][scheme.allocation].bound
+    masks, won, certified = search(bound)
+    if masks is None and bound is not None:
+        masks, won, certified = search(None)
     if masks is None:
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
@@ -385,7 +389,8 @@ class ChainResult(_Items):
 
 @dataclass
 class PipelineResult(ChainResult):
-    mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) for ES on a grid
+    mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) on a grid,
+                          # stride 0 along the points for NS and LS
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,8 @@ class Build(_Items):
 _LAYOUT = {
     Build: {"precoder": ..., "coeffs": ..., "seconds": None},
     ChainResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ..., "trace": None},
+    PipelineResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ...,
+                     "trace": None, "mask": 2},
     pc.PrecoderOutput: {"p": 2, "f": 0, "delta": 2},
     mt.SinrCoefficients: {"psi": 1, "phi": 2, "gamma": 2, "rho_f": 0, "sigma_w2": None},
     pa.AllocationResult: {"eta": 1, "iterations": None, "achieved_t": 0, "tests": None,
@@ -532,8 +539,9 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     once (see the module docstring).
 
     ``snr_db`` is one SNR point, or a grid ``(S,)``: every array of a cell
-    then has a leading grid axis, and each item equals its own point's
-    cell. NS and LS share one mask over the grid; an ES search finds every
+    then has a leading grid axis, and each item, ``take(i)``, equals its own
+    point's cell. NS and LS share one mask over the grid, stride 0 along
+    it; an ES search finds every
     point's mask, and its chain result is the winners' items of the chunks
     it scored (see ``_es``). Every distinct chain is one item of one
     ``ber_qpsk`` call on the restarted symbol and noise streams, so each
@@ -581,7 +589,9 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
         if place not in selections:
             t = time.perf_counter()
             mask, chain = selector.select(scheme, realization, cfg, rho_f)
-            selections[place] = (*_read_only(mask, *sel.apply_mask(mask, realization)), chain)
+            # the cell's mask carries its points: stride 0 along them for NS and LS
+            selections[place] = (np.broadcast_to(mask, np.shape(rho_f) + mask.shape[-2:]),
+                                 *_read_only(*sel.apply_mask(mask, realization)), chain)
             made["selection"] = time.perf_counter() - t
         chains[key] = selections[place]
         _, g_hat, err_var, chain = chains[key]
@@ -711,11 +721,15 @@ class SweepRow:
     seed: int
 
 
-def _mean_se(values):
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
+def _trial_stats(runs):
+    """The mean and standard error of ``runs`` along its last axis, the
+    trials; with one trial the standard error is 0. The trials lie along the
+    contiguous last axis, so that each cell's statistics round as a 1-D
+    array's would."""
+    trials = runs.shape[-1]
+    means = runs.mean(axis=-1)
+    return means, (runs.std(axis=-1, ddof=1) / np.sqrt(trials) if trials > 1
+                   else np.zeros(means.shape))
 
 
 def _axis_points(cfg, axis, axis_values):
@@ -826,13 +840,10 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
         seed = cfg.rng_seed
     groups = _axis_points(cfg, axis, axis_values)
     _preflight(schemes, [c for _, c, _ in groups], trials)
-    # (field, scheme, point, trial): trials along the contiguous last axis,
-    # so that each cell's statistics round as a 1-D array's would
-    runs = np.stack([_trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
-                     for t in range(trials)], axis=-1)
-    means = runs.mean(axis=-1)
-    ses = (runs.std(axis=-1, ddof=1) / np.sqrt(trials) if trials > 1
-           else np.zeros(means.shape))
+    # (field, scheme, point, trial)
+    means, ses = _trial_stats(np.stack([
+        _trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
+        for t in range(trials)], axis=-1))
     values = [value for group_values, _, _ in groups for value in group_values]
     rows = []
     for s, scheme in enumerate(schemes):
@@ -872,14 +883,9 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
     if seed is None:
         seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])
-    traces = []
-    for t in range(trials):
-        res = _point_cell(TrialDraw(cfg, t, seed), scheme, snr, "snr_grid", snr)
-        traces.append(res.n_first.cost_trace)
-    arr = np.asarray(traces, dtype=float)         # (trials, iterations + 1)
-    rows = []
-    for i in range(arr.shape[1]):
-        mean, se = _mean_se(arr[:, i])
-        rows.append(LearningCurveRow(iteration=i, cost_mean=mean, cost_se=se,
-                                     trials=int(trials), seed=int(seed)))
-    return rows
+    costs = [_point_cell(TrialDraw(cfg, t, seed), scheme, snr, "snr_grid", snr).n_first.cost_trace
+             for t in range(trials)]
+    means, ses = _trial_stats(np.stack(costs, axis=-1))      # (iterations + 1, trials)
+    return [LearningCurveRow(iteration=i, cost_mean=float(mean), cost_se=float(se),
+                             trials=int(trials), seed=int(seed))
+            for i, (mean, se) in enumerate(zip(means, ses))]

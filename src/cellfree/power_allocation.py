@@ -481,12 +481,6 @@ def _mse(nu, c, b, const):
     return (const + np.vecdot(c * nu - 2.0 * b, nu))[()]
 
 
-def apa_cost(n_diag, coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
-    """MSE between the symbols and the gain-normalized receive vector, CSI
-    error dropped, at the allocation diagonal n_diag."""
-    return _mse(np.asarray(n_diag, dtype=float), *apa_terms(coeffs, f, sigma_s2))
-
-
 def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float = APA_STEP,
             iterations: int = APA_ITERATIONS, sigma_s2: float = 1.0) -> AllocationResult:
     """Gradient-descent allocation against a fixed MMSE-family precoder.

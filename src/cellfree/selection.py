@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def check_es_budget(num_aps: int, num_users: int, num_selected: int) -> int:
 
 
 def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
-           evaluate: Callable[[np.ndarray], tuple], *, points: int = 1,
-           screen: Optional[Callable[[np.ndarray], tuple]] = None):
+           evaluate: Callable[[np.ndarray], tuple], *, points: int = 1):
     """Exhaustive search over every per-user choice of S APs.
 
     ``evaluate`` must run the complete downstream chain (precoding, power
@@ -99,24 +98,8 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     ``take`` can copy the winners' results out as the search goes. An item
     on which no candidate wins (every score NaN or -inf) scores -inf, and
     the masks are then None: an all-NaN search of one item returns
-    ``(None, -inf)``.
-
-    ``screen``, given, takes each chunk in ``evaluate``'s place. It returns
-    ``(lo, hi, score)``: ``lo`` and ``hi`` of the shape of ``evaluate``'s
-    scores, an interval that must hold each item's ``evaluate`` score, or
-    NaN where it gives none, and ``score(columns)``, which returns what
-    ``evaluate`` returns for the chunk's candidates that the boolean
-    ``columns`` picks, so that it can reuse what the screen computed. Each
-    item keeps its largest ``lo`` so far and its best score so far; both
-    only rise, so a candidate whose ``hi`` is below them at every item can
-    never win. As each chunk is screened, only its candidates left (those
-    whose ``hi`` reaches some item's floor, or with a NaN end) are scored,
-    at every item, and the first strict maximum among the scored in
-    product order wins: it is the winner of the whole search, since the
-    winner's ``hi`` reaches every ``lo`` and every score before it.
-    If some item has no finite score among them, every candidate is scored
-    by ``evaluate``, as without a screen. ``check_es_budget`` refuses a
-    search over ``ES_BUDGET``.
+    ``(None, -inf)``. ``check_es_budget`` refuses a search over
+    ``ES_BUDGET``.
     """
     total = check_es_budget(num_aps, num_users, num_selected)
     per_user = math.comb(num_aps, num_selected)
@@ -133,68 +116,23 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
         return np.repeat(q_ap, antennas_per_ap, axis=-2)
 
     chunk = max(1, ES_CHUNK_ENTRIES // (points * num_aps * antennas_per_ap * num_users))
-
-    def every():
-        return (np.arange(start, min(start + chunk, total))
-                for start in range(0, total, chunk))
-
-    best = -1
-    if screen is not None:
-        best, best_score = _screened_maxima(screen, masks_of, every())
-    if np.count_nonzero(best < 0):
-        best, best_score = _first_maxima(evaluate, masks_of, every())
+    best, best_score = -1, -np.inf
+    for start in range(0, total, chunk):
+        index = np.arange(start, min(start + chunk, total))
+        scores, take = evaluate(masks_of(index))
+        scores = np.asarray(scores, dtype=float)
+        scores = np.where(np.isnan(scores), -np.inf, scores)
+        i = np.argmax(scores, axis=-1)                    # first of the maxima
+        top = np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
+        better = top > best_score
+        best = np.where(better, index[i], best)
+        best_score = np.where(better, top, best_score)
+        if np.count_nonzero(better):
+            take(better, i[better])
     best_score = best_score[()]
     if np.count_nonzero(best < 0):
         return None, best_score
     return masks_of(best), best_score
-
-
-def _raise_best(best, best_score, index, scores, take):
-    """``(best, best_score)`` raised by the ``scores`` of the candidates
-    ``index``: each item's first strict maximum so far, index -1 and score
-    -inf where no score beats -inf. The items it raises go to ``take``
-    (see ``es_aps``)."""
-    scores = np.asarray(scores, dtype=float)
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    i = np.argmax(scores, axis=-1)                        # first of the maxima
-    top = np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
-    better = top > best_score
-    best = np.where(better, index[i], best)
-    best_score = np.where(better, top, best_score)
-    if np.count_nonzero(better):
-        take(better, i[better])
-    return best, best_score
-
-
-def _first_maxima(evaluate, masks_of, chunks):
-    """Each item's first strict maximum over the candidates of ``chunks``,
-    index arrays in ascending order, each chunk scored by ``evaluate``:
-    ``(index, score)`` as ``_raise_best`` gives them."""
-    best, best_score = -1, -np.inf
-    for index in chunks:
-        best, best_score = _raise_best(best, best_score, index, *evaluate(masks_of(index)))
-    return best, best_score
-
-
-def _screened_maxima(screen, masks_of, chunks):
-    """``_first_maxima`` over the candidates of ``chunks`` that ``screen``
-    cannot rule out when their chunk is screened, each chunk's scored by
-    the ``score`` its screen returned: those whose ``hi`` reaches, at some
-    item, the largest ``lo`` so far or the best score so far, or with a NaN
-    end."""
-    best, best_score = -1, -np.inf
-    floor = -np.inf
-    for index in chunks:
-        lo, hi, score = screen(masks_of(index))
-        lo, hi = (np.asarray(x, dtype=float) for x in (lo, hi))
-        # a NaN end rules nothing out: such a candidate is always scored
-        hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
-        floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
-        live = (hi >= np.maximum(floor, best_score)[..., None]
-                ).reshape(-1, index.size).any(axis=0)
-        if np.count_nonzero(live):
-            best, best_score = _raise_best(best, best_score, index[live], *score(live))
-    return best, best_score
 
 
 def apply_mask(q, realization: ChannelRealization):

@@ -10,6 +10,9 @@ distances summed over an (L, K, 2) difference), and ``ls_reference`` ranks
 with a stable sort per user: the package must reproduce both bit for bit.
 ``mmse_pilot_estimate`` is an explicit uplink training round, a check on the
 channel model's variance split that the simulation itself never runs.
+``apa_cost`` is APA's separable transmit MSE at any allocation, and
+``mean_se`` the mean and standard error of one cell's trials as a 1-D
+reduction, against which the sweeps' stacked reduction is checked.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ import numpy as np
 
 from cellfree.channel import (SystemConfig, complex_normal, generate_topology,
                               large_scale_coeffs)
+from cellfree.power_allocation import apa_terms
 
 # Newton steps after which the oracle stops, converged or not
 ORACLE_MAX_STEPS = 60
@@ -106,6 +110,23 @@ def mmse_pilot_estimate(g, beta, pilots, rho_r: float, rng: np.random.Generator)
     matched = (pilots.conj().T @ y).T                      # (M, K), row m holds pilot_k^H y_m
     gain = np.sqrt(rho_r * tau) * beta / (1.0 + rho_r * tau * beta)
     return gain * matched
+
+
+def apa_cost(n_diag, coeffs, f, sigma_s2=1.0):
+    """MSE between the symbols and the gain-normalized receive vector, CSI
+    error dropped, at the allocation diagonal n_diag: ``apa_terms``'
+    separable quadratic ``const + sum_k (c_k nu_k - 2 b_k) nu_k``."""
+    nu = np.asarray(n_diag, dtype=float)
+    c, b, const = apa_terms(coeffs, f, sigma_s2)
+    return (const + np.vecdot(c * nu - 2.0 * b, nu))[()]
+
+
+def mean_se(values):
+    """The mean of ``values`` and its standard error, 0 for one value."""
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return mean, se
 
 
 def grid_max_min(coeffs, delta, resolution=1000):

@@ -14,10 +14,9 @@ import numpy as np
 from cellfree.cli_io import main
 from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
 from cellfree.pipeline import Scheme, TrialDraw, _stream, run_trial
-from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
-                                       sinr_feasible, upa)
+from cellfree.power_allocation import apa_sgd, apa_terms, opa_bisection, sinr_feasible, upa
 from cellfree.precoding import mmse_precoder, zf_precoder
-from reference import cfg_with, grid_max_min, random_channel
+from reference import apa_cost, cfg_with, grid_max_min, random_channel
 
 
 def report(num, label, ok, detail=""):

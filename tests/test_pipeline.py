@@ -12,14 +12,14 @@ from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
 from cellfree.cli_io import emit_results, read_results
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
-                               TrialError, _mean_se, _stream, run_cell, run_cells, run_chain,
+                               TrialError, _stream, run_cell, run_cells, run_chain,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import (APA_ITERATIONS, APA_STEP, OPA_ITERATIONS, OPA_TOL,
                                        apa_sgd, opa_bisection, sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import apply_mask, ls_aps
-from reference import cfg_with
+from reference import cfg_with, mean_se
 
 
 TINY = dict(num_aps=5, antennas_per_ap=1, num_users=2, selected_aps=3,
@@ -333,9 +333,9 @@ def rows_from_trials(schemes, axis, points, trials, solver, seed, with_ber=True)
         for value, cfg_point, snr in points:
             metrics = [run_trial(cfg_point, scheme, snr, t, solver, with_ber=with_ber,
                                  seed=seed).metrics for t in range(trials)]
-            sr = _mean_se([m.sum_rate for m in metrics])
-            ms = _mean_se([10.0 * np.log10(m.min_sinr) for m in metrics])
-            ber = _mean_se([m.ber for m in metrics]) if with_ber else (None, None)
+            sr = mean_se([m.sum_rate for m in metrics])
+            ms = mean_se([10.0 * np.log10(m.min_sinr) for m in metrics])
+            ber = mean_se([m.ber for m in metrics]) if with_ber else (None, None)
             rows.append(SweepRow(scheme.label, axis, value, *sr, *ms, *ber,
                                  trials=trials, seed=seed))
     return rows
@@ -452,28 +452,35 @@ def test_sweep_draws_channel_and_ls_mask_once_per_trial_and_config(monkeypatch):
     assert calls == {"channel": 2, "ls": 6}
 
 
+def same_items(got, want):
+    """Every per-item array of two results (``pipeline._LAYOUT``), the mask
+    of a cell included, is equal bitwise."""
+    def same(_, mine, theirs):
+        assert np.array_equal(mine, theirs)
+        return mine
+    pipeline._map_items(same, got, want)
+
+
 def test_a_grid_cell_equals_its_point_cells_bitwise():
     cfg = cfg_with(**SMALL)
     # one AP per user: the candidates that give both users the same AP leave
-    # ZF rank-deficient, so its stacked ES chains run again without them
+    # ZF rank-deficient, so its ES chunks are built again without them
     one_ap = cfg_with(**dict(SMALL, selected_aps=1))
     solver = SolverParams(symbols_per_packet=64)
     snrs = list(cfg.snr_grid_db)
     cases = [(cfg, label) for label in ("MMSE+APA+LS", "ZF+OPA+NS", "CB+UPA+LS")]
-    cases += [(one_ap, label) for label in ("MMSE+OPA+ES", "MMSE+APA+ES", "ZF+UPA+ES")]
+    cases += [(one_ap, label) for label in ("MMSE+OPA+ES", "MMSE+APA+ES", "ZF+UPA+ES",
+                                            "ZF+OPA+ES")]
     for config, label in cases:
         scheme = Scheme.parse(label)
         grid = run_cell(TrialDraw(config, 1, 99), scheme, snrs, solver, with_ber=True)
         assert grid.metrics.ber.shape == grid.metrics.min_sinr.shape == (len(snrs),)
+        assert grid.mask.shape == (len(snrs), 6, 2)
+        # NS and LS share one mask over the grid
+        assert (grid.mask.strides[0] == 0) == (scheme.selection != "ES"), label
         for i, snr in enumerate(snrs):
             point = run_cell(TrialDraw(config, 1, 99), scheme, snr, solver, with_ber=True)
-            assert np.array_equal(np.broadcast_to(grid.mask, (len(snrs),) + point.mask.shape)[i],
-                                  point.mask), (label, snr)
-            assert np.array_equal(grid.precoder.p[i], point.precoder.p)
-            assert np.array_equal(grid.n_final.eta[i], point.n_final.eta)
-            assert grid.metrics.sum_rate[i] == point.metrics.sum_rate
-            assert grid.metrics.min_sinr[i] == point.metrics.min_sinr
-            assert grid.metrics.ber[i] == point.metrics.ber
+            same_items(grid.take(i), point)
         if scheme.selection == "ES":
             assert grid.trace["es_candidates"] == 6 ** 2 * len(snrs)
 
@@ -490,7 +497,9 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
         return run(draw, schemes, snr_db, *args, **kwargs)
 
     def counted_chain(g_hat, err_var, scheme, rho_f, *args, built=None):
-        if built is not None:                   # MIXED's ES search builds its own
+        if np.ndim(rho_f) == 2:                 # an ES chunk, against rho_f (S, 1)
+            calls["ES chunk"] += 1
+        else:
             # the items whose coefficient sets were computed: a stride-0 axis
             # repeats one set
             psi = built.coeffs.psi
@@ -502,15 +511,16 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
     monkeypatch.setattr(pipeline, "run_chain", counted_chain)
     run_sweep(cfg_with(**SMALL), MIXED, "snr_grid", trials=2)
     # MMSE+APA+NS and +LS stacked over the 3 points; CB+OPA+LS's one
-    # coefficient set serves every point
-    assert calls == {("run_cells", 4, 1): 2, ("APA", (2, 3)): 2, ("OPA", (1, 1)): 2}
+    # coefficient set serves every point; MMSE+APA+ES's search is one chunk
+    assert calls == {("run_cells", 4, 1): 2, ("APA", (2, 3)): 2, ("OPA", (1, 1)): 2,
+                     "ES chunk": 2}
     # the other axes run the same loop, each point a grid of length 1
     for axis, values in (("selection_fraction", (1.0, 0.5, 0.2)), ("antennas_per_ap", (1, 2))):
         calls.clear()
         run_sweep(cfg_with(**SMALL), MIXED, axis, trials=2, axis_values=values)
         cells = len(values) * 2
         assert calls == {("run_cells", 4, 1): cells, ("APA", (2, 1)): cells,
-                         ("OPA", (1, 1)): cells}
+                         ("OPA", (1, 1)): cells, "ES chunk": cells}
 
 
 def test_shared_draw_arrays_are_read_only(monkeypatch):
@@ -541,14 +551,6 @@ def test_shared_draw_arrays_are_read_only(monkeypatch):
             array[...] = 0.0
 
 
-def same_cell(got, want):
-    assert np.array_equal(got.mask, want.mask)
-    assert np.array_equal(got.precoder.p, want.precoder.p)
-    assert np.array_equal(got.n_final.eta, want.n_final.eta)
-    for name in ("sum_rate", "min_sinr", "ber"):
-        assert np.array_equal(getattr(got.metrics, name), getattr(want.metrics, name)), name
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_sharing_a_draw_is_invisible(preset):
     """Every cell on one shared draw, in the preset's scheme order and in
@@ -563,7 +565,7 @@ def test_sharing_a_draw_is_invisible(preset):
             for scheme in order:
                 shared = run_cell(draw, scheme, snr, solver, with_ber=True)
                 fresh = run_cell(TrialDraw(cfg, 3, 77), scheme, snr, solver, with_ber=True)
-                same_cell(shared, fresh)
+                same_items(shared, fresh)
 
 
 def test_one_large_sumrate_trial_builds_each_precoder_once_per_selection(monkeypatch):
@@ -628,23 +630,71 @@ def test_an_mmse_build_decomposes_each_channel_once(monkeypatch):
     assert shapes == [(16, 16), (16, 16)]
 
 
-def test_an_es_search_builds_each_chunk_once(monkeypatch):
-    # the exact chain of the candidates OPA's screen leaves takes their
-    # build from the screen's
+@pytest.mark.parametrize("label", ["MMSE+OPA+ES", "MMSE+APA+ES", "MMSE+UPA+ES",
+                                   "ZF+OPA+ES", "ZF+UPA+ES"])
+def test_an_es_search_masks_and_builds_each_chunk_once(monkeypatch, label):
+    # screened or not, each chunk is masked once and built once; a chunk that
+    # ZF's rank test refuses adds one build, of its full-rank candidates. One
+    # AP per user on 5 APs puts 1-2 of the 25 candidates that give both users
+    # the same AP in each chunk of 10
     calls = collections.Counter()
-    monkeypatch.setattr(precoding, "mmse_precoder",
-                        counting(calls, "mmse", precoding.mmse_precoder))
-    monkeypatch.setattr(metrics, "sinr_coefficients",
-                        counting(calls, "coefficients", metrics.sinr_coefficients))
-    preset = PRESETS["fig-tiny-opa"]
-    cfg = preset.resolve_config(SystemConfig().validate())
-    scheme = Scheme.parse("MMSE+OPA+ES")
+    build, search = pipeline._build, selection.es_aps
+
+    def counted_build(*args):
+        calls["build"] += 1
+        try:
+            return build(*args)
+        except precoding.RankDeficientError:
+            calls["refused"] += 1
+            raise
+
+    def counted_search(*args, **kwargs):
+        return search(*args[:4], counting(calls, "chunk", args[4]), *args[5:], **kwargs)
+
+    monkeypatch.setattr(selection, "apply_mask", counting(calls, "mask", selection.apply_mask))
+    monkeypatch.setattr(pipeline, "_build", counted_build)
+    monkeypatch.setattr(selection, "es_aps", counted_search)
+    scheme = Scheme.parse(label)
+    zf = scheme.precoder == "ZF"
+    cfg = cfg_with(**dict(TINY, selected_aps=1 if zf else 3, snr_grid_db=(0.0, 10.0, 20.0)))
+    monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 3 * 5 * 2 * (10 if zf else 40))
     certified = 0
-    for trial in range(100):
+    for trial in range(3):
         res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, list(cfg.snr_grid_db))
         certified += res.trace["es_certified"]
-    assert calls == {"mmse": 100, "coefficients": 100}
-    assert certified > 0
+    # the search's chunks, and the cell's own mask of its winners
+    assert calls["chunk"] == 3 * 3 and calls["mask"] == calls["chunk"] + 3
+    assert calls["build"] == calls["chunk"] + calls["refused"]
+    assert calls["refused"] == (calls["chunk"] if zf else 0)
+    if scheme.allocation == "OPA":              # the screened search
+        assert 0 < certified < 3 * res.trace["es_candidates"]
+
+
+@pytest.mark.parametrize("precoder", ["MMSE", "ZF", "CB"])
+def test_a_screen_that_rules_out_every_candidate_searches_again_unscreened(precoder):
+    # an OPA bound with lo above hi rules out every candidate, so the
+    # screened search finds no winner and the cell is the unscreened search's
+    cfg = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
+    scheme = Scheme(precoder, "OPA", "ES")
+    solver = SolverParams(symbols_per_packet=64)
+    opa = SCHEMES["allocation"]["OPA"]
+    bounded = []
+
+    def nowhere(_, coeffs):
+        bounded.append(np.shape(coeffs.rho_f))
+        return np.ones(np.shape(coeffs.rho_f)), np.zeros(np.shape(coeffs.rho_f))
+
+    cells = []
+    for bound in (nowhere, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(SCHEMES["allocation"], "OPA", dataclasses.replace(opa, bound=bound))
+            cells.append(run_cell(TrialDraw(cfg, 2, cfg.rng_seed), scheme,
+                                  list(cfg.snr_grid_db), solver, with_ber=True))
+    screened, unscreened = cells
+    assert bounded == [(3, 100)]
+    same_items(screened, unscreened)
+    assert ({**screened.trace, "seconds": None} == {**unscreened.trace, "seconds": None}
+            and screened.trace["es_certified"] == screened.trace["es_candidates"] == 300)
 
 
 def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
@@ -770,7 +820,7 @@ def test_an_apa_es_learning_curve_is_the_chain_on_its_masks():
         traces.append(chain.n_first.cost_trace)
     rows = run_learning_curve(cfg, scheme, trials=4)
     costs = np.asarray(traces, dtype=float)
-    assert [(r.cost_mean, r.cost_se) for r in rows] == [_mean_se(costs[:, i])
+    assert [(r.cost_mean, r.cost_se) for r in rows] == [mean_se(costs[:, i])
                                                        for i in range(costs.shape[1])]
 
 
@@ -959,7 +1009,7 @@ def test_mmse_completes_where_users_share_one_single_antenna_ap():
         res = run_cell(TrialDraw(cfg, trial, cfg.rng_seed), Scheme.parse(label), snrs)
         assert np.isfinite(res.metrics.per_user_sinr).all(), (label, trial)
         assert np.isfinite(res.metrics.sum_rate).all(), (label, trial)
-        shared += label.endswith("LS") and bool((res.mask[:, 0] * res.mask[:, 1]).any())
+        shared += label.endswith("LS") and bool((res.mask[..., 0] * res.mask[..., 1]).any())
     assert shared > 0
 
 

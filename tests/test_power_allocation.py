@@ -10,11 +10,10 @@ from cellfree import power_allocation as pa
 from cellfree.channel import SystemConfig
 from cellfree.metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
 from cellfree.pipeline import Scheme, run_chain, run_sweep
-from cellfree.power_allocation import (apa_cost, apa_sgd, apa_terms, opa_bisection,
-                                       sinr_feasible, upa)
+from cellfree.power_allocation import apa_sgd, apa_terms, opa_bisection, sinr_feasible, upa
 from cellfree.precoding import PrecoderOutput, cb_precoder, mmse_precoder, zf_precoder
 from cellfree.presets import PRESETS
-from reference import coupling, eig_max_min_root, grid_max_min, polished_root
+from reference import apa_cost, coupling, eig_max_min_root, grid_max_min, polished_root
 
 
 def random_instance(rng, m=5, k=2, rho_f=2.0, sigma_w2=0.5):
