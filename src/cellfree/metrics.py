@@ -21,13 +21,13 @@ the coefficients of a precoder that does not depend on it are then computed
 once and broadcast over the items. ``snr_to_rho_f`` maps a grid of SNRs
 the same way, and ``ber_qpsk`` measures a stack of links over one true
 channel, sending the same bits and noise over every item. It reads the M
-antennas in one product per call, ``[g, g_hat]^T P``, whose K x K blocks
+antennas in one product per chain, ``[g, g_hat]^T P``, whose K x K blocks
 give each link's effective channel ``g^T P`` and its receivers' gains
-``diag(g_hat^T P)``; ``sqrt(rho_f)`` and ``N`` scale those K x K results.
-Every packet goes through that channel, never through the M-antenna
-transmit signal, so the per-packet work is K x K, not M x K, per symbol,
-and each receiver decides on the signs of ``y conj(a_k)`` instead of
-dividing by its gain ``a_k``.
+``diag(g_hat^T P)``, and stacks only those K x K blocks; ``sqrt(rho_f)``
+and ``N`` scale them. Every packet goes through that channel, never
+through the M-antenna transmit signal, so the per-packet work is K x K,
+not M x K, per symbol, and each receiver decides on the signs of
+``y conj(a_k)`` instead of dividing by its gain ``a_k``.
 """
 
 from __future__ import annotations
@@ -147,12 +147,19 @@ def snr_to_rho_f(snr_linear, g_hat, sigma_w2: float):
     return (np.asarray(snr_linear, dtype=float) * k * sigma_w2 / trace)[()]
 
 
+def unrepeated(x):
+    """A view of ``x`` with each item axis (all but the last two) along which
+    it repeats one matrix (stride 0, as ``np.broadcast_to`` makes) cut to
+    length 1, so that work on it is done once and broadcast."""
+    return x[tuple(slice(0, 1) if step == 0 else slice(None) for step in x.strides[:-2])]
+
+
 def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
              symbols_per_packet: int, rng: np.random.Generator,
              packets: int = 1, noise_rng: Optional[np.random.Generator] = None):
     """Uncoded Gray-QPSK bit error rate over the true channel.
 
-    One product ``[g, g_hat]^T P`` reads the M antennas once per call: its
+    One product ``[g, g_hat]^T P`` reads the M antennas once per chain: its
     first K rows are each link's ``g^T P``, and the diagonal of the last K
     is ``g_hat_k^T p_k``. ``sqrt(rho_f)`` and ``N`` then scale those K x K
     results into the effective channel ``g^T sqrt(rho_f) P N`` and the
@@ -171,10 +178,17 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
 
     Links may be stacked along leading axes: ``p (..., M, K)``,
     ``n_diag (..., K)``, ``g_hat`` and ``rho_f (...)`` broadcast together
-    against one true channel ``g``. Each packet's bits and noise are drawn
-    once, in the order a 2-D call draws them, and sent over every item, so
-    each item's BER equals its own 2-D call's on streams restarted from the
-    same state.
+    against one true channel ``g``. ``p`` and ``g_hat`` may also be
+    equal-length sequences, one precoder stack and its channel estimate per
+    chain: the result is the array call's on their stacks along a new
+    leading axis, each chain's arrays first broadcast to the items of all of
+    them, and ``n_diag`` carries that axis first. Each chain's product is
+    formed on its own, once along each item axis on which its precoder
+    repeats one matrix (stride 0, as ZF's and CB's over an SNR grid), and
+    only the K x K results are stacked, so no stack of M x K arrays is made.
+    Each packet's bits and noise are drawn once, in the order a 2-D call
+    draws them, and sent over every item, so each item's BER equals its own
+    2-D call's on streams restarted from the same state.
 
     ``symbols_per_packet`` and ``packets`` must be integers of at least 1,
     and ``sigma_w2`` finite and nonnegative; anything else raises a
@@ -187,16 +201,22 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
     ch.check_count("packets", packets)
     if not (np.isfinite(sigma_w2) and sigma_w2 >= 0.0):
         raise ValueError(f"sigma_w2 must be finite and nonnegative, got {sigma_w2!r}")
-    p = np.asarray(p)
     n_diag = np.asarray(n_diag, dtype=float)
     g = np.asarray(g)
-    g_hat = np.asarray(g_hat)
     if noise_rng is None:
         noise_rng = rng
-    k = p.shape[-1]
+    chains = isinstance(p, (list, tuple))
+    if not chains:
+        p, g_hat = [p], [g_hat]
+    if len(p) != len(g_hat):
+        raise ValueError(f"{len(p)} precoders against {len(g_hat)} channel estimates")
+    k = np.shape(p[0])[-1]
 
-    # the one product over the M antennas: rows :k are g^T P, rows k: g_hat^T P
-    ends = np.concatenate(np.broadcast_arrays(g, g_hat), axis=-1).mT @ p
+    # each chain's one product over its M antennas: rows :k are g^T P, rows
+    # k: g_hat^T P, once along each item axis that repeats one precoder
+    ends = [np.concatenate(np.broadcast_arrays(g, np.asarray(estimate)), axis=-1).mT
+            @ unrepeated(np.asarray(precoder)) for precoder, estimate in zip(p, g_hat)]
+    ends = np.stack(np.broadcast_arrays(*ends)) if chains else ends[0]
     scale = np.sqrt(np.asarray(rho_f, dtype=float))[..., None] * n_diag  # sqrt(rho_f) N
     link = ends[..., :k, :] * scale[..., None, :]                        # (..., K, K)
     gains = ends[..., k:, :].diagonal(axis1=-2, axis2=-1) * scale

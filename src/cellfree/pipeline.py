@@ -63,7 +63,8 @@ or concurrently, and a cell that measures BER restarts its symbol and noise
 streams, so it sees the same bits and noise whichever cells ran before it.
 ``run_cells`` measures the BER of all its chains at all their points in one
 ``ber_qpsk`` call, which sends the same bits and noise over every item, as
-a restart per item would.
+a restart per item would. It hands over each chain's precoder and estimate
+as they lie, and the call stacks only each chain's K x K links.
 """
 
 from __future__ import annotations
@@ -545,7 +546,9 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     point's mask, and its chain result is the winners' items of the chunks
     it scored (see ``_es``). Every distinct chain is one item of one
     ``ber_qpsk`` call on the restarted symbol and noise streams, so each
-    item sees the bits and noise it would see on its own; ``solver`` gives
+    item sees the bits and noise it would see on its own; the call takes
+    the chains' precoders and estimates as a sequence and stacks only
+    their K x K links, never the ``(S, M, K)`` precoders. ``solver`` gives
     its packet shape and is read by nothing else. Twins share their chain's
     result objects. Shared arrays are read-only.
 
@@ -626,10 +629,9 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
         p, n_diag, g_hat = zip(*((chain.precoder.p, chain.n_final.n_diag, chains[key][1])
                                  for key, chain in ran.items()))
         ber, degenerate = mt.ber_qpsk(
-            _stack(p, ndim + 2), _stack(n_diag, ndim + 1), realization.g,
-            _stack(g_hat, ndim + 2), rho_f, sigma_w2, solver.symbols_per_packet,
-            _stream(draw.seed, draw.trial, "symbols"), packets=solver.packets_per_trial,
-            noise_rng=_stream(draw.seed, draw.trial, "noise"))
+            p, _stack(n_diag, ndim + 1), realization.g, g_hat, rho_f, sigma_w2,
+            solver.symbols_per_packet, _stream(draw.seed, draw.trial, "symbols"),
+            packets=solver.packets_per_trial, noise_rng=_stream(draw.seed, draw.trial, "noise"))
         for chain, link in zip(ran.values(), ber):
             chain.metrics.ber = link
         ber_seconds = time.perf_counter() - t

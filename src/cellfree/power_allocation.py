@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import SinrCoefficients, analytic_sinr, sinr_coefficients
+from .metrics import SinrCoefficients, analytic_sinr, sinr_coefficients, unrepeated
 from .precoding import PrecoderOutput
 
 # slack for the per-antenna constraint checks; results satisfy the
@@ -205,10 +205,14 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     the bracket known to hold s*, or starts left of the pole, is replaced by
     the bracket's midpoint. The steps converge quadratically, so an item
     stops once its tangent step is at most 1e-6 relative, which leaves it
-    about 1e-13 from s*; it then leaves the batch with that root, so each
-    item's root is the one its own call finds. An item has no root, NaN,
-    where a user has no desired signal (``psi_k = 0``), ``A`` or ``b`` is not
-    finite or no antenna carries a load; it takes no step.
+    about 1e-13 from s*; it then leaves the K x K and K-vector arrays of the
+    batch with that root, so each item's root is the one its own call
+    finds. The ``(..., M, K)`` loads are read where they lie, never copied:
+    each step writes the live items' x and y into buffers over all the items
+    and takes every item's loads and slopes, of which it keeps the live
+    items' tangent steps. An item has no root, NaN, where a user has no
+    desired signal (``psi_k = 0``), ``A`` or ``b`` is not finite or no
+    antenna carries a load; it takes no step.
     """
     peak = delta.sum(axis=-1).max(axis=-1)
     a, b, rootless = _coupling(coeffs, peak > 0.0)
@@ -231,22 +235,27 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
         def flat(x, core=()):
             return np.broadcast_to(x, rootless.shape + core).reshape((-1,) + core)[pick]
 
-        a, b, delta = flat(a, (k, k)), flat(b, (k,)), flat(delta, delta.shape[-2:])
+        a, b = flat(a, (k, k)), flat(b, (k,))
         s, s_lo, s_hi = flat(s), flat(s_lo), flat(s_hi)
+        # every item's x and y, and their loads; a stopped item's rows stay
+        x_all, y_all = np.zeros((2,) + rootless.shape + (k,))
+        g_all, gy_all = np.empty((2,) + rootless.shape + delta.shape[-2:-1])
+        x_on, y_on = x_all.reshape(-1, k), y_all.reshape(-1, k)
         eye = np.eye(k)
         steps = 0
         while on.size and steps < ROOT_MAX_STEPS:
             steps += 1
             shifted = s[:, None, None] * eye - a
             x = _solve(shifted, b[..., None])
-            y = _solve(shifted, x)[..., 0]
-            x = x[..., 0]
-            g = np.matvec(delta, x)
+            y_on[pick] = _solve(shifted, x)[..., 0]
+            x = x_on[pick] = x[..., 0]
+            g = np.matvec(delta, x_all, out=g_all)
+            gy = np.matvec(delta, y_all, out=gy_all)
             # the largest tangent step; an unloaded antenna (g_m = 0) gives
             # NaN, and left of the pole there is none
             right = ((x > 0.0) & (x < np.inf)).all(axis=-1)
-            move = np.where(right, np.fmax.reduce(g * (g - 1.0) / np.matvec(delta, y),
-                                                  axis=-1), np.nan)
+            move = np.where(right, np.fmax.reduce(g * (g - 1.0) / gy, axis=-1).reshape(-1)[pick],
+                            np.nan)
             left = ~right | (move >= 0.0)                 # some load is at least 1
             s_lo = np.where(left, s, s_lo)
             s_hi = np.where(left, s_hi, s)
@@ -255,8 +264,8 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
             stop = np.abs(move) <= 1e-6 * s
             if stop.any():
                 root[on[stop]] = 1.0 / s[stop]
-                on, a, b, delta, s, s_lo, s_hi = (v[~stop] for v in (on, a, b, delta, s, s_lo,
-                                                                       s_hi))
+                on, a, b, s, s_lo, s_hi = (v[~stop] for v in (on, a, b, s, s_lo, s_hi))
+                pick = on
         root[on] = 1.0 / s
     return root.reshape(rootless.shape), steps
 
@@ -340,8 +349,7 @@ def _bracket(coeffs: SinrCoefficients, delta):
     ``max_m loads[m, k]``, and the upper end of every item's bisection
     bracket, at the items' batch shape: the one reader of stride-0 loads."""
     delta = np.asarray(delta, dtype=float)
-    loads = delta[tuple(slice(0, 1) if step == 0 else slice(None)
-                        for step in delta.strides[:-2])]
+    loads = unrepeated(delta)
     col_peak = loads.max(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(col_peak > 0,

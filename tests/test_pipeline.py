@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -714,6 +715,39 @@ def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
     run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
               trials=2, solver=solver, with_ber=True)
     assert shapes == [(len(preset.schemes), len(cfg.snr_grid_db))] * 2
+
+
+def ber_extra_peak(antennas_per_ap):
+    """Bytes by which tracemalloc's peak over one fig-ber trial's
+    ``run_cells`` with BER exceeds its peak without, at ``antennas_per_ap``
+    antennas per AP; each is measured on a drawn channel after a warm-up."""
+    preset = PRESETS["fig-ber"]
+    cfg = dataclasses.replace(preset.resolve_config(SystemConfig().validate()),
+                              antennas_per_ap=antennas_per_ap).validate()
+    draw = TrialDraw(cfg, 0, cfg.rng_seed)
+    args = (draw, [Scheme.parse(label) for label in preset.schemes], list(cfg.snr_grid_db),
+            SolverParams(**preset.solver))
+    peaks = []
+    for with_ber in (True, False):
+        run_cells(*args, with_ber)
+        tracemalloc.start()
+        try:
+            run_cells(*args, with_ber)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0] - peaks[1]
+
+
+# slack on the BER stage's extra peak between fig-ber's M = 96 and M = 384
+BER_PEAK_SLACK = 64 * 1024
+
+
+def test_the_ber_stage_peak_does_not_grow_with_the_antennas():
+    # BER stacks each chain's K x K links, not its M x K precoder: the extra
+    # peak it adds at 16 antennas per AP (M = 384) is at most its extra peak
+    # at fig-ber's 4 (M = 96); stacking the (6, 6, M, 8) precoders doubled it
+    assert ber_extra_peak(16) <= ber_extra_peak(4) + BER_PEAK_SLACK
 
 
 def test_es_scores_few_of_its_candidates_on_the_exact_chain():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -343,6 +344,33 @@ def test_an_item_without_a_root_leaves_its_batch_mates_their_own():
         item = SinrCoefficients(psi=psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
                                 rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
         assert root[i] == pa._max_min_root(item, delta[i])[0]
+
+
+def test_the_max_min_root_reads_its_loads_in_place():
+    # a contiguous (18, 128, 16) CB stack over rho_f of 1e-4 to 1e4, whose
+    # items stop at different steps: OPA's extra peak stays below one
+    # (items, M, K) float array, as no stop copies the loads of the items
+    # still stepping
+    cb, delta = precoded_instance(np.random.default_rng(43), "cb", 128, 16, (18,))
+    assert delta.flags.c_contiguous and delta.shape == (18, 128, 16)
+    rho_f = 10.0 ** np.linspace(-4.0, 4.0, 18)
+    coeffs = SinrCoefficients(psi=cb.psi, phi=cb.phi, gamma=cb.gamma, rho_f=rho_f,
+                              sigma_w2=cb.sigma_w2)
+    steps = {pa._max_min_root(SinrCoefficients(
+        psi=cb.psi[i], phi=cb.phi[i], gamma=cb.gamma[i], rho_f=rho_f[i],
+        sigma_w2=cb.sigma_w2), delta[i])[1] for i in range(18)}
+    assert len(steps) > 2
+    want = opa_bisection(coeffs, delta)        # and fills the coefficients' caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = opa_bisection(coeffs, delta)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.eta, want.eta)
+    limit = delta.nbytes
+    assert extra < limit
 
 
 def test_a_shared_load_matrix_serves_every_rho_f_item_as_its_own_call(monkeypatch):

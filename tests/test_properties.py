@@ -20,7 +20,8 @@ from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Build, Scheme, SolverParams, TrialDraw, run_cell,
                                run_cells, run_chain, run_trial)
 from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
-from cellfree.precoding import RankDeficientError, mmse_precoder
+from cellfree.precoding import (RankDeficientError, cb_precoder, mmse_precoder,
+                                zf_full_rank, zf_precoder)
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
 from reference import mask_from_choices
@@ -554,6 +555,71 @@ def test_a_stacked_ber_call_equals_its_2d_calls_bitwise(case, per_item, packets,
     cfg, _, snrs, trial = case
     assert_ber_items_equal_their_2d_calls(*stacked_ber_link(cfg, trial, snrs, per_item),
                                           symbols, packets)
+
+
+# run_cells' chains as the BER stage receives them: MMSE per point on one
+# LS estimate, ZF and CB once for the grid (stride 0 along the points) on
+# it, and MMSE on per-point estimates, as exhaustive selection's winners have
+BER_CHAINS = ("MMSE+LS", "ZF+LS", "CB+LS", "MMSE+ES")
+
+
+def per_chain_ber_links(cfg, trial, snrs, names):
+    """Each chain of ``names`` as ``(p, n_diag, g_hat)``, with UPA, on one
+    draw over the grid ``snrs``; a ZF chain on a rank-deficient estimate is
+    left out. Also returns the true channel, ``rho_f (S,)`` and sigma_w2."""
+    real = TrialDraw(cfg, trial, cfg.rng_seed).realization
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(10.0 ** (np.array(snrs) / 10.0), real.g_hat, sigma_w2)
+    ls, _ = selection.apply_mask(ls_aps(real.beta, cfg.selected_aps, cfg.antennas_per_ap),
+                                 real)
+    # the points alternate between the LS estimate and the unmasked one
+    per_point = np.stack([real.g_hat if i % 2 else ls for i in range(len(snrs))])
+    chains = []
+    for name in names:
+        if name == "ZF+LS" and not zf_full_rank(ls):
+            continue
+        g_hat = per_point if name == "MMSE+ES" else ls
+        if name.startswith("MMSE"):
+            p = mmse_precoder(g_hat, np.ones(cfg.num_users), cfg.total_antennas * rho_f,
+                              rho_f, sigma_w2).p
+        else:
+            p = np.broadcast_to((zf_precoder if name == "ZF+LS" else cb_precoder)(ls).p,
+                                rho_f.shape + ls.shape)
+        chains.append((p, upa(np.abs(p) ** 2).n_diag, g_hat))
+    return chains, real.g, rho_f, sigma_w2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid_cases(), st.lists(st.sampled_from(BER_CHAINS), min_size=1, max_size=4,
+                              unique=True), st.integers(1, 2), st.integers(1, 40))
+def test_a_ber_call_on_per_chain_stacks_equals_the_call_on_their_stack(
+        case, names, packets, symbols):
+    """``ber_qpsk`` on a sequence of per-chain precoder and estimate stacks
+    equals the array call on their stack, and so each item its own 2-D
+    call, bitwise; ZF's and CB's precoders are stride 0 along the points,
+    beside MMSE's per-point ones, and an ES chain's per-point estimates
+    ``(S, M, K)`` sit beside LS's one ``(M, K)``."""
+    cfg, _, snrs, trial = case
+    chains, g, rho_f, sigma_w2 = per_chain_ber_links(cfg, trial, snrs, names)
+    if not chains:
+        return
+    p, n_diag, g_hat = zip(*chains)
+    n_diag = np.stack(n_diag)
+
+    def call(p, g_hat, rho_f):
+        return ber_qpsk(p, n_diag, g, g_hat, rho_f, sigma_w2, symbols,
+                        np.random.default_rng([5, 1]), packets=packets,
+                        noise_rng=np.random.default_rng([5, 2]))
+
+    ber, degenerate = call(p, g_hat, rho_f)
+    # each chain's precoders and estimates at the items, (S,), then stacked
+    stack, estimates = (np.stack([np.broadcast_to(x, rho_f.shape + x.shape[-2:]) for x in xs])
+                        for xs in (p, g_hat))
+    want, flagged = call(stack, estimates, rho_f)
+    assert np.array_equal(ber, want) and degenerate == flagged
+    assert flagged == assert_ber_items_equal_their_2d_calls(
+        stack, n_diag, g, estimates, np.broadcast_to(rho_f, ber.shape), sigma_w2, symbols,
+        packets)
 
 
 def test_a_stacked_ber_call_counts_a_degenerate_item_as_its_2d_call_does():
