@@ -1,8 +1,8 @@
 """SHA-256 manifest of every preset's CSV and sidecar, and its comparison.
 
 Runs each preset through ``python -m cellfree run`` in a fresh process with
-OpenBLAS, OpenMP and MKL on one thread, at a fixed trial count and seed, and
-hashes each ``<preset>.csv`` and ``<preset>.csv.config.json`` it writes.
+OpenBLAS, OpenMP and MKL on one thread, at a fixed trial count and seed 777,
+and hashes each ``<preset>.csv`` and ``<preset>.csv.config.json`` it writes.
 
     python scripts/preset_manifest.py                          # print the manifest
     python scripts/preset_manifest.py --write manifest.json    # store it
@@ -13,9 +13,9 @@ hashes each ``<preset>.csv`` and ``<preset>.csv.config.json`` it writes.
 ``--against`` runs the same presets from another checkout's ``src`` (a
 parent commit made with ``git archive``, say) and compares file by file.
 A comparison prints one line per file and exits 1 if any file differs or
-is missing on either side. The outputs go to a temporary directory unless
-``--out`` names one. Hashes depend on the numpy and BLAS build, so a stored
-manifest holds only for the machine that wrote it.
+is missing on either side. The outputs go to a temporary directory. Hashes
+depend on the numpy and BLAS build, so a stored manifest holds only for the
+machine that wrote it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 777
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -45,18 +46,18 @@ def _env(src: Path) -> dict:
     return {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
 
 
-def manifest(src: Path, presets, trials: int, seed: int, out: Path) -> dict:
+def manifest(src: Path, presets, trials: int, out: Path) -> dict:
     """``{file name: SHA-256}`` of every output of ``presets`` run from ``src``."""
     out.mkdir(parents=True, exist_ok=True)
     files = {}
     for name in presets:
         csv = out / f"{name}.csv"
         subprocess.run([sys.executable, "-m", "cellfree", "run", "--preset", name,
-                        "--out", str(csv), "--trials", str(trials), "--seed", str(seed)],
+                        "--out", str(csv), "--trials", str(trials), "--seed", str(SEED)],
                        env=_env(src), capture_output=True, check=True)
         for path in (csv, Path(f"{csv}.config.json")):
             files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"trials": trials, "seed": seed, "files": files}
+    return {"trials": trials, "seed": SEED, "files": files}
 
 
 def compare(mine: dict, theirs: dict) -> bool:
@@ -77,9 +78,7 @@ def compare(mine: dict, theirs: dict) -> bool:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=777)
     p.add_argument("--presets", help="comma-separated preset names (default: all)")
-    p.add_argument("--out", type=Path, help="directory for the outputs (default: temporary)")
     p.add_argument("--write", type=Path, help="store the manifest in this JSON file")
     side = p.add_mutually_exclusive_group()
     side.add_argument("--check", type=Path, help="compare with a stored manifest")
@@ -89,15 +88,14 @@ def main(argv=None) -> int:
     src = ROOT / "src"
     presets = args.presets.split(",") if args.presets else preset_names(src)
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.out or Path(tmp)
-        mine = manifest(src, presets, args.trials, args.seed, out / "this")
+        mine = manifest(src, presets, args.trials, Path(tmp, "this"))
         if args.write:
             args.write.write_text(json.dumps(mine, indent=2, sort_keys=True) + "\n")
         if args.check:
             theirs = json.loads(args.check.read_text())
         elif args.against:
             theirs = manifest(args.against.resolve() / "src", presets, args.trials,
-                              args.seed, out / "other")
+                              Path(tmp, "other"))
         else:
             print(json.dumps(mine, indent=2, sort_keys=True))
             return 0

@@ -213,9 +213,14 @@ def ber_qpsk(p, n_diag, g, g_hat, rho_f: float, sigma_w2: float,
     k = np.shape(p[0])[-1]
 
     # each chain's one product over its M antennas: rows :k are g^T P, rows
-    # k: g_hat^T P, once along each item axis that repeats one precoder
-    ends = [np.concatenate(np.broadcast_arrays(g, np.asarray(estimate)), axis=-1).mT
-            @ unrepeated(np.asarray(precoder)) for precoder, estimate in zip(p, g_hat)]
+    # k: g_hat^T P, once along each item axis that repeats one precoder and
+    # then broadcast back over that chain's items
+    ends = []
+    for precoder, estimate in zip(p, g_hat):
+        precoder = np.asarray(precoder)
+        lhs = np.concatenate(np.broadcast_arrays(g, np.asarray(estimate)), axis=-1).mT
+        items = np.broadcast_shapes(lhs.shape[:-2], precoder.shape[:-2])
+        ends.append(np.broadcast_to(lhs @ unrepeated(precoder), items + (2 * k, k)))
     ends = np.stack(np.broadcast_arrays(*ends)) if chains else ends[0]
     scale = np.sqrt(np.asarray(rho_f, dtype=float))[..., None] * n_diag  # sqrt(rho_f) N
     link = ends[..., :k, :] * scale[..., None, :]                        # (..., K, K)

@@ -264,7 +264,8 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
             stop = np.abs(move) <= 1e-6 * s
             if stop.any():
                 root[on[stop]] = 1.0 / s[stop]
-                on, a, b, s, s_lo, s_hi = (v[~stop] for v in (on, a, b, s, s_lo, s_hi))
+                keep = ~stop
+                on, a, b, s, s_lo, s_hi = (v[keep] for v in (on, a, b, s, s_lo, s_hi))
                 pick = on
         root[on] = 1.0 / s
     return root.reshape(rootless.shape), steps

@@ -273,10 +273,16 @@ def test_stride_zero_precoders_measure_as_their_materialized_copies(build, per_i
     g_hat = np.broadcast_to(real.g_hat, p.shape) if per_item else real.g_hat
     assert 0 in p.strides and 0 in n_diag.strides
 
-    def measure(*link):
-        return ber_qpsk(*link, real.g, g_hat, rho_f, sigma_w2, 64, np.random.default_rng(3),
+    def measure(p, n_diag, rho_f=rho_f):
+        return ber_qpsk(p, n_diag, real.g, g_hat, rho_f, sigma_w2, 64, np.random.default_rng(3),
                         packets=2, noise_rng=np.random.default_rng(4))
 
     ber, flagged = measure(p, n_diag)
     want, want_flagged = measure(p.copy(), n_diag.copy())
     assert ber.tobytes() == want.tobytes() and flagged == want_flagged == 3
+    # one rho_f and one n_diag leave the precoder's stride-0 axis the only
+    # item axis, which the result still carries, each point counted once
+    ber, flagged = measure(p, n_diag[0], rho_f[1])
+    want, want_flagged = measure(p.copy(), n_diag[0], rho_f[1])
+    assert ber.shape == (3,) and ber.tobytes() == want.tobytes()
+    assert flagged == want_flagged == 3
