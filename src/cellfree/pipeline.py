@@ -355,8 +355,7 @@ def _map_items(fn, *values):
         elif core is ...:
             new[name] = _map_items(fn, x, *parts)
         else:
-            new[name] = ([fn(core, *steps) for steps in zip(x, *parts)] if type(x) is list
-                         else fn(core, x, *parts))
+            new[name] = fn(core, x, *parts)
     if all(new[name] is getattr(first, name) for name in new):
         return first
     return type(first)(**new)
@@ -427,8 +426,8 @@ class Build(_Items):
 
 
 # Each value's fields along its item axes: a per-item array's own axes after
-# them (APA's cost trace is a list of such arrays), ... a value laid out in
-# turn, and None a field that is one for all the items.
+# them (APA's cost trace has one, its steps), ... a value laid out in turn,
+# and None a field that is one for all the items.
 _LAYOUT = {
     Build: {"precoder": ..., "coeffs": ..., "seconds": None},
     ChainResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ..., "trace": None},
@@ -437,7 +436,7 @@ _LAYOUT = {
     pc.PrecoderOutput: {"p": 2, "f": 0, "delta": 2},
     mt.SinrCoefficients: {"psi": 1, "phi": 2, "gamma": 2, "rho_f": 0, "sigma_w2": None},
     pa.AllocationResult: {"eta": 1, "iterations": None, "achieved_t": 0, "tests": None,
-                          "cost_trace": 0},
+                          "cost_trace": 1},
     mt.LinkMetrics: {"per_user_sinr": 1, "per_user_rate": 1, "sum_rate": 0, "min_sinr": 0,
                      "ber": 0},
 }

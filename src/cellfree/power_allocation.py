@@ -40,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import SinrCoefficients, analytic_sinr, sinr_coefficients, unrepeated
+from .metrics import (SinrCoefficients, analytic_sinr, reduce_axis, sinr_coefficients,
+                      unrepeated)
 from .precoding import PrecoderOutput
 
 # slack for the per-antenna constraint checks; results satisfy the
@@ -54,7 +55,8 @@ class AllocationResult:
     iterations: int               # OPA: halvings (for a stack, the most any item took)
     achieved_t: Optional[float] = None      # OPA: certified lower bound on min SINR, (...)
     tests: int = 0                          # OPA: targets handed to sinr_feasible
-    cost_trace: Optional[list] = None       # APA: MSE cost per iteration
+    cost_trace: Optional[np.ndarray] = None  # APA: MSE at the start and after each step,
+                                             # (..., iterations + 1)
 
     @property
     def n_diag(self) -> np.ndarray:
@@ -65,7 +67,7 @@ class AllocationResult:
 def upa(delta) -> AllocationResult:
     """Uniform allocation: equal eta sized by the most loaded antenna."""
     delta = np.asarray(delta, dtype=float)
-    peak = delta.sum(axis=-1).max(axis=-1)
+    peak = reduce_axis(np.maximum, reduce_axis(np.add, delta))
     if (peak <= 0.0).any():
         raise ValueError("precoder is identically zero; no power loading to size")
     eta = np.full(peak.shape + delta.shape[-1:], (1.0 / peak)[..., None])
@@ -97,14 +99,15 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     if np.count_nonzero(t) < t.size:
         # the zero target is met by eta = 0, whatever the system
         eta = np.where((t == 0.0)[..., None], 0.0, eta)
-    ok = ((eta >= 0.0) & (eta < np.inf)).all(axis=-1)
+    ok = reduce_axis(np.logical_and, (eta >= 0.0) & (eta < np.inf))
     feasible = np.count_nonzero(ok)
     if not feasible:
         return ok[()], np.full(eta.shape, np.nan)
     checked = eta if feasible == ok.size else np.where(ok[..., None], eta, 0.0)
     # guard against spurious solutions of an indefinite system
-    ok &= ~(analytic_sinr(coeffs, checked) < (t * (1.0 - 1e-9))[..., None]).any(axis=-1)
-    ok &= ~(np.matvec(delta, checked).max(axis=-1) > 1.0 + CONSTRAINT_TOL)
+    ok &= ~reduce_axis(np.logical_or,
+                       analytic_sinr(coeffs, checked) < (t * (1.0 - 1e-9))[..., None])
+    ok &= ~(reduce_axis(np.maximum, np.matvec(delta, checked)) > 1.0 + CONSTRAINT_TOL)
     return ok[()], np.where(ok[..., None], eta, np.nan)
 
 
@@ -135,7 +138,8 @@ def _coupling(coeffs: SinrCoefficients, loaded):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
         b = coeffs.sigma_w2 / coeffs.rho_psi
-    finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+    finite = (reduce_axis(np.logical_and, reduce_axis(np.logical_and, np.isfinite(a)))
+              & reduce_axis(np.logical_and, np.isfinite(b)))
     return a, b, ~(finite & loaded)
 
 
@@ -169,9 +173,9 @@ def _feasible_floor(a, b, loads):
     lo = -np.inf
     eta = b
     for _ in range(OPA_BOUND_STEPS + 1):
-        eta = eta / np.matvec(loads, eta).max(axis=-1)[..., None]
+        eta = eta / reduce_axis(np.maximum, np.matvec(loads, eta))[..., None]
         step = b + np.matvec(a, eta)
-        lo = np.fmax(lo, (eta / step).min(axis=-1))
+        lo = np.fmax(lo, reduce_axis(np.minimum, eta / step))
         eta = step
     return lo
 
@@ -214,18 +218,18 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     desired signal (``psi_k = 0``), ``A`` or ``b`` is not finite or no
     antenna carries a load; it takes no step.
     """
-    peak = delta.sum(axis=-1).max(axis=-1)
+    peak = reduce_axis(np.maximum, reduce_axis(np.add, delta))
     a, b, rootless = _coupling(coeffs, peak > 0.0)
     k = b.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = a.sum(axis=-1)
-        noise = np.matvec(delta, b).max(axis=-1)
-        s_lo = np.maximum(rows.min(axis=-1), noise)
+        rows = reduce_axis(np.add, a)
+        noise = reduce_axis(np.maximum, np.matvec(delta, b))
+        s_lo = np.maximum(reduce_axis(np.minimum, rows), noise)
         # the uniform allocation reaches SINR_k = 1 / (peak b_k + (A 1)_k),
         # so s* is at most the largest of those
-        s_hi = (peak[..., None] * b + rows).max(axis=-1)
+        s_hi = reduce_axis(np.maximum, peak[..., None] * b + rows)
         floor = np.fmax(_feasible_floor(a, b, delta), 0.0)     # 0 where it gives none
-        s = np.fmin(noise + rows.max(axis=-1), 1.0 / floor) * (1.0 + 1e-12)
+        s = np.fmin(noise + reduce_axis(np.maximum, rows), 1.0 / floor) * (1.0 + 1e-12)
 
         # the items with a root, on one flat axis; each leaves it at its stop
         root = np.full(rootless.size, np.nan)
@@ -253,8 +257,8 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
             gy = np.matvec(delta, y_all, out=gy_all)
             # the largest tangent step; an unloaded antenna (g_m = 0) gives
             # NaN, and left of the pole there is none
-            right = ((x > 0.0) & (x < np.inf)).all(axis=-1)
-            move = np.where(right, np.fmax.reduce(g * (g - 1.0) / gy, axis=-1).reshape(-1)[pick],
+            right = reduce_axis(np.logical_and, (x > 0.0) & (x < np.inf))
+            move = np.where(right, reduce_axis(np.fmax, g * (g - 1.0) / gy).reshape(-1)[pick],
                             np.nan)
             left = ~right | (move >= 0.0)                 # some load is at least 1
             s_lo = np.where(left, s, s_lo)
@@ -351,12 +355,12 @@ def _bracket(coeffs: SinrCoefficients, delta):
     bracket, at the items' batch shape: the one reader of stride-0 loads."""
     delta = np.asarray(delta, dtype=float)
     loads = unrepeated(delta)
-    col_peak = loads.max(axis=-2)
+    col_peak = reduce_axis(np.maximum, loads, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(col_peak > 0,
                          coeffs.rho_psi / (coeffs.sigma_w2 * col_peak), 0.0)
     batch = np.broadcast_shapes(bound.shape[:-1], delta.shape[:-2])
-    return loads, col_peak, np.broadcast_to(2.0 * bound.max(axis=-1), batch)
+    return loads, col_peak, np.broadcast_to(2.0 * reduce_axis(np.maximum, bound), batch)
 
 
 def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
@@ -455,13 +459,13 @@ def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,
     # u = b d + A_kk, stays defined for a user no antenna loads (d = 0):
     # 1/A_kk, or inf
     loads, d, t_hi = _bracket(coeffs, delta)
-    a, b, rootless = _coupling(coeffs, (d.max(axis=-1) > 0.0) & (t_hi > 0.0))
+    a, b, rootless = _coupling(coeffs, (reduce_axis(np.maximum, d) > 0.0) & (t_hi > 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_kk = np.einsum("...ii->...i", a)
         off = a.copy()
         np.einsum("...ii->...i", off)[...] = 0.0
         u = b * d + a_kk
-        hi = (2.0 / (u + np.sqrt(u * u + 4.0 * np.matvec(off, b) * d))).min(axis=-1)
+        hi = reduce_axis(np.minimum, 2.0 / (u + np.sqrt(u * u + 4.0 * np.matvec(off, b) * d)))
         lo = _feasible_floor(a, b, loads)
     width = np.maximum(tol, t_hi * 2.0 ** -iterations) + 2.0 * np.spacing(t_hi)
     margin = 2.0 * OPA_ROOT_BAND
@@ -481,13 +485,9 @@ def apa_terms(coeffs: SinrCoefficients, f, sigma_s2: float = 1.0):
     """
     f = np.asarray(f, dtype=float)
     k = coeffs.psi.shape[-1]
-    c = (coeffs.rho_f / f ** 2 * sigma_s2)[..., None] * coeffs.phi.sum(axis=-2)
+    c = (coeffs.rho_f / f ** 2 * sigma_s2)[..., None] * reduce_axis(np.add, coeffs.phi, axis=-2)
     b = (np.sqrt(coeffs.rho_f) / f * sigma_s2)[..., None] * np.sqrt(coeffs.psi)
     return c, b, k * sigma_s2 + k * coeffs.sigma_w2 / f ** 2
-
-
-def _mse(nu, c, b, const):
-    return (const + np.vecdot(c * nu - 2.0 * b, nu))[()]
 
 
 def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float = APA_STEP,
@@ -500,7 +500,10 @@ def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float = APA_STEP,
     uniform rescale onto the per-antenna cap when the coefficients exceed
     it, so every iterate is feasible. Raises if a coefficient passes 1e6
     before rescaling: the step is too large for the cost curvature.
-    ``cost_trace`` holds the MSE at the start and after every step.
+    ``cost_trace`` holds the MSE at the start and after every step,
+    ``(..., iterations + 1)``: the step axis is last, so a 2-D call's is
+    ``(iterations + 1,)``. Each iterate's ``nu = sqrt(eta)`` is kept, as the
+    next step's start and for one MSE evaluation of all of them at the end.
     ``apa_sgd(precoder, g_hat, rho_f, sigma_w2, mu=, iterations=)``, as
     ``bench/micro.py`` calls it, forms ``coeffs``.
     """
@@ -513,15 +516,17 @@ def apa_sgd(precoder: PrecoderOutput, coeffs, *legacy, mu: float = APA_STEP,
         coeffs = sinr_coefficients(precoder.p, g_hat, np.zeros(g_hat.shape), *legacy)
     c, b, const = apa_terms(coeffs, precoder.f, sigma_s2)
 
-    eta = np.full(c.shape, 1e-3)
-    cost_trace = [_mse(np.sqrt(eta), c, b, const)]
-    for _ in range(iterations):
-        nu = np.sqrt(eta)
-        eta = (nu - mu * (c * nu - b)) ** 2
+    # every iterate's nu, from eta = 1e-3 for every user
+    nu = np.empty((iterations + 1,)
+                  + np.broadcast_shapes(c.shape, precoder.delta.shape[:-2] + c.shape[-1:]))
+    nu[0] = np.sqrt(1e-3)
+    for i in range(iterations):
+        eta = (nu[i] - mu * (c * nu[i] - b)) ** 2
         if np.any(eta > 1e6):
             raise ValueError("allocation diverged before rescaling; reduce the step size")
         # x / max(load, 1) is x itself wherever load <= 1
-        load = np.matvec(precoder.delta, eta).max(axis=-1)
+        load = reduce_axis(np.maximum, np.matvec(precoder.delta, eta))
         eta = eta / np.maximum(load, 1.0)[..., None]
-        cost_trace.append(_mse(np.sqrt(eta), c, b, const))
-    return AllocationResult(eta=eta, iterations=iterations, cost_trace=cost_trace)
+        np.sqrt(eta, out=nu[i + 1])
+    mse = const + np.vecdot(c * nu - 2.0 * b, nu)                   # (iterations + 1, ...)
+    return AllocationResult(eta=eta, iterations=iterations, cost_trace=np.moveaxis(mse, 0, -1))

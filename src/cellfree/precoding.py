@@ -52,6 +52,8 @@ from typing import Optional
 
 import numpy as np
 
+from .metrics import reduce_axis
+
 _EPS = np.finfo(float).eps
 
 
@@ -148,11 +150,11 @@ def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,
     hv = g_conj @ v
     # |conj(G) v_j|^2 is lam_j in exact arithmetic, but stays accurate where
     # lam_j is only the rounding of a singular Gram matrix
-    columns = (hv.real ** 2 + hv.imag ** 2).sum(axis=-2)
+    columns = reduce_axis(np.add, hv.real ** 2 + hv.imag ** 2, axis=-2)
     shifted = lam + eps
     kept = shifted > _rounding(lam)
     d = np.divide(1.0, shifted, out=np.zeros(kept.shape), where=kept)
-    f = np.sqrt(e_tr / (sigma_s2 * (columns * d * d).sum(axis=-1)))
+    f = np.sqrt(e_tr / (sigma_s2 * reduce_axis(np.add, columns * d * d)))
     # P = conj(G) V diag((f / sqrt(rho_f)) d) V^H: one (M x K)(K x K) product per item
     scale = (f / np.sqrt(rho_f))[..., None] * d
     precoder = PrecoderOutput(p=hv @ (scale[..., :, None] * v.conj().mT), f=f[()])

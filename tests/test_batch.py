@@ -131,7 +131,7 @@ def test_allocators_on_a_stack_equal_their_2d_calls():
            for coeffs_i, prec_i in (one(coeffs, prec, i) for i in idx)]
     close(apa.eta, [r.eta for r in ref])
     for step in range(6):
-        close(apa.cost_trace[step], [r.cost_trace[step] for r in ref])
+        assert np.array_equal(apa.cost_trace[..., step], [r.cost_trace[step] for r in ref])
     for step in range(1, 5):            # a run of `step` steps ends at that iterate
         close(apa_sgd(prec, coeffs, mu=0.25, iterations=step).eta,
               [apa_sgd(prec_i, coeffs_i, mu=0.25, iterations=step).eta

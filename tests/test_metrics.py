@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from cellfree.channel import SystemConfig, generate_realization
-from cellfree.metrics import (analytic_sinr, ber_qpsk, rates,
+from cellfree.metrics import (analytic_sinr, ber_qpsk, rates, reduce_axis,
                               sinr_coefficients, snr_to_rho_f)
 from cellfree.power_allocation import upa
 from cellfree.precoding import cb_precoder, zf_precoder
@@ -286,3 +289,52 @@ def test_stride_zero_precoders_measure_as_their_materialized_copies(build, per_i
     want, want_flagged = measure(p.copy(), n_diag[0], rho_f[1])
     assert ber.shape == (3,) and ber.tobytes() == want.tobytes()
     assert flagged == want_flagged == 3
+
+
+# every ufunc the package hands ``reduce_axis``, and the entries that float
+# arithmetic treats apart
+REDUCED = (np.add, np.maximum, np.minimum, np.fmax, np.logical_and, np.logical_or)
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(ufunc=st.sampled_from(REDUCED), layout=st.sampled_from(["C", "F", "stride 0"]),
+       special=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_reduce_axis_equals_numpys_reduce_bitwise(ufunc, layout, special, seed):
+    """Over axes -1 and -2 of 0 to 9 entries, on arrays too small and large
+    enough for the chain, C- and Fortran-ordered or stride 0 along their
+    leading axis, with a share ``special`` of NaN, +-inf and +-0 entries (of
+    True for the logical ufuncs). Bit for bit, except the sign of a zero
+    from a row that holds a -0.0 and of a NaN sum: numpy's own reduce signs
+    those by memory layout. A numpy whose sums of 2 to 7 entries stop
+    running left to right fails here. The output is laid out as numpy's is
+    on C-ordered and stride-0 inputs, which are what the package reduces."""
+    rng = np.random.default_rng(seed)
+    for axis, n, rows in itertools.product((-1, -2), range(10), (1, 6, 400)):
+        cols = int(rng.integers(1, 4))
+        shape = (rows, n, cols) if axis == -2 else (rows, cols, n)
+        if ufunc in (np.logical_and, np.logical_or):
+            x = rng.random(shape) < special
+        else:
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+            x = np.where(rng.random(shape) < special, rng.choice(SPECIAL, shape), x)
+        x = {"C": x, "F": np.asfortranarray(x),
+             "stride 0": np.broadcast_to(x[:1], shape)}[layout]
+        with np.errstate(invalid="ignore"):             # inf - inf
+            try:
+                want = ufunc.reduce(x, axis=axis)
+            except ValueError:                          # no entry and no identity
+                with pytest.raises(ValueError):
+                    reduce_axis(ufunc, x, axis)
+                continue
+            got = reduce_axis(ufunc, x, axis)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.strides == want.strides or layout == "F"
+        same = got == want
+        if want.dtype != bool:
+            same = got.view(np.uint64) == want.view(np.uint64)
+            negative_zero = np.logical_or.reduce((x == 0.0) & np.signbit(x), axis=axis)
+            same |= (got == 0.0) & (want == 0.0) & negative_zero
+            if ufunc is np.add:
+                same |= np.isnan(got) & np.isnan(want)
+        assert same.all(), (axis, n, rows)

@@ -725,7 +725,7 @@ def test_separable_form_matches_the_full_matrix_oracle(csi, batch):
             close(c * nu - b, np.real(grad.diagonal(axis1=-2, axis2=-1)))
         costs, etas = oracle_apa(prec, g, rho_f, sigma_w2, 0.25, 5, sigma_s2)
         for step in range(6):
-            close(solved.cost_trace[step], costs[step])
+            close(solved.cost_trace[..., step], costs[step])
             close(iterates[step], etas[step])
 
 
