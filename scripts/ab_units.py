@@ -5,9 +5,9 @@ package name of its own (``cellfree_a``, ``cellfree_b``) and imports both in
 this one process, with OpenBLAS, OpenMP and MKL on one thread, so that both
 sides share the machine's state from moment to moment. A unit is one
 ``run --preset <name> --trials 1`` call per preset through the side's
-``cli_io.main``, at seed ``--seed + j`` for unit j on both sides. Each round
+``cli_io.main``, at seed ``1 + j`` for unit j on both sides. Each round
 times one unit on each side, alternating which side goes first, after one
-untimed unit per side.
+untimed unit per side at seed 0.
 
     python scripts/ab_units.py ../parent .
     python scripts/ab_units.py ../parent . --presets fig-large-sumrate --rounds 30
@@ -68,7 +68,6 @@ def main(argv=None) -> int:
     p.add_argument("--presets", default="fig-tiny-opa,fig-tiny-apa",
                    help="comma-separated preset names (default: %(default)s)")
     p.add_argument("--rounds", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
@@ -84,11 +83,11 @@ def main(argv=None) -> int:
         for out in outs:
             out.mkdir()
         for cli, out in zip(clis, outs):
-            unit(cli, presets, args.seed - 1, out)           # warm-up, untimed
+            unit(cli, presets, 0, out)                       # warm-up, untimed
         seconds = [[], []]
         for j in range(args.rounds):
             for side in ((0, 1) if j % 2 == 0 else (1, 0)):
-                seconds[side].append(unit(clis[side], presets, args.seed + j, outs[side]))
+                seconds[side].append(unit(clis[side], presets, 1 + j, outs[side]))
     ratios = [b / a for a, b in zip(*seconds)]
     wins = sum(b < a for a, b in zip(*seconds))
     print(f"presets {','.join(presets)}, {args.rounds} rounds")

@@ -162,7 +162,13 @@ def reduce_axis(ufunc, x, axis=-1):
     thread, the maximum over the users of a (6, 100, 5, 2) exhaustive-search
     chunk took 4 us as a chain against 135 us in one reduce; on (18, 16) numpy's
     reduce is the faster. The 16 users and 96-256 antennas of the large
-    presets keep numpy's reduce.
+    presets keep numpy's reduce. Each slice costs one ufunc call, so on small
+    arrays the chain loses: a 2-D call's column sums over 5 antennas of a
+    (5, 2) precoder took 2.9 us as a chain against 1.1 us, and APA's (2, 6, 5)
+    maximum over the antennas 5.4 against 1.9 us. Over every 2- to 7-entry
+    reduction of two trials of fig-tiny-opa and fig-tiny-apa, weighted by
+    their calls, chains everywhere took 1223 us, chains from ``32 n^2``
+    entries 1020 us, and the faster path for each shape 962 us.
 
     The chain takes the entries in order, as numpy's sum does below 8
     entries (its pairwise blocks start at 8), and maximum and minimum keep
