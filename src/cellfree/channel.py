@@ -219,18 +219,14 @@ def path_loss_db(d, cfg: SystemConfig) -> np.ndarray:
 
     Flat below d0, 20 dB/decade between d0 and d1, 35 dB/decade beyond d1.
     The formula is evaluated verbatim; it is not continuous at the
-    breakpoints for every constant choice.
+    breakpoints for every constant choice. Below d0 the logarithm takes d0,
+    so the flat branch is the middle one's value at d0.
     """
     d = np.asarray(d, dtype=float)
     const = attenuation_constant_db(cfg)
-    out = np.empty_like(d)
-    far = d > cfg.d1_m
-    mid = (d > cfg.d0_m) & ~far
-    near = ~(far | mid)
-    out[far] = -const - 35.0 * np.log10(d[far])
-    out[mid] = -const - 15.0 * np.log10(cfg.d1_m) - 20.0 * np.log10(d[mid])
-    out[near] = -const - 15.0 * np.log10(cfg.d1_m) - 20.0 * np.log10(cfg.d0_m)
-    return out
+    lg = np.log10(np.maximum(d, cfg.d0_m))
+    return np.where(d > cfg.d1_m, -const - 35.0 * lg,
+                    -const - 15.0 * np.log10(cfg.d1_m) - 20.0 * lg)
 
 
 def large_scale_coeffs(distances, cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -35,7 +35,6 @@ def _header(row_type) -> str:
 
 
 CSV_HEADER = _header(SweepRow)
-LEARNING_HEADER = _header(LearningCurveRow)
 
 
 def _parse_value(key: str, raw: str):

@@ -29,14 +29,13 @@ SNR, build once per channel, stride 0 along the points. Each item equals
 its own 2-D chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and copies each point's winning item out of the chunk that scored
-it (``ChainResult.take``), so every reported number is what the 2-D chain
-on the winning mask gives, and no chain runs on the winners again. Each
-chunk is masked and built once. A chunk that leaves ZF rank-deficient is
-built again without the candidates that fail ZF's rank test
-(``pc.zf_full_rank``: a Gram eigenvalue at or below rounding), which score
--inf; the error of the chunk's build carries that test's mask, so no Gram
-matrix is tested twice. OPA's search is screened by its closed-form bound
-(see ``_es``).
+it (``PipelineResult.take``), so every reported number is what the 2-D
+chain on the winning mask gives, and no chain runs on the winners again.
+Each chunk is masked and built once. A chunk that leaves ZF rank-deficient
+is built again without the candidates that fail ZF's rank test (a Gram
+eigenvalue at or below rounding), which score -inf; the error of the
+chunk's build carries that test's mask, so no Gram matrix is tested twice.
+OPA's one search is screened by its closed-form bound (see ``_es``).
 
 A trial is split in two. ``TrialDraw`` holds the channel block of trial
 ``t`` at one config, drawn once on first use and read-only. ``run_cells``
@@ -108,21 +107,23 @@ def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
 
 def _es(scheme, realization, cfg, rho_f):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
-    ``(S, M, K)``, from one search, and the winners' ``ChainResult``, taken
-    from the search. A stack of B candidates runs as one ``(S, B)`` chain
-    against ``rho_f`` of shape ``(S, 1)``, and each of its items equals its
-    own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` of the
-    chunk that scored it is what the chain on that point's mask gives: no
-    chain runs again on the winners. The search copies winning items out of
-    their chunk as it goes (``ChainResult.take``), keeps no chunk's result
-    and gathers each point's newest copy at the end. The result's trace
-    holds the counts of the last scored stack a winner was copied from:
+    ``(S, M, K)``, from one search, and the winners' ``PipelineResult``,
+    taken from the search. A stack of B candidates runs as one ``(S, B)``
+    chain against ``rho_f`` of shape ``(S, 1)``, and each of its items
+    equals its own 2-D chain bitwise, so each point's winning item ``(s,
+    b_s)`` of the chunk that scored it is what the chain on that point's
+    mask gives: no chain runs again on the winners. The search copies
+    winning items out of their chunk as it goes (``PipelineResult.take``),
+    keeps no chunk's result but those copies, and maps each point to its
+    newest copy, which the end gathers. The result's trace holds the counts
+    of the scored stack that the first point's winner was copied from:
     ``allocation_solves``, ``allocation_iterations`` and
     ``allocation_tests``; its precoder and allocation seconds are 0, as the
     search that ran them is the cell's selection time. It also holds
     ``es_candidates``, the (point, candidate) items searched, and
     ``es_certified``, those decided exactly: scored on the chain, or set
-    aside by ZF's rank test.
+    aside by ZF's rank test. A search that leaves some point without a
+    finite score raises ``LinAlgError``.
 
     Each chunk is masked once and built once. A build that ZF's rank test
     refuses names the candidates that fail it, which score -inf at every
@@ -135,80 +136,70 @@ def _es(scheme, realization, cfg, rho_f):
     can never win, so it scores -inf without running the chain. A NaN end
     rules nothing out. The candidates left run the allocate stage on their
     columns of the chunk's build, at every point, and the first strict
-    maximum among them is the unscreened search's winner, ties included.
-    Should a screened search leave some point without a winner, the search
-    runs again unscreened, so its errors are the unscreened search's too. APA
-    and UPA have no bound cheaper than their own chain: their searches
-    score every candidate."""
+    maximum among them is the unscreened search's winner, ties included. A
+    valid bound leaves no point without a winner that the unscreened search
+    would give one: the candidate that set a point's finite floor has ``hi
+    >= lo``, so it stays live and scores at least its ``lo``. APA and UPA
+    have no bound cheaper than their own chain: their searches score every
+    candidate."""
     points = np.shape(rho_f)
     stack_rho = rho_f[..., None] if points else rho_f
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
-    cut = (slice(None),) * len(points)
-
-    def search(bound):
-        """``sel.es_aps`` on the chain, screened by ``bound`` unless it is
-        None: the masks, the winners' copies, newest first, as ``(points,
-        ChainResult)``, and the certified count."""
-        won = []        # newest first: points a chunk raised, their items copied by index
-        certified = 0
-        floor, best = np.full(points, -np.inf), np.full(points, -np.inf)
-
-        def evaluate(masks):
-            """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and
-            the ``take`` that copies the picked items of its chain result
-            into the winners (see ``sel.es_aps``)."""
-            nonlocal certified, floor, best
-            g_hat, err_var = sel.apply_mask(masks, realization)
-            scores = np.full(points + masks.shape[:1], -np.inf)
-            certified += scores.size
-            run = np.ones(len(masks), dtype=bool)       # the candidates the chain scores
-            try:
-                built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
-            except pc.RankDeficientError as err:
-                run = err.full
-                if not run.any():
-                    return scores, None                 # no score to take: none beats -inf
-                built = _build(build, g_hat[run], err_var[run], stack_rho, sigma_w2, sigma_s2)
-            if bound is not None:
-                lo, hi = (np.asarray(x, dtype=float) for x in bound(built.precoder, built.coeffs))
-                hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
-                floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
-                live = (hi >= np.maximum(floor, best)[..., None]
-                        ).reshape(-1, hi.shape[-1]).any(axis=0)
-                certified -= (live.size - np.count_nonzero(live)) * math.prod(points)
-                if not live.any():
-                    return scores, None
-                built = built.take(cut + (live,))
-                run[run] = live
-            result = run_chain(g_hat[run], err_var[run], scheme, stack_rho, sigma_w2,
-                               sigma_s2, built=built)
-            scores[..., run] = result.metrics.min_sinr
-            best = np.maximum(best, np.where(np.isnan(scores), -np.inf, scores).max(axis=-1))
-            rows = np.cumsum(run) - 1
-
-            def take(items, columns):
-                at = np.flatnonzero(items)
-                won.insert(0, (at, result.take((at, rows[columns]) if points
-                                               else (rows[columns],))))
-            return scores, take
-
-        masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
-                              cfg.antennas_per_ap, evaluate, points=math.prod(points))
-        return masks, won, certified
-
     bound = SCHEMES["allocation"][scheme.allocation].bound
-    masks, won, certified = search(bound)
-    if masks is None and bound is not None:
-        masks, won, certified = search(None)
+    cut = (slice(None),) * len(points)
+    won = {}        # point -> (the newest copy that names it, its row there)
+    certified = 0
+    floor, best = np.full(points, -np.inf), np.full(points, -np.inf)
+
+    def evaluate(masks):
+        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
+        ``take`` that copies the picked items of its chain result into the
+        winners (see ``sel.es_aps``)."""
+        nonlocal certified, floor, best
+        g_hat, err_var = sel.apply_mask(masks, realization)
+        scores = np.full(points + masks.shape[:1], -np.inf)
+        certified += scores.size
+        run = np.ones(len(masks), dtype=bool)       # the candidates the chain scores
+        try:
+            built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
+        except pc.RankDeficientError as err:
+            run = err.full
+            if not run.any():
+                return scores, None                 # no score to take: none beats -inf
+            built = _build(build, g_hat[run], err_var[run], stack_rho, sigma_w2, sigma_s2)
+        if bound is not None:
+            lo, hi = (np.asarray(x, dtype=float) for x in bound(built.precoder, built.coeffs))
+            hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
+            floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
+            live = (hi >= np.maximum(floor, best)[..., None]
+                    ).reshape(-1, hi.shape[-1]).any(axis=0)
+            certified -= (live.size - np.count_nonzero(live)) * math.prod(points)
+            if not live.any():
+                return scores, None
+            built = built.take(cut + (live,))
+            run[run] = live
+        result = run_chain(g_hat[run], err_var[run], scheme, stack_rho, sigma_w2,
+                           sigma_s2, built=built)
+        scores[..., run] = result.metrics.min_sinr
+        best = np.maximum(best, np.where(np.isnan(scores), -np.inf, scores).max(axis=-1))
+        rows = np.cumsum(run) - 1
+
+        def take(items, columns):
+            at = np.flatnonzero(items)
+            copy = result.take((at, rows[columns]) if points else (rows[columns],))
+            won.update((s, (copy, j)) for j, s in enumerate(at))
+        return scores, take
+
+    masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
+                          cfg.antennas_per_ap, evaluate, points=math.prod(points))
     if masks is None:
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    # point -> (copy, row) of its winner, in the newest copy that names it
-    found = {s: (i, j) for i, (at, _) in reversed(list(enumerate(won))) for j, s in enumerate(at)}
-    won = (_map_items(lambda _, *xs: np.array([xs[i][j] for _, (i, j) in sorted(found.items())]),
-                      *(copy for _, copy in won)) if points else won[0][1].take(0))
+    picks = [won[s] for s in sorted(won)]
+    won = (_map_items(lambda _, *xs: np.array([x[j] for x, (_, j) in zip(xs, picks)]),
+                      *(copy for copy, _ in picks)) if points else picks[0][0].take(picks[0][1]))
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
     won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
                  "es_candidates": candidates * math.prod(points), "es_certified": certified}
@@ -379,18 +370,15 @@ class _Items:
 
 
 @dataclass
-class ChainResult(_Items):
+class PipelineResult(_Items):
     precoder: pc.PrecoderOutput
     n_first: pa.AllocationResult
     n_final: pa.AllocationResult
     metrics: mt.LinkMetrics
     trace: dict
-
-
-@dataclass
-class PipelineResult(ChainResult):
-    mask: np.ndarray      # (M, K) selection the chain ran on; (S, M, K) on a grid,
-                          # stride 0 along the points for NS and LS
+    # (M, K) selection the chain ran on; (S, M, K) on a grid, stride 0 along
+    # the points for NS and LS; None from ``run_chain``, whose channel is masked
+    mask: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -405,14 +393,16 @@ class Build(_Items):
     seconds: float = 0.0
 
     def broadcast_to(self, items) -> "Build":
-        """The build at the item axes ``items``: a read-only stride-0 view of
-        each per-item array along each of them that it lacks; the build
-        itself where none lacks one, as an MMSE build outside an ES chunk."""
+        """The build at the item axes ``items``, every per-item array
+        read-only: a stride-0 view of each along each of them that it lacks,
+        and the array itself, frozen, where it lacks none. A build none of
+        whose arrays lacks one, as an MMSE build outside an ES chunk, comes
+        back as itself."""
         items = tuple(items)
         def to(core, x):
             have = np.shape(x)
             shape = items + have[len(have) - core:]
-            return x if have == shape else np.broadcast_to(x, shape)
+            return _read_only(x)[0] if have == shape else np.broadcast_to(x, shape)
         return _map_items(to, self)
 
     @staticmethod
@@ -430,7 +420,6 @@ class Build(_Items):
 # and None a field that is one for all the items.
 _LAYOUT = {
     Build: {"precoder": ..., "coeffs": ..., "seconds": None},
-    ChainResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ..., "trace": None},
     PipelineResult: {"precoder": ..., "n_first": ..., "n_final": ..., "metrics": ...,
                      "trace": None, "mask": 2},
     pc.PrecoderOutput: {"p": 2, "f": 0, "delta": 2},
@@ -453,7 +442,7 @@ def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2) -> Build:
 
 
 def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
-              sigma_s2: float, built: Optional[Build] = None) -> ChainResult:
+              sigma_s2: float, built: Optional[Build] = None) -> PipelineResult:
     """Precode and allocate on a (masked) channel, or a stack of them;
     re-form and re-allocate only where that changes the result (see the
     module docstring). ``rho_f`` is a scalar or one value per item, and its
@@ -492,8 +481,8 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
         "allocation_tests": [n.tests for n in solves],
         "seconds": seconds,
     }
-    return ChainResult(precoder=prec, n_first=solves[0], n_final=solves[-1],
-                       metrics=metrics, trace=trace)
+    return PipelineResult(precoder=prec, n_first=solves[0], n_final=solves[-1],
+                          metrics=metrics, trace=trace)
 
 
 def _snr_linear(snr_db) -> np.ndarray:
@@ -505,18 +494,15 @@ def _snr_linear(snr_db) -> np.ndarray:
 
 
 def _stack(arrays, ndim):
-    """``arrays`` stacked along a new leading axis, each first given leading
-    length-1 axes up to ``ndim`` axes and, where their shapes then differ,
-    broadcast against each other. A lone array is a view, not a copy,
-    and an axis along which every array repeats one value (stride 0, as
-    ``np.broadcast_to`` makes) stays a stride-0 view of that value."""
+    """``arrays``, which share one shape once each is given leading length-1
+    axes up to ``ndim`` axes, stacked along a new leading axis. A lone array
+    is a view, not a copy, and an axis along which every array repeats one
+    value (stride 0, as ``np.broadcast_to`` makes) stays a stride-0 view of
+    that value."""
     arrays = [a if a.ndim == ndim else a.reshape((1,) * (ndim - a.ndim) + a.shape)
               for a in map(np.asarray, arrays)]
     if len(arrays) == 1:
         return arrays[0][None]
-    # ES's per-point estimates beside one mask's
-    if len({a.shape for a in arrays}) > 1:
-        arrays = np.broadcast_arrays(*arrays)
     repeated = [all(a.strides[i] == 0 for a in arrays) for i in range(ndim)]
     if not any(repeated):
         return np.array(arrays)         # np.stack's copy, at a fifth of its overhead
@@ -549,7 +535,8 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     the chains' precoders and estimates as a sequence and stacks only
     their K x K links, never the ``(S, M, K)`` precoders. ``solver`` gives
     its packet shape and is read by nothing else. Twins share their chain's
-    result objects. Shared arrays are read-only.
+    result objects. Shared arrays are read-only: a selection's as it is
+    made, and a build's as ``_build`` shapes it (``Build.broadcast_to``).
 
     ``trace`` of a cell: its solver counts and its allocate stage's seconds
     (``trace["seconds"]["allocation"]``, and APA's re-form under
@@ -603,8 +590,6 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
         if key[:2] not in builds:
             build = builds[key[:2]] = _build(key[1], g_hat, err_var, rho_f, sigma_w2, sigma_s2)
             made["precoder"] = build.seconds
-            _read_only(build.precoder.p, build.precoder.f, build.precoder.delta,
-                       build.coeffs.psi, build.coeffs.phi, build.coeffs.gamma, build.coeffs.rho_f)
         stacks.setdefault(scheme.allocation, []).append(scheme)
 
     for stacked in stacks.values():
@@ -644,9 +629,7 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
                              "allocation": ran_seconds["allocation"], "ber": ber_seconds}}
         if with_ber:
             trace["ber_degenerate_gains"] = degenerate
-        results.append(PipelineResult(precoder=chain.precoder, n_first=chain.n_first,
-                                      n_final=chain.n_final, metrics=chain.metrics,
-                                      trace=trace, mask=chains[key][0]))
+        results.append(replace(chain, trace=trace, mask=chains[key][0]))
     return results
 
 

@@ -72,9 +72,9 @@ class PrecoderOutput:
 
 class RankDeficientError(np.linalg.LinAlgError):
     """ZF's Gram matrix of a channel is singular to rounding: the channel is
-    rank-deficient. ``full`` holds ``zf_full_rank``'s mask of the channels
-    the raising call was given, so that a caller can set the deficient ones
-    aside without testing them again."""
+    rank-deficient. ``full`` holds the rank test's mask of the channels the
+    raising call was given (see ``zf_precoder``), so that a caller can set
+    the deficient ones aside without testing them again."""
 
     def __init__(self, message: str, full: np.ndarray):
         super().__init__(message)
@@ -169,20 +169,14 @@ def _zf_rank(g_hat):
     return g_conj, gram, lam[..., 0] > _rounding(lam)[..., 0]
 
 
-def zf_full_rank(g_hat) -> np.ndarray:
-    """Per item of a ``(..., M, K)`` stack of channels, whether
-    ``zf_precoder`` accepts it: whether the smallest eigenvalue of its Gram
-    matrix is above that matrix's rounding, ``K eps_machine max(lam)``, the
-    threshold of MMSE's pseudo-inverse limit."""
-    return _zf_rank(np.asarray(g_hat))[2]
-
-
 def zf_precoder(g_hat) -> PrecoderOutput:
     """Zero-forcing precoder conj(G) (G^T conj(G))^(-1); interference-free
     on the estimated channel. The K x K inverse is formed first, so one
     (M x K)(K x K) product remains. Raises ``RankDeficientError`` if any
-    channel fails ``zf_full_rank``'s test, and ``ValueError`` on a
-    non-finite channel."""
+    channel fails the rank test, and ``ValueError`` on a non-finite channel:
+    a channel passes if the smallest eigenvalue of its Gram matrix is above
+    that matrix's rounding, ``K eps_machine max(lam)``, the threshold of
+    MMSE's pseudo-inverse limit."""
     g_hat = np.asarray(g_hat)
     g_conj, gram, full = _zf_rank(g_hat)
     if not full.all():

@@ -13,15 +13,19 @@ channel model's variance split that the simulation itself never runs.
 ``apa_cost`` is APA's separable transmit MSE at any allocation, and
 ``mean_se`` the mean and standard error of one cell's trials as a 1-D
 reduction, against which the sweeps' stacked reduction is checked.
+``path_loss_reference`` is the three-slope path loss written with one mask
+and one gather per branch, which ``channel.path_loss_db`` must reproduce bit
+for bit, and ``zf_full_rank`` ZF's rank test on a stack, without a build.
 """
 
 import dataclasses
 
 import numpy as np
 
-from cellfree.channel import (SystemConfig, complex_normal, generate_topology,
-                              large_scale_coeffs)
+from cellfree.channel import (SystemConfig, attenuation_constant_db, complex_normal,
+                              generate_topology, large_scale_coeffs)
 from cellfree.power_allocation import apa_terms
+from cellfree.precoding import _zf_rank
 
 # Newton steps after which the oracle stops, converged or not
 ORACLE_MAX_STEPS = 60
@@ -51,6 +55,29 @@ def ls_reference(beta, num_selected, antennas_per_ap):
         order = np.argsort(-beta_ap[:, k], kind="stable")
         q_ap[order[:num_selected], k] = 1.0
     return np.repeat(q_ap, antennas_per_ap, axis=0)
+
+
+def path_loss_reference(d, cfg):
+    """The three-slope path loss in dB, each branch gathered and scattered
+    through its own boolean mask: flat at or below d0, 20 dB/decade to d1,
+    35 dB/decade beyond."""
+    d = np.asarray(d, dtype=float)
+    const = attenuation_constant_db(cfg)
+    out = np.empty_like(d)
+    far = d > cfg.d1_m
+    mid = (d > cfg.d0_m) & ~far
+    near = ~(far | mid)
+    out[far] = -const - 35.0 * np.log10(d[far])
+    out[mid] = -const - 15.0 * np.log10(cfg.d1_m) - 20.0 * np.log10(d[mid])
+    out[near] = -const - 15.0 * np.log10(cfg.d1_m) - 20.0 * np.log10(cfg.d0_m)
+    return out
+
+
+def zf_full_rank(g_hat):
+    """Per item of a ``(..., M, K)`` stack of channels, whether
+    ``zf_precoder`` accepts it: whether the smallest eigenvalue of its Gram
+    matrix is above that matrix's rounding, ``K eps_machine max(lam)``."""
+    return _zf_rank(np.asarray(g_hat))[2]
 
 
 def complex_normal_reference(rng, variance, shape):

@@ -10,8 +10,8 @@ from cellfree.channel import (MAX_ABS_SNR_DB, MIN_CSI_QUALITY, SYMBOL_POWER_RANG
                               large_scale_coeffs, pairwise_distances, path_loss_db,
                               realize_channel)
 from cellfree.selection import ls_aps
-from reference import (ls_reference, mmse_pilot_estimate, pilot_estimate_variance,
-                       realization_reference)
+from reference import (ls_reference, mmse_pilot_estimate, path_loss_reference,
+                       pilot_estimate_variance, realization_reference)
 
 
 def default_cfg(**overrides):
@@ -89,6 +89,23 @@ def test_middle_branch_value():
     const = attenuation_constant_db(cfg)
     expected = -const - 15 * np.log10(cfg.d1_m) - 20 * np.log10(30.0)
     assert np.isclose(path_loss_db(30.0, cfg), expected)
+
+
+def test_path_loss_equals_the_three_mask_form_bitwise():
+    # at d = 0, d0 and d1 and their floating-point neighbours, and on random
+    # (256, 16) draws that include them, at the default breakpoints and at
+    # another pair
+    rng = np.random.default_rng(31)
+    for cfg in (default_cfg(), default_cfg(d0_m=1.0, d1_m=200.0)):
+        breaks = [x for b in (0.0, cfg.d0_m, cfg.d1_m)
+                  for x in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf))]
+        for d in [*breaks, np.array(breaks)]:
+            assert path_loss_db(d, cfg).tobytes() == path_loss_reference(d, cfg).tobytes(), d
+        for _ in range(50):
+            d = rng.uniform(0.0, 1500.0, (256, 16))
+            d.flat[rng.choice(d.size, len(breaks), replace=False)] = breaks
+            got, want = path_loss_db(d, cfg), path_loss_reference(d, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- large-scale gains

@@ -672,12 +672,12 @@ def test_an_es_search_masks_and_builds_each_chunk_once(monkeypatch, label):
 
 
 @pytest.mark.parametrize("precoder", ["MMSE", "ZF", "CB"])
-def test_a_screen_that_rules_out_every_candidate_searches_again_unscreened(precoder):
-    # an OPA bound with lo above hi rules out every candidate, so the
-    # screened search finds no winner and the cell is the unscreened search's
+def test_a_bound_that_rules_out_every_candidate_is_an_error(monkeypatch, precoder):
+    # an OPA bound with lo above hi is wrong: it rules out every candidate, so
+    # the search finds no winner at any point, and the cell and the sweep
+    # say so rather than report a winner
     cfg = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
     scheme = Scheme(precoder, "OPA", "ES")
-    solver = SolverParams(symbols_per_packet=64)
     opa = SCHEMES["allocation"]["OPA"]
     bounded = []
 
@@ -685,17 +685,17 @@ def test_a_screen_that_rules_out_every_candidate_searches_again_unscreened(preco
         bounded.append(np.shape(coeffs.rho_f))
         return np.ones(np.shape(coeffs.rho_f)), np.zeros(np.shape(coeffs.rho_f))
 
-    cells = []
-    for bound in (nowhere, None):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(SCHEMES["allocation"], "OPA", dataclasses.replace(opa, bound=bound))
-            cells.append(run_cell(TrialDraw(cfg, 2, cfg.rng_seed), scheme,
-                                  list(cfg.snr_grid_db), solver, with_ber=True))
-    screened, unscreened = cells
+    monkeypatch.setitem(SCHEMES["allocation"], "OPA", dataclasses.replace(opa, bound=nowhere))
+    with pytest.raises(np.linalg.LinAlgError, match="no candidate mask"):
+        run_cell(TrialDraw(cfg, 2, cfg.rng_seed), scheme, list(cfg.snr_grid_db))
     assert bounded == [(3, 100)]
-    same_items(screened, unscreened)
-    assert ({**screened.trace, "seconds": None} == {**unscreened.trace, "seconds": None}
-            and screened.trace["es_certified"] == screened.trace["es_candidates"] == 300)
+    with pytest.raises(TrialError) as caught:
+        run_sweep(cfg, [scheme], "snr_grid", trials=2)
+    err = caught.value
+    assert (err.scheme, err.axis_value, err.trial) == (scheme.label, 0.0, 0)
+    assert isinstance(err.__cause__, np.linalg.LinAlgError)
+    for part in (scheme.label, "trial 0", "no candidate mask"):
+        assert part in str(err)
 
 
 def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):

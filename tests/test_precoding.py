@@ -6,8 +6,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cellfree.pipeline import SCHEMES
 from cellfree.precoding import (RankDeficientError, apply_allocation, cb_precoder,
-                                mmse_precoder, zf_full_rank, zf_precoder)
-from reference import random_channel
+                                mmse_precoder, zf_precoder)
+from reference import random_channel, zf_full_rank
 
 
 def ridge_solve(g, eps):

@@ -20,11 +20,10 @@ from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Build, Scheme, SolverParams, TrialDraw, run_cell,
                                run_cells, run_chain, run_trial)
 from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
-from cellfree.precoding import (RankDeficientError, cb_precoder, mmse_precoder,
-                                zf_full_rank, zf_precoder)
+from cellfree.precoding import RankDeficientError, cb_precoder, mmse_precoder, zf_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
-from reference import mask_from_choices
+from reference import mask_from_choices, zf_full_rank
 
 # candidates of the reference loop per example, to bound the test's run time
 MAX_CANDIDATES = 36
