@@ -1,19 +1,26 @@
-"""The statements of ``src/cellfree`` that no preset executes.
+"""The statements of ``src/cellfree`` that neither the presets nor the
+benchmark execute, and those that only the benchmark does.
 
 Runs all eight presets in this one process, each as ``python -m cellfree
 run --preset <name> --trials 3 --seed 777`` would (the run of
 ``scripts/preset_manifest.py`` at its defaults), with OpenBLAS, OpenMP and
 MKL on one thread and a line tracer (``sys.settrace``) on the package from
-its import on. It then prints, per module of the package, each statement on
-none of whose lines a line event came: its line number and first line.
-Docstrings, ``def`` and ``class`` headers, imports, ``global`` and
-``nonlocal`` are left out, and a compound statement counts by its header
-alone, its body statements by their own lines.
+its import on. Then, in the same process and trace, it makes the
+benchmark's calls that no preset makes: each of ``bench/micro.py``'s cases
+once at each of its sizes, and one unit of ``bench/workloads.py``'s
+single-trial workload at seed 777 (``setup()``, then ``run_unit(0)``). It
+reads those files and edits none of them. It prints, per module of the
+package, each statement on none of whose lines a line event came, then
+each statement that only the benchmark's calls reached: its line number and
+first line. Docstrings, ``def`` and ``class`` headers, imports, ``global``
+and ``nonlocal`` are left out, and a compound statement counts by its
+header alone, its body statements by their own lines.
 
     python scripts/unreached.py
 
-A statement listed here is one that the presets' traffic never reaches; the
-tests may still reach it. Any preset that does not exit 0 stops the run.
+A statement in the first list is one that neither the presets' traffic nor
+the benchmark's reaches; the tests may still reach it. Any preset that does
+not exit 0 stops the run.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ import os
 import runpy
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cellfree"
+BENCH = ROOT / "bench"
 TRIALS, SEED = 3, 777
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
@@ -54,16 +63,33 @@ def statements(source: str):
     return sorted(spans)
 
 
+def bench_calls():
+    """The benchmark's calls that no preset makes: each of
+    ``bench/micro.py``'s cases once at each of its sizes, then one unit of
+    ``bench/workloads.py``'s single-trial workload."""
+    sys.path.insert(0, str(BENCH))
+    import micro
+    import workloads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # as micro.run does
+        for m, k in micro.SIZES:
+            for call in micro._cases(m, k).values():
+                call()
+    single = workloads.SingleTrialWorkload(SEED, None)
+    single.setup()
+    single.run_unit(0)
+
+
 def traced_runs(out: Path):
-    """The presets' names and ``{file name: lines with a line event}`` of
-    the package's modules, from the package's import through one ``python
-    -m cellfree run`` of each preset."""
-    ran = collections.defaultdict(set)
+    """The presets' names, and ``{file name: lines with a line event}`` of
+    the package's modules twice: from the package's import through one
+    ``python -m cellfree run`` of each preset, and over ``bench_calls``."""
+    ran = [collections.defaultdict(set)]
     prefix = str(PACKAGE) + os.sep
 
     def lines(frame, event, _):
         if event == "line":
-            ran[Path(frame.f_code.co_filename).name].add(frame.f_lineno)
+            ran[-1][Path(frame.f_code.co_filename).name].add(frame.f_lineno)
         return lines
 
     def calls(frame, *_):
@@ -85,29 +111,42 @@ def traced_runs(out: Path):
                     code = done.code
             if code != 0:
                 raise SystemExit(f"preset {name} exited {code}: {err.getvalue().strip()}")
+        ran.append(collections.defaultdict(set))
+        bench_calls()
     finally:
         sys.settrace(None)
         sys.argv = argv
-    return list(PRESETS), ran
+    return list(PRESETS), *ran
+
+
+def report(keep, what: str) -> int:
+    """Print, per module, each statement whose lines ``keep(file name,
+    lines)`` holds for, under ``what``; returns how many there were."""
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        source = text.splitlines()
+        listed = [first for first, last in statements(text)
+                  if keep(path.name, set(range(first, last + 1)))]
+        total += len(listed)
+        print(f"{path.relative_to(ROOT)}: {len(listed)} {what}")
+        for first in listed:
+            print(f"  {first:5d}  {source[first - 1].strip()}")
+    return total
 
 
 def main() -> int:
     os.environ.update(ONE_THREAD)          # before the package imports numpy
     sys.path.insert(0, str(PACKAGE.parent))
     with tempfile.TemporaryDirectory() as tmp:
-        presets, ran = traced_runs(Path(tmp))
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
-        source = text.splitlines()
-        missed = [(first, last) for first, last in statements(text)
-                  if not ran[path.name] & set(range(first, last + 1))]
-        total += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} unreached")
-        for first, _ in missed:
-            print(f"  {first:5d}  {source[first - 1].strip()}")
-    print(f"{total} statements unreached by {len(presets)} presets "
-          f"at --trials {TRIALS} --seed {SEED}")
+        presets, by_presets, by_bench = traced_runs(Path(tmp))
+    missed = report(lambda name, lines: not (by_presets[name] | by_bench[name]) & lines,
+                    "unreached")
+    print(f"{missed} statements unreached by {len(presets)} presets "
+          f"at --trials {TRIALS} --seed {SEED} or by the benchmark's calls\n")
+    only = report(lambda name, lines: bool(by_bench[name] & lines)
+                  and not by_presets[name] & lines, "reached only by the benchmark")
+    print(f"{only} statements reached only by the benchmark's calls")
     return 0
 
 

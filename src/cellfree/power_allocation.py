@@ -26,11 +26,14 @@ Every solver also accepts stacked coefficient sets and loadings along
 leading axes (``(..., M, K)`` loadings, ``(..., K)`` coefficients), and
 coefficients whose ``rho_f`` is given per item, ``(...)``; the items of the
 loadings, the coefficients and ``rho_f`` broadcast together. Each item is
-solved exactly as its own 2-D call would solve it. OPA's root solve steps
-every item with a root together, one pair of batched solves per step, and
-an item leaves the batch at its own stop. OPA then tests the items'
-undecided midpoints together, one ``sinr_feasible`` call per round, and
-returns every item's eta and checks every band in one more call.
+solved exactly as its own 2-D call would solve it. OPA keeps the items in
+the shape they arrive in, with one layout for its bracket, root and
+replay. Its root solve steps every item with a root together, one pair of
+batched solves per step, and an item leaves the batch at its own stop.
+Every item then replays bisection's halvings in a Python float loop; one
+``sinr_feasible`` call per round tests the midpoints that some items
+cannot decide from their band, and one more returns every item's eta and
+checks every band.
 """
 
 from __future__ import annotations
@@ -100,10 +103,7 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
         # the zero target is met by eta = 0, whatever the system
         eta = np.where((t == 0.0)[..., None], 0.0, eta)
     ok = reduce_axis(np.logical_and, (eta >= 0.0) & (eta < np.inf))
-    feasible = np.count_nonzero(ok)
-    if not feasible:
-        return ok[()], np.full(eta.shape, np.nan)
-    checked = eta if feasible == ok.size else np.where(ok[..., None], eta, 0.0)
+    checked = eta if np.count_nonzero(ok) == ok.size else np.where(ok[..., None], eta, 0.0)
     # guard against spurious solutions of an indefinite system
     ok &= ~reduce_axis(np.logical_or,
                        analytic_sinr(coeffs, checked) < (t * (1.0 - 1e-9))[..., None])
@@ -292,61 +292,6 @@ def _replay(low, high, step, floor, ceiling, iterations, tol):
     return low, high, step, None
 
 
-def _bisect(coeffs, delta, t_hi, root, iterations, tol):
-    """Bisection over a flat batch of brackets [0, t_hi] with t_hi > 0,
-    decided from each item's max-min root (NaN where it has none). Returns
-    (lower bracket ends, eta, halvings of the longest item, feasibility
-    targets tested).
-
-    Each item's root t* gives a band [t*(1 - OPA_ROOT_BAND),
-    t*(1 + OPA_ROOT_BAND)]. Feasibility is monotone in the target, so if the
-    band's low end is feasible and its high end is not, a midpoint at or
-    below the band is feasible and one at or above it is not. Every item
-    replays bisection's float loop on those decisions; while some items
-    stop at a midpoint inside their band, one ``sinr_feasible`` call tests
-    those midpoints (a zero target stands in for the other items) and the
-    replay carries on. A last call on the rows [result, band's low end,
-    band's high end] returns eta and checks every band. If a band fails, its
-    failed side widens to 0 or t_hi and the whole batch replays once more;
-    a widened side always passes, as eta = 0 meets a zero target and no
-    allocation reaches t_hi. Every item so makes the decisions that testing
-    each midpoint would, whatever the root. An item with no feasible
-    midpoint returns the low end of its band, once certified, instead of 0.
-    """
-    n = t_hi.size
-    found_root = root > 0.0                     # False where the root is NaN
-    floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0)
-    ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi)
-    tested = 0
-    while True:
-        lo, hi, steps, mid = [0.0] * n, t_hi.tolist(), [0] * n, [None] * n
-        band = list(zip(floor.tolist(), ceiling.tolist()))
-        undecided = range(n)
-        while undecided:
-            for i in undecided:
-                lo[i], hi[i], steps[i], mid[i] = _replay(lo[i], hi[i], steps[i], *band[i],
-                                                         iterations, tol)
-            undecided = [i for i in undecided if mid[i] is not None]
-            if undecided:
-                targets = np.zeros(n)
-                targets[undecided] = [mid[i] for i in undecided]
-                ok = sinr_feasible(targets, coeffs, delta)[0].tolist()
-                tested += n
-                for i in undecided:
-                    lo[i], hi[i] = (mid[i], hi[i]) if ok[i] else (lo[i], mid[i])
-                    steps[i] += 1
-        # with no feasible midpoint, the band's low end (0 if uncertified)
-        achieved = np.where(np.array(lo) > 0.0, lo, floor)
-        ok, found = sinr_feasible(np.array([achieved, floor, ceiling]), coeffs, delta)
-        tested += ok.size
-        # a band is certified when its low end is feasible and its high end
-        # is not; a side at 0 or t_hi has nothing left to widen
-        wider = np.where(ok[1], floor, 0.0), np.where(ok[2], t_hi, ceiling)
-        if np.array_equal(wider, (floor, ceiling)):
-            return achieved, found[0], max(steps), tested
-        floor, ceiling = wider
-
-
 def _bracket(coeffs: SinrCoefficients, delta):
     """``(loads, col_peak, t_hi)``: ``delta`` with each leading axis along
     which it repeats one load matrix (stride 0, as ``pipeline.Build`` keeps
@@ -374,54 +319,79 @@ def opa_bisection(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATI
     ``SINR_k <= rho_f psi_k / (sigma_w2 max_m delta[m,k])``, so the bracket
     always contains the optimum. Bisection runs ``iterations`` halvings or
     stops once the interval is narrower than ``tol``; ``achieved_t`` is its
-    lower end and ``eta`` the minimal coefficients reaching it. The halvings
-    are replayed from the root t* (see ``_bisect``) rather than each tested,
-    with the same result; only midpoints within ``OPA_ROOT_BAND`` relative
-    of t* are tested, and the call that returns eta checks that band. If it
-    fails, the band widens and the whole batch replays once more. Where no
-    midpoint is feasible, as when t* is below ``tol``, the result is the
-    certified t*(1 - OPA_ROOT_BAND), not 0.
+    lower end and ``eta`` the minimal coefficients reaching it.
+
+    The halvings are replayed from the root t* (see ``_max_min_root``)
+    rather than each tested, with the same result. Each item's root gives a
+    band [t*(1 - OPA_ROOT_BAND), t*(1 + OPA_ROOT_BAND)]. Feasibility is
+    monotone in the target, so if the band's low end is feasible and its
+    high end is not, a midpoint at or below the band is feasible and one at
+    or above it is not. Every item replays bisection's float loop on those
+    decisions; while some items stop at a midpoint inside their band, one
+    ``sinr_feasible`` call tests those midpoints (a zero target stands in
+    for the other items) and the replay carries on. A last call on three
+    targets per item, [result, band's low end, band's high end], returns eta
+    and checks every band. If a band fails, its failed side widens to 0 or
+    t_hi and the whole batch replays once more; a widened side always
+    passes, as eta = 0 meets a zero target and no allocation reaches t_hi.
+    Every item so makes the decisions that testing each midpoint would,
+    whatever the root. Where no midpoint is feasible, as when t* is below
+    ``tol``, the result is the certified t*(1 - OPA_ROOT_BAND), not 0. An
+    item with no root, or an empty bracket (t_hi == 0, eta = 0 and
+    achieved_t = 0), has the band [0, t_hi].
 
     Stacked items are solved together, each with its own bracket, stop test
-    and result; ``iterations`` of the result is the most halvings any item
-    made, and ``tests`` counts the targets handed to ``sinr_feasible`` over
-    all items and passes. The items are those of the coefficients, of a
-    per-item ``rho_f`` and of ``delta``, broadcast together. The root solve
-    (see ``_max_min_root``) takes a few Newton steps of two batched K x K
-    solves each, with no eigendecomposition, and steps each item until its
-    own stop, so a stack of chains with different coefficient batch shapes
-    (MMSE's one set per SNR point beside ZF's or CB's one set for the grid)
-    costs one call.
+    and result, in the shape they arrive in: the items of the coefficients,
+    of a per-item ``rho_f`` and of ``delta``, broadcast together.
+    ``iterations`` of the result is the most halvings any item made, and
+    ``tests`` counts the targets handed to ``sinr_feasible`` over all items
+    and passes. The root solve (see ``_max_min_root``) takes a few Newton
+    steps of two batched K x K solves each, with no eigendecomposition, and
+    steps each item until its own stop, so a stack of chains with different
+    coefficient batch shapes (MMSE's one set per SNR point beside ZF's or
+    CB's one set for the grid) costs one call.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     loads, _, t_hi = _bracket(coeffs, delta)
-    k, m = coeffs.psi.shape[-1], loads.shape[-2]
-    batch = t_hi.shape
-    t_hi = t_hi.reshape(-1)
-
-    # the replay runs on one flat batch axis; an empty bracket (t_hi == 0)
-    # keeps eta = 0 and achieved_t = 0
-    live = ~(t_hi <= 0.0)
-    rows = slice(None) if np.count_nonzero(live) == live.size else live
-    eta = np.zeros((t_hi.size, k))
-    achieved = np.zeros(t_hi.size)
-    steps = tested = 0
-    if np.count_nonzero(live):
-        def flat_items(x, core):
-            return np.broadcast_to(x, batch + core).reshape((-1,) + core)[rows]
-
-        root, _ = _max_min_root(coeffs, loads)
-        flat = SinrCoefficients(psi=flat_items(coeffs.psi, (k,)),
-                                phi=flat_items(coeffs.phi, (k, k)),
-                                gamma=flat_items(coeffs.gamma, (k, k)),
-                                rho_f=flat_items(coeffs.rho_f, ()),
-                                sigma_w2=coeffs.sigma_w2)
-        achieved[rows], eta[rows], steps, tested = _bisect(
-            flat, flat_items(loads, (m, k)), t_hi[rows], flat_items(root, ()),
-            iterations, tol)
-    return AllocationResult(eta=eta.reshape(batch + (k,)), iterations=steps,
-                            achieved_t=achieved.reshape(batch)[()], tests=tested)
+    batch, n = t_hi.shape, t_hi.size
+    # the root comes at the batch of the loads with their repeats cut
+    root = np.broadcast_to(_max_min_root(coeffs, loads)[0], batch)
+    found_root = root > 0.0                     # False where the root is NaN
+    floor = np.where(found_root, root * (1.0 - OPA_ROOT_BAND), 0.0)
+    ceiling = np.where(found_root, root * (1.0 + OPA_ROOT_BAND), t_hi)
+    tested = 0
+    while True:
+        # the float loop runs on flat Python lists of the items
+        lo, hi, steps, mid = [0.0] * n, t_hi.reshape(-1).tolist(), [0] * n, [None] * n
+        band = list(zip(floor.reshape(-1).tolist(), ceiling.reshape(-1).tolist()))
+        undecided = range(n)
+        while undecided:
+            for i in undecided:
+                lo[i], hi[i], steps[i], mid[i] = _replay(lo[i], hi[i], steps[i], *band[i],
+                                                         iterations, tol)
+            undecided = [i for i in undecided if mid[i] is not None]
+            if undecided:
+                targets = np.zeros(n)
+                targets[undecided] = [mid[i] for i in undecided]
+                ok = sinr_feasible(targets.reshape(batch), coeffs, loads)[0]
+                ok = np.reshape(ok, -1).tolist()
+                tested += n
+                for i in undecided:
+                    lo[i], hi[i] = (mid[i], hi[i]) if ok[i] else (lo[i], mid[i])
+                    steps[i] += 1
+        # with no feasible midpoint, the band's low end (0 if uncertified)
+        low = np.reshape(lo, batch)
+        achieved = np.where(low > 0.0, low, floor)
+        ok, found = sinr_feasible(np.array([achieved, floor, ceiling]), coeffs, loads)
+        tested += ok.size
+        # a band is certified when its low end is feasible and its high end
+        # is not; a side at 0 or t_hi has nothing left to widen
+        wider = np.where(ok[1], floor, 0.0), np.where(ok[2], t_hi, ceiling)
+        if np.array_equal(wider, (floor, ceiling)):
+            return AllocationResult(eta=found[0], iterations=max(steps, default=0),
+                                    achieved_t=achieved[()], tests=tested)
+        floor, ceiling = wider
 
 
 def opa_bound(coeffs: SinrCoefficients, delta, iterations: int = OPA_ITERATIONS,

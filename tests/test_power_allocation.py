@@ -204,19 +204,27 @@ def oracle_opa(coeffs, delta, iterations=30, tol=1e-6):
 
 
 def assert_replays_the_oracle(coeffs, delta, **kwargs):
-    """``opa_bisection`` equals ``oracle_opa`` bitwise, item by item for a
-    stack; the stack's iteration count is the most any item took."""
+    """``opa_bisection`` equals ``oracle_opa`` and its own 2-D call bitwise,
+    item by item for a stack whose items are those of the coefficients, of
+    their ``rho_f`` and of the loadings, broadcast together; the stack's
+    iteration count is the most any item took."""
     res = opa_bisection(coeffs, delta, **kwargs)
-    batch = coeffs.psi.shape[:-1]
-    delta = np.broadcast_to(delta, batch + delta.shape[-2:])
+    batch = np.broadcast_shapes(coeffs.psi.shape[:-1], np.shape(coeffs.rho_f),
+                                delta.shape[:-2])
+    psi, phi, gamma, delta = (np.broadcast_to(x, batch + x.shape[x.ndim - core:])
+                              for x, core in ((coeffs.psi, 1), (coeffs.phi, 2),
+                                              (coeffs.gamma, 2), (delta, 2)))
+    rho_f = np.broadcast_to(coeffs.rho_f, batch)
     steps = []
     for i in np.ndindex(batch):
-        item = SinrCoefficients(psi=coeffs.psi[i], phi=coeffs.phi[i], gamma=coeffs.gamma[i],
-                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        item = SinrCoefficients(psi=psi[i], phi=phi[i], gamma=gamma[i], rho_f=rho_f[i],
+                                sigma_w2=coeffs.sigma_w2)
         t, eta, n = oracle_opa(item, delta[i], **kwargs)
         assert t > 0.0          # so the low-SNR fallback is not what is compared
         assert np.asarray(res.achieved_t)[i] == t
         assert np.array_equal(res.eta[i], eta)
+        own = opa_bisection(item, delta[i], **kwargs)
+        assert own.achieved_t == t and np.array_equal(own.eta, eta)
         steps.append(n)
     assert res.iterations == max(steps)
     return res
@@ -260,6 +268,22 @@ def test_opa_replays_bisection_with_shared_loadings_and_no_stop_width():
     coeffs, delta = precoded_instance(rng, "mmse", 6, 3, (4,))
     res = assert_replays_the_oracle(coeffs, delta[0], iterations=60, tol=0.0)
     assert res.tests > 3 * 4
+
+
+@pytest.mark.parametrize("per_item", ["loadings", "rho_f"])
+def test_opa_replays_bisection_with_items_beyond_the_coefficients(per_item):
+    # one 2-D coefficient set against a stride-0 stack of 3 loadings, whose
+    # repeats the bracket cuts, or against one loading with rho_f per item
+    rng = np.random.default_rng(36)
+    coeffs, delta = precoded_instance(rng, "mmse", 6, 3)
+    if per_item == "loadings":
+        delta = np.broadcast_to(delta, (3,) + delta.shape)
+    else:
+        coeffs = SinrCoefficients(psi=coeffs.psi, phi=coeffs.phi, gamma=coeffs.gamma,
+                                  rho_f=coeffs.rho_f * np.array([0.5, 1.0, 2.0]),
+                                  sigma_w2=coeffs.sigma_w2)
+    res = assert_replays_the_oracle(coeffs, delta)
+    assert res.eta.shape == (3, 3)
 
 
 def test_opa_replays_bisection_through_a_wide_band(monkeypatch):
