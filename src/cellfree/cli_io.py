@@ -73,19 +73,6 @@ def load_config(path) -> SystemConfig:
     return SystemConfig(**values).validate()
 
 
-def dump_config(cfg: SystemConfig, path) -> None:
-    """Serialize a SystemConfig so load_config round-trips it."""
-    lines = []
-    for name in cfg.field_names():
-        value, kind = getattr(cfg, name), type(getattr(_DEFAULT_CONFIG, name))
-        if kind is tuple:
-            rendered = ",".join(repr(float(v)) for v in value)
-        else:
-            rendered = _fmt(kind(value))
-        lines.append(f"{name} = {rendered}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def _write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 in place: the bytes, and for a new
     file the mode, of ``open(path, "w")``, without its ``O_TRUNC``. On ext4,

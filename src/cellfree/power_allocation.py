@@ -29,8 +29,8 @@ loadings, the coefficients and ``rho_f`` broadcast together. Each item is
 solved exactly as its own 2-D call would solve it. OPA keeps the items in
 the shape they arrive in, with one layout for its bracket, root and
 replay. Its root solve steps every item with a root together, one pair of
-batched solves per step, and an item leaves the batch at its own stop.
-Every item then replays bisection's halvings in a Python float loop; one
+batched solves per step, and an item freezes at its own stop. Every item
+then replays bisection's halvings in a Python float loop; one
 ``sinr_feasible`` call per round tests the midpoints that some items
 cannot decide from their band, and one more returns every item's eta and
 checks every band.
@@ -99,11 +99,10 @@ def sinr_feasible(t, coeffs: SinrCoefficients, delta):
     diagonal[...] = coeffs.rho_psi - t_rho[..., None] * coeffs.gamma_diag
     b = (t * coeffs.sigma_w2)[..., None, None] * np.ones((a.shape[-1], 1))
     eta = _solve(a, b)[..., 0]          # a singular system: NaN, infeasible
-    if np.count_nonzero(t) < t.size:
-        # the zero target is met by eta = 0, whatever the system
-        eta = np.where((t == 0.0)[..., None], 0.0, eta)
+    # the zero target is met by eta = 0, whatever the system
+    eta = np.where((t == 0.0)[..., None], 0.0, eta)
     ok = reduce_axis(np.logical_and, (eta >= 0.0) & (eta < np.inf))
-    checked = eta if np.count_nonzero(ok) == ok.size else np.where(ok[..., None], eta, 0.0)
+    checked = np.where(ok[..., None], eta, 0.0)
     # guard against spurious solutions of an indefinite system
     ok &= ~reduce_axis(np.logical_or,
                        analytic_sinr(coeffs, checked) < (t * (1.0 - 1e-9))[..., None])
@@ -209,14 +208,14 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
     the bracket known to hold s*, or starts left of the pole, is replaced by
     the bracket's midpoint. The steps converge quadratically, so an item
     stops once its tangent step is at most 1e-6 relative, which leaves it
-    about 1e-13 from s*; it then leaves the K x K and K-vector arrays of the
-    batch with that root, so each item's root is the one its own call
-    finds. The ``(..., M, K)`` loads are read where they lie, never copied:
-    each step writes the live items' x and y into buffers over all the items
-    and takes every item's loads and slopes, of which it keeps the live
-    items' tangent steps. An item has no root, NaN, where a user has no
-    desired signal (``psi_k = 0``), ``A`` or ``b`` is not finite or no
-    antenna carries a load; it takes no step.
+    about 1e-13 from s*. Every item steps in the batch's shape, and the
+    ``(..., M, K)`` loads are read where they lie, never copied. A stopped
+    item's s freezes at its root, right of the pole, so each item's root is
+    the one its own call finds; the call's steps are the most any item
+    takes. An item has no root, NaN, where a user has no desired signal
+    (``psi_k = 0``), ``A`` or ``b`` is not finite or no antenna carries a
+    load. It never steps: its A is taken as 0 and its s as 1, so it solves
+    ``I x = b`` and never makes the batch's system singular.
     """
     peak = reduce_axis(np.maximum, reduce_axis(np.add, delta))
     a, b, rootless = _coupling(coeffs, peak > 0.0)
@@ -231,48 +230,31 @@ def _max_min_root(coeffs: SinrCoefficients, delta):
         floor = np.fmax(_feasible_floor(a, b, delta), 0.0)     # 0 where it gives none
         s = np.fmin(noise + reduce_axis(np.maximum, rows), 1.0 / floor) * (1.0 + 1e-12)
 
-        # the items with a root, on one flat axis; each leaves it at its stop
-        root = np.full(rootless.size, np.nan)
-        on = np.flatnonzero(~rootless.reshape(-1))
-        pick = slice(None) if on.size == root.size else on     # no copy if all have one
-
-        def flat(x, core=()):
-            return np.broadcast_to(x, rootless.shape + core).reshape((-1,) + core)[pick]
-
-        a, b = flat(a, (k, k)), flat(b, (k,))
-        s, s_lo, s_hi = flat(s), flat(s_lo), flat(s_hi)
-        # every item's x and y, and their loads; a stopped item's rows stay
-        x_all, y_all = np.zeros((2,) + rootless.shape + (k,))
-        g_all, gy_all = np.empty((2,) + rootless.shape + delta.shape[-2:-1])
-        x_on, y_on = x_all.reshape(-1, k), y_all.reshape(-1, k)
+        # an item without a root solves I x = b, never a singular system
+        a = np.where(rootless[..., None, None], 0.0, a)
+        s = np.where(rootless, 1.0, s)
+        live = ~rootless
         eye = np.eye(k)
         steps = 0
-        while on.size and steps < ROOT_MAX_STEPS:
+        while live.any() and steps < ROOT_MAX_STEPS:
             steps += 1
-            shifted = s[:, None, None] * eye - a
+            shifted = s[..., None, None] * eye - a
             x = _solve(shifted, b[..., None])
-            y_on[pick] = _solve(shifted, x)[..., 0]
-            x = x_on[pick] = x[..., 0]
-            g = np.matvec(delta, x_all, out=g_all)
-            gy = np.matvec(delta, y_all, out=gy_all)
+            y = _solve(shifted, x)[..., 0]
+            x = x[..., 0]
+            g, gy = np.matvec(delta, x), np.matvec(delta, y)
             # the largest tangent step; an unloaded antenna (g_m = 0) gives
             # NaN, and left of the pole there is none
             right = reduce_axis(np.logical_and, (x > 0.0) & (x < np.inf))
-            move = np.where(right, reduce_axis(np.fmax, g * (g - 1.0) / gy).reshape(-1)[pick],
-                            np.nan)
+            move = np.where(right, reduce_axis(np.fmax, g * (g - 1.0) / gy), np.nan)
             left = ~right | (move >= 0.0)                 # some load is at least 1
             s_lo = np.where(left, s, s_lo)
             s_hi = np.where(left, s_hi, s)
             tangent = s + move
-            s = np.where((tangent >= s_lo) & (tangent <= s_hi), tangent, 0.5 * (s_lo + s_hi))
-            stop = np.abs(move) <= 1e-6 * s
-            if stop.any():
-                root[on[stop]] = 1.0 / s[stop]
-                keep = ~stop
-                on, a, b, s, s_lo, s_hi = (v[keep] for v in (on, a, b, s, s_lo, s_hi))
-                pick = on
-        root[on] = 1.0 / s
-    return root.reshape(rootless.shape), steps
+            moved = np.where((tangent >= s_lo) & (tangent <= s_hi), tangent, 0.5 * (s_lo + s_hi))
+            s = np.where(live, moved, s)          # a stopped item stays right of the pole
+            live &= ~(np.abs(move) <= 1e-6 * s)   # a NaN move is no stop
+    return np.where(rootless, np.nan, 1.0 / s), steps
 
 
 def _replay(low, high, step, floor, ceiling, iterations, tol):

@@ -16,12 +16,15 @@ reduction, against which the sweeps' stacked reduction is checked.
 ``path_loss_reference`` is the three-slope path loss written with one mask
 and one gather per branch, which ``channel.path_loss_db`` must reproduce bit
 for bit, and ``zf_full_rank`` ZF's rank test on a stack, without a build.
+``dump_config`` writes a config file that ``cli_io.load_config`` reads back
+as the same config, through the package's own in-place writer.
 """
 
 import dataclasses
 
 import numpy as np
 
+from cellfree import cli_io
 from cellfree.channel import (SystemConfig, attenuation_constant_db, complex_normal,
                               generate_topology, large_scale_coeffs)
 from cellfree.power_allocation import apa_terms
@@ -243,3 +246,16 @@ def eig_max_min_root(coeffs, delta):
             if done.all():
                 break
         return np.where(rootless, np.nan, 1.0 / s), steps
+
+
+def dump_config(cfg: SystemConfig, path) -> None:
+    """Serialize a SystemConfig so ``cli_io.load_config`` round-trips it."""
+    lines = []
+    for name in cfg.field_names():
+        value, kind = getattr(cfg, name), type(getattr(SystemConfig(), name))
+        if kind is tuple:
+            rendered = ",".join(repr(float(v)) for v in value)
+        else:
+            rendered = cli_io._fmt(kind(value))
+        lines.append(f"{name} = {rendered}")
+    cli_io._write_text(path, "\n".join(lines) + "\n")

@@ -12,10 +12,10 @@ import pytest
 
 import cellfree
 from cellfree.channel import ConfigError, SystemConfig
-from cellfree.cli_io import (CSV_HEADER, dump_config, emit_results,
-                             load_config, main, read_results)
+from cellfree.cli_io import CSV_HEADER, emit_results, load_config, main, read_results
 from cellfree.pipeline import SweepRow
 from cellfree.presets import PRESETS
+from reference import dump_config
 
 
 def make_rows():

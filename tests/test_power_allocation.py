@@ -370,20 +370,54 @@ def test_an_item_without_a_root_leaves_its_batch_mates_their_own():
         assert root[i] == pa._max_min_root(item, delta[i])[0]
 
 
+def test_an_item_without_a_root_leaves_its_batch_mates_solves_batched():
+    # an item with no loaded antenna and no coupling has A = 0 and would
+    # start at s = 0, where sI - A is singular: stepped with its batch mates,
+    # it would send every batched solve to the one-by-one fallback
+    rng = np.random.default_rng(44)
+    coeffs, delta = precoded_instance(rng, "mmse", 7, 3, (3,))
+    delta, phi, gamma = delta.copy(), coeffs.phi.copy(), coeffs.gamma.copy()
+    delta[0], phi[0], gamma[0] = 0.0, 0.0, 0.0
+    stack = SinrCoefficients(psi=coeffs.psi, phi=phi, gamma=gamma,
+                             rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+    raised = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counted)
+        root, _ = pa._max_min_root(stack, delta)
+    assert not [shape for shape in raised if len(shape) > 2]
+    assert np.isnan(root[0])
+    for i in (1, 2):
+        item = SinrCoefficients(psi=coeffs.psi[i], phi=phi[i], gamma=gamma[i],
+                                rho_f=coeffs.rho_f, sigma_w2=coeffs.sigma_w2)
+        assert root[i] == pa._max_min_root(item, delta[i])[0]
+
+
 def test_the_max_min_root_reads_its_loads_in_place():
     # a contiguous (18, 128, 16) CB stack over rho_f of 1e-4 to 1e4, whose
-    # items stop at different steps: OPA's extra peak stays below one
-    # (items, M, K) float array, as no stop copies the loads of the items
-    # still stepping
+    # items stop at different steps: each item keeps its own call's root,
+    # the stack takes as many steps as its slowest item, and OPA's extra
+    # peak stays below one (items, M, K) float array, as no stop copies the
+    # loads of the items still stepping
     cb, delta = precoded_instance(np.random.default_rng(43), "cb", 128, 16, (18,))
     assert delta.flags.c_contiguous and delta.shape == (18, 128, 16)
     rho_f = 10.0 ** np.linspace(-4.0, 4.0, 18)
     coeffs = SinrCoefficients(psi=cb.psi, phi=cb.phi, gamma=cb.gamma, rho_f=rho_f,
                               sigma_w2=cb.sigma_w2)
-    steps = {pa._max_min_root(SinrCoefficients(
+    roots, steps = zip(*(pa._max_min_root(SinrCoefficients(
         psi=cb.psi[i], phi=cb.phi[i], gamma=cb.gamma[i], rho_f=rho_f[i],
-        sigma_w2=cb.sigma_w2), delta[i])[1] for i in range(18)}
-    assert len(steps) > 2
+        sigma_w2=cb.sigma_w2), delta[i]) for i in range(18)))
+    assert len(set(steps)) > 2
+    root, taken = pa._max_min_root(coeffs, delta)
+    assert np.array_equal(root, roots) and taken == max(steps)
     want = opa_bisection(coeffs, delta)        # and fills the coefficients' caches
     tracemalloc.start()
     try:
