@@ -1,5 +1,6 @@
 """The statements of ``src/cellfree`` that neither the presets nor the
-benchmark execute, and those that only the benchmark does.
+benchmark execute, those that only the benchmark does, and those that the
+tier-1 tests never execute.
 
 Runs all eight presets in this one process, each as ``python -m cellfree
 run --preset <name> --trials 3 --seed 777`` would (the run of
@@ -9,18 +10,26 @@ its import on. Then, in the same process and trace, it makes the
 benchmark's calls that no preset makes: each of ``bench/micro.py``'s cases
 once at each of its sizes, and one unit of ``bench/workloads.py``'s
 single-trial workload at seed 777 (``setup()``, then ``run_unit(0)``). It
-reads those files and edits none of them. It prints, per module of the
-package, each statement on none of whose lines a line event came, then
-each statement that only the benchmark's calls reached: its line number and
-first line. Docstrings, ``def`` and ``class`` headers, imports, ``global``
-and ``nonlocal`` are left out, and a compound statement counts by its
-header alone, its body statements by their own lines.
+reads those files and edits none of them. Last, under the same tracer and
+with those hits set aside, it runs the tier-1 suite, ``tests/``, through
+``pytest.main``: the package's modules are dropped from ``sys.modules``
+first, so the tests import it afresh, as a run of their own would, and a
+small plugin puts the tracer back before each test. The suite takes about
+70 s under the tracer, against about 30 s without it. It prints, per
+module of the package, each statement on none of whose lines a line event
+came, then each statement that only the benchmark's calls reached, then
+each statement that no tier-1 test reached: its line number and first
+line. Docstrings, ``def`` and ``class`` headers, imports, ``global`` and
+``nonlocal`` are left out, and a compound statement counts by its header
+alone, its body statements by their own lines.
 
     python scripts/unreached.py
 
 A statement in the first list is one that neither the presets' traffic nor
-the benchmark's reaches; the tests may still reach it. Any preset that does
-not exit 0 stops the run.
+the benchmark's reaches; the tests may still reach it. A statement in the
+third is one that no test checks. Any preset that does not exit 0, and a
+tier-1 run that does not pass, stops the run. A test that runs code in a
+subprocess (``tests/test_cli_io.py`` does) reaches nothing here.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cellfree"
@@ -80,16 +91,40 @@ def bench_calls():
     single.run_unit(0)
 
 
+class Retrace:
+    """A pytest plugin that installs ``tracer`` before each test, should an
+    earlier test or a tool it ran have replaced it."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def pytest_runtest_setup(self, item):
+        sys.settrace(self.tracer)
+
+
+def tier_one(tracer):
+    """Run the tier-1 suite in this process under ``tracer``, its package
+    imported afresh; stop the run if it does not pass."""
+    for name in [name for name in sys.modules if name.partition(".")[0] == "cellfree"]:
+        del sys.modules[name]
+    with contextlib.redirect_stdout(io.StringIO()) as log:
+        code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"],
+                           plugins=[Retrace(tracer)])
+    if code != 0:
+        raise SystemExit(f"tier-1 exited {code}:\n{log.getvalue()}")
+
+
 def traced_runs(out: Path):
     """The presets' names, and ``{file name: lines with a line event}`` of
-    the package's modules twice: from the package's import through one
-    ``python -m cellfree run`` of each preset, and over ``bench_calls``."""
+    the package's modules three times: from the package's import through
+    one ``python -m cellfree run`` of each preset, over ``bench_calls``,
+    and over ``tier_one``."""
     ran = [collections.defaultdict(set)]
     prefix = str(PACKAGE) + os.sep
 
     def lines(frame, event, _):
         if event == "line":
-            ran[-1][Path(frame.f_code.co_filename).name].add(frame.f_lineno)
+            ran[-1][frame.f_code.co_filename].add(frame.f_lineno)
         return lines
 
     def calls(frame, *_):
@@ -113,10 +148,13 @@ def traced_runs(out: Path):
                 raise SystemExit(f"preset {name} exited {code}: {err.getvalue().strip()}")
         ran.append(collections.defaultdict(set))
         bench_calls()
+        ran.append(collections.defaultdict(set))
+        tier_one(calls)
     finally:
         sys.settrace(None)
         sys.argv = argv
-    return list(PRESETS), *ran
+    return list(PRESETS), *(collections.defaultdict(
+        set, {Path(path).name: lines for path, lines in hits.items()}) for hits in ran)
 
 
 def report(keep, what: str) -> int:
@@ -139,14 +177,16 @@ def main() -> int:
     os.environ.update(ONE_THREAD)          # before the package imports numpy
     sys.path.insert(0, str(PACKAGE.parent))
     with tempfile.TemporaryDirectory() as tmp:
-        presets, by_presets, by_bench = traced_runs(Path(tmp))
+        presets, by_presets, by_bench, by_tests = traced_runs(Path(tmp))
     missed = report(lambda name, lines: not (by_presets[name] | by_bench[name]) & lines,
                     "unreached")
     print(f"{missed} statements unreached by {len(presets)} presets "
           f"at --trials {TRIALS} --seed {SEED} or by the benchmark's calls\n")
     only = report(lambda name, lines: bool(by_bench[name] & lines)
                   and not by_presets[name] & lines, "reached only by the benchmark")
-    print(f"{only} statements reached only by the benchmark's calls")
+    print(f"{only} statements reached only by the benchmark's calls\n")
+    untested = report(lambda name, lines: not by_tests[name] & lines, "unreached by tier-1")
+    print(f"{untested} statements unreached by the tier-1 tests")
     return 0
 
 

@@ -13,7 +13,7 @@ from .pipeline import (PipelineResult, Scheme, SolverParams, SweepRow, TrialErro
 from .power_allocation import AllocationResult
 from .precoding import PrecoderOutput
 from .presets import PRESETS
-from .selection import apply_mask, es_aps, ls_aps
+from .selection import apply_mask, ls_aps
 
 __all__ = [
     "AllocationResult",
@@ -31,7 +31,6 @@ __all__ = [
     "TrialError",
     "analytic_sinr",
     "apply_mask",
-    "es_aps",
     "generate_realization",
     "ls_aps",
     "rates",

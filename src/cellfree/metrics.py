@@ -62,8 +62,8 @@ class SinrCoefficients:
 
     @cached_property
     def coupling(self) -> np.ndarray:
-        """phi + gamma, the coupling of the SINR constraints at equality."""
-        return self.phi + self.gamma
+        """phi_cross + gamma, the coupling of the SINR constraints at equality."""
+        return self.phi_cross + self.gamma
 
     @cached_property
     def rho_user(self) -> np.ndarray:

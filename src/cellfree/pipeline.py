@@ -68,7 +68,6 @@ as they lie, and the call stacks only each chain's K x K links.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -106,24 +105,25 @@ def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
 
 
 def _es(scheme, realization, cfg, rho_f):
-    """The best mask at one SNR point, ``(M, K)``, or at each point of a grid,
-    ``(S, M, K)``, from one search, and the winners' ``PipelineResult``,
-    taken from the search. A stack of B candidates runs as one ``(S, B)``
-    chain against ``rho_f`` of shape ``(S, 1)``, and each of its items
-    equals its own 2-D chain bitwise, so each point's winning item ``(s,
-    b_s)`` of the chunk that scored it is what the chain on that point's
-    mask gives: no chain runs again on the winners. The search copies
-    winning items out of their chunk as it goes (``PipelineResult.take``),
-    keeps no chunk's result but those copies, and maps each point to its
-    newest copy, which the end gathers. The result's trace holds the counts
-    of the scored stack that the first point's winner was copied from:
-    ``allocation_solves``, ``allocation_iterations`` and
+    """The best mask at one SNR point, ``(M, K)``, or at each point of a
+    grid, ``(S, M, K)``, and the winners' ``PipelineResult``, from one loop
+    over ``sel.es_chunks`` at ``rho_f`` as ``(S, 1)``. A chunk of B
+    candidates runs as one ``(S, B)`` chain, each of whose items equals its
+    own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` is what
+    the chain on that point's mask gives: no chain runs again on the
+    winners. ``sel.first_maxima`` keeps one running best per point; the
+    points whose best a chunk raises have their items copied out of its
+    result (``PipelineResult.take``), with their masks, so no chunk's result
+    is kept but those copies, and the end gathers each point's newest copy
+    (a one-point call then takes item 0). The result's trace holds the
+    counts of the scored stack that the first point's winner was copied
+    from: ``allocation_solves``, ``allocation_iterations`` and
     ``allocation_tests``; its precoder and allocation seconds are 0, as the
     search that ran them is the cell's selection time. It also holds
     ``es_candidates``, the (point, candidate) items searched, and
     ``es_certified``, those decided exactly: scored on the chain, or set
-    aside by ZF's rank test. A search that leaves some point without a
-    finite score raises ``LinAlgError``.
+    aside by ZF's rank test. A point left without a finite score raises
+    ``LinAlgError``.
 
     Each chunk is masked once and built once. A build that ZF's rank test
     refuses names the candidates that fail it, which score -inf at every
@@ -131,79 +131,68 @@ def _es(scheme, realization, cfg, rho_f):
     allocator ``bound`` (OPA's, ``pa.opa_bound``: a closed-form interval
     with no eigendecomposition and no bisection, at the chain's own
     ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``) the search is screened: each
-    point keeps the largest ``lo`` so far and its best score so far, both
-    only rising, and a candidate whose ``hi`` is below both at every point
-    can never win, so it scores -inf without running the chain. A NaN end
-    rules nothing out. The candidates left run the allocate stage on their
-    columns of the chunk's build, at every point, and the first strict
-    maximum among them is the unscreened search's winner, ties included. A
-    valid bound leaves no point without a winner that the unscreened search
-    would give one: the candidate that set a point's finite floor has ``hi
-    >= lo``, so it stays live and scores at least its ``lo``. APA and UPA
-    have no bound cheaper than their own chain: their searches score every
-    candidate."""
-    points = np.shape(rho_f)
-    stack_rho = rho_f[..., None] if points else rho_f
+    point keeps the largest ``lo`` so far, its floor, and reads its running
+    best, both only rising, and a candidate whose ``hi`` is below both at
+    every point can never win, so it scores -inf without running the chain.
+    A NaN end rules nothing out. The candidates left run the allocate stage
+    on their columns of the chunk's build, at every point, and the first
+    strict maximum among them is the unscreened search's winner, ties
+    included. A valid bound leaves no point without a winner that the
+    unscreened search would give one: the candidate that set a point's
+    finite floor has ``hi >= lo``, so it stays live and scores at least its
+    ``lo``. APA and UPA have no bound cheaper than their own chain: their
+    searches score every candidate."""
+    rho = np.reshape(rho_f, (-1, 1))
+    points = len(rho)
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
     bound = SCHEMES["allocation"][scheme.allocation].bound
-    cut = (slice(None),) * len(points)
-    won = {}        # point -> (the newest copy that names it, its row there)
+    floor = best = np.full(points, -np.inf)
+    masks_won = np.zeros((points, cfg.total_antennas, cfg.num_users))
+    won = [None] * points   # per point: (the newest copy that names it, its row there)
     certified = 0
-    floor, best = np.full(points, -np.inf), np.full(points, -np.inf)
-
-    def evaluate(masks):
-        """Minimum SINRs of a (B, M, K) stack, ``points + (B,)``, and the
-        ``take`` that copies the picked items of its chain result into the
-        winners (see ``sel.es_aps``)."""
-        nonlocal certified, floor, best
+    for masks in sel.es_chunks(cfg.num_aps, cfg.num_users, cfg.selected_aps,
+                               cfg.antennas_per_ap, points):
         g_hat, err_var = sel.apply_mask(masks, realization)
-        scores = np.full(points + masks.shape[:1], -np.inf)
-        certified += scores.size
+        certified += points * len(masks)
         run = np.ones(len(masks), dtype=bool)       # the candidates the chain scores
         try:
-            built = _build(build, g_hat, err_var, stack_rho, sigma_w2, sigma_s2)
+            built = _build(build, g_hat, err_var, rho, sigma_w2, sigma_s2)
         except pc.RankDeficientError as err:
             run = err.full
             if not run.any():
-                return scores, None                 # no score to take: none beats -inf
-            built = _build(build, g_hat[run], err_var[run], stack_rho, sigma_w2, sigma_s2)
+                continue                            # none beats -inf
+            built = _build(build, g_hat[run], err_var[run], rho, sigma_w2, sigma_s2)
         if bound is not None:
             lo, hi = (np.asarray(x, dtype=float) for x in bound(built.precoder, built.coeffs))
             hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
             floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
-            live = (hi >= np.maximum(floor, best)[..., None]
-                    ).reshape(-1, hi.shape[-1]).any(axis=0)
-            certified -= (live.size - np.count_nonzero(live)) * math.prod(points)
+            live = (hi >= np.maximum(floor, best)[:, None]).any(axis=0)
+            certified -= (live.size - np.count_nonzero(live)) * points
             if not live.any():
-                return scores, None
-            built = built.take(cut + (live,))
+                continue
+            built = built.take((slice(None), live))
             run[run] = live
-        result = run_chain(g_hat[run], err_var[run], scheme, stack_rho, sigma_w2,
-                           sigma_s2, built=built)
-        scores[..., run] = result.metrics.min_sinr
-        best = np.maximum(best, np.where(np.isnan(scores), -np.inf, scores).max(axis=-1))
-        rows = np.cumsum(run) - 1
-
-        def take(items, columns):
-            at = np.flatnonzero(items)
-            copy = result.take((at, rows[columns]) if points else (rows[columns],))
-            won.update((s, (copy, j)) for j, s in enumerate(at))
-        return scores, take
-
-    masks, _ = sel.es_aps(cfg.num_aps, cfg.num_users, cfg.selected_aps,
-                          cfg.antennas_per_ap, evaluate, points=math.prod(points))
-    if masks is None:
+        result = run_chain(g_hat[run], err_var[run], scheme, rho, sigma_w2, sigma_s2,
+                           built=built)
+        scores = np.full((points, len(masks)), -np.inf)
+        scores[:, run] = result.metrics.min_sinr
+        best, better, columns = sel.first_maxima(best, scores)
+        if better.any():
+            copy = result.take((better, (np.cumsum(run) - 1)[columns]))
+            masks_won[better] = masks[columns]
+            for j, s in enumerate(np.flatnonzero(better)):
+                won[s] = copy, j
+    if not np.all(best > -np.inf):
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    picks = [won[s] for s in sorted(won)]
-    won = (_map_items(lambda _, *xs: np.array([x[j] for x, (_, j) in zip(xs, picks)]),
-                      *(copy for copy, _ in picks)) if points else picks[0][0].take(picks[0][1]))
+    result = _map_items(lambda _, *xs: np.array([x[j] for x, (_, j) in zip(xs, won)]),
+                        *(copy for copy, _ in won))
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
-    won.trace = {**won.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
-                 "es_candidates": candidates * math.prod(points), "es_certified": certified}
-    return masks, won
+    result.trace = {**result.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
+                    "es_candidates": candidates * points, "es_certified": certified}
+    return (masks_won, result) if np.ndim(rho_f) else (masks_won[0], result.take(0))
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def _coupling(coeffs: SinrCoefficients, loaded):
     (``psi_k = 0``), a non-finite ``A`` or ``b``, or no antenna carrying a
     load (``loaded`` False)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = (coeffs.phi_cross + coeffs.gamma) / coeffs.psi[..., None]
+        a = coeffs.coupling / coeffs.psi[..., None]
         b = coeffs.sigma_w2 / coeffs.rho_psi
     finite = (reduce_axis(np.logical_and, reduce_axis(np.logical_and, np.isfinite(a)))
               & reduce_axis(np.logical_and, np.isfinite(b)))

@@ -7,14 +7,15 @@ quantities are plain Hadamard products, so selection composes with any
 precoder or power-allocation stage downstream. A stack of B masks, shape
 (B, M, K), masks a channel into a stack of B channels; this is how
 exhaustive selection scores its candidates, at one SNR point or at a whole
-grid of them in one search.
+grid of them in one search: ``es_chunks`` gives its candidates and
+``first_maxima`` its winners, and its loop is the ES selector's,
+``pipeline._es``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -47,9 +48,8 @@ def ls_aps(beta, num_selected: int, antennas_per_ap: int) -> np.ndarray:
     return np.repeat(q_ap.astype(float), antennas_per_ap, axis=0)
 
 
-# Mask entries scored per ``evaluate`` call by exhaustive selection, counted
-# as points x candidates x M x K; it bounds the memory of one call, and no
-# call's result outlives it but what its ``take`` copies out.
+# Mask entries in one chunk of exhaustive selection, counted as points x
+# candidates x M x K; it bounds the memory of scoring one chunk.
 ES_CHUNK_ENTRIES = 2 ** 15
 
 
@@ -77,30 +77,13 @@ def check_es_budget(num_aps: int, num_users: int, num_selected: int) -> int:
     return total
 
 
-def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
-           evaluate: Callable[[np.ndarray], tuple], *, points: int = 1):
-    """Exhaustive search over every per-user choice of S APs.
-
-    ``evaluate`` must run the complete downstream chain (precoding, power
-    allocation, SINR evaluation) on a stack of candidate masks of shape
-    (B, M, K) and return ``(scores, take)``: their minimum per-user SINRs,
-    ``(..., B)``, one score per candidate for each of ``points`` leading
-    items (the SNR points of a grid), or ``(B,)`` for one item, and a
-    callable. All C(L, S)^K candidates are scored, in chunks of at most
-    ``ES_CHUNK_ENTRIES`` entries counted as points x B x M x K, in the
-    lexicographic order of ``itertools.product`` over the users' AP
-    combinations. Each item's best (M, K) mask is returned together with
-    its score, ``(..., M, K)`` and ``(...)``; ties keep the first candidate
-    in that order, and a NaN score never wins. A chunk that raises some
-    items' best calls its ``take(items, columns)`` once, with a boolean mask
-    of those items (0-d for one item) and their new best's column in the
-    chunk, one per item it marks: an item's last call names its winner, so
-    ``take`` can copy the winners' results out as the search goes. An item
-    on which no candidate wins (every score NaN or -inf) scores -inf, and
-    the masks are then None: an all-NaN search of one item returns
-    ``(None, -inf)``. ``check_es_budget`` refuses a search over
-    ``ES_BUDGET``.
-    """
+def es_chunks(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int,
+              points: int):
+    """Every candidate mask of exhaustive selection, one per per-user choice
+    of S APs, as (B, M, K) stacks in ``itertools.product`` order over the
+    users' AP combinations, each of at most ``ES_CHUNK_ENTRIES`` entries
+    counted as ``points`` x B x M x K. ``check_es_budget`` runs at the call,
+    before the first chunk is asked for, and refuses a search over budget."""
     total = check_es_budget(num_aps, num_users, num_selected)
     per_user = math.comb(num_aps, num_selected)
     members = np.zeros((per_user, num_aps))            # combination -> AP indicator
@@ -109,30 +92,25 @@ def es_aps(num_aps: int, num_users: int, num_selected: int, antennas_per_ap: int
     # digit j of a candidate index in base C(L, S) picks user j's combination,
     # most significant first: the order of itertools.product
     place = per_user ** np.arange(num_users - 1, -1, -1)
-
-    def masks_of(index):
-        choice = index[..., None] // place % per_user     # (..., K)
-        q_ap = members[choice].swapaxes(-1, -2)           # (..., L, K)
-        return np.repeat(q_ap, antennas_per_ap, axis=-2)
-
     chunk = max(1, ES_CHUNK_ENTRIES // (points * num_aps * antennas_per_ap * num_users))
-    best, best_score = -1, -np.inf
-    for start in range(0, total, chunk):
-        index = np.arange(start, min(start + chunk, total))
-        scores, take = evaluate(masks_of(index))
-        scores = np.asarray(scores, dtype=float)
-        scores = np.where(np.isnan(scores), -np.inf, scores)
-        i = np.argmax(scores, axis=-1)                    # first of the maxima
-        top = np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
-        better = top > best_score
-        best = np.where(better, index[i], best)
-        best_score = np.where(better, top, best_score)
-        if np.count_nonzero(better):
-            take(better, i[better])
-    best_score = best_score[()]
-    if np.count_nonzero(best < 0):
-        return None, best_score
-    return masks_of(best), best_score
+    def masks(start):
+        choice = np.arange(start, min(start + chunk, total))[:, None] // place % per_user
+        return np.repeat(members[choice].swapaxes(-1, -2), antennas_per_ap, axis=-2)
+    return map(masks, range(0, total, chunk))
+
+
+def first_maxima(best, scores):
+    """Each point's best score so far, ``best`` (P,), after a chunk's
+    ``scores`` (P, B): ``(best, better, columns)``, the new best, the points
+    at which it rose, and for each of those in turn its first maximum's
+    column in the chunk. A NaN score reads as -inf, so it never wins; a tie
+    keeps the earlier candidate, and the best changes only on a strict rise,
+    so a point that no candidate wins stays at -inf."""
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    i = np.argmax(scores, axis=-1)                     # first of the maxima
+    top = np.take_along_axis(scores, i[:, None], axis=-1)[:, 0]
+    better = top > best
+    return np.where(better, top, best), better, i[better]
 
 
 def apply_mask(q, realization: ChannelRealization):

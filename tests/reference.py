@@ -18,13 +18,15 @@ and one gather per branch, which ``channel.path_loss_db`` must reproduce bit
 for bit, and ``zf_full_rank`` ZF's rank test on a stack, without a build.
 ``dump_config`` writes a config file that ``cli_io.load_config`` reads back
 as the same config, through the package's own in-place writer.
+``es_search`` is exhaustive selection's loop, as the ES selector runs it,
+over any score of the candidate masks, for the tests of its two helpers.
 """
 
 import dataclasses
 
 import numpy as np
 
-from cellfree import cli_io
+from cellfree import cli_io, selection
 from cellfree.channel import (SystemConfig, attenuation_constant_db, complex_normal,
                               generate_topology, large_scale_coeffs)
 from cellfree.power_allocation import apa_terms
@@ -259,3 +261,22 @@ def dump_config(cfg: SystemConfig, path) -> None:
             rendered = cli_io._fmt(kind(value))
         lines.append(f"{name} = {rendered}")
     cli_io._write_text(path, "\n".join(lines) + "\n")
+
+
+def es_search(num_aps, num_users, num_selected, antennas_per_ap, score, *, points=1):
+    """Exhaustive selection as ``pipeline._es`` runs it, over ``selection``'s
+    ``es_chunks`` and ``first_maxima``, with ``score`` in place of the chain:
+    a (B, M, K) stack of candidate masks -> their scores, ``(points, B)``,
+    or ``(B,)`` at one point. Returns each point's winning mask, copied
+    from its chunk at the column that ``first_maxima`` names, and its best
+    score, ``(points, M, K)`` and ``(points,)``, or ``(M, K)`` and a scalar
+    at one point. The masks are None if some point has no winner."""
+    best = np.full(points, -np.inf)
+    won = np.zeros((points, num_aps * antennas_per_ap, num_users))
+    for masks in selection.es_chunks(num_aps, num_users, num_selected, antennas_per_ap,
+                                     points):
+        best, better, columns = selection.first_maxima(
+            best, np.reshape(score(masks), (points, -1)))
+        won[better] = masks[columns]
+    won = won if np.all(best > -np.inf) else None
+    return (won, best) if points > 1 else (None if won is None else won[0], best[0])

@@ -19,8 +19,8 @@ from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_chain, run_trial
 from cellfree.power_allocation import apa_sgd, opa_bisection, opa_bound, sinr_feasible, upa
 from cellfree.precoding import (PrecoderOutput, RankDeficientError, apply_allocation,
                                 cb_precoder, mmse_precoder, zf_precoder)
-from cellfree.selection import apply_mask, es_aps
-from reference import mask_from_choices
+from cellfree.selection import apply_mask
+from reference import es_search, mask_from_choices
 
 RTOL = 1e-12
 
@@ -336,26 +336,14 @@ def test_zero_forcing_es_without_a_full_rank_candidate_raises():
         es(Scheme("ZF", "UPA", "ES"), real, cfg, rho_f)
 
 
-def taking(masks, kept=None):
-    """An ``es_aps`` ``take`` that stores each picked candidate's mask in
-    ``kept`` by the item's flat index, so an item's last store is its
-    winner's."""
-    def take(items, columns):
-        assert np.count_nonzero(items) == len(columns) > 0
-        for item, column in zip(np.flatnonzero(items).tolist(), columns.tolist()):
-            if kept is not None:
-                kept[item] = masks[column]
-    return take
-
-
 def constant_scores(value):
-    return lambda masks: (np.full(masks.shape[0], value), taking(masks))
+    return lambda masks: np.full(masks.shape[0], value)
 
 
 def test_tied_scores_keep_the_first_candidate(monkeypatch):
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score = es_aps(5, 2, 3, 1, constant_scores(1.5))
+        mask, score = es_search(5, 2, 3, 1, constant_scores(1.5))
         assert choices_of(mask, 1) == ((0, 1, 2), (0, 1, 2))
         assert score == 1.5
 
@@ -364,15 +352,14 @@ def test_nan_scores_never_win(monkeypatch):
     last = ((2, 3, 4), (2, 3, 4))
 
     def nan_but_the_last(masks):
-        return (np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks]),
-                taking(masks))
+        return np.array([0.25 if choices_of(q, 1) == last else np.nan for q in masks])
 
     for chunk in (selection.ES_CHUNK_ENTRIES, 7 * 5 * 2):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
-        mask, score = es_aps(5, 2, 3, 1, nan_but_the_last)
+        mask, score = es_search(5, 2, 3, 1, nan_but_the_last)
         assert choices_of(mask, 1) == last
         assert score == 0.25
-    assert es_aps(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
+    assert es_search(5, 2, 3, 1, constant_scores(np.nan)) == (None, -np.inf)
 
 
 def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
@@ -385,17 +372,16 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(10.0, real.g_hat, sigma_w2)
     calls = []
-    kept = {}
 
     def coarse(masks):
         calls.append(masks.shape[0])
-        return (masks * gains).sum(axis=-2).min(axis=-1), taking(masks, kept)
+        return (masks * gains).sum(axis=-2).min(axis=-1)
 
     def chain(masks):
         calls.append(masks.shape[0])
         g_hat, err_var = apply_mask(masks, real)
         return run_chain(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
-                         sigma_w2, 1.0).metrics.min_sinr, taking(masks, kept)
+                         sigma_w2, 1.0).metrics.min_sinr
 
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     for score in (coarse, chain):
@@ -403,19 +389,16 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
         for chunk in (10 ** 9, 18 * 333):
             monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", chunk)
             calls.clear()
-            kept.clear()
-            results.append(es_aps(6, 3, 3, 1, score))
+            results.append(es_search(6, 3, 3, 1, score))
             assert sum(calls) == 8000
-            # the last take names the winner, at its column of its chunk
-            assert np.array_equal(kept[0], results[-1][0])
         assert len(calls) == 25
         (one_mask, one_score), (many_mask, many_score) = results
         assert np.array_equal(one_mask, many_mask) and one_score == many_score
     # the coarse reference: first strict maximum in itertools.product order
-    scores = [coarse(mask_from_choices(c, 6, 1))[0] for c in order]
+    scores = [coarse(mask_from_choices(c, 6, 1)) for c in order]
     first = int(np.argmax(scores))
     assert first >= 333 and scores.count(max(scores)) > 1
-    assert choices_of(es_aps(6, 3, 3, 1, coarse)[0], 1) == order[first]
+    assert choices_of(es_search(6, 3, 3, 1, coarse)[0], 1) == order[first]
 
 
 def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypatch):
@@ -430,40 +413,33 @@ def test_a_grid_search_over_many_chunks_keeps_each_points_first_maximum(monkeypa
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     late = mask_from_choices(order[7000], 6, 1)
     sizes = []
-    kept = {}
 
     def grid(masks):
         sizes.append(masks.shape[0])
         coarse = (masks * gains).sum(axis=-2).min(axis=-1)
         only_late = np.where((masks == late).all(axis=(-2, -1)), 0.25, np.nan)
-        return (np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse]),
-                taking(masks, kept))
+        return np.stack([coarse, only_late, np.full(masks.shape[0], 1.5), -coarse])
 
     every = np.stack([mask_from_choices(c, 6, 1) for c in order])
-    reference = grid(every)[0]
+    reference = grid(every)
     first = np.argmax(np.where(np.isnan(reference), -np.inf, reference), axis=-1)
     assert first[0] >= 333 and first[1] == 7000 and first[2] == 0
     for entries in (10 ** 9, 4 * 18 * 333):
         monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", entries)
         sizes.clear()
-        kept.clear()
-        masks, scores = es_aps(6, 3, 3, 1, grid, points=4)
+        masks, scores = es_search(6, 3, 3, 1, grid, points=4)
         assert sum(sizes) == 8000 and max(sizes) * 4 * 18 <= entries
         assert masks.shape == (4, 6, 3) and scores.shape == (4,)
         for point, winner in enumerate(first):
             assert choices_of(masks[point], 1) == order[winner]
             assert scores[point] == reference[point, winner]
-            assert np.array_equal(kept[point], masks[point])
     assert len(sizes) == 25
 
     def one_point_all_nan(masks):
-        return (np.stack([grid(masks)[0][0], np.full(masks.shape[0], np.nan)]),
-                taking(masks, kept))
+        return np.stack([grid(masks)[0], np.full(masks.shape[0], np.nan)])
 
-    kept.clear()
-    masks, scores = es_aps(6, 3, 3, 1, one_point_all_nan, points=2)
+    masks, scores = es_search(6, 3, 3, 1, one_point_all_nan, points=2)
     assert masks is None and scores.tolist() == [reference[0, first[0]], -np.inf]
-    assert list(kept) == [0]                 # no take for the item nothing wins
 
 
 def test_candidate_masks_follow_product_order(monkeypatch):
@@ -473,8 +449,8 @@ def test_candidate_masks_follow_product_order(monkeypatch):
         for q in masks:
             seen.append(choices_of(q, 2))
             assert np.array_equal(q, mask_from_choices(seen[-1], 4, 2))
-        return np.zeros(masks.shape[0]), taking(masks)
+        return np.zeros(masks.shape[0])
 
     monkeypatch.setattr(selection, "ES_CHUNK_ENTRIES", 8 * 3 * 5)
-    es_aps(4, 3, 2, 2, record)
+    es_search(4, 3, 2, 2, record)
     assert seen == list(itertools.product(itertools.combinations(range(4), 2), repeat=3))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import runpy
 import stat
 import subprocess
 import sys
@@ -55,6 +56,15 @@ def test_the_package_runs_as_a_module():
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == list(PRESETS)
     assert run_python("-m", "cellfree").returncode == 2     # no subcommand
+
+
+def test_the_package_module_exits_with_mains_status(monkeypatch, capsys):
+    # the same run in this process, so that a line tracer sees ``__main__``
+    monkeypatch.setattr(sys, "argv", ["cellfree", "list-presets"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("cellfree", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.split() == list(PRESETS)
 
 
 # ------------------------------------------------------------- config files

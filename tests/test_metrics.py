@@ -259,6 +259,15 @@ def test_ber_refuses_an_invalid_packet_shape_or_noise_variance(name, value):
                  rng=np.random.default_rng(1), **args)
 
 
+def test_ber_refuses_unequal_numbers_of_precoders_and_estimates():
+    _, real = perfect_csi_realization(num_aps=8, num_users=3)
+    pre = zf_precoder(real.g_hat)
+    n_diag = upa(pre.delta).n_diag
+    with pytest.raises(ValueError, match="2 precoders against 1 channel estimates"):
+        ber_qpsk([pre.p, pre.p], np.stack([n_diag, n_diag]), real.g, [real.g_hat],
+                 1.0, 1e-3, 100, np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("build", [zf_precoder, cb_precoder])
 @pytest.mark.parametrize("per_item", [False, True])
 def test_stride_zero_precoders_measure_as_their_materialized_copies(build, per_item):

@@ -639,7 +639,7 @@ def test_an_es_search_masks_and_builds_each_chunk_once(monkeypatch, label):
     # AP per user on 5 APs puts 1-2 of the 25 candidates that give both users
     # the same AP in each chunk of 10
     calls = collections.Counter()
-    build, search = pipeline._build, selection.es_aps
+    build, search = pipeline._build, selection.es_chunks
 
     def counted_build(*args):
         calls["build"] += 1
@@ -649,12 +649,14 @@ def test_an_es_search_masks_and_builds_each_chunk_once(monkeypatch, label):
             calls["refused"] += 1
             raise
 
-    def counted_search(*args, **kwargs):
-        return search(*args[:4], counting(calls, "chunk", args[4]), *args[5:], **kwargs)
+    def counted_chunks(*args):
+        for masks in search(*args):
+            calls["chunk"] += 1
+            yield masks
 
     monkeypatch.setattr(selection, "apply_mask", counting(calls, "mask", selection.apply_mask))
     monkeypatch.setattr(pipeline, "_build", counted_build)
-    monkeypatch.setattr(selection, "es_aps", counted_search)
+    monkeypatch.setattr(selection, "es_chunks", counted_chunks)
     scheme = Scheme.parse(label)
     zf = scheme.precoder == "ZF"
     cfg = cfg_with(**dict(TINY, selected_aps=1 if zf else 3, snr_grid_db=(0.0, 10.0, 20.0)))
@@ -1068,11 +1070,12 @@ def test_an_es_scheme_over_budget_is_refused_before_the_first_trial(monkeypatch)
     assert calls["channel"] == 1
 
 
-def test_es_aps_and_a_sweep_refuse_an_oversized_search_alike():
-    # C(16, 8)^4 = 12870^4, about 2.7e16 candidates: one check, one message
+def test_es_chunks_and_a_sweep_refuse_an_oversized_search_alike():
+    # C(16, 8)^4 = 12870^4, about 2.7e16 candidates: one check, one message,
+    # from the call itself, before a chunk is asked for
     cfg = cfg_with(num_aps=16, num_users=4, selected_aps=8, snr_grid_db=(10.0,))
     with pytest.raises(ValueError) as search:
-        selection.es_aps(16, 4, 8, 1, None)
+        selection.es_chunks(16, 4, 8, 1, 1)
     with pytest.raises(ValueError) as sweep:
         run_sweep(cfg, [Scheme.parse("MMSE+OPA+ES")], "snr_grid", trials=1)
     with pytest.raises(ValueError) as curve:

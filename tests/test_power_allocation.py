@@ -813,6 +813,18 @@ def test_oversized_step_raises():
         apa_sgd(pre, coeffs, mu=1e9, iterations=50)
 
 
+def test_apa_on_a_channel_equals_apa_on_its_coefficients_bitwise():
+    # apa_sgd(precoder, g_hat, rho_f, sigma_w2), as bench/micro.py calls it,
+    # forms the coefficients of perfect CSI from the channel itself
+    rng = np.random.default_rng(14)
+    _, _, pre, g = random_instance(rng, m=6, k=3)
+    coeffs = sinr_coefficients(pre.p, g, np.zeros(g.shape), 2.0, 0.5, pre.delta)
+    want = apa_sgd(pre, coeffs, mu=0.25, iterations=5)
+    got = apa_sgd(pre, g, 2.0, 0.5, mu=0.25, iterations=5)
+    assert np.array_equal(got.eta, want.eta)
+    assert np.array_equal(got.cost_trace, want.cost_trace)
+
+
 def test_allocation_result_diagonal():
     rng = np.random.default_rng(13)
     coeffs, delta, _, _ = random_instance(rng)

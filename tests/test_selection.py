@@ -6,8 +6,8 @@ import pytest
 from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.pipeline import Scheme, run_chain
-from cellfree.selection import apply_mask, es_aps, ls_aps
-from reference import ls_reference
+from cellfree.selection import apply_mask, es_chunks, first_maxima, ls_aps
+from reference import es_search, ls_reference
 
 
 def small_realization(num_aps=6, antennas=1, users=3, n=0.9, seed=0):
@@ -135,15 +135,14 @@ def test_masking_matches_elementwise_product_and_is_idempotent():
 # --------------------------------------------------------- exhaustive search
 
 def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
-    """Minimum SINR of the chain on one mask, or on each of a stack of masks,
-    and an ``es_aps`` ``take`` that keeps nothing."""
+    """Minimum SINR of the chain on one mask, or on each of a stack of masks."""
     sigma_w2 = cfg.noise_variance_w()
     rho_f = 1e-3
 
     def evaluate(mask):
         g_hat, err_var = apply_mask(mask, real)
-        out = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
-        return out.metrics.min_sinr, lambda items, columns: None
+        return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2,
+                         cfg.symbol_power).metrics.min_sinr
 
     return evaluate
 
@@ -154,20 +153,16 @@ def test_single_candidate_when_everything_selected():
     streams = [np.random.default_rng([31, i]) for i in range(3)]
     real = generate_realization(cfg, *streams)
     calls = []
-    taken = []
     base = chain_evaluator(real, cfg)
 
     def counting(mask):
         calls.append(mask)
-        return base(mask)[0], lambda items, columns: taken.append((items, columns))
+        return base(mask)
 
-    mask, score = es_aps(4, 2, 4, 1, counting)
+    mask, score = es_search(4, 2, 4, 1, counting)
     assert len(calls) == 1 and calls[0].shape == (1, 4, 2)
     assert mask.shape == (4, 2) and np.all(mask == 1.0)
-    assert score == base(np.ones((4, 2)))[0]
-    # one take, of the one item (a 0-d mask) at the chunk's only column
-    (items, columns), = taken
-    assert items.shape == () and items and columns.tolist() == [0]
+    assert score == base(np.ones((4, 2)))
 
 
 def test_candidate_count_for_tiny_system():
@@ -183,7 +178,7 @@ def test_candidate_count_for_tiny_system():
         count += masks.shape[0]
         return base(masks)
 
-    es_aps(5, 2, 3, 1, counting)
+    es_search(5, 2, 3, 1, counting)
     assert count == 100  # C(5,3)^2
 
 
@@ -199,7 +194,7 @@ def test_search_picks_the_strong_aps():
                                g_tilde=np.zeros((3, 1), complex),
                                g=np.sqrt(beta) * (1 + 0j) * np.ones((3, 1)))
     evaluate = chain_evaluator(real, cfg)
-    mask, best = es_aps(3, 1, 2, 1, evaluate)
+    mask, best = es_search(3, 1, 2, 1, evaluate)
     assert np.array_equal(mask, [[1.0], [0.0], [1.0]])
     # brute-force re-evaluation of every candidate confirms the choice
     import itertools
@@ -207,16 +202,28 @@ def test_search_picks_the_strong_aps():
     for aps in itertools.combinations(range(3), 2):
         q = np.zeros((3, 1))
         q[list(aps), 0] = 1.0
-        rescored.append((evaluate(q)[0], aps))
+        rescored.append((evaluate(q), aps))
     assert max(rescored)[1] == (0, 2)
     assert np.isclose(max(rescored)[0], best)
 
 
 def test_budget_refusal_reports_required_count(monkeypatch):
-    # C(5, 3)^2 = 100 candidates: refused over a budget of 99, searched at 100
+    # C(5, 3)^2 = 100 candidates: refused over a budget of 99, at the call
+    # that would give the chunks, and searched at 100
     monkeypatch.setattr(selection, "ES_BUDGET", 99)
     with pytest.raises(ValueError, match=r"C\(5, 3\)\^2 = 100 .*budget of 99"):
-        es_aps(5, 2, 3, 1, lambda m: 0.0)
+        es_chunks(5, 2, 3, 1, 1)
     monkeypatch.setattr(selection, "ES_BUDGET", 100)
-    mask, _ = es_aps(5, 2, 3, 1, lambda m: (np.zeros(len(m)), lambda items, columns: None))
+    mask, _ = es_search(5, 2, 3, 1, lambda m: np.zeros(len(m)))
     assert mask.shape == (5, 2)
+
+
+def test_first_maxima_rise_only_on_a_strict_first_maximum():
+    # per point: a tie keeps the first column, NaN never wins, a score equal
+    # to the best so far does not replace it, and all NaN leaves -inf
+    best = np.array([-np.inf, 1.0, 2.0, -np.inf])
+    scores = np.array([[0.5, 3.0, 3.0], [np.nan, 0.5, 1.5], [2.0, np.nan, 2.0],
+                       [np.nan, np.nan, np.nan]])
+    new, better, columns = first_maxima(best, scores)
+    assert new.tolist() == [3.0, 1.5, 2.0, -np.inf]
+    assert better.tolist() == [True, True, False, False] and columns.tolist() == [1, 2]
