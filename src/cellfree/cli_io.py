@@ -242,9 +242,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = run_learning_curve(cfg, schemes[0], trials)
             emit_results(rows, args.out, sidecar, row_type=LearningCurveRow)
         else:
-            rows = run_sweep(cfg, schemes, preset.axis, trials, solver,
-                             with_ber=preset.with_ber,
-                             axis_values=preset.axis_values)
+            rows = run_sweep(cfg, schemes, preset.axis, trials,
+                             solver if preset.with_ber else None, preset.axis_values)
             emit_results(rows, args.out, sidecar)
     except TrialError as err:
         print(f"trial failed: {err}", file=sys.stderr)

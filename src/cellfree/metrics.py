@@ -122,13 +122,13 @@ def analytic_sinr(coeffs: SinrCoefficients, eta) -> np.ndarray:
     return signal / (coeffs.sigma_w2 + interference + csi_leak)
 
 
-def rates(per_user_sinr, ber: Optional[float] = None) -> LinkMetrics:
+def rates(per_user_sinr) -> LinkMetrics:
     """Achievable rates log2(1 + SINR) and their aggregates over the users."""
     sinr = np.asarray(per_user_sinr, dtype=float)
     rate = np.log2(1.0 + sinr)
     return LinkMetrics(per_user_sinr=sinr, per_user_rate=rate,
                        sum_rate=reduce_axis(np.add, rate)[()],
-                       min_sinr=reduce_axis(np.minimum, sinr)[()], ber=ber)
+                       min_sinr=reduce_axis(np.minimum, sinr)[()])
 
 
 def snr_to_rho_f(snr_linear, g_hat, sigma_w2: float):

@@ -14,10 +14,11 @@ once and shared by the allocator and the metrics; they are all an allocator
 reads besides the precoder.
 ``run_chain`` composes two stages: a build, a frozen ``Build`` of the
 precoder of an identity allocation and its SINR coefficients, and an
-allocate stage, which only reads the build, so that one build can serve
-every chain on the same masked channel and SNR points. Every per-item array
-of a build carries its full item axes, stride 0 along those it does not
-depend on, so that its ``take`` and ``stack`` are one walk (``_map_items``).
+allocate stage, which reads the build and, to re-form (APA), the masked
+estimate and error variance, so that one build can serve every chain on the
+same masked channel and SNR points. Every per-item array of a build carries
+its full item axes, stride 0 along those it does not depend on, so that its
+``take`` and ``stack`` are one walk (``_map_items``).
 
 ``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
 ``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` of shape
@@ -130,24 +131,25 @@ def _es(scheme, realization, cfg, rho_f):
     point, and only the rest are built, without being tested again. With an
     allocator ``bound`` (OPA's, ``pa.opa_bound``: a closed-form interval
     with no eigendecomposition and no bisection, at the chain's own
-    ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``) the search is screened: each
-    point keeps the largest ``lo`` so far, its floor, and reads its running
-    best, both only rising, and a candidate whose ``hi`` is below both at
-    every point can never win, so it scores -inf without running the chain.
-    A NaN end rules nothing out. The candidates left run the allocate stage
-    on their columns of the chunk's build, at every point, and the first
-    strict maximum among them is the unscreened search's winner, ties
-    included. A valid bound leaves no point without a winner that the
-    unscreened search would give one: the candidate that set a point's
-    finite floor has ``hi >= lo``, so it stays live and scores at least its
-    ``lo``. APA and UPA have no bound cheaper than their own chain: their
-    searches score every candidate."""
+    ``pa.OPA_ITERATIONS`` and ``pa.OPA_TOL``) the search is screened: a
+    candidate whose ``hi`` is below, at every point, both the running best
+    and the chunk's largest ``lo`` can never win, so it scores -inf without
+    running the chain. A NaN end rules nothing out. The candidates left run
+    the allocate stage on their columns of the chunk's build, at every
+    point, and the first strict maximum among them is the unscreened
+    search's winner, ties included. Under a valid bound the candidate that
+    set a point's largest finite ``lo`` has ``hi >= lo``, so it stays live
+    and scores at least its ``lo``: no point is left without a winner that
+    the unscreened search would give one, and the running best, the one
+    array carried between chunks, is never below an earlier chunk's ``lo``.
+    APA and UPA have no bound cheaper than their own chain: their searches
+    score every candidate."""
     rho = np.reshape(rho_f, (-1, 1))
     points = len(rho)
     sigma_w2, sigma_s2 = cfg.noise_variance_w(), cfg.symbol_power
     build = SCHEMES["precoder"][scheme.precoder]
     bound = SCHEMES["allocation"][scheme.allocation].bound
-    floor = best = np.full(points, -np.inf)
+    best = np.full(points, -np.inf)
     masks_won = np.zeros((points, cfg.total_antennas, cfg.num_users))
     won = [None] * points   # per point: (the newest copy that names it, its row there)
     certified = 0
@@ -166,8 +168,8 @@ def _es(scheme, realization, cfg, rho_f):
         if bound is not None:
             lo, hi = (np.asarray(x, dtype=float) for x in bound(built.precoder, built.coeffs))
             hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
-            floor = np.maximum(floor, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
-            live = (hi >= np.maximum(floor, best)[:, None]).any(axis=0)
+            floor = np.maximum(best, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
+            live = (hi >= floor[:, None]).any(axis=0)
             certified -= (live.size - np.count_nonzero(live)) * points
             if not live.any():
                 continue
@@ -395,7 +397,7 @@ class Build(_Items):
         return _map_items(to, self)
 
     @staticmethod
-    def stack(builds, reform: bool = True) -> "Build":
+    def stack(builds, reform: bool) -> "Build":
         """The builds stacked along a new leading axis (``_stack``), read-only,
         with 0 seconds: each build's are its own. Without ``reform`` p and f
         are None: a stage that does not re-form reads only the loads."""
@@ -441,12 +443,12 @@ def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
     result has the broadcast items' leading axes.
 
     The chain is a build stage (``_build``, a ``Build``) and an allocate
-    stage, which only reads the build. ``built``, a ``Build`` of the
-    scheme's precoder on the same channel and points, skips the first stage,
-    so one build can serve several chains. The chain takes no solver
-    settings: OPA and APA run at their module's constants
-    (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``, ``pa.APA_STEP``,
-    ``pa.APA_ITERATIONS``)."""
+    stage, which reads the build and, to re-form (APA), ``g_hat`` and
+    ``err_var``. ``built``, a ``Build`` of the scheme's precoder on the same
+    channel and points, skips the first stage, so one build can serve
+    several chains. The chain takes no solver settings: OPA and APA run at
+    their module's constants (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``,
+    ``pa.APA_STEP``, ``pa.APA_ITERATIONS``)."""
     allocator = SCHEMES["allocation"][scheme.allocation]
     if built is None:
         built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f,
@@ -507,8 +509,7 @@ def _chain_key(scheme: Scheme):
 
 
 def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
-              solver: SolverParams = SolverParams(),
-              with_ber: bool = False) -> list:
+              ber: Optional[SolverParams] = None) -> list:
     """The (scheme, SNR) cells of ``schemes`` on a trial's draw, one
     ``PipelineResult`` per scheme, in order, each computing every quantity
     once (see the module docstring).
@@ -522,8 +523,8 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     ``ber_qpsk`` call on the restarted symbol and noise streams, so each
     item sees the bits and noise it would see on its own; the call takes
     the chains' precoders and estimates as a sequence and stacks only
-    their K x K links, never the ``(S, M, K)`` precoders. ``solver`` gives
-    its packet shape and is read by nothing else. Twins share their chain's
+    their K x K links, never the ``(S, M, K)`` precoders. ``ber`` gives
+    its packet shape, and None measures no BER. Twins share their chain's
     result objects. Shared arrays are read-only: a selection's as it is
     made, and a build's as ``_build`` shapes it (``Build.broadcast_to``).
 
@@ -597,15 +598,15 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
                 ran[key].precoder = builds[key[:2]].precoder
 
     ber_seconds, degenerate = 0.0, None
-    if with_ber and ran:
+    if ber is not None and ran:
         t = time.perf_counter()
         p, n_diag, g_hat = zip(*((chain.precoder.p, chain.n_final.n_diag, chains[key][1])
                                  for key, chain in ran.items()))
-        ber, degenerate = mt.ber_qpsk(
+        links, degenerate = mt.ber_qpsk(
             p, _stack(n_diag, ndim + 1), realization.g, g_hat, rho_f, sigma_w2,
-            solver.symbols_per_packet, _stream(draw.seed, draw.trial, "symbols"),
-            packets=solver.packets_per_trial, noise_rng=_stream(draw.seed, draw.trial, "noise"))
-        for chain, link in zip(ran.values(), ber):
+            ber.symbols_per_packet, _stream(draw.seed, draw.trial, "symbols"),
+            packets=ber.packets_per_trial, noise_rng=_stream(draw.seed, draw.trial, "noise"))
+        for chain, link in zip(ran.values(), links):
             chain.metrics.ber = link
         ber_seconds = time.perf_counter() - t
 
@@ -616,28 +617,27 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
         trace = {"es_candidates": 0, "es_certified": 0, **chain.trace,
                  "seconds": {**made, "precoder": ran_seconds["precoder"] + made["precoder"],
                              "allocation": ran_seconds["allocation"], "ber": ber_seconds}}
-        if with_ber:
+        if ber is not None:
             trace["ber_degenerate_gains"] = degenerate
         results.append(replace(chain, trace=trace, mask=chains[key][0]))
     return results
 
 
 def run_cell(draw: TrialDraw, scheme: Scheme, snr_db,
-             solver: SolverParams = SolverParams(),
-             with_ber: bool = False) -> PipelineResult:
+             ber: Optional[SolverParams] = None) -> PipelineResult:
     """One (scheme, SNR) cell of a trial on the trial's draw: ``run_cells``
     of one scheme."""
-    return run_cells(draw, [scheme], snr_db, solver, with_ber)[0]
+    return run_cells(draw, [scheme], snr_db, ber)[0]
 
 
 def run_trial(cfg: ch.SystemConfig, scheme: Scheme, snr_db: float, trial: int,
-              solver: SolverParams = SolverParams(), with_ber: bool = False,
+              ber: Optional[SolverParams] = None,
               seed: Optional[int] = None) -> PipelineResult:
     """One Monte-Carlo trial of the full chain at a given SNR grid point:
-    ``run_cell`` on a fresh draw."""
+    ``run_cell`` on a fresh draw of ``seed``, by default ``cfg.rng_seed``."""
     if seed is None:
         seed = cfg.rng_seed
-    return run_cell(TrialDraw(cfg, trial, seed), scheme, snr_db, solver, with_ber)
+    return run_cell(TrialDraw(cfg, trial, seed), scheme, snr_db, ber)
 
 
 class TrialError(RuntimeError):
@@ -670,10 +670,10 @@ def _preflight(schemes, cfgs, trials):
             sel.check_es_budget(cfg.num_aps, cfg.num_users, cfg.selected_aps)
 
 
-def _point_cell(draw, scheme, snr, axis_name, axis_value, **options):
+def _point_cell(draw, scheme, snr, axis_name, axis_value, ber=None):
     """``run_cell``, its draw-dependent failures named at ``axis_value``."""
     try:
-        return run_cell(draw, scheme, snr, **options)
+        return run_cell(draw, scheme, snr, ber)
     except (ArithmeticError, ValueError) as err:   # LinAlgError is a ValueError
         raise TrialError(scheme.label, axis_name, axis_value, draw.trial, draw.seed,
                          err) from err
@@ -745,27 +745,27 @@ def _axis_points(cfg, axis, axis_values):
     return groups
 
 
-def _samples(groups, num_schemes, trial, seed, with_ber, cells_of):
+def _samples(groups, num_schemes, trial, ber, cells_of):
     """``(fields, schemes, points)`` samples of one trial: one draw per
-    group, and ``cells_of(draw, values, snrs)``, each scheme's
-    ``PipelineResult`` over the group's points, in scheme order."""
+    group, of ``cfg.rng_seed``, and ``cells_of(draw, values, snrs)``, each
+    scheme's ``PipelineResult`` over the group's points, in scheme order."""
     points = sum(len(values) for values, _, _ in groups)
-    samples = np.empty((3 if with_ber else 2, num_schemes, points))
+    samples = np.empty((2 if ber is None else 3, num_schemes, points))
     draw = None
     start = 0
     for values, cfg, snrs in groups:
-        draw = TrialDraw(cfg, trial, seed) if draw is None else draw.at(cfg)
+        draw = TrialDraw(cfg, trial, cfg.rng_seed) if draw is None else draw.at(cfg)
         cells = slice(start, start + len(values))
         for s, cell in enumerate(cells_of(draw, values, snrs)):
             samples[0, s, cells] = cell.metrics.sum_rate
             samples[1, s, cells] = 10.0 * np.log10(cell.metrics.min_sinr)
-            if with_ber:
+            if ber is not None:
                 samples[2, s, cells] = cell.metrics.ber
         start = cells.stop
     return samples
 
 
-def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
+def _trial_samples(groups, schemes, trial, ber, axis):
     """Trial ``trial``'s samples, ``(fields, schemes, points)``: the sum
     rate, the minimum SINR in dB and, with BER, the BER of each cell. One
     draw and one ``run_cells`` per group, over the group's SNR list. If any
@@ -773,22 +773,20 @@ def _trial_samples(groups, schemes, trial, seed, solver, with_ber, axis):
     point a group of its own, which raises the ``TrialError`` of the first
     failing cell in (point, scheme) order."""
     try:
-        return _samples(groups, len(schemes), trial, seed, with_ber,
-                        lambda draw, _, snrs: run_cells(draw, schemes, snrs, solver, with_ber))
+        return _samples(groups, len(schemes), trial, ber,
+                        lambda draw, _, snrs: run_cells(draw, schemes, snrs, ber))
     except (ArithmeticError, ValueError):     # LinAlgError is a ValueError
         pass
     singles = [([value], cfg, [snr]) for values, cfg, snrs in groups
                for value, snr in zip(values, snrs)]
-    return _samples(singles, len(schemes), trial, seed, with_ber,
+    return _samples(singles, len(schemes), trial, ber,
                     lambda draw, values, snrs: [
-                        _point_cell(draw, scheme, snrs, axis, values[0], solver=solver,
-                                    with_ber=with_ber) for scheme in schemes])
+                        _point_cell(draw, scheme, snrs, axis, values[0], ber)
+                        for scheme in schemes])
 
 
 def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
-              trials: int, solver: SolverParams = SolverParams(),
-              with_ber: bool = False, axis_values=None,
-              seed: Optional[int] = None):
+              trials: int, ber: Optional[SolverParams] = None, axis_values=None):
     """Average per-trial metrics per (scheme, axis point).
 
     The axis is split into groups of points that share one config: the whole
@@ -803,32 +801,30 @@ def run_sweep(cfg: ch.SystemConfig, schemes: Sequence[Scheme], axis: str,
     the first failing cell in (trial, axis point, scheme) order, so it
     names the smallest failing trial over all schemes and points: a trial
     whose ``run_cells`` fails is re-run one cell at a time, one point at a
-    time, to find that cell. Missing or
-    malformed ``axis_values``, a ``trials`` that is not an integer of at least
-    1, and an ES scheme over ``sel.ES_BUDGET`` candidates at any axis point
-    (``sel.check_es_budget``), raise ``ValueError`` before the first trial.
-    ``solver`` shapes the BER measurement only.
+    time, to find that cell. Missing or malformed ``axis_values``, a
+    ``trials`` that is not an integer of at least 1, and an ES scheme over
+    ``sel.ES_BUDGET`` candidates at any axis point (``sel.check_es_budget``),
+    raise ``ValueError`` before the first trial. Every trial draws from
+    ``cfg.rng_seed``. ``ber``, BER's packet shape, adds each row's BER.
     """
-    if seed is None:
-        seed = cfg.rng_seed
     groups = _axis_points(cfg, axis, axis_values)
     _preflight(schemes, [c for _, c, _ in groups], trials)
     # (field, scheme, point, trial)
     means, ses = _trial_stats(np.stack([
-        _trial_samples(groups, schemes, t, seed, solver, with_ber, axis)
+        _trial_samples(groups, schemes, t, ber, axis)
         for t in range(trials)], axis=-1))
     values = [value for group_values, _, _ in groups for value in group_values]
     rows = []
     for s, scheme in enumerate(schemes):
         for p, value in enumerate(values):
-            ber_mean, ber_se = ((float(means[2, s, p]), float(ses[2, s, p])) if with_ber
-                                else (None, None))
+            ber_mean, ber_se = ((float(means[2, s, p]), float(ses[2, s, p]))
+                                if ber is not None else (None, None))
             rows.append(SweepRow(scheme=scheme.label, axis_name=axis,
                                  axis_value=value, sum_rate_mean=float(means[0, s, p]),
                                  sum_rate_se=float(ses[0, s, p]),
                                  min_sinr_db_mean=float(means[1, s, p]),
                                  min_sinr_db_se=float(ses[1, s, p]), ber_mean=ber_mean,
-                                 ber_se=ber_se, trials=int(trials), seed=int(seed)))
+                                 ber_se=ber_se, trials=int(trials), seed=int(cfg.rng_seed)))
     return rows
 
 
@@ -841,9 +837,9 @@ class LearningCurveRow:
     seed: int
 
 
-def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
-                       seed: Optional[int] = None):
-    """Per-iteration adaptive-allocation cost, averaged over trials.
+def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int):
+    """Per-iteration adaptive-allocation cost, averaged over trials drawn
+    from ``cfg.rng_seed``.
 
     Uses the first allocation pass (identity-allocation precoder), which is
     where the gradient solver starts from scratch.
@@ -853,12 +849,10 @@ def run_learning_curve(cfg: ch.SystemConfig, scheme: Scheme, trials: int,
                          + ", ".join(n for n, a in SCHEMES["allocation"].items()
                                      if a.adaptive))
     _preflight([scheme], [cfg], trials)
-    if seed is None:
-        seed = cfg.rng_seed
     snr = float(cfg.snr_grid_db[0])
-    costs = [_point_cell(TrialDraw(cfg, t, seed), scheme, snr, "snr_grid", snr).n_first.cost_trace
-             for t in range(trials)]
+    costs = [_point_cell(TrialDraw(cfg, t, cfg.rng_seed), scheme, snr, "snr_grid",
+                         snr).n_first.cost_trace for t in range(trials)]
     means, ses = _trial_stats(np.stack(costs, axis=-1))      # (iterations + 1, trials)
     return [LearningCurveRow(iteration=i, cost_mean=float(mean), cost_se=float(se),
-                             trials=int(trials), seed=int(seed))
+                             trials=int(trials), seed=int(cfg.rng_seed))
             for i, (mean, se) in enumerate(zip(means, ses))]

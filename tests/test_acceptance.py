@@ -13,7 +13,7 @@ import numpy as np
 
 from cellfree.cli_io import main
 from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients
-from cellfree.pipeline import Scheme, TrialDraw, _stream, run_trial
+from cellfree.pipeline import Scheme, SolverParams, TrialDraw, _stream, run_trial
 from cellfree.power_allocation import apa_sgd, apa_terms, opa_bisection, sinr_feasible, upa
 from cellfree.precoding import mmse_precoder, zf_precoder
 from reference import apa_cost, cfg_with, grid_max_min, random_channel
@@ -309,7 +309,7 @@ def test_criterion_9_error_rate_sanity():
     for j, snr in enumerate(grid):
         for t in range(trials):
             ber[j, t] = run_trial(cfg_ber, scheme, snr, t,
-                                  with_ber=True).metrics.ber
+                                  SolverParams()).metrics.ber
     monotone = True
     for j in range(len(grid) - 1):
         d = ber[j + 1] - ber[j]

@@ -198,8 +198,7 @@ def test_measured_error_rate_tracks_the_analytic_ratio():
     cfg = cfg_with(num_aps=12, num_users=3, selected_aps=12, csi_quality=1.0,
                    snr_grid_db=(5.0,))
     solver = SolverParams(symbols_per_packet=40000)
-    res = run_trial(cfg, Scheme.parse("ZF+OPA+NS"), 5.0, trial=0,
-                    solver=solver, with_ber=True)
+    res = run_trial(cfg, Scheme.parse("ZF+OPA+NS"), 5.0, trial=0, ber=solver)
     predicted = np.mean(0.5 * erfc(np.sqrt(res.metrics.per_user_sinr / 2.0)))
     n_bits = 2 * 3 * solver.symbols_per_packet
     tol = 4.0 * np.sqrt(predicted * (1 - predicted) / n_bits)
@@ -314,7 +313,7 @@ def test_ber_columns_only_when_requested():
     cfg = cfg_with(**dict(TINY, snr_grid_db=(10.0,)))
     s = [Scheme.parse("ZF+UPA+NS")]
     plain = run_sweep(cfg, s, axis="snr_grid", trials=2)
-    with_ber = run_sweep(cfg, s, axis="snr_grid", trials=2, with_ber=True)
+    with_ber = run_sweep(cfg, s, axis="snr_grid", trials=2, ber=SolverParams())
     assert plain[0].ber_mean is None and plain[0].ber_se is None
     assert 0.0 <= with_ber[0].ber_mean <= 0.5
 
@@ -332,7 +331,7 @@ def rows_from_trials(schemes, axis, points, trials, solver, seed, with_ber=True)
     rows = []
     for scheme in schemes:
         for value, cfg_point, snr in points:
-            metrics = [run_trial(cfg_point, scheme, snr, t, solver, with_ber=with_ber,
+            metrics = [run_trial(cfg_point, scheme, snr, t, solver if with_ber else None,
                                  seed=seed).metrics for t in range(trials)]
             sr = mean_se([m.sum_rate for m in metrics])
             ms = mean_se([10.0 * np.log10(m.min_sinr) for m in metrics])
@@ -344,9 +343,9 @@ def rows_from_trials(schemes, axis, points, trials, solver, seed, with_ber=True)
 
 @pytest.mark.parametrize("axis", ["snr_grid", "selection_fraction", "antennas_per_ap"])
 def test_sweep_rows_equal_independent_trials_bitwise(axis):
-    cfg = cfg_with(**SMALL)
-    solver = SolverParams(symbols_per_packet=64)
     seed = 4242
+    cfg = dataclasses.replace(cfg_with(**SMALL), rng_seed=seed)
+    solver = SolverParams(symbols_per_packet=64)
     if axis == "snr_grid":
         values = None
         points = [(snr, cfg, snr) for snr in cfg.snr_grid_db]
@@ -359,8 +358,7 @@ def test_sweep_rows_equal_independent_trials_bitwise(axis):
         points = [(1.0, cfg, 0.0),
                   (2.0, dataclasses.replace(cfg, antennas_per_ap=2, num_aps=3,
                                             selected_aps=1), 0.0)]
-    rows = run_sweep(cfg, MIXED, axis, trials=3, solver=solver, with_ber=True,
-                     axis_values=values, seed=seed)
+    rows = run_sweep(cfg, MIXED, axis, trials=3, ber=solver, axis_values=values)
     assert rows == rows_from_trials(MIXED, axis, points, 3, solver, seed)
 
 
@@ -413,20 +411,21 @@ def test_sweep_rows_equal_per_cell_rows_bitwise(case, with_ber, seed):
     # their BER in one call; its rows are those of one run_trial per cell,
     # and where a cell fails on its draw it names a cell that fails
     cfg, schemes, axis, values, points = case
+    cfg = dataclasses.replace(cfg, rng_seed=seed)
     solver = SolverParams(symbols_per_packet=16)
     try:
         want = rows_from_trials(schemes, axis, points, 2, solver, seed, with_ber)
     except np.linalg.LinAlgError:          # ZF on a rank-deficient selection
         with pytest.raises(TrialError) as caught:
-            run_sweep(cfg, schemes, axis, trials=2, solver=solver, with_ber=with_ber,
-                      axis_values=values, seed=seed)
+            run_sweep(cfg, schemes, axis, trials=2, ber=solver if with_ber else None,
+                      axis_values=values)
         err = caught.value
         point = next(p for p in points if p[0] == err.axis_value)
         with pytest.raises(np.linalg.LinAlgError):
             run_trial(point[1], Scheme.parse(err.scheme), point[2], err.trial, seed=seed)
         return
-    assert run_sweep(cfg, schemes, axis, trials=2, solver=solver, with_ber=with_ber,
-                     axis_values=values, seed=seed) == want
+    assert run_sweep(cfg, schemes, axis, trials=2, ber=solver if with_ber else None,
+                     axis_values=values) == want
 
 
 def counting(calls, name, fn):
@@ -474,13 +473,13 @@ def test_a_grid_cell_equals_its_point_cells_bitwise():
                                             "ZF+OPA+ES")]
     for config, label in cases:
         scheme = Scheme.parse(label)
-        grid = run_cell(TrialDraw(config, 1, 99), scheme, snrs, solver, with_ber=True)
+        grid = run_cell(TrialDraw(config, 1, 99), scheme, snrs, solver)
         assert grid.metrics.ber.shape == grid.metrics.min_sinr.shape == (len(snrs),)
         assert grid.mask.shape == (len(snrs), 6, 2)
         # NS and LS share one mask over the grid
         assert (grid.mask.strides[0] == 0) == (scheme.selection != "ES"), label
         for i, snr in enumerate(snrs):
-            point = run_cell(TrialDraw(config, 1, 99), scheme, snr, solver, with_ber=True)
+            point = run_cell(TrialDraw(config, 1, 99), scheme, snr, solver)
             same_items(grid.take(i), point)
         if scheme.selection == "ES":
             assert grid.trace["es_candidates"] == 6 ** 2 * len(snrs)
@@ -564,8 +563,8 @@ def test_sharing_a_draw_is_invisible(preset):
         draw = TrialDraw(cfg, 3, 77)
         for snr in (list(cfg.snr_grid_db), 10.0):
             for scheme in order:
-                shared = run_cell(draw, scheme, snr, solver, with_ber=True)
-                fresh = run_cell(TrialDraw(cfg, 3, 77), scheme, snr, solver, with_ber=True)
+                shared = run_cell(draw, scheme, snr, solver)
+                fresh = run_cell(TrialDraw(cfg, 3, 77), scheme, snr, solver)
                 same_items(shared, fresh)
 
 
@@ -596,7 +595,7 @@ def test_opa_runs_no_eigendecomposition_and_one_stage_per_allocation(monkeypatch
         cfg = preset.resolve_config(SystemConfig().validate())
         calls.clear()
         run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
-                  trials=2, with_ber=preset.with_ber)
+                  trials=2, ber=SolverParams(**preset.solver) if preset.with_ber else None)
         assert calls == {"opa_bisection": 2, "upa": 2}, name
     tiny = cfg_with(**dict(TINY, snr_grid_db=(0.0, 10.0, 20.0)))
     for precoder in ("MMSE", "ZF", "CB"):
@@ -715,7 +714,7 @@ def test_a_ber_sweep_measures_each_scheme_and_trial_in_one_call(monkeypatch):
     cfg = preset.resolve_config(SystemConfig().validate())
     solver = SolverParams(**preset.solver)
     run_sweep(cfg, [Scheme.parse(label) for label in preset.schemes], "snr_grid",
-              trials=2, solver=solver, with_ber=True)
+              trials=2, ber=solver)
     assert shapes == [(len(preset.schemes), len(cfg.snr_grid_db))] * 2
 
 
@@ -727,14 +726,13 @@ def ber_extra_peak(antennas_per_ap):
     cfg = dataclasses.replace(preset.resolve_config(SystemConfig().validate()),
                               antennas_per_ap=antennas_per_ap).validate()
     draw = TrialDraw(cfg, 0, cfg.rng_seed)
-    args = (draw, [Scheme.parse(label) for label in preset.schemes], list(cfg.snr_grid_db),
-            SolverParams(**preset.solver))
+    args = (draw, [Scheme.parse(label) for label in preset.schemes], list(cfg.snr_grid_db))
     peaks = []
-    for with_ber in (True, False):
-        run_cells(*args, with_ber)
+    for ber in (SolverParams(**preset.solver), None):
+        run_cells(*args, ber)
         tracemalloc.start()
         try:
-            run_cells(*args, with_ber)
+            run_cells(*args, ber)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -783,7 +781,7 @@ def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
     """An ES cell's result, taken from its search, is what ``run_chain`` on
     the cell's masks gives at the same ``rho_f``, bitwise, BER included."""
     draw = TrialDraw(cfg, trial, cfg.rng_seed)
-    res = run_cell(draw, scheme, snr_db, solver, with_ber=True)
+    res = run_cell(draw, scheme, snr_db, solver)
     real = draw.realization
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(pipeline._snr_linear(snr_db), real.g_hat, sigma_w2)
@@ -971,7 +969,7 @@ def test_learning_and_ber_presets_run_at_their_settings():
     assert bits == 1600
     for label in preset.schemes:
         res = run_cell(TrialDraw(cfg, 0, cfg.rng_seed), Scheme.parse(label),
-                       list(cfg.snr_grid_db), solver, with_ber=True)
+                       list(cfg.snr_grid_db), solver)
         errors = np.asarray(res.metrics.ber) * bits
         assert np.allclose(errors, np.round(errors), rtol=0.0, atol=1e-9), label
 
@@ -1027,7 +1025,7 @@ def test_every_scheme_completes_at_the_snr_bound():
                for allocation, allocator in SCHEMES["allocation"].items()
                if allocator.accepts(precoder) for selection in SCHEMES["selection"]]
     assert len(schemes) == 27
-    for row in run_sweep(cfg, schemes, "snr_grid", trials=3, with_ber=True):
+    for row in run_sweep(cfg, schemes, "snr_grid", trials=3, ber=SolverParams()):
         assert np.isfinite([row.sum_rate_mean, row.min_sinr_db_mean, row.ber_mean]).all()
 
 
@@ -1096,7 +1094,7 @@ def test_a_draw_dependent_failure_names_its_trial():
     cfg = cfg_with(**RANK_DEFICIENT)
     scheme = Scheme.parse("ZF+OPA+LS")
     with pytest.raises(TrialError) as caught:
-        run_sweep(cfg, [scheme], "snr_grid", trials=40, seed=cfg.rng_seed)
+        run_sweep(cfg, [scheme], "snr_grid", trials=40)
     err = caught.value
     assert (err.scheme, err.axis_name, err.axis_value, err.seed) == (
         "ZF+OPA+LS", "snr_grid", 10.0, cfg.rng_seed)

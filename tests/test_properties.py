@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from cellfree import pipeline, selection
-from cellfree.channel import MIN_CSI_QUALITY, SystemConfig
+from cellfree.channel import MIN_CSI_QUALITY, SYMBOL_POWER_RANGE, SystemConfig
 from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Build, Scheme, SolverParams, TrialDraw, run_cell,
                                run_cells, run_chain, run_trial)
@@ -335,14 +335,12 @@ def test_run_cells_equals_each_scheme_on_a_fresh_draw_bitwise(case):
     fresh = []
     for scheme in schemes:
         try:
-            fresh.append(run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snr, solver,
-                                  with_ber=True))
+            fresh.append(run_cell(TrialDraw(cfg, trial, cfg.rng_seed), scheme, snr, solver))
         except (ArithmeticError, ValueError):         # LinAlgError is a ValueError
             with pytest.raises((ArithmeticError, ValueError)):
-                run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver,
-                          with_ber=True)
+                run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver)
             return
-    got = run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver, with_ber=True)
+    got = run_cells(TrialDraw(cfg, trial, cfg.rng_seed), schemes, snr, solver)
     assert len(got) == len(schemes)
     for scheme, cell, want in zip(schemes, got, fresh):
         label = (scheme.label, snr)
@@ -483,6 +481,51 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
         if allocation != "OPA" and precoder in width:
             assert (min_sinr[precoder, "OPA"] >= sinr - width[precoder]).all(), \
                 (precoder, allocation, snrs)
+
+
+MMSE_SCHEMES = [s for s in ALL_SCHEMES if s.precoder in ("MMSE", "MMSE_CONV")]
+
+
+@st.composite
+def power_cases(draw):
+    """A validated config of 2-6 APs, 1-2 antennas and 1-3 users (fewer than
+    its antennas), whose ES search takes at most ``MAX_CANDIDATES``
+    candidates, with ``csi_quality`` in [0.5, 1] and a symbol power
+    log-uniform over its accepted range; one SNR point or a grid in [-90,
+    60] dB; and a trial."""
+    num_aps = draw(st.integers(2, 6))
+    antennas = draw(st.integers(1, 2))
+    num_users = draw(st.integers(1, min(3, num_aps * antennas - 1)))
+    low, high = SYMBOL_POWER_RANGE
+    cfg = dataclasses.replace(
+        SystemConfig(), num_aps=num_aps, antennas_per_ap=antennas, num_users=num_users,
+        selected_aps=draw(st.sampled_from(
+            [s for s in range(1, num_aps + 1)
+             if math.comb(num_aps, s) ** num_users <= MAX_CANDIDATES])),
+        csi_quality=draw(st.floats(0.5, 1.0)),
+        symbol_power=min(high, 10.0 ** draw(st.floats(math.log10(low), math.log10(high)))))
+    snrs = draw(st.lists(st.floats(-90.0, 60.0), min_size=1, max_size=4))
+    return (cfg.validate(), snrs if draw(st.booleans()) else snrs[0],
+            draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(power_cases())
+def test_every_mmse_cell_transmits_its_energy_budget(case):
+    """Every MMSE and MMSE_CONV cell of one ``run_cells`` call, under each
+    allocation it takes and on NS, LS and ES, meets ``symbol_power ||P||^2
+    = M`` at each point to 1e-9 relative: its total energy ``E_tr = M
+    rho_f`` over ``rho_f``. An APA cell reports its re-formed ``P N^(-1)``,
+    so its ``P`` is that times its first allocation's ``N``."""
+    cfg, snr, trial = case
+    cells = run_cells(TrialDraw(cfg, trial, cfg.rng_seed), MMSE_SCHEMES, snr)
+    for scheme, cell in zip(MMSE_SCHEMES, cells):
+        p = cell.precoder.p
+        if scheme.allocation == "APA":
+            p = p * cell.n_first.n_diag[..., None, :]
+        energy = cfg.symbol_power * np.sum(np.abs(p) ** 2, axis=(-2, -1))
+        np.testing.assert_allclose(energy, cfg.total_antennas, rtol=1e-9, atol=0.0,
+                                   err_msg=f"{scheme.label} at {snr}")
 
 
 def reference_ber(p, n_diag, g, g_hat, rho_f, sigma_w2, symbols, rng, packets, noise_rng):
