@@ -9,25 +9,26 @@ and allocates again exactly when it is APA: OPA and UPA are invariant to
 column scaling, so for them a second pass would reproduce the first. APA's
 fixed step is scale-free only on a re-formed precoder, so it takes only MMSE
 and ``Scheme`` rejects any other pairing; so MMSE_CONV, MMSE without the
-re-form, is an alias of MMSE. The SINR coefficients of a precoder are computed
-once and shared by the allocator and the metrics; they are all an allocator
-reads besides the precoder.
-``run_chain`` composes two stages: a build, a frozen ``Build`` of the
-precoder of an identity allocation and its SINR coefficients, and an
-allocate stage, which reads the build and, to re-form (APA), the masked
-estimate and error variance, so that one build can serve every chain on the
-same masked channel and SNR points. Every per-item array of a build carries
-its full item axes, stride 0 along those it does not depend on, so that its
+re-form, is an alias of MMSE.
+A chain is two stages. Its build (``_build``) is a frozen ``Build``: the
+precoder of an identity allocation and its SINR coefficients, formed once
+from the masked estimate and error variance and shared by the allocator and
+the metrics. Its allocate stage, ``run_chain``, reads only its build: the
+coefficients are quadratic in P's columns, so APA's re-form divides column
+i of P by ``n_i``, and ``psi_i`` and column i of ``phi`` and ``gamma`` by
+``eta_i`` (``pc.reform``). So one build can serve every chain on the same
+masked channel and SNR points. Every per-item array of a build carries its
+full item axes, stride 0 along those it does not depend on, so that its
 ``take`` and ``stack`` are one walk (``_map_items``).
 
-``run_chain`` runs on one masked channel ``(M, K)`` or on a stack of them
-``(B, M, K)``, at one SNR or at a grid of them, ``rho_f`` of shape
-``(S,)`` against one channel or paired with ``(S, M, K)`` channels, or
-``(S, 1)`` against a stack. MMSE builds one precoder per item under the
-total transmit energy ``E_tr = M rho_f``, from one Gram matrix per channel,
-while ZF and CB, whose precoders and SINR coefficients do not depend on the
-SNR, build once per channel, stride 0 along the points. Each item equals
-its own 2-D chain bitwise.
+A build is of one masked channel ``(M, K)`` or of a stack of them ``(B, M,
+K)``, at one SNR or at a grid of them, ``rho_f`` of shape ``(S,)`` against
+one channel or paired with ``(S, M, K)`` channels, or ``(S, 1)`` against a
+stack. MMSE builds one precoder per item under the total transmit energy
+``E_tr = M rho_f``, from one Gram matrix per channel, while ZF and CB, whose
+precoders and SINR coefficients do not depend on the SNR, build once per
+channel, stride 0 along the points. Each item of a chain equals its own 2-D
+chain bitwise.
 Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
 chunks, and copies each point's winning item out of the chunk that scored
 it (``PipelineResult.take``), so every reported number is what the 2-D
@@ -49,7 +50,8 @@ share; all of these are read-only and live only for the call. They run one
 chain per distinct (selection, precoder build, allocation), so MMSE and
 MMSE_CONV twins share one, and the chains of one allocation run as one
 allocate stage, a ``run_chain`` on ``Build.stack`` of their builds, of
-which each cell's result is its chain's ``take``.
+which each cell's result is its chain's ``take``. The stage reads only the
+builds, so no estimate or error variance is stacked for it.
 ``run_cell`` is ``run_cells`` of one scheme, and ``run_trial`` one cell on a
 fresh draw. ``run_sweep`` runs trial-major: one draw and one ``run_cells``
 per config, over that config's SNR points: the whole grid on the SNR axis,
@@ -175,8 +177,7 @@ def _es(scheme, realization, cfg, rho_f):
                 continue
             built = built.take((slice(None), live))
             run[run] = live
-        result = run_chain(g_hat[run], err_var[run], scheme, rho, sigma_w2, sigma_s2,
-                           built=built)
+        result = run_chain(built, scheme, sigma_s2)
         scores = np.full((points, len(masks)), -np.inf)
         scores[:, run] = result.metrics.min_sinr
         best, better, columns = sel.first_maxima(best, scores)
@@ -368,7 +369,7 @@ class PipelineResult(_Items):
     metrics: mt.LinkMetrics
     trace: dict
     # (M, K) selection the chain ran on; (S, M, K) on a grid, stride 0 along
-    # the points for NS and LS; None from ``run_chain``, whose channel is masked
+    # the points for NS and LS; None from ``run_chain``, which reads only a build
     mask: Optional[np.ndarray] = None
 
 
@@ -432,36 +433,24 @@ def _build(build: Callable, g_hat, err_var, rho_f, sigma_w2, sigma_s2) -> Build:
     return Build(prec, coeffs, time.perf_counter() - t0).broadcast_to(items)
 
 
-def run_chain(g_hat, err_var, scheme: Scheme, rho_f, sigma_w2: float,
-              sigma_s2: float, built: Optional[Build] = None) -> PipelineResult:
-    """Precode and allocate on a (masked) channel, or a stack of them;
-    re-form and re-allocate only where that changes the result (see the
-    module docstring). ``rho_f`` is a scalar or one value per item, and its
-    items broadcast against the channel's: ``(S,)`` against one channel,
-    ``(S,)`` against ``(S, M, K)`` pairs them, and ``(S, 1)`` against
-    ``(B, M, K)`` runs every channel at every point. Every array of the
-    result has the broadcast items' leading axes.
-
-    The chain is a build stage (``_build``, a ``Build``) and an allocate
-    stage, which reads the build and, to re-form (APA), ``g_hat`` and
-    ``err_var``. ``built``, a ``Build`` of the scheme's precoder on the same
-    channel and points, skips the first stage, so one build can serve
-    several chains. The chain takes no solver settings: OPA and APA run at
-    their module's constants (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``,
-    ``pa.APA_STEP``, ``pa.APA_ITERATIONS``)."""
+def run_chain(built: Build, scheme: Scheme, sigma_s2: float) -> PipelineResult:
+    """The allocate stage of ``scheme``'s chain on ``built``, its ``Build``
+    (``_build``), which is all it reads: allocate, and where that changes
+    the result (see the module docstring) re-form and allocate again. The
+    re-form (``pc.reform``) divides column i of P by ``n_i``, and ``psi_i``
+    and column i of ``phi`` and ``gamma`` by ``eta_i``. Every array of the
+    result has the build's item axes. OPA and APA run at their module's
+    constants (``pa.OPA_ITERATIONS``, ``pa.OPA_TOL``, ``pa.APA_STEP``,
+    ``pa.APA_ITERATIONS``)."""
     allocator = SCHEMES["allocation"][scheme.allocation]
-    if built is None:
-        built = _build(SCHEMES["precoder"][scheme.precoder], g_hat, err_var, rho_f,
-                       sigma_w2, sigma_s2)
     prec, coeffs = built.precoder, built.coeffs
     t1 = time.perf_counter()
     solves = [allocator.solve(prec, coeffs, sigma_s2)]
     t2 = time.perf_counter()
     seconds = {"precoder": built.seconds, "allocation": t2 - t1}
     if allocator.adaptive:
-        prec = pc.apply_allocation(prec, solves[0].n_diag)
+        prec, coeffs = pc.reform(prec, coeffs, solves[0].eta)
         t3 = time.perf_counter()
-        coeffs = mt.sinr_coefficients(prec.p, g_hat, err_var, rho_f, sigma_w2, prec.delta)
         solves.append(allocator.solve(prec, coeffs, sigma_s2))
         seconds["precoder"] += t3 - t2
         seconds["allocation"] += time.perf_counter() - t3
@@ -512,21 +501,23 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
               ber: Optional[SolverParams] = None) -> list:
     """The (scheme, SNR) cells of ``schemes`` on a trial's draw, one
     ``PipelineResult`` per scheme, in order, each computing every quantity
-    once (see the module docstring).
+    once (see the module docstring). A selection's masked estimate and error
+    variance go to its builds and to BER; an allocate stage reads only its
+    builds, APA's re-form included.
 
     ``snr_db`` is one SNR point, or a grid ``(S,)``: every array of a cell
     then has a leading grid axis, and each item, ``take(i)``, equals its own
     point's cell. NS and LS share one mask over the grid, stride 0 along
-    it; an ES search finds every
-    point's mask, and its chain result is the winners' items of the chunks
-    it scored (see ``_es``). Every distinct chain is one item of one
-    ``ber_qpsk`` call on the restarted symbol and noise streams, so each
-    item sees the bits and noise it would see on its own; the call takes
-    the chains' precoders and estimates as a sequence and stacks only
-    their K x K links, never the ``(S, M, K)`` precoders. ``ber`` gives
-    its packet shape, and None measures no BER. Twins share their chain's
-    result objects. Shared arrays are read-only: a selection's as it is
-    made, and a build's as ``_build`` shapes it (``Build.broadcast_to``).
+    it; an ES search finds every point's mask, and its chain result is the
+    winners' items of the chunks it scored (see ``_es``). Every distinct
+    chain is one item of one ``ber_qpsk`` call on the restarted symbol and
+    noise streams, so each item sees the bits and noise it would see on its
+    own; the call takes the chains' precoders and estimates as a sequence
+    and stacks only their K x K links, never the ``(S, M, K)`` precoders.
+    ``ber`` gives its packet shape, and None measures no BER. Twins share
+    their chain's result objects. Shared arrays are read-only: a selection's
+    as it is made, and a build's as ``_build`` shapes it
+    (``Build.broadcast_to``).
 
     ``trace`` of a cell: its solver counts and its allocate stage's seconds
     (``trace["seconds"]["allocation"]``, and APA's re-form under
@@ -585,11 +576,8 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     for stacked in stacks.values():
         keys = [_chain_key(scheme) for scheme in stacked]
         reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
-        g_hat, err_var = ((_stack([chains[key][1] for key in keys], ndim + 2),
-                           _stack([chains[key][2] for key in keys], ndim + 2)) if reform
-                          else (None, None))
-        stage = run_chain(g_hat, err_var, stacked[0], rho_f, sigma_w2, sigma_s2,
-                          built=Build.stack([builds[key[:2]] for key in keys], reform))
+        stage = run_chain(Build.stack([builds[key[:2]] for key in keys], reform),
+                          stacked[0], sigma_s2)
         if not reform:              # the stage stacked only the loads: each
             stage.precoder = None   # cell's precoder is its build's, not a take
         for i, key in enumerate(keys):

@@ -47,12 +47,12 @@ its items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .metrics import reduce_axis
+from .metrics import SinrCoefficients, reduce_axis
 
 _EPS = np.finfo(float).eps
 
@@ -109,6 +109,17 @@ def apply_allocation(precoder: PrecoderOutput, n_diag) -> PrecoderOutput:
     if (n_diag <= 0).any() or not np.isfinite(n_diag).all():
         raise ValueError("power-allocation diagonal must be strictly positive")
     return PrecoderOutput(p=precoder.p * (1.0 / n_diag)[..., None, :], f=precoder.f)
+
+
+def reform(precoder: PrecoderOutput, coeffs: SinrCoefficients, eta):
+    """``precoder`` and its SINR coefficients re-formed for the allocation
+    ``eta``: ``apply_allocation`` with ``N = diag(sqrt(eta))``, which checks
+    ``eta`` first, and, as the coefficients are quadratic in P's columns,
+    ``psi_i`` and column i of ``phi`` and ``gamma`` divided by ``eta_i``."""
+    eta = np.asarray(eta, dtype=float)
+    reformed, column = apply_allocation(precoder, np.sqrt(eta)), eta[..., None, :]
+    return reformed, replace(coeffs, psi=coeffs.psi / eta, phi=coeffs.phi / column,
+                             gamma=coeffs.gamma / column)
 
 
 def mmse_precoder(g_hat, n_diag, e_tr, rho_f, sigma_w2: float,

@@ -20,13 +20,15 @@ for bit, and ``zf_full_rank`` ZF's rank test on a stack, without a build.
 as the same config, through the package's own in-place writer.
 ``es_search`` is exhaustive selection's loop, as the ES selector runs it,
 over any score of the candidate masks, for the tests of its two helpers.
+``chain_on`` is a whole chain on a masked channel: its build, then
+``run_chain``, the allocate stage, which reads only the build.
 """
 
 import dataclasses
 
 import numpy as np
 
-from cellfree import cli_io, selection
+from cellfree import cli_io, pipeline, selection
 from cellfree.channel import (SystemConfig, attenuation_constant_db, complex_normal,
                               generate_topology, large_scale_coeffs)
 from cellfree.power_allocation import apa_terms
@@ -42,6 +44,16 @@ def cfg_with(**overrides):
 
 def random_channel(rng, m, k):
     return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+
+def chain_on(g_hat, err_var, scheme, rho_f, sigma_w2, sigma_s2):
+    """``scheme``'s chain on a masked channel ``(M, K)``, or a stack of them,
+    at ``rho_f``, whose items broadcast against the channels' as
+    ``pipeline._build`` broadcasts them: the build of its precoder, then
+    ``pipeline.run_chain`` on it."""
+    built = pipeline._build(pipeline.SCHEMES["precoder"][scheme.precoder], g_hat, err_var,
+                            rho_f, sigma_w2, sigma_s2)
+    return pipeline.run_chain(built, scheme, sigma_s2)
 
 
 def mask_from_choices(choices, num_aps, antennas_per_ap):

@@ -15,12 +15,12 @@ from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
 from cellfree.metrics import (SinrCoefficients, analytic_sinr, rates,
                               sinr_coefficients, snr_to_rho_f)
-from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_chain, run_trial
+from cellfree.pipeline import SCHEMES, Scheme, TrialDraw, run_trial
 from cellfree.power_allocation import apa_sgd, opa_bisection, opa_bound, sinr_feasible, upa
 from cellfree.precoding import (PrecoderOutput, RankDeficientError, apply_allocation,
                                 cb_precoder, mmse_precoder, zf_precoder)
 from cellfree.selection import apply_mask
-from reference import es_search, mask_from_choices
+from reference import chain_on, es_search, mask_from_choices
 
 RTOL = 1e-12
 
@@ -209,8 +209,8 @@ def es_reference(realization, cfg, scheme, rho_f):
         mask = mask_from_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
         g_hat, err_var = apply_mask(mask, realization)
         try:
-            score = run_chain(g_hat, err_var, scheme, rho_f,
-                              cfg.noise_variance_w(), cfg.symbol_power).metrics.min_sinr
+            score = chain_on(g_hat, err_var, scheme, rho_f,
+                             cfg.noise_variance_w(), cfg.symbol_power).metrics.min_sinr
         except RankDeficientError:
             continue
         if score > best_score:
@@ -292,8 +292,8 @@ def test_exactly_tied_candidates_keep_the_first_in_product_order(label):
         real = twin_aps(real, strongest, (strongest + 1) % 5)
         rho_f = snr_to_rho_f(10.0 ** (np.array(SNRS) / 10.0), real.g_hat, sigma_w2)
         # every candidate on the exact chain: the search without a screen
-        scores = run_chain(*apply_mask(every, real), scheme, rho_f[:, None],
-                           sigma_w2, cfg.symbol_power).metrics.min_sinr
+        scores = chain_on(*apply_mask(every, real), scheme, rho_f[:, None],
+                          sigma_w2, cfg.symbol_power).metrics.min_sinr
         best = scores.max(axis=-1)
         tied += np.count_nonzero((scores == best[:, None]).sum(axis=-1) > 1)
         masks, won = SCHEMES["selection"]["ES"].select(scheme, real, cfg, rho_f)
@@ -380,8 +380,8 @@ def test_many_chunks_give_the_winner_of_one_chunk(monkeypatch):
     def chain(masks):
         calls.append(masks.shape[0])
         g_hat, err_var = apply_mask(masks, real)
-        return run_chain(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
-                         sigma_w2, 1.0).metrics.min_sinr
+        return chain_on(g_hat, err_var, Scheme("MMSE", "UPA", "ES"), rho_f,
+                        sigma_w2, 1.0).metrics.min_sinr
 
     order = list(itertools.product(itertools.combinations(range(6), 3), repeat=3))
     for score in (coarse, chain):

@@ -13,14 +13,14 @@ from cellfree.channel import MAX_ABS_SNR_DB, SystemConfig
 from cellfree.cli_io import emit_results, read_results
 from cellfree.metrics import analytic_sinr, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Scheme, SolverParams, SweepRow, TrialDraw,
-                               TrialError, _stream, run_cell, run_cells, run_chain,
+                               TrialError, _stream, run_cell, run_cells,
                                run_learning_curve, run_sweep, run_trial)
 from cellfree.power_allocation import (APA_ITERATIONS, APA_STEP, OPA_ITERATIONS, OPA_TOL,
                                        apa_sgd, opa_bisection, sinr_feasible, upa)
 from cellfree.precoding import mmse_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import apply_mask, ls_aps
-from reference import cfg_with, mean_se
+from reference import cfg_with, chain_on, mean_se
 
 
 TINY = dict(num_aps=5, antennas_per_ap=1, num_users=2, selected_aps=3,
@@ -62,7 +62,7 @@ def test_identity_channel_chain_by_hand():
     # one solve, eta = 1 under the per-antenna cap, and the SINR
     # rho_f * eta * |p_kk|^2 / sigma_w2 = rho_f. A second pass would re-form
     # P / sqrt(eta) = I and reproduce the first.
-    out = run_chain(g, scheme=Scheme("MMSE", "UPA", "NS"), **by_hand)
+    out = chain_on(g, scheme=Scheme("MMSE", "UPA", "NS"), **by_hand)
     assert np.allclose(out.precoder.p, np.eye(k))
     assert np.allclose(out.precoder.f, 3.0 / np.sqrt(2.0))
     assert np.allclose(out.precoder.delta, np.eye(k))
@@ -77,7 +77,7 @@ def test_identity_channel_chain_by_hand():
     # allocated again. The first pass stops below the cap, eta < 1; the
     # second, on loads 1 / eta_first, climbs to the cap at eta_first, so the
     # link ends at P N = I with the SINR rho_f instead of rho_f * eta_first.
-    out = run_chain(g, scheme=Scheme("MMSE", "APA", "NS"), **by_hand)
+    out = chain_on(g, scheme=Scheme("MMSE", "APA", "NS"), **by_hand)
     n1 = np.sqrt(out.n_first.eta)
     assert np.allclose(out.precoder.p, np.eye(k) / n1[None, :])
     assert np.all(out.n_first.eta < 0.5)
@@ -99,16 +99,17 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
         e_tr = cfg.total_antennas * rho_f         # the chain's total energy
 
         def two_pass(allocate):
-            """The paper's chain: allocate, re-solve MMSE with N, allocate again."""
+            """The paper's chain: allocate, re-solve MMSE with N, allocate again;
+            ``allocate`` forms each pass's coefficients from the channel."""
             n_first = allocate(mmse_precoder(g, np.ones(4), e_tr, rho_f, sigma_w2))
             second = mmse_precoder(g, n_first.n_diag, e_tr, rho_f, sigma_w2)
             n_final = allocate(second)
             coeffs = sinr_coefficients(second.p, g, err, rho_f, sigma_w2)
-            return second, n_final, analytic_sinr(coeffs, n_final.eta)
+            return n_first, second, n_final, analytic_sinr(coeffs, n_final.eta)
 
         def one_pass(allocation):
-            return run_chain(g, err, Scheme("MMSE", allocation, "LS"), rho_f,
-                             sigma_w2, 1.0)
+            return chain_on(g, err, Scheme("MMSE", allocation, "LS"), rho_f,
+                            sigma_w2, 1.0)
 
         def opa(prec):
             coeffs = sinr_coefficients(prec.p, g, err, rho_f, sigma_w2)
@@ -121,16 +122,22 @@ def test_one_pass_equals_the_explicit_two_pass_chain():
             # OPA reports the feasibility targets it tested, one entry per solve
             assert got.trace["allocation_tests"] == [got.n_final.tests]
             assert (got.n_final.tests > 0) == (name == "OPA")
-            assert np.allclose(got.metrics.per_user_sinr, two_pass(allocate)[2],
+            assert np.allclose(got.metrics.per_user_sinr, two_pass(allocate)[3],
                                rtol=1e-12, atol=0.0)
 
-        second, n_final, sinr = two_pass(
+        n_first, second, n_final, sinr = two_pass(
             lambda prec: apa_sgd(prec, sinr_coefficients(prec.p, g, err, rho_f, sigma_w2),
                                  mu=APA_STEP, iterations=APA_ITERATIONS))
         got = one_pass("APA")
         assert np.array_equal(got.precoder.p, second.p)
-        assert np.array_equal(got.n_final.eta, n_final.eta)
-        assert np.array_equal(got.metrics.per_user_sinr, sinr)
+        assert np.array_equal(got.n_first.eta, n_first.eta)
+        assert np.array_equal(got.n_first.cost_trace, n_first.cost_trace)
+        # the re-form divides the build's coefficients by eta, where the two
+        # passes form them again from the channel: equal to rounding
+        for mine, theirs in ((got.n_final.eta, n_final.eta),
+                             (got.n_final.cost_trace, n_final.cost_trace),
+                             (got.metrics.per_user_sinr, sinr)):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=0.0)
 
 
 def test_mmse_chain_transmits_m_rho_f_on_every_item():
@@ -141,8 +148,8 @@ def test_mmse_chain_transmits_m_rho_f_on_every_item():
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho_f = np.array([0.3, 2.0, 45.0, 1e3])[:, None]          # (S, 1)
     sigma_s2 = 1.7
-    out = run_chain(g, rng.uniform(0.0, 0.1, shape), Scheme("MMSE", "UPA", "NS"), rho_f,
-                    0.4, sigma_s2)
+    out = chain_on(g, rng.uniform(0.0, 0.1, shape), Scheme("MMSE", "UPA", "NS"), rho_f,
+                   0.4, sigma_s2)
     assert out.precoder.p.shape == (4,) + shape
     sent = rho_f * sigma_s2 * np.linalg.norm(out.precoder.p, axis=(-2, -1)) ** 2
     np.testing.assert_allclose(sent, np.broadcast_to(12 * rho_f, (4, 5)), rtol=1e-12,
@@ -496,8 +503,8 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
         calls["run_cells", len(schemes), np.ndim(snr_db)] += 1
         return run(draw, schemes, snr_db, *args, **kwargs)
 
-    def counted_chain(g_hat, err_var, scheme, rho_f, *args, built=None):
-        if np.ndim(rho_f) == 2:                 # an ES chunk, against rho_f (S, 1)
+    def counted_chain(built, scheme, sigma_s2):
+        if built.seconds:               # an ES chunk's own build; a stage's stack has 0
             calls["ES chunk"] += 1
         else:
             # the items whose coefficient sets were computed: a stride-0 axis
@@ -505,7 +512,7 @@ def test_an_snr_sweep_runs_one_cell_per_scheme_and_trial(monkeypatch):
             psi = built.coeffs.psi
             sets = tuple(1 if step == 0 else n for n, step in zip(psi.shape, psi.strides))
             calls[scheme.allocation, sets[:-1]] += 1
-        return chain(g_hat, err_var, scheme, rho_f, *args, built=built)
+        return chain(built, scheme, sigma_s2)
 
     monkeypatch.setattr(pipeline, "run_cells", counted)
     monkeypatch.setattr(pipeline, "run_chain", counted_chain)
@@ -778,7 +785,7 @@ ES_PAIRS = [(p, a) for p in ("MMSE", "ZF", "CB") for a in SCHEMES["allocation"]
 
 
 def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
-    """An ES cell's result, taken from its search, is what ``run_chain`` on
+    """An ES cell's result, taken from its search, is what the chain on
     the cell's masks gives at the same ``rho_f``, bitwise, BER included."""
     draw = TrialDraw(cfg, trial, cfg.rng_seed)
     res = run_cell(draw, scheme, snr_db, solver)
@@ -786,7 +793,7 @@ def assert_the_chain_on_its_masks(cfg, scheme, snr_db, trial, solver):
     sigma_w2 = cfg.noise_variance_w()
     rho_f = snr_to_rho_f(pipeline._snr_linear(snr_db), real.g_hat, sigma_w2)
     g_hat, err_var = apply_mask(res.mask, real)
-    want = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
+    want = chain_on(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
     ber, _ = metrics.ber_qpsk(want.precoder.p, want.n_final.n_diag, real.g, g_hat, rho_f,
                               sigma_w2, solver.symbols_per_packet,
                               _stream(cfg.rng_seed, trial, "symbols"),
@@ -849,8 +856,8 @@ def test_an_apa_es_learning_curve_is_the_chain_on_its_masks():
         draw = TrialDraw(cfg, trial, cfg.rng_seed)
         mask = run_cell(draw, scheme, 10.0).mask
         rho_f = snr_to_rho_f(10.0, draw.realization.g_hat, sigma_w2)
-        chain = run_chain(*apply_mask(mask, draw.realization), scheme, rho_f, sigma_w2,
-                          cfg.symbol_power)
+        chain = chain_on(*apply_mask(mask, draw.realization), scheme, rho_f, sigma_w2,
+                         cfg.symbol_power)
         traces.append(chain.n_first.cost_trace)
     rows = run_learning_curve(cfg, scheme, trials=4)
     costs = np.asarray(traces, dtype=float)

@@ -1,6 +1,6 @@
-"""``scripts/preset_manifest.py``'s comparison, on hand-written manifests:
-the byte-identity gate of a change that must leave every preset's output
-unchanged."""
+"""``scripts/preset_manifest.py``'s comparison, on hand-written manifests
+and CSVs: the byte-identity gate of a change that must leave every preset's
+output unchanged, and the row report of one meant to stay within rounding."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,40 @@ def test_runs_at_another_trial_count_or_seed_do_not_compare(capsys):
     for other in (manifest(FILES, trials=120), manifest(FILES, seed=778)):
         assert preset_manifest.compare(manifest(FILES), other) is False
         assert capsys.readouterr().out.startswith("run differs: trials/seed")
+
+
+ROWS = ("scheme,axis_name,axis_value,sum_rate_mean,ber_mean\n"
+        "MMSE+OPA+LS,snr_grid,0.0,2.0,\n"
+        "MMSE+APA+LS,snr_grid,0.0,4.0,\n"
+        "MMSE+APA+LS,snr_grid,5.0,8.0,\n")
+
+
+def test_a_differing_csv_reports_its_rows_schemes_and_largest_change(tmp_path, capsys):
+    mine, theirs = tmp_path / "mine", tmp_path / "theirs"
+    for directory, text in ((mine, ROWS),
+                            (theirs, ROWS.replace("4.0,", "5.0,").replace("8.0,", "8.5,"))):
+        directory.mkdir()
+        (directory / "fig-ber.csv").write_text(text)
+    assert preset_manifest.row_differences(mine / "fig-ber.csv", theirs / "fig-ber.csv") == (
+        2, 3, ["MMSE+APA+LS"], 0.2)
+    changed = dict(FILES, **{"fig-ber.csv": "ff"})
+    assert preset_manifest.compare(manifest(FILES), manifest(changed), (mine, theirs)) is False
+    lines = capsys.readouterr().out.splitlines()
+    detail = lines[lines.index("DIFFERS   fig-ber.csv") + 1].split()
+    assert detail[:7] == ["2", "of", "3", "rows", "differ", "(MMSE+APA+LS);", "largest"]
+    assert detail[-1] == "0.2"
+
+
+def test_a_row_on_one_side_only_differs_without_bound(tmp_path):
+    (tmp_path / "mine.csv").write_text(ROWS)
+    (tmp_path / "theirs.csv").write_text(ROWS.rsplit("MMSE+APA+LS,snr_grid,5.0", 1)[0])
+    rows, total, schemes, largest = preset_manifest.row_differences(
+        tmp_path / "mine.csv", tmp_path / "theirs.csv")
+    assert (rows, total, schemes, largest) == (1, 3, ["MMSE+APA+LS"], float("inf"))
+
+
+def test_a_csv_without_a_scheme_column_names_no_scheme(tmp_path):
+    (tmp_path / "mine.csv").write_text("iteration,cost_mean\n0,1.5\n1,1.25\n")
+    (tmp_path / "theirs.csv").write_text("iteration,cost_mean\n0,1.5\n1,1.5\n")
+    assert preset_manifest.row_differences(tmp_path / "mine.csv", tmp_path / "theirs.csv") == (
+        1, 2, [], 0.25 / 1.5)

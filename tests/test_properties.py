@@ -1,7 +1,8 @@
 """Properties of exhaustive selection, at one SNR point and over a grid, of
 the stacked SNR-grid chain, of the shared MMSE build, of the MMSE build
-against a dense ridge solve, of the ``Build`` value's stack and take and of
-stacked BER measurement, over random small configurations."""
+against a dense ridge solve, of APA's re-form, of the ``Build`` value's
+stack and take and of stacked BER measurement, over random small
+configurations."""
 
 import dataclasses
 import itertools
@@ -16,14 +17,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cellfree import pipeline, selection
 from cellfree.channel import MIN_CSI_QUALITY, SYMBOL_POWER_RANGE, SystemConfig
-from cellfree.metrics import ber_qpsk, sinr_coefficients, snr_to_rho_f
+from cellfree.metrics import analytic_sinr, ber_qpsk, sinr_coefficients, snr_to_rho_f
 from cellfree.pipeline import (SCHEMES, Build, Scheme, SolverParams, TrialDraw, run_cell,
-                               run_cells, run_chain, run_trial)
+                               run_cells, run_trial)
 from cellfree.power_allocation import CONSTRAINT_TOL, OPA_ITERATIONS, OPA_TOL, _bracket, upa
 from cellfree.precoding import RankDeficientError, cb_precoder, mmse_precoder, zf_precoder
 from cellfree.presets import PRESETS
 from cellfree.selection import ls_aps
-from reference import mask_from_choices, zf_full_rank
+from reference import chain_on, mask_from_choices, zf_full_rank
 
 # candidates of the reference loop per example, to bound the test's run time
 MAX_CANDIDATES = 36
@@ -66,8 +67,8 @@ def reference_winner(cfg, scheme, snr, trial):
         mask = mask_from_choices(choices, cfg.num_aps, cfg.antennas_per_ap)
         g_hat, err_var = selection.apply_mask(mask, real)
         try:
-            score = run_chain(g_hat, err_var, scheme, rho_f, sigma_w2,
-                              cfg.symbol_power).metrics.min_sinr
+            score = chain_on(g_hat, err_var, scheme, rho_f, sigma_w2,
+                             cfg.symbol_power).metrics.min_sinr
         except RankDeficientError:
             continue
         if score > best_score:
@@ -251,7 +252,7 @@ def test_a_stacked_snr_grid_chain_equals_its_per_point_chains_bitwise(case):
         scheme = Scheme(*pair, selected)
 
         def chain(rho_f):
-            return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
+            return chain_on(g_hat, err_var, scheme, rho_f, sigma_w2, cfg.symbol_power)
 
         try:
             points = [chain(r) for r in rho]
@@ -354,6 +355,44 @@ def test_run_cells_equals_each_scheme_on_a_fresh_draw_bitwise(case):
             assert np.array_equal(getattr(cell.metrics, field.name),
                                   getattr(want.metrics, field.name)), (label, field.name)
 
+
+
+@st.composite
+def reform_cases(draw):
+    """2-6 APs, each of 1-2 antennas, 1-3 users, an ES search of at most
+    ``MAX_CANDIDATES`` candidates, and an SNR grid in [-30, 40] dB."""
+    num_aps = draw(st.integers(2, 6))
+    antennas = draw(st.integers(1, 2))
+    num_users = draw(st.integers(1, min(3, num_aps * antennas - 1)))
+    selected = draw(st.sampled_from([s for s in range(1, num_aps + 1)
+                                     if math.comb(num_aps, s) ** num_users <= MAX_CANDIDATES]))
+    cfg = dataclasses.replace(
+        SystemConfig(), num_aps=num_aps, antennas_per_ap=antennas, num_users=num_users,
+        selected_aps=selected, csi_quality=draw(st.floats(0.5, 1.0)))
+    snrs = draw(st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=3))
+    return cfg.validate(), snrs, draw(st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(reform_cases())
+def test_an_apa_cells_sinr_is_that_of_its_reformed_precoder_on_the_channel(case):
+    """The re-form divides the build's coefficients by the first allocation
+    in place of forming them again: every MMSE+APA cell of one ``run_cells``
+    call, NS, LS and an ES grid cell, has the SINR that coefficients formed
+    from its re-formed precoder and its masked channel give its final
+    allocation, to 1e-12 relative."""
+    cfg, snrs, trial = case
+    draw = TrialDraw(cfg, trial, cfg.rng_seed)
+    cells = run_cells(draw, [Scheme("MMSE", "APA", s) for s in ("NS", "LS", "ES")], snrs)
+    real = draw.realization
+    sigma_w2 = cfg.noise_variance_w()
+    rho_f = snr_to_rho_f(pipeline._snr_linear(snrs), real.g_hat, sigma_w2)
+    for cell in cells:
+        g_hat, err_var = selection.apply_mask(cell.mask, real)
+        coeffs = sinr_coefficients(cell.precoder.p, g_hat, err_var, rho_f, sigma_w2)
+        np.testing.assert_allclose(cell.metrics.per_user_sinr,
+                                   analytic_sinr(coeffs, cell.n_final.eta), rtol=1e-12,
+                                   atol=0.0)
 
 def build_arrays(build):
     """A ``Build``'s per-item arrays, by name."""
@@ -463,8 +502,8 @@ def test_every_allocation_keeps_the_caps_and_opa_dominates(case):
     min_sinr, width = {}, {}
     for pair in PAIRS:
         try:
-            res = run_chain(g_hat, err_var, Scheme(*pair, selected), rho_f, sigma_w2,
-                            cfg.symbol_power)
+            res = chain_on(g_hat, err_var, Scheme(*pair, selected), rho_f, sigma_w2,
+                           cfg.symbol_power)
         except RankDeficientError:              # ZF on a rank-deficient mask
             assert pair[0] == "ZF"
             continue

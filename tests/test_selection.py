@@ -5,9 +5,9 @@ import pytest
 
 from cellfree import selection
 from cellfree.channel import SystemConfig, generate_realization
-from cellfree.pipeline import Scheme, run_chain
+from cellfree.pipeline import Scheme
 from cellfree.selection import apply_mask, es_chunks, first_maxima, ls_aps
-from reference import es_search, ls_reference
+from reference import chain_on, es_search, ls_reference
 
 
 def small_realization(num_aps=6, antennas=1, users=3, n=0.9, seed=0):
@@ -141,8 +141,8 @@ def chain_evaluator(real, cfg, scheme=Scheme("MMSE", "UPA", "NS")):
 
     def evaluate(mask):
         g_hat, err_var = apply_mask(mask, real)
-        return run_chain(g_hat, err_var, scheme, rho_f, sigma_w2,
-                         cfg.symbol_power).metrics.min_sinr
+        return chain_on(g_hat, err_var, scheme, rho_f, sigma_w2,
+                        cfg.symbol_power).metrics.min_sinr
 
     return evaluate
 
