@@ -229,6 +229,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"--trials must be at least 1, got {trials}", file=sys.stderr)
         return 2
     solver = dataclasses.replace(SolverParams(), **preset.solver)
+    if preset.kind == "learning" and len(schemes) > 1:
+        print(f"learning curves track one scheme; using {schemes[0].label}", file=sys.stderr)
+        schemes = schemes[:1]
 
     print(f"running preset {preset.name!r}: {len(schemes)} scheme(s), "
           f"{trials} trial(s), axis {preset.axis}", file=sys.stderr)
@@ -236,9 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             trials, cfg.rng_seed)
     try:
         if preset.kind == "learning":
-            if len(schemes) > 1:
-                print(f"learning curves track one scheme; using {schemes[0].label}",
-                      file=sys.stderr)
             rows = run_learning_curve(cfg, schemes[0], trials)
             emit_results(rows, args.out, sidecar, row_type=LearningCurveRow)
         else:

@@ -29,10 +29,9 @@ stack. MMSE builds one precoder per item under the total transmit energy
 precoders and SINR coefficients do not depend on the SNR, build once per
 channel, stride 0 along the points. Each item of a chain equals its own 2-D
 chain bitwise.
-Exhaustive selection scores its candidate masks as ``(S, B)`` chains, in
-chunks, and copies each point's winning item out of the chunk that scored
-it (``PipelineResult.take``), so every reported number is what the 2-D
-chain on the winning mask gives, and no chain runs on the winners again.
+Exhaustive selection is a selection like the others: it scores its
+candidate masks as ``(S, B)`` chains, in chunks, and gives each point's
+winning mask, on which the cell's chain then runs like any other.
 Each chunk is masked and built once. A chunk that leaves ZF rank-deficient
 is built again without the candidates that fail ZF's rank test (a Gram
 eigenvalue at or below rounding), which score -inf; the error of the
@@ -42,16 +41,16 @@ OPA's one search is screened by its closed-form bound (see ``_es``).
 A trial is split in two. ``TrialDraw`` holds the channel block of trial
 ``t`` at one config, drawn once on first use and read-only. ``run_cells``
 runs a list of schemes on a draw over one SNR point or a grid, and each
-quantity once. An ES scheme's search depends on the scheme and the SNR, so
-it runs per distinct chain, and its search gives that chain. NS and LS
-schemes share each selection, with the estimate and error variance it
-masks, and each (selection, precoder build), which MMSE and MMSE_CONV
-share; all of these are read-only and live only for the call. They run one
-chain per distinct (selection, precoder build, allocation), so MMSE and
-MMSE_CONV twins share one, and the chains of one allocation run as one
-allocate stage, a ``run_chain`` on ``Build.stack`` of their builds, of
-which each cell's result is its chain's ``take``. The stage reads only the
-builds, so no estimate or error variance is stacked for it.
+quantity once. NS and LS schemes share each selection, with the estimate
+and error variance it masks, and each (selection, precoder build), which
+MMSE and MMSE_CONV share; an ES scheme's search depends on the scheme and
+the SNR, so its selection and build are its chain's own. All of these are
+read-only and live only for the call. One chain runs per distinct
+(selection, precoder build, allocation), so MMSE and MMSE_CONV twins share
+one, and the chains of one allocation, ES's included, run as one allocate
+stage, a ``run_chain`` on ``Build.stack`` of their builds, of which each
+cell's result is its chain's ``take``. The stage reads only the builds, so
+no estimate or error variance is stacked for it.
 ``run_cell`` is ``run_cells`` of one scheme, and ``run_trial`` one cell on a
 fresh draw. ``run_sweep`` runs trial-major: one draw and one ``run_cells``
 per config, over that config's SNR points: the whole grid on the SNR axis,
@@ -109,23 +108,15 @@ def _mmse(g_hat, rho_f, sigma_w2, sigma_s2):
 
 def _es(scheme, realization, cfg, rho_f):
     """The best mask at one SNR point, ``(M, K)``, or at each point of a
-    grid, ``(S, M, K)``, and the winners' ``PipelineResult``, from one loop
-    over ``sel.es_chunks`` at ``rho_f`` as ``(S, 1)``. A chunk of B
-    candidates runs as one ``(S, B)`` chain, each of whose items equals its
-    own 2-D chain bitwise, so each point's winning item ``(s, b_s)`` is what
-    the chain on that point's mask gives: no chain runs again on the
-    winners. ``sel.first_maxima`` keeps one running best per point; the
-    points whose best a chunk raises have their items copied out of its
-    result (``PipelineResult.take``), with their masks, so no chunk's result
-    is kept but those copies, and the end gathers each point's newest copy
-    (a one-point call then takes item 0). The result's trace holds the
-    counts of the scored stack that the first point's winner was copied
-    from: ``allocation_solves``, ``allocation_iterations`` and
-    ``allocation_tests``; its precoder and allocation seconds are 0, as the
-    search that ran them is the cell's selection time. It also holds
-    ``es_candidates``, the (point, candidate) items searched, and
-    ``es_certified``, those decided exactly: scored on the chain, or set
-    aside by ZF's rank test. A point left without a finite score raises
+    grid, ``(S, M, K)``, with the search's ``es_candidates``, the (point,
+    candidate) items searched, and ``es_certified``, those decided exactly:
+    scored on the chain, or set aside by ZF's rank test. One loop over
+    ``sel.es_chunks`` at ``rho_f`` as ``(S, 1)`` scores a chunk of B
+    candidates as one ``(S, B)`` chain, each of whose items equals its own
+    2-D chain bitwise. Per point the loop keeps one running best, from
+    ``sel.first_maxima``, and the mask that set it, in a fresh contiguous
+    array; the cell's chain then runs on those masks in its allocation's
+    stage (``run_cells``). A point left without a finite score raises
     ``LinAlgError``.
 
     Each chunk is masked once and built once. A build that ZF's rank test
@@ -153,7 +144,6 @@ def _es(scheme, realization, cfg, rho_f):
     bound = SCHEMES["allocation"][scheme.allocation].bound
     best = np.full(points, -np.inf)
     masks_won = np.zeros((points, cfg.total_antennas, cfg.num_users))
-    won = [None] * points   # per point: (the newest copy that names it, its row there)
     certified = 0
     for masks in sel.es_chunks(cfg.num_aps, cfg.num_users, cfg.selected_aps,
                                cfg.antennas_per_ap, points):
@@ -172,36 +162,27 @@ def _es(scheme, realization, cfg, rho_f):
             hi = np.where(np.isnan(lo) | np.isnan(hi), np.inf, hi)
             floor = np.maximum(best, np.where(np.isnan(lo), -np.inf, lo).max(axis=-1))
             live = (hi >= floor[:, None]).any(axis=0)
-            certified -= (live.size - np.count_nonzero(live)) * points
+            certified -= (live.size - int(np.count_nonzero(live))) * points
             if not live.any():
                 continue
             built = built.take((slice(None), live))
             run[run] = live
-        result = run_chain(built, scheme, sigma_s2)
         scores = np.full((points, len(masks)), -np.inf)
-        scores[:, run] = result.metrics.min_sinr
+        scores[:, run] = run_chain(built, scheme, sigma_s2).metrics.min_sinr
         best, better, columns = sel.first_maxima(best, scores)
-        if better.any():
-            copy = result.take((better, (np.cumsum(run) - 1)[columns]))
-            masks_won[better] = masks[columns]
-            for j, s in enumerate(np.flatnonzero(better)):
-                won[s] = copy, j
+        masks_won[better] = masks[columns]
     if not np.all(best > -np.inf):
         raise np.linalg.LinAlgError(
             "exhaustive selection has no candidate mask that keeps the channel "
             "full-rank with a finite minimum SINR")
-    result = _map_items(lambda _, *xs: np.array([x[j] for x, (_, j) in zip(xs, won)]),
-                        *(copy for copy, _ in won))
     candidates = sel.es_candidate_count(cfg.num_aps, cfg.num_users, cfg.selected_aps)
-    result.trace = {**result.trace, "seconds": {"precoder": 0.0, "allocation": 0.0},
-                    "es_candidates": candidates * points, "es_certified": certified}
-    return (masks_won, result) if np.ndim(rho_f) else (masks_won[0], result.take(0))
+    return (masks_won if np.ndim(rho_f) else masks_won[0]), candidates * points, certified
 
 
 @dataclass(frozen=True)
 class _Selector:
-    select: Callable      # (scheme, realization, cfg, rho_f)
-                          # -> (mask array, the chain ES ran on it or None)
+    # (scheme, realization, cfg, rho_f) -> (mask array, es_candidates, es_certified)
+    select: Callable
     per_cell: bool = False  # depends on the scheme and SNR: each chain makes its own
 
 
@@ -226,9 +207,9 @@ SCHEMES = {
     },
     "selection": {
         "NS": _Selector(lambda scheme, realization, cfg, *_: (
-            np.ones((cfg.total_antennas, cfg.num_users)), None)),
+            np.ones((cfg.total_antennas, cfg.num_users)), 0, 0)),
         "LS": _Selector(lambda scheme, realization, cfg, *_: (
-            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), None)),
+            sel.ls_aps(realization.beta, cfg.selected_aps, cfg.antennas_per_ap), 0, 0)),
         "ES": _Selector(_es, per_cell=True),
     },
 }
@@ -508,8 +489,7 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     ``snr_db`` is one SNR point, or a grid ``(S,)``: every array of a cell
     then has a leading grid axis, and each item, ``take(i)``, equals its own
     point's cell. NS and LS share one mask over the grid, stride 0 along
-    it; an ES search finds every point's mask, and its chain result is the
-    winners' items of the chunks it scored (see ``_es``). Every distinct
+    it; an ES search finds every point's mask (see ``_es``). Every distinct
     chain is one item of one ``ber_qpsk`` call on the restarted symbol and
     noise streams, so each item sees the bits and noise it would see on its
     own; the call takes the chains' precoders and estimates as a sequence
@@ -522,14 +502,14 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     ``trace`` of a cell: its solver counts and its allocate stage's seconds
     (``trace["seconds"]["allocation"]``, and APA's re-form under
     ``"precoder"``) are those of its stage, a ``run_chain`` on
-    ``Build.stack`` of every NS and LS build of its allocation: the MMSE, ZF
-    and CB cells of one allocation share one stage's
-    ``allocation_iterations``, ``allocation_tests`` and seconds. The channel
-    draw's seconds (``"channel"``), a selection's (``"selection"``) and a
-    ``Build``'s (under ``"precoder"``; a stack's are 0) count only in the
-    first cell that used them. An ES search, the winners' chain included, is
-    its selection; its precoder and allocation seconds are 0, and its solver
-    counts are those of a scored stack (see ``_es``). The BER seconds
+    ``Build.stack`` of every build of its allocation: the cells of one
+    allocation share one stage's ``allocation_iterations``,
+    ``allocation_tests`` and seconds. The channel draw's seconds
+    (``"channel"``), a selection's (``"selection"``, an ES search's whole
+    time) and a ``Build``'s (under ``"precoder"``; a stack's are 0) count
+    only in the first cell that used them. ``es_candidates`` and
+    ``es_certified`` are an ES search's counts (see ``_es``), and 0 for NS
+    and LS. The BER seconds
     (``"ber"``) and ``ber_degenerate_gains`` are the one BER call's, over
     all its items. A cell's times cover all of its points.
     """
@@ -540,11 +520,11 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     rho_f = mt.snr_to_rho_f(_snr_linear(snr_db), realization.g_hat, sigma_w2)
     ndim = np.ndim(rho_f)
     channel_seconds = time.perf_counter() - t0
-    # selections: per NS or LS, or per ES chain, (mask, masked estimate,
-    # masked error variance, ES's chain or None); builds: per (selection,
-    # precoder build), its Build; chains: per chain key, its selection; ran:
-    # per chain key, its result
-    selections, builds, chains, ran = {}, {}, {}, {}
+    # selections: per place, an NS or LS selection or an ES chain's key,
+    # (mask, masked estimate, masked error variance, ES's two counts);
+    # builds: per (place, precoder build), its Build; chains: per chain key,
+    # its build's key
+    selections, builds, chains = {}, {}, {}
     stacks = {}     # allocation -> one scheme per chain
     cells = []      # per scheme: its chain's key, and the seconds of what it made
     for scheme in schemes:
@@ -558,37 +538,36 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
         place = key if selector.per_cell else scheme.selection
         if place not in selections:
             t = time.perf_counter()
-            mask, chain = selector.select(scheme, realization, cfg, rho_f)
+            mask, *counts = selector.select(scheme, realization, cfg, rho_f)
             # the cell's mask carries its points: stride 0 along them for NS and LS
             selections[place] = (np.broadcast_to(mask, np.shape(rho_f) + mask.shape[-2:]),
-                                 *_read_only(*sel.apply_mask(mask, realization)), chain)
+                                 *_read_only(*sel.apply_mask(mask, realization)), counts)
             made["selection"] = time.perf_counter() - t
-        chains[key] = selections[place]
-        _, g_hat, err_var, chain = chains[key]
-        if chain is not None:           # ES: its search ran the chain
-            ran[key] = chain
-            continue
-        if key[:2] not in builds:
-            build = builds[key[:2]] = _build(key[1], g_hat, err_var, rho_f, sigma_w2, sigma_s2)
-            made["precoder"] = build.seconds
+        build_key = chains[key] = place, key[1]
+        if build_key not in builds:
+            _, g_hat, err_var, _ = selections[place]
+            builds[build_key] = _build(key[1], g_hat, err_var, rho_f, sigma_w2, sigma_s2)
+            made["precoder"] = builds[build_key].seconds
         stacks.setdefault(scheme.allocation, []).append(scheme)
 
+    ran = {}        # per chain key, its result
     for stacked in stacks.values():
         keys = [_chain_key(scheme) for scheme in stacked]
         reform = SCHEMES["allocation"][stacked[0].allocation].adaptive
-        stage = run_chain(Build.stack([builds[key[:2]] for key in keys], reform),
+        stage = run_chain(Build.stack([builds[chains[key]] for key in keys], reform),
                           stacked[0], sigma_s2)
         if not reform:              # the stage stacked only the loads: each
             stage.precoder = None   # cell's precoder is its build's, not a take
         for i, key in enumerate(keys):
             ran[key] = stage.take(i)
             if not reform:
-                ran[key].precoder = builds[key[:2]].precoder
+                ran[key].precoder = builds[chains[key]].precoder
 
     ber_seconds, degenerate = 0.0, None
     if ber is not None and ran:
         t = time.perf_counter()
-        p, n_diag, g_hat = zip(*((chain.precoder.p, chain.n_final.n_diag, chains[key][1])
+        p, n_diag, g_hat = zip(*((chain.precoder.p, chain.n_final.n_diag,
+                                  selections[chains[key][0]][1])
                                  for key, chain in ran.items()))
         links, degenerate = mt.ber_qpsk(
             p, _stack(n_diag, ndim + 1), realization.g, g_hat, rho_f, sigma_w2,
@@ -601,13 +580,14 @@ def run_cells(draw: TrialDraw, schemes: Sequence[Scheme], snr_db,
     results = []
     for key, made in cells:
         chain = ran[key]
+        mask, _, _, (candidates, certified) = selections[chains[key][0]]
         ran_seconds = chain.trace["seconds"]
-        trace = {"es_candidates": 0, "es_certified": 0, **chain.trace,
+        trace = {"es_candidates": candidates, "es_certified": certified, **chain.trace,
                  "seconds": {**made, "precoder": ran_seconds["precoder"] + made["precoder"],
                              "allocation": ran_seconds["allocation"], "ber": ber_seconds}}
         if ber is not None:
             trace["ber_degenerate_gains"] = degenerate
-        results.append(replace(chain, trace=trace, mask=chains[key][0]))
+        results.append(replace(chain, trace=trace, mask=mask))
     return results
 
 

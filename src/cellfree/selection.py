@@ -9,7 +9,8 @@ precoder or power-allocation stage downstream. A stack of B masks, shape
 exhaustive selection scores its candidates, at one SNR point or at a whole
 grid of them in one search: ``es_chunks`` gives its candidates and
 ``first_maxima`` its winners, and its loop is the ES selector's,
-``pipeline._es``.
+``pipeline._es``, which returns only the winners' masks, as the NS and LS
+selectors return theirs.
 """
 
 from __future__ import annotations

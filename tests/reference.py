@@ -279,10 +279,11 @@ def es_search(num_aps, num_users, num_selected, antennas_per_ap, score, *, point
     """Exhaustive selection as ``pipeline._es`` runs it, over ``selection``'s
     ``es_chunks`` and ``first_maxima``, with ``score`` in place of the chain:
     a (B, M, K) stack of candidate masks -> their scores, ``(points, B)``,
-    or ``(B,)`` at one point. Returns each point's winning mask, copied
-    from its chunk at the column that ``first_maxima`` names, and its best
-    score, ``(points, M, K)`` and ``(points,)``, or ``(M, K)`` and a scalar
-    at one point. The masks are None if some point has no winner."""
+    or ``(B,)`` at one point. Returns each point's winning mask, as the
+    selector does, taken from its chunk at the column that ``first_maxima``
+    names, and its best score, ``(points, M, K)`` and ``(points,)``, or
+    ``(M, K)`` and a scalar at one point. The masks are None if some point
+    has no winner."""
     best = np.full(points, -np.inf)
     won = np.zeros((points, num_aps * antennas_per_ap, num_users))
     for masks in selection.es_chunks(num_aps, num_users, num_selected, antennas_per_ap,

@@ -375,7 +375,7 @@ def test_run_learning_preset_writes_curve(tmp_path, capsys):
 
 def test_a_learning_preset_given_two_schemes_tracks_the_first(tmp_path, capsys):
     # a learning curve tracks one scheme: the run says which, and writes
-    # that scheme's rows, as a run given only that scheme does
+    # that scheme's rows and sidecar, as a run given only that scheme does
     both, first = tmp_path / "both.csv", tmp_path / "first.csv"
     assert main(["run", "--preset", "fig-learning", "--out", str(both), "--trials", "1",
                  "--schemes", "MMSE+APA+LS,MMSE+APA+NS"]) == 0
@@ -384,6 +384,8 @@ def test_a_learning_preset_given_two_schemes_tracks_the_first(tmp_path, capsys):
                  "--schemes", "MMSE+APA+LS"]) == 0
     assert "track one scheme" not in capsys.readouterr().err
     assert both.read_bytes() == first.read_bytes()
+    assert (Path(f"{both}.config.json").read_bytes()
+            == Path(f"{first}.config.json").read_bytes())
     assert len(both.read_text().splitlines()) == 7  # header + initial point + five steps
 
 
